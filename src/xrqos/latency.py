@@ -7,6 +7,7 @@ registry.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .capacity import BitRate
@@ -43,8 +44,8 @@ class PipelineTiming:
 
     def __post_init__(self) -> None:
         for name in ("t_sense", "t_render", "t_encode", "t_decode", "fixed_display"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} cannot be negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
 
     @property
     def processing_total(self) -> float:

@@ -3,22 +3,31 @@
 Each frame travels the full pipeline: pose uplink, render and encode on the
 server, FIFO serialization on the downlink (the only queuing effect
 modeled), propagation, decode, panel response, then the wait for the next
-VSync tick. Packet loss is decided by a seeded draw keyed on
-(frame, packet, attempt) so that changing the bandwidth never perturbs the
-loss pattern; that keying is what makes bandwidth sweeps monotone and
-repeatable.
+VSync tick.
+
+Packet loss comes from one keyed draw stream per (seed, frame, attempt):
+64-byte blake2b blocks, each unpacked into eight uniforms. Every uniform is
+inverted into a geometric gap (the number of packets delivered before the
+next loss), so a frame costs about one draw per lost packet plus one, and a
+frame that loses nothing costs one serialization step. Whether packet k is
+lost on attempt a depends only on (seed, frame, k, a), never on the
+bandwidth or the packet count; that keying is what makes bandwidth sweeps
+monotone and repeatable. Versions before this stream keyed one draw per
+(seed, frame, packet, attempt), so their loss patterns for a given seed
+differ.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass
 from typing import TextIO
 
 from .errors import DomainError
 from .latency import PipelineTiming
-from .tracegen import FrameTrace
+from .tracegen import FrameTrace, packet_split
 
 __all__ = ["LinkModel", "FrameResult", "Aggregates", "SimReport", "simulate"]
 
@@ -46,20 +55,21 @@ class LinkModel:
     uplink_payload_bits: int = 0
 
     def __post_init__(self) -> None:
-        if self.downlink_bps <= 0 or self.uplink_bps <= 0:
-            raise DomainError("link rates must be positive")
+        # Every comparison with NaN is false, so these reject it; an infinite rate is an instant link.
+        if not (self.downlink_bps > 0 and self.uplink_bps > 0):
+            raise DomainError(f"link rates must be positive, got {self.downlink_bps} and {self.uplink_bps}")
         if not 0 <= self.loss_prob <= 1:
             raise DomainError(f"loss probability must lie in [0, 1], got {self.loss_prob}")
-        if self.propagation_rtt < 0:
-            raise DomainError(f"propagation rtt cannot be negative, got {self.propagation_rtt}")
+        if not 0 <= self.propagation_rtt < math.inf:
+            raise DomainError(f"propagation rtt must be finite and non-negative, got {self.propagation_rtt}")
         if self.mode not in ("udp_like", "tcp_like"):
             raise DomainError(f"mode must be udp_like or tcp_like, got {self.mode!r}")
-        if self.max_retx < 0:
-            raise DomainError(f"max retransmissions cannot be negative, got {self.max_retx}")
-        if self.mtu_payload_bits <= 0:
-            raise DomainError(f"mtu payload must be positive, got {self.mtu_payload_bits}")
-        if self.uplink_payload_bits < 0:
-            raise DomainError("uplink payload cannot be negative")
+        if not (isinstance(self.max_retx, int) and self.max_retx >= 0):
+            raise DomainError(f"max retransmissions must be a non-negative integer, got {self.max_retx}")
+        if not 0 < self.mtu_payload_bits < math.inf:
+            raise DomainError(f"mtu payload must be positive and finite, got {self.mtu_payload_bits}")
+        if not 0 <= self.uplink_payload_bits < math.inf:
+            raise DomainError(f"uplink payload must be finite and non-negative, got {self.uplink_payload_bits}")
 
 
 @dataclass(frozen=True)
@@ -145,24 +155,42 @@ class SimReport:
             handle.write(f"{name},{'' if value is None else value}\n")
 
 
-def _loss_draw(seed: int, frame_index: int, packet_index: int, attempt: int) -> float:
-    """Uniform [0, 1) draw pinned to one transmission attempt."""
-    key = f"{seed}:{frame_index}:{packet_index}:{attempt}".encode("ascii")
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2.0**64
+_BLOCK = struct.Struct(">8Q")
+
+
+def _lost_packets(seed: int, frame_index: int, attempt: int, count: int, loss_prob: float) -> list[int]:
+    """Ascending indices below ``count`` of the packets lost on one attempt at a frame.
+
+    The stream for (seed, frame, attempt) is a run of 64-byte blake2b blocks,
+    each read as eight 64-bit words. The top 53 bits of a word give a uniform
+    U on (0, 1], and floor(log(U) / log(1 - p)) packets are delivered before
+    the next loss. The walk stops at the first loss at or past ``count``, so
+    the result for a smaller count is a prefix of the one for a larger count.
+    """
+    if loss_prob <= 0.0:
+        return []
+    if loss_prob >= 1.0:
+        return list(range(count))
+    log_keep = math.log1p(-loss_prob)
+    lost = []
+    position = -1
+    block = 0
+    while True:
+        key = f"{seed}:{frame_index}:{attempt}:{block}".encode("ascii")
+        for word in _BLOCK.unpack(hashlib.blake2b(key).digest()):
+            gap = math.log(((word >> 11) + 1) * 2.0**-53) / log_keep
+            # compare before int(): at a subnormal p the gap is inf
+            if gap >= count - 1 - position:
+                return lost
+            position += int(gap) + 1
+            lost.append(position)
+        block += 1
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
     # Nearest-rank definition; sorted_values must be non-empty.
     rank = max(0, math.ceil(q * len(sorted_values)) - 1)
     return sorted_values[min(rank, len(sorted_values) - 1)]
-
-
-def _packet_sizes(frame_bits: int, mtu: int) -> list[int]:
-    count = max(1, math.ceil(frame_bits / mtu))
-    sizes = [mtu] * (count - 1)
-    sizes.append(frame_bits - mtu * (count - 1))
-    return sizes
 
 
 def simulate(
@@ -181,39 +209,41 @@ def simulate(
     """
     if len(trace) == 0:
         raise DomainError("cannot simulate an empty trace")
-    if refresh_hz <= 0:
-        raise DomainError(f"refresh rate must be positive, got {refresh_hz}")
-    if mtp_limit <= 0:
+    if not 0 < refresh_hz < math.inf:
+        raise DomainError(f"refresh rate must be positive and finite, got {refresh_hz}")
+    if not mtp_limit > 0:
         raise DomainError(f"mtp limit must be positive, got {mtp_limit}")
 
     tick = 1000.0 / refresh_hz
     half_rtt = link.propagation_rtt / 2.0
     uplink_ms = 1000.0 * link.uplink_payload_bits / link.uplink_bps
     max_attempts = 1 + (link.max_retx if link.mode == "tcp_like" else 0)
+    mtu = link.mtu_payload_bits
+    full_tx = 1000.0 * mtu / link.downlink_bps
+    # a retransmission waits one RTT after its loss, then goes on the wire again
+    resend = link.propagation_rtt + full_tx
 
     link_free = 0.0
     results = []
     for record in trace:
         arrival = record.t_gen + timing.t_sense + uplink_ms + half_rtt + timing.t_render + timing.t_encode
-        t = max(arrival, link_free)
-        delivered = True
+        # every packet goes out once, lost or not
+        t = max(arrival, link_free) + 1000.0 * record.size_bits / link.downlink_bps
+        count, last_bits = packet_split(record.size_bits, mtu)
+        lost = _lost_packets(link.seed, record.index, 0, count, link.loss_prob)
         retx = 0
-        for packet_index, packet_bits in enumerate(_packet_sizes(record.size_bits, link.mtu_payload_bits)):
-            for attempt in range(max_attempts):
-                t += 1000.0 * packet_bits / link.downlink_bps
-                lost = link.loss_prob > 0.0 and _loss_draw(
-                    link.seed, record.index, packet_index, attempt
-                ) < link.loss_prob
-                if not lost:
-                    break
-                if attempt < max_attempts - 1:
-                    t += link.propagation_rtt
-                    retx += 1
-            if lost:
-                delivered = False
+        for attempt in range(1, max_attempts):
+            if not lost:
+                break
+            t += len(lost) * resend
+            if lost[-1] == count - 1:
+                t += 1000.0 * (last_bits - mtu) / link.downlink_bps
+            retx += len(lost)
+            again = set(_lost_packets(link.seed, record.index, attempt, lost[-1] + 1, link.loss_prob))
+            lost = [k for k in lost if k in again]
         link_free = t
 
-        if delivered:
+        if not lost:
             ready = t + half_rtt + timing.t_decode + timing.fixed_display
             k = max(0, math.ceil(ready / tick - 1e-9))
             display = k * tick

@@ -110,6 +110,17 @@ def generate_trace(
     return FrameTrace(config=cfg, sizes=sizes, duration=duration, records=tuple(records))
 
 
+def packet_split(size_bits: int, mtu_payload_bits: int) -> tuple[int, int]:
+    """(packet count, bits of the last packet) of one frame.
+
+    A frame is full-MTU packets plus one remainder packet; an empty frame
+    still takes one (empty) packet. ``packetize`` and the link simulator
+    both split frames by this rule.
+    """
+    count = max(1, math.ceil(size_bits / mtu_payload_bits))
+    return count, size_bits - mtu_payload_bits * (count - 1)
+
+
 def packetize(trace: FrameTrace | Iterable[FrameRecord], mtu_payload_bits: int) -> list[PacketRecord]:
     """Split every frame into full-MTU packets plus one remainder packet.
 
@@ -119,10 +130,9 @@ def packetize(trace: FrameTrace | Iterable[FrameRecord], mtu_payload_bits: int) 
         raise DomainError(f"mtu payload must be positive, got {mtu_payload_bits}")
     packets = []
     for record in trace:
-        count = max(1, math.ceil(record.size_bits / mtu_payload_bits))
-        remainder = record.size_bits - mtu_payload_bits * (count - 1)
+        count, last_bits = packet_split(record.size_bits, mtu_payload_bits)
         for packet_index in range(count):
-            size = mtu_payload_bits if packet_index < count - 1 else remainder
+            size = mtu_payload_bits if packet_index < count - 1 else last_bits
             packets.append(
                 PacketRecord(
                     frame_index=record.index,

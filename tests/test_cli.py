@@ -309,6 +309,20 @@ class TestTraceAndSimulate:
         assert code == 0
         assert out.count("displayed=") == 3
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--downlink", "nan"), ("--sense", "nan"), ("--rtt", "inf"), ("--refresh-hz", "inf")]
+    )
+    def test_simulate_non_finite_input_is_an_error(self, capsys, flag, value):
+        argv = {"--downlink": "50M", "--refresh-hz": "90", flag: value}
+        code, out, err = run_cli(
+            capsys, "simulate",
+            "--i-bits", "200000", "--p-bits", "40000", "--fps", "30", "--gop-time", "1", "--duration", "1",
+            *(token for item in argv.items() for token in item),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_simulate_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, _, err = run_cli(

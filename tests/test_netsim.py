@@ -1,4 +1,6 @@
+import hashlib
 import math
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 from xrqos.codec import FrameSizes, GopConfig
 from xrqos.errors import DomainError
 from xrqos.latency import PipelineTiming
-from xrqos.netsim import LinkModel, simulate
-from xrqos.tracegen import FrameTrace, generate_trace
+from xrqos import netsim
+from xrqos.netsim import LinkModel, _lost_packets, simulate
+from xrqos.tracegen import FrameTrace, generate_trace, packet_split, packetize
 
 
 def small_trace(frames=20, fps=30.0, i_bits=200_000, p_bits=40_000) -> FrameTrace:
@@ -34,6 +37,66 @@ def closed_form_oracle(trace, link, timing, refresh_hz):
         display = max(0, math.ceil(ready / tick - 1e-9)) * tick
         expected.append(display - record.t_gen)
     return expected
+
+
+def reference_simulate(trace, link, timing, refresh_hz):
+    """(displayed, retx_count, e2e_ms, vsync_wait_ms) per frame, one packet attempt at a time.
+
+    This is the simulator's contract written as the plain loop: every packet
+    goes on the wire in turn, and a lost one waits one RTT and is resent at
+    once, up to the attempt limit. Loss decisions come from the same keyed
+    streams, each walked over the whole frame.
+    """
+    tick = 1000.0 / refresh_hz
+    half_rtt = link.propagation_rtt / 2.0
+    uplink_ms = 1000.0 * link.uplink_payload_bits / link.uplink_bps
+    max_attempts = 1 + (link.max_retx if link.mode == "tcp_like" else 0)
+    sizes_by_frame = defaultdict(list)
+    for packet in packetize(trace, link.mtu_payload_bits):
+        sizes_by_frame[packet.frame_index].append(packet.size_bits)
+    rows = []
+    link_free = 0.0
+    for record in trace:
+        sizes = sizes_by_frame[record.index]
+        lost_on = [
+            set(_lost_packets(link.seed, record.index, attempt, len(sizes), link.loss_prob))
+            for attempt in range(max_attempts)
+        ]
+        t = max(record.t_gen + timing.t_sense + uplink_ms + half_rtt + timing.t_render + timing.t_encode, link_free)
+        delivered, retx = True, 0
+        for packet_index, bits in enumerate(sizes):
+            for attempt in range(max_attempts):
+                t += 1000.0 * bits / link.downlink_bps
+                lost = packet_index in lost_on[attempt]
+                if not lost:
+                    break
+                if attempt < max_attempts - 1:
+                    t += link.propagation_rtt
+                    retx += 1
+            if lost:
+                delivered = False
+        link_free = t
+        if delivered:
+            ready = t + half_rtt + timing.t_decode + timing.fixed_display
+            display = max(0, math.ceil(ready / tick - 1e-9)) * tick
+            rows.append((True, retx, display - record.t_gen, display - ready))
+        else:
+            rows.append((False, retx, None, None))
+    return rows
+
+
+def lost_transmissions(trace, link):
+    """Packet transmissions the link loses over a whole run."""
+    max_attempts = 1 + (link.max_retx if link.mode == "tcp_like" else 0)
+    total = 0
+    for record in trace:
+        count, _ = packet_split(record.size_bits, link.mtu_payload_bits)
+        pending = range(count)
+        for attempt in range(max_attempts):
+            lost = set(_lost_packets(link.seed, record.index, attempt, count, link.loss_prob))
+            pending = [k for k in pending if k in lost]
+            total += len(pending)
+    return total
 
 
 class TestDegenerateRuns:
@@ -223,3 +286,127 @@ class TestReportSerialization:
         assert head.splitlines()[0] == "frame_index,displayed,e2e_ms,vsync_wait_ms,retx_count"
         assert len(head.splitlines()) == 7
         assert aggregates.splitlines()[0] == "metric,value"
+
+
+_loss_prob_strategy = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.2e-313]),
+    st.floats(min_value=0.0, max_value=0.9, exclude_min=True, exclude_max=True),
+)
+
+
+class TestReferenceLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        link=st.builds(
+            LinkModel,
+            downlink_bps=st.floats(min_value=1e6, max_value=1e9),
+            propagation_rtt=st.floats(min_value=0.0, max_value=50.0),
+            loss_prob=_loss_prob_strategy,
+            seed=st.integers(min_value=0, max_value=2**31),
+            mode=st.sampled_from(["udp_like", "tcp_like"]),
+            max_retx=st.integers(min_value=0, max_value=4),
+            mtu_payload_bits=st.sampled_from([4_000, 11_680, 20_000, 40_000, 250_000]),
+        ),
+        frames=st.integers(min_value=1, max_value=12),
+    )
+    def test_per_frame_algebra_matches_packet_loop(self, link, frames):
+        trace = small_trace(frames=frames)
+        timing = PipelineTiming(t_sense=1.0, t_render=2.0, t_encode=1.5, t_decode=2.0, fixed_display=1.0)
+        report = simulate(trace, link, timing, 90.0, 20.0)
+        for frame, (displayed, retx, e2e, wait) in zip(report.frames, reference_simulate(trace, link, timing, 90.0)):
+            assert frame.displayed == displayed
+            assert frame.retx_count == retx
+            if displayed:
+                assert frame.e2e_ms == pytest.approx(e2e, abs=1e-9)
+                assert frame.vsync_wait_ms == pytest.approx(wait, abs=1e-9)
+
+
+class TestLossDraws:
+    @pytest.mark.parametrize("p", [0.001, 0.01, 0.3])
+    def test_loss_fraction_within_five_sigma(self, p):
+        frames, count, attempts = 100, 2_000, 2
+        slots = frames * count * attempts
+        lost = sum(
+            len(_lost_packets(9, frame, attempt, count, p)) for frame in range(frames) for attempt in range(attempts)
+        )
+        assert abs(lost / slots - p) <= 5 * math.sqrt(p * (1 - p) / slots)
+
+    def test_certain_outcomes(self):
+        assert _lost_packets(1, 2, 0, 500, 0.0) == []
+        assert _lost_packets(1, 2, 0, 500, 1.0) == list(range(500))
+
+    def test_subnormal_probability_loses_nothing(self):
+        for frame in range(200):
+            assert _lost_packets(3, frame, 0, 10**9, 2.2e-313) == []
+        trace = small_trace(frames=10)
+        link = LinkModel(downlink_bps=1e8, loss_prob=2.2e-313, mode="tcp_like")
+        report = simulate(trace, link, PipelineTiming(), 90.0, 20.0)
+        assert report.aggregates.dropped_count == 0
+
+    def test_shorter_frame_sees_a_prefix(self):
+        # the keying contract: packet k's fate never depends on the packet count
+        whole = _lost_packets(4, 17, 2, 5_000, 0.05)
+        assert whole == sorted(set(whole))
+        for count in (1, 10, 333, 4_999):
+            assert _lost_packets(4, 17, 2, count, 0.05) == [k for k in whole if k < count]
+
+
+class TestDrawCost:
+    """Digest calls per run: about one per (frame, attempt) plus one per eight losses, never per packet."""
+
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        calls = []
+        real = hashlib.blake2b
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(netsim.hashlib, "blake2b", counting)
+        return calls
+
+    def test_lossless_run_draws_nothing(self, digests):
+        trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)
+        simulate(trace, LinkModel(downlink_bps=1e8), PipelineTiming(), 90.0, 20.0)
+        assert digests == []
+
+    @pytest.mark.parametrize("mode", ["udp_like", "tcp_like"])
+    def test_lossy_run_draws_per_frame_attempt_and_loss(self, digests, mode):
+        trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)
+        link = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, loss_prob=0.01, seed=8, mode=mode, max_retx=3)
+        attempts = 1 + (link.max_retx if mode == "tcp_like" else 0)
+        losses = lost_transmissions(trace, link)
+        digests.clear()
+        simulate(trace, link, PipelineTiming(), 90.0, 20.0)
+        assert 0 < len(digests) <= len(trace) * attempts + losses
+
+
+class TestBoundary:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("downlink_bps", math.nan),
+            ("uplink_bps", math.nan),
+            ("propagation_rtt", math.nan),
+            ("propagation_rtt", math.inf),
+            ("mtu_payload_bits", math.nan),
+            ("uplink_payload_bits", math.inf),
+            ("max_retx", math.inf),
+        ],
+    )
+    def test_link_rejects_nan_and_bad_infinity(self, field, value):
+        with pytest.raises(DomainError):
+            LinkModel(**{"downlink_bps": 1e8, field: value})
+
+    @pytest.mark.parametrize(
+        "refresh_hz, mtp_limit", [(math.inf, 20.0), (math.nan, 20.0), (90.0, math.nan)]
+    )
+    def test_simulate_rejects_nan_and_bad_infinity(self, refresh_hz, mtp_limit):
+        with pytest.raises(DomainError):
+            simulate(small_trace(frames=3), LinkModel(downlink_bps=1e8), PipelineTiming(), refresh_hz, mtp_limit)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_timing_rejects_nan_and_infinity(self, value):
+        with pytest.raises(DomainError):
+            PipelineTiming(t_decode=value)
