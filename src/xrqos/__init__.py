@@ -19,6 +19,7 @@ from .codec import (
     GopConfig,
     RenderSurface,
     frame_size,
+    frame_sizes,
     gop_bitrate,
     nb_pixels,
     p_frame_count,
@@ -27,7 +28,6 @@ from .codec import (
 from .errors import ConfigError, DomainError, ProfileError, UnknownKeyError, XrqosError
 from .geometry import (
     Angle,
-    DisplaySpec,
     FovSpec,
     PhysicalSize,
     Resolution,
@@ -60,7 +60,7 @@ from .profiles import (
     reproduce_quest2_table,
     reproduce_summary_table,
 )
-from .reliability import LossModel, delivery_success, max_loss_rate, required_loss_rate
+from .reliability import LossModel, delivery_success, max_loss_rate
 from .report import requirements_report
 from .tracegen import (
     FrameRecord,

@@ -8,6 +8,7 @@ formatting decision made at the edge.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
@@ -160,9 +161,9 @@ class VoxelSpec:
         return self.color_depth + self.position_depth
 
 
-def _check_rate_args(depth: BitDepth, fps: float) -> None:
-    if fps < 0:
-        raise DomainError(f"frame rate cannot be negative, got {fps}")
+def _check_rate_args(fps: float) -> None:
+    if not 0 <= fps < math.inf:
+        raise DomainError(f"frame rate must be finite and non-negative, got {fps}")
 
 
 def eye_like_capacity(
@@ -174,9 +175,9 @@ def eye_like_capacity(
     their own image, so the pixel budget doubles before the depth, frame
     rate, and compression terms apply.
     """
-    _check_rate_args(depth, fps)
-    if ppd < 0:
-        raise DomainError(f"ppd cannot be negative, got {ppd}")
+    _check_rate_args(fps)
+    if not 0 <= ppd < math.inf:
+        raise DomainError(f"ppd must be finite and non-negative, got {ppd}")
     pixels_per_eye = (fov.horizontal.degrees * ppd) * (fov.vertical.degrees * ppd)
     return BitRate(2.0 * pixels_per_eye * depth.bits_per_pixel * fps / comp.overall_factor)
 
@@ -189,9 +190,9 @@ def full_sphere_capacity(
     The sphere is transmitted once and both eyes crop their viewports from
     it, so no stereo doubling applies.
     """
-    _check_rate_args(depth, fps)
-    if ppd < 0:
-        raise DomainError(f"ppd cannot be negative, got {ppd}")
+    _check_rate_args(fps)
+    if not 0 <= ppd < math.inf:
+        raise DomainError(f"ppd must be finite and non-negative, got {ppd}")
     pixels = (360.0 * ppd) * (180.0 * ppd)
     return BitRate(pixels * depth.bits_per_pixel * fps / comp.overall_factor)
 
@@ -209,7 +210,7 @@ def hmd_capacity(
     ``stereo=False`` models a single shared raster such as a full-view
     360-degree video.
     """
-    _check_rate_args(depth, fps)
+    _check_rate_args(fps)
     eyes = 2.0 if stereo else 1.0
     return BitRate(eyes * per_eye.pixels * depth.bits_per_pixel * fps / comp.overall_factor)
 
@@ -218,6 +219,5 @@ def volumetric_capacity(
     voxel: VoxelSpec, fps: float, comp: CompressionProfile = UNCOMPRESSED
 ) -> BitRate:
     """Bitrate for a point-cloud stream: voxels/frame times bits/voxel times fps."""
-    if fps < 0:
-        raise DomainError(f"frame rate cannot be negative, got {fps}")
+    _check_rate_args(fps)
     return BitRate(voxel.voxels_per_frame * voxel.bits_per_voxel * fps / comp.overall_factor)

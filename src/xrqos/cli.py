@@ -7,6 +7,7 @@ error, 2 usage error. Rate literals take K/M/G/T (decimal) or Ki/Mi/Gi/Ti
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -91,6 +92,13 @@ def _depth_from_args(args) -> BitDepth:
     return BitDepth.from_bpc(args.bpc, args.chroma)
 
 
+def _timing_from_args(args) -> PipelineTiming:
+    return PipelineTiming(
+        t_sense=args.sense, t_render=args.render, t_encode=args.encode,
+        t_decode=args.decode, fixed_display=args.display,
+    )
+
+
 def _registry(args) -> ProfileRegistry:
     path = args.profiles_file or os.environ.get(PROFILES_ENV)
     return load_profiles(path)
@@ -132,15 +140,13 @@ def _emit(args, command: str, data, text_lines: list[str]) -> int:
         payload = {"command": command, "units": args.units, "data": _jsonable(data, args.units)}
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "csv":
-        import csv as _csv
-
         rows = data if isinstance(data, list) else [data]
         keys: list[str] = []
         for row in rows:
             for key in row:
                 if key not in keys:
                     keys.append(key)
-        writer = _csv.writer(sys.stdout, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(keys)
         for row in rows:
             flat = {k: _jsonable(v, args.units) for k, v in row.items()}
@@ -164,6 +170,20 @@ def _emit(args, command: str, data, text_lines: list[str]) -> int:
 def _emit_scalar(args, command: str, data: dict) -> int:
     lines = [f"{key}: {_text_value(value, args.units)}" for key, value in data.items()]
     return _emit(args, command, data, lines)
+
+
+def _write(args, write, what: str) -> int:
+    """Run ``write(handle)`` on the --output file, then say so on stderr; on stdout without --output."""
+    if not args.output:
+        write(sys.stdout)
+        return 0
+    try:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            write(handle)
+    except OSError as exc:
+        raise DomainError(f"cannot write {args.output}: {exc}") from exc
+    print(f"wrote {what} to {args.output}", file=sys.stderr)
+    return 0
 
 
 # -- geometry ----------------------------------------------------------------
@@ -285,7 +305,8 @@ def _surface_from_args(args) -> RenderSurface:
     )
 
 
-def _gop_numbers(args, registry: ProfileRegistry) -> dict:
+def _gop_numbers(args, registry: ProfileRegistry) -> tuple[float, FrameSizes, GopConfig]:
+    """(pixels per frame, I/P frame sizes, GOP config) from a stage profile or explicit flags."""
     if _stage_key(args):
         surface, cfg, comp = _surface_from_stage(_stage_for(args, registry))
     else:
@@ -294,41 +315,24 @@ def _gop_numbers(args, registry: ProfileRegistry) -> dict:
         surface = _surface_from_args(args)
         cfg = GopConfig(gop_time=args.gop_time, fps=args.fps, redundancy_fraction=args.redundancy)
         comp = CompressionProfile("cli", max(args.ifactor, 1.0), args.ifactor, args.pfactor)
-    pixels = codec.nb_pixels(surface)
-    i_bits = codec.frame_size(pixels, surface.depth, surface.dof_fraction, comp.iframe_factor)
-    p_bits = codec.frame_size(pixels, surface.depth, surface.dof_fraction, comp.pframe_factor)
-    return {
-        "surface": surface,
-        "cfg": cfg,
-        "comp": comp,
-        "pixels": pixels,
-        "i_bits": i_bits,
-        "p_bits": p_bits,
-    }
+    return codec.nb_pixels(surface), codec.frame_sizes(surface, comp), cfg
 
 
 def _cmd_gop_frame_sizes(args) -> int:
-    numbers = _gop_numbers(args, _registry(args))
-    data = {
-        "pixels_per_frame": numbers["pixels"],
-        "iframe_bits": numbers["i_bits"],
-        "pframe_bits": numbers["p_bits"],
-    }
+    pixels, sizes, _ = _gop_numbers(args, _registry(args))
+    data = {"pixels_per_frame": pixels, "iframe_bits": sizes.i_bits, "pframe_bits": sizes.p_bits}
     return _emit_scalar(args, "gop.frame-sizes", data)
 
 
 def _cmd_gop_bitrate(args) -> int:
-    numbers = _gop_numbers(args, _registry(args))
-    cfg: GopConfig = numbers["cfg"]
-    sizes = FrameSizes(numbers["i_bits"], numbers["p_bits"])
+    pixels, sizes, cfg = _gop_numbers(args, _registry(args))
     n_p = codec.p_frame_count(cfg)
-    rate = codec.gop_bitrate(sizes, 1, n_p, cfg)
     data = {
-        "pixels_per_frame": numbers["pixels"],
-        "iframe_bits": numbers["i_bits"],
-        "pframe_bits": numbers["p_bits"],
+        "pixels_per_frame": pixels,
+        "iframe_bits": sizes.i_bits,
+        "pframe_bits": sizes.p_bits,
         "pframes_per_gop": n_p,
-        "bitrate": rate,
+        "bitrate": codec.gop_bitrate(sizes, 1, n_p, cfg),
     }
     return _emit_scalar(args, "gop.bitrate", data)
 
@@ -355,10 +359,7 @@ def _cmd_latency_budget(args) -> int:
         timing, comm_ul, comm_dl = preset.timing, preset.comm_ul, preset.comm_dl
         refresh_hz, vsync = preset.refresh_hz, preset.vsync_mode
     else:
-        timing = PipelineTiming(
-            t_sense=args.sense, t_render=args.render, t_encode=args.encode,
-            t_decode=args.decode, fixed_display=args.display,
-        )
+        timing = _timing_from_args(args)
         comm_ul, comm_dl = args.comm_ul, args.comm_dl
         refresh_hz, vsync = args.refresh_hz, args.vsync
     budget = LatencyBudget(
@@ -496,17 +497,6 @@ def _cmd_profiles_validate(args) -> int:
 
 def _cmd_table_quest2(args) -> int:
     rows = reproduce_quest2_table(_registry(args))
-    data = [
-        {
-            "hz": row["hz"],
-            "render_target": row["render_target"],
-            "full_video": row["full_video"],
-            "ppd": row["ppd"],
-            "viewport_bitrate": row["viewport_bitrate"],
-            "full_video_bitrate": row["full_video_bitrate"],
-        }
-        for row in rows
-    ]
     lines = [f"{'hz':>5}  {'render':>10}  {'full video':>10}  {'ppd':>6}  {'viewport':>12}  {'full':>12}"]
     for row in rows:
         lines.append(
@@ -514,7 +504,7 @@ def _cmd_table_quest2(args) -> int:
             f"  {row['ppd']:>6.2f}  {row['viewport_bitrate'].format(args.units):>12}"
             f"  {row['full_video_bitrate'].format(args.units):>12}"
         )
-    return _emit(args, "table.quest2", data, lines)
+    return _emit(args, "table.quest2", rows, lines)
 
 
 def _cmd_table_summary(args) -> int:
@@ -568,11 +558,7 @@ def _trace_from_args(args, registry: ProfileRegistry) -> tracegen.FrameTrace:
         return tracegen.load_trace_json(path)
     if _stage_key(args):
         surface, cfg, comp = _surface_from_stage(_stage_for(args, registry))
-        pixels = codec.nb_pixels(surface)
-        sizes = FrameSizes(
-            codec.frame_size(pixels, surface.depth, surface.dof_fraction, comp.iframe_factor),
-            codec.frame_size(pixels, surface.depth, surface.dof_fraction, comp.pframe_factor),
-        )
+        sizes = codec.frame_sizes(surface, comp)
     else:
         if args.i_bits is None or args.p_bits is None:
             raise DomainError("trace needs --input, --stage-profile, or --i-bits/--p-bits")
@@ -587,29 +573,18 @@ def _trace_from_args(args, registry: ProfileRegistry) -> tracegen.FrameTrace:
 def _cmd_trace_generate(args) -> int:
     trace = _trace_from_args(args, _registry(args))
     fmt = "json" if args.format == "json" else "csv"
-    if args.output:
-        tracegen.export_trace(trace, fmt, args.output)
-        print(f"wrote {len(trace)} frames to {args.output}", file=sys.stderr)
-    else:
-        tracegen.export_trace(trace, fmt, sys.stdout)
-    return 0
+    return _write(args, lambda out: tracegen.export_trace(trace, fmt, out), f"{len(trace)} frames")
 
 
 def _cmd_trace_packetize(args) -> int:
-    trace = _trace_from_args(args, _registry(args))
-    packets = tracegen.packetize(trace, args.mtu)
+    packets = tracegen.packetize(_trace_from_args(args, _registry(args)), args.mtu)
     fmt = "json" if args.format == "json" else "csv"
-    if args.output:
-        tracegen.export_packets(packets, fmt, args.output)
-        print(f"wrote {len(packets)} packets to {args.output}", file=sys.stderr)
-    else:
-        tracegen.export_packets(packets, fmt, sys.stdout)
-    return 0
+    return _write(args, lambda out: tracegen.export_packets(packets, fmt, out), f"{len(packets)} packets")
 
 
-def _link_from_args(args) -> LinkModel:
+def _link_from_args(args, downlink: str) -> LinkModel:
     return LinkModel(
-        downlink_bps=parse_rate(args.downlink),
+        downlink_bps=parse_rate(downlink),
         uplink_bps=parse_rate(args.uplink),
         propagation_rtt=parse_time_ms(args.rtt),
         loss_prob=args.loss,
@@ -621,38 +596,21 @@ def _link_from_args(args) -> LinkModel:
 
 
 def _cmd_simulate(args) -> int:
-    registry = _registry(args)
-    trace = _trace_from_args(args, registry)
-    timing = PipelineTiming(
-        t_sense=args.sense, t_render=args.render, t_encode=args.encode,
-        t_decode=args.decode, fixed_display=args.display,
-    )
+    trace = _trace_from_args(args, _registry(args))
+    timing = _timing_from_args(args)
     mtp_limit = parse_time_ms(args.mtp_limit)
     downlinks = [args.downlink] if not args.sweep_downlink else args.sweep_downlink.split(",")
-    reports = []
-    for downlink in downlinks:
-        args.downlink = downlink
-        link = _link_from_args(args)
-        reports.append(netsim.simulate(trace, link, timing, args.refresh_hz, mtp_limit))
+    reports = [
+        netsim.simulate(trace, _link_from_args(args, downlink), timing, args.refresh_hz, mtp_limit)
+        for downlink in downlinks
+    ]
 
     if len(reports) == 1:
         sim = reports[0]
         if args.format == "json":
-            output = sim.to_json()
-            if args.output:
-                Path(args.output).write_text(output, encoding="utf-8")
-                print(f"wrote report to {args.output}", file=sys.stderr)
-            else:
-                print(output, end="")
-            return 0
+            return _write(args, lambda out: out.write(sim.to_json()), "report")
         if args.format == "csv":
-            if args.output:
-                with open(args.output, "w", encoding="utf-8") as handle:
-                    sim.write_csv(handle)
-                print(f"wrote report to {args.output}", file=sys.stderr)
-            else:
-                sim.write_csv(sys.stdout)
-            return 0
+            return _write(args, sim.write_csv, "report")
         agg = sim.aggregates
         for name, value in vars(agg).items():
             print(f"{name}: {'n/a' if value is None else f'{value:.4f}' if isinstance(value, float) else value}")
@@ -776,6 +734,10 @@ def build_parser() -> argparse.ArgumentParser:
     _gop_flags(p)
     p.set_defaults(func=_cmd_gop_bitrate)
 
+    def _timing_flags(p):
+        for stage in ("sense", "render", "encode", "decode", "display"):
+            p.add_argument(f"--{stage}", type=float, default=0.0)
+
     lat = sub.add_parser("latency", help="MTP decomposition and budgets").add_subparsers(dest="sub")
     p = lat.add_parser("refresh")
     p.add_argument("--hz", type=float, required=True)
@@ -789,11 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = lat.add_parser("budget")
     p.add_argument("--limit", required=True, help="MTP ceiling, e.g. 20ms")
     p.add_argument("--pipeline", default=None, help="named pipeline preset")
-    p.add_argument("--sense", type=float, default=0.0)
-    p.add_argument("--render", type=float, default=0.0)
-    p.add_argument("--encode", type=float, default=0.0)
-    p.add_argument("--decode", type=float, default=0.0)
-    p.add_argument("--display", type=float, default=0.0)
+    _timing_flags(p)
     p.add_argument("--comm-ul", type=float, default=0.0)
     p.add_argument("--comm-dl", type=float, default=0.0)
     p.add_argument("--refresh-hz", type=float, default=None)
@@ -869,11 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mode", choices=("udp", "tcp"), default="udp")
     sim.add_argument("--max-retx", type=int, default=3)
     sim.add_argument("--mtu", type=int, default=DEFAULT_MSS_BITS)
-    sim.add_argument("--sense", type=float, default=0.0)
-    sim.add_argument("--render", type=float, default=0.0)
-    sim.add_argument("--encode", type=float, default=0.0)
-    sim.add_argument("--decode", type=float, default=0.0)
-    sim.add_argument("--display", type=float, default=0.0)
+    _timing_flags(sim)
     sim.add_argument("--refresh-hz", type=float, required=True)
     sim.add_argument("--mtp-limit", default="20ms")
     sim.add_argument("--sweep-downlink", default=None, help="comma-separated rates to sweep")

@@ -20,6 +20,7 @@ __all__ = [
     "FrameSizes",
     "nb_pixels",
     "frame_size",
+    "frame_sizes",
     "p_frame_count",
     "gop_bitrate",
     "strong_interaction_bitrate",
@@ -146,6 +147,16 @@ def frame_size(pixel_count: float, depth: BitDepth, dof_fraction: float, factor:
     return pixel_count * depth.bits_per_pixel * (1.0 + dof_fraction) / factor
 
 
+def frame_sizes(surface: RenderSurface, comp: CompressionProfile) -> FrameSizes:
+    """I- and P-frame sizes of one rendered surface under a codec's per-frame factors."""
+    i_factor, p_factor = comp.require_frame_factors()
+    pixels = nb_pixels(surface)
+    return FrameSizes(
+        i_bits=frame_size(pixels, surface.depth, surface.dof_fraction, i_factor),
+        p_bits=frame_size(pixels, surface.depth, surface.dof_fraction, p_factor),
+    )
+
+
 def p_frame_count(cfg: GopConfig) -> int:
     """P-frames per GOP: every slot but the leading I-frame."""
     return cfg.frames_per_gop - 1
@@ -167,10 +178,4 @@ def strong_interaction_bitrate(
     """End-to-end pose-driven bitrate: surface -> frame sizes -> GOP average."""
     if cfg.pattern is not None and "B" in cfg.pattern:
         raise ConfigError("pose-driven streams carry no B-frames (no future reference exists)")
-    i_factor, p_factor = comp.require_frame_factors()
-    pixels = nb_pixels(surface)
-    sizes = FrameSizes(
-        i_bits=frame_size(pixels, surface.depth, surface.dof_fraction, i_factor),
-        p_bits=frame_size(pixels, surface.depth, surface.dof_fraction, p_factor),
-    )
-    return gop_bitrate(sizes, 1, p_frame_count(cfg), cfg)
+    return gop_bitrate(frame_sizes(surface, comp), 1, p_frame_count(cfg), cfg)

@@ -15,7 +15,6 @@ __all__ = [
     "PhysicalSize",
     "Angle",
     "FovSpec",
-    "DisplaySpec",
     "ppi",
     "ppi_from_diagonal",
     "fov_from_physical",
@@ -114,26 +113,6 @@ class FovSpec:
                 object.__setattr__(self, name, Angle(float(value)))
         if self.vertical.degrees > 180:
             raise DomainError(f"vertical fov cannot exceed 180 degrees, got {self.vertical.degrees}")
-
-
-@dataclass(frozen=True)
-class DisplaySpec:
-    """A display described either by physical dimensions or by its field of view."""
-
-    per_eye: Resolution
-    refresh_hz: float
-    physical: PhysicalSize | None = None
-    distance: float | None = None
-    fov: FovSpec | None = None
-
-    def __post_init__(self) -> None:
-        if self.refresh_hz <= 0:
-            raise DomainError(f"refresh rate must be positive, got {self.refresh_hz}")
-        has_physical = self.physical is not None and self.distance is not None
-        if not has_physical and self.fov is None:
-            raise DomainError("display needs either physical size plus distance, or a fov")
-        if self.distance is not None and self.distance <= 0:
-            raise DomainError(f"viewing distance must be positive, got {self.distance}")
 
 
 def ppi(res: Resolution, size: PhysicalSize) -> float:

@@ -127,17 +127,7 @@ class SimReport:
                 }
                 for f in self.frames
             ],
-            "aggregates": {
-                "mean_e2e_ms": self.aggregates.mean_e2e_ms,
-                "p50_e2e_ms": self.aggregates.p50_e2e_ms,
-                "p95_e2e_ms": self.aggregates.p95_e2e_ms,
-                "p99_e2e_ms": self.aggregates.p99_e2e_ms,
-                "max_e2e_ms": self.aggregates.max_e2e_ms,
-                "displayed_count": self.aggregates.displayed_count,
-                "dropped_count": self.aggregates.dropped_count,
-                "mtp_violations": self.aggregates.mtp_violations,
-                "effective_fps": self.aggregates.effective_fps,
-            },
+            "aggregates": dict(vars(self.aggregates)),
         }
 
     def to_json(self) -> str:

@@ -9,7 +9,7 @@ re-derived, because the underlying assumptions are not all disclosed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -331,6 +331,11 @@ def _parse_fov(obj: dict | None, path: str) -> FovSpec | None:
         raise ProfileError(f"bad fov at {path}: {exc}") from exc
 
 
+def _parse_timing(obj: dict) -> PipelineTiming:
+    """Per-stage delays in ms; an absent stage takes no time."""
+    return PipelineTiming(**{f.name: float(obj.get(f.name, 0.0)) for f in fields(PipelineTiming)})
+
+
 def _parse_device(obj: dict, path: str) -> DeviceProfile:
     depth = _get(obj, "depth", path)
     modes = []
@@ -344,16 +349,8 @@ def _parse_device(obj: dict, path: str) -> DeviceProfile:
                 ppd=float(mode["ppd"]) if "ppd" in mode else None,
             )
         )
-    pipeline = None
-    if "pipeline" in obj and isinstance(obj["pipeline"], dict) and "t_sense" in obj["pipeline"]:
-        timing = obj["pipeline"]
-        pipeline = PipelineTiming(
-            t_sense=float(timing.get("t_sense", 0.0)),
-            t_render=float(timing.get("t_render", 0.0)),
-            t_encode=float(timing.get("t_encode", 0.0)),
-            t_decode=float(timing.get("t_decode", 0.0)),
-            fixed_display=float(timing.get("fixed_display", 0.0)),
-        )
+    pipeline = obj.get("pipeline")
+    timing = _parse_timing(pipeline) if isinstance(pipeline, dict) and "t_sense" in pipeline else None
     fov = _parse_fov(_get(obj, "fov", path), f"{path}.fov")
     assert fov is not None
     return DeviceProfile(
@@ -364,7 +361,7 @@ def _parse_device(obj: dict, path: str) -> DeviceProfile:
         chroma=str(depth.get("chroma", "4:4:4")),
         refresh_modes=tuple(modes),
         ppd=float(obj["ppd"]) if "ppd" in obj else None,
-        pipeline=pipeline,
+        pipeline=timing,
         measured_mtp_ms=float(obj["measured_mtp_ms"]) if "measured_mtp_ms" in obj else None,
         mtp_limits_ms={str(k): float(v) for k, v in obj.get("mtp_ms", {}).items()},
         published_loss_rate=float(obj["published_loss_rate"]) if "published_loss_rate" in obj else None,
@@ -410,13 +407,7 @@ def _parse_stage(obj: dict, path: str) -> StageProfile:
 def _parse_pipeline(obj: dict, path: str) -> PipelinePreset:
     return PipelinePreset(
         name=str(_get(obj, "name", path)),
-        timing=PipelineTiming(
-            t_sense=float(obj.get("t_sense", 0.0)),
-            t_render=float(obj.get("t_render", 0.0)),
-            t_encode=float(obj.get("t_encode", 0.0)),
-            t_decode=float(obj.get("t_decode", 0.0)),
-            fixed_display=float(obj.get("fixed_display", 0.0)),
-        ),
+        timing=_parse_timing(obj),
         comm_ul=float(obj.get("comm_ul", 0.0)),
         comm_dl=float(obj.get("comm_dl", 0.0)),
         refresh_hz=float(obj["refresh_hz"]) if "refresh_hz" in obj else None,

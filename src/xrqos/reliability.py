@@ -18,7 +18,6 @@ __all__ = [
     "DEFAULT_MSS_BITS",
     "max_loss_rate",
     "delivery_success",
-    "required_loss_rate",
 ]
 
 # 1460 bytes, the usual Ethernet TCP maximum segment size.
@@ -30,13 +29,10 @@ class LossModel:
     """Transport assumptions for the loss bound."""
 
     mss_bits: int = DEFAULT_MSS_BITS
-    transport: str = "tcp_bound"
 
     def __post_init__(self) -> None:
         if self.mss_bits <= 0:
             raise DomainError(f"mss must be positive, got {self.mss_bits}")
-        if self.transport not in ("tcp_bound", "udp_requirement"):
-            raise DomainError(f"transport must be tcp_bound or udp_requirement, got {self.transport!r}")
 
 
 def max_loss_rate(model: LossModel, throughput: BitRate | float, rtt: float) -> float:
@@ -45,8 +41,6 @@ def max_loss_rate(model: LossModel, throughput: BitRate | float, rtt: float) -> 
     ``rtt`` is in seconds. The square is clamped to 1 since tiny
     bandwidth-delay products would otherwise push it past certainty.
     """
-    if model.transport != "tcp_bound":
-        raise DomainError("loss bound applies to tcp_bound transport; use required_loss_rate for UDP streams")
     rate_bps = throughput.bps if isinstance(throughput, BitRate) else float(throughput)
     if rate_bps <= 0:
         raise DomainError(f"throughput must be positive, got {rate_bps}")
@@ -61,12 +55,3 @@ def delivery_success(loss_rate: float) -> float:
     if not 0 <= loss_rate <= 1:
         raise DomainError(f"loss rate must lie in [0, 1], got {loss_rate}")
     return (1.0 - loss_rate) * 100.0
-
-
-def required_loss_rate(key, registry=None) -> float:
-    """The registered maximum loss rate for a stage key."""
-    if registry is None:
-        from .profiles import builtin_registry
-
-        registry = builtin_registry()
-    return registry.loss_rate(key.taxonomy, key.stage, key.interaction)

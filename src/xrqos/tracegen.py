@@ -1,18 +1,16 @@
 """Synthesize per-frame and per-packet traffic traces from the GOP model.
 
 Generation is fully deterministic: frame sizes are the analytic per-type
-sizes inflated by the redundancy fraction (an optional multiplicative jitter
-hook exists for experiments but defaults off), and timestamps follow the
-frame rate exactly. Traces export to CSV and JSON and feed the link
-simulator.
+sizes inflated by the redundancy fraction, and timestamps follow the frame
+rate exactly. Traces export to CSV and JSON; the JSON form loads back,
+checked, and feeds the link simulator.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import json
 import math
-import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -28,7 +26,6 @@ __all__ = [
     "packetize",
     "export_trace",
     "export_packets",
-    "load_trace_csv",
     "load_trace_json",
 ]
 
@@ -71,33 +68,20 @@ class FrameTrace:
         return sum(record.size_bits for record in self.records)
 
 
-def generate_trace(
-    sizes: FrameSizes,
-    cfg: GopConfig,
-    duration: float,
-    size_jitter: float = 0.0,
-    jitter_seed: int = 0,
-) -> FrameTrace:
+def generate_trace(sizes: FrameSizes, cfg: GopConfig, duration: float) -> FrameTrace:
     """Emit round(duration * fps) frames following the GOP pattern.
 
     Each frame's payload is its type's analytic size inflated by the
-    redundancy fraction and rounded to whole bits. ``size_jitter`` scales
-    sizes by a uniform factor in [1-j, 1+j] from a seeded generator; the
-    default of 0 keeps the trace fully analytic.
+    redundancy fraction and rounded to whole bits.
     """
     if duration <= 0:
         raise DomainError(f"duration must be positive, got {duration}")
-    if not 0 <= size_jitter < 1:
-        raise DomainError(f"size jitter must lie in [0, 1), got {size_jitter}")
     total = round(duration * cfg.fps)
     gop_len = cfg.frames_per_gop
-    rng = random.Random(jitter_seed) if size_jitter else None
     records = []
     for index in range(total):
         frame_type = cfg.frame_type(index % gop_len)
         bits = sizes.bits_for(frame_type) * (1.0 + cfg.redundancy_fraction)
-        if rng is not None:
-            bits *= 1.0 + rng.uniform(-size_jitter, size_jitter)
         records.append(
             FrameRecord(
                 index=index,
@@ -147,16 +131,22 @@ def packetize(trace: FrameTrace | Iterable[FrameRecord], mtu_payload_bits: int) 
 # -- export / import ---------------------------------------------------------
 
 
-def _open_destination(destination: str | Path | TextIO):
-    if hasattr(destination, "write"):
-        return destination, False
-    return open(destination, "w", encoding="utf-8", newline=""), True
+@contextlib.contextmanager
+def _destination(destination: str | Path | TextIO, what: str):
+    """An open text handle for ``destination``; an OSError while opening or writing becomes a DomainError."""
+    try:
+        if hasattr(destination, "write"):
+            yield destination
+        else:
+            with open(destination, "w", encoding="utf-8", newline="") as handle:
+                yield handle
+    except OSError as exc:
+        raise DomainError(f"cannot write {what} to {destination}: {exc}") from exc
 
 
 def export_trace(trace: FrameTrace, fmt: str, destination: str | Path | TextIO) -> None:
     """Write a trace as CSV (fixed column set) or JSON (lossless round-trip)."""
-    handle, owned = _open_destination(destination)
-    try:
+    with _destination(destination, "trace") as handle:
         if fmt == "csv":
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(TRACE_CSV_COLUMNS)
@@ -167,16 +157,10 @@ def export_trace(trace: FrameTrace, fmt: str, destination: str | Path | TextIO) 
             handle.write("\n")
         else:
             raise DomainError(f"format must be csv or json, got {fmt!r}")
-    except OSError as exc:
-        raise DomainError(f"cannot write trace to {destination}: {exc}") from exc
-    finally:
-        if owned:
-            handle.close()
 
 
 def export_packets(packets: list[PacketRecord], fmt: str, destination: str | Path | TextIO) -> None:
-    handle, owned = _open_destination(destination)
-    try:
+    with _destination(destination, "packets") as handle:
         if fmt == "csv":
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(PACKET_CSV_COLUMNS)
@@ -196,11 +180,6 @@ def export_packets(packets: list[PacketRecord], fmt: str, destination: str | Pat
             handle.write("\n")
         else:
             raise DomainError(f"format must be csv or json, got {fmt!r}")
-    except OSError as exc:
-        raise DomainError(f"cannot write packets to {destination}: {exc}") from exc
-    finally:
-        if owned:
-            handle.close()
 
 
 def trace_to_dict(trace: FrameTrace) -> dict:
@@ -230,64 +209,81 @@ def trace_to_dict(trace: FrameTrace) -> dict:
     }
 
 
+_JSON_TYPES = {"an object": dict, "an array": list, "a string": str, "an integer": int, "a number": (int, float)}
+
+
+def _field(obj: dict, key: str, path: str, kind: str, optional: bool = False):
+    """``obj[key]`` checked to be a finite JSON value of ``kind``; a missing optional key reads as None."""
+    if key not in obj:
+        if optional:
+            return None
+        raise DomainError(f"{path} lacks key {key!r}")
+    value = obj[key]
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise DomainError(f"{path}.{key} must be {kind}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"{path}.{key} must be finite, got {value!r}")
+    return value
+
+
 def trace_from_dict(payload: dict) -> FrameTrace:
+    """The trace a ``trace_to_dict`` document describes; a malformed document raises DomainError.
+
+    Frame indices must run 0, 1, 2, ... and generation times may not
+    decrease; frame types are I, P or B and sizes whole non-negative bits.
+    """
+    if not isinstance(payload, dict):
+        raise DomainError(f"a trace must be a JSON object, got {type(payload).__name__}")
+    config = _field(payload, "config", "trace", "an object")
     cfg = GopConfig(
-        gop_time=payload["config"]["gop_time_s"],
-        fps=payload["config"]["fps"],
-        redundancy_fraction=payload["config"]["redundancy_fraction"],
-        pattern=payload["config"].get("pattern"),
+        gop_time=_field(config, "gop_time_s", "trace.config", "a number"),
+        fps=_field(config, "fps", "trace.config", "a number"),
+        redundancy_fraction=_field(config, "redundancy_fraction", "trace.config", "a number"),
+        pattern=_field(config, "pattern", "trace.config", "a string", optional=True),
     )
+    size_table = _field(payload, "sizes", "trace", "an object")
     sizes = FrameSizes(
-        i_bits=payload["sizes"]["i_bits"],
-        p_bits=payload["sizes"]["p_bits"],
-        b_bits=payload["sizes"].get("b_bits"),
+        i_bits=_field(size_table, "i_bits", "trace.sizes", "a number"),
+        p_bits=_field(size_table, "p_bits", "trace.sizes", "a number"),
+        b_bits=_field(size_table, "b_bits", "trace.sizes", "a number", optional=True),
     )
-    records = tuple(
-        FrameRecord(
-            index=r["frame_index"],
-            t_gen=r["t_gen_ms"],
-            frame_type=r["frame_type"],
-            size_bits=r["size_bits"],
-            gop_index=r["gop_index"],
+    duration = _field(payload, "duration_s", "trace", "a number")
+    if duration <= 0:
+        raise DomainError(f"trace.duration_s must be positive, got {duration}")
+    records = []
+    for i, r in enumerate(_field(payload, "records", "trace", "an array")):
+        path = f"trace.records[{i}]"
+        if not isinstance(r, dict):
+            raise DomainError(f"{path} must be an object, got {r!r}")
+        record = FrameRecord(
+            index=_field(r, "frame_index", path, "an integer"),
+            t_gen=_field(r, "t_gen_ms", path, "a number"),
+            frame_type=_field(r, "frame_type", path, "a string"),
+            size_bits=_field(r, "size_bits", path, "an integer"),
+            gop_index=_field(r, "gop_index", path, "an integer"),
         )
-        for r in payload["records"]
-    )
-    return FrameTrace(config=cfg, sizes=sizes, duration=payload["duration_s"], records=records)
+        if record.index != i:
+            raise DomainError(f"{path}.frame_index must be {i} (indices run from 0 without gaps), got {record.index}")
+        if records and record.t_gen < records[-1].t_gen:
+            raise DomainError(f"{path}.t_gen_ms {record.t_gen} precedes the previous frame's {records[-1].t_gen}")
+        if record.frame_type not in ("I", "P", "B"):
+            raise DomainError(f"{path}.frame_type must be I, P or B, got {record.frame_type!r}")
+        if record.size_bits < 0:
+            raise DomainError(f"{path}.size_bits cannot be negative, got {record.size_bits}")
+        records.append(record)
+    return FrameTrace(config=cfg, sizes=sizes, duration=duration, records=tuple(records))
 
 
 def load_trace_json(source: str | Path | TextIO) -> FrameTrace:
-    if hasattr(source, "read"):
-        return trace_from_dict(json.load(source))
-    with open(source, "r", encoding="utf-8") as handle:
-        return trace_from_dict(json.load(handle))
-
-
-def load_trace_csv(source: str | Path | TextIO) -> list[FrameRecord]:
-    """Frame records from a trace CSV; timestamps carry the file's 3-decimal precision."""
-    if hasattr(source, "read"):
-        handle, owned = source, False
-    else:
-        handle, owned = open(source, "r", encoding="utf-8", newline=""), True
+    """A trace written by ``export_trace(..., "json", ...)``; unreadable or malformed input raises DomainError."""
     try:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != TRACE_CSV_COLUMNS:
-            raise DomainError(f"trace csv must have columns {','.join(TRACE_CSV_COLUMNS)}")
-        return [
-            FrameRecord(
-                index=int(row["frame_index"]),
-                t_gen=float(row["t_gen_ms"]),
-                frame_type=row["frame_type"],
-                size_bits=int(row["size_bits"]),
-                gop_index=int(row["gop_index"]),
-            )
-            for row in reader
-        ]
-    finally:
-        if owned:
-            handle.close()
-
-
-def trace_csv_text(trace: FrameTrace) -> str:
-    buffer = io.StringIO()
-    export_trace(trace, "csv", buffer)
-    return buffer.getvalue()
+        if hasattr(source, "read"):
+            payload = json.load(source)
+        else:
+            with open(source, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
+        raise DomainError(f"cannot read trace {source}: {exc}") from exc
+    return trace_from_dict(payload)

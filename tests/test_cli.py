@@ -5,7 +5,9 @@ import jsonschema
 import pytest
 
 from xrqos.cli import main, parse_rate, parse_resolution, parse_time_ms
+from xrqos.codec import FrameSizes, GopConfig
 from xrqos.errors import DomainError
+from xrqos.tracegen import generate_trace, trace_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +337,57 @@ class TestTraceAndSimulate:
         assert "wrote report" in err
         payload = json.loads(out_path.read_text())
         assert payload["aggregates"]["displayed_count"] == 10
+
+
+def assert_domain_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+STAGE_TRACE = ("--stage-profile", "huawei_ilab/comfortable", "--duration", "0.5")
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("document", ["absent", "empty", "negative size"])
+    def test_bad_trace_input(self, capsys, tmp_path, document):
+        path = tmp_path / "trace.json"
+        if document != "absent":
+            payload = trace_to_dict(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))
+            if document == "empty":
+                payload = {}
+            else:
+                payload["records"][0]["size_bits"] = -100
+            path.write_text(json.dumps(payload))
+        assert_domain_error(*run_cli(capsys, "simulate", "--input", str(path), "--downlink", "100M",
+                                     "--refresh-hz", "90"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "generate", *STAGE_TRACE],
+            ["trace", "packetize", *STAGE_TRACE],
+            ["--format", "json", "simulate", *STAGE_TRACE, "--downlink", "100M", "--refresh-hz", "90"],
+            ["--format", "csv", "simulate", *STAGE_TRACE, "--downlink", "100M", "--refresh-hz", "90"],
+        ],
+        ids=["trace-generate", "trace-packetize", "simulate-json", "simulate-csv"],
+    )
+    def test_unwritable_output(self, capsys, tmp_path, argv):
+        assert_domain_error(*run_cli(capsys, *argv, "--output", str(tmp_path / "missing" / "x")))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", "hmd", "--resolution", "1832x1920", "--bpp", "24", "--fps", "nan"],
+            ["capacity", "sphere", "--ppd", "200", "--bpp", "24", "--fps", "inf"],
+            ["capacity", "volumetric", "--voxels", "50360", "--fps", "nan"],
+            ["capacity", "eye-like", "--ppd", "nan", "--fov", "155x130", "--bpp", "24", "--fps", "77"],
+            ["capacity", "sphere", "--ppd", "inf", "--bpp", "24", "--fps", "77"],
+        ],
+        ids=["hmd-fps-nan", "sphere-fps-inf", "volumetric-fps-nan", "eye-like-ppd-nan", "sphere-ppd-inf"],
+    )
+    def test_non_finite_model_input(self, capsys, argv):
+        assert_domain_error(*run_cli(capsys, *argv))
 
 
 class TestReportCommand:

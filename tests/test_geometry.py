@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from xrqos.errors import DomainError
 from xrqos.geometry import (
     Angle,
-    DisplaySpec,
     FovSpec,
     PhysicalSize,
     Resolution,
@@ -205,14 +204,6 @@ class TestValueTypes:
     def test_fovspec_vertical_cap(self):
         with pytest.raises(DomainError):
             FovSpec(100, 181)
-
-    def test_display_spec_needs_geometry(self):
-        with pytest.raises(DomainError):
-            DisplaySpec(per_eye=Resolution(100, 100), refresh_hz=90)
-        DisplaySpec(per_eye=Resolution(100, 100), refresh_hz=90, fov=FovSpec(90, 90))
-        DisplaySpec(
-            per_eye=Resolution(100, 100), refresh_hz=90, physical=PhysicalSize(5, 5), distance=2.5
-        )
 
     def test_binocular_helper_matches_quest(self):
         assert per_eye_fov_from_binocular(104, 90) == pytest.approx(97.0)

@@ -3,13 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xrqos.errors import DomainError, UnknownKeyError
-from xrqos.latency import StageKey
-from xrqos.reliability import (
-    LossModel,
-    delivery_success,
-    max_loss_rate,
-    required_loss_rate,
-)
+from xrqos.profiles import builtin_registry
+from xrqos.reliability import LossModel, delivery_success, max_loss_rate
 
 TCP = LossModel()
 
@@ -40,10 +35,6 @@ class TestMaxLossRate:
             max_loss_rate(TCP, 0, 0.02)
         with pytest.raises(DomainError):
             max_loss_rate(TCP, 1e6, 0)
-
-    def test_udp_transport_redirected(self):
-        with pytest.raises(DomainError):
-            max_loss_rate(LossModel(transport="udp_requirement"), 1e6, 0.02)
 
     @given(
         rate=st.floats(min_value=1e4, max_value=1e12),
@@ -103,19 +94,17 @@ class TestRequiredLossRate:
         ],
     )
     def test_registered_rates(self, taxonomy, stage, interaction, expected):
-        assert required_loss_rate(StageKey(taxonomy, stage, interaction)) == pytest.approx(expected, rel=1e-12)
+        assert builtin_registry().loss_rate(taxonomy, stage, interaction) == pytest.approx(expected, rel=1e-12)
 
     def test_unknown_stage(self):
         with pytest.raises(UnknownKeyError):
-            required_loss_rate(StageKey("huawei2016", "post_vr", "strong"))
+            builtin_registry().loss_rate("huawei2016", "post_vr", "strong")
 
     def test_mangiante_has_no_loss_rates(self):
         with pytest.raises(UnknownKeyError):
-            required_loss_rate(StageKey("mangiante", "extreme", "strong"))
+            builtin_registry().loss_rate("mangiante", "extreme", "strong")
 
     def test_all_registered_rates_in_range(self):
-        from xrqos.profiles import builtin_registry
-
         for profile in builtin_registry().stages.values():
             for rate in profile.loss_rate.values():
                 assert 1e-7 <= rate <= 1e-2

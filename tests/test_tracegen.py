@@ -14,10 +14,8 @@ from xrqos.tracegen import (
     export_packets,
     export_trace,
     generate_trace,
-    load_trace_csv,
     load_trace_json,
     packetize,
-    trace_csv_text,
     trace_from_dict,
     trace_to_dict,
 )
@@ -88,14 +86,6 @@ class TestGenerateTrace:
         assert trace.records[0].size_bits == 1100
         assert trace.records[1].size_bits == 550
 
-    def test_jitter_hook_defaults_off(self):
-        cfg = GopConfig(1.0, 10.0)
-        a = generate_trace(FrameSizes(1000, 500), cfg, 1.0)
-        b = generate_trace(FrameSizes(1000, 500), cfg, 1.0)
-        assert [r.size_bits for r in a] == [r.size_bits for r in b]
-        jittered = generate_trace(FrameSizes(1000, 500), cfg, 1.0, size_jitter=0.2, jitter_seed=1)
-        assert [r.size_bits for r in jittered] != [r.size_bits for r in a]
-
 
 class TestPacketize:
     def test_single_full_packet(self):
@@ -144,10 +134,16 @@ class TestPacketize:
             assert frame_sizes[-1] <= mtu
 
 
+def csv_text(trace) -> str:
+    buffer = io.StringIO()
+    export_trace(trace, "csv", buffer)
+    return buffer.getvalue()
+
+
 class TestExport:
     def test_csv_shape(self):
         trace = generate_trace(comfortable_sizes(), COMFORT_CFG, 2.0)
-        text = trace_csv_text(trace)
+        text = csv_text(trace)
         lines = text.split("\n")
         assert lines[0] == "frame_index,t_gen_ms,frame_type,size_bits,gop_index"
         assert len(lines) == 182  # header + 180 rows + trailing newline
@@ -158,18 +154,6 @@ class TestExport:
         assert first[1] == "0.000"
         assert lines[2].split(",")[1] == "11.111"
         int(first[3]), int(first[4])
-
-    def test_csv_round_trip(self):
-        trace = generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 30.0), 1.0)
-        text = trace_csv_text(trace)
-        records = load_trace_csv(io.StringIO(text))
-        assert len(records) == len(trace)
-        for loaded, original in zip(records, trace):
-            assert loaded.index == original.index
-            assert loaded.frame_type == original.frame_type
-            assert loaded.size_bits == original.size_bits
-            assert loaded.gop_index == original.gop_index
-            assert loaded.t_gen == pytest.approx(original.t_gen, abs=5e-4)
 
     def test_json_round_trip_identity(self):
         trace = generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 30.0, pattern="IPP"), 1.5)
@@ -185,7 +169,7 @@ class TestExport:
     def test_deterministic_bytes(self):
         trace_a = generate_trace(comfortable_sizes(), COMFORT_CFG, 2.0)
         trace_b = generate_trace(comfortable_sizes(), COMFORT_CFG, 2.0)
-        assert trace_csv_text(trace_a) == trace_csv_text(trace_b)
+        assert csv_text(trace_a) == csv_text(trace_b)
         buf_a, buf_b = io.StringIO(), io.StringIO()
         export_trace(trace_a, "json", buf_a)
         export_trace(trace_b, "json", buf_b)
@@ -209,11 +193,83 @@ class TestExport:
         trace = generate_trace(FrameSizes(100, 10), GopConfig(1.0, 2.0), 1.0)
         path = tmp_path / "trace.csv"
         export_trace(trace, "csv", path)
-        assert load_trace_csv(path)[0].size_bits == trace.records[0].size_bits
+        assert path.read_text(encoding="utf-8") == csv_text(trace)
         json_path = tmp_path / "trace.json"
         export_trace(trace, "json", json_path)
         assert load_trace_json(json_path) == trace
 
+
+    @pytest.mark.parametrize("export", [export_trace, export_packets])
+    def test_unwritable_destination_is_a_domain_error(self, tmp_path, export):
+        trace = generate_trace(FrameSizes(100, 10), GopConfig(1.0, 2.0), 1.0)
+        with pytest.raises(DomainError, match="cannot write"):
+            export(trace if export is export_trace else packetize(trace, 64), "csv", tmp_path / "no" / "x.csv")
+
+
+def _mutated(change):
+    payload = trace_to_dict(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))
+    change(payload)
+    return payload
+
+
+def _set(path, value):
+    def change(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        payload[last] = value
+
+    return change
+
+
+BAD_DOCUMENTS = [
+    (lambda p: p.clear(), "lacks key 'config'"),
+    (lambda p: p["records"][3].pop("size_bits"), "lacks key 'size_bits'"),
+    (_set(["config"], [1, 2]), "config must be an object"),
+    (_set(["config", "fps"], "10"), "fps must be a number"),
+    (_set(["sizes", "i_bits"], None), "i_bits must be a number"),
+    (_set(["records"], {}), "records must be an array"),
+    (_set(["records", 2], "frame"), r"records\[2\] must be an object"),
+    (_set(["records", 2, "frame_index"], True), "frame_index must be an integer"),
+    (_set(["records", 0, "size_bits"], -100), "size_bits cannot be negative"),
+    (_set(["records", 0, "size_bits"], 100.5), "size_bits must be an integer"),
+    (_set(["records", 1, "frame_type"], "Q"), "frame_type must be I, P or B"),
+    (_set(["records", 4, "frame_index"], 5), "indices run from 0"),
+    (lambda p: p["records"].pop(0), "indices run from 0"),
+    (_set(["records", 5, "t_gen_ms"], 1.0), "precedes the previous frame"),
+    (_set(["records", 5, "t_gen_ms"], math.nan), "must be finite"),
+    (_set(["records", 5, "t_gen_ms"], math.inf), "must be finite"),
+    (_set(["duration_s"], 0), "duration_s must be positive"),
+    (_set(["duration_s"], -1.0), "duration_s must be positive"),
+]
+
+
+class TestLoadBoundary:
+    """A trace document is either a valid trace or rejected with a DomainError."""
+
+    @pytest.mark.parametrize("change, message", BAD_DOCUMENTS, ids=[message for _, message in BAD_DOCUMENTS])
+    def test_malformed_document_rejected(self, change, message):
+        with pytest.raises(DomainError, match=message):
+            trace_from_dict(_mutated(change))
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(DomainError, match="must be a JSON object"):
+            trace_from_dict([])
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DomainError, match="cannot read trace"):
+            load_trace_json(tmp_path / "absent.json")
+
+    def test_invalid_json(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(DomainError, match="cannot read trace"):
+            load_trace_json(path)
+
+    def test_equal_timestamps_and_null_pattern_accepted(self):
+        payload = _mutated(_set(["records", 1, "t_gen_ms"], 0.0))
+        payload["config"]["pattern"] = None
+        assert trace_from_dict(payload).records[1].t_gen == 0.0
 
 @settings(max_examples=100)
 @given(
