@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, require
 from .geometry import FovSpec, Resolution
 
 __all__ = [
@@ -43,8 +43,7 @@ class BitDepth:
     bits_per_pixel: float
 
     def __post_init__(self) -> None:
-        if not 1 <= self.bits_per_pixel <= 64:
-            raise DomainError(f"bits per pixel must lie in [1, 64], got {self.bits_per_pixel}")
+        require("bits per pixel", self.bits_per_pixel, ge=1, le=64)
 
     @classmethod
     def from_bpc(cls, bits_per_color: int, chroma: str = "4:4:4") -> "BitDepth":
@@ -55,9 +54,7 @@ class BitDepth:
         """
         if chroma not in _CHROMA_MULTIPLIER:
             raise DomainError(f"unknown chroma mode {chroma!r}; expected one of {sorted(_CHROMA_MULTIPLIER)}")
-        if bits_per_color <= 0:
-            raise DomainError(f"bits per color must be positive, got {bits_per_color}")
-        return cls(bits_per_color * _CHROMA_MULTIPLIER[chroma])
+        return cls(require("bits per color", bits_per_color, gt=0) * _CHROMA_MULTIPLIER[chroma])
 
 
 @dataclass(frozen=True)
@@ -75,11 +72,10 @@ class CompressionProfile:
     pframe_factor: float | None = None
 
     def __post_init__(self) -> None:
-        if self.overall_factor < 1:
-            raise DomainError(f"compression factor must be >= 1, got {self.overall_factor}")
+        require("compression factor", self.overall_factor, ge=1)
         for label, factor in (("iframe", self.iframe_factor), ("pframe", self.pframe_factor)):
-            if factor is not None and factor < 1:
-                raise DomainError(f"{label} factor must be >= 1, got {factor}")
+            if factor is not None:
+                require(f"{label} factor", factor, ge=1)
         if (
             self.iframe_factor is not None
             and self.pframe_factor is not None
@@ -103,8 +99,7 @@ class BitRate:
     bits_per_second: float
 
     def __post_init__(self) -> None:
-        if self.bits_per_second < 0:
-            raise DomainError(f"bit rate cannot be negative, got {self.bits_per_second}")
+        require("bit rate", self.bits_per_second, ge=0, le=math.inf)
 
     @property
     def bps(self) -> float:
@@ -149,21 +144,15 @@ class VoxelSpec:
     position_depth: int = 48
 
     def __post_init__(self) -> None:
-        if self.voxels_per_frame < 0:
-            raise DomainError(f"voxel count cannot be negative, got {self.voxels_per_frame}")
-        if self.color_depth < 0 or self.position_depth < 0:
-            raise DomainError("voxel bit depths cannot be negative")
+        require("voxel count", self.voxels_per_frame, ge=0)
+        require("voxel color depth", self.color_depth, ge=0)
+        require("voxel position depth", self.position_depth, ge=0)
         if self.color_depth + self.position_depth <= 0:
             raise DomainError("a voxel must carry at least one bit")
 
     @property
     def bits_per_voxel(self) -> int:
         return self.color_depth + self.position_depth
-
-
-def _check_rate_args(fps: float) -> None:
-    if not 0 <= fps < math.inf:
-        raise DomainError(f"frame rate must be finite and non-negative, got {fps}")
 
 
 def eye_like_capacity(
@@ -175,9 +164,8 @@ def eye_like_capacity(
     their own image, so the pixel budget doubles before the depth, frame
     rate, and compression terms apply.
     """
-    _check_rate_args(fps)
-    if not 0 <= ppd < math.inf:
-        raise DomainError(f"ppd must be finite and non-negative, got {ppd}")
+    require("frame rate", fps, ge=0)
+    require("ppd", ppd, ge=0)
     pixels_per_eye = (fov.horizontal.degrees * ppd) * (fov.vertical.degrees * ppd)
     return BitRate(2.0 * pixels_per_eye * depth.bits_per_pixel * fps / comp.overall_factor)
 
@@ -190,9 +178,8 @@ def full_sphere_capacity(
     The sphere is transmitted once and both eyes crop their viewports from
     it, so no stereo doubling applies.
     """
-    _check_rate_args(fps)
-    if not 0 <= ppd < math.inf:
-        raise DomainError(f"ppd must be finite and non-negative, got {ppd}")
+    require("frame rate", fps, ge=0)
+    require("ppd", ppd, ge=0)
     pixels = (360.0 * ppd) * (180.0 * ppd)
     return BitRate(pixels * depth.bits_per_pixel * fps / comp.overall_factor)
 
@@ -210,7 +197,7 @@ def hmd_capacity(
     ``stereo=False`` models a single shared raster such as a full-view
     360-degree video.
     """
-    _check_rate_args(fps)
+    require("frame rate", fps, ge=0)
     eyes = 2.0 if stereo else 1.0
     return BitRate(eyes * per_eye.pixels * depth.bits_per_pixel * fps / comp.overall_factor)
 
@@ -219,5 +206,5 @@ def volumetric_capacity(
     voxel: VoxelSpec, fps: float, comp: CompressionProfile = UNCOMPRESSED
 ) -> BitRate:
     """Bitrate for a point-cloud stream: voxels/frame times bits/voxel times fps."""
-    _check_rate_args(fps)
+    require("frame rate", fps, ge=0)
     return BitRate(voxel.voxels_per_frame * voxel.bits_per_voxel * fps / comp.overall_factor)

@@ -195,7 +195,11 @@ def _cmd_geometry_ppi(args) -> int:
         width, height = parse_pair(args.size)
         value = geometry.ppi(res, PhysicalSize(width, height))
     else:
-        value = geometry.ppi_from_diagonal(res, float(args.size))
+        try:
+            diagonal = float(args.size)
+        except ValueError:
+            raise DomainError(f"bad size literal {args.size!r}; expected WxH inches or a diagonal") from None
+        value = geometry.ppi_from_diagonal(res, diagonal)
     return _emit_scalar(args, "geometry.ppi", {"ppi": value})
 
 
@@ -841,14 +845,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not hasattr(args, "func"):
+            parser.print_usage(sys.stderr)
+            return 2
+        return args.func(args) or 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        return args.func(args) or 0
-    except XrqosError as exc:
+    except XrqosError as exc:  # an argparse type such as --interaction raises these too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

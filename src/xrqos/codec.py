@@ -8,10 +8,11 @@ divide by the per-frame-type compression factor.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .capacity import BitDepth, BitRate, CompressionProfile
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, require
 from .geometry import FovSpec, Resolution
 
 __all__ = [
@@ -43,14 +44,11 @@ class GopConfig:
     pattern: str | None = None
 
     def __post_init__(self) -> None:
-        if self.gop_time <= 0:
-            raise DomainError(f"gop duration must be positive, got {self.gop_time}")
-        if self.fps <= 0:
-            raise DomainError(f"frame rate must be positive, got {self.fps}")
-        if self.gop_time * self.fps < 1:
-            raise DomainError("a gop must span at least one frame")
-        if not 0 <= self.redundancy_fraction < 1:
-            raise DomainError(f"redundancy fraction must lie in [0, 1), got {self.redundancy_fraction}")
+        require("gop duration", self.gop_time, gt=0)
+        require("frame rate", self.fps, gt=0)
+        if not 1 <= self.gop_time * self.fps < math.inf:
+            raise DomainError(f"a gop must span at least one frame (and finitely many), got {self.gop_time * self.fps}")
+        require("redundancy fraction", self.redundancy_fraction, ge=0, lt=1)
         if self.pattern is not None:
             if not self.pattern or self.pattern[0] != "I" or self.pattern.count("I") != 1:
                 raise DomainError("pattern must start with its single 'I' frame")
@@ -88,10 +86,8 @@ class RenderSurface:
     dof_fraction: float = 0.15
 
     def __post_init__(self) -> None:
-        if not 0 <= self.extra_picture_fraction < 1:
-            raise DomainError(f"extra picture fraction must lie in [0, 1), got {self.extra_picture_fraction}")
-        if not 0 <= self.dof_fraction < 1:
-            raise DomainError(f"dof fraction must lie in [0, 1), got {self.dof_fraction}")
+        require("extra picture fraction", self.extra_picture_fraction, ge=0, lt=1)
+        require("dof fraction", self.dof_fraction, ge=0, lt=1)
 
 
 @dataclass(frozen=True)
@@ -103,10 +99,10 @@ class FrameSizes:
     b_bits: float | None = None
 
     def __post_init__(self) -> None:
-        if self.i_bits <= 0 or self.p_bits <= 0:
-            raise DomainError("I- and P-frame sizes must be positive")
-        if self.b_bits is not None and self.b_bits < 0:
-            raise DomainError("B-frame size cannot be negative")
+        require("I-frame size", self.i_bits, gt=0)
+        require("P-frame size", self.p_bits, gt=0)
+        if self.b_bits is not None:
+            require("B-frame size", self.b_bits, ge=0)
 
     def bits_for(self, frame_type: str) -> float:
         if frame_type == "I":
@@ -126,10 +122,8 @@ def nb_pixels(surface: RenderSurface) -> float:
     2 * W * H * (1 + extra_h/fov_h) * (1 + extra_v/fov_v)
       * (1 + extra_picture_fraction)^2
     """
-    fov_h = surface.fov.horizontal.degrees
-    fov_v = surface.fov.vertical.degrees
-    if fov_h <= 0 or fov_v <= 0:
-        raise DomainError("render surface fov must be positive on both axes")
+    fov_h = require("render surface horizontal fov", surface.fov.horizontal.degrees, gt=0)
+    fov_v = require("render surface vertical fov", surface.fov.vertical.degrees, gt=0)
     margin_h = 1.0 + surface.fov.extra_h.degrees / fov_h
     margin_v = 1.0 + surface.fov.extra_v.degrees / fov_v
     padding = (1.0 + surface.extra_picture_fraction) ** 2
@@ -138,12 +132,9 @@ def nb_pixels(surface: RenderSurface) -> float:
 
 def frame_size(pixel_count: float, depth: BitDepth, dof_fraction: float, factor: float) -> float:
     """Encoded frame size in bits: pixels * bpp * (1 + dof) / compression factor."""
-    if factor < 1:
-        raise DomainError(f"compression factor must be >= 1, got {factor}")
-    if pixel_count < 0:
-        raise DomainError(f"pixel count cannot be negative, got {pixel_count}")
-    if dof_fraction < 0:
-        raise DomainError(f"dof fraction cannot be negative, got {dof_fraction}")
+    require("compression factor", factor, ge=1)
+    require("pixel count", pixel_count, ge=0)
+    require("dof fraction", dof_fraction, ge=0)
     return pixel_count * depth.bits_per_pixel * (1.0 + dof_fraction) / factor
 
 
@@ -164,10 +155,8 @@ def p_frame_count(cfg: GopConfig) -> int:
 
 def gop_bitrate(sizes: FrameSizes, n_i: int, n_p: int, cfg: GopConfig) -> BitRate:
     """Average bitrate of one GOP's worth of frames plus redundancy overhead."""
-    if n_i < 1:
-        raise DomainError(f"a gop carries at least one I-frame, got {n_i}")
-    if n_p < 0:
-        raise DomainError(f"p-frame count cannot be negative, got {n_p}")
+    require("I-frames per gop", n_i, ge=1)
+    require("P-frames per gop", n_p, ge=0)
     payload = sizes.i_bits * n_i + sizes.p_bits * n_p
     return BitRate(payload * (1.0 + cfg.redundancy_fraction) / cfg.gop_time)
 

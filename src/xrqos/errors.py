@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the input checks that raise it."""
+import sys
 
 
 class XrqosError(Exception):
@@ -19,3 +20,72 @@ class UnknownKeyError(XrqosError, LookupError):
 
 class ProfileError(XrqosError, ValueError):
     """A profile file failed to parse or validate."""
+
+
+# Half-lines that read better as words than as intervals.
+_RANGE_WORDS = {
+    "(-inf, inf)": "must be finite",
+    "(0, inf)": "must be positive and finite",
+    "(0, inf]": "must be positive",
+    "[0, inf)": "cannot be negative or infinite",
+    "[0, inf]": "cannot be negative",
+}
+
+
+def require(name: str, value, *, gt=None, ge=None, lt=None, le=None):
+    """``value`` if it is a number within every given bound; otherwise a DomainError naming ``name``.
+
+    NaN never passes. An infinity, or an integer beyond every float, passes
+    only as an explicit closed bound (``le=math.inf``), so a check without an
+    upper bound asks for a finite number.
+    """
+    if (
+        (gt is None or value > gt)
+        and (ge is None or value >= ge)
+        and (lt is None or value < lt)
+        and (le is None or value <= le)
+        and (-sys.float_info.max <= value <= sys.float_info.max or value == le)
+    ):
+        return value
+    low = f"({gt}" if gt is not None else f"[{ge}" if ge is not None else "(-inf"
+    high = f"{lt})" if lt is not None else f"{le}]" if le is not None else "inf)"
+    interval = f"{low}, {high}"
+    raise DomainError(f"{name} {_RANGE_WORDS.get(interval, f'must lie in {interval}')}, got {value}")
+
+
+_JSON_TYPES = {
+    "an object": dict,
+    "an array": list,
+    "a string": str,
+    "a boolean": bool,
+    "an integer": int,
+    "a number": (int, float),
+}
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, path: str, kind: str, default=_REQUIRED, **bounds):
+    """``obj[key]``, checked to be a JSON value of ``kind`` and, if a number, finite and within ``bounds``.
+
+    "a number" reads as a float. A missing or null key reads as ``default``;
+    without one it is an error. ``bounds`` are ``require``'s.
+    """
+    value = obj.get(key)
+    if value is None:
+        if default is not _REQUIRED:
+            return default
+        raise DomainError(f"{path} lacks key {key!r}" if key not in obj else f"{path}.{key} must be {kind}, got None")
+    if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "a boolean"):
+        raise DomainError(f"{path}.{key} must be {kind}, got {value!r}")
+    if kind == "a number" or bounds:
+        require(f"{path}.{key}", value, **bounds)
+    return float(value) if kind == "a number" else value
+
+
+def _objects(obj: dict, key: str, path: str, optional: bool = False):
+    """(path, item) for each item of the array ``obj[key]``, each checked to be a JSON object."""
+    for i, item in enumerate(_field(obj, key, path, "an array", [] if optional else _REQUIRED)):
+        item_path = f"{path}.{key}[{i}]"
+        if not isinstance(item, dict):
+            raise DomainError(f"{item_path} must be an object, got {item!r}")
+        yield item_path, item

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require
 
 __all__ = [
     "Resolution",
@@ -34,8 +34,8 @@ class Resolution:
     height: int
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise DomainError(f"resolution must be at least 1x1, got {self.width}x{self.height}")
+        require("resolution width", self.width, ge=1)
+        require("resolution height", self.height, ge=1)
 
     @property
     def pixels(self) -> int:
@@ -57,14 +57,15 @@ class PhysicalSize:
     height: float
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise DomainError(f"physical size must be positive, got {self.width}x{self.height}")
+        require("physical width", self.width, gt=0)
+        require("physical height", self.height, gt=0)
 
     @classmethod
     def from_diagonal(cls, diagonal: float, aspect_w: float, aspect_h: float) -> "PhysicalSize":
         """Split a diagonal length into width x height for a given aspect ratio."""
-        if diagonal <= 0 or aspect_w <= 0 or aspect_h <= 0:
-            raise DomainError("diagonal and aspect ratio must be positive")
+        require("diagonal", diagonal, gt=0)
+        require("aspect width", aspect_w, gt=0)
+        require("aspect height", aspect_h, gt=0)
         norm = math.hypot(aspect_w, aspect_h)
         return cls(diagonal * aspect_w / norm, diagonal * aspect_h / norm)
 
@@ -80,8 +81,7 @@ class Angle:
     degrees: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.degrees <= 360:
-            raise DomainError(f"angle must be within [0, 360] degrees, got {self.degrees}")
+        require("angle in degrees", self.degrees, ge=0, le=360)
 
     def __float__(self) -> float:
         return float(self.degrees)
@@ -111,8 +111,7 @@ class FovSpec:
             value = getattr(self, name)
             if not isinstance(value, Angle):
                 object.__setattr__(self, name, Angle(float(value)))
-        if self.vertical.degrees > 180:
-            raise DomainError(f"vertical fov cannot exceed 180 degrees, got {self.vertical.degrees}")
+        require("vertical fov in degrees", self.vertical.degrees, ge=0, le=180)
 
 
 def ppi(res: Resolution, size: PhysicalSize) -> float:
@@ -126,9 +125,7 @@ def ppi(res: Resolution, size: PhysicalSize) -> float:
 
 def ppi_from_diagonal(res: Resolution, diagonal_in: float) -> float:
     """Pixels per inch when only the diagonal length is known."""
-    if diagonal_in <= 0:
-        raise DomainError(f"diagonal must be positive, got {diagonal_in}")
-    return res.diagonal / diagonal_in
+    return res.diagonal / require("diagonal", diagonal_in, gt=0)
 
 
 def fov_from_physical(extent_in: float, distance_in: float) -> Angle:
@@ -137,21 +134,15 @@ def fov_from_physical(extent_in: float, distance_in: float) -> Angle:
     The eye sits on the perpendicular bisector of the extent, so the half
     angle is atan(extent/2 / distance); the result is always below 180 degrees.
     """
-    if extent_in <= 0:
-        raise DomainError(f"extent must be positive, got {extent_in}")
-    if distance_in <= 0:
-        raise DomainError(f"distance must be positive, got {distance_in}")
+    require("extent", extent_in, gt=0)
+    require("distance", distance_in, gt=0)
     return Angle(2.0 * math.degrees(math.atan(0.5 * extent_in / distance_in)))
 
 
 def ppd_from_fov(pixels: int, fov: Angle | float) -> float:
     """Pixels per degree across a field of view."""
-    fov_deg = _deg(fov)
-    if fov_deg <= 0:
-        raise DomainError(f"fov must be positive, got {fov_deg}")
-    if pixels < 0:
-        raise DomainError(f"pixel count cannot be negative, got {pixels}")
-    return pixels / fov_deg
+    fov_deg = require("fov", _deg(fov), gt=0)
+    return require("pixel count", pixels, ge=0) / fov_deg
 
 
 def ppd_from_physical(pixels: int, extent_in: float, distance_in: float) -> float:
@@ -171,12 +162,10 @@ def scale_resolution(viewport_px: int, viewport_fov: Angle | float, target_fov: 
     ``viewport_px * target/viewport`` pixels over the full span. Rounds to the
     nearest pixel.
     """
-    vp_deg = _deg(viewport_fov)
-    if vp_deg <= 0:
-        raise DomainError(f"viewport fov must be positive, got {vp_deg}")
-    if viewport_px < 0:
-        raise DomainError(f"pixel count cannot be negative, got {viewport_px}")
-    return round(viewport_px * _deg(target_fov) / vp_deg)
+    vp_deg = require("viewport fov", _deg(viewport_fov), gt=0)
+    target_deg = require("target fov", _deg(target_fov), ge=0)
+    scaled = require("pixel count", viewport_px, ge=0) * target_deg / vp_deg
+    return round(require("scaled pixel count", scaled, ge=0))
 
 
 def ppd_from_cone_density(peak_density: float, lens_to_fovea: float) -> float:
@@ -187,13 +176,11 @@ def ppd_from_cone_density(peak_density: float, lens_to_fovea: float) -> float:
     2*atan(pitch/2 / distance) degrees, and the reciprocal of that span is the
     eye's pixels-per-degree equivalent.
     """
-    if peak_density <= 0:
-        raise DomainError(f"cone density must be positive, got {peak_density}")
-    if lens_to_fovea <= 0:
-        raise DomainError(f"lens distance must be positive, got {lens_to_fovea}")
+    require("cone density", peak_density, gt=0)
+    require("lens distance", lens_to_fovea, gt=0)
     pitch_mm = 1.0 / math.sqrt(peak_density)
     angular_pitch = 2.0 * math.degrees(math.atan(0.5 * pitch_mm / lens_to_fovea))
-    return 1.0 / angular_pitch
+    return 1.0 / require("angular cone pitch", angular_pitch, gt=0)  # 0 once extreme inputs underflow
 
 
 def per_eye_fov_from_binocular(binocular: float, overlap: float) -> float:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .capacity import BitRate
-from .errors import DomainError
+from .errors import DomainError, require
 
 __all__ = [
     "PipelineTiming",
@@ -44,8 +44,7 @@ class PipelineTiming:
 
     def __post_init__(self) -> None:
         for name in ("t_sense", "t_render", "t_encode", "t_decode", "fixed_display"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
+            require(name, getattr(self, name), ge=0)
 
     @property
     def processing_total(self) -> float:
@@ -78,10 +77,9 @@ class LatencyBudget:
     vsync_mode: str = "avg"
 
     def __post_init__(self) -> None:
-        if self.mtp_limit <= 0:
-            raise DomainError(f"mtp limit must be positive, got {self.mtp_limit}")
-        if self.comm_ul < 0 or self.comm_dl < 0:
-            raise DomainError("communication delays cannot be negative")
+        require("mtp limit", self.mtp_limit, gt=0, le=math.inf)
+        require("uplink communication delay", self.comm_ul, ge=0)
+        require("downlink communication delay", self.comm_dl, ge=0)
         if self.vsync_mode not in ("avg", "max", "none"):
             raise DomainError(f"vsync mode must be avg, max, or none, got {self.vsync_mode!r}")
 
@@ -105,9 +103,7 @@ def refresh_delay(refresh_hz: float) -> RefreshDelay:
     A frame missing a tick waits up to one full refresh interval; arrivals
     uniform over the interval wait half of it on average.
     """
-    if refresh_hz <= 0:
-        raise DomainError(f"refresh rate must be positive, got {refresh_hz}")
-    max_ms = 1000.0 / refresh_hz
+    max_ms = 1000.0 / require("refresh rate", refresh_hz, gt=0)
     return RefreshDelay(max_ms=max_ms, avg_ms=max_ms / 2.0)
 
 
@@ -117,12 +113,10 @@ def stream_latency(t_encode: float, frame_bits: float, throughput: BitRate | flo
     Transmission is the frame size over the available bit rate.
     """
     rate_bps = throughput.bps if isinstance(throughput, BitRate) else float(throughput)
-    if rate_bps <= 0:
-        raise DomainError(f"throughput must be positive, got {rate_bps}")
-    if t_encode < 0 or t_decode < 0:
-        raise DomainError("encode/decode times cannot be negative")
-    if frame_bits < 0:
-        raise DomainError(f"frame size cannot be negative, got {frame_bits}")
+    require("throughput", rate_bps, gt=0, le=math.inf)
+    require("encode time", t_encode, ge=0)
+    require("decode time", t_decode, ge=0)
+    require("frame size", frame_bits, ge=0)
     return t_encode + 1000.0 * frame_bits / rate_bps + t_decode
 
 
@@ -133,8 +127,8 @@ def e2e_latency(timing: PipelineTiming, stream_ms: float, display_ms: float) -> 
     contains the fixed display delay plus whatever VSync wait the caller
     chose, so only ``t_sense`` and ``t_render`` are read from ``timing``.
     """
-    if stream_ms < 0 or display_ms < 0:
-        raise DomainError("stream/display delays cannot be negative")
+    require("stream delay", stream_ms, ge=0)
+    require("display delay", display_ms, ge=0)
     return timing.t_sense + timing.t_render + stream_ms + display_ms
 
 

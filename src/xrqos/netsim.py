@@ -25,7 +25,7 @@ import struct
 from dataclasses import dataclass
 from typing import TextIO
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .latency import PipelineTiming
 from .tracegen import FrameTrace, packet_split
 
@@ -40,6 +40,10 @@ class LinkModel:
     pose uplink and the video downlink. ``udp_like`` drops a frame on any
     lost packet; ``tcp_like`` retransmits each lost packet after one
     propagation RTT, up to ``max_retx`` times, before giving the frame up.
+    The resends are serial: each lost packet holds the downlink for one full
+    RTT plus its own transmission, one loss after another, so at p = 0.01
+    and an 8 ms RTT a frame of ~88 packets spends ~7 ms on average in
+    resends and a 91 Mbps stream on a 200 Mbps link queues without bound.
     The pose uplink defaults to zero-size messages (they are a few kbps at
     most); ``uplink_payload_bits`` can widen them.
     """
@@ -55,21 +59,18 @@ class LinkModel:
     uplink_payload_bits: int = 0
 
     def __post_init__(self) -> None:
-        # Every comparison with NaN is false, so these reject it; an infinite rate is an instant link.
-        if not (self.downlink_bps > 0 and self.uplink_bps > 0):
-            raise DomainError(f"link rates must be positive, got {self.downlink_bps} and {self.uplink_bps}")
-        if not 0 <= self.loss_prob <= 1:
-            raise DomainError(f"loss probability must lie in [0, 1], got {self.loss_prob}")
-        if not 0 <= self.propagation_rtt < math.inf:
-            raise DomainError(f"propagation rtt must be finite and non-negative, got {self.propagation_rtt}")
+        # an infinite rate is an instant link
+        require("downlink rate", self.downlink_bps, gt=0, le=math.inf)
+        require("uplink rate", self.uplink_bps, gt=0, le=math.inf)
+        require("loss probability", self.loss_prob, ge=0, le=1)
+        require("propagation rtt", self.propagation_rtt, ge=0)
         if self.mode not in ("udp_like", "tcp_like"):
             raise DomainError(f"mode must be udp_like or tcp_like, got {self.mode!r}")
-        if not (isinstance(self.max_retx, int) and self.max_retx >= 0):
-            raise DomainError(f"max retransmissions must be a non-negative integer, got {self.max_retx}")
-        if not 0 < self.mtu_payload_bits < math.inf:
-            raise DomainError(f"mtu payload must be positive and finite, got {self.mtu_payload_bits}")
-        if not 0 <= self.uplink_payload_bits < math.inf:
-            raise DomainError(f"uplink payload must be finite and non-negative, got {self.uplink_payload_bits}")
+        if not isinstance(self.max_retx, int):
+            raise DomainError(f"max retransmissions must be an integer, got {self.max_retx!r}")
+        require("max retransmissions", self.max_retx, ge=0)
+        require("mtu payload", self.mtu_payload_bits, gt=0)
+        require("uplink payload", self.uplink_payload_bits, ge=0)
 
 
 @dataclass(frozen=True)
@@ -199,10 +200,8 @@ def simulate(
     """
     if len(trace) == 0:
         raise DomainError("cannot simulate an empty trace")
-    if not 0 < refresh_hz < math.inf:
-        raise DomainError(f"refresh rate must be positive and finite, got {refresh_hz}")
-    if not mtp_limit > 0:
-        raise DomainError(f"mtp limit must be positive, got {mtp_limit}")
+    require("refresh rate", refresh_hz, gt=0)
+    require("mtp limit", mtp_limit, gt=0, le=math.inf)
 
     tick = 1000.0 / refresh_hz
     half_rtt = link.propagation_rtt / 2.0
@@ -215,41 +214,44 @@ def simulate(
 
     link_free = 0.0
     results = []
-    for record in trace:
-        arrival = record.t_gen + timing.t_sense + uplink_ms + half_rtt + timing.t_render + timing.t_encode
-        # every packet goes out once, lost or not
-        t = max(arrival, link_free) + 1000.0 * record.size_bits / link.downlink_bps
-        count, last_bits = packet_split(record.size_bits, mtu)
-        lost = _lost_packets(link.seed, record.index, 0, count, link.loss_prob)
-        retx = 0
-        for attempt in range(1, max_attempts):
-            if not lost:
-                break
-            t += len(lost) * resend
-            if lost[-1] == count - 1:
-                t += 1000.0 * (last_bits - mtu) / link.downlink_bps
-            retx += len(lost)
-            again = set(_lost_packets(link.seed, record.index, attempt, lost[-1] + 1, link.loss_prob))
-            lost = [k for k in lost if k in again]
-        link_free = t
+    try:
+        for record in trace:
+            arrival = record.t_gen + timing.t_sense + uplink_ms + half_rtt + timing.t_render + timing.t_encode
+            # every packet goes out once, lost or not
+            t = max(arrival, link_free) + 1000.0 * record.size_bits / link.downlink_bps
+            count, last_bits = packet_split(record.size_bits, mtu)
+            lost = _lost_packets(link.seed, record.index, 0, count, link.loss_prob)
+            retx = 0
+            for attempt in range(1, max_attempts):
+                if not lost:
+                    break
+                t += len(lost) * resend
+                if lost[-1] == count - 1:
+                    t += 1000.0 * (last_bits - mtu) / link.downlink_bps
+                retx += len(lost)
+                again = set(_lost_packets(link.seed, record.index, attempt, lost[-1] + 1, link.loss_prob))
+                lost = [k for k in lost if k in again]
+            link_free = t
 
-        if not lost:
-            ready = t + half_rtt + timing.t_decode + timing.fixed_display
-            k = max(0, math.ceil(ready / tick - 1e-9))
-            display = k * tick
-            results.append(
-                FrameResult(
-                    index=record.index,
-                    displayed=True,
-                    e2e_ms=display - record.t_gen,
-                    vsync_wait_ms=display - ready,
-                    retx_count=retx,
+            if not lost:
+                ready = t + half_rtt + timing.t_decode + timing.fixed_display
+                k = max(0, math.ceil(ready / tick - 1e-9))
+                display = k * tick
+                results.append(
+                    FrameResult(
+                        index=record.index,
+                        displayed=True,
+                        e2e_ms=display - record.t_gen,
+                        vsync_wait_ms=display - ready,
+                        retx_count=retx,
+                    )
                 )
-            )
-        else:
-            results.append(
-                FrameResult(index=record.index, displayed=False, e2e_ms=None, vsync_wait_ms=None, retx_count=retx)
-            )
+            else:
+                results.append(
+                    FrameResult(index=record.index, displayed=False, e2e_ms=None, vsync_wait_ms=None, retx_count=retx)
+                )
+    except OverflowError as exc:  # times or sizes beyond a float, e.g. from 1e308-sized inputs
+        raise DomainError(f"simulated times overflow: {exc}") from exc
 
     shown = sorted(f.e2e_ms for f in results if f.displayed)
     displayed_count = len(shown)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import capacity
 from .capacity import BitDepth, BitRate, CompressionProfile
-from .errors import ProfileError, UnknownKeyError
+from .errors import DomainError, ProfileError, UnknownKeyError, _field, _objects
 from .geometry import FovSpec, Resolution
 from .latency import PipelineTiming
 
@@ -300,131 +300,124 @@ class ProfileRegistry:
 # -- parsing ---------------------------------------------------------------
 
 
-def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in obj:
-        if required:
-            raise ProfileError(f"missing key {path}.{key}")
-        return default
-    return obj[key]
+def _table(obj: dict, key: str, path: str, **bounds) -> dict[str, float]:
+    """An optional ``{interaction: number}`` object, every number within ``bounds``."""
+    table = _field(obj, key, path, "an object", {})
+    return {name: _field(table, name, f"{path}.{key}", "a number", **bounds) for name in table}
 
 
-def _parse_resolution(obj: dict | None, path: str) -> Resolution | None:
-    if obj is None:
+def _parse_resolution(obj: dict, key: str, path: str) -> Resolution | None:
+    table = _field(obj, key, path, "an object", None)
+    if table is None:
         return None
-    try:
-        return Resolution(int(_get(obj, "width", path)), int(_get(obj, "height", path)))
-    except (TypeError, ValueError) as exc:
-        raise ProfileError(f"bad resolution at {path}: {exc}") from exc
+    path = f"{path}.{key}"
+    return Resolution(_field(table, "width", path, "an integer"), _field(table, "height", path, "an integer"))
 
 
 def _parse_fov(obj: dict | None, path: str) -> FovSpec | None:
     if obj is None:
         return None
-    try:
-        return FovSpec(
-            horizontal=float(_get(obj, "horizontal", path)),
-            vertical=float(_get(obj, "vertical", path)),
-            extra_h=float(obj.get("extra_h", 0.0)),
-            extra_v=float(obj.get("extra_v", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ProfileError(f"bad fov at {path}: {exc}") from exc
+    return FovSpec(
+        horizontal=_field(obj, "horizontal", path, "a number", gt=0),
+        vertical=_field(obj, "vertical", path, "a number", gt=0),
+        extra_h=_field(obj, "extra_h", path, "a number", 0.0),
+        extra_v=_field(obj, "extra_v", path, "a number", 0.0),
+    )
 
 
-def _parse_timing(obj: dict) -> PipelineTiming:
+def _parse_timing(obj: dict, path: str) -> PipelineTiming:
     """Per-stage delays in ms; an absent stage takes no time."""
-    return PipelineTiming(**{f.name: float(obj.get(f.name, 0.0)) for f in fields(PipelineTiming)})
+    return PipelineTiming(**{f.name: _field(obj, f.name, path, "a number", 0.0) for f in fields(PipelineTiming)})
 
 
 def _parse_device(obj: dict, path: str) -> DeviceProfile:
-    depth = _get(obj, "depth", path)
-    modes = []
-    for i, mode in enumerate(_get(obj, "refresh_modes", path)):
-        mode_path = f"{path}.refresh_modes[{i}]"
-        modes.append(
-            RefreshMode(
-                hz=float(_get(mode, "hz", mode_path)),
-                render_target=_parse_resolution(mode.get("render_target"), mode_path),
-                full_video=_parse_resolution(mode.get("full_video"), mode_path),
-                ppd=float(mode["ppd"]) if "ppd" in mode else None,
-            )
+    depth = _field(obj, "depth", path, "an object")
+    modes = tuple(
+        RefreshMode(
+            hz=_field(mode, "hz", mode_path, "a number", gt=0),
+            render_target=_parse_resolution(mode, "render_target", mode_path),
+            full_video=_parse_resolution(mode, "full_video", mode_path),
+            ppd=_field(mode, "ppd", mode_path, "a number", None, gt=0),
         )
-    pipeline = obj.get("pipeline")
-    timing = _parse_timing(pipeline) if isinstance(pipeline, dict) and "t_sense" in pipeline else None
-    fov = _parse_fov(_get(obj, "fov", path), f"{path}.fov")
-    assert fov is not None
+        for mode_path, mode in _objects(obj, "refresh_modes", path)
+    )
+    if not modes:
+        raise DomainError(f"{path}.refresh_modes must list at least one mode")
+    pipeline = _field(obj, "pipeline", path, "an object", {})
     return DeviceProfile(
-        name=str(_get(obj, "name", path)),
-        per_eye=_parse_resolution(obj.get("per_eye"), f"{path}.per_eye"),
-        fov=fov,
-        depth_bpc=int(_get(depth, "bits_per_color", f"{path}.depth")),
-        chroma=str(depth.get("chroma", "4:4:4")),
-        refresh_modes=tuple(modes),
-        ppd=float(obj["ppd"]) if "ppd" in obj else None,
-        pipeline=timing,
-        measured_mtp_ms=float(obj["measured_mtp_ms"]) if "measured_mtp_ms" in obj else None,
-        mtp_limits_ms={str(k): float(v) for k, v in obj.get("mtp_ms", {}).items()},
-        published_loss_rate=float(obj["published_loss_rate"]) if "published_loss_rate" in obj else None,
-        published_delivery_pct=float(obj["published_delivery_pct"]) if "published_delivery_pct" in obj else None,
+        name=_field(obj, "name", path, "a string"),
+        per_eye=_parse_resolution(obj, "per_eye", path),
+        fov=_parse_fov(_field(obj, "fov", path, "an object"), f"{path}.fov"),
+        depth_bpc=_field(depth, "bits_per_color", f"{path}.depth", "an integer"),
+        chroma=_field(depth, "chroma", f"{path}.depth", "a string", "4:4:4"),
+        refresh_modes=modes,
+        ppd=_field(obj, "ppd", path, "a number", None, gt=0),
+        pipeline=_parse_timing(pipeline, f"{path}.pipeline") if "t_sense" in pipeline else None,
+        measured_mtp_ms=_field(obj, "measured_mtp_ms", path, "a number", None, gt=0),
+        mtp_limits_ms=_table(obj, "mtp_ms", path, gt=0),
+        published_loss_rate=_field(obj, "published_loss_rate", path, "a number", None, ge=0, le=1),
+        published_delivery_pct=_field(obj, "published_delivery_pct", path, "a number", None, ge=0, le=100),
     )
 
 
 def _parse_stage(obj: dict, path: str) -> StageProfile:
-    rates = []
-    for i, rate in enumerate(obj.get("bitrates", [])):
-        rate_path = f"{path}.bitrates[{i}]"
-        rates.append(
-            PublishedRate(
-                label=str(_get(rate, "label", rate_path)),
-                value=float(_get(rate, "value", rate_path)),
-                unit=str(_get(rate, "unit", rate_path)),
-                prefix=str(rate.get("prefix", "decimal")),
-            )
+    rates = tuple(
+        PublishedRate(
+            label=_field(rate, "label", rate_path, "a string"),
+            value=_field(rate, "value", rate_path, "a number"),
+            unit=_field(rate, "unit", rate_path, "a string"),
+            prefix=_field(rate, "prefix", rate_path, "a string", "decimal"),
         )
+        for rate_path, rate in _objects(obj, "bitrates", path, optional=True)
+    )
     return StageProfile(
-        taxonomy=_norm(str(_get(obj, "taxonomy", path))),
-        stage=norm_stage(str(_get(obj, "stage", path))),
-        per_eye=_parse_resolution(obj.get("per_eye"), f"{path}.per_eye"),
-        ppd=float(obj["ppd"]) if "ppd" in obj else None,
-        fps={str(k): float(v) for k, v in obj.get("fps", {}).items()},
-        bpc=int(obj["bpc"]) if "bpc" in obj else None,
-        chroma=str(obj.get("chroma", "4:4:4")),
-        fov=_parse_fov(obj.get("fov"), f"{path}.fov"),
-        codec=str(obj["codec"]) if "codec" in obj else None,
-        stereo=bool(obj["stereo"]) if "stereo" in obj else None,
-        iframe_factor=float(obj["iframe_factor"]) if "iframe_factor" in obj else None,
-        pframe_factor=float(obj["pframe_factor"]) if "pframe_factor" in obj else None,
-        gop_time_s=float(obj["gop_time_s"]) if "gop_time_s" in obj else None,
-        redundancy_fraction=float(obj["redundancy_fraction"]) if "redundancy_fraction" in obj else None,
-        extra_picture_fraction=float(obj["extra_picture_fraction"]) if "extra_picture_fraction" in obj else None,
-        dof_fraction=float(obj["dof_fraction"]) if "dof_fraction" in obj else None,
-        mtp_ms={str(k): float(v) for k, v in obj.get("mtp_ms", {}).items()},
-        loss_rate={str(k): float(v) for k, v in obj.get("loss_rate", {}).items()},
-        bitrates=tuple(rates),
+        taxonomy=_norm(_field(obj, "taxonomy", path, "a string")),
+        stage=norm_stage(_field(obj, "stage", path, "a string")),
+        per_eye=_parse_resolution(obj, "per_eye", path),
+        ppd=_field(obj, "ppd", path, "a number", None, gt=0),
+        fps=_table(obj, "fps", path, gt=0),
+        bpc=_field(obj, "bpc", path, "an integer", None),
+        chroma=_field(obj, "chroma", path, "a string", "4:4:4"),
+        fov=_parse_fov(_field(obj, "fov", path, "an object", None), f"{path}.fov"),
+        codec=_field(obj, "codec", path, "a string", None),
+        stereo=_field(obj, "stereo", path, "a boolean", None),
+        iframe_factor=_field(obj, "iframe_factor", path, "a number", None),
+        pframe_factor=_field(obj, "pframe_factor", path, "a number", None),
+        gop_time_s=_field(obj, "gop_time_s", path, "a number", None),
+        redundancy_fraction=_field(obj, "redundancy_fraction", path, "a number", None),
+        extra_picture_fraction=_field(obj, "extra_picture_fraction", path, "a number", None),
+        dof_fraction=_field(obj, "dof_fraction", path, "a number", None),
+        mtp_ms=_table(obj, "mtp_ms", path, gt=0),
+        loss_rate=_table(obj, "loss_rate", path, ge=0, le=1),
+        bitrates=rates,
     )
 
 
 def _parse_pipeline(obj: dict, path: str) -> PipelinePreset:
     return PipelinePreset(
-        name=str(_get(obj, "name", path)),
-        timing=_parse_timing(obj),
-        comm_ul=float(obj.get("comm_ul", 0.0)),
-        comm_dl=float(obj.get("comm_dl", 0.0)),
-        refresh_hz=float(obj["refresh_hz"]) if "refresh_hz" in obj else None,
-        vsync_mode=str(obj.get("vsync_mode", "avg")),
-        note=str(obj.get("note", "")),
+        name=_field(obj, "name", path, "a string"),
+        timing=_parse_timing(obj, path),
+        comm_ul=_field(obj, "comm_ul", path, "a number", 0.0),
+        comm_dl=_field(obj, "comm_dl", path, "a number", 0.0),
+        refresh_hz=_field(obj, "refresh_hz", path, "a number", None),
+        vsync_mode=_field(obj, "vsync_mode", path, "a string", "avg"),
+        note=_field(obj, "note", path, "a string", ""),
     )
 
 
 def _load_document(registry: ProfileRegistry, document: dict, source: str) -> None:
+    """Add a profile document's devices, stages and pipelines; a malformed document raises ProfileError."""
     if not isinstance(document, dict):
         raise ProfileError(f"{source}: top level must be an object with devices/stages arrays")
-    for i, obj in enumerate(document.get("devices", [])):
-        registry.add_device(_parse_device(obj, f"devices[{i}]"))
-    for i, obj in enumerate(document.get("stages", [])):
-        registry.add_stage(_parse_stage(obj, f"stages[{i}]"))
-    for i, obj in enumerate(document.get("pipelines", [])):
-        registry.add_pipeline(_parse_pipeline(obj, f"pipelines[{i}]"))
+    try:
+        for path, obj in _objects(document, "devices", "profiles", optional=True):
+            registry.add_device(_parse_device(obj, path))
+        for path, obj in _objects(document, "stages", "profiles", optional=True):
+            registry.add_stage(_parse_stage(obj, path))
+        for path, obj in _objects(document, "pipelines", "profiles", optional=True):
+            registry.add_pipeline(_parse_pipeline(obj, path))
+    except DomainError as exc:
+        raise ProfileError(f"{source}: {exc}") from exc
 
 
 def _read_json(path: Path) -> dict:

@@ -8,10 +8,11 @@ requirements looked up from the stage registry.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .capacity import BitRate
-from .errors import DomainError
+from .errors import require
 
 __all__ = [
     "LossModel",
@@ -31,8 +32,7 @@ class LossModel:
     mss_bits: int = DEFAULT_MSS_BITS
 
     def __post_init__(self) -> None:
-        if self.mss_bits <= 0:
-            raise DomainError(f"mss must be positive, got {self.mss_bits}")
+        require("mss", self.mss_bits, gt=0)
 
 
 def max_loss_rate(model: LossModel, throughput: BitRate | float, rtt: float) -> float:
@@ -42,16 +42,13 @@ def max_loss_rate(model: LossModel, throughput: BitRate | float, rtt: float) -> 
     bandwidth-delay products would otherwise push it past certainty.
     """
     rate_bps = throughput.bps if isinstance(throughput, BitRate) else float(throughput)
-    if rate_bps <= 0:
-        raise DomainError(f"throughput must be positive, got {rate_bps}")
-    if rtt <= 0:
-        raise DomainError(f"rtt must be positive, got {rtt}")
+    require("throughput", rate_bps, gt=0, le=math.inf)
+    require("rtt", rtt, gt=0)
     ratio = model.mss_bits / (rate_bps * rtt)
     return min(ratio * ratio, 1.0)
 
 
 def delivery_success(loss_rate: float) -> float:
     """Loss probability to delivery success percentage."""
-    if not 0 <= loss_rate <= 1:
-        raise DomainError(f"loss rate must lie in [0, 1], got {loss_rate}")
+    require("loss rate", loss_rate, ge=0, le=1)
     return (1.0 - loss_rate) * 100.0

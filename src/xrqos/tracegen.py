@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 from .codec import FrameSizes, GopConfig
-from .errors import DomainError
+from .errors import DomainError, _field, _objects, require
 
 __all__ = [
     "FrameRecord",
@@ -31,6 +31,11 @@ __all__ = [
 
 TRACE_CSV_COLUMNS = ("frame_index", "t_gen_ms", "frame_type", "size_bits", "gop_index")
 PACKET_CSV_COLUMNS = ("frame_index", "packet_index", "size_bits", "t_ready_ms")
+
+# Run ceilings: a frame record takes ~220 B and a packet record ~115 B, so
+# these cap a trace near 220 MB and a packet list near 1.2 GB.
+MAX_FRAMES = 10**6
+MAX_PACKETS = 10**7
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,8 @@ def generate_trace(sizes: FrameSizes, cfg: GopConfig, duration: float) -> FrameT
     Each frame's payload is its type's analytic size inflated by the
     redundancy fraction and rounded to whole bits.
     """
-    if duration <= 0:
-        raise DomainError(f"duration must be positive, got {duration}")
-    total = round(duration * cfg.fps)
+    require("duration", duration, gt=0)
+    total = round(require("frame count (duration * fps)", duration * cfg.fps, ge=0, le=MAX_FRAMES))
     gop_len = cfg.frames_per_gop
     records = []
     for index in range(total):
@@ -110,10 +114,12 @@ def packetize(trace: FrameTrace | Iterable[FrameRecord], mtu_payload_bits: int) 
 
     Bit conservation holds per frame: the packet sizes sum to the frame size.
     """
-    if mtu_payload_bits <= 0:
-        raise DomainError(f"mtu payload must be positive, got {mtu_payload_bits}")
+    require("mtu payload", mtu_payload_bits, gt=0)
+    records = tuple(trace)
+    total = sum(packet_split(record.size_bits, mtu_payload_bits)[0] for record in records)
+    require("packet count", total, ge=0, le=MAX_PACKETS)
     packets = []
-    for record in trace:
+    for record in records:
         count, last_bits = packet_split(record.size_bits, mtu_payload_bits)
         for packet_index in range(count):
             size = mtu_payload_bits if packet_index < count - 1 else last_bits
@@ -209,25 +215,6 @@ def trace_to_dict(trace: FrameTrace) -> dict:
     }
 
 
-_JSON_TYPES = {"an object": dict, "an array": list, "a string": str, "an integer": int, "a number": (int, float)}
-
-
-def _field(obj: dict, key: str, path: str, kind: str, optional: bool = False):
-    """``obj[key]`` checked to be a finite JSON value of ``kind``; a missing optional key reads as None."""
-    if key not in obj:
-        if optional:
-            return None
-        raise DomainError(f"{path} lacks key {key!r}")
-    value = obj[key]
-    if value is None and optional:
-        return None
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-        raise DomainError(f"{path}.{key} must be {kind}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DomainError(f"{path}.{key} must be finite, got {value!r}")
-    return value
-
-
 def trace_from_dict(payload: dict) -> FrameTrace:
     """The trace a ``trace_to_dict`` document describes; a malformed document raises DomainError.
 
@@ -241,27 +228,22 @@ def trace_from_dict(payload: dict) -> FrameTrace:
         gop_time=_field(config, "gop_time_s", "trace.config", "a number"),
         fps=_field(config, "fps", "trace.config", "a number"),
         redundancy_fraction=_field(config, "redundancy_fraction", "trace.config", "a number"),
-        pattern=_field(config, "pattern", "trace.config", "a string", optional=True),
+        pattern=_field(config, "pattern", "trace.config", "a string", None),
     )
     size_table = _field(payload, "sizes", "trace", "an object")
     sizes = FrameSizes(
         i_bits=_field(size_table, "i_bits", "trace.sizes", "a number"),
         p_bits=_field(size_table, "p_bits", "trace.sizes", "a number"),
-        b_bits=_field(size_table, "b_bits", "trace.sizes", "a number", optional=True),
+        b_bits=_field(size_table, "b_bits", "trace.sizes", "a number", None),
     )
-    duration = _field(payload, "duration_s", "trace", "a number")
-    if duration <= 0:
-        raise DomainError(f"trace.duration_s must be positive, got {duration}")
+    duration = _field(payload, "duration_s", "trace", "a number", gt=0)
     records = []
-    for i, r in enumerate(_field(payload, "records", "trace", "an array")):
-        path = f"trace.records[{i}]"
-        if not isinstance(r, dict):
-            raise DomainError(f"{path} must be an object, got {r!r}")
+    for i, (path, r) in enumerate(_objects(payload, "records", "trace")):
         record = FrameRecord(
             index=_field(r, "frame_index", path, "an integer"),
             t_gen=_field(r, "t_gen_ms", path, "a number"),
             frame_type=_field(r, "frame_type", path, "a string"),
-            size_bits=_field(r, "size_bits", path, "an integer"),
+            size_bits=_field(r, "size_bits", path, "an integer", ge=0),
             gop_index=_field(r, "gop_index", path, "an integer"),
         )
         if record.index != i:
@@ -270,8 +252,6 @@ def trace_from_dict(payload: dict) -> FrameTrace:
             raise DomainError(f"{path}.t_gen_ms {record.t_gen} precedes the previous frame's {records[-1].t_gen}")
         if record.frame_type not in ("I", "P", "B"):
             raise DomainError(f"{path}.frame_type must be I, P or B, got {record.frame_type!r}")
-        if record.size_bits < 0:
-            raise DomainError(f"{path}.size_bits cannot be negative, got {record.size_bits}")
         records.append(record)
     return FrameTrace(config=cfg, sizes=sizes, duration=duration, records=tuple(records))
 

@@ -383,11 +383,49 @@ class TestInputBoundary:
             ["capacity", "volumetric", "--voxels", "50360", "--fps", "nan"],
             ["capacity", "eye-like", "--ppd", "nan", "--fov", "155x130", "--bpp", "24", "--fps", "77"],
             ["capacity", "sphere", "--ppd", "inf", "--bpp", "24", "--fps", "77"],
+            ["capacity", "hmd", "--resolution", "100x100", "--bpp", "24", "--fps", "90", "--factor", "nan"],
+            ["capacity", "volumetric", "--voxels", "50360", "--fps", "30", "--factor", "inf"],
+            ["gop", "frame-sizes", "--resolution", "1920x1920", "--fov", "120x120", "--ifactor", "nan",
+             "--pfactor", "nan"],
+            ["latency", "stream", "--frame-bits", "nan", "--throughput", "100M"],
+            ["latency", "refresh", "--hz", "nan"],
+            ["latency", "budget", "--limit", "nan"],
+            ["geometry", "ppi", "--resolution", "1920x1080", "--size", "nan"],
+            ["geometry", "ppd", "--pixels", "1648", "--fov", "nan"],
+            ["geometry", "scale", "--pixels", "1648", "--from-fov", "nan", "--to-fov", "360"],
+            ["trace", "generate", "--i-bits", "nan", "--p-bits", "600"],
+            ["trace", "generate", "--i-bits", "5000", "--p-bits", "600", "--duration", "nan"],
+            ["trace", "generate", "--i-bits", "5000", "--p-bits", "600", "--gop-time", "nan"],
+            ["simulate", "--i-bits", "5000", "--p-bits", "600", "--fps", "inf", "--downlink", "100M",
+             "--refresh-hz", "90"],
         ],
-        ids=["hmd-fps-nan", "sphere-fps-inf", "volumetric-fps-nan", "eye-like-ppd-nan", "sphere-ppd-inf"],
+        ids=["hmd-fps-nan", "sphere-fps-inf", "volumetric-fps-nan", "eye-like-ppd-nan", "sphere-ppd-inf",
+             "hmd-factor-nan", "volumetric-factor-inf", "gop-factors-nan", "stream-frame-bits-nan",
+             "refresh-hz-nan", "budget-limit-nan", "ppi-size-nan", "ppd-fov-nan", "scale-from-fov-nan",
+             "trace-i-bits-nan", "trace-duration-nan", "trace-gop-time-nan", "simulate-fps-inf"],
     )
     def test_non_finite_model_input(self, capsys, argv):
         assert_domain_error(*run_cli(capsys, *argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "generate", "--i-bits", "5000", "--p-bits", "600", "--duration", "1e12"],
+            ["trace", "generate", "--i-bits", "5000", "--p-bits", "600", "--fps", "inf"],
+            ["trace", "packetize", "--stage-profile", "huawei_ilab/comfortable", "--mtu", "1"],
+        ],
+        ids=["duration-1e12", "fps-inf", "mtu-1"],
+    )
+    def test_unbounded_run_rejected(self, capsys, argv):
+        assert_domain_error(*run_cli(capsys, *argv))
+
+
+    def test_malformed_profile_file(self, capsys, tmp_path):
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps({"stages": [{"taxonomy": "t", "stage": "s", "mtp_ms": {"strong": -5}}]}))
+        code, out, err = run_cli(capsys, "profiles", "validate", str(path))
+        assert_domain_error(code, out, err)
+        assert len(err.splitlines()) == 1
 
 
 class TestReportCommand:

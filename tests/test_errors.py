@@ -1,0 +1,148 @@
+"""The shared input checks: ``require`` and the JSON field reader, and every model boundary behind them."""
+import math
+
+import pytest
+
+from xrqos.capacity import BitDepth, BitRate, CompressionProfile, VoxelSpec
+from xrqos.codec import FrameSizes, GopConfig, frame_size
+from xrqos.errors import DomainError, _field, _objects, require
+from xrqos.geometry import (
+    PhysicalSize, Resolution, ppd_from_cone_density, ppd_from_fov, ppi_from_diagonal, scale_resolution,
+)
+from xrqos.latency import LatencyBudget, PipelineTiming, e2e_latency, refresh_delay, stream_latency
+from xrqos.netsim import LinkModel, simulate
+from xrqos.reliability import LossModel, max_loss_rate
+from xrqos.tracegen import FrameRecord, MAX_FRAMES, MAX_PACKETS, generate_trace, packetize
+
+nan, inf = math.nan, math.inf
+
+
+class TestRequire:
+    @pytest.mark.parametrize(
+        "value, bounds",
+        [(0.5, {"ge": 0, "le": 1}), (1, {"ge": 0, "le": 1}), (0, {"ge": 0, "lt": 1}), (3, {}), (10**300, {"ge": 0}),
+         (inf, {"gt": 0, "le": inf})],
+    )
+    def test_accepts_and_returns_value(self, value, bounds):
+        assert require("x", value, **bounds) == value
+
+    @pytest.mark.parametrize(
+        "value, bounds, message",
+        [
+            (nan, {}, "x must be finite, got nan"),
+            (inf, {}, "x must be finite, got inf"),
+            (nan, {"gt": 0, "le": inf}, "x must be positive, got nan"),
+            (-inf, {"gt": 0, "le": inf}, "x must be positive, got -inf"),
+            (inf, {"gt": 0}, "x must be positive and finite, got inf"),
+            (0, {"gt": 0}, "x must be positive and finite, got 0"),
+            (-1, {"ge": 0}, "x cannot be negative or infinite, got -1"),
+            (1, {"ge": 0, "lt": 1}, r"x must lie in \[0, 1\), got 1"),
+            (nan, {"ge": 0, "le": 1}, r"x must lie in \[0, 1\], got nan"),
+            (0.5, {"ge": 1}, r"x must lie in \[1, inf\), got 0.5"),
+            (10**400, {"ge": 0}, f"x cannot be negative or infinite, got {10**400}"),
+        ],
+    )
+    def test_rejects_with_named_range(self, value, bounds, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            require("x", value, **bounds)
+
+
+class TestField:
+    def test_number_reads_as_float_within_bounds(self):
+        assert _field({"a": 2}, "a", "doc", "a number", gt=0) == 2.0
+        with pytest.raises(DomainError, match=r"doc.a must lie in \[0, 1\], got 2$"):
+            _field({"a": 2}, "a", "doc", "a number", ge=0, le=1)
+
+    def test_default_for_missing_or_null(self):
+        assert _field({}, "a", "doc", "a string", "x") == "x"
+        assert _field({"a": None}, "a", "doc", "a number", None) is None
+        with pytest.raises(DomainError, match="doc lacks key 'a'"):
+            _field({}, "a", "doc", "a number")
+
+    @pytest.mark.parametrize(
+        "value, kind", [(True, "a number"), (1, "a boolean"), ("1", "an integer"), (1.5, "an integer")]
+    )
+    def test_wrong_type(self, value, kind):
+        with pytest.raises(DomainError, match=f"doc.a must be {kind}"):
+            _field({"a": value}, "a", "doc", kind)
+
+    def test_objects_checks_each_item(self):
+        assert list(_objects({"a": [{}, {"k": 1}]}, "a", "doc")) == [("doc.a[0]", {}), ("doc.a[1]", {"k": 1})]
+        assert list(_objects({}, "a", "doc", optional=True)) == []
+        with pytest.raises(DomainError, match=r"doc.a\[1\] must be an object"):
+            list(_objects({"a": [{}, 3]}, "a", "doc"))
+
+
+DEPTH = BitDepth(24)
+
+# Each probe was accepted, returned nan or raised a bare ValueError before the shared check.
+NON_FINITE_PROBES = {
+    "CompressionProfile factor nan": lambda: CompressionProfile("x", nan),
+    "CompressionProfile I/P factors nan": lambda: CompressionProfile("x", 10.0, nan, nan),
+    "BitRate nan": lambda: BitRate(nan),
+    "VoxelSpec nan": lambda: VoxelSpec(nan),
+    "GopConfig gop_time nan": lambda: GopConfig(nan, 90),
+    "GopConfig fps inf": lambda: GopConfig(2, inf),
+    "GopConfig gop overflows": lambda: GopConfig(1e308, 90),
+    "FrameSizes nan": lambda: FrameSizes(nan, nan),
+    "FrameSizes inf": lambda: FrameSizes(inf, 1),
+    "PhysicalSize nan": lambda: PhysicalSize(nan, nan),
+    "Resolution nan": lambda: Resolution(nan, 1),
+    "frame_size factor nan": lambda: frame_size(100, DEPTH, 0.1, nan),
+    "ppi_from_diagonal nan": lambda: ppi_from_diagonal(Resolution(100, 100), nan),
+    "ppd_from_fov nan": lambda: ppd_from_fov(100, nan),
+    "stream_latency nan": lambda: stream_latency(0, nan, 1e6, 0),
+    "refresh_delay nan": lambda: refresh_delay(nan),
+    "e2e_latency nan": lambda: e2e_latency(PipelineTiming(), nan, 0),
+    "max_loss_rate rtt nan": lambda: max_loss_rate(LossModel(), 1e6, nan),
+    "LossModel nan": lambda: LossModel(nan),
+    "scale_resolution nan": lambda: scale_resolution(100, nan, 90),
+    "scale_resolution overflows": lambda: scale_resolution(1000, 90, 1e308),
+    "ppd_from_cone_density underflows": lambda: ppd_from_cone_density(1e308, 1e308),
+    "generate_trace nan": lambda: generate_trace(FrameSizes(10, 5), GopConfig(1, 10), nan),
+    "LatencyBudget mtp nan": lambda: LatencyBudget(nan),
+    "LinkModel downlink nan": lambda: LinkModel(nan),
+    "simulate times overflow": lambda: simulate(
+        generate_trace(FrameSizes(10, 5), GopConfig(1, 10), 1), LinkModel(1e8),
+        PipelineTiming(t_sense=1e308, t_render=1e308), 90, 20,
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", NON_FINITE_PROBES.values(), ids=list(NON_FINITE_PROBES))
+def test_non_finite_input_is_a_domain_error(probe):
+    with pytest.raises(DomainError):
+        probe()
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda: BitRate(inf),
+        lambda: LinkModel(inf, uplink_bps=inf),
+        lambda: LatencyBudget(inf),
+        lambda: stream_latency(1, 1e6, inf, 1),
+        lambda: max_loss_rate(LossModel(), inf, 0.02),
+    ],
+    ids=["BitRate", "LinkModel", "LatencyBudget", "stream_latency", "max_loss_rate"],
+)
+def test_infinite_rates_and_mtp_limits_stay_legal(probe):
+    probe()
+
+
+class TestRunCeilings:
+    def test_generate_trace_caps_the_frame_count(self):
+        with pytest.raises(DomainError, match="frame count"):
+            generate_trace(FrameSizes(10, 5), GopConfig(1, 10), 1e12)
+        assert len(generate_trace(FrameSizes(10, 5), GopConfig(1, 10), MAX_FRAMES / 10 / 1000)) == 1000
+
+    def test_generate_trace_checks_the_product_before_rounding(self):
+        with pytest.raises(DomainError, match="frame count"):
+            generate_trace(FrameSizes(10, 5), GopConfig(1e-300, 1e300), 1e300)
+
+    def test_packetize_caps_the_packet_count(self):
+        frames = [FrameRecord(index=i, t_gen=0.0, frame_type="P", size_bits=MAX_PACKETS // 2, gop_index=0)
+                  for i in range(3)]
+        with pytest.raises(DomainError, match="packet count"):
+            packetize(frames, 1)
+        assert len(packetize(frames[:1], 1000)) == MAX_PACKETS // 2000

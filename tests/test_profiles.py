@@ -45,7 +45,43 @@ class TestBuiltinLoad:
             assert registry.pipeline(name).name == name
 
 
+def _toy_device(**overrides) -> dict:
+    device = {
+        "name": "toy_hmd",
+        "fov": {"horizontal": 100, "vertical": 100},
+        "depth": {"bits_per_color": 8},
+        "refresh_modes": [{"hz": 60, "ppd": 10}],
+    }
+    return {"devices": [{**device, **overrides}]}
+
+
+# Each document loaded with a traceback, or loaded and broke a later command, before the shared field reader.
+BAD_PROFILE_DOCUMENTS = {
+    "hz not a number": (_toy_device(refresh_modes=[{"hz": "abc"}]), r"refresh_modes\[0\].hz must be a number"),
+    "depth not an object": (_toy_device(depth=5), "depth must be an object"),
+    "pipeline delay not a number": ({"pipelines": [{"name": "p", "t_sense": "fast"}]}, "t_sense must be a number"),
+    "stages not an array": ({"stages": "oops"}, "stages must be an array"),
+    "no refresh modes": (_toy_device(refresh_modes=[]), "at least one mode"),
+    "stage fps nan": ({"stages": [{"taxonomy": "t", "stage": "s", "fps": {"strong": float("nan")}}]},
+                      "fps.strong must be positive and finite, got nan"),
+    "stage mtp negative": ({"stages": [{"taxonomy": "t", "stage": "s", "mtp_ms": {"strong": -5}}]},
+                           "mtp_ms.strong must be positive"),
+    "stage loss above one": ({"stages": [{"taxonomy": "t", "stage": "s", "loss_rate": {"strong": 7}}]},
+                             r"loss_rate.strong must lie in \[0, 1\]"),
+}
+
+
 class TestUserFiles:
+    @pytest.mark.parametrize(
+        "document, message", BAD_PROFILE_DOCUMENTS.values(), ids=list(BAD_PROFILE_DOCUMENTS)
+    )
+    def test_malformed_document_rejected_at_load(self, tmp_path, document, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ProfileError, match=message) as excinfo:
+            load_profiles(path)
+        assert str(path) in str(excinfo.value)
+
     def test_malformed_json_names_position(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json", encoding="utf-8")

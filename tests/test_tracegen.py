@@ -233,6 +233,7 @@ BAD_DOCUMENTS = [
     (_set(["records", 2, "frame_index"], True), "frame_index must be an integer"),
     (_set(["records", 0, "size_bits"], -100), "size_bits cannot be negative"),
     (_set(["records", 0, "size_bits"], 100.5), "size_bits must be an integer"),
+    (_set(["records", 0, "size_bits"], 10**400), "size_bits cannot be negative or infinite"),
     (_set(["records", 1, "frame_type"], "Q"), "frame_type must be I, P or B"),
     (_set(["records", 4, "frame_index"], 5), "indices run from 0"),
     (lambda p: p["records"].pop(0), "indices run from 0"),
