@@ -167,7 +167,8 @@ def eye_like_capacity(
     require("frame rate", fps, ge=0)
     require("ppd", ppd, ge=0)
     pixels_per_eye = (fov.horizontal.degrees * ppd) * (fov.vertical.degrees * ppd)
-    return BitRate(2.0 * pixels_per_eye * depth.bits_per_pixel * fps / comp.overall_factor)
+    rate = 2.0 * pixels_per_eye * depth.bits_per_pixel * fps / comp.overall_factor
+    return BitRate(require("bit rate", rate, ge=0))
 
 
 def full_sphere_capacity(
@@ -181,7 +182,8 @@ def full_sphere_capacity(
     require("frame rate", fps, ge=0)
     require("ppd", ppd, ge=0)
     pixels = (360.0 * ppd) * (180.0 * ppd)
-    return BitRate(pixels * depth.bits_per_pixel * fps / comp.overall_factor)
+    rate = pixels * depth.bits_per_pixel * fps / comp.overall_factor
+    return BitRate(require("bit rate", rate, ge=0))
 
 
 def hmd_capacity(
@@ -199,7 +201,8 @@ def hmd_capacity(
     """
     require("frame rate", fps, ge=0)
     eyes = 2.0 if stereo else 1.0
-    return BitRate(eyes * per_eye.pixels * depth.bits_per_pixel * fps / comp.overall_factor)
+    rate = eyes * per_eye.pixels * depth.bits_per_pixel * fps / comp.overall_factor
+    return BitRate(require("bit rate", rate, ge=0))
 
 
 def volumetric_capacity(
@@ -207,4 +210,5 @@ def volumetric_capacity(
 ) -> BitRate:
     """Bitrate for a point-cloud stream: voxels/frame times bits/voxel times fps."""
     require("frame rate", fps, ge=0)
-    return BitRate(voxel.voxels_per_frame * voxel.bits_per_voxel * fps / comp.overall_factor)
+    rate = voxel.voxels_per_frame * voxel.bits_per_voxel * fps / comp.overall_factor
+    return BitRate(require("bit rate", rate, ge=0))

@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import capacity, codec, geometry, latency, netsim, reliability, report, tracegen
-from .capacity import BitDepth, BitRate, CompressionProfile, VoxelSpec
+from .capacity import BitDepth, CompressionProfile, VoxelSpec
 from .codec import FrameSizes, GopConfig, RenderSurface
-from .errors import ConfigError, DomainError, XrqosError
+from .errors import DomainError, XrqosError
 from .geometry import FovSpec, PhysicalSize, Resolution
 from .latency import LatencyBudget, PipelineTiming
 from .netsim import LinkModel
@@ -107,60 +106,15 @@ def _registry(args) -> ProfileRegistry:
 # -- output rendering --------------------------------------------------------
 
 
-def _rate_payload(rate: BitRate, units: str) -> dict:
-    return {"bps": rate.bps, "formatted": rate.format(units), "units": units}
-
-
-def _jsonable(value, units: str):
-    if isinstance(value, BitRate):
-        return _rate_payload(value, units)
-    if isinstance(value, Resolution):
-        return str(value)
-    if isinstance(value, FovSpec):
-        return f"{value.horizontal.degrees:g}x{value.vertical.degrees:g}"
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v, units) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v, units) for v in value]
-    return value
-
-
-def _text_value(value, units: str) -> str:
-    if isinstance(value, BitRate):
-        return value.format(units)
-    if isinstance(value, FovSpec):
-        return f"{value.horizontal.degrees:g}x{value.vertical.degrees:g}"
-    if isinstance(value, float):
-        return f"{value:g}"
-    return str(value)
-
-
 def _emit(args, command: str, data, text_lines: list[str]) -> int:
     if args.format == "json":
-        payload = {"command": command, "units": args.units, "data": _jsonable(data, args.units)}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(report.report_to_json({"command": command, "units": args.units, "data": data}, args.units), end="")
     elif args.format == "csv":
         rows = data if isinstance(data, list) else [data]
-        keys: list[str] = []
-        for row in rows:
-            for key in row:
-                if key not in keys:
-                    keys.append(key)
+        keys = list(dict.fromkeys(key for row in rows for key in row))
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(keys)
-        for row in rows:
-            flat = {k: _jsonable(v, args.units) for k, v in row.items()}
-            cells = []
-            for key in keys:
-                value = flat.get(key, "")
-                if isinstance(value, dict) and "bps" in value:
-                    value = repr(value["bps"])
-                elif isinstance(value, (dict, list)):
-                    value = json.dumps(value, sort_keys=True)
-                elif value is None:
-                    value = ""
-                cells.append(str(value))
-            writer.writerow(cells)
+        writer.writerows([report.csv_cell(row.get(key), args.units) for key in keys] for row in rows)
     else:
         for line in text_lines:
             print(line)
@@ -168,7 +122,7 @@ def _emit(args, command: str, data, text_lines: list[str]) -> int:
 
 
 def _emit_scalar(args, command: str, data: dict) -> int:
-    lines = [f"{key}: {_text_value(value, args.units)}" for key, value in data.items()]
+    lines = [f"{key}: {report.text_value(value, args.units)}" for key, value in data.items()]
     return _emit(args, command, data, lines)
 
 
@@ -274,29 +228,6 @@ def _stage_for(args, registry: ProfileRegistry) -> StageProfile:
     return registry.stage(taxonomy, stage)
 
 
-def _surface_from_stage(stage: StageProfile) -> tuple[RenderSurface, GopConfig, CompressionProfile]:
-    missing = [
-        name
-        for name in ("per_eye", "fov", "bpc", "iframe_factor", "pframe_factor", "gop_time_s")
-        if getattr(stage, name) in (None, {})
-    ]
-    if missing:
-        raise ConfigError(f"stage {stage.taxonomy}/{stage.stage} lacks fields for the GOP model: {missing}")
-    surface = RenderSurface(
-        per_eye=stage.per_eye,
-        fov=stage.fov,
-        depth=BitDepth.from_bpc(stage.bpc, stage.chroma),
-        extra_picture_fraction=stage.extra_picture_fraction or 0.0,
-        dof_fraction=stage.dof_fraction or 0.0,
-    )
-    cfg = GopConfig(
-        gop_time=stage.gop_time_s,
-        fps=stage.fps.get("strong") or next(iter(stage.fps.values())),
-        redundancy_fraction=stage.redundancy_fraction or 0.0,
-    )
-    return surface, cfg, stage.compression()
-
-
 def _surface_from_args(args) -> RenderSurface:
     fov_h, fov_v = parse_pair(args.fov)
     extra_h, extra_v = parse_pair(args.extra_fov) if args.extra_fov else (0.0, 0.0)
@@ -312,7 +243,7 @@ def _surface_from_args(args) -> RenderSurface:
 def _gop_numbers(args, registry: ProfileRegistry) -> tuple[float, FrameSizes, GopConfig]:
     """(pixels per frame, I/P frame sizes, GOP config) from a stage profile or explicit flags."""
     if _stage_key(args):
-        surface, cfg, comp = _surface_from_stage(_stage_for(args, registry))
+        surface, cfg, comp = _stage_for(args, registry).gop_model()
     else:
         if not (args.resolution and args.fov and args.ifactor and args.pfactor):
             raise DomainError("gop needs --stage-profile or --resolution/--fov/--ifactor/--pfactor")
@@ -460,7 +391,7 @@ def _cmd_profiles_show(args) -> int:
         data = {
             "taxonomy": profile.taxonomy,
             "stage": profile.stage,
-            "per_eye": str(profile.per_eye) if profile.per_eye else None,
+            "per_eye": profile.per_eye,
             "ppd": profile.ppd,
             "fps": profile.fps,
             "bpc": profile.bpc,
@@ -474,21 +405,20 @@ def _cmd_profiles_show(args) -> int:
         device, mode = registry.device_mode(args.name)
         data = {
             "name": device.name,
-            "per_eye": str(device.per_eye) if device.per_eye else None,
+            "per_eye": device.per_eye,
             "fov": device.fov,
             "bpc": device.depth_bpc,
             "chroma": device.chroma,
             "modes": {
                 f"{m.hz:g}": {
-                    "render_target": str(device.mode_eye_resolution(m)),
-                    "full_video": str(device.mode_full_video(m)),
+                    "render_target": device.mode_eye_resolution(m),
+                    "full_video": device.mode_full_video(m),
                     "ppd": device.mode_ppd(m),
                 }
                 for m in device.refresh_modes
             },
         }
-    lines = [f"{key}: {_jsonable(value, args.units)}" for key, value in data.items()]
-    return _emit(args, "profiles.show", data, lines)
+    return _emit_scalar(args, "profiles.show", data)
 
 
 def _cmd_profiles_validate(args) -> int:
@@ -511,44 +441,16 @@ def _cmd_table_quest2(args) -> int:
     return _emit(args, "table.quest2", rows, lines)
 
 
-def _cmd_table_summary(args) -> int:
-    if args.profile:
-        table = reproduce_summary_table(_registry(args), columns=(args.profile,))
-    else:
-        table = reproduce_summary_table(_registry(args))
-    columns = table["columns"]
-    lines = [f"{'requirement':<28}" + "".join(f"{key:>22}" for key in columns)]
-    labels = [
-        "full_view_resolution", "single_eye_resolution", "fov", "bpc", "bpp", "ppd",
-        "refresh_hz", "mtp_limit_ms", "max_loss_rate", "min_delivery_pct",
-    ]
-    styles = {"ppd": "{:.2f}", "min_delivery_pct": "{:.5f}"}
-    for label in labels:
-        cells = []
-        for key in columns:
-            value = table["profiles"][key].get(label, "")
-            if label in styles and isinstance(value, float):
-                cells.append(f"{styles[label].format(value):>22}")
-            else:
-                cells.append(f"{_text_value(value, args.units):>22}")
-        lines.append(f"{label:<28}" + "".join(cells))
-    factors = sorted(next(iter(table["profiles"].values()))["bitrates"])
-    for factor in factors:
-        cells = [
-            f"{table['profiles'][key]['bitrates'][factor].format(args.units):>22}" for key in columns
-        ]
-        lines.append(f"{'bitrate_' + format(factor, 'g') + ':1':<28}" + "".join(cells))
-    return _emit(args, "table.summary", table["profiles"], lines)
-
-
-def _cmd_report(args) -> int:
+def _cmd_requirements(args) -> int:
+    """`report P...` and `table summary`: one column per device profile, one row per requirement."""
+    keys = args.profiles or ([args.profile] if args.profile else None)
     registry = _registry(args)
-    result = report.requirements_report(registry, tuple(args.profiles))
+    table = report.requirements_report(registry, keys) if keys else reproduce_summary_table(registry)
     if args.format == "csv":
-        print(report.report_to_csv(result), end="")
+        print(report.report_to_csv(table, args.units), end="")
         return 0
-    print(report.report_to_json(result), end="")
-    return 0
+    lines = report.report_to_text(table, args.units).splitlines()
+    return _emit(args, "report" if args.profiles else "table.summary", table, lines)
 
 
 # -- traces and simulation ---------------------------------------------------------
@@ -561,7 +463,7 @@ def _trace_from_args(args, registry: ProfileRegistry) -> tracegen.FrameTrace:
             raise DomainError("simulate/packetize need a JSON trace (CSV lacks the config block)")
         return tracegen.load_trace_json(path)
     if _stage_key(args):
-        surface, cfg, comp = _surface_from_stage(_stage_for(args, registry))
+        surface, cfg, comp = _stage_for(args, registry).gop_model()
         sizes = codec.frame_sizes(surface, comp)
     else:
         if args.i_bits is None or args.p_bits is None:
@@ -615,9 +517,8 @@ def _cmd_simulate(args) -> int:
             return _write(args, lambda out: out.write(sim.to_json()), "report")
         if args.format == "csv":
             return _write(args, sim.write_csv, "report")
-        agg = sim.aggregates
-        for name, value in vars(agg).items():
-            print(f"{name}: {'n/a' if value is None else f'{value:.4f}' if isinstance(value, float) else value}")
+        for name, value in vars(sim.aggregates).items():
+            print(f"{name}: {report.text_value(value, args.units, '.4f')}")
         return 0
 
     rows = []
@@ -635,8 +536,8 @@ def _cmd_simulate(args) -> int:
         )
     lines = [
         f"{r['downlink']:>10}  displayed={r['displayed']}  dropped={r['dropped']}"
-        f"  mean={'n/a' if r['mean_e2e_ms'] is None else format(r['mean_e2e_ms'], '.3f')}"
-        f"  p99={'n/a' if r['p99_e2e_ms'] is None else format(r['p99_e2e_ms'], '.3f')}"
+        f"  mean={report.text_value(r['mean_e2e_ms'], args.units, '.3f')}"
+        f"  p99={report.text_value(r['p99_e2e_ms'], args.units, '.3f')}"
         f"  violations={r['mtp_violations']}"
         for r in rows
     ]
@@ -793,11 +694,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="reproduce the measurement/QoS tables").add_subparsers(dest="sub")
     table.add_parser("quest2").set_defaults(func=_cmd_table_quest2)
-    table.add_parser("summary").set_defaults(func=_cmd_table_summary)
+    table.add_parser("summary").set_defaults(func=_cmd_requirements, profiles=None)
 
     rep = sub.add_parser("report", help="requirements report for chosen profiles")
     rep.add_argument("profiles", nargs="+", help="device keys, e.g. quest2@72 eye_like")
-    rep.set_defaults(func=_cmd_report)
+    rep.set_defaults(func=_cmd_requirements)
 
     def _trace_source_flags(p):
         p.add_argument("--input", default=None, help="existing trace JSON")

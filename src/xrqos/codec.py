@@ -158,7 +158,7 @@ def gop_bitrate(sizes: FrameSizes, n_i: int, n_p: int, cfg: GopConfig) -> BitRat
     require("I-frames per gop", n_i, ge=1)
     require("P-frames per gop", n_p, ge=0)
     payload = sizes.i_bits * n_i + sizes.p_bits * n_p
-    return BitRate(payload * (1.0 + cfg.redundancy_fraction) / cfg.gop_time)
+    return BitRate(require("bit rate", payload * (1.0 + cfg.redundancy_fraction) / cfg.gop_time, ge=0))
 
 
 def strong_interaction_bitrate(

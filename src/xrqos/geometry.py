@@ -36,6 +36,7 @@ class Resolution:
     def __post_init__(self) -> None:
         require("resolution width", self.width, ge=1)
         require("resolution height", self.height, ge=1)
+        require("resolution pixel count", self.pixels, ge=1)
 
     @property
     def pixels(self) -> int:
@@ -120,12 +121,12 @@ def ppi(res: Resolution, size: PhysicalSize) -> float:
     Equals the per-axis ratios width/width_in and height/height_in whenever
     the pixel and physical aspect ratios agree.
     """
-    return res.diagonal / size.diagonal
+    return require("ppi", res.diagonal / size.diagonal, ge=0)
 
 
 def ppi_from_diagonal(res: Resolution, diagonal_in: float) -> float:
     """Pixels per inch when only the diagonal length is known."""
-    return res.diagonal / require("diagonal", diagonal_in, gt=0)
+    return require("ppi", res.diagonal / require("diagonal", diagonal_in, gt=0), ge=0)
 
 
 def fov_from_physical(extent_in: float, distance_in: float) -> Angle:
@@ -142,7 +143,7 @@ def fov_from_physical(extent_in: float, distance_in: float) -> Angle:
 def ppd_from_fov(pixels: int, fov: Angle | float) -> float:
     """Pixels per degree across a field of view."""
     fov_deg = require("fov", _deg(fov), gt=0)
-    return require("pixel count", pixels, ge=0) / fov_deg
+    return require("ppd", require("pixel count", pixels, ge=0) / fov_deg, ge=0)
 
 
 def ppd_from_physical(pixels: int, extent_in: float, distance_in: float) -> float:
@@ -180,7 +181,8 @@ def ppd_from_cone_density(peak_density: float, lens_to_fovea: float) -> float:
     require("lens distance", lens_to_fovea, gt=0)
     pitch_mm = 1.0 / math.sqrt(peak_density)
     angular_pitch = 2.0 * math.degrees(math.atan(0.5 * pitch_mm / lens_to_fovea))
-    return 1.0 / require("angular cone pitch", angular_pitch, gt=0)  # 0 once extreme inputs underflow
+    # the pitch is 0 once extreme inputs underflow, and its reciprocal can overflow
+    return require("ppd", 1.0 / require("angular cone pitch", angular_pitch, gt=0), ge=0)
 
 
 def per_eye_fov_from_binocular(binocular: float, overlap: float) -> float:

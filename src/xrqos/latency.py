@@ -103,7 +103,7 @@ def refresh_delay(refresh_hz: float) -> RefreshDelay:
     A frame missing a tick waits up to one full refresh interval; arrivals
     uniform over the interval wait half of it on average.
     """
-    max_ms = 1000.0 / require("refresh rate", refresh_hz, gt=0)
+    max_ms = require("refresh interval", 1000.0 / require("refresh rate", refresh_hz, gt=0), gt=0)
     return RefreshDelay(max_ms=max_ms, avg_ms=max_ms / 2.0)
 
 
@@ -117,7 +117,7 @@ def stream_latency(t_encode: float, frame_bits: float, throughput: BitRate | flo
     require("encode time", t_encode, ge=0)
     require("decode time", t_decode, ge=0)
     require("frame size", frame_bits, ge=0)
-    return t_encode + 1000.0 * frame_bits / rate_bps + t_decode
+    return require("stream latency", t_encode + 1000.0 * frame_bits / rate_bps + t_decode, ge=0)
 
 
 def e2e_latency(timing: PipelineTiming, stream_ms: float, display_ms: float) -> float:
@@ -129,7 +129,7 @@ def e2e_latency(timing: PipelineTiming, stream_ms: float, display_ms: float) -> 
     """
     require("stream delay", stream_ms, ge=0)
     require("display delay", display_ms, ge=0)
-    return timing.t_sense + timing.t_render + stream_ms + display_ms
+    return require("motion-to-photon latency", timing.t_sense + timing.t_render + stream_ms + display_ms, ge=0)
 
 
 def budget_check(budget: LatencyBudget) -> BudgetReport:
@@ -149,7 +149,7 @@ def budget_check(budget: LatencyBudget) -> BudgetReport:
         wait = delay.avg_ms if budget.vsync_mode == "avg" else delay.max_ms
         breakdown.append((f"vsync_{budget.vsync_mode}", wait))
     breakdown = [(name, ms) for name, ms in breakdown if ms > 0]
-    remaining = budget.mtp_limit - sum(ms for _, ms in breakdown)
+    remaining = budget.mtp_limit - require("total delay", sum(ms for _, ms in breakdown), ge=0)
     return BudgetReport(remaining_ms=remaining, violated=remaining < 0, breakdown=tuple(breakdown))
 
 

@@ -203,7 +203,7 @@ def simulate(
     require("refresh rate", refresh_hz, gt=0)
     require("mtp limit", mtp_limit, gt=0, le=math.inf)
 
-    tick = 1000.0 / refresh_hz
+    tick = require("refresh interval", 1000.0 / refresh_hz, gt=0)
     half_rtt = link.propagation_rtt / 2.0
     uplink_ms = 1000.0 * link.uplink_payload_bits / link.uplink_bps
     max_attempts = 1 + (link.max_retx if link.mode == "tcp_like" else 0)
@@ -256,7 +256,7 @@ def simulate(
     shown = sorted(f.e2e_ms for f in results if f.displayed)
     displayed_count = len(shown)
     aggregates = Aggregates(
-        mean_e2e_ms=sum(shown) / displayed_count if shown else None,
+        mean_e2e_ms=require("mean e2e latency", sum(shown) / displayed_count, ge=0) if shown else None,
         p50_e2e_ms=_percentile(shown, 0.50) if shown else None,
         p95_e2e_ms=_percentile(shown, 0.95) if shown else None,
         p99_e2e_ms=_percentile(shown, 0.99) if shown else None,

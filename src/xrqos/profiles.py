@@ -15,7 +15,8 @@ from pathlib import Path
 
 from . import capacity
 from .capacity import BitDepth, BitRate, CompressionProfile
-from .errors import DomainError, ProfileError, UnknownKeyError, _field, _objects
+from .codec import GopConfig, RenderSurface
+from .errors import ConfigError, DomainError, ProfileError, UnknownKeyError, _field, _objects
 from .geometry import FovSpec, Resolution
 from .latency import PipelineTiming
 
@@ -107,6 +108,9 @@ class DeviceProfile:
     published_loss_rate: float | None = None
     published_delivery_pct: float | None = None
 
+    def __post_init__(self) -> None:
+        BitDepth.from_bpc(self.depth_bpc, self.chroma)  # so a bad bpc or chroma fails at load
+
     @property
     def depth(self) -> BitDepth:
         return BitDepth.from_bpc(self.depth_bpc, self.chroma)
@@ -165,6 +169,14 @@ class StageProfile:
     loss_rate: dict[str, float] = field(default_factory=dict)
     bitrates: tuple[PublishedRate, ...] = ()
 
+    def __post_init__(self) -> None:
+        # Build the model objects the fields feed, so a bad value fails at load rather than at first use.
+        if self.bpc is not None:
+            BitDepth.from_bpc(self.bpc, self.chroma)
+        self.compression()
+        if self.gop_time_s is not None:
+            self.gop_model()
+
     def published(self, label: str) -> PublishedRate:
         for rate in self.bitrates:
             if rate.label == label:
@@ -179,6 +191,29 @@ class StageProfile:
             iframe_factor=self.iframe_factor,
             pframe_factor=self.pframe_factor,
         )
+
+    def gop_model(self) -> tuple[RenderSurface, GopConfig, CompressionProfile]:
+        """The render surface, GOP timing and codec factors this stage gives the GOP model."""
+        missing = [
+            name
+            for name in ("per_eye", "fov", "bpc", "fps", "iframe_factor", "pframe_factor", "gop_time_s")
+            if getattr(self, name) in (None, {})
+        ]
+        if missing:
+            raise ConfigError(f"stage {self.taxonomy}/{self.stage} lacks fields for the GOP model: {missing}")
+        surface = RenderSurface(
+            per_eye=self.per_eye,
+            fov=self.fov,
+            depth=BitDepth.from_bpc(self.bpc, self.chroma),
+            extra_picture_fraction=self.extra_picture_fraction or 0.0,
+            dof_fraction=self.dof_fraction or 0.0,
+        )
+        cfg = GopConfig(
+            gop_time=self.gop_time_s,
+            fps=self.fps.get("strong") or next(iter(self.fps.values())),
+            redundancy_fraction=self.redundancy_fraction or 0.0,
+        )
+        return surface, cfg, self.compression()
 
 
 @dataclass(frozen=True)
@@ -416,7 +451,7 @@ def _load_document(registry: ProfileRegistry, document: dict, source: str) -> No
             registry.add_stage(_parse_stage(obj, path))
         for path, obj in _objects(document, "pipelines", "profiles", optional=True):
             registry.add_pipeline(_parse_pipeline(obj, path))
-    except DomainError as exc:
+    except (DomainError, ConfigError) as exc:
         raise ProfileError(f"{source}: {exc}") from exc
 
 

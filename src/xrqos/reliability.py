@@ -44,7 +44,7 @@ def max_loss_rate(model: LossModel, throughput: BitRate | float, rtt: float) -> 
     rate_bps = throughput.bps if isinstance(throughput, BitRate) else float(throughput)
     require("throughput", rate_bps, gt=0, le=math.inf)
     require("rtt", rtt, gt=0)
-    ratio = model.mss_bits / (rate_bps * rtt)
+    ratio = model.mss_bits / require("bandwidth-delay product", rate_bps * rtt, gt=0, le=math.inf)
     return min(ratio * ratio, 1.0)
 
 

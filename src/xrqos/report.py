@@ -1,7 +1,9 @@
-"""Multi-profile requirement reports for documentation and regression fixtures.
+"""How the CLI writes values, and the multi-profile requirements table.
 
 Every cell is produced through the capacity/latency/reliability operations
-on registry data; this module adds only ordering and serialization.
+on registry data; this module adds only ordering and serialization. Each
+output form has one rule for a value: ``json_value``, ``text_value`` and
+``csv_cell``.
 """
 from __future__ import annotations
 
@@ -10,11 +12,23 @@ import io
 import json
 
 from .capacity import BitRate
+from .geometry import FovSpec, Resolution
 from .profiles import ProfileRegistry, reproduce_summary_table
 
-__all__ = ["requirements_report", "report_to_json", "report_to_csv"]
+__all__ = [
+    "requirements_report",
+    "json_value",
+    "text_value",
+    "csv_cell",
+    "report_to_json",
+    "report_to_text",
+    "report_to_csv",
+]
 
 DEFAULT_FACTORS = (1.0, 20.0, 600.0)
+
+# Text-table precision of the requirements whose digits matter past %g.
+_TEXT_STYLES = {"ppd": ".2f", "min_delivery_pct": ".5f"}
 
 
 def requirements_report(
@@ -23,56 +37,79 @@ def requirements_report(
     factors: tuple[float, ...] = DEFAULT_FACTORS,
 ) -> dict:
     """Per-profile QoS requirements, in the given (deterministic) key order."""
-    for key in profile_keys:
-        registry.device(key)  # fail fast with the full valid-key list
     return reproduce_summary_table(registry, columns=tuple(profile_keys), factors=factors)
 
 
-def _jsonable(value):
+def json_value(value, units: str):
+    """``value`` as JSON data: a rate as ``{bps, formatted, units}``, a resolution or fov as text."""
     if isinstance(value, BitRate):
-        return {"bps": value.bps, "binary": value.format("binary"), "decimal": value.format("decimal")}
+        return {"bps": value.bps, "formatted": value.format(units), "units": units}
+    if isinstance(value, (Resolution, FovSpec)):
+        return text_value(value, units)
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): json_value(v, units) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
+        return [json_value(v, units) for v in value]
+    return value
+
+
+def text_value(value, units: str, spec: str = "g") -> str:
+    """``value`` for a text line: a float in format ``spec``, a rate with its prefix, None as n/a."""
+    if value is None:
+        return "n/a"
+    if isinstance(value, BitRate):
+        return value.format(units)
+    if isinstance(value, FovSpec):
+        return f"{value.horizontal.degrees:g}x{value.vertical.degrees:g}"
+    if isinstance(value, float):
+        return format(value, spec)
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(json_value(value, units), sort_keys=True)
     return str(value)
 
 
-def report_to_json(report: dict) -> str:
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+def csv_cell(value, units: str) -> str:
+    """``value`` for a CSV cell: a rate as its bps and a float in full, None as empty, the rest as text."""
+    if value is None:
+        return ""
+    if isinstance(value, BitRate):
+        return repr(value.bps)
+    if isinstance(value, float):
+        return repr(value)
+    return text_value(value, units)
 
 
-def report_to_csv(report: dict) -> str:
+def report_to_json(payload, units: str) -> str:
+    """``payload`` as indented JSON with sorted keys, every value through ``json_value``."""
+    return json.dumps(json_value(payload, units), indent=2, sort_keys=True) + "\n"
+
+
+def _rows(report: dict) -> list[tuple[str | float, list]]:
+    """(requirement, one value per column): the scalar requirements, then each compression factor's rate."""
+    profiles = [report["profiles"][key] for key in report["columns"]]
+    labels = dict.fromkeys(label for p in profiles for label in p if label not in ("profile", "bitrates"))
+    factors = dict.fromkeys(factor for p in profiles for factor in p["bitrates"])
+    return [(label, [p.get(label) for p in profiles]) for label in labels] + [
+        (factor, [p["bitrates"].get(factor) for p in profiles]) for factor in factors
+    ]
+
+
+def report_to_text(report: dict, units: str) -> str:
+    """Aligned table: one row per requirement, one column per profile."""
+    lines = [f"{'requirement':<28}" + "".join(f"{key:>22}" for key in report["columns"])]
+    for label, values in _rows(report):
+        name = label if isinstance(label, str) else f"bitrate_{label:g}:1"
+        spec = _TEXT_STYLES.get(label, "g")
+        lines.append(f"{name:<28}" + "".join(f"{text_value(value, units, spec):>22}" for value in values))
+    return "\n".join(lines) + "\n"
+
+
+def report_to_csv(report: dict, units: str) -> str:
     """Wide CSV: one row per requirement, one column per profile."""
-    columns = report["columns"]
-    profiles = report["profiles"]
-    labels: list[str] = []
-    for key in columns:
-        for label in profiles[key]:
-            if label in ("profile", "bitrates"):
-                continue
-            if label not in labels:
-                labels.append(label)
-        for factor in profiles[key]["bitrates"]:
-            row = f"bitrate_bps_factor_{factor:g}"
-            if row not in labels:
-                labels.append(row)
-
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["requirement", *columns])
-    for label in labels:
-        row = [label]
-        for key in columns:
-            profile = profiles[key]
-            if label.startswith("bitrate_bps_factor_"):
-                factor = float(label.rsplit("_", 1)[1])
-                rate = profile["bitrates"].get(factor)
-                row.append("" if rate is None else repr(rate.bps))
-            else:
-                value = profile.get(label, "")
-                row.append(str(value))
-        writer.writerow(row)
+    writer.writerow(["requirement", *report["columns"]])
+    for label, values in _rows(report):
+        name = label if isinstance(label, str) else f"bitrate_bps_factor_{label:g}"
+        writer.writerow([name, *(csv_cell(value, units) for value in values)])
     return buffer.getvalue()

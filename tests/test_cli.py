@@ -161,8 +161,10 @@ class TestJsonOutputs:
 
     def test_summary_json(self, capsys, cli_schema):
         payload = run_json(capsys, cli_schema, "table", "summary")
-        eye = payload["data"]["eye_like"]
+        assert payload["data"]["columns"] == ["quest2@72", "eye_like"]
+        eye = payload["data"]["profiles"]["eye_like"]
         assert eye["bitrates"]["600.0"]["formatted"] == "4.62 Gibps"
+        assert eye["fov"] == "155x130"
 
     def test_limits_listing_json(self, capsys, cli_schema):
         payload = run_json(capsys, cli_schema, "latency", "limits")
@@ -398,11 +400,15 @@ class TestInputBoundary:
             ["trace", "generate", "--i-bits", "5000", "--p-bits", "600", "--gop-time", "nan"],
             ["simulate", "--i-bits", "5000", "--p-bits", "600", "--fps", "inf", "--downlink", "100M",
              "--refresh-hz", "90"],
+            ["capacity", "sphere", "--ppd", "1e200", "--bpp", "24", "--fps", "77"],
+            ["--format", "json", "capacity", "sphere", "--ppd", "1e200", "--bpp", "24", "--fps", "77"],
+            ["latency", "stream", "--frame-bits", "1e308", "--throughput", "1"],
         ],
         ids=["hmd-fps-nan", "sphere-fps-inf", "volumetric-fps-nan", "eye-like-ppd-nan", "sphere-ppd-inf",
              "hmd-factor-nan", "volumetric-factor-inf", "gop-factors-nan", "stream-frame-bits-nan",
              "refresh-hz-nan", "budget-limit-nan", "ppi-size-nan", "ppd-fov-nan", "scale-from-fov-nan",
-             "trace-i-bits-nan", "trace-duration-nan", "trace-gop-time-nan", "simulate-fps-inf"],
+             "trace-i-bits-nan", "trace-duration-nan", "trace-gop-time-nan", "simulate-fps-inf",
+             "sphere-bitrate-overflows", "sphere-bitrate-overflows-json", "stream-latency-overflows"],
     )
     def test_non_finite_model_input(self, capsys, argv):
         assert_domain_error(*run_cli(capsys, *argv))
@@ -422,23 +428,41 @@ class TestInputBoundary:
 
     def test_malformed_profile_file(self, capsys, tmp_path):
         path = tmp_path / "profiles.json"
-        path.write_text(json.dumps({"stages": [{"taxonomy": "t", "stage": "s", "mtp_ms": {"strong": -5}}]}))
-        code, out, err = run_cli(capsys, "profiles", "validate", str(path))
-        assert_domain_error(code, out, err)
-        assert len(err.splitlines()) == 1
+        device = {"name": "toy", "fov": {"horizontal": 100, "vertical": 100},
+                  "depth": {"bits_per_color": 8, "chroma": "4:2:2"}, "refresh_modes": [{"hz": 60, "ppd": 10}]}
+        for document in (
+            {"stages": [{"taxonomy": "t", "stage": "s", "mtp_ms": {"strong": -5}}]},
+            {"devices": [device]},
+        ):
+            path.write_text(json.dumps(document))
+            code, out, err = run_cli(capsys, "profiles", "validate", str(path))
+            assert_domain_error(code, out, err)
+            assert len(err.splitlines()) == 1
 
 
 class TestReportCommand:
-    def test_report_json(self, capsys):
-        code, out, _ = run_cli(capsys, "--format", "json", "report", "quest2@72", "eye_like")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["columns"] == ["quest2@72", "eye_like"]
+    def test_report_json(self, capsys, cli_schema):
+        payload = run_json(capsys, cli_schema, "--units", "decimal", "report", "quest2@72", "eye_like")
+        assert payload["command"] == "report"
+        assert payload["data"]["columns"] == ["quest2@72", "eye_like"]
+        quest = payload["data"]["profiles"]["quest2@72"]
+        assert quest["bitrates"]["600.0"]["formatted"] == "19.33 Mbps"
+        assert quest["fov"] == "97x98"
 
     def test_report_csv(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "csv", "report", "quest2@72")
         assert code == 0
         assert out.splitlines()[0] == "requirement,quest2@72"
+        assert "fov,97x98" in out.splitlines()
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_report_and_table_summary_agree(self, capsys, fmt):
+        _, report_out, _ = run_cli(capsys, "--format", fmt, "report", "quest2@72", "eye_like")
+        _, summary_out, _ = run_cli(capsys, "--format", fmt, "table", "summary")
+        if fmt == "json":
+            report_out, summary_out = json.loads(report_out)["data"], json.loads(summary_out)["data"]
+        assert report_out == summary_out
+        assert "FovSpec(" not in str(report_out)
 
     def test_report_unknown_profile(self, capsys):
         code, _, err = run_cli(capsys, "report", "vive")

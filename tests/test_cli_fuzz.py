@@ -1,6 +1,10 @@
-"""Every subcommand, fed hostile flag values, exits 0, 1 or 2 and never raises or prints a traceback."""
+"""Every subcommand, fed hostile flag values, exits 0, 1 or 2 and never raises or prints a traceback.
+
+Fed only finite numbers, it also prints no infinity or NaN: a result that overflows is an error.
+"""
 import argparse
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +15,9 @@ from xrqos.codec import FrameSizes, GopConfig
 from xrqos.tracegen import export_trace, generate_trace
 
 HOSTILE = ("nan", "inf", "-inf", "-1", "0", "1", "1e308", "abc", "")
+NON_FINITE = {"nan", "inf", "-inf"}
+# the tokens Python's str() and json.dumps() write for a non-finite float
+NON_FINITE_OUTPUT = re.compile(r"(?<![A-Za-z])(inf|nan|Infinity|NaN)(?![A-Za-z])")
 # Path flags draw from files under tmp_path instead (see the ``files`` fixture); "" means none.
 PATH_VALUES = {
     "--input": ("{trace}", "{profiles}", "{missing}", "{dir}", ""),
@@ -123,5 +130,8 @@ def test_hostile_argv_exits_cleanly(capsys, files, words, data):
     positional = [data.draw(st.sampled_from([value, *HOSTILE]), label="positional") for value in positional]
     argv = [arg.format(**files) for arg in [*_args(global_values), *words.split(), *_args(values), *positional]]
     code = main(argv)
+    out = capsys.readouterr()
     assert code in (0, 1, 2), argv
-    assert "Traceback" not in capsys.readouterr().err, argv
+    assert "Traceback" not in out.err, argv
+    if NON_FINITE.isdisjoint([*global_values.values(), *values.values(), *positional]):
+        assert not NON_FINITE_OUTPUT.search(out.out), argv

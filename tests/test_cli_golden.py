@@ -6,7 +6,8 @@ files written into a fresh working directory. The exit code and standard
 error must match ``tests/golden/manifest.json``; standard output, and any file
 the command writes (``--output trace.json``), must match byte for byte: 32 KB
 or less against one file under ``tests/golden/``, larger ones by sha256 and
-line count.
+line count. The JSON output of every example that uses the ``{command, units, data}``
+envelope must also validate against the package's CLI output schema.
 
 Regenerate the goldens with ``PYTHONPATH=src python tests/test_cli_golden.py``
 after a change that is meant to alter the output, and say so in CHANGES.md.
@@ -19,8 +20,10 @@ import io
 import json
 import os
 import sys
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from xrqos.cli import main
@@ -70,6 +73,10 @@ EXAMPLES = (
 )
 
 CASES = [(name, fmt, flags, argv) for name, flags, argv in EXAMPLES for fmt in FORMATS]
+
+# Examples whose --format json writes its own document (a trace, a packet list, one simulation
+# report) instead of the {command, units, data} envelope.
+OWN_DOCUMENTS = ("trace_generate", "trace_packetize", "simulate")
 
 
 def _pin(key: str, data: str) -> dict:
@@ -125,6 +132,13 @@ def test_readme_example_is_byte_identical(name, fmt, flags, argv, tmp_path, mani
     assert produced.keys() == pinned.keys() - {"exit", "stderr"}
     for part, data in produced.items():
         assert _matches(data, pinned[part]), part
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in EXAMPLES if name not in OWN_DOCUMENTS])
+def test_json_example_fits_the_envelope_schema(name, manifest):
+    schema = json.loads(resources.files("xrqos").joinpath("schemas/cli_output.schema.json").read_text())
+    payload = json.loads((GOLDEN / manifest[f"{name}.json"]["stdout"]["file"]).read_text(encoding="utf-8"))
+    jsonschema.validate(payload, schema)
 
 
 def regenerate(scratch: Path) -> None:

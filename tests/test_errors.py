@@ -3,13 +3,17 @@ import math
 
 import pytest
 
-from xrqos.capacity import BitDepth, BitRate, CompressionProfile, VoxelSpec
-from xrqos.codec import FrameSizes, GopConfig, frame_size
+from xrqos.capacity import (
+    BitDepth, BitRate, CompressionProfile, VoxelSpec, eye_like_capacity, full_sphere_capacity, hmd_capacity,
+    volumetric_capacity,
+)
+from xrqos.codec import FrameSizes, GopConfig, frame_size, gop_bitrate
 from xrqos.errors import DomainError, _field, _objects, require
 from xrqos.geometry import (
-    PhysicalSize, Resolution, ppd_from_cone_density, ppd_from_fov, ppi_from_diagonal, scale_resolution,
+    FovSpec, PhysicalSize, Resolution, ppd_from_cone_density, ppd_from_fov, ppi, ppi_from_diagonal,
+    scale_resolution,
 )
-from xrqos.latency import LatencyBudget, PipelineTiming, e2e_latency, refresh_delay, stream_latency
+from xrqos.latency import LatencyBudget, PipelineTiming, budget_check, e2e_latency, refresh_delay, stream_latency
 from xrqos.netsim import LinkModel, simulate
 from xrqos.reliability import LossModel, max_loss_rate
 from xrqos.tracegen import FrameRecord, MAX_FRAMES, MAX_PACKETS, generate_trace, packetize
@@ -108,8 +112,38 @@ NON_FINITE_PROBES = {
     ),
 }
 
+# Finite inputs whose result overflows: each returned inf or nan, or raised an arithmetic error, before the
+# model checked its own result.
+TINY = 5e-324
+OVERFLOW_PROBES = {
+    "eye_like_capacity": lambda: eye_like_capacity(FovSpec(155, 130), 1e200, DEPTH, 77),
+    "full_sphere_capacity": lambda: full_sphere_capacity(1e200, DEPTH, 77),
+    "hmd_capacity": lambda: hmd_capacity(Resolution(10**154, 10**154), DEPTH, 90),
+    "volumetric_capacity": lambda: volumetric_capacity(VoxelSpec(10**300), 1e300),
+    "gop_bitrate": lambda: gop_bitrate(FrameSizes(1e308, 1e308), 1, 10, GopConfig(1, 11)),
+    "Resolution pixel count": lambda: Resolution(10**200, 10**200),
+    "ppi": lambda: ppi(Resolution(1920, 1080), PhysicalSize(TINY, TINY)),
+    "ppi_from_diagonal": lambda: ppi_from_diagonal(Resolution(1920, 1080), TINY),
+    "ppd_from_fov": lambda: ppd_from_fov(1648, TINY),
+    "ppd_from_cone_density": lambda: ppd_from_cone_density(150000, 1e308),
+    "refresh_delay": lambda: refresh_delay(TINY),
+    "stream_latency": lambda: stream_latency(0, 1e308, 1, 0),
+    "e2e_latency": lambda: e2e_latency(PipelineTiming(t_sense=1e308, t_render=1e308), 0, 0),
+    "budget_check": lambda: budget_check(LatencyBudget(20, PipelineTiming(t_sense=1e308, t_render=1e308))),
+    "max_loss_rate": lambda: max_loss_rate(LossModel(), TINY, 0.02),
+    "simulate refresh interval": lambda: simulate(
+        generate_trace(FrameSizes(10, 5), GopConfig(1, 10), 1), LinkModel(1e8), PipelineTiming(), TINY, 20,
+    ),
+    "simulate mean latency": lambda: simulate(
+        generate_trace(FrameSizes(10, 5), GopConfig(1, 10), 1), LinkModel(1e8), PipelineTiming(t_sense=1e308), 90, 20,
+    ),
+}
 
-@pytest.mark.parametrize("probe", NON_FINITE_PROBES.values(), ids=list(NON_FINITE_PROBES))
+
+@pytest.mark.parametrize(
+    "probe", [*NON_FINITE_PROBES.values(), *OVERFLOW_PROBES.values()],
+    ids=[*NON_FINITE_PROBES, *(f"{name} overflows" for name in OVERFLOW_PROBES)],
+)
 def test_non_finite_input_is_a_domain_error(probe):
     with pytest.raises(DomainError):
         probe()

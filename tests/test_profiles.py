@@ -55,6 +55,16 @@ def _toy_device(**overrides) -> dict:
     return {"devices": [{**device, **overrides}]}
 
 
+def _gop_stage(**overrides) -> dict:
+    stage = {
+        "taxonomy": "t", "stage": "s", "per_eye": {"width": 1920, "height": 1920}, "fps": {"strong": 90},
+        "bpc": 8, "chroma": "4:2:0", "fov": {"horizontal": 120, "vertical": 120}, "iframe_factor": 38,
+        "pframe_factor": 165, "gop_time_s": 2, "redundancy_fraction": 0.1, "extra_picture_fraction": 0.1,
+        "dof_fraction": 0.15,
+    }
+    return {"stages": [{**stage, **overrides}]}
+
+
 # Each document loaded with a traceback, or loaded and broke a later command, before the shared field reader.
 BAD_PROFILE_DOCUMENTS = {
     "hz not a number": (_toy_device(refresh_modes=[{"hz": "abc"}]), r"refresh_modes\[0\].hz must be a number"),
@@ -68,6 +78,28 @@ BAD_PROFILE_DOCUMENTS = {
                            "mtp_ms.strong must be positive"),
     "stage loss above one": ({"stages": [{"taxonomy": "t", "stage": "s", "loss_rate": {"strong": 7}}]},
                              r"loss_rate.strong must lie in \[0, 1\]"),
+    # model fields, checked at load since the model objects they feed are built there
+    "device chroma 4:2:2": (_toy_device(depth={"bits_per_color": 8, "chroma": "4:2:2"}),
+                            "unknown chroma mode '4:2:2'"),
+    "device bits per color zero": (_toy_device(depth={"bits_per_color": 0}), "bits per color must be positive"),
+    "device bits per color too deep": (_toy_device(depth={"bits_per_color": 32}),
+                                       r"bits per pixel must lie in \[1, 64\]"),
+    "stage chroma 4:2:2": ({"stages": [{"taxonomy": "t", "stage": "s", "bpc": 8, "chroma": "4:2:2"}]},
+                           "unknown chroma mode '4:2:2'"),
+    "stage bpc negative": ({"stages": [{"taxonomy": "t", "stage": "s", "bpc": -1}]},
+                           "bits per color must be positive"),
+    "stage codec factor below one": ({"stages": [{"taxonomy": "t", "stage": "s", "iframe_factor": 0.5}]},
+                                     "iframe factor must lie in"),
+    "stage iframe factor above pframe": (_gop_stage(iframe_factor=200), "iframe factor cannot exceed"),
+    "stage gop time negative": (_gop_stage(gop_time_s=-2), "gop duration must be positive"),
+    "stage gop shorter than a frame": (_gop_stage(gop_time_s=0.001), "at least one frame"),
+    "stage redundancy above one": (_gop_stage(redundancy_fraction=1.5),
+                                   r"redundancy fraction must lie in \[0, 1\)"),
+    "stage margin fraction above one": (_gop_stage(extra_picture_fraction=2),
+                                        r"extra picture fraction must lie in \[0, 1\)"),
+    "stage dof fraction negative": (_gop_stage(dof_fraction=-0.1), r"dof fraction must lie in \[0, 1\)"),
+    "stage gop fields missing": (_gop_stage(per_eye=None, fps={}),
+                                 r"lacks fields for the GOP model: \['per_eye', 'fps'\]"),
 }
 
 
