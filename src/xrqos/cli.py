@@ -25,7 +25,6 @@ from .profiles import (
     load_profiles,
     norm_interaction,
     reproduce_quest2_table,
-    reproduce_summary_table,
 )
 from .reliability import DEFAULT_MSS_BITS, LossModel
 
@@ -71,10 +70,10 @@ def parse_time_ms(text: str) -> float:
 
 def parse_resolution(text: str) -> Resolution:
     try:
-        width, height = text.lower().split("x", 1)
-        return Resolution(int(width), int(height))
+        width, height = (int(part) for part in text.lower().split("x", 1))
     except (ValueError, TypeError):
         raise DomainError(f"bad resolution literal {text!r}; expected WIDTHxHEIGHT") from None
+    return Resolution(width, height)
 
 
 def parse_pair(text: str) -> tuple[float, float]:
@@ -444,10 +443,9 @@ def _cmd_table_quest2(args) -> int:
 def _cmd_requirements(args) -> int:
     """`report P...` and `table summary`: one column per device profile, one row per requirement."""
     keys = args.profiles or ([args.profile] if args.profile else None)
-    registry = _registry(args)
-    table = report.requirements_report(registry, keys) if keys else reproduce_summary_table(registry)
+    table = report.requirements_report(_registry(args), keys)
     if args.format == "csv":
-        print(report.report_to_csv(table, args.units), end="")
+        print(report.report_to_csv(table), end="")
         return 0
     lines = report.report_to_text(table, args.units).splitlines()
     return _emit(args, "report" if args.profiles else "table.summary", table, lines)

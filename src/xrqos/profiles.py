@@ -170,12 +170,15 @@ class StageProfile:
     bitrates: tuple[PublishedRate, ...] = ()
 
     def __post_init__(self) -> None:
-        # Build the model objects the fields feed, so a bad value fails at load rather than at first use.
+        # Build each model object whose fields are all present, so a bad value fails at load rather
+        # than at first use; a stage may still leave out what only the GOP model needs.
         if self.bpc is not None:
             BitDepth.from_bpc(self.bpc, self.chroma)
         self.compression()
-        if self.gop_time_s is not None:
-            self.gop_model()
+        if self.gop_time_s is not None and self.fps:
+            self._gop_config()
+        if None not in (self.per_eye, self.fov, self.bpc):
+            self._surface()
 
     def published(self, label: str) -> PublishedRate:
         for rate in self.bitrates:
@@ -201,19 +204,23 @@ class StageProfile:
         ]
         if missing:
             raise ConfigError(f"stage {self.taxonomy}/{self.stage} lacks fields for the GOP model: {missing}")
-        surface = RenderSurface(
+        return self._surface(), self._gop_config(), self.compression()
+
+    def _surface(self) -> RenderSurface:
+        return RenderSurface(
             per_eye=self.per_eye,
             fov=self.fov,
             depth=BitDepth.from_bpc(self.bpc, self.chroma),
             extra_picture_fraction=self.extra_picture_fraction or 0.0,
             dof_fraction=self.dof_fraction or 0.0,
         )
-        cfg = GopConfig(
+
+    def _gop_config(self) -> GopConfig:
+        return GopConfig(
             gop_time=self.gop_time_s,
             fps=self.fps.get("strong") or next(iter(self.fps.values())),
             redundancy_fraction=self.redundancy_fraction or 0.0,
         )
-        return surface, cfg, self.compression()
 
 
 @dataclass(frozen=True)
@@ -559,10 +566,15 @@ def _device_requirements(registry: ProfileRegistry, key: str, factors: tuple[flo
     return requirements
 
 
+# The paper's summary table: the Quest 2 and the human eye-like experience, raw and at 20:1 and 600:1.
+SUMMARY_COLUMNS = ("quest2@72", "eye_like")
+SUMMARY_FACTORS = (1.0, 20.0, 600.0)
+
+
 def reproduce_summary_table(
     registry: ProfileRegistry,
-    columns: tuple[str, ...] = ("quest2@72", "eye_like"),
-    factors: tuple[float, ...] = (1.0, 20.0, 600.0),
+    columns: tuple[str, ...] = SUMMARY_COLUMNS,
+    factors: tuple[float, ...] = SUMMARY_FACTORS,
 ) -> dict:
     """The side-by-side QoS requirement summary for a set of device profiles.
 

@@ -13,19 +13,9 @@ import json
 
 from .capacity import BitRate
 from .geometry import FovSpec, Resolution
-from .profiles import ProfileRegistry, reproduce_summary_table
+from .profiles import SUMMARY_COLUMNS, SUMMARY_FACTORS, ProfileRegistry, reproduce_summary_table
 
-__all__ = [
-    "requirements_report",
-    "json_value",
-    "text_value",
-    "csv_cell",
-    "report_to_json",
-    "report_to_text",
-    "report_to_csv",
-]
-
-DEFAULT_FACTORS = (1.0, 20.0, 600.0)
+__all__ = ["requirements_report", "report_to_json", "report_to_csv"]
 
 # Text-table precision of the requirements whose digits matter past %g.
 _TEXT_STYLES = {"ppd": ".2f", "min_delivery_pct": ".5f"}
@@ -33,11 +23,11 @@ _TEXT_STYLES = {"ppd": ".2f", "min_delivery_pct": ".5f"}
 
 def requirements_report(
     registry: ProfileRegistry,
-    profile_keys: tuple[str, ...],
-    factors: tuple[float, ...] = DEFAULT_FACTORS,
+    profile_keys: tuple[str, ...] | None = None,
+    factors: tuple[float, ...] = SUMMARY_FACTORS,
 ) -> dict:
-    """Per-profile QoS requirements, in the given (deterministic) key order."""
-    return reproduce_summary_table(registry, columns=tuple(profile_keys), factors=factors)
+    """Per-profile QoS requirements in the given key order; the paper's summary columns when none are given."""
+    return reproduce_summary_table(registry, columns=tuple(profile_keys or SUMMARY_COLUMNS), factors=factors)
 
 
 def json_value(value, units: str):
@@ -68,8 +58,11 @@ def text_value(value, units: str, spec: str = "g") -> str:
     return str(value)
 
 
-def csv_cell(value, units: str) -> str:
-    """``value`` for a CSV cell: a rate as its bps and a float in full, None as empty, the rest as text."""
+def csv_cell(value, units: str = "binary") -> str:
+    """``value`` for a CSV cell: a rate as its bps and a float in full, None as empty, the rest as text.
+
+    ``units`` reaches only the rates inside a dict or list, which are written as JSON.
+    """
     if value is None:
         return ""
     if isinstance(value, BitRate):
@@ -104,12 +97,12 @@ def report_to_text(report: dict, units: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_csv(report: dict, units: str) -> str:
+def report_to_csv(report: dict) -> str:
     """Wide CSV: one row per requirement, one column per profile."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["requirement", *report["columns"]])
     for label, values in _rows(report):
         name = label if isinstance(label, str) else f"bitrate_bps_factor_{label:g}"
-        writer.writerow([name, *(csv_cell(value, units) for value in values)])
+        writer.writerow([name, *(csv_cell(value) for value in values)])
     return buffer.getvalue()

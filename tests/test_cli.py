@@ -403,15 +403,27 @@ class TestInputBoundary:
             ["capacity", "sphere", "--ppd", "1e200", "--bpp", "24", "--fps", "77"],
             ["--format", "json", "capacity", "sphere", "--ppd", "1e200", "--bpp", "24", "--fps", "77"],
             ["latency", "stream", "--frame-bits", "1e308", "--throughput", "1"],
+            ["capacity", "hmd", "--resolution", "0x100", "--bpp", "24", "--fps", "90"],
         ],
         ids=["hmd-fps-nan", "sphere-fps-inf", "volumetric-fps-nan", "eye-like-ppd-nan", "sphere-ppd-inf",
              "hmd-factor-nan", "volumetric-factor-inf", "gop-factors-nan", "stream-frame-bits-nan",
              "refresh-hz-nan", "budget-limit-nan", "ppi-size-nan", "ppd-fov-nan", "scale-from-fov-nan",
              "trace-i-bits-nan", "trace-duration-nan", "trace-gop-time-nan", "simulate-fps-inf",
-             "sphere-bitrate-overflows", "sphere-bitrate-overflows-json", "stream-latency-overflows"],
+             "sphere-bitrate-overflows", "sphere-bitrate-overflows-json", "stream-latency-overflows",
+             "resolution-zero-width"],
     )
     def test_non_finite_model_input(self, capsys, argv):
         assert_domain_error(*run_cli(capsys, *argv))
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [("0x100", "resolution width"), (f"{10**200}x{10**200}", "resolution pixel count")],
+        ids=["zero-width", "pixel-count-overflows"],
+    )
+    def test_well_formed_resolution_names_its_bound(self, capsys, literal, message):
+        code, out, err = run_cli(capsys, "capacity", "hmd", "--resolution", literal, "--bpp", "24", "--fps", "90")
+        assert_domain_error(code, out, err)
+        assert message in err and "bad resolution literal" not in err
 
     @pytest.mark.parametrize(
         "argv",

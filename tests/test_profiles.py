@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from xrqos.errors import ProfileError, UnknownKeyError
+from xrqos.errors import ConfigError, ProfileError, UnknownKeyError
 from xrqos.profiles import (
     builtin_registry,
     load_profiles,
@@ -98,8 +98,6 @@ BAD_PROFILE_DOCUMENTS = {
     "stage margin fraction above one": (_gop_stage(extra_picture_fraction=2),
                                         r"extra picture fraction must lie in \[0, 1\)"),
     "stage dof fraction negative": (_gop_stage(dof_fraction=-0.1), r"dof fraction must lie in \[0, 1\)"),
-    "stage gop fields missing": (_gop_stage(per_eye=None, fps={}),
-                                 r"lacks fields for the GOP model: \['per_eye', 'fps'\]"),
 }
 
 
@@ -113,6 +111,18 @@ class TestUserFiles:
         with pytest.raises(ProfileError, match=message) as excinfo:
             load_profiles(path)
         assert str(path) in str(excinfo.value)
+
+    def test_partial_gop_stage_loads_and_fails_at_use(self, tmp_path):
+        # A GOP duration without a render surface still serves the latency and loss lookups.
+        path = tmp_path / "partial.json"
+        document = _gop_stage(mtp_ms={"strong": 20})
+        for name in ("per_eye", "fov", "bpc"):
+            del document["stages"][0][name]
+        path.write_text(json.dumps(document), encoding="utf-8")
+        stage = load_profiles(path).stage("t", "s")
+        assert stage.mtp_ms == {"strong": 20}
+        with pytest.raises(ConfigError, match=r"lacks fields for the GOP model: \['per_eye', 'fov', 'bpc'\]"):
+            stage.gop_model()
 
     def test_malformed_json_names_position(self, tmp_path):
         bad = tmp_path / "bad.json"

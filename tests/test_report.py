@@ -5,7 +5,7 @@ import pytest
 from xrqos.capacity import BitRate
 from xrqos.errors import UnknownKeyError
 from xrqos.geometry import FovSpec, Resolution
-from xrqos.profiles import builtin_registry
+from xrqos.profiles import builtin_registry, reproduce_summary_table
 from xrqos.report import csv_cell, json_value, report_to_csv, report_to_json, requirements_report, text_value
 
 
@@ -28,6 +28,10 @@ class TestRequirementsReport:
     def test_unknown_key(self):
         with pytest.raises(UnknownKeyError):
             requirements_report(builtin_registry(), ("vive",))
+
+    def test_no_keys_gives_the_summary_table(self):
+        registry = builtin_registry()
+        assert requirements_report(registry) == reproduce_summary_table(registry)
 
     def test_key_order_is_preserved(self):
         result = requirements_report(builtin_registry(), ("eye_like", "quest2@72"))
@@ -85,8 +89,8 @@ class TestSerialization:
 
     def test_csv_deterministic_and_wide(self):
         registry = builtin_registry()
-        first = report_to_csv(requirements_report(registry, ("quest2@72", "eye_like")), "binary")
-        second = report_to_csv(requirements_report(registry, ("quest2@72", "eye_like")), "binary")
+        first = report_to_csv(requirements_report(registry, ("quest2@72", "eye_like")))
+        second = report_to_csv(requirements_report(registry, ("quest2@72", "eye_like")))
         assert first == second
         lines = first.splitlines()
         assert lines[0] == "requirement,quest2@72,eye_like"
