@@ -125,11 +125,6 @@ class BitRate:
                 return f"{self.bits_per_second / divisor:.{precision}f} {name}bps"
         return f"{self.bits_per_second:.{precision}f} bps"
 
-    def __mul__(self, factor: float) -> "BitRate":
-        return BitRate(self.bits_per_second * factor)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class VoxelSpec:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -127,15 +128,10 @@ def _emit_scalar(args, command: str, data: dict) -> int:
 
 def _write(args, write, what: str) -> int:
     """Run ``write(handle)`` on the --output file, then say so on stderr; on stdout without --output."""
-    if not args.output:
-        write(sys.stdout)
-        return 0
-    try:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            write(handle)
-    except OSError as exc:
-        raise DomainError(f"cannot write {args.output}: {exc}") from exc
-    print(f"wrote {what} to {args.output}", file=sys.stderr)
+    with tracegen._destination(args.output or sys.stdout, what) as handle:
+        write(handle)
+    if args.output:
+        print(f"wrote {what} to {args.output}", file=sys.stderr)
     return 0
 
 
@@ -215,12 +211,7 @@ def _cmd_capacity_volumetric(args) -> int:
 # -- gop -----------------------------------------------------------------------
 
 
-def _stage_key(args) -> str | None:
-    return args.stage_profile or args.profile
-
-
-def _stage_for(args, registry: ProfileRegistry) -> StageProfile:
-    token = _stage_key(args)
+def _stage_for(registry: ProfileRegistry, token: str) -> StageProfile:
     if "/" not in token:
         raise DomainError(f"stage key must look like taxonomy/stage, got {token!r}")
     taxonomy, stage = token.split("/", 1)
@@ -241,8 +232,8 @@ def _surface_from_args(args) -> RenderSurface:
 
 def _gop_numbers(args, registry: ProfileRegistry) -> tuple[float, FrameSizes, GopConfig]:
     """(pixels per frame, I/P frame sizes, GOP config) from a stage profile or explicit flags."""
-    if _stage_key(args):
-        surface, cfg, comp = _stage_for(args, registry).gop_model()
+    if args.stage_profile:
+        surface, cfg, comp = _stage_for(registry, args.stage_profile).gop_model()
     else:
         if not (args.resolution and args.fov and args.ifactor and args.pfactor):
             raise DomainError("gop needs --stage-profile or --resolution/--fov/--ifactor/--pfactor")
@@ -287,19 +278,14 @@ def _cmd_latency_stream(args) -> int:
 
 
 def _cmd_latency_budget(args) -> int:
-    registry = _registry(args)
+    limit = parse_time_ms(args.limit)
     if args.pipeline:
-        preset = registry.pipeline(args.pipeline)
-        timing, comm_ul, comm_dl = preset.timing, preset.comm_ul, preset.comm_dl
-        refresh_hz, vsync = preset.refresh_hz, preset.vsync_mode
+        budget = dataclasses.replace(_registry(args).pipeline(args.pipeline), mtp_limit=limit)
     else:
-        timing = _timing_from_args(args)
-        comm_ul, comm_dl = args.comm_ul, args.comm_dl
-        refresh_hz, vsync = args.refresh_hz, args.vsync
-    budget = LatencyBudget(
-        mtp_limit=parse_time_ms(args.limit), components=timing, comm_ul=comm_ul, comm_dl=comm_dl,
-        refresh_hz=refresh_hz, vsync_mode=vsync,
-    )
+        budget = LatencyBudget(
+            mtp_limit=limit, components=_timing_from_args(args), comm_ul=args.comm_ul, comm_dl=args.comm_dl,
+            refresh_hz=args.refresh_hz, vsync_mode=args.vsync,
+        )
     result = latency.budget_check(budget)
     data = {
         "mtp_limit_ms": budget.mtp_limit,
@@ -314,18 +300,26 @@ def _cmd_latency_budget(args) -> int:
     return _emit(args, "latency.budget", data, lines)
 
 
-def _cmd_latency_limits(args) -> int:
+def _stage_table(args, command: str, table: str, column: str, suffix: str = "", extra=None) -> int:
+    """`latency limits` and `reliability requirements`: the ``column`` value (and ``extra(value)``) at a full
+    --taxonomy/--stage[/--interaction] key, or every row of the stage ``table`` without one."""
     registry = _registry(args)
     if args.taxonomy and args.stage:
-        value = registry.mtp_limit(args.taxonomy, args.stage, args.interaction)
-        return _emit_scalar(args, "latency.limits", {"mtp_limit_ms": value})
+        value = registry.stage_value(table, args.taxonomy, args.stage, args.interaction)
+        return _emit_scalar(args, command, {column: value, **(extra(value) if extra else {})})
+    if args.taxonomy or args.stage or args.interaction:
+        raise DomainError("give --taxonomy and --stage (and optionally --interaction) together, or none of them")
     rows = [
-        {"taxonomy": taxonomy, "stage": stage, "interaction": interaction, "mtp_limit_ms": ms}
+        {"taxonomy": taxonomy, "stage": stage, "interaction": interaction, column: value}
         for (taxonomy, stage), profile in sorted(registry.stages.items())
-        for interaction, ms in sorted(profile.mtp_ms.items())
+        for interaction, value in sorted(getattr(profile, table).items())
     ]
-    lines = [f"{r['taxonomy']:<12} {r['stage']:<16} {r['interaction']:<8} {r['mtp_limit_ms']:g} ms" for r in rows]
-    return _emit(args, "latency.limits", rows, lines)
+    lines = [f"{r['taxonomy']:<12} {r['stage']:<16} {r['interaction']:<8} {r[column]:g}{suffix}" for r in rows]
+    return _emit(args, command, rows, lines)
+
+
+def _cmd_latency_limits(args) -> int:
+    return _stage_table(args, "latency.limits", "mtp_ms", "mtp_limit_ms", " ms")
 
 
 # -- reliability -----------------------------------------------------------------
@@ -349,19 +343,10 @@ def _cmd_reliability_delivery(args) -> int:
 
 
 def _cmd_reliability_requirements(args) -> int:
-    registry = _registry(args)
-    if args.taxonomy and args.stage:
-        value = registry.loss_rate(args.taxonomy, args.stage, args.interaction)
-        data = {"max_loss_rate": value, "delivery_pct": reliability.delivery_success(value)}
-        lines = [f"max_loss_rate: {value:g}", f"delivery_pct: {data['delivery_pct']}"]
-        return _emit(args, "reliability.requirements", data, lines)
-    rows = [
-        {"taxonomy": taxonomy, "stage": stage, "interaction": interaction, "max_loss_rate": rate}
-        for (taxonomy, stage), profile in sorted(registry.stages.items())
-        for interaction, rate in sorted(profile.loss_rate.items())
-    ]
-    lines = [f"{r['taxonomy']:<12} {r['stage']:<16} {r['interaction']:<8} {r['max_loss_rate']:g}" for r in rows]
-    return _emit(args, "reliability.requirements", rows, lines)
+    return _stage_table(
+        args, "reliability.requirements", "loss_rate", "max_loss_rate",
+        extra=lambda rate: {"delivery_pct": reliability.delivery_success(rate)},
+    )
 
 
 # -- profiles --------------------------------------------------------------------
@@ -385,8 +370,7 @@ def _cmd_profiles_list(args) -> int:
 def _cmd_profiles_show(args) -> int:
     registry = _registry(args)
     if "/" in args.name:
-        taxonomy, stage = args.name.split("/", 1)
-        profile = registry.stage(taxonomy, stage)
+        profile = _stage_for(registry, args.name)
         data = {
             "taxonomy": profile.taxonomy,
             "stage": profile.stage,
@@ -442,8 +426,7 @@ def _cmd_table_quest2(args) -> int:
 
 def _cmd_requirements(args) -> int:
     """`report P...` and `table summary`: one column per device profile, one row per requirement."""
-    keys = args.profiles or ([args.profile] if args.profile else None)
-    table = report.requirements_report(_registry(args), keys)
+    table = report.requirements_report(_registry(args), args.profiles)
     if args.format == "csv":
         print(report.report_to_csv(table), end="")
         return 0
@@ -460,8 +443,8 @@ def _trace_from_args(args, registry: ProfileRegistry) -> tracegen.FrameTrace:
         if path.suffix.lower() != ".json":
             raise DomainError("simulate/packetize need a JSON trace (CSV lacks the config block)")
         return tracegen.load_trace_json(path)
-    if _stage_key(args):
-        surface, cfg, comp = _stage_for(args, registry).gop_model()
+    if args.stage_profile:
+        surface, cfg, comp = _stage_for(registry, args.stage_profile).gop_model()
         sizes = codec.frame_sizes(surface, comp)
     else:
         if args.i_bits is None or args.p_bits is None:
@@ -550,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--units", choices=("binary", "decimal"), default="binary",
                         help="prefix convention for formatted bit rates (default binary)")
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    parser.add_argument("--profile", default=None,
-                        help="default profile key: taxonomy/stage for gop|trace|simulate, device[@hz] for table summary")
     parser.add_argument("--profiles-file", default=None, help=f"extra profiles JSON (or ${PROFILES_ENV})")
     parser.add_argument("--seed", type=int, default=0, help="seed for the simulator's loss draws")
     sub = parser.add_subparsers(dest="command")
@@ -614,6 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     gop = sub.add_parser("gop", help="GOP frame sizes and pose-driven bitrate").add_subparsers(dest="sub")
 
+    def _gop_timing_flags(p):
+        p.add_argument("--fps", type=float, default=90.0)
+        p.add_argument("--gop-time", type=float, default=2.0)
+        p.add_argument("--redundancy", type=float, default=0.10)
+
     def _gop_flags(p):
         p.add_argument("--stage-profile", default=None, help="taxonomy/stage to pull parameters from")
         p.add_argument("--resolution")
@@ -626,9 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--chroma", choices=("4:4:4", "4:2:0"), default="4:2:0")
         p.add_argument("--ifactor", type=float)
         p.add_argument("--pfactor", type=float)
-        p.add_argument("--fps", type=float, default=90.0)
-        p.add_argument("--gop-time", type=float, default=2.0)
-        p.add_argument("--redundancy", type=float, default=0.10)
+        _gop_timing_flags(p)
 
     p = gop.add_parser("frame-sizes")
     _gop_flags(p)
@@ -640,6 +624,11 @@ def build_parser() -> argparse.ArgumentParser:
     def _timing_flags(p):
         for stage in ("sense", "render", "encode", "decode", "display"):
             p.add_argument(f"--{stage}", type=float, default=0.0)
+
+    def _stage_key_flags(p):
+        p.add_argument("--taxonomy")
+        p.add_argument("--stage")
+        p.add_argument("--interaction", type=norm_interaction, default=None)
 
     lat = sub.add_parser("latency", help="MTP decomposition and budgets").add_subparsers(dest="sub")
     p = lat.add_parser("refresh")
@@ -661,9 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vsync", choices=("avg", "max", "none"), default="avg")
     p.set_defaults(func=_cmd_latency_budget)
     p = lat.add_parser("limits")
-    p.add_argument("--taxonomy")
-    p.add_argument("--stage")
-    p.add_argument("--interaction", type=norm_interaction, default=None)
+    _stage_key_flags(p)
     p.set_defaults(func=_cmd_latency_limits)
 
     rel = sub.add_parser("reliability", help="loss bounds and delivery rates").add_subparsers(dest="sub")
@@ -676,9 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", type=float, required=True)
     p.set_defaults(func=_cmd_reliability_delivery)
     p = rel.add_parser("requirements")
-    p.add_argument("--taxonomy")
-    p.add_argument("--stage")
-    p.add_argument("--interaction", type=norm_interaction, default=None)
+    _stage_key_flags(p)
     p.set_defaults(func=_cmd_reliability_requirements)
 
     prof = sub.add_parser("profiles", help="inspect and validate profile data").add_subparsers(dest="sub")
@@ -704,9 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--i-bits", type=float, default=None)
         p.add_argument("--p-bits", type=float, default=None)
         p.add_argument("--b-bits", type=float, default=None)
-        p.add_argument("--fps", type=float, default=90.0)
-        p.add_argument("--gop-time", type=float, default=2.0)
-        p.add_argument("--redundancy", type=float, default=0.10)
+        _gop_timing_flags(p)
         p.add_argument("--pattern", default=None)
         p.add_argument("--duration", type=float, default=2.0, help="seconds")
 
@@ -747,11 +730,17 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, "func"):
             parser.print_usage(sys.stderr)
             return 2
-        return args.func(args) or 0
+        code = args.func(args) or 0
+        sys.stdout.flush()  # so a closed stdout fails here, not in the interpreter's final flush
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except XrqosError as exc:  # an argparse type such as --interaction raises these too
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout's reader has gone (``xrqos ... | head``): stop, and send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

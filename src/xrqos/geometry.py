@@ -61,15 +61,6 @@ class PhysicalSize:
         require("physical width", self.width, gt=0)
         require("physical height", self.height, gt=0)
 
-    @classmethod
-    def from_diagonal(cls, diagonal: float, aspect_w: float, aspect_h: float) -> "PhysicalSize":
-        """Split a diagonal length into width x height for a given aspect ratio."""
-        require("diagonal", diagonal, gt=0)
-        require("aspect width", aspect_w, gt=0)
-        require("aspect height", aspect_h, gt=0)
-        norm = math.hypot(aspect_w, aspect_h)
-        return cls(diagonal * aspect_w / norm, diagonal * aspect_h / norm)
-
     @property
     def diagonal(self) -> float:
         return math.hypot(self.width, self.height)
@@ -83,9 +74,6 @@ class Angle:
 
     def __post_init__(self) -> None:
         require("angle in degrees", self.degrees, ge=0, le=360)
-
-    def __float__(self) -> float:
-        return float(self.degrees)
 
 
 def _deg(angle: "Angle | float") -> float:

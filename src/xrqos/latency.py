@@ -46,10 +46,6 @@ class PipelineTiming:
         for name in ("t_sense", "t_render", "t_encode", "t_decode", "fixed_display"):
             require(name, getattr(self, name), ge=0)
 
-    @property
-    def processing_total(self) -> float:
-        return self.t_sense + self.t_render + self.t_encode + self.t_decode + self.fixed_display
-
 
 @dataclass(frozen=True)
 class StageKey:
@@ -80,6 +76,8 @@ class LatencyBudget:
         require("mtp limit", self.mtp_limit, gt=0, le=math.inf)
         require("uplink communication delay", self.comm_ul, ge=0)
         require("downlink communication delay", self.comm_dl, ge=0)
+        if self.refresh_hz is not None:
+            require("refresh rate", self.refresh_hz, gt=0)
         if self.vsync_mode not in ("avg", "max", "none"):
             raise DomainError(f"vsync mode must be avg, max, or none, got {self.vsync_mode!r}")
 

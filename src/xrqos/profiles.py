@@ -9,6 +9,7 @@ re-derived, because the underlying assumptions are not all disclosed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -18,14 +19,13 @@ from .capacity import BitDepth, BitRate, CompressionProfile
 from .codec import GopConfig, RenderSurface
 from .errors import ConfigError, DomainError, ProfileError, UnknownKeyError, _field, _objects
 from .geometry import FovSpec, Resolution
-from .latency import PipelineTiming
+from .latency import LatencyBudget, PipelineTiming
 
 __all__ = [
     "RefreshMode",
     "DeviceProfile",
     "StageProfile",
     "PublishedRate",
-    "PipelinePreset",
     "ProfileRegistry",
     "builtin_registry",
     "load_profiles",
@@ -102,14 +102,22 @@ class DeviceProfile:
     refresh_modes: tuple[RefreshMode, ...]
     per_eye: Resolution | None = None
     ppd: float | None = None
-    pipeline: PipelineTiming | None = None
     measured_mtp_ms: float | None = None
     mtp_limits_ms: dict[str, float] = field(default_factory=dict)
     published_loss_rate: float | None = None
     published_delivery_pct: float | None = None
 
     def __post_init__(self) -> None:
-        BitDepth.from_bpc(self.depth_bpc, self.chroma)  # so a bad bpc or chroma fails at load
+        # Every device check runs here, so a bad profile fails at load: its depth, and each mode's ppd,
+        # which must exist (mode_ppd raises otherwise) and, stored beside a render target, agree with it.
+        BitDepth.from_bpc(self.depth_bpc, self.chroma)
+        for mode in self.refresh_modes:
+            derived = self.mode_ppd(mode)
+            if mode.ppd is not None and abs(derived - mode.ppd) > 0.01:
+                raise ProfileError(
+                    f"device {self.name!r} mode {mode.hz} Hz: stored ppd {mode.ppd} "
+                    f"disagrees with render target ({derived:.4f})"
+                )
 
     @property
     def depth(self) -> BitDepth:
@@ -223,33 +231,23 @@ class StageProfile:
         )
 
 
-@dataclass(frozen=True)
-class PipelinePreset:
-    """A named set of MTP budget components."""
-
-    name: str
-    timing: PipelineTiming
-    comm_ul: float = 0.0
-    comm_dl: float = 0.0
-    refresh_hz: float | None = None
-    vsync_mode: str = "avg"
-    note: str = ""
-
-
 class ProfileRegistry:
-    """Immutable-after-load lookup of devices, stages, and pipeline presets."""
+    """Immutable-after-load lookup of devices, stages, and pipeline presets.
+
+    A pipeline preset is a latency budget with no MTP ceiling of its own
+    (``mtp_limit`` is infinite); a caller sets the ceiling it checks against.
+    """
 
     def __init__(self) -> None:
         self.devices: dict[str, DeviceProfile] = {}
         self.stages: dict[tuple[str, str], StageProfile] = {}
-        self.pipelines: dict[str, PipelinePreset] = {}
+        self.pipelines: dict[str, LatencyBudget] = {}
 
     # -- population -------------------------------------------------------
 
     def add_device(self, profile: DeviceProfile) -> None:
         if profile.name in self.devices:
             raise ProfileError(f"duplicate device profile {profile.name!r}")
-        self._validate_device(profile)
         self.devices[profile.name] = profile
 
     def add_stage(self, profile: StageProfile) -> None:
@@ -258,22 +256,10 @@ class ProfileRegistry:
             raise ProfileError(f"duplicate stage profile {profile.taxonomy}/{profile.stage}")
         self.stages[key] = profile
 
-    def add_pipeline(self, preset: PipelinePreset) -> None:
-        if preset.name in self.pipelines:
-            raise ProfileError(f"duplicate pipeline preset {preset.name!r}")
-        self.pipelines[preset.name] = preset
-
-    @staticmethod
-    def _validate_device(profile: DeviceProfile) -> None:
-        # A stored per-mode ppd must agree with the render target over the fov.
-        for mode in profile.refresh_modes:
-            if mode.render_target is not None and mode.ppd is not None:
-                derived = mode.render_target.width / profile.fov.horizontal.degrees
-                if abs(derived - mode.ppd) > 0.01:
-                    raise ProfileError(
-                        f"device {profile.name!r} mode {mode.hz} Hz: stored ppd {mode.ppd} "
-                        f"disagrees with render target ({derived:.4f})"
-                    )
+    def add_pipeline(self, name: str, budget: LatencyBudget) -> None:
+        if name in self.pipelines:
+            raise ProfileError(f"duplicate pipeline preset {name!r}")
+        self.pipelines[name] = budget
 
     # -- lookups ----------------------------------------------------------
 
@@ -303,7 +289,8 @@ class ProfileRegistry:
             raise UnknownKeyError(f"unknown stage {taxonomy}/{stage}; available: {valid}")
         return self.stages[key]
 
-    def _stage_value(self, table_name: str, taxonomy: str, stage: str, interaction: str | None) -> float:
+    def stage_value(self, table_name: str, taxonomy: str, stage: str, interaction: str | None) -> float:
+        """The value a stage's ``table_name`` table (``mtp_ms`` or ``loss_rate``) holds for one interaction."""
         profile = self.stage(taxonomy, stage)
         table: dict[str, float] = getattr(profile, table_name)
         requested = norm_interaction(interaction)
@@ -327,12 +314,12 @@ class ProfileRegistry:
         )
 
     def mtp_limit(self, taxonomy: str, stage: str, interaction: str | None) -> float:
-        return self._stage_value("mtp_ms", taxonomy, stage, interaction)
+        return self.stage_value("mtp_ms", taxonomy, stage, interaction)
 
     def loss_rate(self, taxonomy: str, stage: str, interaction: str | None) -> float:
-        return self._stage_value("loss_rate", taxonomy, stage, interaction)
+        return self.stage_value("loss_rate", taxonomy, stage, interaction)
 
-    def pipeline(self, name: str) -> PipelinePreset:
+    def pipeline(self, name: str) -> LatencyBudget:
         if name not in self.pipelines:
             valid = ", ".join(sorted(self.pipelines))
             raise UnknownKeyError(f"unknown pipeline preset {name!r}; available: {valid}")
@@ -367,11 +354,6 @@ def _parse_fov(obj: dict | None, path: str) -> FovSpec | None:
     )
 
 
-def _parse_timing(obj: dict, path: str) -> PipelineTiming:
-    """Per-stage delays in ms; an absent stage takes no time."""
-    return PipelineTiming(**{f.name: _field(obj, f.name, path, "a number", 0.0) for f in fields(PipelineTiming)})
-
-
 def _parse_device(obj: dict, path: str) -> DeviceProfile:
     depth = _field(obj, "depth", path, "an object")
     modes = tuple(
@@ -385,7 +367,6 @@ def _parse_device(obj: dict, path: str) -> DeviceProfile:
     )
     if not modes:
         raise DomainError(f"{path}.refresh_modes must list at least one mode")
-    pipeline = _field(obj, "pipeline", path, "an object", {})
     return DeviceProfile(
         name=_field(obj, "name", path, "a string"),
         per_eye=_parse_resolution(obj, "per_eye", path),
@@ -394,7 +375,6 @@ def _parse_device(obj: dict, path: str) -> DeviceProfile:
         chroma=_field(depth, "chroma", f"{path}.depth", "a string", "4:4:4"),
         refresh_modes=modes,
         ppd=_field(obj, "ppd", path, "a number", None, gt=0),
-        pipeline=_parse_timing(pipeline, f"{path}.pipeline") if "t_sense" in pipeline else None,
         measured_mtp_ms=_field(obj, "measured_mtp_ms", path, "a number", None, gt=0),
         mtp_limits_ms=_table(obj, "mtp_ms", path, gt=0),
         published_loss_rate=_field(obj, "published_loss_rate", path, "a number", None, ge=0, le=1),
@@ -435,31 +415,40 @@ def _parse_stage(obj: dict, path: str) -> StageProfile:
     )
 
 
-def _parse_pipeline(obj: dict, path: str) -> PipelinePreset:
-    return PipelinePreset(
-        name=_field(obj, "name", path, "a string"),
-        timing=_parse_timing(obj, path),
+def _parse_pipeline(obj: dict, path: str) -> LatencyBudget:
+    """A preset's delays in ms (an absent stage takes no time), with no MTP ceiling of its own."""
+    delays = {f.name: _field(obj, f.name, path, "a number", 0.0) for f in fields(PipelineTiming)}
+    return LatencyBudget(
+        mtp_limit=math.inf,
+        components=PipelineTiming(**delays),
         comm_ul=_field(obj, "comm_ul", path, "a number", 0.0),
         comm_dl=_field(obj, "comm_dl", path, "a number", 0.0),
         refresh_hz=_field(obj, "refresh_hz", path, "a number", None),
         vsync_mode=_field(obj, "vsync_mode", path, "a string", "avg"),
-        note=_field(obj, "note", path, "a string", ""),
     )
 
 
+_ROOT = "profiles"
+
+
 def _load_document(registry: ProfileRegistry, document: dict, source: str) -> None:
-    """Add a profile document's devices, stages and pipelines; a malformed document raises ProfileError."""
+    """Add a profile document's devices, stages and pipelines; a malformed document raises ProfileError.
+
+    A field reader's message starts with the field's path; any other message (a model constructor's, a
+    duplicate name) gets the path of the object being added, so every message names its place once.
+    """
     if not isinstance(document, dict):
         raise ProfileError(f"{source}: top level must be an object with devices/stages arrays")
     try:
-        for path, obj in _objects(document, "devices", "profiles", optional=True):
+        for path, obj in _objects(document, "devices", _ROOT, optional=True):
             registry.add_device(_parse_device(obj, path))
-        for path, obj in _objects(document, "stages", "profiles", optional=True):
+        for path, obj in _objects(document, "stages", _ROOT, optional=True):
             registry.add_stage(_parse_stage(obj, path))
-        for path, obj in _objects(document, "pipelines", "profiles", optional=True):
-            registry.add_pipeline(_parse_pipeline(obj, path))
-    except (DomainError, ConfigError) as exc:
-        raise ProfileError(f"{source}: {exc}") from exc
+        for path, obj in _objects(document, "pipelines", _ROOT, optional=True):
+            registry.add_pipeline(_field(obj, "name", path, "a string"), _parse_pipeline(obj, path))
+    except (DomainError, ConfigError, ProfileError) as exc:
+        where = "" if str(exc).startswith(_ROOT) else f"{path}: "
+        raise ProfileError(f"{source}: {where}{exc}") from exc
 
 
 def _read_json(path: Path) -> dict:

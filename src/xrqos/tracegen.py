@@ -139,13 +139,17 @@ def packetize(trace: FrameTrace | Iterable[FrameRecord], mtu_payload_bits: int) 
 
 @contextlib.contextmanager
 def _destination(destination: str | Path | TextIO, what: str):
-    """An open text handle for ``destination``; an OSError while opening or writing becomes a DomainError."""
+    """An open text handle for ``destination``.
+
+    For a path, an OSError while opening or writing becomes a DomainError naming it; a handle's
+    own errors (a closed pipe on stdout, say) are its owner's to handle.
+    """
+    if hasattr(destination, "write"):
+        yield destination
+        return
     try:
-        if hasattr(destination, "write"):
-            yield destination
-        else:
-            with open(destination, "w", encoding="utf-8", newline="") as handle:
-                yield handle
+        with open(destination, "w", encoding="utf-8", newline="") as handle:
+            yield handle
     except OSError as exc:
         raise DomainError(f"cannot write {what} to {destination}: {exc}") from exc
 

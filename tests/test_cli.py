@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import xrqos
 from xrqos.cli import main, parse_rate, parse_resolution, parse_time_ms
 from xrqos.codec import FrameSizes, GopConfig
 from xrqos.errors import DomainError
@@ -112,12 +117,13 @@ class TestWorkedExamples:
         assert "91.04 Mbps" in out
 
     def test_global_profile_flag(self, capsys):
+        # The two keys a global --profile once took: a stage through --stage-profile, a device through report.
         code, out, _ = run_cli(
-            capsys, "--profile", "huawei_ilab/comfortable", "--units", "decimal", "gop", "bitrate"
+            capsys, "--units", "decimal", "gop", "bitrate", "--stage-profile", "huawei_ilab/comfortable"
         )
         assert code == 0
         assert "91.04 Mbps" in out
-        code, out, _ = run_cli(capsys, "--profile", "quest2@120", "table", "summary")
+        code, out, _ = run_cli(capsys, "report", "quest2@120")
         assert code == 0
         assert "quest2@120" in out
         assert "6116x3056" in out
@@ -177,6 +183,14 @@ class TestJsonOutputs:
             "--taxonomy", "hu2020", "--stage", "advanced", "--interaction", "strong",
         )
         assert payload["data"]["mtp_limit_ms"] == 5.0
+
+    def test_single_loss_requirement_goes_through_the_renderer(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "reliability", "requirements",
+            "--taxonomy", "huawei2016", "--stage", "entry_level", "--interaction", "weak",
+        )
+        assert code == 0
+        assert out.splitlines() == ["max_loss_rate: 2.4e-05", "delivery_pct: 99.9976"]
 
     def test_budget_pipeline_preset(self, capsys, cli_schema):
         payload = run_json(
@@ -404,13 +418,16 @@ class TestInputBoundary:
             ["--format", "json", "capacity", "sphere", "--ppd", "1e200", "--bpp", "24", "--fps", "77"],
             ["latency", "stream", "--frame-bits", "1e308", "--throughput", "1"],
             ["capacity", "hmd", "--resolution", "0x100", "--bpp", "24", "--fps", "90"],
+            ["latency", "limits", "--taxonomy", "hu2020"],
+            ["latency", "limits", "--stage", "advanced", "--interaction", "strong"],
+            ["reliability", "requirements", "--interaction", "strong"],
         ],
         ids=["hmd-fps-nan", "sphere-fps-inf", "volumetric-fps-nan", "eye-like-ppd-nan", "sphere-ppd-inf",
              "hmd-factor-nan", "volumetric-factor-inf", "gop-factors-nan", "stream-frame-bits-nan",
              "refresh-hz-nan", "budget-limit-nan", "ppi-size-nan", "ppd-fov-nan", "scale-from-fov-nan",
              "trace-i-bits-nan", "trace-duration-nan", "trace-gop-time-nan", "simulate-fps-inf",
              "sphere-bitrate-overflows", "sphere-bitrate-overflows-json", "stream-latency-overflows",
-             "resolution-zero-width"],
+             "resolution-zero-width", "limits-taxonomy-only", "limits-stage-only", "requirements-interaction-only"],
     )
     def test_non_finite_model_input(self, capsys, argv):
         assert_domain_error(*run_cli(capsys, *argv))
@@ -442,14 +459,36 @@ class TestInputBoundary:
         path = tmp_path / "profiles.json"
         device = {"name": "toy", "fov": {"horizontal": 100, "vertical": 100},
                   "depth": {"bits_per_color": 8, "chroma": "4:2:2"}, "refresh_modes": [{"hz": 60, "ppd": 10}]}
-        for document in (
-            {"stages": [{"taxonomy": "t", "stage": "s", "mtp_ms": {"strong": -5}}]},
-            {"devices": [device]},
+        presets = ({"comm_ul": -3}, {"refresh_hz": -90}, {"vsync_mode": "sometimes"})
+        for document, place in (
+            ({"stages": [{"taxonomy": "t", "stage": "s", "mtp_ms": {"strong": -5}}]}, "profiles.stages[0]"),
+            ({"devices": [device]}, "profiles.devices[0]"),
+            *(({"pipelines": [{"name": "p", **preset}]}, "profiles.pipelines[0]") for preset in presets),
         ):
             path.write_text(json.dumps(document))
             code, out, err = run_cli(capsys, "profiles", "validate", str(path))
             assert_domain_error(code, out, err)
             assert len(err.splitlines()) == 1
+            assert place in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["trace", "packetize", "--stage-profile", "huawei_ilab/comfortable", "--duration", "5"], ["profiles", "list"]],
+        ids=["trace-packetize", "profiles-list"],
+    )
+    def test_closed_stdout(self, argv):
+        # stdout is a pipe whose reader has already gone, as under `xrqos ... | head -1`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(xrqos.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            child = subprocess.run([sys.executable, "-m", "xrqos.cli", *argv], stdout=write_end,
+                                   stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert child.returncode == 1
+        assert "Traceback" not in child.stderr and "<_io." not in child.stderr
 
 
 class TestReportCommand:

@@ -42,11 +42,6 @@ class TestPpi:
         assert value == pytest.approx(1920 / 19.2, rel=1e-9)
         assert value == pytest.approx(1080 / 10.8, rel=1e-9)
 
-    def test_from_diagonal_split(self):
-        size = PhysicalSize.from_diagonal(40.0, 1920, 1080)
-        assert size.diagonal == pytest.approx(40.0, rel=1e-12)
-        assert size.width / size.height == pytest.approx(1920 / 1080, rel=1e-12)
-
     def test_rejects_bad_size(self):
         with pytest.raises(DomainError):
             PhysicalSize(0.0, 5.0)

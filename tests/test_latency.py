@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -150,13 +152,7 @@ class TestHeadsetPresets:
     def test_fixed_refresh_is_the_11ms_figure(self):
         from xrqos.profiles import builtin_registry
 
-        preset = builtin_registry().pipeline("hmd_fixed_refresh")
-        budget = LatencyBudget(
-            mtp_limit=20,
-            components=preset.timing,
-            refresh_hz=preset.refresh_hz,
-            vsync_mode=preset.vsync_mode,
-        )
+        budget = dataclasses.replace(builtin_registry().pipeline("hmd_fixed_refresh"), mtp_limit=20)
         spent = sum(ms for _, ms in budget_check(budget).breakdown)
         # sense 1 + pixel response 2 + worst-case 120 Hz tick 8.33
         assert spent == pytest.approx(11.33, abs=0.01)
@@ -164,8 +160,7 @@ class TestHeadsetPresets:
     def test_dynamic_refresh_leaves_14ms_of_a_20ms_budget(self):
         from xrqos.profiles import builtin_registry
 
-        preset = builtin_registry().pipeline("hmd_dynamic_refresh")
-        budget = LatencyBudget(mtp_limit=20, components=preset.timing)
+        budget = dataclasses.replace(builtin_registry().pipeline("hmd_dynamic_refresh"), mtp_limit=20)
         result = budget_check(budget)
         assert result.remaining_ms == pytest.approx(14.0)
         assert not result.violated

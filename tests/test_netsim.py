@@ -224,7 +224,7 @@ class TestProperties:
             display = record.t_gen + frame.e2e_ms
             assert abs(display / tick - round(display / tick)) * tick < 1e-6
             floor = (
-                timing.processing_total
+                timing.t_sense + timing.t_render + timing.t_encode + timing.t_decode + timing.fixed_display
                 + 1000.0 * record.size_bits / link.downlink_bps
                 + link.propagation_rtt
             )

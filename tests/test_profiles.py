@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -42,7 +43,8 @@ class TestBuiltinLoad:
     def test_pipelines_present(self):
         registry = builtin_registry()
         for name in ("local_vr", "online_mec", "hmd_fixed_refresh", "hmd_dynamic_refresh"):
-            assert registry.pipeline(name).name == name
+            # a preset is a budget with no ceiling of its own
+            assert registry.pipeline(name).mtp_limit == math.inf
 
 
 def _toy_device(**overrides) -> dict:
@@ -53,6 +55,11 @@ def _toy_device(**overrides) -> dict:
         "refresh_modes": [{"hz": 60, "ppd": 10}],
     }
     return {"devices": [{**device, **overrides}]}
+
+
+def _two_devices(**second) -> dict:
+    """A good toy device, then one named dev2 with ``second`` overridden."""
+    return {"devices": _toy_device()["devices"] + _toy_device(name="dev2", **second)["devices"]}
 
 
 def _gop_stage(**overrides) -> dict:
@@ -98,6 +105,17 @@ BAD_PROFILE_DOCUMENTS = {
     "stage margin fraction above one": (_gop_stage(extra_picture_fraction=2),
                                         r"extra picture fraction must lie in \[0, 1\)"),
     "stage dof fraction negative": (_gop_stage(dof_fraction=-0.1), r"dof fraction must lie in \[0, 1\)"),
+    "device mode without ppd": (_toy_device(refresh_modes=[{"hz": 60}]), "defines neither render target nor ppd"),
+    # a pipeline preset is a latency budget, built (and so checked) at load
+    "preset uplink negative": ({"pipelines": [{"name": "p", "comm_ul": -3}]},
+                               r"profiles\.pipelines\[0\]: uplink communication delay cannot be negative"),
+    "preset refresh negative": ({"pipelines": [{"name": "p", "refresh_hz": -90}]},
+                                r"profiles\.pipelines\[0\]: refresh rate must be positive"),
+    "preset vsync unknown": ({"pipelines": [{"name": "p", "vsync_mode": "sometimes"}]},
+                             r"profiles\.pipelines\[0\]: vsync mode must be avg, max, or none, got 'sometimes'"),
+    # a model's error names the object it was building
+    "second device chroma 4:2:2": (_two_devices(depth={"bits_per_color": 8, "chroma": "4:2:2"}),
+                                   r"profiles\.devices\[1\]: unknown chroma mode '4:2:2'"),
 }
 
 
@@ -111,6 +129,7 @@ class TestUserFiles:
         with pytest.raises(ProfileError, match=message) as excinfo:
             load_profiles(path)
         assert str(path) in str(excinfo.value)
+        assert str(excinfo.value).count("profiles.") == 1  # the object's path, once
 
     def test_partial_gop_stage_loads_and_fails_at_use(self, tmp_path):
         # A GOP duration without a render surface still serves the latency and loss lookups.
