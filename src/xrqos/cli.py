@@ -8,30 +8,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import os
 import sys
-from pathlib import Path
 
-from . import capacity, codec, geometry, latency, netsim, reliability, report, tracegen
-from .capacity import BitDepth, CompressionProfile, VoxelSpec
-from .codec import FrameSizes, GopConfig, RenderSurface
+from . import DEFAULT_MSS_BITS, report
 from .errors import DomainError, XrqosError
-from .geometry import FovSpec, PhysicalSize, Resolution
-from .latency import LatencyBudget, PipelineTiming
-from .netsim import LinkModel
-from .profiles import (
-    ProfileRegistry,
-    StageProfile,
-    load_profiles,
-    norm_interaction,
-    reproduce_quest2_table,
-)
-from .reliability import DEFAULT_MSS_BITS, LossModel
+
+# Start-up loads only the modules above: the renderer and what it needs are common to
+# all commands. Each handler imports the models it runs, so `latency refresh` never
+# loads the simulator or the profile registry. Model types in annotations are never
+# evaluated (PEP 563).
 
 PROFILES_ENV = "XRQOS_PROFILES"
-
-_RATE_SUFFIXES = dict(capacity.BINARY_PREFIXES + capacity.DECIMAL_PREFIXES)
 
 
 # -- literal parsing ---------------------------------------------------------
@@ -39,13 +27,15 @@ _RATE_SUFFIXES = dict(capacity.BINARY_PREFIXES + capacity.DECIMAL_PREFIXES)
 
 def parse_rate(text: str) -> float:
     """'140M' -> 140e6; '25Mi' -> 25*2**20; bare numbers are bits per second."""
+    from .capacity import BINARY_PREFIXES, DECIMAL_PREFIXES
+    suffixes = dict(BINARY_PREFIXES + DECIMAL_PREFIXES)
     token = text.strip()
     if token.lower().endswith("bps"):
         token = token[:-3]
-    for suffix in sorted(_RATE_SUFFIXES, key=len, reverse=True):
+    for suffix in sorted(suffixes, key=len, reverse=True):
         if token.endswith(suffix):
             try:
-                return float(token[: -len(suffix)]) * _RATE_SUFFIXES[suffix]
+                return float(token[: -len(suffix)]) * suffixes[suffix]
             except ValueError:
                 raise DomainError(f"bad rate literal {text!r}") from None
     try:
@@ -70,6 +60,7 @@ def parse_time_ms(text: str) -> float:
 
 
 def parse_resolution(text: str) -> Resolution:
+    from .geometry import Resolution
     try:
         width, height = (int(part) for part in text.lower().split("x", 1))
     except (ValueError, TypeError):
@@ -85,13 +76,21 @@ def parse_pair(text: str) -> tuple[float, float]:
         raise DomainError(f"bad pair literal {text!r}; expected HxV") from None
 
 
+def norm_interaction(text: str) -> str | None:
+    """--interaction's argparse type, which loads the profile module only when the flag is given."""
+    from . import profiles
+    return profiles.norm_interaction(text)
+
+
 def _depth_from_args(args) -> BitDepth:
+    from .capacity import BitDepth
     if args.bpp is not None:
         return BitDepth(args.bpp)
     return BitDepth.from_bpc(args.bpc, args.chroma)
 
 
 def _timing_from_args(args) -> PipelineTiming:
+    from .latency import PipelineTiming
     return PipelineTiming(
         t_sense=args.sense, t_render=args.render, t_encode=args.encode,
         t_decode=args.decode, fixed_display=args.display,
@@ -99,8 +98,24 @@ def _timing_from_args(args) -> PipelineTiming:
 
 
 def _registry(args) -> ProfileRegistry:
+    from .profiles import load_profiles
     path = args.profiles_file or os.environ.get(PROFILES_ENV)
     return load_profiles(path)
+
+
+class _PresetField(argparse.Action):
+    """Stores a flag's value like "store", and notes the flag: a preset that sets the same field rejects it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.preset_fields = [*getattr(namespace, "preset_fields", []), self.option_strings[0]]
+
+
+def _check_preset(args, preset: str) -> None:
+    """A preset (--pipeline, --stage-profile, --input) sets its fields itself, so none may be given as flags too."""
+    given = ", ".join(dict.fromkeys(getattr(args, "preset_fields", [])))
+    if given:
+        raise DomainError(f"{preset} sets {given} itself; give one or the other")
 
 
 # -- output rendering --------------------------------------------------------
@@ -128,7 +143,8 @@ def _emit_scalar(args, command: str, data: dict) -> int:
 
 def _write(args, write, what: str) -> int:
     """Run ``write(handle)`` on the --output file, then say so on stderr; on stdout without --output."""
-    with tracegen._destination(args.output or sys.stdout, what) as handle:
+    from .tracegen import _destination
+    with _destination(args.output or sys.stdout, what) as handle:
         write(handle)
     if args.output:
         print(f"wrote {what} to {args.output}", file=sys.stderr)
@@ -139,10 +155,11 @@ def _write(args, write, what: str) -> int:
 
 
 def _cmd_geometry_ppi(args) -> int:
+    from . import geometry
     res = parse_resolution(args.resolution)
     if "x" in args.size.lower():
         width, height = parse_pair(args.size)
-        value = geometry.ppi(res, PhysicalSize(width, height))
+        value = geometry.ppi(res, geometry.PhysicalSize(width, height))
     else:
         try:
             diagonal = float(args.size)
@@ -153,11 +170,13 @@ def _cmd_geometry_ppi(args) -> int:
 
 
 def _cmd_geometry_fov(args) -> int:
+    from . import geometry
     fov = geometry.fov_from_physical(args.extent, args.distance)
     return _emit_scalar(args, "geometry.fov", {"fov_deg": fov.degrees})
 
 
 def _cmd_geometry_ppd(args) -> int:
+    from . import geometry
     if args.fov is not None:
         value = geometry.ppd_from_fov(args.pixels, args.fov)
     elif args.extent is not None and args.distance is not None:
@@ -168,11 +187,13 @@ def _cmd_geometry_ppd(args) -> int:
 
 
 def _cmd_geometry_scale(args) -> int:
+    from . import geometry
     value = geometry.scale_resolution(args.pixels, args.from_fov, args.to_fov)
     return _emit_scalar(args, "geometry.scale", {"pixels": value})
 
 
 def _cmd_geometry_cone_ppd(args) -> int:
+    from . import geometry
     value = geometry.ppd_from_cone_density(args.density, args.lens_distance)
     return _emit_scalar(args, "geometry.cone-ppd", {"ppd": value})
 
@@ -181,16 +202,20 @@ def _cmd_geometry_cone_ppd(args) -> int:
 
 
 def _comp(args) -> CompressionProfile:
+    from .capacity import CompressionProfile
     return CompressionProfile(f"{args.factor:g}:1", args.factor)
 
 
 def _cmd_capacity_eye_like(args) -> int:
+    from . import capacity
+    from .geometry import FovSpec
     fov_h, fov_v = parse_pair(args.fov)
     rate = capacity.eye_like_capacity(FovSpec(fov_h, fov_v), args.ppd, _depth_from_args(args), args.fps, _comp(args))
     return _emit_scalar(args, "capacity.eye-like", {"bitrate": rate})
 
 
 def _cmd_capacity_hmd(args) -> int:
+    from . import capacity
     rate = capacity.hmd_capacity(
         parse_resolution(args.resolution), _depth_from_args(args), args.fps, _comp(args), stereo=not args.mono
     )
@@ -198,12 +223,14 @@ def _cmd_capacity_hmd(args) -> int:
 
 
 def _cmd_capacity_sphere(args) -> int:
+    from . import capacity
     rate = capacity.full_sphere_capacity(args.ppd, _depth_from_args(args), args.fps, _comp(args))
     return _emit_scalar(args, "capacity.sphere", {"bitrate": rate})
 
 
 def _cmd_capacity_volumetric(args) -> int:
-    voxel = VoxelSpec(args.voxels, color_depth=args.color_bits, position_depth=args.position_bits)
+    from . import capacity
+    voxel = capacity.VoxelSpec(args.voxels, color_depth=args.color_bits, position_depth=args.position_bits)
     rate = capacity.volumetric_capacity(voxel, args.fps, _comp(args))
     return _emit_scalar(args, "capacity.volumetric", {"bitrate": rate})
 
@@ -219,6 +246,8 @@ def _stage_for(registry: ProfileRegistry, token: str) -> StageProfile:
 
 
 def _surface_from_args(args) -> RenderSurface:
+    from .codec import RenderSurface
+    from .geometry import FovSpec
     fov_h, fov_v = parse_pair(args.fov)
     extra_h, extra_v = parse_pair(args.extra_fov) if args.extra_fov else (0.0, 0.0)
     return RenderSurface(
@@ -230,27 +259,31 @@ def _surface_from_args(args) -> RenderSurface:
     )
 
 
-def _gop_numbers(args, registry: ProfileRegistry) -> tuple[float, FrameSizes, GopConfig]:
+def _gop_numbers(args) -> tuple[float, FrameSizes, GopConfig]:
     """(pixels per frame, I/P frame sizes, GOP config) from a stage profile or explicit flags."""
+    from . import codec
+    from .capacity import CompressionProfile
     if args.stage_profile:
-        surface, cfg, comp = _stage_for(registry, args.stage_profile).gop_model()
+        _check_preset(args, "--stage-profile")
+        surface, cfg, comp = _stage_for(_registry(args), args.stage_profile).gop_model()
     else:
         if not (args.resolution and args.fov and args.ifactor and args.pfactor):
             raise DomainError("gop needs --stage-profile or --resolution/--fov/--ifactor/--pfactor")
         surface = _surface_from_args(args)
-        cfg = GopConfig(gop_time=args.gop_time, fps=args.fps, redundancy_fraction=args.redundancy)
+        cfg = codec.GopConfig(gop_time=args.gop_time, fps=args.fps, redundancy_fraction=args.redundancy)
         comp = CompressionProfile("cli", max(args.ifactor, 1.0), args.ifactor, args.pfactor)
     return codec.nb_pixels(surface), codec.frame_sizes(surface, comp), cfg
 
 
 def _cmd_gop_frame_sizes(args) -> int:
-    pixels, sizes, _ = _gop_numbers(args, _registry(args))
+    pixels, sizes, _ = _gop_numbers(args)
     data = {"pixels_per_frame": pixels, "iframe_bits": sizes.i_bits, "pframe_bits": sizes.p_bits}
     return _emit_scalar(args, "gop.frame-sizes", data)
 
 
 def _cmd_gop_bitrate(args) -> int:
-    pixels, sizes, cfg = _gop_numbers(args, _registry(args))
+    from . import codec
+    pixels, sizes, cfg = _gop_numbers(args)
     n_p = codec.p_frame_count(cfg)
     data = {
         "pixels_per_frame": pixels,
@@ -266,11 +299,13 @@ def _cmd_gop_bitrate(args) -> int:
 
 
 def _cmd_latency_refresh(args) -> int:
+    from . import latency
     delay = latency.refresh_delay(args.hz)
     return _emit_scalar(args, "latency.refresh", {"max_ms": delay.max_ms, "avg_ms": delay.avg_ms})
 
 
 def _cmd_latency_stream(args) -> int:
+    from . import latency
     value = latency.stream_latency(
         parse_time_ms(args.encode), args.frame_bits, parse_rate(args.throughput), parse_time_ms(args.decode)
     )
@@ -278,11 +313,14 @@ def _cmd_latency_stream(args) -> int:
 
 
 def _cmd_latency_budget(args) -> int:
+    import dataclasses
+    from . import latency
     limit = parse_time_ms(args.limit)
     if args.pipeline:
+        _check_preset(args, "--pipeline")
         budget = dataclasses.replace(_registry(args).pipeline(args.pipeline), mtp_limit=limit)
     else:
-        budget = LatencyBudget(
+        budget = latency.LatencyBudget(
             mtp_limit=limit, components=_timing_from_args(args), comm_ul=args.comm_ul, comm_dl=args.comm_dl,
             refresh_hz=args.refresh_hz, vsync_mode=args.vsync,
         )
@@ -326,8 +364,9 @@ def _cmd_latency_limits(args) -> int:
 
 
 def _cmd_reliability_max_loss(args) -> int:
+    from . import reliability
     loss = reliability.max_loss_rate(
-        LossModel(mss_bits=args.mss), parse_rate(args.throughput), parse_time_ms(args.rtt) / 1000.0
+        reliability.LossModel(mss_bits=args.mss), parse_rate(args.throughput), parse_time_ms(args.rtt) / 1000.0
     )
     success = reliability.delivery_success(loss)
     data = {"max_loss_rate": loss, "delivery_pct": success}
@@ -336,6 +375,7 @@ def _cmd_reliability_max_loss(args) -> int:
 
 
 def _cmd_reliability_delivery(args) -> int:
+    from . import reliability
     success = reliability.delivery_success(args.loss)
     return _emit(
         args, "reliability.delivery", {"delivery_pct": success}, [f"delivery_pct: {success:.4f}"]
@@ -343,6 +383,7 @@ def _cmd_reliability_delivery(args) -> int:
 
 
 def _cmd_reliability_requirements(args) -> int:
+    from . import reliability
     return _stage_table(
         args, "reliability.requirements", "loss_rate", "max_loss_rate",
         extra=lambda rate: {"delivery_pct": reliability.delivery_success(rate)},
@@ -405,6 +446,7 @@ def _cmd_profiles_show(args) -> int:
 
 
 def _cmd_profiles_validate(args) -> int:
+    from .profiles import load_profiles
     load_profiles(args.path)
     return _emit(args, "profiles.validate", {"ok": True, "path": str(args.path)}, [f"ok: {args.path}"])
 
@@ -413,6 +455,7 @@ def _cmd_profiles_validate(args) -> int:
 
 
 def _cmd_table_quest2(args) -> int:
+    from .profiles import reproduce_quest2_table
     rows = reproduce_quest2_table(_registry(args))
     lines = [f"{'hz':>5}  {'render':>10}  {'full video':>10}  {'ppd':>6}  {'viewport':>12}  {'full':>12}"]
     for row in rows:
@@ -437,20 +480,24 @@ def _cmd_requirements(args) -> int:
 # -- traces and simulation ---------------------------------------------------------
 
 
-def _trace_from_args(args, registry: ProfileRegistry) -> tracegen.FrameTrace:
+def _trace_from_args(args) -> FrameTrace:
+    from pathlib import Path
+    from . import codec, tracegen
     if args.input:
+        _check_preset(args, "--input")
         path = Path(args.input)
         if path.suffix.lower() != ".json":
             raise DomainError("simulate/packetize need a JSON trace (CSV lacks the config block)")
         return tracegen.load_trace_json(path)
     if args.stage_profile:
-        surface, cfg, comp = _stage_for(registry, args.stage_profile).gop_model()
+        _check_preset(args, "--stage-profile")
+        surface, cfg, comp = _stage_for(_registry(args), args.stage_profile).gop_model()
         sizes = codec.frame_sizes(surface, comp)
     else:
         if args.i_bits is None or args.p_bits is None:
             raise DomainError("trace needs --input, --stage-profile, or --i-bits/--p-bits")
-        sizes = FrameSizes(args.i_bits, args.p_bits, args.b_bits)
-        cfg = GopConfig(
+        sizes = codec.FrameSizes(args.i_bits, args.p_bits, args.b_bits)
+        cfg = codec.GopConfig(
             gop_time=args.gop_time, fps=args.fps,
             redundancy_fraction=args.redundancy, pattern=args.pattern,
         )
@@ -458,18 +505,21 @@ def _trace_from_args(args, registry: ProfileRegistry) -> tracegen.FrameTrace:
 
 
 def _cmd_trace_generate(args) -> int:
-    trace = _trace_from_args(args, _registry(args))
+    from . import tracegen
+    trace = _trace_from_args(args)
     fmt = "json" if args.format == "json" else "csv"
     return _write(args, lambda out: tracegen.export_trace(trace, fmt, out), f"{len(trace)} frames")
 
 
 def _cmd_trace_packetize(args) -> int:
-    packets = tracegen.packetize(_trace_from_args(args, _registry(args)), args.mtu)
+    from . import tracegen
+    packets = tracegen.packetize(_trace_from_args(args), args.mtu)
     fmt = "json" if args.format == "json" else "csv"
     return _write(args, lambda out: tracegen.export_packets(packets, fmt, out), f"{len(packets)} packets")
 
 
 def _link_from_args(args, downlink: str) -> LinkModel:
+    from .netsim import LinkModel
     return LinkModel(
         downlink_bps=parse_rate(downlink),
         uplink_bps=parse_rate(args.uplink),
@@ -483,7 +533,8 @@ def _link_from_args(args, downlink: str) -> LinkModel:
 
 
 def _cmd_simulate(args) -> int:
-    trace = _trace_from_args(args, _registry(args))
+    from . import netsim
+    trace = _trace_from_args(args)
     timing = _timing_from_args(args)
     mtp_limit = parse_time_ms(args.mtp_limit)
     downlinks = [args.downlink] if not args.sweep_downlink else args.sweep_downlink.split(",")
@@ -596,22 +647,22 @@ def build_parser() -> argparse.ArgumentParser:
     gop = sub.add_parser("gop", help="GOP frame sizes and pose-driven bitrate").add_subparsers(dest="sub")
 
     def _gop_timing_flags(p):
-        p.add_argument("--fps", type=float, default=90.0)
-        p.add_argument("--gop-time", type=float, default=2.0)
-        p.add_argument("--redundancy", type=float, default=0.10)
+        p.add_argument("--fps", type=float, default=90.0, action=_PresetField)
+        p.add_argument("--gop-time", type=float, default=2.0, action=_PresetField)
+        p.add_argument("--redundancy", type=float, default=0.10, action=_PresetField)
 
     def _gop_flags(p):
         p.add_argument("--stage-profile", default=None, help="taxonomy/stage to pull parameters from")
-        p.add_argument("--resolution")
-        p.add_argument("--fov")
-        p.add_argument("--extra-fov", default=None, help="reprojection margin HxV degrees")
-        p.add_argument("--extra-picture", type=float, default=0.10)
-        p.add_argument("--dof", type=float, default=0.15)
-        p.add_argument("--bpp", type=float, default=None)
-        p.add_argument("--bpc", type=int, default=8)
-        p.add_argument("--chroma", choices=("4:4:4", "4:2:0"), default="4:2:0")
-        p.add_argument("--ifactor", type=float)
-        p.add_argument("--pfactor", type=float)
+        p.add_argument("--resolution", action=_PresetField)
+        p.add_argument("--fov", action=_PresetField)
+        p.add_argument("--extra-fov", default=None, help="reprojection margin HxV degrees", action=_PresetField)
+        p.add_argument("--extra-picture", type=float, default=0.10, action=_PresetField)
+        p.add_argument("--dof", type=float, default=0.15, action=_PresetField)
+        p.add_argument("--bpp", type=float, default=None, action=_PresetField)
+        p.add_argument("--bpc", type=int, default=8, action=_PresetField)
+        p.add_argument("--chroma", choices=("4:4:4", "4:2:0"), default="4:2:0", action=_PresetField)
+        p.add_argument("--ifactor", type=float, action=_PresetField)
+        p.add_argument("--pfactor", type=float, action=_PresetField)
         _gop_timing_flags(p)
 
     p = gop.add_parser("frame-sizes")
@@ -621,9 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     _gop_flags(p)
     p.set_defaults(func=_cmd_gop_bitrate)
 
-    def _timing_flags(p):
+    def _timing_flags(p, action="store"):
         for stage in ("sense", "render", "encode", "decode", "display"):
-            p.add_argument(f"--{stage}", type=float, default=0.0)
+            p.add_argument(f"--{stage}", type=float, default=0.0, action=action)
 
     def _stage_key_flags(p):
         p.add_argument("--taxonomy")
@@ -643,11 +694,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = lat.add_parser("budget")
     p.add_argument("--limit", required=True, help="MTP ceiling, e.g. 20ms")
     p.add_argument("--pipeline", default=None, help="named pipeline preset")
-    _timing_flags(p)
-    p.add_argument("--comm-ul", type=float, default=0.0)
-    p.add_argument("--comm-dl", type=float, default=0.0)
-    p.add_argument("--refresh-hz", type=float, default=None)
-    p.add_argument("--vsync", choices=("avg", "max", "none"), default="avg")
+    _timing_flags(p, _PresetField)
+    p.add_argument("--comm-ul", type=float, default=0.0, action=_PresetField)
+    p.add_argument("--comm-dl", type=float, default=0.0, action=_PresetField)
+    p.add_argument("--refresh-hz", type=float, default=None, action=_PresetField)
+    p.add_argument("--vsync", choices=("avg", "max", "none"), default="avg", action=_PresetField)
     p.set_defaults(func=_cmd_latency_budget)
     p = lat.add_parser("limits")
     _stage_key_flags(p)
@@ -686,11 +737,11 @@ def build_parser() -> argparse.ArgumentParser:
     def _trace_source_flags(p):
         p.add_argument("--input", default=None, help="existing trace JSON")
         p.add_argument("--stage-profile", default=None, help="taxonomy/stage with GOP parameters")
-        p.add_argument("--i-bits", type=float, default=None)
-        p.add_argument("--p-bits", type=float, default=None)
-        p.add_argument("--b-bits", type=float, default=None)
+        p.add_argument("--i-bits", type=float, default=None, action=_PresetField)
+        p.add_argument("--p-bits", type=float, default=None, action=_PresetField)
+        p.add_argument("--b-bits", type=float, default=None, action=_PresetField)
         _gop_timing_flags(p)
-        p.add_argument("--pattern", default=None)
+        p.add_argument("--pattern", default=None, action=_PresetField)
         p.add_argument("--duration", type=float, default=2.0, help="seconds")
 
     trace = sub.add_parser("trace", help="synthesize frame/packet traces").add_subparsers(dest="sub")

@@ -27,6 +27,7 @@ from typing import TextIO
 
 from .errors import DomainError, require
 from .latency import PipelineTiming
+from .reliability import DEFAULT_MSS_BITS
 from .tracegen import FrameTrace, packet_split
 
 __all__ = ["LinkModel", "FrameResult", "Aggregates", "SimReport", "simulate"]
@@ -55,7 +56,7 @@ class LinkModel:
     seed: int = 0
     mode: str = "udp_like"
     max_retx: int = 3
-    mtu_payload_bits: int = 11680
+    mtu_payload_bits: int = DEFAULT_MSS_BITS
     uplink_payload_bits: int = 0
 
     def __post_init__(self) -> None:

@@ -316,9 +316,6 @@ class ProfileRegistry:
     def mtp_limit(self, taxonomy: str, stage: str, interaction: str | None) -> float:
         return self.stage_value("mtp_ms", taxonomy, stage, interaction)
 
-    def loss_rate(self, taxonomy: str, stage: str, interaction: str | None) -> float:
-        return self.stage_value("loss_rate", taxonomy, stage, interaction)
-
     def pipeline(self, name: str) -> LatencyBudget:
         if name not in self.pipelines:
             valid = ", ".join(sorted(self.pipelines))

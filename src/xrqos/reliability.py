@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import DEFAULT_MSS_BITS
 from .capacity import BitRate
 from .errors import require
 
@@ -20,9 +21,6 @@ __all__ = [
     "max_loss_rate",
     "delivery_success",
 ]
-
-# 1460 bytes, the usual Ethernet TCP maximum segment size.
-DEFAULT_MSS_BITS = 11680
 
 
 @dataclass(frozen=True)

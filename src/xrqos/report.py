@@ -10,10 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+from typing import TYPE_CHECKING
 
 from .capacity import BitRate
 from .geometry import FovSpec, Resolution
-from .profiles import SUMMARY_COLUMNS, SUMMARY_FACTORS, ProfileRegistry, reproduce_summary_table
+
+if TYPE_CHECKING:
+    from .profiles import ProfileRegistry
 
 __all__ = ["requirements_report", "report_to_json", "report_to_csv"]
 
@@ -24,10 +27,13 @@ _TEXT_STYLES = {"ppd": ".2f", "min_delivery_pct": ".5f"}
 def requirements_report(
     registry: ProfileRegistry,
     profile_keys: tuple[str, ...] | None = None,
-    factors: tuple[float, ...] = SUMMARY_FACTORS,
+    factors: tuple[float, ...] | None = None,
 ) -> dict:
-    """Per-profile QoS requirements in the given key order; the paper's summary columns when none are given."""
-    return reproduce_summary_table(registry, columns=tuple(profile_keys or SUMMARY_COLUMNS), factors=factors)
+    """Per-profile QoS requirements in the given key order; the paper's summary columns and factors by default."""
+    from . import profiles  # here, so that the value rules below do not load the registry
+
+    columns = tuple(profile_keys or profiles.SUMMARY_COLUMNS)
+    return profiles.reproduce_summary_table(registry, columns, profiles.SUMMARY_FACTORS if factors is None else factors)
 
 
 def json_value(value, units: str):

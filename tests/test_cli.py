@@ -454,6 +454,35 @@ class TestInputBoundary:
     def test_unbounded_run_rejected(self, capsys, argv):
         assert_domain_error(*run_cli(capsys, *argv))
 
+    @pytest.mark.parametrize(
+        "preset, argv",
+        [
+            *(("--pipeline", ["latency", "budget", "--limit", "20ms", "--pipeline", "online_mec", flag, value])
+              for flag, value in [("--sense", "3"), ("--render", "3"), ("--encode", "3"), ("--decode", "3"),
+                                  ("--display", "3"), ("--comm-ul", "3"), ("--comm-dl", "3"),
+                                  ("--refresh-hz", "90"), ("--vsync", "max")]),
+            ("--stage-profile", ["gop", "bitrate", "--stage-profile", "huawei_ilab/comfortable", "--fps", "30",
+                                 "--resolution", "100x100"]),
+            ("--stage-profile", ["gop", "frame-sizes", "--stage-profile", "huawei_ilab/comfortable",
+                                 "--chroma", "4:4:4"]),
+            ("--stage-profile", ["trace", "generate", *STAGE_TRACE, "--i-bits", "5000"]),
+            ("--stage-profile", ["simulate", *STAGE_TRACE, "--downlink", "100M", "--refresh-hz", "90",
+                                 "--gop-time", "1"]),
+            ("--input", ["trace", "packetize", "--input", "{trace}", "--fps", "30"]),
+        ],
+    )
+    def test_a_preset_rejects_flags_for_the_fields_it_sets(self, capsys, tmp_path, preset, argv):
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(trace_to_dict(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))))
+        code, out, err = run_cli(capsys, *(arg.format(trace=trace) for arg in argv))
+        assert_domain_error(code, out, err)
+        assert err.count("\n") == 1 and preset in err and argv[-2] in err
+
+    def test_a_stage_profile_keeps_duration_link_and_timing_flags(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", *STAGE_TRACE, "--sense", "1", "--render", "2", "--rtt", "8ms",
+                               "--downlink", "100M", "--refresh-hz", "90")
+        assert (code, err) == (0, "")
+
 
     def test_malformed_profile_file(self, capsys, tmp_path):
         path = tmp_path / "profiles.json"

@@ -94,15 +94,16 @@ class TestRequiredLossRate:
         ],
     )
     def test_registered_rates(self, taxonomy, stage, interaction, expected):
-        assert builtin_registry().loss_rate(taxonomy, stage, interaction) == pytest.approx(expected, rel=1e-12)
+        rate = builtin_registry().stage_value("loss_rate", taxonomy, stage, interaction)
+        assert rate == pytest.approx(expected, rel=1e-12)
 
     def test_unknown_stage(self):
         with pytest.raises(UnknownKeyError):
-            builtin_registry().loss_rate("huawei2016", "post_vr", "strong")
+            builtin_registry().stage_value("loss_rate", "huawei2016", "post_vr", "strong")
 
     def test_mangiante_has_no_loss_rates(self):
         with pytest.raises(UnknownKeyError):
-            builtin_registry().loss_rate("mangiante", "extreme", "strong")
+            builtin_registry().stage_value("loss_rate", "mangiante", "extreme", "strong")
 
     def test_all_registered_rates_in_range(self):
         for profile in builtin_registry().stages.values():
