@@ -39,6 +39,8 @@ __all__ = list(_HOME)
 
 
 def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule, so `xrqos.netsim` works after a bare `import xrqos`
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

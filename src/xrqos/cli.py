@@ -14,10 +14,10 @@ import sys
 from . import DEFAULT_MSS_BITS, report
 from .errors import DomainError, XrqosError
 
-# Start-up loads only the modules above: the renderer and what it needs are common to
-# all commands. Each handler imports the models it runs, so `latency refresh` never
-# loads the simulator or the profile registry. Model types in annotations are never
-# evaluated (PEP 563).
+# Start-up loads only the modules above. `report` renders nearly every command's output,
+# and what it imports every command loads anyway. Each handler imports the models it
+# runs, so `latency refresh` loads neither the simulator nor the profile registry.
+# Model types in annotations are never evaluated (PEP 563).
 
 PROFILES_ENV = "XRQOS_PROFILES"
 

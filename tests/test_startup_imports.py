@@ -35,6 +35,11 @@ def test_import_xrqos_loads_no_submodule(tmp_path):
     assert {m for m in loaded_after("import xrqos", tmp_path) if m.startswith("xrqos.")} == set()
 
 
+def test_a_submodule_attribute_loads_on_first_use(tmp_path):
+    loaded = loaded_after("import xrqos\nxrqos.reliability.max_loss_rate", tmp_path)
+    assert "xrqos.reliability" in loaded and "xrqos.netsim" not in loaded
+
+
 def test_every_public_name_is_its_home_modules_object():
     for name in xrqos.__all__:
         obj = getattr(xrqos, name)
