@@ -111,9 +111,9 @@ class _PresetField(argparse.Action):
         namespace.preset_fields = [*getattr(namespace, "preset_fields", []), self.option_strings[0]]
 
 
-def _check_preset(args, preset: str) -> None:
-    """A preset (--pipeline, --stage-profile, --input) sets its fields itself, so none may be given as flags too."""
-    given = ", ".join(dict.fromkeys(getattr(args, "preset_fields", [])))
+def _check_preset(args, preset: str, leaves: tuple[str, ...] = ()) -> None:
+    """A preset (--pipeline, --stage-profile, --input) sets its fields but ``leaves``, so none may be given too."""
+    given = ", ".join(dict.fromkeys(f for f in getattr(args, "preset_fields", []) if f not in (preset, *leaves)))
     if given:
         raise DomainError(f"{preset} sets {given} itself; give one or the other")
 
@@ -481,16 +481,14 @@ def _cmd_requirements(args) -> int:
 
 
 def _trace_from_args(args) -> FrameTrace:
-    from pathlib import Path
     from . import codec, tracegen
     if args.input:
         _check_preset(args, "--input")
-        path = Path(args.input)
-        if path.suffix.lower() != ".json":
+        if os.path.splitext(args.input)[1].lower() != ".json":
             raise DomainError("simulate/packetize need a JSON trace (CSV lacks the config block)")
-        return tracegen.load_trace_json(path)
+        return tracegen.load_trace_json(args.input)
     if args.stage_profile:
-        _check_preset(args, "--stage-profile")
+        _check_preset(args, "--stage-profile", leaves=("--duration",))
         surface, cfg, comp = _stage_for(_registry(args), args.stage_profile).gop_model()
         sizes = codec.frame_sizes(surface, comp)
     else:
@@ -504,17 +502,24 @@ def _trace_from_args(args) -> FrameTrace:
     return tracegen.generate_trace(sizes, cfg, args.duration)
 
 
+def _trace_format(args) -> str:
+    fmt = "json" if args.format == "json" else "csv"  # --format text writes csv too
+    if os.path.splitext(args.output or "")[1].lower() in {".json", ".csv"} - {f".{fmt}"}:
+        raise DomainError(f"--output {args.output} has the wrong suffix: --format {args.format} writes {fmt}")
+    return fmt
+
+
 def _cmd_trace_generate(args) -> int:
     from . import tracegen
+    fmt = _trace_format(args)
     trace = _trace_from_args(args)
-    fmt = "json" if args.format == "json" else "csv"
     return _write(args, lambda out: tracegen.export_trace(trace, fmt, out), f"{len(trace)} frames")
 
 
 def _cmd_trace_packetize(args) -> int:
     from . import tracegen
+    fmt = _trace_format(args)
     packets = tracegen.packetize(_trace_from_args(args), args.mtu)
-    fmt = "json" if args.format == "json" else "csv"
     return _write(args, lambda out: tracegen.export_packets(packets, fmt, out), f"{len(packets)} packets")
 
 
@@ -736,13 +741,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _trace_source_flags(p):
         p.add_argument("--input", default=None, help="existing trace JSON")
-        p.add_argument("--stage-profile", default=None, help="taxonomy/stage with GOP parameters")
+        p.add_argument("--stage-profile", default=None, help="taxonomy/stage with GOP parameters", action=_PresetField)
         p.add_argument("--i-bits", type=float, default=None, action=_PresetField)
         p.add_argument("--p-bits", type=float, default=None, action=_PresetField)
         p.add_argument("--b-bits", type=float, default=None, action=_PresetField)
         _gop_timing_flags(p)
         p.add_argument("--pattern", default=None, action=_PresetField)
-        p.add_argument("--duration", type=float, default=2.0, help="seconds")
+        p.add_argument("--duration", type=float, default=2.0, help="seconds", action=_PresetField)
 
     trace = sub.add_parser("trace", help="synthesize frame/packet traces").add_subparsers(dest="sub")
     p = trace.add_parser("generate")

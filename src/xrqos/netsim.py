@@ -15,6 +15,12 @@ bandwidth or the packet count; that keying is what makes bandwidth sweeps
 monotone and repeatable. Versions before this stream keyed one draw per
 (seed, frame, packet, attempt), so their loss patterns for a given seed
 differ.
+
+So a frame's loss chain (packets still lost after each attempt) is the same
+at every rate, and for the first attempt in both modes. ``simulate`` keeps
+one lossy run's chains, keyed by the trace's identity (traces are frozen)
+and (seed, p, MTU), for later runs of a sweep to replay; another trace, key
+or attempt limit rebuilds them, and they are dropped with their trace.
 """
 from __future__ import annotations
 
@@ -22,13 +28,14 @@ import hashlib
 import json
 import math
 import struct
+import weakref
 from dataclasses import dataclass
 from typing import TextIO
 
 from .errors import DomainError, require
 from .latency import PipelineTiming
 from .reliability import DEFAULT_MSS_BITS
-from .tracegen import FrameTrace, packet_split
+from .tracegen import FrameRecord, FrameTrace, packet_split
 
 __all__ = ["LinkModel", "FrameResult", "Aggregates", "SimReport", "simulate"]
 
@@ -179,6 +186,40 @@ def _lost_packets(seed: int, frame_index: int, attempt: int, count: int, loss_pr
         block += 1
 
 
+def _loss_chain(link: LinkModel, record: FrameRecord, depth: int) -> tuple:
+    """(packets still lost, last packet among them) for each of the first ``depth`` attempts that loses any."""
+    count = packet_split(record.size_bits, link.mtu_payload_bits)[0]
+    chain, lost = [], _lost_packets(link.seed, record.index, 0, count, link.loss_prob)
+    while lost and len(chain) < depth:
+        chain.append((len(lost), lost[-1] == count - 1))
+        if len(chain) < depth:
+            again = set(_lost_packets(link.seed, record.index, len(chain), lost[-1] + 1, link.loss_prob))
+            lost = [k for k in lost if k in again]
+    return tuple(chain)
+
+
+_chains_memo = None  # (weakref to the trace, key, depth, chains), replaced whole so readers see one slot
+
+
+def _forget_chains(ref) -> None:
+    global _chains_memo
+    if _chains_memo is not None and _chains_memo[0] is ref:
+        _chains_memo = None
+
+
+def _loss_chains(trace: FrameTrace, link: LinkModel, depth: int):
+    """Every frame's loss chain, at least ``depth`` attempts deep; from the memo when it holds them."""
+    global _chains_memo
+    if not 0.0 < link.loss_prob < 1.0:  # a chain that costs no draw is made as it is used
+        return (_loss_chain(link, record, depth) for record in trace)
+    key = (str(link.seed), link.loss_prob, link.mtu_payload_bits)  # the stream keys on the seed's text
+    memo = _chains_memo
+    if memo is None or memo[0]() is not trace or memo[1] != key or memo[2] < depth:
+        chains = [_loss_chain(link, record, depth) for record in trace]
+        memo = _chains_memo = (weakref.ref(trace, _forget_chains), key, depth, chains)
+    return memo[3]
+
+
 def _percentile(sorted_values: list[float], q: float) -> float:
     # Nearest-rank definition; sorted_values must be non-empty.
     rank = max(0, math.ceil(q * len(sorted_values)) - 1)
@@ -216,25 +257,19 @@ def simulate(
     link_free = 0.0
     results = []
     try:
-        for record in trace:
+        for record, chain in zip(trace, _loss_chains(trace, link, max_attempts)):
             arrival = record.t_gen + timing.t_sense + uplink_ms + half_rtt + timing.t_render + timing.t_encode
             # every packet goes out once, lost or not
             t = max(arrival, link_free) + 1000.0 * record.size_bits / link.downlink_bps
-            count, last_bits = packet_split(record.size_bits, mtu)
-            lost = _lost_packets(link.seed, record.index, 0, count, link.loss_prob)
             retx = 0
-            for attempt in range(1, max_attempts):
-                if not lost:
-                    break
-                t += len(lost) * resend
-                if lost[-1] == count - 1:
-                    t += 1000.0 * (last_bits - mtu) / link.downlink_bps
-                retx += len(lost)
-                again = set(_lost_packets(link.seed, record.index, attempt, lost[-1] + 1, link.loss_prob))
-                lost = [k for k in lost if k in again]
+            for n_lost, last_lost in chain[: max_attempts - 1]:
+                t += n_lost * resend
+                if last_lost:
+                    t += 1000.0 * (packet_split(record.size_bits, mtu)[1] - mtu) / link.downlink_bps
+                retx += n_lost
             link_free = t
 
-            if not lost:
+            if len(chain) < max_attempts:
                 ready = t + half_rtt + timing.t_decode + timing.fixed_display
                 k = max(0, math.ceil(ready / tick - 1e-9))
                 display = k * tick

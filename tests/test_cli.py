@@ -469,6 +469,11 @@ class TestInputBoundary:
             ("--stage-profile", ["simulate", *STAGE_TRACE, "--downlink", "100M", "--refresh-hz", "90",
                                  "--gop-time", "1"]),
             ("--input", ["trace", "packetize", "--input", "{trace}", "--fps", "30"]),
+            ("--input", ["simulate", "--input", "{trace}", "--downlink", "100M", "--refresh-hz", "90",
+                         "--stage-profile", "huawei_ilab/comfortable"]),
+            ("--input", ["simulate", "--input", "{trace}", "--downlink", "100M", "--refresh-hz", "90",
+                         "--duration", "9"]),
+            ("--input", ["trace", "packetize", "--input", "{trace}", "--duration", "9"]),
         ],
     )
     def test_a_preset_rejects_flags_for_the_fields_it_sets(self, capsys, tmp_path, preset, argv):
@@ -482,6 +487,26 @@ class TestInputBoundary:
         code, _, err = run_cli(capsys, "simulate", *STAGE_TRACE, "--sense", "1", "--render", "2", "--rtt", "8ms",
                                "--downlink", "100M", "--refresh-hz", "90")
         assert (code, err) == (0, "")
+
+    def test_explicit_frame_sizes_keep_duration(self, capsys):
+        code, out, err = run_cli(capsys, "trace", "generate", "--i-bits", "200000", "--p-bits", "40000",
+                                 "--fps", "10", "--duration", "3")
+        assert (code, err) == (0, "") and len(out.splitlines()) == 1 + 30
+
+    @pytest.mark.parametrize("command", ["generate", "packetize"])
+    @pytest.mark.parametrize(
+        "fmt, name, ok",
+        [("text", "t.json", False), ("csv", "t.json", False), ("json", "t.csv", False), ("json", "T.CSV", False),
+         ("json", "t.json", True), ("text", "t.csv", True), ("csv", "t.txt", True)],
+    )
+    def test_trace_output_suffix_must_name_the_format_written(self, capsys, tmp_path, command, fmt, name, ok):
+        code, out, err = run_cli(capsys, "--format", fmt, "trace", command, *STAGE_TRACE,
+                                 "--output", str(tmp_path / name))
+        if ok:
+            assert (code, out) == (0, "") and (tmp_path / name).stat().st_size > 0
+        else:
+            assert_domain_error(code, out, err)
+            assert err.count("\n") == 1 and name in err and not (tmp_path / name).exists()
 
 
     def test_malformed_profile_file(self, capsys, tmp_path):

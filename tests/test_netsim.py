@@ -1,5 +1,9 @@
+import dataclasses
+import gc
 import hashlib
 import math
+import sys
+import threading
 from collections import defaultdict
 
 import pytest
@@ -351,20 +355,100 @@ class TestLossDraws:
             assert _lost_packets(4, 17, 2, count, 0.05) == [k for k in whole if k < count]
 
 
+@pytest.fixture
+def digests(monkeypatch):
+    """The keys of every blake2b digest the simulator draws while the test runs."""
+    calls = []
+    real = hashlib.blake2b
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(netsim.hashlib, "blake2b", counting)
+    return calls
+
+
+class TestLossChainReuse:
+    """Runs on one trace share its loss chains; each report still equals a run on a cold copy of the trace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        downlinks=st.lists(st.floats(min_value=1e6, max_value=1e9), min_size=3, max_size=3),
+        seeds=st.lists(st.integers(min_value=0, max_value=2**31), min_size=2, max_size=2, unique=True),
+        probs=st.lists(st.floats(min_value=0.001, max_value=0.5), min_size=2, max_size=2, unique=True),
+        mtus=st.lists(st.sampled_from([4_000, 11_680, 40_000]), min_size=2, max_size=2, unique=True),
+        frames=st.integers(min_value=1, max_value=20),
+    )
+    def test_a_warm_memo_equals_a_cold_run(self, downlinks, seeds, probs, mtus, frames):
+        trace = small_trace(frames=frames, i_bits=400_000, p_bits=90_000)
+        timing = PipelineTiming(t_sense=1.0, t_render=2.0, t_decode=2.0)
+        base = LinkModel(downlink_bps=downlinks[0], propagation_rtt=6.0, loss_prob=probs[0], seed=seeds[0],
+                         mtu_payload_bits=mtus[0])
+        d0, d1, d2 = downlinks
+        sweep = [(d0, "udp_like", 3), (d0, "tcp_like", 1), (d1, "tcp_like", 4), (d2, "udp_like", 0),
+                 (d1, "tcp_like", 2), (d2, "tcp_like", 0), (d0, "tcp_like", 4)]
+        links = [dataclasses.replace(base, downlink_bps=rate, mode=mode, max_retx=retx) for rate, mode, retx in sweep]
+        for change in ({"seed": seeds[1]}, {"loss_prob": probs[1]}, {"mtu_payload_bits": mtus[1]}, {}):
+            links += [dataclasses.replace(base, mode="tcp_like", **change), dataclasses.replace(base, **change)]
+        # each cold run plays a new copy of the trace, which dies with the run
+        cold = [simulate(dataclasses.replace(trace), link, timing, 90.0, 20.0) for link in links]
+        assert [simulate(trace, link, timing, 90.0, 20.0) for link in links] == cold
+
+    def test_a_new_trace_never_gets_a_dead_traces_chains(self, digests):
+        link = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, loss_prob=0.05, seed=3, mode="tcp_like")
+        timing = PipelineTiming()
+        contents = ({}, {"frames": 30, "i_bits": 900_000, "p_bits": 300_000})
+        expected = [simulate(small_trace(**content), link, timing, 90.0, 20.0) for content in contents]
+        for content, report in zip(contents, expected):
+            simulate(small_trace(), link, timing, 90.0, 20.0)
+            gc.collect()
+            assert netsim._chains_memo is None  # dropped with the trace it was built for
+            digests.clear()
+            # a new trace may sit at the dead one's address; equal content or not, it draws its own chains
+            assert simulate(small_trace(**content), link, timing, 90.0, 20.0) == report
+            assert digests
+
+    def test_seeds_that_compare_equal_keep_their_own_streams(self):
+        trace = small_trace(frames=30, i_bits=400_000, p_bits=90_000)
+        link = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, loss_prob=0.2, seed=1, mode="tcp_like")
+        first = simulate(trace, link, PipelineTiming(), 90.0, 20.0)
+        # True == 1, but the stream keys on the seed's text, so True draws other losses
+        other = dataclasses.replace(link, seed=True)
+        warm = simulate(trace, other, PipelineTiming(), 90.0, 20.0)
+        assert warm == simulate(dataclasses.replace(trace), other, PipelineTiming(), 90.0, 20.0) != first
+
+    def test_threads_sharing_the_memo_get_cold_results(self):
+        traces = [small_trace(frames=30, i_bits=400_000, p_bits=90_000), small_trace(frames=25)]
+        links = [LinkModel(downlink_bps=rate, propagation_rtt=4.0, loss_prob=p, seed=seed, mode=mode)
+                 for rate in (5e7, 2e8) for p, seed in ((0.05, 1), (0.1, 2)) for mode in ("udp_like", "tcp_like")]
+        jobs = [(trace, link) for trace in traces for link in links]
+        timing = PipelineTiming()
+        expected = [simulate(dataclasses.replace(trace), link, timing, 90.0, 20.0) for trace, link in jobs]
+        mismatches = []
+
+        def worker(offset):
+            for k in range(3 * len(jobs)):
+                i = (k * 5 + offset) % len(jobs)
+                if simulate(*jobs[i], timing, 90.0, 20.0) != expected[i]:
+                    mismatches.append(i)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+
 class TestDrawCost:
-    """Digest calls per run: about one per (frame, attempt) plus one per eight losses, never per packet."""
-
-    @pytest.fixture
-    def digests(self, monkeypatch):
-        calls = []
-        real = hashlib.blake2b
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(netsim.hashlib, "blake2b", counting)
-        return calls
+    """Digest calls: about one per (frame, attempt) plus one per eight losses, never per packet, once per sweep."""
 
     def test_lossless_run_draws_nothing(self, digests):
         trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)
@@ -380,6 +464,33 @@ class TestDrawCost:
         digests.clear()
         simulate(trace, link, PipelineTiming(), 90.0, 20.0)
         assert 0 < len(digests) <= len(trace) * attempts + losses
+
+    @pytest.mark.parametrize("mode", ["udp_like", "tcp_like"])
+    def test_a_rerun_at_another_downlink_draws_nothing(self, digests, mode):
+        trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)
+        link = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, loss_prob=0.01, seed=8, mode=mode, max_retx=3)
+        simulate(trace, link, PipelineTiming(), 90.0, 20.0)
+        digests.clear()
+        simulate(trace, dataclasses.replace(link, downlink_bps=3e7), PipelineTiming(), 90.0, 20.0)
+        assert digests == []
+
+    def test_a_sweep_draws_one_udp_pass_and_one_tcp_run(self, digests):
+        trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)
+        udp = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, loss_prob=0.01, seed=8, max_retx=3)
+        tcp = dataclasses.replace(udp, mode="tcp_like")
+        bound = len(trace) + lost_transmissions(trace, udp) + len(trace) * 4 + lost_transmissions(trace, tcp)
+        digests.clear()
+        for downlink in (5e7, 8e7, 1e8, 2e8, 5e8):
+            for link in (udp, tcp):
+                simulate(trace, dataclasses.replace(link, downlink_bps=downlink), PipelineTiming(), 90.0, 20.0)
+        assert 0 < len(digests) <= bound
+
+    def test_a_lossless_sweep_draws_nothing(self, digests):
+        trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)
+        for downlink in (5e7, 8e7, 1e8, 2e8, 5e8):
+            for mode in ("udp_like", "tcp_like"):
+                simulate(trace, LinkModel(downlink_bps=downlink, mode=mode), PipelineTiming(), 90.0, 20.0)
+        assert digests == []
 
 
 class TestBoundary:
