@@ -121,34 +121,47 @@ def _check_preset(args, preset: str, leaves: tuple[str, ...] = ()) -> None:
 # -- output rendering --------------------------------------------------------
 
 
-def _emit(args, command: str, data, text_lines: list[str]) -> int:
-    if args.format == "json":
-        print(report.report_to_json({"command": command, "units": args.units, "data": data}, args.units), end="")
-    elif args.format == "csv":
-        rows = data if isinstance(data, list) else [data]
-        keys = list(dict.fromkeys(key for row in rows for key in row))
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(keys)
-        writer.writerows([report.csv_cell(row.get(key), args.units) for key in keys] for row in rows)
-    else:
-        for line in text_lines:
-            print(line)
-    return 0
+def _written(args) -> str:
+    """The format a command writes: ``--format``, except that `trace` writes CSV under text."""
+    return "csv" if args.format == "text" and args.command == "trace" else args.format
 
 
-def _emit_scalar(args, command: str, data: dict) -> int:
-    lines = [f"{key}: {report.text_value(value, args.units)}" for key, value in data.items()]
-    return _emit(args, command, data, lines)
+def _check_output(args) -> None:
+    """An --output named .json or .csv must name the format written; `main` checks it before any work is done."""
+    output, fmt = getattr(args, "output", None), _written(args)
+    if os.path.splitext(output or "")[1].lower() in {".json", ".csv"} - {f".{fmt}"}:
+        raise DomainError(f"--output {output} has the wrong suffix: --format {args.format} writes {fmt}")
 
 
-def _write(args, write, what: str) -> int:
+def _output(args, write, what: str) -> int:
     """Run ``write(handle)`` on the --output file, then say so on stderr; on stdout without --output."""
-    from .tracegen import _destination
-    with _destination(args.output or sys.stdout, what) as handle:
+    output = getattr(args, "output", None)
+    with report._destination(output or sys.stdout, what) as handle:
         write(handle)
-    if args.output:
-        print(f"wrote {what} to {args.output}", file=sys.stderr)
+    if output:
+        print(f"wrote {what} to {output}", file=sys.stderr)
     return 0
+
+
+def _emit(args, command: str, data, text_lines: list[str]) -> int:
+    def write(out) -> None:
+        if args.format == "json":
+            out.write(report.report_to_json({"command": command, "units": args.units, "data": data}, args.units))
+        elif args.format == "csv":
+            rows = data if isinstance(data, list) else [data]
+            keys = list(dict.fromkeys(key for row in rows for key in row))
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(keys)
+            writer.writerows([report.csv_cell(row.get(key), args.units) for key in keys] for row in rows)
+        else:
+            out.writelines(f"{line}\n" for line in text_lines)
+
+    return _output(args, write, "report")
+
+
+def _emit_scalar(args, command: str, data: dict, spec: str = "g") -> int:
+    lines = [f"{key}: {report.text_value(value, args.units, spec)}" for key, value in data.items()]
+    return _emit(args, command, data, lines)
 
 
 # -- geometry ----------------------------------------------------------------
@@ -377,9 +390,7 @@ def _cmd_reliability_max_loss(args) -> int:
 def _cmd_reliability_delivery(args) -> int:
     from . import reliability
     success = reliability.delivery_success(args.loss)
-    return _emit(
-        args, "reliability.delivery", {"delivery_pct": success}, [f"delivery_pct: {success:.4f}"]
-    )
+    return _emit_scalar(args, "reliability.delivery", {"delivery_pct": success}, ".4f")
 
 
 def _cmd_reliability_requirements(args) -> int:
@@ -471,8 +482,7 @@ def _cmd_requirements(args) -> int:
     """`report P...` and `table summary`: one column per device profile, one row per requirement."""
     table = report.requirements_report(_registry(args), args.profiles)
     if args.format == "csv":
-        print(report.report_to_csv(table), end="")
-        return 0
+        return _output(args, lambda out: out.write(report.report_to_csv(table)), "report")
     lines = report.report_to_text(table, args.units).splitlines()
     return _emit(args, "report" if args.profiles else "table.summary", table, lines)
 
@@ -502,25 +512,16 @@ def _trace_from_args(args) -> FrameTrace:
     return tracegen.generate_trace(sizes, cfg, args.duration)
 
 
-def _trace_format(args) -> str:
-    fmt = "json" if args.format == "json" else "csv"  # --format text writes csv too
-    if os.path.splitext(args.output or "")[1].lower() in {".json", ".csv"} - {f".{fmt}"}:
-        raise DomainError(f"--output {args.output} has the wrong suffix: --format {args.format} writes {fmt}")
-    return fmt
-
-
 def _cmd_trace_generate(args) -> int:
     from . import tracegen
-    fmt = _trace_format(args)
-    trace = _trace_from_args(args)
-    return _write(args, lambda out: tracegen.export_trace(trace, fmt, out), f"{len(trace)} frames")
+    fmt, trace = _written(args), _trace_from_args(args)
+    return _output(args, lambda out: tracegen.export_trace(trace, fmt, out), f"{len(trace)} frames")
 
 
 def _cmd_trace_packetize(args) -> int:
     from . import tracegen
-    fmt = _trace_format(args)
-    packets = tracegen.packetize(_trace_from_args(args), args.mtu)
-    return _write(args, lambda out: tracegen.export_packets(packets, fmt, out), f"{len(packets)} packets")
+    fmt, packets = _written(args), tracegen.packetize(_trace_from_args(args), args.mtu)
+    return _output(args, lambda out: tracegen.export_packets(packets, fmt, out), f"{len(packets)} packets")
 
 
 def _link_from_args(args, downlink: str) -> LinkModel:
@@ -551,26 +552,16 @@ def _cmd_simulate(args) -> int:
     if len(reports) == 1:
         sim = reports[0]
         if args.format == "json":
-            return _write(args, lambda out: out.write(sim.to_json()), "report")
+            return _output(args, lambda out: out.write(sim.to_json()), "report")
         if args.format == "csv":
-            return _write(args, sim.write_csv, "report")
-        for name, value in vars(sim.aggregates).items():
-            print(f"{name}: {report.text_value(value, args.units, '.4f')}")
-        return 0
+            return _output(args, sim.write_csv, "report")
+        return _emit_scalar(args, "simulate", vars(sim.aggregates), ".4f")
 
-    rows = []
-    for downlink, sim in zip(downlinks, reports):
-        agg = sim.aggregates
-        rows.append(
-            {
-                "downlink": downlink.strip(),
-                "displayed": agg.displayed_count,
-                "dropped": agg.dropped_count,
-                "mean_e2e_ms": agg.mean_e2e_ms,
-                "p99_e2e_ms": agg.p99_e2e_ms,
-                "mtp_violations": agg.mtp_violations,
-            }
-        )
+    rows = [
+        {"downlink": downlink.strip(), "displayed": agg.displayed_count, "dropped": agg.dropped_count,
+         "mean_e2e_ms": agg.mean_e2e_ms, "p99_e2e_ms": agg.p99_e2e_ms, "mtp_violations": agg.mtp_violations}
+        for downlink, agg in zip(downlinks, (sim.aggregates for sim in reports))
+    ]
     lines = [
         f"{r['downlink']:>10}  displayed={r['displayed']}  dropped={r['dropped']}"
         f"  mean={report.text_value(r['mean_e2e_ms'], args.units, '.3f')}"
@@ -786,6 +777,7 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, "func"):
             parser.print_usage(sys.stderr)
             return 2
+        _check_output(args)
         code = args.func(args) or 0
         sys.stdout.flush()  # so a closed stdout fails here, not in the interpreter's final flush
         return code

@@ -157,4 +157,4 @@ def mtp_limit_for(key: StageKey, registry=None) -> float:
         from .profiles import builtin_registry
 
         registry = builtin_registry()
-    return registry.mtp_limit(key.taxonomy, key.stage, key.interaction)
+    return registry.stage_value("mtp_ms", key.taxonomy, key.stage, key.interaction)

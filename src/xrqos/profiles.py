@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import capacity
-from .capacity import BitDepth, BitRate, CompressionProfile
+from .capacity import BitDepth, CompressionProfile
 from .codec import GopConfig, RenderSurface
 from .errors import ConfigError, DomainError, ProfileError, UnknownKeyError, _field, _objects
 from .geometry import FovSpec, Resolution
@@ -78,19 +78,20 @@ class RefreshMode:
 
 @dataclass(frozen=True)
 class PublishedRate:
-    """A bitrate quoted from the literature, kept verbatim."""
+    """A bitrate quoted from the literature, kept verbatim: ``unit`` is a multiplier of the ``prefix`` table."""
 
     label: str
     value: float
     unit: str
     prefix: str
 
-    @property
-    def bitrate(self) -> BitRate:
-        table = dict(capacity.DECIMAL_PREFIXES if self.prefix == "decimal" else capacity.BINARY_PREFIXES)
-        if self.unit not in table:
-            raise ProfileError(f"published rate {self.label!r} has unknown unit {self.unit!r}")
-        return BitRate(self.value * table[self.unit])
+    def __post_init__(self) -> None:
+        table = {"decimal": capacity.DECIMAL_PREFIXES, "binary": capacity.BINARY_PREFIXES}.get(self.prefix)
+        if table is None:
+            raise ProfileError(f"published rate {self.label!r}: prefix must be decimal or binary, got {self.prefix!r}")
+        if self.unit not in dict(table):
+            units = ", ".join(unit for unit, _ in table)
+            raise ProfileError(f"published rate {self.label!r}: {self.prefix} unit must be {units}, got {self.unit!r}")
 
 
 @dataclass(frozen=True)
@@ -187,13 +188,6 @@ class StageProfile:
             self._gop_config()
         if None not in (self.per_eye, self.fov, self.bpc):
             self._surface()
-
-    def published(self, label: str) -> PublishedRate:
-        for rate in self.bitrates:
-            if rate.label == label:
-                return rate
-        valid = ", ".join(r.label for r in self.bitrates)
-        raise UnknownKeyError(f"stage {self.taxonomy}/{self.stage} has no published rate {label!r}; available: {valid}")
 
     def compression(self, overall_factor: float = 600.0) -> CompressionProfile:
         return CompressionProfile(
@@ -312,9 +306,6 @@ class ProfileRegistry:
         raise UnknownKeyError(
             f"no {table_name} registered for {taxonomy}/{stage}/{interaction}; available: {valid}"
         )
-
-    def mtp_limit(self, taxonomy: str, stage: str, interaction: str | None) -> float:
-        return self.stage_value("mtp_ms", taxonomy, stage, interaction)
 
     def pipeline(self, name: str) -> LatencyBudget:
         if name not in self.pipelines:

@@ -1,21 +1,25 @@
-"""How the CLI writes values, and the multi-profile requirements table.
+"""How the CLI writes values and where, and the multi-profile requirements table.
 
 Every cell is produced through the capacity/latency/reliability operations
 on registry data; this module adds only ordering and serialization. Each
 output form has one rule for a value: ``json_value``, ``text_value`` and
-``csv_cell``.
+``csv_cell``; every file is opened by ``_destination``.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from .capacity import BitRate
+from .errors import DomainError
 from .geometry import FovSpec, Resolution
 
 if TYPE_CHECKING:
+    from pathlib import Path
+
     from .profiles import ProfileRegistry
 
 __all__ = ["requirements_report", "report_to_json", "report_to_csv"]
@@ -76,6 +80,23 @@ def csv_cell(value, units: str = "binary") -> str:
     if isinstance(value, float):
         return repr(value)
     return text_value(value, units)
+
+
+@contextlib.contextmanager
+def _destination(destination: str | Path | TextIO, what: str):
+    """An open text handle for ``destination``.
+
+    For a path, an OSError while opening or writing becomes a DomainError naming it; a handle's
+    own errors (a closed pipe on stdout, say) are its owner's to handle.
+    """
+    if hasattr(destination, "write"):
+        yield destination
+        return
+    try:
+        with open(destination, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise DomainError(f"cannot write {what} to {destination}: {exc}") from exc
 
 
 def report_to_json(payload, units: str) -> str:

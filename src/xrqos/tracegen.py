@@ -7,7 +7,6 @@ checked, and feeds the link simulator.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
@@ -17,6 +16,7 @@ from typing import Iterable, TextIO
 
 from .codec import FrameSizes, GopConfig
 from .errors import DomainError, _field, _objects, require
+from .report import _destination
 
 __all__ = [
     "FrameRecord",
@@ -135,23 +135,6 @@ def packetize(trace: FrameTrace | Iterable[FrameRecord], mtu_payload_bits: int) 
 
 
 # -- export / import ---------------------------------------------------------
-
-
-@contextlib.contextmanager
-def _destination(destination: str | Path | TextIO, what: str):
-    """An open text handle for ``destination``.
-
-    For a path, an OSError while opening or writing becomes a DomainError naming it; a handle's
-    own errors (a closed pipe on stdout, say) are its owner's to handle.
-    """
-    if hasattr(destination, "write"):
-        yield destination
-        return
-    try:
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            yield handle
-    except OSError as exc:
-        raise DomainError(f"cannot write {what} to {destination}: {exc}") from exc
 
 
 def export_trace(trace: FrameTrace, fmt: str, destination: str | Path | TextIO) -> None:

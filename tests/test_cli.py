@@ -1,3 +1,5 @@
+import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ import jsonschema
 import pytest
 
 import xrqos
-from xrqos.cli import main, parse_rate, parse_resolution, parse_time_ms
+from xrqos.cli import build_parser, main, parse_rate, parse_resolution, parse_time_ms
 from xrqos.codec import FrameSizes, GopConfig
 from xrqos.errors import DomainError
 from xrqos.tracegen import generate_trace, trace_to_dict
@@ -355,10 +357,57 @@ class TestTraceAndSimulate:
         assert payload["aggregates"]["displayed_count"] == 10
 
 
+def _output_commands(parser: argparse.ArgumentParser, words: tuple = ()):
+    """The words of every subcommand whose parser declares --output."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _output_commands(sub, words + (name,))
+        elif "--output" in action.option_strings:
+            yield " ".join(words)
+
+
+SHORT_TRACE = ("--i-bits", "200000", "--p-bits", "40000", "--fps", "10", "--duration", "1")
+SHORT_LINK = ("--downlink", "100M", "--refresh-hz", "90")
+OUTPUT_RUNS = {
+    "simulate": ("simulate", *SHORT_TRACE, *SHORT_LINK),
+    "simulate-sweep": ("simulate", *SHORT_TRACE, *SHORT_LINK, "--sweep-downlink", "50M,100M"),
+    "trace-generate": ("trace", "generate", *SHORT_TRACE),
+    "trace-packetize": ("trace", "packetize", *SHORT_TRACE),
+}
+
+
+class TestOutputFile:
+    def test_every_command_with_an_output_flag_is_run(self):
+        words = {" ".join(itertools.takewhile(lambda w: not w.startswith("-"), argv)) for argv in OUTPUT_RUNS.values()}
+        assert set(_output_commands(build_parser())) == words
+
+    @pytest.mark.parametrize("fmt, suffix", [("text", ".txt"), ("csv", ".csv"), ("json", ".json")])
+    @pytest.mark.parametrize("run", OUTPUT_RUNS)
+    def test_output_file_holds_what_stdout_would(self, capsys, tmp_path, run, fmt, suffix):
+        argv = ("--format", fmt, *OUTPUT_RUNS[run])
+        code, printed, _ = run_cli(capsys, *argv)
+        assert code == 0 and printed
+        path = tmp_path / f"out{suffix}"
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert (code, out) == (0, "")
+        assert path.read_bytes() == printed.encode("utf-8")
+        assert err.startswith("wrote ") and err.endswith(f" to {path}\n") and err.count("\n") == 1
+
+
 def assert_domain_error(code, out, err):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def assert_suffix_rule(tmp_path, name, ok, code, out, err):
+    """An accepted --output is written and only named on stderr; a rejected one is one error line and no file."""
+    if ok:
+        assert (code, out) == (0, "") and (tmp_path / name).stat().st_size > 0
+    else:
+        assert_domain_error(code, out, err)
+        assert err.count("\n") == 1 and name in err and not (tmp_path / name).exists()
 
 
 STAGE_TRACE = ("--stage-profile", "huawei_ilab/comfortable", "--duration", "0.5")
@@ -502,11 +551,17 @@ class TestInputBoundary:
     def test_trace_output_suffix_must_name_the_format_written(self, capsys, tmp_path, command, fmt, name, ok):
         code, out, err = run_cli(capsys, "--format", fmt, "trace", command, *STAGE_TRACE,
                                  "--output", str(tmp_path / name))
-        if ok:
-            assert (code, out) == (0, "") and (tmp_path / name).stat().st_size > 0
-        else:
-            assert_domain_error(code, out, err)
-            assert err.count("\n") == 1 and name in err and not (tmp_path / name).exists()
+        assert_suffix_rule(tmp_path, name, ok, code, out, err)
+
+    @pytest.mark.parametrize(
+        "fmt, name, ok",
+        [("text", "r.json", False), ("text", "r.csv", False), ("csv", "r.json", False),
+         ("json", "r.json", True), ("csv", "r.csv", True), ("text", "r.txt", True)],
+    )
+    def test_simulate_output_suffix_must_name_the_format_written(self, capsys, tmp_path, fmt, name, ok):
+        code, out, err = run_cli(capsys, "--format", fmt, "simulate", *SHORT_TRACE, *SHORT_LINK,
+                                 "--output", str(tmp_path / name))
+        assert_suffix_rule(tmp_path, name, ok, code, out, err)
 
 
     def test_malformed_profile_file(self, capsys, tmp_path):

@@ -113,6 +113,13 @@ BAD_PROFILE_DOCUMENTS = {
                                 r"profiles\.pipelines\[0\]: refresh rate must be positive"),
     "preset vsync unknown": ({"pipelines": [{"name": "p", "vsync_mode": "sometimes"}]},
                              r"profiles\.pipelines\[0\]: vsync mode must be avg, max, or none, got 'sometimes'"),
+    # a published rate's unit is checked at load, though nothing converts it
+    "stage rate unit unknown": ({"stages": [{"taxonomy": "t", "stage": "s", "bitrates": [
+                                    {"label": "r", "value": 1, "unit": "X"}]}]},
+                                r"profiles\.stages\[0\]: published rate 'r': decimal unit must be T, G, M, K, got 'X'"),
+    "stage rate prefix unknown": ({"stages": [{"taxonomy": "t", "stage": "s", "bitrates": [
+                                      {"label": "r", "value": 1, "unit": "M", "prefix": "metric"}]}]},
+                                  r"published rate 'r': prefix must be decimal or binary, got 'metric'"),
     # a model's error names the object it was building
     "second device chroma 4:2:2": (_two_devices(depth={"bits_per_color": 8, "chroma": "4:2:2"}),
                                    r"profiles\.devices\[1\]: unknown chroma mode '4:2:2'"),
@@ -206,7 +213,7 @@ class TestUserFiles:
         )
         registry = load_profiles(extra)
         assert registry.device("toy_hmd").name == "toy_hmd"
-        assert registry.mtp_limit("toyco", "alpha", "strong") == 12
+        assert registry.stage_value("mtp_ms", "toyco", "alpha", "strong") == 12
         # builtins are still present
         assert registry.device("quest2").name == "quest2"
 

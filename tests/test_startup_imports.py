@@ -61,6 +61,10 @@ def test_star_import_and_dir_list_every_public_name():
         ["geometry", "ppd", "--pixels", "1648", "--fov", "97"],
         ["capacity", "sphere", "--ppd", "200", "--bpp", "24", "--fps", "77"],
         ["latency", "refresh", "--hz", "90"],
+        # the file opener every output passes through is not the trace generator's
+        pytest.param(["--format", "json", "geometry", "ppd", "--pixels", "1648", "--fov", "97"],
+                     id="geometry ppd json"),
+        ["reliability", "delivery", "--loss", "0.01"],
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
@@ -74,6 +78,10 @@ def test_closed_form_query_loads_no_simulator_tracegen_or_registry(argv, tmp_pat
         ["simulate", "--input", "trace.json", "--downlink", "100M", "--refresh-hz", "90"],
         ["trace", "packetize", "--input", "trace.json"],
         ["trace", "generate", "--i-bits", "5000", "--p-bits", "600"],
+        pytest.param(["--format", "json", "simulate", "--input", "trace.json", "--downlink", "100M",
+                      "--refresh-hz", "90", "--output", "r.json"], id="simulate json output"),
+        pytest.param(["trace", "generate", "--i-bits", "5000", "--p-bits", "600", "--output", "t.csv"],
+                     id="trace generate output"),
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
