@@ -127,10 +127,14 @@ def _written(args) -> str:
 
 
 def _check_output(args) -> None:
-    """An --output named .json or .csv must name the format written; `main` checks it before any work is done."""
-    output, fmt = getattr(args, "output", None), _written(args)
-    if os.path.splitext(output or "")[1].lower() in {".json", ".csv"} - {f".{fmt}"}:
+    """An --output named .json or .csv must name the format written, and its directory must be writable;
+    `main` checks both before any work is done."""
+    output, fmt = getattr(args, "output", None) or "", _written(args)
+    if os.path.splitext(output)[1].lower() in {".json", ".csv"} - {f".{fmt}"}:
         raise DomainError(f"--output {output} has the wrong suffix: --format {args.format} writes {fmt}")
+    directory = os.path.dirname(output) or os.curdir
+    if output and not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise DomainError(f"cannot write --output {output}: {directory} is not a writable directory")
 
 
 def _output(args, write, what: str) -> int:
@@ -420,38 +424,22 @@ def _cmd_profiles_list(args) -> int:
 
 
 def _cmd_profiles_show(args) -> int:
+    import dataclasses
+    from .profiles import _write, _write_pipeline
     registry = _registry(args)
     if "/" in args.name:
-        profile = _stage_for(registry, args.name)
-        data = {
-            "taxonomy": profile.taxonomy,
-            "stage": profile.stage,
-            "per_eye": profile.per_eye,
-            "ppd": profile.ppd,
-            "fps": profile.fps,
-            "bpc": profile.bpc,
-            "fov": profile.fov,
-            "codec": profile.codec,
-            "mtp_ms": profile.mtp_ms,
-            "loss_rate": profile.loss_rate,
-            "published": {r.label: f"{r.value:g} {r.unit}bps ({r.prefix})" for r in profile.bitrates},
-        }
+        data = _write(_stage_for(registry, args.name))
+    elif args.name in registry.pipelines:
+        data = _write_pipeline(args.name, registry.pipeline(args.name))
     else:
         device, mode = registry.device_mode(args.name)
-        data = {
-            "name": device.name,
-            "per_eye": device.per_eye,
-            "fov": device.fov,
-            "bpc": device.depth_bpc,
-            "chroma": device.chroma,
-            "modes": {
-                f"{m.hz:g}": {
-                    "render_target": device.mode_eye_resolution(m),
-                    "full_video": device.mode_full_video(m),
-                    "ppd": device.mode_ppd(m),
-                }
-                for m in device.refresh_modes
-            },
+        if "@" in args.name:
+            device = dataclasses.replace(device, refresh_modes=(mode,))
+        data = _write(device)
+        data["derived"] = {
+            f"{m.hz:g}": {"ppd": device.mode_ppd(m), "eye_resolution": device.mode_eye_resolution(m),
+                          "full_video": device.mode_full_video(m)}
+            for m in device.refresh_modes
         }
     return _emit_scalar(args, "profiles.show", data)
 
@@ -716,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof = sub.add_parser("profiles", help="inspect and validate profile data").add_subparsers(dest="sub")
     prof.add_parser("list").set_defaults(func=_cmd_profiles_list)
     p = prof.add_parser("show")
-    p.add_argument("name", help="device name, device@hz, or taxonomy/stage")
+    p.add_argument("name", help="device name, device@hz, taxonomy/stage, or pipeline name")
     p.set_defaults(func=_cmd_profiles_show)
     p = prof.add_parser("validate")
     p.add_argument("path")

@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the toolkit, and the input checks that raise it."""
 import sys
+from dataclasses import MISSING, field
 
 
 class XrqosError(Exception):
@@ -80,6 +81,18 @@ def _field(obj: dict, key: str, path: str, kind: str, default=_REQUIRED, **bound
     if kind == "a number" or bounds:
         require(f"{path}.{key}", value, **bounds)
     return float(value) if kind == "a number" else value
+
+
+def _json(kind: str, default=MISSING, *, key: str | None = None, of: type | None = None, **bounds):
+    """A dataclass field that a profile file gives as ``key`` (by default the field's name).
+
+    ``kind`` is one of ``_field``'s kinds, or "a table" (an object of numbers, empty by default). An
+    object or array holds records of the dataclass ``of``. The value is within ``require``'s ``bounds``,
+    and an absent key reads as ``default``; without one the key is required. A key "depth.chroma"
+    names the key "chroma" of the object under "depth".
+    """
+    factory = dict if kind == "a table" else MISSING
+    return field(default=default, default_factory=factory, metadata={"json": (key, kind, of, bounds)})
 
 
 def _objects(obj: dict, key: str, path: str, optional: bool = False):

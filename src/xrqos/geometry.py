@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require
+from .errors import _json, require
 
 __all__ = [
     "Resolution",
@@ -22,7 +22,6 @@ __all__ = [
     "ppd_from_physical",
     "scale_resolution",
     "ppd_from_cone_density",
-    "per_eye_fov_from_binocular",
 ]
 
 
@@ -30,8 +29,8 @@ __all__ = [
 class Resolution:
     """A pixel grid, e.g. one eye's panel or render target."""
 
-    width: int
-    height: int
+    width: int = _json("an integer")
+    height: int = _json("an integer")
 
     def __post_init__(self) -> None:
         require("resolution width", self.width, ge=1)
@@ -75,9 +74,8 @@ class Angle:
     def __post_init__(self) -> None:
         require("angle in degrees", self.degrees, ge=0, le=360)
 
-
-def _deg(angle: "Angle | float") -> float:
-    return angle.degrees if isinstance(angle, Angle) else float(angle)
+    def __float__(self) -> float:
+        return float(self.degrees)
 
 
 @dataclass(frozen=True)
@@ -89,10 +87,10 @@ class FovSpec:
     unrendered area.
     """
 
-    horizontal: Angle
-    vertical: Angle
-    extra_h: Angle = Angle(0.0)
-    extra_v: Angle = Angle(0.0)
+    horizontal: Angle = _json("a number", gt=0)
+    vertical: Angle = _json("a number", gt=0)
+    extra_h: Angle = _json("a number", Angle(0.0))
+    extra_v: Angle = _json("a number", Angle(0.0))
 
     def __post_init__(self) -> None:
         # Coerce bare numbers so FovSpec(155, 130) works.
@@ -130,7 +128,7 @@ def fov_from_physical(extent_in: float, distance_in: float) -> Angle:
 
 def ppd_from_fov(pixels: int, fov: Angle | float) -> float:
     """Pixels per degree across a field of view."""
-    fov_deg = require("fov", _deg(fov), gt=0)
+    fov_deg = require("fov", float(fov), gt=0)
     return require("ppd", require("pixel count", pixels, ge=0) / fov_deg, ge=0)
 
 
@@ -151,8 +149,8 @@ def scale_resolution(viewport_px: int, viewport_fov: Angle | float, target_fov: 
     ``viewport_px * target/viewport`` pixels over the full span. Rounds to the
     nearest pixel.
     """
-    vp_deg = require("viewport fov", _deg(viewport_fov), gt=0)
-    target_deg = require("target fov", _deg(target_fov), ge=0)
+    vp_deg = require("viewport fov", float(viewport_fov), gt=0)
+    target_deg = require("target fov", float(target_fov), ge=0)
     scaled = require("pixel count", viewport_px, ge=0) * target_deg / vp_deg
     return round(require("scaled pixel count", scaled, ge=0))
 
@@ -172,15 +170,3 @@ def ppd_from_cone_density(peak_density: float, lens_to_fovea: float) -> float:
     # the pitch is 0 once extreme inputs underflow, and its reciprocal can overflow
     return require("ppd", 1.0 / require("angular cone pitch", angular_pitch, gt=0), ge=0)
 
-
-def per_eye_fov_from_binocular(binocular: float, overlap: float) -> float:
-    """Per-eye horizontal fov from a binocular fov and its stereo overlap.
-
-    Documentation helper: each eye sees the shared ``overlap`` plus half of
-    the remaining span, i.e. binocular - (binocular - overlap)/2. A headset
-    quoting 104 degrees across both eyes with a 90-degree overlap therefore
-    has 97 degrees per eye.
-    """
-    if overlap > binocular:
-        raise DomainError("overlap cannot exceed the binocular fov")
-    return binocular - (binocular - overlap) / 2.0

@@ -8,16 +8,17 @@ re-derived, because the underlying assumptions are not all disclosed.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from . import capacity
 from .capacity import BitDepth, CompressionProfile
 from .codec import GopConfig, RenderSurface
-from .errors import ConfigError, DomainError, ProfileError, UnknownKeyError, _field, _objects
+from .errors import ConfigError, DomainError, ProfileError, UnknownKeyError, _field, _json, _objects
 from .geometry import FovSpec, Resolution
 from .latency import LatencyBudget, PipelineTiming
 
@@ -70,20 +71,20 @@ def norm_interaction(interaction: str | None) -> str | None:
 class RefreshMode:
     """One refresh-rate operating point of a device."""
 
-    hz: float
-    render_target: Resolution | None = None
-    full_video: Resolution | None = None
-    ppd: float | None = None
+    hz: float = _json("a number", gt=0)
+    render_target: Resolution | None = _json("an object", None, of=Resolution)
+    full_video: Resolution | None = _json("an object", None, of=Resolution)
+    ppd: float | None = _json("a number", None, gt=0)
 
 
 @dataclass(frozen=True)
 class PublishedRate:
     """A bitrate quoted from the literature, kept verbatim: ``unit`` is a multiplier of the ``prefix`` table."""
 
-    label: str
-    value: float
-    unit: str
-    prefix: str
+    label: str = _json("a string")
+    value: float = _json("a number")
+    unit: str = _json("a string")
+    prefix: str = _json("a string", "decimal")
 
     def __post_init__(self) -> None:
         table = {"decimal": capacity.DECIMAL_PREFIXES, "binary": capacity.BINARY_PREFIXES}.get(self.prefix)
@@ -96,22 +97,24 @@ class PublishedRate:
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    name: str
-    fov: FovSpec
-    depth_bpc: int
-    chroma: str
-    refresh_modes: tuple[RefreshMode, ...]
-    per_eye: Resolution | None = None
-    ppd: float | None = None
-    measured_mtp_ms: float | None = None
-    mtp_limits_ms: dict[str, float] = field(default_factory=dict)
-    published_loss_rate: float | None = None
-    published_delivery_pct: float | None = None
+    name: str = _json("a string")
+    fov: FovSpec = _json("an object", of=FovSpec)
+    depth_bpc: int = _json("an integer", key="depth.bits_per_color")
+    refresh_modes: tuple[RefreshMode, ...] = _json("an array", of=RefreshMode)
+    chroma: str = _json("a string", "4:4:4", key="depth.chroma")
+    per_eye: Resolution | None = _json("an object", None, of=Resolution)
+    ppd: float | None = _json("a number", None, gt=0)
+    measured_mtp_ms: float | None = _json("a number", None, gt=0)
+    mtp_limits_ms: dict[str, float] = _json("a table", key="mtp_ms", gt=0)
+    published_loss_rate: float | None = _json("a number", None, ge=0, le=1)
+    published_delivery_pct: float | None = _json("a number", None, ge=0, le=100)
 
     def __post_init__(self) -> None:
         # Every device check runs here, so a bad profile fails at load: its depth, and each mode's ppd,
         # which must exist (mode_ppd raises otherwise) and, stored beside a render target, agree with it.
         BitDepth.from_bpc(self.depth_bpc, self.chroma)
+        if not self.refresh_modes:
+            raise ProfileError(f"device {self.name!r}: refresh_modes must list at least one mode")
         for mode in self.refresh_modes:
             derived = self.mode_ppd(mode)
             if mode.ppd is not None and abs(derived - mode.ppd) > 0.01:
@@ -158,25 +161,25 @@ class DeviceProfile:
 
 @dataclass(frozen=True)
 class StageProfile:
-    taxonomy: str
-    stage: str
-    per_eye: Resolution | None = None
-    ppd: float | None = None
-    fps: dict[str, float] = field(default_factory=dict)
-    bpc: int | None = None
-    chroma: str = "4:4:4"
-    fov: FovSpec | None = None
-    codec: str | None = None
-    stereo: bool | None = None
-    iframe_factor: float | None = None
-    pframe_factor: float | None = None
-    gop_time_s: float | None = None
-    redundancy_fraction: float | None = None
-    extra_picture_fraction: float | None = None
-    dof_fraction: float | None = None
-    mtp_ms: dict[str, float] = field(default_factory=dict)
-    loss_rate: dict[str, float] = field(default_factory=dict)
-    bitrates: tuple[PublishedRate, ...] = ()
+    taxonomy: str = _json("a string")
+    stage: str = _json("a string")
+    per_eye: Resolution | None = _json("an object", None, of=Resolution)
+    ppd: float | None = _json("a number", None, gt=0)
+    fps: dict[str, float] = _json("a table", gt=0)
+    bpc: int | None = _json("an integer", None)
+    chroma: str = _json("a string", "4:4:4")
+    fov: FovSpec | None = _json("an object", None, of=FovSpec)
+    codec: str | None = _json("a string", None)
+    stereo: bool | None = _json("a boolean", None)
+    iframe_factor: float | None = _json("a number", None)
+    pframe_factor: float | None = _json("a number", None)
+    gop_time_s: float | None = _json("a number", None)
+    redundancy_fraction: float | None = _json("a number", None)
+    extra_picture_fraction: float | None = _json("a number", None)
+    dof_fraction: float | None = _json("a number", None)
+    mtp_ms: dict[str, float] = _json("a table", gt=0)
+    loss_rate: dict[str, float] = _json("a table", ge=0, le=1)
+    bitrates: tuple[PublishedRate, ...] = _json("an array", (), of=PublishedRate)
 
     def __post_init__(self) -> None:
         # Build each model object whose fields are all present, so a bad value fails at load rather
@@ -245,7 +248,7 @@ class ProfileRegistry:
         self.devices[profile.name] = profile
 
     def add_stage(self, profile: StageProfile) -> None:
-        key = (profile.taxonomy, profile.stage)
+        key = (_norm(profile.taxonomy), norm_stage(profile.stage))
         if key in self.stages:
             raise ProfileError(f"duplicate stage profile {profile.taxonomy}/{profile.stage}")
         self.stages[key] = profile
@@ -314,97 +317,78 @@ class ProfileRegistry:
         return self.pipelines[name]
 
 
-# -- parsing ---------------------------------------------------------------
+# -- reading and writing ---------------------------------------------------
 
 
-def _table(obj: dict, key: str, path: str, **bounds) -> dict[str, float]:
-    """An optional ``{interaction: number}`` object, every number within ``bounds``."""
-    table = _field(obj, key, path, "an object", {})
-    return {name: _field(table, name, f"{path}.{key}", "a number", **bounds) for name in table}
-
-
-def _parse_resolution(obj: dict, key: str, path: str) -> Resolution | None:
-    table = _field(obj, key, path, "an object", None)
-    if table is None:
-        return None
-    path = f"{path}.{key}"
-    return Resolution(_field(table, "width", path, "an integer"), _field(table, "height", path, "an integer"))
-
-
-def _parse_fov(obj: dict | None, path: str) -> FovSpec | None:
-    if obj is None:
-        return None
-    return FovSpec(
-        horizontal=_field(obj, "horizontal", path, "a number", gt=0),
-        vertical=_field(obj, "vertical", path, "a number", gt=0),
-        extra_h=_field(obj, "extra_h", path, "a number", 0.0),
-        extra_v=_field(obj, "extra_v", path, "a number", 0.0),
+@functools.cache
+def _plan(cls) -> tuple[tuple, frozenset, tuple[str, ...]]:
+    """Each field of ``cls`` as (attr, key, kind, of, required, bounds), the keys allowed, and the groups."""
+    plan = tuple(
+        (f.name, key or f.name, kind, of, f.default is MISSING and f.default_factory is MISSING, bounds)
+        for f in fields(cls)
+        for key, kind, of, bounds in [f.metadata["json"]]
     )
+    keys = {key for _, key, *_ in plan}
+    return plan, frozenset(keys | {"note"}), tuple({key.split(".")[0] for key in keys if "." in key})
 
 
-def _parse_device(obj: dict, path: str) -> DeviceProfile:
-    depth = _field(obj, "depth", path, "an object")
-    modes = tuple(
-        RefreshMode(
-            hz=_field(mode, "hz", mode_path, "a number", gt=0),
-            render_target=_parse_resolution(mode, "render_target", mode_path),
-            full_video=_parse_resolution(mode, "full_video", mode_path),
-            ppd=_field(mode, "ppd", mode_path, "a number", None, gt=0),
-        )
-        for mode_path, mode in _objects(obj, "refresh_modes", path)
-    )
-    if not modes:
-        raise DomainError(f"{path}.refresh_modes must list at least one mode")
-    return DeviceProfile(
-        name=_field(obj, "name", path, "a string"),
-        per_eye=_parse_resolution(obj, "per_eye", path),
-        fov=_parse_fov(_field(obj, "fov", path, "an object"), f"{path}.fov"),
-        depth_bpc=_field(depth, "bits_per_color", f"{path}.depth", "an integer"),
-        chroma=_field(depth, "chroma", f"{path}.depth", "a string", "4:4:4"),
-        refresh_modes=modes,
-        ppd=_field(obj, "ppd", path, "a number", None, gt=0),
-        measured_mtp_ms=_field(obj, "measured_mtp_ms", path, "a number", None, gt=0),
-        mtp_limits_ms=_table(obj, "mtp_ms", path, gt=0),
-        published_loss_rate=_field(obj, "published_loss_rate", path, "a number", None, ge=0, le=1),
-        published_delivery_pct=_field(obj, "published_delivery_pct", path, "a number", None, ge=0, le=100),
-    )
+def _check_keys(obj: dict, path: str, known: frozenset) -> None:
+    """Reject a key of ``obj`` that is not in ``known``; a ``note`` is free text."""
+    if not known.issuperset(obj):
+        raise DomainError(f"{path}.{min(obj.keys() - known)} is unknown; known keys: {', '.join(sorted(known))}")
+    if "note" in obj:
+        _field(obj, "note", path, "a string")
 
 
-def _parse_stage(obj: dict, path: str) -> StageProfile:
-    rates = tuple(
-        PublishedRate(
-            label=_field(rate, "label", rate_path, "a string"),
-            value=_field(rate, "value", rate_path, "a number"),
-            unit=_field(rate, "unit", rate_path, "a string"),
-            prefix=_field(rate, "prefix", rate_path, "a string", "decimal"),
-        )
-        for rate_path, rate in _objects(obj, "bitrates", path, optional=True)
-    )
-    return StageProfile(
-        taxonomy=_norm(_field(obj, "taxonomy", path, "a string")),
-        stage=norm_stage(_field(obj, "stage", path, "a string")),
-        per_eye=_parse_resolution(obj, "per_eye", path),
-        ppd=_field(obj, "ppd", path, "a number", None, gt=0),
-        fps=_table(obj, "fps", path, gt=0),
-        bpc=_field(obj, "bpc", path, "an integer", None),
-        chroma=_field(obj, "chroma", path, "a string", "4:4:4"),
-        fov=_parse_fov(_field(obj, "fov", path, "an object", None), f"{path}.fov"),
-        codec=_field(obj, "codec", path, "a string", None),
-        stereo=_field(obj, "stereo", path, "a boolean", None),
-        iframe_factor=_field(obj, "iframe_factor", path, "a number", None),
-        pframe_factor=_field(obj, "pframe_factor", path, "a number", None),
-        gop_time_s=_field(obj, "gop_time_s", path, "a number", None),
-        redundancy_fraction=_field(obj, "redundancy_fraction", path, "a number", None),
-        extra_picture_fraction=_field(obj, "extra_picture_fraction", path, "a number", None),
-        dof_fraction=_field(obj, "dof_fraction", path, "a number", None),
-        mtp_ms=_table(obj, "mtp_ms", path, gt=0),
-        loss_rate=_table(obj, "loss_rate", path, ge=0, le=1),
-        bitrates=rates,
-    )
+def _read(cls, obj: dict, path: str):
+    """A ``cls`` built from the JSON object ``obj`` at ``path`` as its fields' ``_json`` metadata says."""
+    plan, known, groups = _plan(cls)
+    for group in groups:  # read the group "depth": {"chroma": ...} as the key "depth.chroma"
+        nested = _field(obj, group, path, "an object", {})
+        obj = {**{k: v for k, v in obj.items() if k != group}, **{f"{group}.{k}": v for k, v in nested.items()}}
+    _check_keys(obj, path, known)
+    values = {}
+    for attr, key, kind, of, required, bounds in plan:
+        if not required and obj.get(key) is None:
+            continue  # the field's own default
+        if kind == "an array":
+            values[attr] = tuple(_read(of, item, item_path) for item_path, item in _objects(obj, key, path))
+        elif kind == "a table":
+            table = _field(obj, key, path, "an object")
+            values[attr] = {name: _field(table, name, f"{path}.{key}", "a number", **bounds) for name in table}
+        else:
+            value = _field(obj, key, path, kind, **bounds)
+            values[attr] = value if of is None else _read(of, value, f"{path}.{key}")
+    return cls(**values)
+
+
+def _write(profile) -> dict:
+    """``profile`` as the JSON object that ``_read`` builds it from; a field that is None or empty is left out."""
+    record: dict = {}
+    for attr, key, kind, of, _, _ in _plan(type(profile))[0]:
+        value = getattr(profile, attr)
+        if value is None or value == {} or value == ():
+            continue
+        if kind == "an array":
+            value = [_write(item) for item in value]
+        elif of is not None:
+            value = _write(value)
+        elif kind == "a number":
+            value = float(value)  # an Angle is written as its degrees
+        group, _, leaf = key.rpartition(".")
+        (record.setdefault(group, {}) if group else record)[leaf] = value
+    return record
+
+
+# A preset's keys: its name and free-text note, and the budget's fields but its ceiling, the delays flattened.
+_PIPELINE_KEYS = frozenset(
+    {"name", "note"} | {f.name for f in fields(PipelineTiming) + fields(LatencyBudget)} - {"mtp_limit", "components"}
+)
 
 
 def _parse_pipeline(obj: dict, path: str) -> LatencyBudget:
     """A preset's delays in ms (an absent stage takes no time), with no MTP ceiling of its own."""
+    _check_keys(obj, path, _PIPELINE_KEYS)
     delays = {f.name: _field(obj, f.name, path, "a number", 0.0) for f in fields(PipelineTiming)}
     return LatencyBudget(
         mtp_limit=math.inf,
@@ -416,7 +400,14 @@ def _parse_pipeline(obj: dict, path: str) -> LatencyBudget:
     )
 
 
+def _write_pipeline(name: str, budget: LatencyBudget) -> dict:
+    """A preset as the JSON object that ``_parse_pipeline`` builds it from."""
+    flat = {"name": name, **vars(budget.components), **vars(budget)}
+    return {key: value for key, value in flat.items() if key in _PIPELINE_KEYS and value is not None}
+
+
 _ROOT = "profiles"
+_DOCUMENT_KEYS = frozenset({"devices", "stages", "pipelines", "note"})
 
 
 def _load_document(registry: ProfileRegistry, document: dict, source: str) -> None:
@@ -428,10 +419,11 @@ def _load_document(registry: ProfileRegistry, document: dict, source: str) -> No
     if not isinstance(document, dict):
         raise ProfileError(f"{source}: top level must be an object with devices/stages arrays")
     try:
+        _check_keys(document, _ROOT, _DOCUMENT_KEYS)
         for path, obj in _objects(document, "devices", _ROOT, optional=True):
-            registry.add_device(_parse_device(obj, path))
+            registry.add_device(_read(DeviceProfile, obj, path))
         for path, obj in _objects(document, "stages", _ROOT, optional=True):
-            registry.add_stage(_parse_stage(obj, path))
+            registry.add_stage(_read(StageProfile, obj, path))
         for path, obj in _objects(document, "pipelines", _ROOT, optional=True):
             registry.add_pipeline(_field(obj, "name", path, "a string"), _parse_pipeline(obj, path))
     except (DomainError, ConfigError, ProfileError) as exc:

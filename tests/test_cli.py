@@ -14,6 +14,8 @@ import xrqos
 from xrqos.cli import build_parser, main, parse_rate, parse_resolution, parse_time_ms
 from xrqos.codec import FrameSizes, GopConfig
 from xrqos.errors import DomainError
+from xrqos.profiles import ProfileRegistry, _load_document, builtin_registry
+from xrqos import tracegen
 from xrqos.tracegen import generate_trace, trace_to_dict
 
 
@@ -209,8 +211,31 @@ class TestProfilesCommands:
         assert "huawei2016/pre_vr" in payload["data"]["stages"]
 
     def test_show_device(self, capsys, cli_schema):
-        payload = run_json(capsys, cli_schema, "profiles", "show", "quest2")
-        assert payload["data"]["modes"]["72"]["full_video"] == "6770x3380"
+        data = run_json(capsys, cli_schema, "profiles", "show", "quest2")["data"]
+        assert data["refresh_modes"][0]["full_video"] == {"width": 6770, "height": 3380}
+        assert data["derived"]["72"] == {"ppd": 1824 / 97, "eye_resolution": "1824x1840", "full_video": "6770x3380"}
+        assert (data["measured_mtp_ms"], data["published_loss_rate"]) == (69.0, 7.2e-6)
+
+    def test_show_device_mode_keeps_only_that_mode(self, capsys, cli_schema):
+        data = run_json(capsys, cli_schema, "profiles", "show", "quest2@90")["data"]
+        assert [mode["hz"] for mode in data["refresh_modes"]] == [90.0]
+        assert list(data["derived"]) == ["90"]
+
+    @pytest.mark.parametrize(
+        "kind, names",
+        [
+            ("devices", sorted(builtin_registry().devices)),
+            ("stages", [f"{t}/{s}" for t, s in sorted(builtin_registry().stages)]),
+            ("pipelines", sorted(builtin_registry().pipelines)),
+        ],
+    )
+    def test_show_prints_a_fragment_that_loads_back(self, capsys, cli_schema, kind, names):
+        registry, builtin = ProfileRegistry(), builtin_registry()
+        for name in names:
+            data = run_json(capsys, cli_schema, "profiles", "show", name)["data"]
+            data.pop("derived", None)
+            _load_document(registry, {kind: [data]}, f"profiles show {name}")
+        assert getattr(registry, kind) == getattr(builtin, kind)
 
     def test_show_stage(self, capsys, cli_schema):
         payload = run_json(capsys, cli_schema, "profiles", "show", "huawei_ilab/comfortable")
@@ -411,6 +436,17 @@ def assert_suffix_rule(tmp_path, name, ok, code, out, err):
 
 
 STAGE_TRACE = ("--stage-profile", "huawei_ilab/comfortable", "--duration", "0.5")
+# Each command that writes --output, on a trace made from a stage profile.
+WRITING_RUNS = pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "generate", *STAGE_TRACE],
+        ["trace", "packetize", *STAGE_TRACE],
+        ["--format", "json", "simulate", *STAGE_TRACE, "--downlink", "100M", "--refresh-hz", "90"],
+        ["--format", "csv", "simulate", *STAGE_TRACE, "--downlink", "100M", "--refresh-hz", "90"],
+    ],
+    ids=["trace-generate", "trace-packetize", "simulate-json", "simulate-csv"],
+)
 
 
 class TestInputBoundary:
@@ -427,18 +463,20 @@ class TestInputBoundary:
         assert_domain_error(*run_cli(capsys, "simulate", "--input", str(path), "--downlink", "100M",
                                      "--refresh-hz", "90"))
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["trace", "generate", *STAGE_TRACE],
-            ["trace", "packetize", *STAGE_TRACE],
-            ["--format", "json", "simulate", *STAGE_TRACE, "--downlink", "100M", "--refresh-hz", "90"],
-            ["--format", "csv", "simulate", *STAGE_TRACE, "--downlink", "100M", "--refresh-hz", "90"],
-        ],
-        ids=["trace-generate", "trace-packetize", "simulate-json", "simulate-csv"],
-    )
+    @WRITING_RUNS
     def test_unwritable_output(self, capsys, tmp_path, argv):
         assert_domain_error(*run_cli(capsys, *argv, "--output", str(tmp_path / "missing" / "x")))
+
+    @WRITING_RUNS
+    def test_unwritable_output_is_rejected_before_the_trace_is_made(self, capsys, tmp_path, monkeypatch, argv):
+        def unreachable(*args):
+            raise AssertionError("the trace was generated before --output was checked")
+
+        monkeypatch.setattr(tracegen, "generate_trace", unreachable)
+        missing = tmp_path / "missing"
+        code, out, err = run_cli(capsys, *argv, "--output", str(missing / "x"))
+        assert_domain_error(code, out, err)
+        assert err == f"error: cannot write --output {missing / 'x'}: {missing} is not a writable directory\n"
 
     @pytest.mark.parametrize(
         "argv",

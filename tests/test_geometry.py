@@ -11,7 +11,6 @@ from xrqos.geometry import (
     PhysicalSize,
     Resolution,
     fov_from_physical,
-    per_eye_fov_from_binocular,
     ppd_from_cone_density,
     ppd_from_fov,
     ppd_from_physical,
@@ -199,6 +198,3 @@ class TestValueTypes:
     def test_fovspec_vertical_cap(self):
         with pytest.raises(DomainError):
             FovSpec(100, 181)
-
-    def test_binocular_helper_matches_quest(self):
-        assert per_eye_fov_from_binocular(104, 90) == pytest.approx(97.0)

@@ -120,6 +120,21 @@ BAD_PROFILE_DOCUMENTS = {
     "stage rate prefix unknown": ({"stages": [{"taxonomy": "t", "stage": "s", "bitrates": [
                                       {"label": "r", "value": 1, "unit": "M", "prefix": "metric"}]}]},
                                   r"published rate 'r': prefix must be decimal or binary, got 'metric'"),
+    # a key that no field reads, at any depth; before, each loaded as if it were absent
+    "top-level key misspelled": ({"device": _toy_device()["devices"]},
+                                 r"profiles\.device is unknown; known keys: devices, note, pipelines"),
+    "device depth key misspelled": (_toy_device(depth={"bits_per_color": 8, "chroma_mode": "4:2:0"}),
+                                    r"profiles\.devices\[0\]\.depth\.chroma_mode is unknown"),
+    "stage key misspelled": (_gop_stage(iframe_factor=None, iframe_facter=38),
+                             r"profiles\.stages\[0\]\.iframe_facter is unknown"),
+    "stage fov key misspelled": (_gop_stage(fov={"horizontal": 120, "vertical": 120, "extra": 12}),
+                                 r"profiles\.stages\[0\]\.fov\.extra is unknown"),
+    "mode resolution key misspelled": (_toy_device(refresh_modes=[{"hz": 60, "render_target": {"w": 9, "h": 9}}]),
+                                       r"profiles\.devices\[0\]\.refresh_modes\[0\]\.render_target\.h is unknown"),
+    "pipeline key misspelled": ({"pipelines": [{"name": "p", "t_sence": 1}]},
+                                r"profiles\.pipelines\[0\]\.t_sence is unknown"),
+    "note not text": ({"stages": [{"taxonomy": "t", "stage": "s", "note": 5}]},
+                      r"profiles\.stages\[0\]\.note must be a string"),
     # a model's error names the object it was building
     "second device chroma 4:2:2": (_two_devices(depth={"bits_per_color": 8, "chroma": "4:2:2"}),
                                    r"profiles\.devices\[1\]: unknown chroma mode '4:2:2'"),
