@@ -127,11 +127,13 @@ def _written(args) -> str:
 
 
 def _check_output(args) -> None:
-    """An --output named .json or .csv must name the format written, and its directory must be writable;
-    `main` checks both before any work is done."""
+    """An --output named .json or .csv must name the format written, it must not be a directory, and its
+    directory must be writable; `main` checks all three before any work is done."""
     output, fmt = getattr(args, "output", None) or "", _written(args)
     if os.path.splitext(output)[1].lower() in {".json", ".csv"} - {f".{fmt}"}:
         raise DomainError(f"--output {output} has the wrong suffix: --format {args.format} writes {fmt}")
+    if os.path.isdir(output):
+        raise DomainError(f"cannot write --output {output}: it is a directory")
     directory = os.path.dirname(output) or os.curdir
     if output and not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise DomainError(f"cannot write --output {output}: {directory} is not a writable directory")
@@ -425,7 +427,8 @@ def _cmd_profiles_list(args) -> int:
 
 def _cmd_profiles_show(args) -> int:
     import dataclasses
-    from .profiles import _write, _write_pipeline
+    from .errors import _write
+    from .profiles import _write_pipeline
     registry = _registry(args)
     if "/" in args.name:
         data = _write(_stage_for(registry, args.name))
@@ -441,7 +444,7 @@ def _cmd_profiles_show(args) -> int:
                           "full_video": device.mode_full_video(m)}
             for m in device.refresh_modes
         }
-    return _emit_scalar(args, "profiles.show", data)
+    return _emit_scalar(args, "profiles.show", data, "")  # an empty spec writes a float as str does, in full
 
 
 def _cmd_profiles_validate(args) -> int:
@@ -537,7 +540,7 @@ def _cmd_simulate(args) -> int:
         for downlink in downlinks
     ]
 
-    if len(reports) == 1:
+    if not args.sweep_downlink:
         sim = reports[0]
         if args.format == "json":
             return _output(args, lambda out: out.write(sim.to_json()), "report")

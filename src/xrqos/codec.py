@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .capacity import BitDepth, BitRate, CompressionProfile
-from .errors import ConfigError, DomainError, require
+from .errors import ConfigError, DomainError, _json, require
 from .geometry import FovSpec, Resolution
 
 __all__ = [
@@ -38,10 +38,10 @@ class GopConfig:
     of one I followed by P-frames only.
     """
 
-    gop_time: float
-    fps: float
-    redundancy_fraction: float = 0.10
-    pattern: str | None = None
+    gop_time: float = _json("a number", key="gop_time_s")
+    fps: float = _json("a number")
+    redundancy_fraction: float = _json("a number", 0.10)
+    pattern: str | None = _json("a string", None)
 
     def __post_init__(self) -> None:
         require("gop duration", self.gop_time, gt=0)
@@ -94,9 +94,9 @@ class RenderSurface:
 class FrameSizes:
     """Encoded size per frame type, in bits."""
 
-    i_bits: float
-    p_bits: float
-    b_bits: float | None = None
+    i_bits: float = _json("a number")
+    p_bits: float = _json("a number")
+    b_bits: float | None = _json("a number", None)
 
     def __post_init__(self) -> None:
         require("I-frame size", self.i_bits, gt=0)

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the toolkit, and the input checks that raise it."""
+"""Exception hierarchy shared across the toolkit, the input checks that raise it, and the JSON record
+reader and writer that the profiles and traces share."""
+import functools
 import sys
-from dataclasses import MISSING, field
+from dataclasses import MISSING, field, fields
 
 
 class XrqosError(Exception):
@@ -84,7 +86,7 @@ def _field(obj: dict, key: str, path: str, kind: str, default=_REQUIRED, **bound
 
 
 def _json(kind: str, default=MISSING, *, key: str | None = None, of: type | None = None, **bounds):
-    """A dataclass field that a profile file gives as ``key`` (by default the field's name).
+    """A dataclass field that a JSON record (a profile, a trace) gives as ``key`` (by default the field's name).
 
     ``kind`` is one of ``_field``'s kinds, or "a table" (an object of numbers, empty by default). An
     object or array holds records of the dataclass ``of``. The value is within ``require``'s ``bounds``,
@@ -102,3 +104,63 @@ def _objects(obj: dict, key: str, path: str, optional: bool = False):
         if not isinstance(item, dict):
             raise DomainError(f"{item_path} must be an object, got {item!r}")
         yield item_path, item
+
+
+@functools.cache
+def _plan(cls) -> tuple[tuple, frozenset, tuple[str, ...]]:
+    """Each field of ``cls`` as (attr, key, kind, of, required, bounds), the keys allowed, and the groups."""
+    plan = tuple(
+        (f.name, key or f.name, kind, of, f.default is MISSING and f.default_factory is MISSING, bounds)
+        for f in fields(cls)
+        for key, kind, of, bounds in [f.metadata["json"]]
+    )
+    keys = {key for _, key, *_ in plan}
+    return plan, frozenset(keys | {"note"}), tuple({key.split(".")[0] for key in keys if "." in key})
+
+
+def _check_keys(obj: dict, path: str, known: frozenset) -> None:
+    """Reject a key of ``obj`` that is not in ``known``; a ``note`` is free text."""
+    if not known.issuperset(obj):
+        raise DomainError(f"{path}.{min(obj.keys() - known)} is unknown; known keys: {', '.join(sorted(known))}")
+    if "note" in obj:
+        _field(obj, "note", path, "a string")
+
+
+def _read(cls, obj: dict, path: str):
+    """A ``cls`` built from the JSON object ``obj`` at ``path`` as its fields' ``_json`` metadata says."""
+    plan, known, groups = _plan(cls)
+    for group in groups:  # read the group "depth": {"chroma": ...} as the key "depth.chroma"
+        nested = _field(obj, group, path, "an object", {})
+        obj = {**{k: v for k, v in obj.items() if k != group}, **{f"{group}.{k}": v for k, v in nested.items()}}
+    _check_keys(obj, path, known)
+    values = {}
+    for attr, key, kind, of, required, bounds in plan:
+        if not required and obj.get(key) is None:
+            continue  # the field's own default
+        if kind == "an array":
+            values[attr] = tuple(_read(of, item, item_path) for item_path, item in _objects(obj, key, path))
+        elif kind == "a table":
+            table = _field(obj, key, path, "an object")
+            values[attr] = {name: _field(table, name, f"{path}.{key}", "a number", **bounds) for name in table}
+        else:
+            value = _field(obj, key, path, kind, **bounds)
+            values[attr] = value if of is None else _read(of, value, f"{path}.{key}")
+    return cls(**values)
+
+
+def _write(obj) -> dict:
+    """``obj`` as the JSON object that ``_read`` builds it from, every field written: None as null."""
+    record: dict = {}
+    for attr, key, kind, of, _, _ in _plan(type(obj))[0]:
+        value = getattr(obj, attr)
+        if value is None:
+            pass
+        elif kind == "an array":
+            value = [_write(item) for item in value]
+        elif of is not None:
+            value = _write(value)
+        elif kind == "a number":
+            value = float(value)  # an Angle is written as its degrees
+        group, _, leaf = key.rpartition(".")
+        (record.setdefault(group, {}) if group else record)[leaf] = value
+    return record

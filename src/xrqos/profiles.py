@@ -8,17 +8,16 @@ re-derived, because the underlying assumptions are not all disclosed.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from . import capacity
 from .capacity import BitDepth, CompressionProfile
 from .codec import GopConfig, RenderSurface
-from .errors import ConfigError, DomainError, ProfileError, UnknownKeyError, _field, _json, _objects
+from .errors import ConfigError, DomainError, ProfileError, UnknownKeyError, _check_keys, _field, _json, _objects, _read
 from .geometry import FovSpec, Resolution
 from .latency import LatencyBudget, PipelineTiming
 
@@ -318,66 +317,6 @@ class ProfileRegistry:
 
 
 # -- reading and writing ---------------------------------------------------
-
-
-@functools.cache
-def _plan(cls) -> tuple[tuple, frozenset, tuple[str, ...]]:
-    """Each field of ``cls`` as (attr, key, kind, of, required, bounds), the keys allowed, and the groups."""
-    plan = tuple(
-        (f.name, key or f.name, kind, of, f.default is MISSING and f.default_factory is MISSING, bounds)
-        for f in fields(cls)
-        for key, kind, of, bounds in [f.metadata["json"]]
-    )
-    keys = {key for _, key, *_ in plan}
-    return plan, frozenset(keys | {"note"}), tuple({key.split(".")[0] for key in keys if "." in key})
-
-
-def _check_keys(obj: dict, path: str, known: frozenset) -> None:
-    """Reject a key of ``obj`` that is not in ``known``; a ``note`` is free text."""
-    if not known.issuperset(obj):
-        raise DomainError(f"{path}.{min(obj.keys() - known)} is unknown; known keys: {', '.join(sorted(known))}")
-    if "note" in obj:
-        _field(obj, "note", path, "a string")
-
-
-def _read(cls, obj: dict, path: str):
-    """A ``cls`` built from the JSON object ``obj`` at ``path`` as its fields' ``_json`` metadata says."""
-    plan, known, groups = _plan(cls)
-    for group in groups:  # read the group "depth": {"chroma": ...} as the key "depth.chroma"
-        nested = _field(obj, group, path, "an object", {})
-        obj = {**{k: v for k, v in obj.items() if k != group}, **{f"{group}.{k}": v for k, v in nested.items()}}
-    _check_keys(obj, path, known)
-    values = {}
-    for attr, key, kind, of, required, bounds in plan:
-        if not required and obj.get(key) is None:
-            continue  # the field's own default
-        if kind == "an array":
-            values[attr] = tuple(_read(of, item, item_path) for item_path, item in _objects(obj, key, path))
-        elif kind == "a table":
-            table = _field(obj, key, path, "an object")
-            values[attr] = {name: _field(table, name, f"{path}.{key}", "a number", **bounds) for name in table}
-        else:
-            value = _field(obj, key, path, kind, **bounds)
-            values[attr] = value if of is None else _read(of, value, f"{path}.{key}")
-    return cls(**values)
-
-
-def _write(profile) -> dict:
-    """``profile`` as the JSON object that ``_read`` builds it from; a field that is None or empty is left out."""
-    record: dict = {}
-    for attr, key, kind, of, _, _ in _plan(type(profile))[0]:
-        value = getattr(profile, attr)
-        if value is None or value == {} or value == ():
-            continue
-        if kind == "an array":
-            value = [_write(item) for item in value]
-        elif of is not None:
-            value = _write(value)
-        elif kind == "a number":
-            value = float(value)  # an Angle is written as its degrees
-        group, _, leaf = key.rpartition(".")
-        (record.setdefault(group, {}) if group else record)[leaf] = value
-    return record
 
 
 # A preset's keys: its name and free-text note, and the budget's fields but its ceiling, the delays flattened.

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 from .codec import FrameSizes, GopConfig
-from .errors import DomainError, _field, _objects, require
+from .errors import DomainError, _json, _read, _write, require
 from .report import _destination
 
 __all__ = [
@@ -40,11 +40,11 @@ MAX_PACKETS = 10**7
 
 @dataclass(frozen=True)
 class FrameRecord:
-    index: int
-    t_gen: float
-    frame_type: str
-    size_bits: int
-    gop_index: int
+    index: int = _json("an integer", key="frame_index")
+    t_gen: float = _json("a number", key="t_gen_ms")
+    frame_type: str = _json("a string")
+    size_bits: int = _json("an integer", ge=0)
+    gop_index: int = _json("an integer")
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,27 @@ class PacketRecord:
 
 @dataclass(frozen=True)
 class FrameTrace:
-    config: GopConfig
-    sizes: FrameSizes
-    duration: float
-    records: tuple[FrameRecord, ...]
+    """Frames whose indices run 0, 1, 2, ..., whose generation times never decrease, and whose types are I, P or B."""
+
+    config: GopConfig = _json("an object", of=GopConfig)
+    sizes: FrameSizes = _json("an object", of=FrameSizes)
+    duration: float = _json("a number", key="duration_s", gt=0)
+    records: tuple[FrameRecord, ...] = _json("an array", of=FrameRecord)
+
+    def __post_init__(self) -> None:
+        previous = -math.inf
+        for i, record in enumerate(self.records):
+            if record.index != i:
+                raise DomainError(
+                    f"trace.records[{i}].frame_index must be {i} (indices run from 0 without gaps), got {record.index}"
+                )
+            if record.t_gen < previous:
+                raise DomainError(
+                    f"trace.records[{i}].t_gen_ms {record.t_gen} precedes the previous frame's {previous}"
+                )
+            if record.frame_type not in ("I", "P", "B"):
+                raise DomainError(f"trace.records[{i}].frame_type must be I, P or B, got {record.frame_type!r}")
+            previous = record.t_gen
 
     def __len__(self) -> int:
         return len(self.records)
@@ -146,7 +163,7 @@ def export_trace(trace: FrameTrace, fmt: str, destination: str | Path | TextIO) 
             for r in trace.records:
                 writer.writerow([r.index, f"{r.t_gen:.3f}", r.frame_type, r.size_bits, r.gop_index])
         elif fmt == "json":
-            json.dump(trace_to_dict(trace), handle, indent=2, sort_keys=True)
+            json.dump(_write(trace), handle, indent=2, sort_keys=True)
             handle.write("\n")
         else:
             raise DomainError(f"format must be csv or json, got {fmt!r}")
@@ -175,72 +192,11 @@ def export_packets(packets: list[PacketRecord], fmt: str, destination: str | Pat
             raise DomainError(f"format must be csv or json, got {fmt!r}")
 
 
-def trace_to_dict(trace: FrameTrace) -> dict:
-    return {
-        "config": {
-            "gop_time_s": trace.config.gop_time,
-            "fps": trace.config.fps,
-            "redundancy_fraction": trace.config.redundancy_fraction,
-            "pattern": trace.config.pattern,
-        },
-        "sizes": {
-            "i_bits": trace.sizes.i_bits,
-            "p_bits": trace.sizes.p_bits,
-            "b_bits": trace.sizes.b_bits,
-        },
-        "duration_s": trace.duration,
-        "records": [
-            {
-                "frame_index": r.index,
-                "t_gen_ms": r.t_gen,
-                "frame_type": r.frame_type,
-                "size_bits": r.size_bits,
-                "gop_index": r.gop_index,
-            }
-            for r in trace.records
-        ],
-    }
-
-
 def trace_from_dict(payload: dict) -> FrameTrace:
-    """The trace a ``trace_to_dict`` document describes; a malformed document raises DomainError.
-
-    Frame indices must run 0, 1, 2, ... and generation times may not
-    decrease; frame types are I, P or B and sizes whole non-negative bits.
-    """
+    """The trace a JSON document written by ``export_trace`` describes; a malformed document raises DomainError."""
     if not isinstance(payload, dict):
         raise DomainError(f"a trace must be a JSON object, got {type(payload).__name__}")
-    config = _field(payload, "config", "trace", "an object")
-    cfg = GopConfig(
-        gop_time=_field(config, "gop_time_s", "trace.config", "a number"),
-        fps=_field(config, "fps", "trace.config", "a number"),
-        redundancy_fraction=_field(config, "redundancy_fraction", "trace.config", "a number"),
-        pattern=_field(config, "pattern", "trace.config", "a string", None),
-    )
-    size_table = _field(payload, "sizes", "trace", "an object")
-    sizes = FrameSizes(
-        i_bits=_field(size_table, "i_bits", "trace.sizes", "a number"),
-        p_bits=_field(size_table, "p_bits", "trace.sizes", "a number"),
-        b_bits=_field(size_table, "b_bits", "trace.sizes", "a number", None),
-    )
-    duration = _field(payload, "duration_s", "trace", "a number", gt=0)
-    records = []
-    for i, (path, r) in enumerate(_objects(payload, "records", "trace")):
-        record = FrameRecord(
-            index=_field(r, "frame_index", path, "an integer"),
-            t_gen=_field(r, "t_gen_ms", path, "a number"),
-            frame_type=_field(r, "frame_type", path, "a string"),
-            size_bits=_field(r, "size_bits", path, "an integer", ge=0),
-            gop_index=_field(r, "gop_index", path, "an integer"),
-        )
-        if record.index != i:
-            raise DomainError(f"{path}.frame_index must be {i} (indices run from 0 without gaps), got {record.index}")
-        if records and record.t_gen < records[-1].t_gen:
-            raise DomainError(f"{path}.t_gen_ms {record.t_gen} precedes the previous frame's {records[-1].t_gen}")
-        if record.frame_type not in ("I", "P", "B"):
-            raise DomainError(f"{path}.frame_type must be I, P or B, got {record.frame_type!r}")
-        records.append(record)
-    return FrameTrace(config=cfg, sizes=sizes, duration=duration, records=tuple(records))
+    return _read(FrameTrace, payload, "trace")
 
 
 def load_trace_json(source: str | Path | TextIO) -> FrameTrace:

@@ -13,10 +13,10 @@ import pytest
 import xrqos
 from xrqos.cli import build_parser, main, parse_rate, parse_resolution, parse_time_ms
 from xrqos.codec import FrameSizes, GopConfig
-from xrqos.errors import DomainError
+from xrqos.errors import DomainError, _write
 from xrqos.profiles import ProfileRegistry, _load_document, builtin_registry
 from xrqos import tracegen
-from xrqos.tracegen import generate_trace, trace_to_dict
+from xrqos.tracegen import generate_trace
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +216,11 @@ class TestProfilesCommands:
         assert data["derived"]["72"] == {"ppd": 1824 / 97, "eye_resolution": "1824x1840", "full_video": "6770x3380"}
         assert (data["measured_mtp_ms"], data["published_loss_rate"]) == (69.0, 7.2e-6)
 
+    def test_show_text_prints_stored_floats_in_full(self, capsys):
+        code, out, _ = run_cli(capsys, "profiles", "show", "quest2")
+        assert code == 0
+        assert "published_delivery_pct: 99.99928\n" in out and "ppd: n/a\n" in out
+
     def test_show_device_mode_keeps_only_that_mode(self, capsys, cli_schema):
         data = run_json(capsys, cli_schema, "profiles", "show", "quest2@90")["data"]
         assert [mode["hz"] for mode in data["refresh_modes"]] == [90.0]
@@ -354,6 +359,11 @@ class TestTraceAndSimulate:
         assert code == 0
         assert out.count("displayed=") == 3
 
+    def test_simulate_sweep_of_one_rate_is_a_one_row_sweep(self, capsys, cli_schema):
+        payload = run_json(capsys, cli_schema, "simulate", *SHORT_TRACE, *SHORT_LINK, "--sweep-downlink", "50M")
+        assert payload["command"] == "simulate.sweep"
+        assert [row["downlink"] for row in payload["data"]] == ["50M"]
+
     @pytest.mark.parametrize(
         "flag, value", [("--downlink", "nan"), ("--sense", "nan"), ("--rtt", "inf"), ("--refresh-hz", "inf")]
     )
@@ -426,6 +436,10 @@ def assert_domain_error(code, out, err):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def unreachable(*args):
+    raise AssertionError("the trace was generated before --output was checked")
+
+
 def assert_suffix_rule(tmp_path, name, ok, code, out, err):
     """An accepted --output is written and only named on stderr; a rejected one is one error line and no file."""
     if ok:
@@ -454,7 +468,7 @@ class TestInputBoundary:
     def test_bad_trace_input(self, capsys, tmp_path, document):
         path = tmp_path / "trace.json"
         if document != "absent":
-            payload = trace_to_dict(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))
+            payload = _write(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))
             if document == "empty":
                 payload = {}
             else:
@@ -469,14 +483,18 @@ class TestInputBoundary:
 
     @WRITING_RUNS
     def test_unwritable_output_is_rejected_before_the_trace_is_made(self, capsys, tmp_path, monkeypatch, argv):
-        def unreachable(*args):
-            raise AssertionError("the trace was generated before --output was checked")
-
         monkeypatch.setattr(tracegen, "generate_trace", unreachable)
         missing = tmp_path / "missing"
         code, out, err = run_cli(capsys, *argv, "--output", str(missing / "x"))
         assert_domain_error(code, out, err)
         assert err == f"error: cannot write --output {missing / 'x'}: {missing} is not a writable directory\n"
+
+    @WRITING_RUNS
+    def test_directory_output_is_rejected_before_the_trace_is_made(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(tracegen, "generate_trace", unreachable)
+        code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path))
+        assert_domain_error(code, out, err)
+        assert err == f"error: cannot write --output {tmp_path}: it is a directory\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -565,7 +583,7 @@ class TestInputBoundary:
     )
     def test_a_preset_rejects_flags_for_the_fields_it_sets(self, capsys, tmp_path, preset, argv):
         trace = tmp_path / "trace.json"
-        trace.write_text(json.dumps(trace_to_dict(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))))
+        trace.write_text(json.dumps(_write(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))))
         code, out, err = run_cli(capsys, *(arg.format(trace=trace) for arg in argv))
         assert_domain_error(code, out, err)
         assert err.count("\n") == 1 and preset in err and argv[-2] in err

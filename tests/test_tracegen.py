@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -8,16 +9,16 @@ from hypothesis import strategies as st
 
 from xrqos.capacity import BitDepth
 from xrqos.codec import FrameSizes, GopConfig, RenderSurface, frame_size, gop_bitrate, nb_pixels
-from xrqos.errors import ConfigError, DomainError
+from xrqos.errors import ConfigError, DomainError, _write
 from xrqos.geometry import FovSpec, Resolution
 from xrqos.tracegen import (
+    FrameTrace,
     export_packets,
     export_trace,
     generate_trace,
     load_trace_json,
     packetize,
     trace_from_dict,
-    trace_to_dict,
 )
 
 
@@ -164,7 +165,14 @@ class TestExport:
 
     def test_dict_round_trip(self):
         trace = generate_trace(FrameSizes(100, 10, b_bits=5), GopConfig(1.0, 12.0, pattern="IBBP"), 1.0)
-        assert trace_from_dict(trace_to_dict(trace)) == trace
+        assert trace_from_dict(_write(trace)) == trace
+
+    def test_empty_trace_round_trip(self):
+        trace = generate_trace(FrameSizes(100, 10), GopConfig(1.0, 10.0), 0.01)
+        buffer = io.StringIO()
+        export_trace(trace, "json", buffer)
+        assert json.loads(buffer.getvalue())["records"] == []
+        assert load_trace_json(io.StringIO(buffer.getvalue())) == trace
 
     def test_deterministic_bytes(self):
         trace_a = generate_trace(comfortable_sizes(), COMFORT_CFG, 2.0)
@@ -207,7 +215,7 @@ class TestExport:
 
 
 def _mutated(change):
-    payload = trace_to_dict(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))
+    payload = _write(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))
     change(payload)
     return payload
 
@@ -242,6 +250,16 @@ BAD_DOCUMENTS = [
     (_set(["records", 5, "t_gen_ms"], math.inf), "must be finite"),
     (_set(["duration_s"], 0), "duration_s must be positive"),
     (_set(["duration_s"], -1.0), "duration_s must be positive"),
+    (_set(["records", 0, "frame_tpye"], "I"), r"trace\.records\[0\]\.frame_tpye is unknown"),
+    (_set(["config", "patern"], "IPP"), r"trace\.config\.patern is unknown"),
+    (_set(["record"], []), r"trace\.record is unknown"),
+]
+
+# A change to one record of a trace built in code, and the message it is rejected with.
+BAD_RECORDS = [
+    (4, {"index": 5}, r"trace\.records\[4\]\.frame_index must be 4 \(indices run from 0"),
+    (5, {"t_gen": 1.0}, r"trace\.records\[5\]\.t_gen_ms 1\.0 precedes the previous frame's"),
+    (1, {"frame_type": "Q"}, r"trace\.records\[1\]\.frame_type must be I, P or B, got 'Q'"),
 ]
 
 
@@ -252,6 +270,19 @@ class TestLoadBoundary:
     def test_malformed_document_rejected(self, change, message):
         with pytest.raises(DomainError, match=message):
             trace_from_dict(_mutated(change))
+
+    @pytest.mark.parametrize("position, changes, message", BAD_RECORDS, ids=["index gap", "time decreases", "type Q"])
+    def test_trace_built_in_code_is_checked(self, position, changes, message):
+        trace = generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0)
+        records = list(trace.records)
+        records[position] = dataclasses.replace(records[position], **changes)
+        with pytest.raises(DomainError, match=message):
+            FrameTrace(trace.config, trace.sizes, trace.duration, tuple(records))
+
+    def test_note_and_absent_redundancy_accepted(self):
+        payload = _mutated(lambda p: p["config"].pop("redundancy_fraction"))
+        payload["note"] = "made by hand"
+        assert trace_from_dict(payload).config.redundancy_fraction == GopConfig(1.0, 10.0).redundancy_fraction
 
     def test_top_level_must_be_an_object(self):
         with pytest.raises(DomainError, match="must be a JSON object"):
