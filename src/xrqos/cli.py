@@ -531,6 +531,8 @@ def _link_from_args(args, downlink: str) -> LinkModel:
 
 def _cmd_simulate(args) -> int:
     from . import netsim
+    if args.downlink is None and args.sweep_downlink is None:
+        raise DomainError("simulate needs --downlink or --sweep-downlink")
     trace = _trace_from_args(args)
     timing = _timing_from_args(args)
     mtp_limit = parse_time_ms(args.mtp_limit)
@@ -744,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="play a trace through the MTP pipeline")
     _trace_source_flags(sim)
-    sim.add_argument("--downlink", required=True)
+    sim.add_argument("--downlink", default=None)
     sim.add_argument("--uplink", default="1G")
     sim.add_argument("--rtt", default="0ms", help="propagation round trip")
     sim.add_argument("--loss", type=float, default=0.0)

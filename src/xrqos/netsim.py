@@ -19,8 +19,18 @@ differ.
 So a frame's loss chain (packets still lost after each attempt) is the same
 at every rate, and for the first attempt in both modes. ``simulate`` keeps
 one lossy run's chains, keyed by the trace's identity (traces are frozen)
-and (seed, p, MTU), for later runs of a sweep to replay; another trace, key
-or attempt limit rebuilds them, and they are dropped with their trace.
+and (seed, p, MTU), for later runs of a sweep to replay; another trace or
+key rebuilds them, and they are dropped with their trace. Beside each chain
+it keeps the packets still lost after the chain's last attempt, so a run
+that allows more attempts (``tcp_like`` after ``udp_like``) draws only the
+further attempts of the frames that still have losses.
+
+A run's results are kept as columns: displayed, e2e, VSync wait and
+retransmissions, one entry per frame, a frame's index being its position.
+The aggregates are computed from them. ``SimReport.frames`` acts as the
+tuple of ``FrameResult`` records; the records are built from the columns on
+first read, so a run read only for its aggregates (a sweep) never builds
+them.
 """
 from __future__ import annotations
 
@@ -29,6 +39,8 @@ import json
 import math
 import struct
 import weakref
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -90,6 +102,50 @@ class FrameResult:
     retx_count: int
 
 
+class _Frames(Sequence):
+    """A run's ``FrameResult`` records, built from its result columns on first read.
+
+    It acts as the tuple of those records (length, indexing, slicing,
+    iteration, equality, hash, repr, pickling) and, once built, holds only
+    that tuple.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, displayed: list, e2e_ms: list, vsync_wait_ms: list, retx_count: list) -> None:
+        self._data = [displayed, e2e_ms, vsync_wait_ms, retx_count]  # a list of columns until the records replace it
+
+    def _records(self) -> tuple[FrameResult, ...]:
+        data = self._data
+        if type(data) is list:
+            data = self._data = tuple(map(FrameResult, range(len(data[0])), *data))
+        return data
+
+    def __len__(self) -> int:
+        data = self._data
+        return len(data[0] if type(data) is list else data)
+
+    def __getitem__(self, index):
+        return self._records()[index]
+
+    def __iter__(self):
+        return iter(self._records())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Frames):
+            other = other._records()
+        return self._records() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._records())
+
+    def __repr__(self) -> str:
+        return repr(self._records())
+
+    def __reduce__(self):
+        return tuple, (self._records(),)
+
+
 @dataclass(frozen=True)
 class Aggregates:
     mean_e2e_ms: float | None
@@ -105,7 +161,7 @@ class Aggregates:
 
 @dataclass(frozen=True)
 class SimReport:
-    frames: tuple[FrameResult, ...]
+    frames: Sequence[FrameResult]
     aggregates: Aggregates
     refresh_hz: float
     mtp_limit: float
@@ -186,19 +242,30 @@ def _lost_packets(seed: int, frame_index: int, attempt: int, count: int, loss_pr
         block += 1
 
 
-def _loss_chain(link: LinkModel, record: FrameRecord, depth: int) -> tuple:
-    """(packets still lost, last packet among them) for each of the first ``depth`` attempts that loses any."""
+def _loss_chain(link: LinkModel, record: FrameRecord, depth: int, chain: tuple = (), lost: list | None = None):
+    """(chain, lost): a frame's loss chain extended to ``depth`` attempts, and the packets its last attempt lost.
+
+    A chain holds (packets still lost, whether the frame's last packet is
+    among them) for each attempt that loses any. ``chain`` and ``lost`` are
+    an earlier call's result, which this one continues, or nothing for a new
+    chain. ``lost`` comes back empty once an attempt delivers every packet;
+    the chain is then whole at any depth.
+    """
     count = packet_split(record.size_bits, link.mtu_payload_bits)[0]
-    chain, lost = [], _lost_packets(link.seed, record.index, 0, count, link.loss_prob)
+    if lost is None:
+        lost = _lost_packets(link.seed, record.index, 0, count, link.loss_prob)
+    chain = list(chain)
     while lost and len(chain) < depth:
-        chain.append((len(lost), lost[-1] == count - 1))
-        if len(chain) < depth:
+        if chain:  # what the last attempt lost goes again
             again = set(_lost_packets(link.seed, record.index, len(chain), lost[-1] + 1, link.loss_prob))
             lost = [k for k in lost if k in again]
-    return tuple(chain)
+            if not lost:
+                break
+        chain.append((len(lost), lost[-1] == count - 1))
+    return tuple(chain), lost
 
 
-_chains_memo = None  # (weakref to the trace, key, depth, chains), replaced whole so readers see one slot
+_chains_memo = None  # (weakref to the trace, key, depth, [(chain, lost)] per frame), replaced whole
 
 
 def _forget_chains(ref) -> None:
@@ -208,16 +275,21 @@ def _forget_chains(ref) -> None:
 
 
 def _loss_chains(trace: FrameTrace, link: LinkModel, depth: int):
-    """Every frame's loss chain, at least ``depth`` attempts deep; from the memo when it holds them."""
+    """Every frame's (loss chain, lost packets), at least ``depth`` attempts deep; the memo's, extended as needed."""
     global _chains_memo
     if not 0.0 < link.loss_prob < 1.0:  # a chain that costs no draw is made as it is used
         return (_loss_chain(link, record, depth) for record in trace)
     key = (str(link.seed), link.loss_prob, link.mtu_payload_bits)  # the stream keys on the seed's text
     memo = _chains_memo
-    if memo is None or memo[0]() is not trace or memo[1] != key or memo[2] < depth:
+    if memo is None or memo[0]() is not trace or memo[1] != key:
         chains = [_loss_chain(link, record, depth) for record in trace]
-        memo = _chains_memo = (weakref.ref(trace, _forget_chains), key, depth, chains)
-    return memo[3]
+    elif memo[2] < depth:  # only a frame whose last attempt lost packets goes on
+        chains = [_loss_chain(link, record, depth, *state) if state[1] else state
+                  for record, state in zip(trace, memo[3])]
+    else:
+        return memo[3]
+    _chains_memo = (weakref.ref(trace, _forget_chains), key, depth, chains)
+    return chains
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -255,9 +327,9 @@ def simulate(
     resend = link.propagation_rtt + full_tx
 
     link_free = 0.0
-    results = []
+    displayed, e2e_ms, vsync_wait_ms, retx_count = [], [], [], []
     try:
-        for record, chain in zip(trace, _loss_chains(trace, link, max_attempts)):
+        for record, (chain, _) in zip(trace, _loss_chains(trace, link, max_attempts)):
             arrival = record.t_gen + timing.t_sense + uplink_ms + half_rtt + timing.t_render + timing.t_encode
             # every packet goes out once, lost or not
             t = max(arrival, link_free) + 1000.0 * record.size_bits / link.downlink_bps
@@ -268,28 +340,23 @@ def simulate(
                     t += 1000.0 * (packet_split(record.size_bits, mtu)[1] - mtu) / link.downlink_bps
                 retx += n_lost
             link_free = t
+            retx_count.append(retx)
 
             if len(chain) < max_attempts:
                 ready = t + half_rtt + timing.t_decode + timing.fixed_display
                 k = max(0, math.ceil(ready / tick - 1e-9))
                 display = k * tick
-                results.append(
-                    FrameResult(
-                        index=record.index,
-                        displayed=True,
-                        e2e_ms=display - record.t_gen,
-                        vsync_wait_ms=display - ready,
-                        retx_count=retx,
-                    )
-                )
+                displayed.append(True)
+                e2e_ms.append(display - record.t_gen)
+                vsync_wait_ms.append(display - ready)
             else:
-                results.append(
-                    FrameResult(index=record.index, displayed=False, e2e_ms=None, vsync_wait_ms=None, retx_count=retx)
-                )
+                displayed.append(False)
+                e2e_ms.append(None)
+                vsync_wait_ms.append(None)
     except OverflowError as exc:  # times or sizes beyond a float, e.g. from 1e308-sized inputs
         raise DomainError(f"simulated times overflow: {exc}") from exc
 
-    shown = sorted(f.e2e_ms for f in results if f.displayed)
+    shown = sorted(e2e for e2e in e2e_ms if e2e is not None)
     displayed_count = len(shown)
     aggregates = Aggregates(
         mean_e2e_ms=require("mean e2e latency", sum(shown) / displayed_count, ge=0) if shown else None,
@@ -298,12 +365,12 @@ def simulate(
         p99_e2e_ms=_percentile(shown, 0.99) if shown else None,
         max_e2e_ms=shown[-1] if shown else None,
         displayed_count=displayed_count,
-        dropped_count=len(results) - displayed_count,
-        mtp_violations=sum(1 for f in results if f.displayed and f.e2e_ms > mtp_limit),
+        dropped_count=len(displayed) - displayed_count,
+        mtp_violations=displayed_count - bisect_right(shown, mtp_limit),
         effective_fps=displayed_count / trace.duration,
     )
     return SimReport(
-        frames=tuple(results),
+        frames=_Frames(displayed, e2e_ms, vsync_wait_ms, retx_count),
         aggregates=aggregates,
         refresh_hz=refresh_hz,
         mtp_limit=mtp_limit,

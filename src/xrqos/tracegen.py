@@ -57,14 +57,16 @@ class PacketRecord:
 
 @dataclass(frozen=True)
 class FrameTrace:
-    """Frames whose indices run 0, 1, 2, ..., whose generation times never decrease, and whose types are I, P or B."""
+    """A positive, finite duration and frames whose indices run 0, 1, 2, ..., whose generation times never
+    decrease, and whose types are I, P or B."""
 
     config: GopConfig = _json("an object", of=GopConfig)
     sizes: FrameSizes = _json("an object", of=FrameSizes)
-    duration: float = _json("a number", key="duration_s", gt=0)
+    duration: float = _json("a number", key="duration_s")
     records: tuple[FrameRecord, ...] = _json("an array", of=FrameRecord)
 
     def __post_init__(self) -> None:
+        require("trace.duration_s", self.duration, gt=0)
         previous = -math.inf
         for i, record in enumerate(self.records):
             if record.index != i:

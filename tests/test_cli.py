@@ -364,6 +364,16 @@ class TestTraceAndSimulate:
         assert payload["command"] == "simulate.sweep"
         assert [row["downlink"] for row in payload["data"]] == ["50M"]
 
+    def test_simulate_sweep_needs_no_downlink(self, capsys, cli_schema):
+        payload = run_json(capsys, cli_schema, "simulate", *SHORT_TRACE, "--refresh-hz", "90",
+                           "--sweep-downlink", "50M,100M")
+        assert [row["downlink"] for row in payload["data"]] == ["50M", "100M"]
+
+    def test_simulate_without_a_downlink_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", *SHORT_TRACE, "--refresh-hz", "90")
+        assert_domain_error(code, out, err)
+        assert err == "error: simulate needs --downlink or --sweep-downlink\n"
+
     @pytest.mark.parametrize(
         "flag, value", [("--downlink", "nan"), ("--sense", "nan"), ("--rtt", "inf"), ("--refresh-hz", "inf")]
     )

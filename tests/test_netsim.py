@@ -2,9 +2,10 @@ import dataclasses
 import gc
 import hashlib
 import math
+import pickle
 import sys
 import threading
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -325,6 +326,104 @@ class TestReferenceLoop:
                 assert frame.vsync_wait_ms == pytest.approx(wait, abs=1e-9)
 
 
+def counted_frame_results(monkeypatch):
+    """A list that gains one entry per ``FrameResult`` the simulator builds while the test runs."""
+    built = []
+    real = netsim.FrameResult
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(netsim, "FrameResult", counting)
+    return built
+
+
+class TestFramesContract:
+    """``SimReport.frames`` builds its records on first read and acts as the tuple of them."""
+
+    # One packet per frame in udp_like mode: the packet loop adds the same
+    # floats in the same order as the simulator, so its records are exact.
+    LINK = LinkModel(downlink_bps=5e7, propagation_rtt=6.0, loss_prob=0.4, seed=2, mtu_payload_bits=250_000)
+    TIMING = PipelineTiming(t_sense=1.0, t_render=2.0, t_encode=1.5, t_decode=2.0, fixed_display=1.0)
+    OPERATIONS = {
+        "len": len,
+        "index": lambda frames: frames[3],
+        "negative index": lambda frames: frames[-2],
+        "slice": lambda frames: frames[2:9],
+        "stepped slice": lambda frames: frames[::-3],
+        "slice past the end": lambda frames: frames[10:100],
+        "iteration": list,
+        "reversed": lambda frames: list(reversed(frames)),
+        "membership": lambda frames: frames[5] in frames,
+        "count": lambda frames: frames.count(frames[0]),
+        "bool": bool,
+        "hash": hash,
+        "repr": repr,
+        "pickle": lambda frames: pickle.loads(pickle.dumps(frames)),
+    }
+
+    def report(self, trace):
+        return simulate(trace, self.LINK, self.TIMING, 90.0, 20.0)
+
+    def eager(self, trace):
+        rows = reference_simulate(trace, self.LINK, self.TIMING, 90.0)
+        return tuple(netsim.FrameResult(i, displayed, e2e, wait, retx)
+                     for i, (displayed, retx, e2e, wait) in enumerate(rows))
+
+    @pytest.mark.parametrize("operation", OPERATIONS, ids=list(OPERATIONS))
+    def test_a_lazy_read_gives_what_the_tuple_gives(self, operation):
+        trace = small_trace(frames=12)
+        eager = self.eager(trace)
+        assert {f.displayed for f in eager} == {True, False}
+        read = self.OPERATIONS[operation]
+        assert read(self.report(trace).frames) == read(eager)
+
+    def test_equality_with_reports_frames_and_plain_tuples(self):
+        trace = small_trace(frames=12)
+        eager = self.eager(trace)
+        assert self.report(trace).frames == self.report(trace).frames
+        assert self.report(trace).frames == eager and eager == self.report(trace).frames
+        assert not self.report(trace).frames != eager
+        built = self.report(trace).frames
+        list(built)
+        assert built == self.report(trace).frames and self.report(trace).frames == built
+        assert self.report(trace).frames != eager[:-1] and self.report(trace).frames != list(eager)
+        other = dataclasses.replace(self.LINK, seed=3)
+        assert simulate(trace, other, self.TIMING, 90.0, 20.0).frames != eager
+
+    def test_a_report_with_its_frames_as_a_tuple_is_equal(self):
+        report = self.report(small_trace(frames=12))
+        rebuilt = dataclasses.replace(report, frames=tuple(report.frames))
+        assert rebuilt == report and report == rebuilt
+        assert hash(rebuilt) == hash(report)
+        assert pickle.loads(pickle.dumps(report)) == report
+
+    def test_aggregates_and_length_build_no_record(self, monkeypatch):
+        built = counted_frame_results(monkeypatch)
+        report = self.report(small_trace(frames=12))
+        assert len(report.frames) == 12 and report.aggregates.displayed_count
+        assert built == []
+        assert report.frames[0].index == 0
+        assert len(built) == 12
+        list(report.frames)
+        assert len(built) == 12  # built once
+
+    def test_a_lossy_sweep_builds_no_record(self, monkeypatch, capsys):
+        from xrqos.cli import main
+
+        built = counted_frame_results(monkeypatch)
+        argv = ["simulate", "--i-bits", "200000", "--p-bits", "40000", "--fps", "30", "--duration", "1",
+                "--loss", "0.01", "--rtt", "8ms", "--refresh-hz", "90"]
+        for mode in ("udp", "tcp"):
+            assert main([*argv, "--mode", mode, "--sweep-downlink", "50M,100M,200M"]) == 0
+        assert "displayed=" in capsys.readouterr().out
+        assert built == []
+        # the counter sees the records a one-rate JSON report writes
+        assert main(["--format", "json", *argv, "--downlink", "100M"]) == 0
+        assert len(built) == 30
+
+
 class TestLossDraws:
     @pytest.mark.parametrize("p", [0.001, 0.01, 0.3])
     def test_loss_fraction_within_five_sigma(self, p):
@@ -484,6 +583,19 @@ class TestDrawCost:
             for link in (udp, tcp):
                 simulate(trace, dataclasses.replace(link, downlink_bps=downlink), PipelineTiming(), 90.0, 20.0)
         assert 0 < len(digests) <= bound
+
+    def test_a_tcp_run_after_a_udp_run_draws_each_key_once(self, digests):
+        trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)
+        udp = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, loss_prob=0.05, seed=8)
+        tcp = dataclasses.replace(udp, mode="tcp_like", max_retx=3)
+        expected = simulate(dataclasses.replace(trace), tcp, PipelineTiming(), 90.0, 20.0)
+        digests.clear()
+        simulate(trace, udp, PipelineTiming(), 90.0, 20.0)
+        assert simulate(trace, tcp, PipelineTiming(), 90.0, 20.0) == expected
+        keys = Counter(key.decode() for key, *_ in digests)
+        assert {f"8:{frame}:0:0" for frame in range(len(trace))} <= keys.keys()
+        assert any(key.split(":")[2] != "0" for key in keys)  # the tcp run drew later attempts
+        assert set(keys.values()) == {1}
 
     def test_a_lossless_sweep_draws_nothing(self, digests):
         trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)

@@ -279,6 +279,11 @@ class TestLoadBoundary:
         with pytest.raises(DomainError, match=message):
             FrameTrace(trace.config, trace.sizes, trace.duration, tuple(records))
 
+    @pytest.mark.parametrize("duration", [-1.0, 0.0, math.inf, math.nan])
+    def test_trace_built_in_code_needs_a_positive_finite_duration(self, duration):
+        with pytest.raises(DomainError, match=r"trace\.duration_s must be positive and finite"):
+            FrameTrace(GopConfig(1.0, 10.0), FrameSizes(5000, 600), duration, ())
+
     def test_note_and_absent_redundancy_accepted(self):
         payload = _mutated(lambda p: p["config"].pop("redundancy_fraction"))
         payload["note"] = "made by hand"
