@@ -519,7 +519,6 @@ def _link_from_args(args, downlink: str) -> LinkModel:
     from .netsim import LinkModel
     return LinkModel(
         downlink_bps=parse_rate(downlink),
-        uplink_bps=parse_rate(args.uplink),
         propagation_rtt=parse_time_ms(args.rtt),
         loss_prob=args.loss,
         seed=args.seed,
@@ -747,7 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="play a trace through the MTP pipeline")
     _trace_source_flags(sim)
     sim.add_argument("--downlink", default=None)
-    sim.add_argument("--uplink", default="1G")
     sim.add_argument("--rtt", default="0ms", help="propagation round trip")
     sim.add_argument("--loss", type=float, default=0.0)
     sim.add_argument("--mode", choices=("udp", "tcp"), default="udp")

@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the toolkit, the input checks that raise it, and the JSON record
-reader and writer that the profiles and traces share."""
+reader and writer that the profiles and traces share; simulation reports are written by the same writer."""
 import functools
 import sys
 from dataclasses import MISSING, field, fields
@@ -86,7 +86,7 @@ def _field(obj: dict, key: str, path: str, kind: str, default=_REQUIRED, **bound
 
 
 def _json(kind: str, default=MISSING, *, key: str | None = None, of: type | None = None, **bounds):
-    """A dataclass field that a JSON record (a profile, a trace) gives as ``key`` (by default the field's name).
+    """A dataclass field that a JSON record (a profile, trace or report) gives as ``key`` (by default its name).
 
     ``kind`` is one of ``_field``'s kinds, or "a table" (an object of numbers, empty by default). An
     object or array holds records of the dataclass ``of``. The value is within ``require``'s ``bounds``,
@@ -149,7 +149,8 @@ def _read(cls, obj: dict, path: str):
 
 
 def _write(obj) -> dict:
-    """``obj`` as the JSON object that ``_read`` builds it from, every field written: None as null."""
+    """``obj`` as the JSON object its fields' ``_json`` metadata declare (what ``_read`` builds it from), every field
+    written: None as null."""
     record: dict = {}
     for attr, key, kind, of, _, _ in _plan(type(obj))[0]:
         value = getattr(obj, attr)

@@ -8,10 +8,10 @@ registry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .capacity import BitRate
-from .errors import DomainError, require
+from .errors import DomainError, _json, require
 
 __all__ = [
     "PipelineTiming",
@@ -36,15 +36,15 @@ class PipelineTiming:
     frame arrival time.
     """
 
-    t_sense: float = 0.0
-    t_render: float = 0.0
-    t_encode: float = 0.0
-    t_decode: float = 0.0
-    fixed_display: float = 0.0
+    t_sense: float = _json("a number", 0.0)
+    t_render: float = _json("a number", 0.0)
+    t_encode: float = _json("a number", 0.0)
+    t_decode: float = _json("a number", 0.0)
+    fixed_display: float = _json("a number", 0.0)
 
     def __post_init__(self) -> None:
-        for name in ("t_sense", "t_render", "t_encode", "t_decode", "fixed_display"):
-            require(name, getattr(self, name), ge=0)
+        for f in fields(self):
+            require(f.name, getattr(self, f.name), ge=0)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,9 @@ retransmissions, one entry per frame, a frame's index being its position.
 The aggregates are computed from them. ``SimReport.frames`` acts as the
 tuple of ``FrameResult`` records; the records are built from the columns on
 first read, so a run read only for its aggregates (a sweep) never builds
-them.
+them. A report also holds the link, pipeline timing, refresh rate and MTP
+limit it ran with; its JSON keys and CSV headers are the ones declared on
+the record fields, written by ``errors._write``.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TextIO
 
-from .errors import DomainError, require
+from .errors import DomainError, _json, _plan, _write, require
 from .latency import PipelineTiming
 from .reliability import DEFAULT_MSS_BITS
 from .tracegen import FrameRecord, FrameTrace, packet_split
@@ -68,15 +70,15 @@ class LinkModel:
     most); ``uplink_payload_bits`` can widen them.
     """
 
-    downlink_bps: float
-    uplink_bps: float = 1e9
-    propagation_rtt: float = 0.0
-    loss_prob: float = 0.0
-    seed: int = 0
-    mode: str = "udp_like"
-    max_retx: int = 3
-    mtu_payload_bits: int = DEFAULT_MSS_BITS
-    uplink_payload_bits: int = 0
+    downlink_bps: float = _json("a number")
+    uplink_bps: float = _json("a number", 1e9)
+    propagation_rtt: float = _json("a number", 0.0, key="propagation_rtt_ms")
+    loss_prob: float = _json("a number", 0.0)
+    seed: int = _json("an integer", 0)
+    mode: str = _json("a string", "udp_like")
+    max_retx: int = _json("an integer", 3)
+    mtu_payload_bits: int = _json("an integer", DEFAULT_MSS_BITS)
+    uplink_payload_bits: int = _json("an integer", 0)
 
     def __post_init__(self) -> None:
         # an infinite rate is an instant link
@@ -95,11 +97,11 @@ class LinkModel:
 
 @dataclass(frozen=True)
 class FrameResult:
-    index: int
-    displayed: bool
-    e2e_ms: float | None
-    vsync_wait_ms: float | None
-    retx_count: int
+    index: int = _json("an integer", key="frame_index")
+    displayed: bool = _json("a boolean")
+    e2e_ms: float | None = _json("a number")
+    vsync_wait_ms: float | None = _json("a number")
+    retx_count: int = _json("an integer")
 
 
 class _Frames(Sequence):
@@ -148,65 +150,40 @@ class _Frames(Sequence):
 
 @dataclass(frozen=True)
 class Aggregates:
-    mean_e2e_ms: float | None
-    p50_e2e_ms: float | None
-    p95_e2e_ms: float | None
-    p99_e2e_ms: float | None
-    max_e2e_ms: float | None
-    displayed_count: int
-    dropped_count: int
-    mtp_violations: int
-    effective_fps: float
+    mean_e2e_ms: float | None = _json("a number")
+    p50_e2e_ms: float | None = _json("a number")
+    p95_e2e_ms: float | None = _json("a number")
+    p99_e2e_ms: float | None = _json("a number")
+    max_e2e_ms: float | None = _json("a number")
+    displayed_count: int = _json("an integer")
+    dropped_count: int = _json("an integer")
+    mtp_violations: int = _json("an integer")
+    effective_fps: float = _json("a number")
 
 
 @dataclass(frozen=True)
 class SimReport:
-    frames: Sequence[FrameResult]
-    aggregates: Aggregates
-    refresh_hz: float
-    mtp_limit: float
-    link: LinkModel
-    timing: PipelineTiming
+    """One run's frames and aggregates, with the link, pipeline timing, refresh rate and MTP limit it ran with."""
 
-    def to_dict(self) -> dict:
-        return {
-            "link": {
-                "downlink_bps": self.link.downlink_bps,
-                "uplink_bps": self.link.uplink_bps,
-                "propagation_rtt_ms": self.link.propagation_rtt,
-                "loss_prob": self.link.loss_prob,
-                "seed": self.link.seed,
-                "mode": self.link.mode,
-                "max_retx": self.link.max_retx,
-                "mtu_payload_bits": self.link.mtu_payload_bits,
-            },
-            "refresh_hz": self.refresh_hz,
-            "mtp_limit_ms": self.mtp_limit,
-            "frames": [
-                {
-                    "frame_index": f.index,
-                    "displayed": f.displayed,
-                    "e2e_ms": f.e2e_ms,
-                    "vsync_wait_ms": f.vsync_wait_ms,
-                    "retx_count": f.retx_count,
-                }
-                for f in self.frames
-            ],
-            "aggregates": dict(vars(self.aggregates)),
-        }
+    frames: Sequence[FrameResult] = _json("an array", of=FrameResult)
+    aggregates: Aggregates = _json("an object", of=Aggregates)
+    refresh_hz: float = _json("a number")
+    mtp_limit: float = _json("a number", key="mtp_limit_ms")
+    link: LinkModel = _json("an object", of=LinkModel)
+    timing: PipelineTiming = _json("an object", of=PipelineTiming)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(_write(self), indent=2, sort_keys=True) + "\n"
 
     def write_csv(self, handle: TextIO) -> None:
         """Per-frame rows followed by an aggregates block."""
-        handle.write("frame_index,displayed,e2e_ms,vsync_wait_ms,retx_count\n")
+        handle.write(",".join(key for _, key, *_ in _plan(FrameResult)[0]) + "\n")
         for f in self.frames:
             e2e = "" if f.e2e_ms is None else f"{f.e2e_ms:.6f}"
             wait = "" if f.vsync_wait_ms is None else f"{f.vsync_wait_ms:.6f}"
             handle.write(f"{f.index},{int(f.displayed)},{e2e},{wait},{f.retx_count}\n")
         handle.write("\nmetric,value\n")
-        for name, value in vars(self.aggregates).items():
+        for name, value in _write(self.aggregates).items():
             handle.write(f"{name},{'' if value is None else value}\n")
 
 

@@ -340,9 +340,9 @@ def _parse_pipeline(obj: dict, path: str) -> LatencyBudget:
 
 
 def _write_pipeline(name: str, budget: LatencyBudget) -> dict:
-    """A preset as the JSON object that ``_parse_pipeline`` builds it from."""
+    """A preset as the JSON object that ``_parse_pipeline`` builds it from, an unset field as None (null)."""
     flat = {"name": name, **vars(budget.components), **vars(budget)}
-    return {key: value for key, value in flat.items() if key in _PIPELINE_KEYS and value is not None}
+    return {key: value for key, value in flat.items() if key in _PIPELINE_KEYS}
 
 
 _ROOT = "profiles"

@@ -10,12 +10,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
 from .codec import FrameSizes, GopConfig
-from .errors import DomainError, _json, _read, _write, require
+from .errors import DomainError, _json, _plan, _read, _write, require
 from .report import _destination
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "load_trace_json",
 ]
 
-TRACE_CSV_COLUMNS = ("frame_index", "t_gen_ms", "frame_type", "size_bits", "gop_index")
 PACKET_CSV_COLUMNS = ("frame_index", "packet_index", "size_bits", "t_ready_ms")
 
 # Run ceilings: a frame record takes ~220 B and a packet record ~115 B, so
@@ -43,7 +43,7 @@ class FrameRecord:
     index: int = _json("an integer", key="frame_index")
     t_gen: float = _json("a number", key="t_gen_ms")
     frame_type: str = _json("a string")
-    size_bits: int = _json("an integer", ge=0)
+    size_bits: int = _json("an integer")
     gop_index: int = _json("an integer")
 
 
@@ -57,8 +57,8 @@ class PacketRecord:
 
 @dataclass(frozen=True)
 class FrameTrace:
-    """A positive, finite duration and frames whose indices run 0, 1, 2, ..., whose generation times never
-    decrease, and whose types are I, P or B."""
+    """A positive, finite duration and at most ``MAX_FRAMES`` frames, whose indices run 0, 1, 2, ..., whose
+    generation times never decrease, whose types are I, P or B and whose sizes are not negative."""
 
     config: GopConfig = _json("an object", of=GopConfig)
     sizes: FrameSizes = _json("an object", of=FrameSizes)
@@ -67,7 +67,8 @@ class FrameTrace:
 
     def __post_init__(self) -> None:
         require("trace.duration_s", self.duration, gt=0)
-        previous = -math.inf
+        require("trace frame count", len(self.records), ge=0, le=MAX_FRAMES)
+        previous, largest = -math.inf, sys.float_info.max
         for i, record in enumerate(self.records):
             if record.index != i:
                 raise DomainError(
@@ -79,6 +80,8 @@ class FrameTrace:
                 )
             if record.frame_type not in ("I", "P", "B"):
                 raise DomainError(f"trace.records[{i}].frame_type must be I, P or B, got {record.frame_type!r}")
+            if not 0 <= record.size_bits <= largest:
+                require(f"trace.records[{i}].size_bits", record.size_bits, ge=0)
             previous = record.t_gen
 
     def __len__(self) -> int:
@@ -161,7 +164,7 @@ def export_trace(trace: FrameTrace, fmt: str, destination: str | Path | TextIO) 
     with _destination(destination, "trace") as handle:
         if fmt == "csv":
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(TRACE_CSV_COLUMNS)
+            writer.writerow(key for _, key, *_ in _plan(FrameRecord)[0])
             for r in trace.records:
                 writer.writerow([r.index, f"{r.t_gen:.3f}", r.frame_type, r.size_bits, r.gop_index])
         elif fmt == "json":

@@ -242,6 +242,10 @@ class TestProfilesCommands:
             _load_document(registry, {kind: [data]}, f"profiles show {name}")
         assert getattr(registry, kind) == getattr(builtin, kind)
 
+    def test_show_pipeline_writes_an_unset_field_as_null(self, capsys, cli_schema):
+        data = run_json(capsys, cli_schema, "profiles", "show", "local_vr")["data"]
+        assert "refresh_hz" in data and data["refresh_hz"] is None
+
     def test_show_stage(self, capsys, cli_schema):
         payload = run_json(capsys, cli_schema, "profiles", "show", "huawei_ilab/comfortable")
         assert payload["data"]["mtp_ms"]["strong"] == 20.0
@@ -373,6 +377,12 @@ class TestTraceAndSimulate:
         code, out, err = run_cli(capsys, "simulate", *SHORT_TRACE, "--refresh-hz", "90")
         assert_domain_error(code, out, err)
         assert err == "error: simulate needs --downlink or --sweep-downlink\n"
+
+    def test_simulate_has_no_uplink_flag(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", *SHORT_TRACE, "--downlink", "50M", "--uplink", "1K",
+                                 "--refresh-hz", "90")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --uplink 1K" in err
 
     @pytest.mark.parametrize(
         "flag, value", [("--downlink", "nan"), ("--sense", "nan"), ("--rtt", "inf"), ("--refresh-hz", "inf")]

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import json
 import math
 import pickle
 import sys
@@ -16,6 +17,7 @@ from xrqos.errors import DomainError
 from xrqos.latency import PipelineTiming
 from xrqos import netsim
 from xrqos.netsim import LinkModel, _lost_packets, simulate
+from xrqos.reliability import DEFAULT_MSS_BITS
 from xrqos.tracegen import FrameTrace, generate_trace, packet_split, packetize
 
 
@@ -273,11 +275,28 @@ class TestProperties:
 class TestReportSerialization:
     def test_json_shape(self):
         trace = small_trace(frames=8)
-        report = simulate(trace, LinkModel(downlink_bps=1e8, seed=4), PipelineTiming(), 90.0, 20.0)
-        payload = report.to_dict()
+        link = LinkModel(downlink_bps=1e8, uplink_bps=5e7, propagation_rtt=4.0, seed=4, uplink_payload_bits=2000)
+        timing = PipelineTiming(t_sense=1.0, t_render=2.0, t_encode=3.0, t_decode=4.5, fixed_display=0.5)
+        report = simulate(trace, link, timing, 90.0, 20.0)
+        payload = json.loads(report.to_json())
         assert len(payload["frames"]) == 8
         assert payload["aggregates"]["displayed_count"] == 8
-        assert payload["link"]["seed"] == 4
+        assert payload["link"] == {
+            "downlink_bps": 1e8,
+            "uplink_bps": 5e7,
+            "propagation_rtt_ms": 4.0,
+            "loss_prob": 0.0,
+            "seed": 4,
+            "mode": "udp_like",
+            "max_retx": 3,
+            "mtu_payload_bits": DEFAULT_MSS_BITS,
+            "uplink_payload_bits": 2000,
+        }
+        assert payload["timing"] == {
+            "t_sense": 1.0, "t_render": 2.0, "t_encode": 3.0, "t_decode": 4.5, "fixed_display": 0.5,
+        }
+        assert (payload["refresh_hz"], payload["mtp_limit_ms"]) == (90.0, 20.0)
+        assert payload["frames"][0].keys() == {"frame_index", "displayed", "e2e_ms", "vsync_wait_ms", "retx_count"}
 
     def test_csv_sections(self):
         import io

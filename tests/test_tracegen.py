@@ -11,6 +11,7 @@ from xrqos.capacity import BitDepth
 from xrqos.codec import FrameSizes, GopConfig, RenderSurface, frame_size, gop_bitrate, nb_pixels
 from xrqos.errors import ConfigError, DomainError, _write
 from xrqos.geometry import FovSpec, Resolution
+from xrqos import tracegen
 from xrqos.tracegen import (
     FrameTrace,
     export_packets,
@@ -260,6 +261,8 @@ BAD_RECORDS = [
     (4, {"index": 5}, r"trace\.records\[4\]\.frame_index must be 4 \(indices run from 0"),
     (5, {"t_gen": 1.0}, r"trace\.records\[5\]\.t_gen_ms 1\.0 precedes the previous frame's"),
     (1, {"frame_type": "Q"}, r"trace\.records\[1\]\.frame_type must be I, P or B, got 'Q'"),
+    (3, {"size_bits": -10**9}, r"trace\.records\[3\]\.size_bits cannot be negative or infinite, got -1000000000"),
+    (2, {"size_bits": 10**400}, r"trace\.records\[2\]\.size_bits cannot be negative or infinite, got 1000"),
 ]
 
 
@@ -271,7 +274,9 @@ class TestLoadBoundary:
         with pytest.raises(DomainError, match=message):
             trace_from_dict(_mutated(change))
 
-    @pytest.mark.parametrize("position, changes, message", BAD_RECORDS, ids=["index gap", "time decreases", "type Q"])
+    @pytest.mark.parametrize(
+        "position, changes, message", BAD_RECORDS, ids=["index gap", "time decreases", "type Q", "negative size", "size beyond a float"],
+    )
     def test_trace_built_in_code_is_checked(self, position, changes, message):
         trace = generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0)
         records = list(trace.records)
@@ -283,6 +288,17 @@ class TestLoadBoundary:
     def test_trace_built_in_code_needs_a_positive_finite_duration(self, duration):
         with pytest.raises(DomainError, match=r"trace\.duration_s must be positive and finite"):
             FrameTrace(GopConfig(1.0, 10.0), FrameSizes(5000, 600), duration, ())
+
+    def test_trace_holds_at_most_max_frames(self, monkeypatch):
+        trace = generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 0.4)
+        payload = _write(trace)
+        monkeypatch.setattr(tracegen, "MAX_FRAMES", 3)
+        message = r"trace frame count must lie in \[0, 3\], got 4"
+        with pytest.raises(DomainError, match=message):
+            trace_from_dict(payload)
+        with pytest.raises(DomainError, match=message):
+            FrameTrace(trace.config, trace.sizes, trace.duration, trace.records)
+        assert len(FrameTrace(trace.config, trace.sizes, trace.duration, trace.records[:3])) == 3
 
     def test_note_and_absent_redundancy_accepted(self):
         payload = _mutated(lambda p: p["config"].pop("redundancy_fraction"))
