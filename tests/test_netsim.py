@@ -345,6 +345,36 @@ class TestReferenceLoop:
                 assert frame.vsync_wait_ms == pytest.approx(wait, abs=1e-9)
 
 
+class TestLossySweepBytes:
+    """A lossy sweep's reports, byte for byte: each mode at three downlinks over one trace, as a sweep runs them."""
+
+    # sha256 of report.to_json() per (mode, downlink)
+    SHA256 = {
+        ("udp_like", 100e6): "1426de8f562d395eab4c26ddc6d620c25d3a2bd105f6cde54e074570b46280df",
+        ("udp_like", 200e6): "7d2bac814a284a0072517cdaa2c5387a5466277587de9595ebcedbd6df0126f0",
+        ("udp_like", 300e6): "113cc3ea5b5318c1d94d8f67bd8ce0e1f0543468cc90a8925bc589e2ec8bff74",
+        ("tcp_like", 100e6): "7cf69e9ea4fadd2ff4e976aa199e90cb42c74e9f3216add3b5b2912386178aad",
+        ("tcp_like", 200e6): "2ec24f0c628e071ce8eaaa55c46e1a6f3df42abdf0d1b1f68aef468ec37ce1d7",
+        ("tcp_like", 300e6): "e24cc0a85d02d7837b9a099266485e7f9a1e6dfd43543f6cd94adc30534822ee",
+    }
+
+    def test_reports_are_unchanged(self):
+        from xrqos.codec import frame_sizes
+        from xrqos.profiles import builtin_registry
+
+        surface, cfg, comp = builtin_registry().stage("huawei_ilab", "comfortable").gop_model()
+        trace = generate_trace(frame_sizes(surface, comp), cfg, 2.0)
+        timing = PipelineTiming(t_sense=1.0, t_render=2.0, t_encode=2.0, t_decode=3.0, fixed_display=2.0)
+        digests = {}
+        for mode in ("udp_like", "tcp_like"):
+            for downlink in (100e6, 200e6, 300e6):
+                link = LinkModel(downlink_bps=downlink, propagation_rtt=8.0, loss_prob=0.01, seed=3, mode=mode,
+                                 mtu_payload_bits=11_680)
+                report = simulate(trace, link, timing, 90.0, 20.0)
+                digests[mode, downlink] = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digests == self.SHA256
+
+
 def counted_frame_results(monkeypatch):
     """A list that gains one entry per ``FrameResult`` the simulator builds while the test runs."""
     built = []
