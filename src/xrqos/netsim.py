@@ -25,14 +25,16 @@ it keeps the packets still lost after the chain's last attempt, so a run
 that allows more attempts (``tcp_like`` after ``udp_like``) draws only the
 further attempts of the frames that still have losses.
 
-A run's results are kept as columns: displayed, e2e, VSync wait and
+A run's results are kept as three columns: e2e, VSync wait and
 retransmissions, one entry per frame, a frame's index being its position.
-The aggregates are computed from them. ``SimReport.frames`` acts as the
-tuple of ``FrameResult`` records; the records are built from the columns on
-first read, so a run read only for its aggregates (a sweep) never builds
-them. A report also holds the link, pipeline timing, refresh rate and MTP
-limit it ran with; its JSON keys and CSV headers are the ones declared on
-the record fields, written by ``errors._write``.
+A dropped frame's e2e and VSync wait are None, so whether a frame was
+displayed is derived from its e2e. The aggregates are computed from the
+columns. ``SimReport.frames`` acts as the tuple of ``FrameResult``
+records; the records are built from the columns on first read, so a run
+read only for its aggregates (a sweep) never builds them. A report also
+holds the link, pipeline timing, refresh rate and MTP limit it ran with;
+its JSON keys and CSV headers are the ones declared on the record fields,
+written by ``errors._write``.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ from typing import TextIO
 from .errors import DomainError, _json, _plan, _write, require
 from .latency import PipelineTiming
 from .reliability import DEFAULT_MSS_BITS
-from .tracegen import FrameRecord, FrameTrace, packet_split
+from .tracegen import MAX_PACKETS, FrameRecord, FrameTrace, packet_split
 
 __all__ = ["LinkModel", "FrameResult", "Aggregates", "SimReport", "simulate"]
 
@@ -60,8 +62,8 @@ class LinkModel:
 
     ``propagation_rtt`` is in milliseconds and is split evenly between the
     pose uplink and the video downlink. ``udp_like`` drops a frame on any
-    lost packet; ``tcp_like`` retransmits each lost packet after one
-    propagation RTT, up to ``max_retx`` times, before giving the frame up.
+    lost packet; ``tcp_like`` retransmits each lost packet after one RTT,
+    up to ``max_retx`` (at most 15) times, before giving the frame up.
     The resends are serial: each lost packet holds the downlink for one full
     RTT plus its own transmission, one loss after another, so at p = 0.01
     and an 8 ms RTT a frame of ~88 packets spends ~7 ms on average in
@@ -90,7 +92,7 @@ class LinkModel:
             raise DomainError(f"mode must be udp_like or tcp_like, got {self.mode!r}")
         if not isinstance(self.max_retx, int):
             raise DomainError(f"max retransmissions must be an integer, got {self.max_retx!r}")
-        require("max retransmissions", self.max_retx, ge=0)
+        require("max retransmissions", self.max_retx, ge=0, le=15)  # 15: Linux's default tcp_retries2
         require("mtu payload", self.mtu_payload_bits, gt=0)
         require("uplink payload", self.uplink_payload_bits, ge=0)
 
@@ -107,20 +109,24 @@ class FrameResult:
 class _Frames(Sequence):
     """A run's ``FrameResult`` records, built from its result columns on first read.
 
-    It acts as the tuple of those records (length, indexing, slicing,
-    iteration, equality, hash, repr, pickling) and, once built, holds only
-    that tuple.
+    The columns are ``e2e_ms``, ``vsync_wait_ms`` and ``retx_count``, one
+    entry per frame; a frame is displayed exactly when its ``e2e_ms`` is not
+    None, so ``displayed`` is derived as the records are built. It acts as
+    the tuple of those records (length, indexing, slicing, iteration,
+    equality, hash, repr, pickling) and, once built, holds only that tuple.
     """
 
     __slots__ = ("_data",)
 
-    def __init__(self, displayed: list, e2e_ms: list, vsync_wait_ms: list, retx_count: list) -> None:
-        self._data = [displayed, e2e_ms, vsync_wait_ms, retx_count]  # a list of columns until the records replace it
+    def __init__(self, e2e_ms: list, vsync_wait_ms: list, retx_count: list) -> None:
+        self._data = [e2e_ms, vsync_wait_ms, retx_count]  # a list of columns until the records replace it
 
     def _records(self) -> tuple[FrameResult, ...]:
         data = self._data
         if type(data) is list:
-            data = self._data = tuple(map(FrameResult, range(len(data[0])), *data))
+            e2e_ms = data[0]
+            shown = [e2e is not None for e2e in e2e_ms]
+            data = self._data = tuple(map(FrameResult, range(len(e2e_ms)), shown, *data))
         return data
 
     def __len__(self) -> int:
@@ -251,14 +257,24 @@ def _forget_chains(ref) -> None:
         _chains_memo = None
 
 
+def _check_packets(trace: FrameTrace, link: LinkModel) -> None:
+    """A lossy run walks every packet of every attempt, so its trace may hold at most ``MAX_PACKETS`` at the MTU."""
+    mtu = link.mtu_payload_bits
+    if trace.total_bits > (MAX_PACKETS - len(trace)) * mtu:  # a frame takes at most size / mtu + 1 packets
+        require("packets of a lossy run", sum(packet_split(r.size_bits, mtu)[0] for r in trace), ge=0, le=MAX_PACKETS)
+
+
 def _loss_chains(trace: FrameTrace, link: LinkModel, depth: int):
     """Every frame's (loss chain, lost packets), at least ``depth`` attempts deep; the memo's, extended as needed."""
     global _chains_memo
     if not 0.0 < link.loss_prob < 1.0:  # a chain that costs no draw is made as it is used
+        if link.loss_prob:  # certain loss still walks every packet
+            _check_packets(trace, link)
         return (_loss_chain(link, record, depth) for record in trace)
     key = (str(link.seed), link.loss_prob, link.mtu_payload_bits)  # the stream keys on the seed's text
     memo = _chains_memo
     if memo is None or memo[0]() is not trace or memo[1] != key:
+        _check_packets(trace, link)
         chains = [_loss_chain(link, record, depth) for record in trace]
     elif memo[2] < depth:  # only a frame whose last attempt lost packets goes on
         chains = [_loss_chain(link, record, depth, *state) if state[1] else state
@@ -303,37 +319,41 @@ def simulate(
     # a retransmission waits one RTT after its loss, then goes on the wire again
     resend = link.propagation_rtt + full_tx
 
+    t_sense, t_render, t_encode = timing.t_sense, timing.t_render, timing.t_encode
+    t_decode, fixed_display = timing.t_decode, timing.fixed_display
+    downlink, ceil = link.downlink_bps, math.ceil
+    e2e_ms, vsync_wait_ms, retx_count = [], [], []
+    add_e2e, add_wait, add_retx = e2e_ms.append, vsync_wait_ms.append, retx_count.append
     link_free = 0.0
-    displayed, e2e_ms, vsync_wait_ms, retx_count = [], [], [], []
     try:
         for record, (chain, _) in zip(trace, _loss_chains(trace, link, max_attempts)):
-            arrival = record.t_gen + timing.t_sense + uplink_ms + half_rtt + timing.t_render + timing.t_encode
+            t_gen = record.t_gen
+            arrival = t_gen + t_sense + uplink_ms + half_rtt + t_render + t_encode
             # every packet goes out once, lost or not
-            t = max(arrival, link_free) + 1000.0 * record.size_bits / link.downlink_bps
+            t = (link_free if link_free > arrival else arrival) + 1000.0 * record.size_bits / downlink
             retx = 0
-            for n_lost, last_lost in chain[: max_attempts - 1]:
-                t += n_lost * resend
-                if last_lost:
-                    t += 1000.0 * (packet_split(record.size_bits, mtu)[1] - mtu) / link.downlink_bps
-                retx += n_lost
+            if chain and max_attempts > 1:  # a chain deeper than the retries allow is walked to their end
+                for n_lost, last_lost in chain if len(chain) < max_attempts else chain[: max_attempts - 1]:
+                    t += n_lost * resend
+                    if last_lost:
+                        t += 1000.0 * (packet_split(record.size_bits, mtu)[1] - mtu) / downlink
+                    retx += n_lost
             link_free = t
-            retx_count.append(retx)
+            add_retx(retx)
 
             if len(chain) < max_attempts:
-                ready = t + half_rtt + timing.t_decode + timing.fixed_display
-                k = max(0, math.ceil(ready / tick - 1e-9))
-                display = k * tick
-                displayed.append(True)
-                e2e_ms.append(display - record.t_gen)
-                vsync_wait_ms.append(display - ready)
+                ready = t + half_rtt + t_decode + fixed_display
+                k = ceil(ready / tick - 1e-9)
+                display = (k if k > 0 else 0) * tick
+                add_e2e(display - t_gen)
+                add_wait(display - ready)
             else:
-                displayed.append(False)
-                e2e_ms.append(None)
-                vsync_wait_ms.append(None)
+                add_e2e(None)
+                add_wait(None)
     except OverflowError as exc:  # times or sizes beyond a float, e.g. from 1e308-sized inputs
         raise DomainError(f"simulated times overflow: {exc}") from exc
 
-    shown = sorted(e2e for e2e in e2e_ms if e2e is not None)
+    shown = sorted([e2e for e2e in e2e_ms if e2e is not None])
     displayed_count = len(shown)
     aggregates = Aggregates(
         mean_e2e_ms=require("mean e2e latency", sum(shown) / displayed_count, ge=0) if shown else None,
@@ -342,12 +362,12 @@ def simulate(
         p99_e2e_ms=_percentile(shown, 0.99) if shown else None,
         max_e2e_ms=shown[-1] if shown else None,
         displayed_count=displayed_count,
-        dropped_count=len(displayed) - displayed_count,
+        dropped_count=len(e2e_ms) - displayed_count,
         mtp_violations=displayed_count - bisect_right(shown, mtp_limit),
         effective_fps=displayed_count / trace.duration,
     )
     return SimReport(
-        frames=_Frames(displayed, e2e_ms, vsync_wait_ms, retx_count),
+        frames=_Frames(e2e_ms, vsync_wait_ms, retx_count),
         aggregates=aggregates,
         refresh_hz=refresh_hz,
         mtp_limit=mtp_limit,

@@ -103,20 +103,12 @@ def generate_trace(sizes: FrameSizes, cfg: GopConfig, duration: float) -> FrameT
     """
     require("duration", duration, gt=0)
     total = round(require("frame count (duration * fps)", duration * cfg.fps, ge=0, le=MAX_FRAMES))
-    gop_len = cfg.frames_per_gop
-    records = []
-    for index in range(total):
-        frame_type = cfg.frame_type(index % gop_len)
-        bits = sizes.bits_for(frame_type) * (1.0 + cfg.redundancy_fraction)
-        records.append(
-            FrameRecord(
-                index=index,
-                t_gen=index * 1000.0 / cfg.fps,
-                frame_type=frame_type,
-                size_bits=round(bits),
-                gop_index=index // gop_len,
-            )
-        )
+    gop_len, fps, inflate = cfg.frames_per_gop, cfg.fps, 1.0 + cfg.redundancy_fraction
+    # (type, size) of each GOP position the trace reaches: a B-frame without a size fails only if one is made
+    kinds = map(cfg.frame_type, range(min(gop_len, total)))
+    positions = [(kind, round(sizes.bits_for(kind) * inflate)) for kind in kinds]
+    records = [FrameRecord(index, index * 1000.0 / fps, *positions[index % gop_len], index // gop_len)
+               for index in range(total)]
     return FrameTrace(config=cfg, sizes=sizes, duration=duration, records=tuple(records))
 
 

@@ -483,6 +483,13 @@ WRITING_RUNS = pytest.mark.parametrize(
 )
 
 
+# A lossy run over these frames walks 1.125e10 packets; a run with certain loss retries every packet.
+LOSSY_MTU_8 = ("--i-bits", "1e9", "--p-bits", "1e9", "--duration", "1", "--refresh-hz", "90", "--downlink", "1G",
+               "--mtu", "8")
+CERTAIN_TCP_LOSS = ("--i-bits", "2e5", "--p-bits", "4e4", "--duration", "1", "--refresh-hz", "90", "--downlink",
+                    "1G", "--loss", "1", "--mode", "tcp")
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize("document", ["absent", "empty", "negative size"])
     def test_bad_trace_input(self, capsys, tmp_path, document):
@@ -573,11 +580,25 @@ class TestInputBoundary:
             ["trace", "generate", "--i-bits", "5000", "--p-bits", "600", "--duration", "1e12"],
             ["trace", "generate", "--i-bits", "5000", "--p-bits", "600", "--fps", "inf"],
             ["trace", "packetize", "--stage-profile", "huawei_ilab/comfortable", "--mtu", "1"],
+            ["simulate", *LOSSY_MTU_8, "--loss", "0.5"],
+            ["simulate", *LOSSY_MTU_8, "--loss", "1"],
+            ["simulate", *CERTAIN_TCP_LOSS, "--max-retx", "100000000"],
+            ["simulate", *CERTAIN_TCP_LOSS, "--max-retx", "16"],
         ],
-        ids=["duration-1e12", "fps-inf", "mtu-1"],
+        ids=["duration-1e12", "fps-inf", "mtu-1", "lossy-packets-past-the-ceiling",
+             "certain-loss-packets-past-the-ceiling", "max-retx-1e8", "max-retx-16"],
     )
     def test_unbounded_run_rejected(self, capsys, argv):
         assert_domain_error(*run_cli(capsys, *argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", *LOSSY_MTU_8, "--loss", "0"], ["simulate", *CERTAIN_TCP_LOSS, "--max-retx", "15"]],
+        ids=["lossless-packets-past-the-ceiling", "max-retx-15"],
+    )
+    def test_bounded_neighbour_of_an_unbounded_run_simulates(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and "displayed_count" in out
 
     @pytest.mark.parametrize(
         "preset, argv",

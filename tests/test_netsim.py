@@ -448,6 +448,23 @@ class TestFramesContract:
         assert hash(rebuilt) == hash(report)
         assert pickle.loads(pickle.dumps(report)) == report
 
+    def test_a_dropped_frame_reads_as_not_displayed_with_no_times(self):
+        # the run keeps three columns; a record's displayed flag is derived from its e2e_ms
+        trace = small_trace(frames=12)
+        eager = self.eager(trace)
+        dropped = [f.index for f in eager if not f.displayed]
+        assert dropped and len(dropped) < len(eager)
+        frames = self.report(trace).frames
+        assert frames == eager and hash(frames) == hash(eager)
+        assert pickle.loads(pickle.dumps(self.report(trace).frames)) == eager
+        for frame in frames:
+            assert type(frame.displayed) is bool
+            assert frame.displayed == (frame.index not in dropped)
+            if not frame.displayed:
+                assert frame.e2e_ms is None and frame.vsync_wait_ms is None
+            else:
+                assert frame.e2e_ms is not None and frame.vsync_wait_ms is not None
+
     def test_aggregates_and_length_build_no_record(self, monkeypatch):
         built = counted_frame_results(monkeypatch)
         report = self.report(small_trace(frames=12))
@@ -682,3 +699,29 @@ class TestBoundary:
     def test_timing_rejects_nan_and_infinity(self, value):
         with pytest.raises(DomainError):
             PipelineTiming(t_decode=value)
+
+    def test_max_retx_is_capped_at_linux_default_tcp_retries2(self):
+        assert LinkModel(downlink_bps=1e8, mode="tcp_like", max_retx=15).max_retx == 15
+        with pytest.raises(DomainError, match="max retransmissions"):
+            LinkModel(downlink_bps=1e8, mode="tcp_like", max_retx=16)
+
+    @pytest.mark.parametrize("loss_prob", [0.5, 1.0])
+    def test_a_lossy_run_holds_at_most_max_packets(self, digests, loss_prob):
+        # 90 frames of 1e9 bits at an 8-bit MTU: 1.125e10 packets, far past the ceiling
+        trace = small_trace(frames=90, fps=90.0, i_bits=10**9, p_bits=10**9)
+        link = LinkModel(downlink_bps=1e9, loss_prob=loss_prob, mtu_payload_bits=8)
+        with pytest.raises(DomainError, match="packets of a lossy run"):
+            simulate(trace, link, PipelineTiming(), 90.0, 20.0)
+        assert digests == []  # rejected before any draw
+        report = simulate(trace, dataclasses.replace(link, loss_prob=0.0), PipelineTiming(), 90.0, 20.0)
+        assert report.aggregates.displayed_count == 90
+
+    def test_the_packet_ceiling_is_exact(self, monkeypatch):
+        # 3 frames of 10 bits at a 4-bit MTU: 3 packets each
+        trace = small_trace(frames=3, i_bits=10, p_bits=10)
+        link = LinkModel(downlink_bps=1e6, loss_prob=0.5, mtu_payload_bits=4)
+        monkeypatch.setattr(netsim, "MAX_PACKETS", 9)
+        simulate(trace, link, PipelineTiming(), 90.0, 20.0)
+        monkeypatch.setattr(netsim, "MAX_PACKETS", 8)
+        with pytest.raises(DomainError, match="got 9"):
+            simulate(dataclasses.replace(trace), link, PipelineTiming(), 90.0, 20.0)

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xrqos.capacity import BitDepth
@@ -13,6 +13,7 @@ from xrqos.errors import ConfigError, DomainError, _write
 from xrqos.geometry import FovSpec, Resolution
 from xrqos import tracegen
 from xrqos.tracegen import (
+    FrameRecord,
     FrameTrace,
     export_packets,
     export_trace,
@@ -87,6 +88,58 @@ class TestGenerateTrace:
         trace = generate_trace(FrameSizes(1000, 500), cfg, 1.0)
         assert trace.records[0].size_bits == 1100
         assert trace.records[1].size_bits == 550
+
+
+def reference_generate_trace(sizes: FrameSizes, cfg: GopConfig, duration: float) -> FrameTrace:
+    """The trace built one frame at a time: each frame asks the GOP config for its type and the sizes for its bits."""
+    total = round(duration * cfg.fps)
+    gop_len = cfg.frames_per_gop
+    records = []
+    for index in range(total):
+        frame_type = cfg.frame_type(index % gop_len)
+        bits = sizes.bits_for(frame_type) * (1.0 + cfg.redundancy_fraction)
+        records.append(
+            FrameRecord(
+                index=index,
+                t_gen=index * 1000.0 / cfg.fps,
+                frame_type=frame_type,
+                size_bits=round(bits),
+                gop_index=index // gop_len,
+            )
+        )
+    return FrameTrace(config=cfg, sizes=sizes, duration=duration, records=tuple(records))
+
+
+class TestGenerateTraceReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fps=st.floats(min_value=0.5, max_value=240.0),
+        gop_time=st.floats(min_value=0.004, max_value=4.0),
+        redundancy=st.floats(min_value=0.0, max_value=0.99),
+        pattern=st.one_of(st.none(), st.text("PB", max_size=7).map(lambda cycle: "I" + cycle)),
+        bits=st.tuples(st.floats(min_value=1e-3, max_value=1e9), st.floats(min_value=1e-3, max_value=1e9)),
+        b_bits=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e9)),
+        duration=st.floats(min_value=1e-3, max_value=5.0),
+    )
+    def test_equals_the_per_frame_build(self, fps, gop_time, redundancy, pattern, bits, b_bits, duration):
+        assume(1 <= gop_time * fps)
+        cfg = GopConfig(gop_time, fps, redundancy_fraction=redundancy, pattern=pattern)
+        sizes = FrameSizes(*bits, b_bits=b_bits)
+        total, gop_len = round(duration * fps), cfg.frames_per_gop
+        makes_b = any(cfg.frame_type(index % gop_len) == "B" for index in range(total))
+        if makes_b and b_bits is None:
+            for build in (reference_generate_trace, generate_trace):
+                with pytest.raises(ConfigError):
+                    build(sizes, cfg, duration)
+        else:
+            assert generate_trace(sizes, cfg, duration) == reference_generate_trace(sizes, cfg, duration)
+
+    def test_b_positions_past_the_trace_need_no_b_size(self):
+        # a 0.25 s trace at 12 fps holds I, P and P; the B positions of "IPPB" come later
+        cfg = GopConfig(1.0, 12.0, pattern="IPPB")
+        assert [r.frame_type for r in generate_trace(FrameSizes(1000, 100), cfg, 0.25)] == ["I", "P", "P"]
+        with pytest.raises(ConfigError):
+            generate_trace(FrameSizes(1000, 100), cfg, 0.34)
 
 
 class TestPacketize:
