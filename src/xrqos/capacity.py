@@ -9,9 +9,8 @@ formatting decision made at the edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, require
+from .errors import ConfigError, DomainError, record, require
 from .geometry import FovSpec, Resolution
 
 __all__ = [
@@ -36,7 +35,7 @@ BINARY_PREFIXES = (("Ti", 2**40), ("Gi", 2**30), ("Mi", 2**20), ("Ki", 2**10))
 DECIMAL_PREFIXES = (("T", 10**12), ("G", 10**9), ("M", 10**6), ("K", 10**3))
 
 
-@dataclass(frozen=True)
+@record
 class BitDepth:
     """Bits carried per displayed pixel."""
 
@@ -57,7 +56,7 @@ class BitDepth:
         return cls(require("bits per color", bits_per_color, gt=0) * _CHROMA_MULTIPLIER[chroma])
 
 
-@dataclass(frozen=True)
+@record
 class CompressionProfile:
     """Codec identity and how much it shrinks the raw stream.
 
@@ -92,7 +91,7 @@ class CompressionProfile:
 UNCOMPRESSED = CompressionProfile("raw", 1.0)
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class BitRate:
     """A non-negative rate in raw bits per second."""
 
@@ -126,7 +125,7 @@ class BitRate:
         return f"{self.bits_per_second:.{precision}f} bps"
 
 
-@dataclass(frozen=True)
+@record
 class VoxelSpec:
     """Point-cloud frame description: voxel count and per-voxel bit layout.
 

@@ -567,202 +567,215 @@ def _cmd_simulate(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(name: str, **kwargs) -> tuple[str, dict]:
+    """One ``add_argument`` call of the command table: the flag or positional name and its keywords."""
+    return name, kwargs
+
+
+def _timing_flags(action="store") -> tuple:
+    return tuple(_arg(f"--{stage}", type=float, default=0.0, action=action)
+                 for stage in ("sense", "render", "encode", "decode", "display"))
+
+
+_DEPTH_FLAGS = (
+    _arg("--bpp", type=float, default=None),
+    _arg("--bpc", type=int, default=8),
+    _arg("--chroma", choices=("4:4:4", "4:2:0"), default="4:4:4"),
+    _arg("--fps", type=float, required=True),
+    _arg("--factor", type=float, default=1.0),
+)
+_GOP_TIMING_FLAGS = (
+    _arg("--fps", type=float, default=90.0, action=_PresetField),
+    _arg("--gop-time", type=float, default=2.0, action=_PresetField),
+    _arg("--redundancy", type=float, default=0.10, action=_PresetField),
+)
+_GOP_FLAGS = (
+    _arg("--stage-profile", default=None, help="taxonomy/stage to pull parameters from"),
+    _arg("--resolution", action=_PresetField),
+    _arg("--fov", action=_PresetField),
+    _arg("--extra-fov", default=None, help="reprojection margin HxV degrees", action=_PresetField),
+    _arg("--extra-picture", type=float, default=0.10, action=_PresetField),
+    _arg("--dof", type=float, default=0.15, action=_PresetField),
+    _arg("--bpp", type=float, default=None, action=_PresetField),
+    _arg("--bpc", type=int, default=8, action=_PresetField),
+    _arg("--chroma", choices=("4:4:4", "4:2:0"), default="4:2:0", action=_PresetField),
+    _arg("--ifactor", type=float, action=_PresetField),
+    _arg("--pfactor", type=float, action=_PresetField),
+    *_GOP_TIMING_FLAGS,
+)
+_STAGE_KEY_FLAGS = (_arg("--taxonomy"), _arg("--stage"), _arg("--interaction", type=norm_interaction, default=None))
+_TRACE_SOURCE_FLAGS = (
+    _arg("--input", default=None, help="existing trace JSON"),
+    _arg("--stage-profile", default=None, help="taxonomy/stage with GOP parameters", action=_PresetField),
+    _arg("--i-bits", type=float, default=None, action=_PresetField),
+    _arg("--p-bits", type=float, default=None, action=_PresetField),
+    _arg("--b-bits", type=float, default=None, action=_PresetField),
+    *_GOP_TIMING_FLAGS,
+    _arg("--pattern", default=None, action=_PresetField),
+    _arg("--duration", type=float, default=2.0, help="seconds", action=_PresetField),
+)
+_OUTPUT = _arg("--output", default=None)
+_MTU = _arg("--mtu", type=int, default=DEFAULT_MSS_BITS)
+
+# Every command: a group maps its subcommands' names to theirs, and a leaf is (handler, flags[, defaults]).
+_COMMANDS = {
+    "geometry": {
+        "ppi": (_cmd_geometry_ppi, (
+            _arg("--resolution", required=True),
+            _arg("--size", required=True, help="WxH inches, or a bare diagonal length"),
+        )),
+        "fov": (_cmd_geometry_fov, (_arg("--extent", type=float, required=True),
+                                    _arg("--distance", type=float, required=True))),
+        "ppd": (_cmd_geometry_ppd, (_arg("--pixels", type=int, required=True), _arg("--fov", type=float),
+                                    _arg("--extent", type=float), _arg("--distance", type=float))),
+        "scale": (_cmd_geometry_scale, (_arg("--pixels", type=int, required=True),
+                                        _arg("--from-fov", type=float, required=True),
+                                        _arg("--to-fov", type=float, required=True))),
+        "cone-ppd": (_cmd_geometry_cone_ppd, (
+            _arg("--density", type=float, required=True, help="cones per square millimetre"),
+            _arg("--lens-distance", type=float, default=17.1),
+        )),
+    },
+    "capacity": {
+        "eye-like": (_cmd_capacity_eye_like, (
+            _arg("--ppd", type=float, required=True),
+            _arg("--fov", required=True, help="per-eye HxV degrees, e.g. 155x130"),
+            *_DEPTH_FLAGS,
+        )),
+        "hmd": (_cmd_capacity_hmd, (
+            _arg("--resolution", required=True),
+            _arg("--mono", action="store_true", help="single shared raster instead of per-eye streams"),
+            *_DEPTH_FLAGS,
+        )),
+        "sphere": (_cmd_capacity_sphere, (_arg("--ppd", type=float, required=True), *_DEPTH_FLAGS)),
+        "volumetric": (_cmd_capacity_volumetric, (
+            _arg("--voxels", type=int, required=True),
+            _arg("--color-bits", type=int, default=24),
+            _arg("--position-bits", type=int, default=48),
+            _arg("--fps", type=float, required=True),
+            _arg("--factor", type=float, default=1.0),
+        )),
+    },
+    "gop": {"frame-sizes": (_cmd_gop_frame_sizes, _GOP_FLAGS), "bitrate": (_cmd_gop_bitrate, _GOP_FLAGS)},
+    "latency": {
+        "refresh": (_cmd_latency_refresh, (_arg("--hz", type=float, required=True),)),
+        "stream": (_cmd_latency_stream, (
+            _arg("--encode", default="0ms"),
+            _arg("--decode", default="0ms"),
+            _arg("--frame-bits", type=float, required=True),
+            _arg("--throughput", required=True),
+        )),
+        "budget": (_cmd_latency_budget, (
+            _arg("--limit", required=True, help="MTP ceiling, e.g. 20ms"),
+            _arg("--pipeline", default=None, help="named pipeline preset"),
+            *_timing_flags(_PresetField),
+            _arg("--comm-ul", type=float, default=0.0, action=_PresetField),
+            _arg("--comm-dl", type=float, default=0.0, action=_PresetField),
+            _arg("--refresh-hz", type=float, default=None, action=_PresetField),
+            _arg("--vsync", choices=("avg", "max", "none"), default="avg", action=_PresetField),
+        )),
+        "limits": (_cmd_latency_limits, _STAGE_KEY_FLAGS),
+    },
+    "reliability": {
+        "max-loss": (_cmd_reliability_max_loss, (
+            _arg("--throughput", required=True),
+            _arg("--rtt", required=True),
+            _arg("--mss", type=int, default=DEFAULT_MSS_BITS),
+        )),
+        "delivery": (_cmd_reliability_delivery, (_arg("--loss", type=float, required=True),)),
+        "requirements": (_cmd_reliability_requirements, _STAGE_KEY_FLAGS),
+    },
+    "profiles": {
+        "list": (_cmd_profiles_list, ()),
+        "show": (_cmd_profiles_show, (_arg("name", help="device name, device@hz, taxonomy/stage, or pipeline name"),)),
+        "validate": (_cmd_profiles_validate, (_arg("path"),)),
+    },
+    "table": {"quest2": (_cmd_table_quest2, ()), "summary": (_cmd_requirements, (), {"profiles": None})},
+    "report": (_cmd_requirements, (_arg("profiles", nargs="+", help="device keys, e.g. quest2@72 eye_like"),)),
+    "trace": {
+        "generate": (_cmd_trace_generate, (*_TRACE_SOURCE_FLAGS, _OUTPUT)),
+        "packetize": (_cmd_trace_packetize, (*_TRACE_SOURCE_FLAGS, _MTU, _OUTPUT)),
+    },
+    "simulate": (_cmd_simulate, (
+        *_TRACE_SOURCE_FLAGS,
+        _arg("--downlink", default=None),
+        _arg("--rtt", default="0ms", help="propagation round trip"),
+        _arg("--loss", type=float, default=0.0),
+        _arg("--mode", choices=("udp", "tcp"), default="udp"),
+        _arg("--max-retx", type=int, default=3),
+        _MTU,
+        *_timing_flags(),
+        _arg("--refresh-hz", type=float, required=True),
+        _arg("--mtp-limit", default="20ms"),
+        _arg("--sweep-downlink", default=None, help="comma-separated rates to sweep"),
+        _OUTPUT,
+    )),
+}
+_HELP = {
+    "geometry": "pixel density, fov, and scaling math",
+    "capacity": "required bitrate models",
+    "gop": "GOP frame sizes and pose-driven bitrate",
+    "latency": "MTP decomposition and budgets",
+    "reliability": "loss bounds and delivery rates",
+    "profiles": "inspect and validate profile data",
+    "table": "reproduce the measurement/QoS tables",
+    "report": "requirements report for chosen profiles",
+    "trace": "synthesize frame/packet traces",
+    "simulate": "play a trace through the MTP pipeline",
+}
+
+
+class _Commands(argparse._SubParsersAction):
+    """The subcommands of one ``_COMMANDS`` table.
+
+    Every name is a choice from the start, with its help, so usage, ``--help`` and "invalid choice" errors
+    are those of the whole tree. With ``lazy``, a name's parser (a group's subcommands, or a leaf's flags)
+    is built only when parsing reaches the name; otherwise every parser is built at once.
+    """
+
+    def __init__(self, *args, table: dict, lazy: bool, helps: dict | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._table, self._lazy = table, lazy
+        for name in table:
+            self._name_parser_map[name] = None  # built by _build
+            if helps:
+                self._choices_actions.append(self._ChoicesPseudoAction(name, (), helps[name]))
+        if not lazy:
+            for name in table:
+                self._build(name)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self._name_parser_map[values[0]] is None:  # argparse has checked that the name is a choice
+            self._build(values[0])
+        super().__call__(parser, namespace, values, option_string)
+
+    def _build(self, name: str) -> None:
+        parser = self._name_parser_map[name] = self._parser_class(prog=f"{self._prog_prefix} {name}")
+        entry = self._table[name]
+        if isinstance(entry, dict):
+            parser.add_subparsers(dest="sub", action=_Commands, table=entry, lazy=self._lazy)
+            return
+        func, flags, *defaults = entry
+        for flag, kwargs in flags:
+            parser.add_argument(flag, **kwargs)
+        parser.set_defaults(func=func, **(defaults[0] if defaults else {}))
+
+
+def build_parser(lazy: bool = False) -> argparse.ArgumentParser:
+    """The ``xrqos`` parser, every subcommand's built; with ``lazy``, each is built when parsing reaches it,
+    so a command pays for its own parser alone."""
     parser = argparse.ArgumentParser(prog="xrqos", description=__doc__)
     parser.add_argument("--units", choices=("binary", "decimal"), default="binary",
                         help="prefix convention for formatted bit rates (default binary)")
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
     parser.add_argument("--profiles-file", default=None, help=f"extra profiles JSON (or ${PROFILES_ENV})")
     parser.add_argument("--seed", type=int, default=0, help="seed for the simulator's loss draws")
-    sub = parser.add_subparsers(dest="command")
-
-    geo = sub.add_parser("geometry", help="pixel density, fov, and scaling math").add_subparsers(dest="sub")
-    p = geo.add_parser("ppi")
-    p.add_argument("--resolution", required=True)
-    p.add_argument("--size", required=True, help="WxH inches, or a bare diagonal length")
-    p.set_defaults(func=_cmd_geometry_ppi)
-    p = geo.add_parser("fov")
-    p.add_argument("--extent", type=float, required=True)
-    p.add_argument("--distance", type=float, required=True)
-    p.set_defaults(func=_cmd_geometry_fov)
-    p = geo.add_parser("ppd")
-    p.add_argument("--pixels", type=int, required=True)
-    p.add_argument("--fov", type=float)
-    p.add_argument("--extent", type=float)
-    p.add_argument("--distance", type=float)
-    p.set_defaults(func=_cmd_geometry_ppd)
-    p = geo.add_parser("scale")
-    p.add_argument("--pixels", type=int, required=True)
-    p.add_argument("--from-fov", type=float, required=True)
-    p.add_argument("--to-fov", type=float, required=True)
-    p.set_defaults(func=_cmd_geometry_scale)
-    p = geo.add_parser("cone-ppd")
-    p.add_argument("--density", type=float, required=True, help="cones per square millimetre")
-    p.add_argument("--lens-distance", type=float, default=17.1)
-    p.set_defaults(func=_cmd_geometry_cone_ppd)
-
-    cap = sub.add_parser("capacity", help="required bitrate models").add_subparsers(dest="sub")
-
-    def _depth_flags(p):
-        p.add_argument("--bpp", type=float, default=None)
-        p.add_argument("--bpc", type=int, default=8)
-        p.add_argument("--chroma", choices=("4:4:4", "4:2:0"), default="4:4:4")
-        p.add_argument("--fps", type=float, required=True)
-        p.add_argument("--factor", type=float, default=1.0)
-
-    p = cap.add_parser("eye-like")
-    p.add_argument("--ppd", type=float, required=True)
-    p.add_argument("--fov", required=True, help="per-eye HxV degrees, e.g. 155x130")
-    _depth_flags(p)
-    p.set_defaults(func=_cmd_capacity_eye_like)
-    p = cap.add_parser("hmd")
-    p.add_argument("--resolution", required=True)
-    p.add_argument("--mono", action="store_true", help="single shared raster instead of per-eye streams")
-    _depth_flags(p)
-    p.set_defaults(func=_cmd_capacity_hmd)
-    p = cap.add_parser("sphere")
-    p.add_argument("--ppd", type=float, required=True)
-    _depth_flags(p)
-    p.set_defaults(func=_cmd_capacity_sphere)
-    p = cap.add_parser("volumetric")
-    p.add_argument("--voxels", type=int, required=True)
-    p.add_argument("--color-bits", type=int, default=24)
-    p.add_argument("--position-bits", type=int, default=48)
-    p.add_argument("--fps", type=float, required=True)
-    p.add_argument("--factor", type=float, default=1.0)
-    p.set_defaults(func=_cmd_capacity_volumetric)
-
-    gop = sub.add_parser("gop", help="GOP frame sizes and pose-driven bitrate").add_subparsers(dest="sub")
-
-    def _gop_timing_flags(p):
-        p.add_argument("--fps", type=float, default=90.0, action=_PresetField)
-        p.add_argument("--gop-time", type=float, default=2.0, action=_PresetField)
-        p.add_argument("--redundancy", type=float, default=0.10, action=_PresetField)
-
-    def _gop_flags(p):
-        p.add_argument("--stage-profile", default=None, help="taxonomy/stage to pull parameters from")
-        p.add_argument("--resolution", action=_PresetField)
-        p.add_argument("--fov", action=_PresetField)
-        p.add_argument("--extra-fov", default=None, help="reprojection margin HxV degrees", action=_PresetField)
-        p.add_argument("--extra-picture", type=float, default=0.10, action=_PresetField)
-        p.add_argument("--dof", type=float, default=0.15, action=_PresetField)
-        p.add_argument("--bpp", type=float, default=None, action=_PresetField)
-        p.add_argument("--bpc", type=int, default=8, action=_PresetField)
-        p.add_argument("--chroma", choices=("4:4:4", "4:2:0"), default="4:2:0", action=_PresetField)
-        p.add_argument("--ifactor", type=float, action=_PresetField)
-        p.add_argument("--pfactor", type=float, action=_PresetField)
-        _gop_timing_flags(p)
-
-    p = gop.add_parser("frame-sizes")
-    _gop_flags(p)
-    p.set_defaults(func=_cmd_gop_frame_sizes)
-    p = gop.add_parser("bitrate")
-    _gop_flags(p)
-    p.set_defaults(func=_cmd_gop_bitrate)
-
-    def _timing_flags(p, action="store"):
-        for stage in ("sense", "render", "encode", "decode", "display"):
-            p.add_argument(f"--{stage}", type=float, default=0.0, action=action)
-
-    def _stage_key_flags(p):
-        p.add_argument("--taxonomy")
-        p.add_argument("--stage")
-        p.add_argument("--interaction", type=norm_interaction, default=None)
-
-    lat = sub.add_parser("latency", help="MTP decomposition and budgets").add_subparsers(dest="sub")
-    p = lat.add_parser("refresh")
-    p.add_argument("--hz", type=float, required=True)
-    p.set_defaults(func=_cmd_latency_refresh)
-    p = lat.add_parser("stream")
-    p.add_argument("--encode", default="0ms")
-    p.add_argument("--decode", default="0ms")
-    p.add_argument("--frame-bits", type=float, required=True)
-    p.add_argument("--throughput", required=True)
-    p.set_defaults(func=_cmd_latency_stream)
-    p = lat.add_parser("budget")
-    p.add_argument("--limit", required=True, help="MTP ceiling, e.g. 20ms")
-    p.add_argument("--pipeline", default=None, help="named pipeline preset")
-    _timing_flags(p, _PresetField)
-    p.add_argument("--comm-ul", type=float, default=0.0, action=_PresetField)
-    p.add_argument("--comm-dl", type=float, default=0.0, action=_PresetField)
-    p.add_argument("--refresh-hz", type=float, default=None, action=_PresetField)
-    p.add_argument("--vsync", choices=("avg", "max", "none"), default="avg", action=_PresetField)
-    p.set_defaults(func=_cmd_latency_budget)
-    p = lat.add_parser("limits")
-    _stage_key_flags(p)
-    p.set_defaults(func=_cmd_latency_limits)
-
-    rel = sub.add_parser("reliability", help="loss bounds and delivery rates").add_subparsers(dest="sub")
-    p = rel.add_parser("max-loss")
-    p.add_argument("--throughput", required=True)
-    p.add_argument("--rtt", required=True)
-    p.add_argument("--mss", type=int, default=DEFAULT_MSS_BITS)
-    p.set_defaults(func=_cmd_reliability_max_loss)
-    p = rel.add_parser("delivery")
-    p.add_argument("--loss", type=float, required=True)
-    p.set_defaults(func=_cmd_reliability_delivery)
-    p = rel.add_parser("requirements")
-    _stage_key_flags(p)
-    p.set_defaults(func=_cmd_reliability_requirements)
-
-    prof = sub.add_parser("profiles", help="inspect and validate profile data").add_subparsers(dest="sub")
-    prof.add_parser("list").set_defaults(func=_cmd_profiles_list)
-    p = prof.add_parser("show")
-    p.add_argument("name", help="device name, device@hz, taxonomy/stage, or pipeline name")
-    p.set_defaults(func=_cmd_profiles_show)
-    p = prof.add_parser("validate")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_profiles_validate)
-
-    table = sub.add_parser("table", help="reproduce the measurement/QoS tables").add_subparsers(dest="sub")
-    table.add_parser("quest2").set_defaults(func=_cmd_table_quest2)
-    table.add_parser("summary").set_defaults(func=_cmd_requirements, profiles=None)
-
-    rep = sub.add_parser("report", help="requirements report for chosen profiles")
-    rep.add_argument("profiles", nargs="+", help="device keys, e.g. quest2@72 eye_like")
-    rep.set_defaults(func=_cmd_requirements)
-
-    def _trace_source_flags(p):
-        p.add_argument("--input", default=None, help="existing trace JSON")
-        p.add_argument("--stage-profile", default=None, help="taxonomy/stage with GOP parameters", action=_PresetField)
-        p.add_argument("--i-bits", type=float, default=None, action=_PresetField)
-        p.add_argument("--p-bits", type=float, default=None, action=_PresetField)
-        p.add_argument("--b-bits", type=float, default=None, action=_PresetField)
-        _gop_timing_flags(p)
-        p.add_argument("--pattern", default=None, action=_PresetField)
-        p.add_argument("--duration", type=float, default=2.0, help="seconds", action=_PresetField)
-
-    trace = sub.add_parser("trace", help="synthesize frame/packet traces").add_subparsers(dest="sub")
-    p = trace.add_parser("generate")
-    _trace_source_flags(p)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_trace_generate)
-    p = trace.add_parser("packetize")
-    _trace_source_flags(p)
-    p.add_argument("--mtu", type=int, default=DEFAULT_MSS_BITS)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_trace_packetize)
-
-    sim = sub.add_parser("simulate", help="play a trace through the MTP pipeline")
-    _trace_source_flags(sim)
-    sim.add_argument("--downlink", default=None)
-    sim.add_argument("--rtt", default="0ms", help="propagation round trip")
-    sim.add_argument("--loss", type=float, default=0.0)
-    sim.add_argument("--mode", choices=("udp", "tcp"), default="udp")
-    sim.add_argument("--max-retx", type=int, default=3)
-    sim.add_argument("--mtu", type=int, default=DEFAULT_MSS_BITS)
-    _timing_flags(sim)
-    sim.add_argument("--refresh-hz", type=float, required=True)
-    sim.add_argument("--mtp-limit", default="20ms")
-    sim.add_argument("--sweep-downlink", default=None, help="comma-separated rates to sweep")
-    sim.add_argument("--output", default=None)
-    sim.set_defaults(func=_cmd_simulate)
-
+    parser.add_subparsers(dest="command", action=_Commands, table=_COMMANDS, lazy=lazy, helps=_HELP)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = build_parser(lazy=True)
     try:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):

@@ -9,10 +9,9 @@ divide by the per-frame-type compression factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .capacity import BitDepth, BitRate, CompressionProfile
-from .errors import ConfigError, DomainError, _json, require
+from .errors import ConfigError, DomainError, _json, record, require
 from .geometry import FovSpec, Resolution
 
 __all__ = [
@@ -28,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class GopConfig:
     """Group-of-pictures timing and overhead parameters.
 
@@ -69,7 +68,7 @@ class GopConfig:
         return cycle[(position - 1) % len(cycle)]
 
 
-@dataclass(frozen=True)
+@record
 class RenderSurface:
     """What actually gets encoded for one stereo frame.
 
@@ -90,7 +89,7 @@ class RenderSurface:
         require("dof fraction", self.dof_fraction, ge=0, lt=1)
 
 
-@dataclass(frozen=True)
+@record
 class FrameSizes:
     """Encoded size per frame type, in bits."""
 

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the toolkit, the input checks that raise it, and the JSON record
-reader and writer that the profiles and traces share; simulation reports are written by the same writer."""
+"""Exception hierarchy shared across the toolkit, the input checks that raise it, the ``record`` decorator
+that every model value class is made with, and the JSON record reader and writer that the profiles and traces
+share; simulation reports are written by the same writer."""
 import functools
+import operator
 import sys
-from dataclasses import MISSING, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 
 
 class XrqosError(Exception):
@@ -23,6 +25,120 @@ class UnknownKeyError(XrqosError, LookupError):
 
 class ProfileError(XrqosError, ValueError):
     """A profile file failed to parse or validate."""
+
+
+# -- records -------------------------------------------------------------------
+#
+# A record is what ``@dataclass(frozen=True)`` makes, built for less: the stdlib compiles six methods per
+# class, one ``exec`` each, and that was most of a CLI command's start-up. A record compiles only its
+# ``__init__``, with the body the stdlib writes for a frozen class, so construction costs the same. Its
+# equality, hash, repr, order and frozen ``__setattr__``/``__delattr__`` are the shared functions below,
+# which read the class's ``_record_values``: the tuple of an instance's field values.
+
+
+class _Factory:
+    """What an ``__init__`` parameter shows as its default when its field has a default factory."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+def _compare(compare, name: str):
+    def method(self, other):
+        cls = self.__class__
+        if other.__class__ is cls:
+            return compare(cls._record_values(self), cls._record_values(other))
+        return NotImplemented
+
+    method.__name__ = name
+    return method
+
+
+_ORDER = {f"__{op}__": _compare(getattr(operator, op), f"__{op}__") for op in ("lt", "le", "gt", "ge")}
+
+
+def _hash(self) -> int:
+    return hash(self.__class__._record_values(self))
+
+
+def _repr(self) -> str:
+    return f"{self.__class__.__qualname__}({', '.join(f'{f.name}={getattr(self, f.name)!r}' for f in fields(self))})"
+
+
+def _setattr(self, name: str, value) -> None:
+    cls = type(self)
+    if "_record_values" in vars(cls) or name in cls.__dataclass_fields__:  # a subclass may set other names
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    object.__setattr__(self, name, value)
+
+
+def _delattr(self, name: str) -> None:
+    cls = type(self)
+    if "_record_values" in vars(cls) or name in cls.__dataclass_fields__:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    object.__delattr__(self, name)
+
+
+_METHODS = {"__eq__": _compare(operator.eq, "__eq__"), "__hash__": _hash, "__repr__": _repr,
+            "__setattr__": _setattr, "__delattr__": _delattr}
+
+
+def _init(cls, all_fields) -> None:
+    """Give ``cls`` the ``__init__`` that ``@dataclass(frozen=True)`` writes: each field set through
+    ``object.__setattr__``, a default factory called when its parameter is left out, then ``__post_init__``."""
+    env = {"__dataclass_builtins_object__": object, "_HAS_DEFAULT_FACTORY": _FACTORY, "_return_type": None}
+    params, body, seen_default = [], [], False
+    for f in all_fields:
+        name, value, default = f.name, f.name, ""
+        env[f"_type_{name}"] = f.type
+        if f.default_factory is not MISSING:
+            env[f"_dflt_{name}"], default = f.default_factory, "=_HAS_DEFAULT_FACTORY"
+            value = f"_dflt_{name}() if {name} is _HAS_DEFAULT_FACTORY else {name}"
+        elif f.default is not MISSING:
+            env[f"_dflt_{name}"], default = f.default, f"=_dflt_{name}"
+        elif seen_default:
+            raise TypeError(f"non-default argument {name!r} follows default argument")
+        seen_default = seen_default or bool(default)
+        params.append(f"{name}:_type_{name}{default}")
+        body.append(f"  __dataclass_builtins_object__.__setattr__(self,{name!r},{value})")
+    if hasattr(cls, "__post_init__"):
+        body.append("  self.__post_init__()")
+    source = (f"def __create_fn__({', '.join(env)}):\n def __init__(self, {', '.join(params)})->_return_type:\n"
+              + "\n".join(body or ["  pass"]) + "\n return __init__")
+    namespace: dict = {}
+    exec(source, getattr(sys.modules.get(cls.__module__), "__dict__", {}), namespace)
+    init = namespace["__create_fn__"](**env)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+
+
+def record(cls=None, /, *, order: bool = False):
+    """``@dataclass(frozen=True)``, or ``(frozen=True, order=True)`` with ``order``, at a fraction of its cost.
+
+    ``dataclass(init=False, repr=False, eq=False)`` gives the class its fields, ``__dataclass_fields__``
+    and ``__match_args__``, so ``fields``, ``replace``, ``is_dataclass`` and pickling work as on any
+    dataclass. Every field is an ``__init__`` parameter, and the class must have a docstring: without
+    one, ``dataclass`` would build one from ``inspect.signature``.
+    """
+    if cls is None:
+        return functools.partial(record, order=order)
+    if cls.__doc__ is None:
+        raise TypeError(f"record {cls.__name__} needs a docstring")
+    dataclass(cls, init=False, repr=False, eq=False)
+    all_fields = fields(cls)
+    _init(cls, all_fields)
+    names = [f.name for f in all_fields]
+    cls._record_values = operator.attrgetter(*names) if len(names) > 1 else lambda obj: (getattr(obj, names[0]),)
+    for name, method in (_METHODS | _ORDER if order else _METHODS).items():
+        if name not in vars(cls):
+            setattr(cls, name, method)
+    params = cls.__dataclass_params__  # say what the class is: frozen, with an __init__, repr and equality
+    params.init = params.repr = params.eq = params.frozen = True
+    params.order = order
+    return cls
 
 
 # Half-lines that read better as words than as intervals.

@@ -6,9 +6,8 @@ inside the trigonometry, converted with the exact ``180/pi`` factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import _json, require
+from .errors import _json, record, require
 
 __all__ = [
     "Resolution",
@@ -25,7 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Resolution:
     """A pixel grid, e.g. one eye's panel or render target."""
 
@@ -49,7 +48,7 @@ class Resolution:
         return f"{self.width}x{self.height}"
 
 
-@dataclass(frozen=True)
+@record
 class PhysicalSize:
     """Physical extent of a display in inches."""
 
@@ -65,7 +64,7 @@ class PhysicalSize:
         return math.hypot(self.width, self.height)
 
 
-@dataclass(frozen=True)
+@record
 class Angle:
     """An angle in degrees, restricted to [0, 360]."""
 
@@ -78,7 +77,7 @@ class Angle:
         return float(self.degrees)
 
 
-@dataclass(frozen=True)
+@record
 class FovSpec:
     """Per-eye field of view plus reprojection margins.
 

@@ -8,10 +8,10 @@ registry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 
 from .capacity import BitRate
-from .errors import DomainError, _json, require
+from .errors import DomainError, _json, record, require
 
 __all__ = [
     "PipelineTiming",
@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class PipelineTiming:
     """Fixed per-frame processing delays, milliseconds.
 
@@ -47,7 +47,7 @@ class PipelineTiming:
             require(f.name, getattr(self, f.name), ge=0)
 
 
-@dataclass(frozen=True)
+@record
 class StageKey:
     """Addresses one (taxonomy, stage, interaction) cell of the stage registry."""
 
@@ -56,7 +56,7 @@ class StageKey:
     interaction: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class LatencyBudget:
     """An MTP ceiling and the delays competing for it.
 
@@ -82,14 +82,18 @@ class LatencyBudget:
             raise DomainError(f"vsync mode must be avg, max, or none, got {self.vsync_mode!r}")
 
 
-@dataclass(frozen=True)
+@record
 class RefreshDelay:
+    """The worst-case and average wait for the next VSync tick, milliseconds."""
+
     max_ms: float
     avg_ms: float
 
 
-@dataclass(frozen=True)
+@record
 class BudgetReport:
+    """What an MTP budget leaves: the margin (negative when violated) and each nonzero delay by name."""
+
     remaining_ms: float
     violated: bool
     breakdown: tuple[tuple[str, float], ...]

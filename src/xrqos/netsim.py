@@ -45,10 +45,10 @@ import struct
 import weakref
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from itertools import repeat
 from typing import TextIO
 
-from .errors import DomainError, _json, _plan, _write, require
+from .errors import DomainError, _json, _plan, _write, record, require
 from .latency import PipelineTiming
 from .reliability import DEFAULT_MSS_BITS
 from .tracegen import MAX_PACKETS, FrameRecord, FrameTrace, packet_split
@@ -56,7 +56,7 @@ from .tracegen import MAX_PACKETS, FrameRecord, FrameTrace, packet_split
 __all__ = ["LinkModel", "FrameResult", "Aggregates", "SimReport", "simulate"]
 
 
-@dataclass(frozen=True)
+@record
 class LinkModel:
     """Channel parameters for one simulation run.
 
@@ -97,8 +97,10 @@ class LinkModel:
         require("uplink payload", self.uplink_payload_bits, ge=0)
 
 
-@dataclass(frozen=True)
+@record
 class FrameResult:
+    """One frame's fate: its end-to-end latency and VSync wait (None when dropped) and its retransmissions."""
+
     index: int = _json("an integer", key="frame_index")
     displayed: bool = _json("a boolean")
     e2e_ms: float | None = _json("a number")
@@ -154,8 +156,10 @@ class _Frames(Sequence):
         return tuple, (self._records(),)
 
 
-@dataclass(frozen=True)
+@record
 class Aggregates:
+    """A run's latency percentiles over its displayed frames (None when none were), and its frame counts."""
+
     mean_e2e_ms: float | None = _json("a number")
     p50_e2e_ms: float | None = _json("a number")
     p95_e2e_ms: float | None = _json("a number")
@@ -167,7 +171,7 @@ class Aggregates:
     effective_fps: float = _json("a number")
 
 
-@dataclass(frozen=True)
+@record
 class SimReport:
     """One run's frames and aggregates, with the link, pipeline timing, refresh rate and MTP limit it ran with."""
 
@@ -267,9 +271,10 @@ def _check_packets(trace: FrameTrace, link: LinkModel) -> None:
 def _loss_chains(trace: FrameTrace, link: LinkModel, depth: int):
     """Every frame's (loss chain, lost packets), at least ``depth`` attempts deep; the memo's, extended as needed."""
     global _chains_memo
-    if not 0.0 < link.loss_prob < 1.0:  # a chain that costs no draw is made as it is used
-        if link.loss_prob:  # certain loss still walks every packet
-            _check_packets(trace, link)
+    if not link.loss_prob:  # a lossless frame's chain is empty, and finding that out needs no packet count
+        return repeat(((), []), len(trace))
+    if link.loss_prob >= 1.0:  # certain loss draws nothing but still walks every packet: chains made as used
+        _check_packets(trace, link)
         return (_loss_chain(link, record, depth) for record in trace)
     key = (str(link.seed), link.loss_prob, link.mtu_payload_bits)  # the stream keys on the seed's text
     memo = _chains_memo

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
 from . import capacity
 from .capacity import BitDepth, CompressionProfile
 from .codec import GopConfig, RenderSurface
-from .errors import ConfigError, DomainError, ProfileError, UnknownKeyError, _check_keys, _field, _json, _objects, _read
+from .errors import (
+    ConfigError, DomainError, ProfileError, UnknownKeyError, _check_keys, _field, _json, _objects, _read, record,
+)
 from .geometry import FovSpec, Resolution
 from .latency import LatencyBudget, PipelineTiming
 
@@ -66,7 +68,7 @@ def norm_interaction(interaction: str | None) -> str | None:
     raise UnknownKeyError(f"unknown interaction {interaction!r}; expected one of weak_2d, weak_3d, strong, weak")
 
 
-@dataclass(frozen=True)
+@record
 class RefreshMode:
     """One refresh-rate operating point of a device."""
 
@@ -76,7 +78,7 @@ class RefreshMode:
     ppd: float | None = _json("a number", None, gt=0)
 
 
-@dataclass(frozen=True)
+@record
 class PublishedRate:
     """A bitrate quoted from the literature, kept verbatim: ``unit`` is a multiplier of the ``prefix`` table."""
 
@@ -94,8 +96,10 @@ class PublishedRate:
             raise ProfileError(f"published rate {self.label!r}: {self.prefix} unit must be {units}, got {self.unit!r}")
 
 
-@dataclass(frozen=True)
+@record
 class DeviceProfile:
+    """A headset: its field of view, color depth, refresh modes and published latency and loss figures."""
+
     name: str = _json("a string")
     fov: FovSpec = _json("an object", of=FovSpec)
     depth_bpc: int = _json("an integer", key="depth.bits_per_color")
@@ -158,8 +162,10 @@ class DeviceProfile:
         return Resolution(round(360.0 * ppd), round(180.0 * ppd))
 
 
-@dataclass(frozen=True)
+@record
 class StageProfile:
+    """One VR evolution stage: its display, codec and GOP parameters and its MTP and loss requirements."""
+
     taxonomy: str = _json("a string")
     stage: str = _json("a string")
     per_eye: Resolution | None = _json("an object", None, of=Resolution)

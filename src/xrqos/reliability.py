@@ -9,11 +9,10 @@ requirements looked up from the stage registry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import DEFAULT_MSS_BITS
 from .capacity import BitRate
-from .errors import require
+from .errors import record, require
 
 __all__ = [
     "LossModel",
@@ -23,7 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class LossModel:
     """Transport assumptions for the loss bound."""
 

@@ -11,12 +11,11 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
 from .codec import FrameSizes, GopConfig
-from .errors import DomainError, _json, _plan, _read, _write, require
+from .errors import DomainError, _json, _plan, _read, _write, record, require
 from .report import _destination
 
 __all__ = [
@@ -38,8 +37,10 @@ MAX_FRAMES = 10**6
 MAX_PACKETS = 10**7
 
 
-@dataclass(frozen=True)
+@record
 class FrameRecord:
+    """One frame of a trace: its index, generation time (ms), type (I, P or B), size and GOP number."""
+
     index: int = _json("an integer", key="frame_index")
     t_gen: float = _json("a number", key="t_gen_ms")
     frame_type: str = _json("a string")
@@ -47,15 +48,17 @@ class FrameRecord:
     gop_index: int = _json("an integer")
 
 
-@dataclass(frozen=True)
+@record
 class PacketRecord:
+    """One packet of a frame, ready to send when its frame is generated (ms)."""
+
     frame_index: int
     packet_index: int
     size_bits: int
     t_ready: float
 
 
-@dataclass(frozen=True)
+@record
 class FrameTrace:
     """A positive, finite duration and at most ``MAX_FRAMES`` frames, whose indices run 0, 1, 2, ..., whose
     generation times never decrease, whose types are I, P or B and whose sizes are not negative."""

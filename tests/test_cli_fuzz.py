@@ -3,6 +3,8 @@
 Fed only finite numbers, it also prints no infinity or NaN: a result that overflows is an error.
 """
 import argparse
+import contextlib
+import io
 import json
 import re
 
@@ -80,6 +82,46 @@ LEAVES = {" ".join(words): sub for words, sub in _leaves(PARSER)}
 
 def test_every_subcommand_has_a_valid_invocation():
     assert sorted(VALID) == sorted(LEAVES)
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
+    """(namespace, exit code, stderr) of ``parser.parse_args(argv)``; the namespace is None on an exit."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(argv), None, err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, err.getvalue()
+
+
+@pytest.mark.parametrize("words", sorted(VALID))
+def test_the_lazy_parser_reads_every_valid_argv_as_the_whole_tree(words):
+    flags, positional = VALID[words]
+    argv = ["--seed", "3", *words.split(), *(token for flag in flags.items() for token in flag), *positional]
+    namespace, code, err = _parse(build_parser(lazy=True), argv)
+    assert (namespace, code, err) == _parse(build_parser(), argv)
+    assert namespace is not None and code is None and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nosuch"],  # an invalid group
+        ["latency", "nosuch"],  # an invalid leaf
+        ["latency", "refresh", "--hz", "90", "--nosuch", "1"],  # an unknown flag
+        ["latency", "refresh"],  # a missing required flag
+        ["simulate", "--refresh-hz", "90", "--mode", "quic"],  # an invalid choice of a leaf flag
+        ["--format", "xml", "latency", "refresh", "--hz", "90"],  # an invalid choice of a global flag
+        ["geometry", "ppd", "--pixels", "many"],  # a value of the wrong type
+        ["report"],  # a missing positional
+        ["latency"],  # a group without a leaf parses, and main prints the usage
+        [],
+    ],
+    ids=lambda argv: " ".join(argv) or "no words",
+)
+def test_the_lazy_parser_rejects_bad_argv_as_the_whole_tree(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse(build_parser(lazy=True), argv) == _parse(build_parser(), argv)
 
 
 def _flag_values(action: argparse.Action) -> tuple:

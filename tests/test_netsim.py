@@ -670,6 +670,26 @@ class TestDrawCost:
                 simulate(trace, LinkModel(downlink_bps=downlink, mode=mode), PipelineTiming(), 90.0, 20.0)
         assert digests == []
 
+    @pytest.mark.parametrize("mode", ["udp_like", "tcp_like"])
+    def test_a_lossless_run_splits_no_frame_and_walks_no_stream(self, monkeypatch, mode):
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)
+        link = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, mode=mode)
+        expected = simulate(trace, link, PipelineTiming(), 90.0, 20.0)
+        monkeypatch.setattr(netsim, "packet_split", counted("packet_split", packet_split))
+        monkeypatch.setattr(netsim, "_lost_packets", counted("_lost_packets", _lost_packets))
+        assert simulate(trace, link, PipelineTiming(), 90.0, 20.0) == expected
+        assert calls == {}
+        simulate(trace, dataclasses.replace(link, loss_prob=0.01), PipelineTiming(), 90.0, 20.0)
+        assert calls["packet_split"] >= len(trace) and calls["_lost_packets"] >= len(trace)  # the counters see calls
+
 
 class TestBoundary:
     @pytest.mark.parametrize(

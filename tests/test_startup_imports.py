@@ -2,6 +2,8 @@
 loads only the modules it runs, so a closed-form query never pays for the simulator,
 the trace generator or the profile registry.
 """
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -88,3 +90,28 @@ def test_closed_form_query_loads_no_simulator_tracegen_or_registry(argv, tmp_pat
 def test_a_trace_without_a_stage_profile_loads_no_registry(argv, tmp_path):
     export_trace(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0), "json", tmp_path / "trace.json")
     assert "xrqos.profiles" not in cli_loads(argv, tmp_path)
+
+
+# Counts, in the child, the methods the stdlib's dataclass compiles and the parsers argparse builds.
+COUNT_STARTUP = """
+import argparse, dataclasses, json
+compiled, parsers = [], []
+create_fn, parser_init = dataclasses._create_fn, argparse.ArgumentParser.__init__
+def counted_create_fn(name, *args, **kwargs):
+    compiled.append(name)
+    return create_fn(name, *args, **kwargs)
+def counted_parser_init(self, *args, **kwargs):
+    parser_init(self, *args, **kwargs)
+    parsers.append(self.prog)
+dataclasses._create_fn, argparse.ArgumentParser.__init__ = counted_create_fn, counted_parser_init
+from xrqos.cli import main
+code = main({argv!r})
+open("startup.json", "w").write(json.dumps({{"code": code, "compiled": compiled, "parsers": parsers}}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(dataclasses, "_create_fn"), reason="this Python's dataclasses has no _create_fn")
+def test_a_closed_form_query_compiles_no_dataclass_method_and_builds_only_its_own_parsers(tmp_path):
+    loaded_after(COUNT_STARTUP.format(argv=["latency", "refresh", "--hz", "90"]), tmp_path)
+    counts = json.loads((tmp_path / "startup.json").read_text())
+    assert counts == {"code": 0, "compiled": [], "parsers": ["xrqos", "xrqos latency", "xrqos latency refresh"]}
