@@ -32,8 +32,8 @@ class ProfileError(XrqosError, ValueError):
 # A record is what ``@dataclass(frozen=True)`` makes, built for less: the stdlib compiles six methods per
 # class, one ``exec`` each, and that was most of a CLI command's start-up. A record compiles only its
 # ``__init__``, with the body the stdlib writes for a frozen class, so construction costs the same. Its
-# equality, hash, repr, order and frozen ``__setattr__``/``__delattr__`` are the shared functions below,
-# which read the class's ``_record_values``: the tuple of an instance's field values.
+# equality, hash, repr, order and frozen ``__setattr__``/``__delattr__`` are the shared functions below;
+# the comparisons and the hash read the class's ``_record_values``: the tuple of an instance's field values.
 
 
 class _Factory:
@@ -69,17 +69,11 @@ def _repr(self) -> str:
 
 
 def _setattr(self, name: str, value) -> None:
-    cls = type(self)
-    if "_record_values" in vars(cls) or name in cls.__dataclass_fields__:  # a subclass may set other names
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-    object.__setattr__(self, name, value)
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _delattr(self, name: str) -> None:
-    cls = type(self)
-    if "_record_values" in vars(cls) or name in cls.__dataclass_fields__:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-    object.__delattr__(self, name)
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 _METHODS = {"__eq__": _compare(operator.eq, "__eq__"), "__hash__": _hash, "__repr__": _repr,
@@ -90,7 +84,7 @@ def _init(cls, all_fields) -> None:
     """Give ``cls`` the ``__init__`` that ``@dataclass(frozen=True)`` writes: each field set through
     ``object.__setattr__``, a default factory called when its parameter is left out, then ``__post_init__``."""
     env = {"__dataclass_builtins_object__": object, "_HAS_DEFAULT_FACTORY": _FACTORY, "_return_type": None}
-    params, body, seen_default = [], [], False
+    params, body = [], []
     for f in all_fields:
         name, value, default = f.name, f.name, ""
         env[f"_type_{name}"] = f.type
@@ -99,9 +93,6 @@ def _init(cls, all_fields) -> None:
             value = f"_dflt_{name}() if {name} is _HAS_DEFAULT_FACTORY else {name}"
         elif f.default is not MISSING:
             env[f"_dflt_{name}"], default = f.default, f"=_dflt_{name}"
-        elif seen_default:
-            raise TypeError(f"non-default argument {name!r} follows default argument")
-        seen_default = seen_default or bool(default)
         params.append(f"{name}:_type_{name}{default}")
         body.append(f"  __dataclass_builtins_object__.__setattr__(self,{name!r},{value})")
     if hasattr(cls, "__post_init__"):
