@@ -7,7 +7,6 @@ error, 2 usage error. Rate literals take K/M/G/T (decimal) or Ki/Mi/Gi/Ti
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -158,9 +157,7 @@ def _emit(args, command: str, data, text_lines: list[str]) -> int:
         elif args.format == "csv":
             rows = data if isinstance(data, list) else [data]
             keys = list(dict.fromkeys(key for row in rows for key in row))
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(keys)
-            writer.writerows([report.csv_cell(row.get(key), args.units) for key in keys] for row in rows)
+            report.write_rows(out, keys, ([report.csv_cell(row.get(key), args.units) for key in keys] for row in rows))
         else:
             out.writelines(f"{line}\n" for line in text_lines)
 
@@ -280,12 +277,12 @@ def _surface_from_args(args) -> RenderSurface:
     )
 
 
-def _gop_numbers(args) -> tuple[float, FrameSizes, GopConfig]:
-    """(pixels per frame, I/P frame sizes, GOP config) from a stage profile or explicit flags."""
+def _gop_numbers(args, leaves: tuple[str, ...] = ()) -> tuple[float, FrameSizes, GopConfig]:
+    """(pixels per frame, I/P frame sizes, GOP config) from --stage-profile (all GOP flags but ``leaves``) or flags."""
     from . import codec
     from .capacity import CompressionProfile
     if args.stage_profile:
-        _check_preset(args, "--stage-profile")
+        _check_preset(args, "--stage-profile", leaves)
         surface, cfg, comp = _stage_for(_registry(args), args.stage_profile).gop_model()
     else:
         if not (args.resolution and args.fov and args.ifactor and args.pfactor):
@@ -491,9 +488,7 @@ def _trace_from_args(args) -> FrameTrace:
             raise DomainError("simulate/packetize need a JSON trace (CSV lacks the config block)")
         return tracegen.load_trace_json(args.input)
     if args.stage_profile:
-        _check_preset(args, "--stage-profile", leaves=("--duration",))
-        surface, cfg, comp = _stage_for(_registry(args), args.stage_profile).gop_model()
-        sizes = codec.frame_sizes(surface, comp)
+        _, sizes, cfg = _gop_numbers(args, leaves=("--duration",))
     else:
         if args.i_bits is None or args.p_bits is None:
             raise DomainError("trace needs --input, --stage-profile, or --i-bits/--p-bits")

@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the toolkit, the input checks that raise it, the ``record`` decorator
-that every model value class is made with, and the JSON record reader and writer that the profiles and traces
-share; simulation reports are written by the same writer."""
+that every model value class is made with, and the JSON record reader and writer that profiles, traces and
+simulation reports share; ``report`` writes a record table's CSV from the same field declarations."""
 import functools
 import operator
 import sys
@@ -192,16 +192,18 @@ def _field(obj: dict, key: str, path: str, kind: str, default=_REQUIRED, **bound
     return float(value) if kind == "a number" else value
 
 
-def _json(kind: str, default=MISSING, *, key: str | None = None, of: type | None = None, **bounds):
+def _json(kind: str, default=MISSING, *, key: str | None = None, of: type | None = None, cell: str | None = None,
+          **bounds):
     """A dataclass field that a JSON record (a profile, trace or report) gives as ``key`` (by default its name).
 
     ``kind`` is one of ``_field``'s kinds, or "a table" (an object of numbers, empty by default). An
     object or array holds records of the dataclass ``of``. The value is within ``require``'s ``bounds``,
     and an absent key reads as ``default``; without one the key is required. A key "depth.chroma"
-    names the key "chroma" of the object under "depth".
+    names the key "chroma" of the object under "depth". ``report.write_records`` writes the field's
+    CSV cells in the format spec ``cell``, if given.
     """
     factory = dict if kind == "a table" else MISSING
-    return field(default=default, default_factory=factory, metadata={"json": (key, kind, of, bounds)})
+    return field(default=default, default_factory=factory, metadata={"json": (key, kind, of, bounds, cell)})
 
 
 def _objects(obj: dict, key: str, path: str, optional: bool = False):
@@ -215,11 +217,11 @@ def _objects(obj: dict, key: str, path: str, optional: bool = False):
 
 @functools.cache
 def _plan(cls) -> tuple[tuple, frozenset, tuple[str, ...]]:
-    """Each field of ``cls`` as (attr, key, kind, of, required, bounds), the keys allowed, and the groups."""
+    """Each field of ``cls`` as (attr, key, kind, of, required, bounds, cell), the keys allowed, and the groups."""
     plan = tuple(
-        (f.name, key or f.name, kind, of, f.default is MISSING and f.default_factory is MISSING, bounds)
+        (f.name, key or f.name, kind, of, f.default is MISSING and f.default_factory is MISSING, bounds, cell)
         for f in fields(cls)
-        for key, kind, of, bounds in [f.metadata["json"]]
+        for key, kind, of, bounds, cell in [f.metadata["json"]]
     )
     keys = {key for _, key, *_ in plan}
     return plan, frozenset(keys | {"note"}), tuple({key.split(".")[0] for key in keys if "." in key})
@@ -241,7 +243,7 @@ def _read(cls, obj: dict, path: str):
         obj = {**{k: v for k, v in obj.items() if k != group}, **{f"{group}.{k}": v for k, v in nested.items()}}
     _check_keys(obj, path, known)
     values = {}
-    for attr, key, kind, of, required, bounds in plan:
+    for attr, key, kind, of, required, bounds, _ in plan:
         if not required and obj.get(key) is None:
             continue  # the field's own default
         if kind == "an array":
@@ -255,20 +257,24 @@ def _read(cls, obj: dict, path: str):
     return cls(**values)
 
 
+@functools.cache
+def _writer(cls):
+    """``_write`` for ``cls``: a dict display compiled once, as ``__init__`` is, so an array of records costs what its
+    dicts do. A record, an array of them or a number (an Angle gives its degrees) is converted unless None."""
+    items: dict = {}
+    for attr, key, kind, of, _, _, _ in _plan(cls)[0]:
+        convert = {"an array": "list(map(_write, v))", "a number": "float(v)"}.get(kind, "_write(v)" if of else "")
+        group, _, leaf = key.rpartition(".")
+        (items.setdefault(group, {}) if group else items)[leaf] = (
+            f"(None if (v := o.{attr}) is None else {convert})" if convert else f"o.{attr}")
+
+    def display(entries: dict) -> str:
+        return "{" + ", ".join(f"{k!r}: {display(v) if isinstance(v, dict) else v}" for k, v in entries.items()) + "}"
+
+    return eval(f"lambda o: {display(items)}", {"_write": _write})
+
+
 def _write(obj) -> dict:
     """``obj`` as the JSON object its fields' ``_json`` metadata declare (what ``_read`` builds it from), every field
     written: None as null."""
-    record: dict = {}
-    for attr, key, kind, of, _, _ in _plan(type(obj))[0]:
-        value = getattr(obj, attr)
-        if value is None:
-            pass
-        elif kind == "an array":
-            value = [_write(item) for item in value]
-        elif of is not None:
-            value = _write(value)
-        elif kind == "a number":
-            value = float(value)  # an Angle is written as its degrees
-        group, _, leaf = key.rpartition(".")
-        (record.setdefault(group, {}) if group else record)[leaf] = value
-    return record
+    return _writer(type(obj))(obj)

@@ -33,13 +33,12 @@ columns. ``SimReport.frames`` acts as the tuple of ``FrameResult``
 records; the records are built from the columns on first read, so a run
 read only for its aggregates (a sweep) never builds them. A report also
 holds the link, pipeline timing, refresh rate and MTP limit it ran with;
-its JSON keys and CSV headers are the ones declared on the record fields,
-written by ``errors._write``.
+its JSON keys, CSV headers and CSV cell formats are the ones declared on
+the record fields, written in ``report``'s JSON and CSV layouts.
 """
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import struct
 import weakref
@@ -48,7 +47,8 @@ from collections.abc import Sequence
 from itertools import repeat
 from typing import TextIO
 
-from .errors import DomainError, _json, _plan, _write, record, require
+from . import report
+from .errors import DomainError, _json, _write, record, require
 from .latency import PipelineTiming
 from .reliability import DEFAULT_MSS_BITS
 from .tracegen import MAX_PACKETS, FrameRecord, FrameTrace, packet_split
@@ -102,9 +102,9 @@ class FrameResult:
     """One frame's fate: its end-to-end latency and VSync wait (None when dropped) and its retransmissions."""
 
     index: int = _json("an integer", key="frame_index")
-    displayed: bool = _json("a boolean")
-    e2e_ms: float | None = _json("a number")
-    vsync_wait_ms: float | None = _json("a number")
+    displayed: bool = _json("a boolean", cell="d")
+    e2e_ms: float | None = _json("a number", cell=".6f")
+    vsync_wait_ms: float | None = _json("a number", cell=".6f")
     retx_count: int = _json("an integer")
 
 
@@ -183,18 +183,12 @@ class SimReport:
     timing: PipelineTiming = _json("an object", of=PipelineTiming)
 
     def to_json(self) -> str:
-        return json.dumps(_write(self), indent=2, sort_keys=True) + "\n"
+        return report.to_json(_write(self))
 
     def write_csv(self, handle: TextIO) -> None:
-        """Per-frame rows followed by an aggregates block."""
-        handle.write(",".join(key for _, key, *_ in _plan(FrameResult)[0]) + "\n")
-        for f in self.frames:
-            e2e = "" if f.e2e_ms is None else f"{f.e2e_ms:.6f}"
-            wait = "" if f.vsync_wait_ms is None else f"{f.vsync_wait_ms:.6f}"
-            handle.write(f"{f.index},{int(f.displayed)},{e2e},{wait},{f.retx_count}\n")
-        handle.write("\nmetric,value\n")
-        for name, value in _write(self.aggregates).items():
-            handle.write(f"{name},{'' if value is None else value}\n")
+        """Per-frame rows, an empty line, then the aggregates block."""
+        report.write_records(handle, FrameResult, self.frames)
+        report.write_rows(handle, (), [("metric", "value"), *_write(self.aggregates).items()])
 
 
 _BLOCK = struct.Struct(">8Q")

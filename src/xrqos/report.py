@@ -1,20 +1,23 @@
-"""How the CLI writes values and where, and the multi-profile requirements table.
+"""How the toolkit writes values and files, and the multi-profile requirements table.
 
 Every cell is produced through the capacity/latency/reliability operations
 on registry data; this module adds only ordering and serialization. Each
 output form has one rule for a value: ``json_value``, ``text_value`` and
-``csv_cell``; every file is opened by ``_destination``.
+``csv_cell``. Every file is opened by ``_destination`` and has one JSON layout
+(``to_json``) and one CSV layout (``write_rows``; ``write_records`` for records).
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
-from typing import TYPE_CHECKING, TextIO
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, TextIO
 
 from .capacity import BitRate
-from .errors import DomainError
+from .errors import DomainError, _plan
 from .geometry import FovSpec, Resolution
 
 if TYPE_CHECKING:
@@ -28,16 +31,11 @@ __all__ = ["requirements_report", "report_to_json", "report_to_csv"]
 _TEXT_STYLES = {"ppd": ".2f", "min_delivery_pct": ".5f"}
 
 
-def requirements_report(
-    registry: ProfileRegistry,
-    profile_keys: tuple[str, ...] | None = None,
-    factors: tuple[float, ...] | None = None,
-) -> dict:
-    """Per-profile QoS requirements in the given key order; the paper's summary columns and factors by default."""
+def requirements_report(registry: ProfileRegistry, profile_keys: tuple[str, ...] | None = None) -> dict:
+    """Per-profile QoS requirements in the given key order, at the paper's summary factors; its columns by default."""
     from . import profiles  # here, so that the value rules below do not load the registry
 
-    columns = tuple(profile_keys or profiles.SUMMARY_COLUMNS)
-    return profiles.reproduce_summary_table(registry, columns, profiles.SUMMARY_FACTORS if factors is None else factors)
+    return profiles.reproduce_summary_table(registry, tuple(profile_keys or profiles.SUMMARY_COLUMNS))
 
 
 def json_value(value, units: str):
@@ -99,9 +97,44 @@ def _destination(destination: str | Path | TextIO, what: str):
         raise DomainError(f"cannot write {what} to {destination}: {exc}") from exc
 
 
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)  # the JSON layout of every file, which ends in a newline
+
+
+def to_json(document) -> str:
+    return _JSON.encode(document) + "\n"
+
+
+def write_json(handle: TextIO, document) -> None:
+    """``to_json(document)``, written in pieces of 65,536 encoder chunks, so a large document is never one string."""
+    chunks = _JSON.iterencode(document)
+    while piece := "".join(islice(chunks, 65536)):
+        handle.write(piece)
+    handle.write("\n")
+
+
+def write_rows(handle: TextIO, header: Iterable, rows: Iterable[Iterable]) -> None:
+    """The CSV layout of every file: ``header``, then ``rows``, a line each, with None as an empty cell."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+@functools.cache
+def _cells(cls):
+    """A ``cls`` record's CSV cells, by a tuple display compiled once per class; a formatted None is empty."""
+    cells = (f'("" if (v := o.{attr}) is None else format(v, {spec!r}))' if spec else f"o.{attr}"
+             for attr, *_, spec in _plan(cls)[0])
+    return eval(f"lambda o: ({', '.join(cells)},)", {})
+
+
+def write_records(handle: TextIO, cls: type, records: Iterable) -> None:
+    """``records`` of ``cls`` as CSV: a column per field, headed by its JSON key, in its ``cell`` format if any."""
+    write_rows(handle, [key for _, key, *_ in _plan(cls)[0]], map(_cells(cls), records))
+
+
 def report_to_json(payload, units: str) -> str:
-    """``payload`` as indented JSON with sorted keys, every value through ``json_value``."""
-    return json.dumps(json_value(payload, units), indent=2, sort_keys=True) + "\n"
+    """``payload`` as ``to_json`` writes it, every value through ``json_value``."""
+    return to_json(json_value(payload, units))
 
 
 def _rows(report: dict) -> list[tuple[str | float, list]]:
@@ -127,9 +160,7 @@ def report_to_text(report: dict, units: str) -> str:
 def report_to_csv(report: dict) -> str:
     """Wide CSV: one row per requirement, one column per profile."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["requirement", *report["columns"]])
-    for label, values in _rows(report):
-        name = label if isinstance(label, str) else f"bitrate_bps_factor_{label:g}"
-        writer.writerow([name, *(csv_cell(value) for value in values)])
+    rows = ([label if isinstance(label, str) else f"bitrate_bps_factor_{label:g}", *map(csv_cell, values)]
+            for label, values in _rows(report))
+    write_rows(buffer, ["requirement", *report["columns"]], rows)
     return buffer.getvalue()

@@ -2,21 +2,21 @@
 
 Generation is fully deterministic: frame sizes are the analytic per-type
 sizes inflated by the redundancy fraction, and timestamps follow the frame
-rate exactly. Traces export to CSV and JSON; the JSON form loads back,
+rate exactly. Traces and packets export to CSV and JSON as their record
+fields declare, in ``report``'s layouts; a trace's JSON loads back,
 checked, and feeds the link simulator.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
 from pathlib import Path
 from typing import Iterable, TextIO
 
+from . import report
 from .codec import FrameSizes, GopConfig
-from .errors import DomainError, _json, _plan, _read, _write, record, require
-from .report import _destination
+from .errors import DomainError, _json, _read, _write, record, require
 
 __all__ = [
     "FrameRecord",
@@ -29,8 +29,6 @@ __all__ = [
     "load_trace_json",
 ]
 
-PACKET_CSV_COLUMNS = ("frame_index", "packet_index", "size_bits", "t_ready_ms")
-
 # Run ceilings: a frame record takes ~220 B and a packet record ~115 B, so
 # these cap a trace near 220 MB and a packet list near 1.2 GB.
 MAX_FRAMES = 10**6
@@ -42,7 +40,7 @@ class FrameRecord:
     """One frame of a trace: its index, generation time (ms), type (I, P or B), size and GOP number."""
 
     index: int = _json("an integer", key="frame_index")
-    t_gen: float = _json("a number", key="t_gen_ms")
+    t_gen: float = _json("a number", key="t_gen_ms", cell=".3f")
     frame_type: str = _json("a string")
     size_bits: int = _json("an integer")
     gop_index: int = _json("an integer")
@@ -52,10 +50,10 @@ class FrameRecord:
 class PacketRecord:
     """One packet of a frame, ready to send when its frame is generated (ms)."""
 
-    frame_index: int
-    packet_index: int
-    size_bits: int
-    t_ready: float
+    frame_index: int = _json("an integer")
+    packet_index: int = _json("an integer")
+    size_bits: int = _json("an integer")
+    t_ready: float = _json("a number", key="t_ready_ms", cell=".3f")
 
 
 @record
@@ -138,16 +136,8 @@ def packetize(trace: FrameTrace | Iterable[FrameRecord], mtu_payload_bits: int) 
     packets = []
     for record in records:
         count, last_bits = packet_split(record.size_bits, mtu_payload_bits)
-        for packet_index in range(count):
-            size = mtu_payload_bits if packet_index < count - 1 else last_bits
-            packets.append(
-                PacketRecord(
-                    frame_index=record.index,
-                    packet_index=packet_index,
-                    size_bits=size,
-                    t_ready=record.t_gen,
-                )
-            )
+        packets += [PacketRecord(record.index, k, mtu_payload_bits, record.t_gen) for k in range(count - 1)]
+        packets.append(PacketRecord(record.index, count - 1, last_bits, record.t_gen))
     return packets
 
 
@@ -155,41 +145,24 @@ def packetize(trace: FrameTrace | Iterable[FrameRecord], mtu_payload_bits: int) 
 
 
 def export_trace(trace: FrameTrace, fmt: str, destination: str | Path | TextIO) -> None:
-    """Write a trace as CSV (fixed column set) or JSON (lossless round-trip)."""
-    with _destination(destination, "trace") as handle:
-        if fmt == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(key for _, key, *_ in _plan(FrameRecord)[0])
-            for r in trace.records:
-                writer.writerow([r.index, f"{r.t_gen:.3f}", r.frame_type, r.size_bits, r.gop_index])
-        elif fmt == "json":
-            json.dump(_write(trace), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        else:
-            raise DomainError(f"format must be csv or json, got {fmt!r}")
+    """Write a trace as CSV (one row per frame) or JSON (lossless round-trip)."""
+    _export(fmt, destination, "trace", FrameRecord, trace.records, lambda: _write(trace))
 
 
 def export_packets(packets: list[PacketRecord], fmt: str, destination: str | Path | TextIO) -> None:
-    with _destination(destination, "packets") as handle:
+    """Write packets as CSV (one row per packet) or JSON (an array of packet objects)."""
+    _export(fmt, destination, "packets", PacketRecord, packets, lambda: list(map(_write, packets)))
+
+
+def _export(fmt: str, destination, what: str, cls: type, records, document) -> None:
+    """``records`` of ``cls`` as CSV, or ``document()`` as JSON; a bad ``fmt`` is rejected before anything opens."""
+    if fmt not in ("csv", "json"):
+        raise DomainError(f"format must be csv or json, got {fmt!r}")
+    with report._destination(destination, what) as handle:
         if fmt == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(PACKET_CSV_COLUMNS)
-            for p in packets:
-                writer.writerow([p.frame_index, p.packet_index, p.size_bits, f"{p.t_ready:.3f}"])
-        elif fmt == "json":
-            payload = [
-                {
-                    "frame_index": p.frame_index,
-                    "packet_index": p.packet_index,
-                    "size_bits": p.size_bits,
-                    "t_ready_ms": p.t_ready,
-                }
-                for p in packets
-            ]
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            report.write_records(handle, cls, records)
         else:
-            raise DomainError(f"format must be csv or json, got {fmt!r}")
+            report.write_json(handle, document())
 
 
 def trace_from_dict(payload: dict) -> FrameTrace:

@@ -1,12 +1,26 @@
+import csv
+import io
 import json
 
 import pytest
 
 from xrqos.capacity import BitRate
-from xrqos.errors import UnknownKeyError
+from xrqos.codec import FrameSizes, GopConfig
+from xrqos.errors import UnknownKeyError, _json, _plan, _write, record
 from xrqos.geometry import FovSpec, Resolution
+from xrqos.latency import PipelineTiming
+from xrqos.netsim import FrameResult, LinkModel, simulate
 from xrqos.profiles import builtin_registry, reproduce_summary_table
-from xrqos.report import csv_cell, json_value, report_to_csv, report_to_json, requirements_report, text_value
+from xrqos.report import (
+    csv_cell,
+    json_value,
+    report_to_csv,
+    report_to_json,
+    requirements_report,
+    text_value,
+    write_records,
+)
+from xrqos.tracegen import FrameRecord, PacketRecord, export_packets, export_trace, generate_trace, packetize
 
 
 class TestRequirementsReport:
@@ -20,7 +34,8 @@ class TestRequirementsReport:
         assert eye["min_delivery_pct"] == pytest.approx(99.9999, abs=5e-7)
 
     def test_single_profile_single_factor(self):
-        result = requirements_report(builtin_registry(), ("quest2@120",), factors=(1.0,))
+        # the report always uses the summary factors; a subset of them is the summary table's to take
+        result = reproduce_summary_table(builtin_registry(), ("quest2@120",), factors=(1.0,))
         profile = result["profiles"]["quest2@120"]
         assert list(profile["bitrates"]) == [1.0]
         assert profile["refresh_hz"] == 120
@@ -98,3 +113,68 @@ class TestSerialization:
         assert "ppd" in labels
         assert "bitrate_bps_factor_600" in labels
         assert "fov,97x98,155x130" in lines
+
+
+# -- record tables -----------------------------------------------------------
+
+
+@record
+class _Sample:
+    """A record made only for this test: a name, a nullable formatted ratio and a count."""
+
+    name: str = _json("a string")
+    ratio: float | None = _json("a number", key="ratio_pct", cell=".2f")
+    count: int = _json("an integer")
+
+
+def _table(write) -> list[list[str]]:
+    buffer = io.StringIO()
+    write(buffer)
+    return list(csv.reader(io.StringIO(buffer.getvalue())))
+
+
+def _lossy_report():
+    trace = generate_trace(FrameSizes(400_000, 40_000), GopConfig(1.0, 30.0), 2.0)
+    link = LinkModel(downlink_bps=50e6, propagation_rtt=4.0, loss_prob=0.05, seed=7, mode="tcp_like", max_retx=1)
+    return simulate(trace, link, PipelineTiming(t_render=5.0, t_decode=3.0), 90.0, 20.0)
+
+
+class TestRecordTables:
+    """Every CSV table of records is written from its fields' declarations: the header is their JSON keys in
+    field order, and a column with a declared ``cell`` format holds ``format(value, spec)``, None as empty."""
+
+    def check(self, rows: list[list[str]], cls, records) -> None:
+        plan = _plan(cls)[0]
+        assert rows[0] == [key for _, key, *_ in plan]
+        assert len(rows) == 1 + len(records)
+        for row, record in zip(rows[1:], records):
+            assert len(row) == len(plan)
+            for cell, (attr, *_, spec) in zip(row, plan):
+                value = getattr(record, attr)
+                if value is None:
+                    assert cell == ""
+                else:
+                    assert cell == (str(value) if spec is None else format(value, spec))
+
+    def test_trace_and_packets(self):
+        trace = generate_trace(FrameSizes(40_000, 4_000, b_bits=2_000), GopConfig(1.0, 30.0, pattern="IBBP"), 1.0)
+        self.check(_table(lambda out: export_trace(trace, "csv", out)), FrameRecord, trace.records)
+        packets = packetize(trace, 11680)
+        self.check(_table(lambda out: export_packets(packets, "csv", out)), PacketRecord, packets)
+
+    def test_a_lossy_tcp_like_report(self):
+        report = _lossy_report()
+        assert report.aggregates.dropped_count > 0
+        rows = _table(report.write_csv)
+        blank = rows.index([])
+        self.check(rows[:blank], FrameResult, report.frames)
+        assert rows[blank + 1] == ["metric", "value"]
+        aggregates = _write(report.aggregates)
+        assert rows[blank + 2:] == [[key, "" if value is None else repr(value)] for key, value in aggregates.items()]
+
+    def test_a_new_record_needs_only_its_declaration(self):
+        samples = [_Sample("a", 12.3456, 3), _Sample("b,c", None, 4)]
+        buffer = io.StringIO()
+        write_records(buffer, _Sample, samples)
+        assert buffer.getvalue() == 'name,ratio_pct,count\na,12.35,3\n"b,c",,4\n'
+        self.check(_table(lambda out: write_records(out, _Sample, samples)), _Sample, samples)

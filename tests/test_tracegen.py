@@ -251,6 +251,15 @@ class TestExport:
         with pytest.raises(DomainError):
             export_trace(trace, "xml", io.StringIO())
 
+    @pytest.mark.parametrize("export", [export_trace, export_packets])
+    def test_unknown_format_leaves_the_file_as_it_was(self, tmp_path, export):
+        trace = generate_trace(FrameSizes(100, 10), GopConfig(1.0, 2.0), 1.0)
+        path = tmp_path / "kept.csv"
+        path.write_bytes(b"earlier output\n")
+        with pytest.raises(DomainError, match="format must be csv or json, got 'xml'"):
+            export(trace if export is export_trace else packetize(trace, 64), "xml", path)
+        assert path.read_bytes() == b"earlier output\n"
+
     def test_file_destination(self, tmp_path):
         trace = generate_trace(FrameSizes(100, 10), GopConfig(1.0, 2.0), 1.0)
         path = tmp_path / "trace.csv"
