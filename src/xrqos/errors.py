@@ -1,9 +1,11 @@
 """Exception hierarchy shared across the toolkit, the input checks that raise it, the ``record`` decorator
-that every model value class is made with, and the JSON record reader and writer that profiles, traces and
-simulation reports share; ``report`` writes a record table's CSV from the same field declarations."""
+that every model value class is made with, the ``Columns`` table that traces and simulation reports keep
+their per-frame records in, and the JSON record reader and writer that profiles, traces and simulation
+reports share; ``report`` writes a record table's CSV from the same field declarations."""
 import functools
 import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 
 
@@ -130,6 +132,51 @@ def record(cls=None, /, *, order: bool = False):
     params.init = params.repr = params.eq = params.frozen = True
     params.order = order
     return cls
+
+
+class Columns(Sequence):
+    """The tuple of ``make(*row)`` for each row of ``columns``, built on first read.
+
+    ``make`` is a record class, or a module-level function that builds one
+    from a row, and each column is a sequence with one entry per record. It
+    acts as that tuple (length, indexing, slicing, iteration, equality,
+    hash, repr), so a table read only by its columns never builds a record.
+    It keeps its columns, and pickles as them.
+    """
+
+    __slots__ = ("make", "columns", "_built")
+
+    def __init__(self, make, *columns) -> None:
+        self.make, self.columns, self._built = make, columns, None
+
+    def _records(self) -> tuple:
+        built = self._built
+        if built is None:
+            built = self._built = tuple(map(self.make, *self.columns))
+        return built
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        return self._records()[index]
+
+    def __iter__(self):
+        return iter(self._records())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Columns):
+            other = other._records()
+        return self._records() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._records())
+
+    def __repr__(self) -> str:
+        return repr(self._records())
+
+    def __reduce__(self):
+        return Columns, (self.make, *self.columns)
 
 
 # Half-lines that read better as words than as intervals.

@@ -17,24 +17,28 @@ monotone and repeatable. Versions before this stream keyed one draw per
 differ.
 
 So a frame's loss chain (packets still lost after each attempt) is the same
-at every rate, and for the first attempt in both modes. ``simulate`` keeps
-one lossy run's chains, keyed by the trace's identity (traces are frozen)
-and (seed, p, MTU), for later runs of a sweep to replay; another trace or
-key rebuilds them, and they are dropped with their trace. Beside each chain
-it keeps the packets still lost after the chain's last attempt, so a run
-that allows more attempts (``tcp_like`` after ``udp_like``) draws only the
-further attempts of the frames that still have losses.
+at every rate, and for the first attempt in both modes. One builder makes
+the chains from the trace's size column, a frame's position giving its
+stream key. ``simulate`` keeps one lossy run's chains, keyed by the trace's
+identity (traces are frozen) and (seed, p, MTU), for later runs of a sweep
+to replay; another trace or key rebuilds them, and they are dropped with
+their trace. Beside each chain it keeps the packets still lost after the
+chain's last attempt, so a run that allows more attempts (``tcp_like``
+after ``udp_like``) draws only the further attempts of the frames that
+still have losses.
 
-A run's results are kept as three columns: e2e, VSync wait and
-retransmissions, one entry per frame, a frame's index being its position.
-A dropped frame's e2e and VSync wait are None, so whether a frame was
+A run reads the trace's generation-time and size columns, never its frame
+records, and keeps its results as three columns: e2e, VSync wait and
+retransmissions, one entry per frame, a frame's index being its position. A
+dropped frame's e2e and VSync wait are None, so whether a frame was
 displayed is derived from its e2e. The aggregates are computed from the
-columns. ``SimReport.frames`` acts as the tuple of ``FrameResult``
-records; the records are built from the columns on first read, so a run
-read only for its aggregates (a sweep) never builds them. A report also
-holds the link, pipeline timing, refresh rate and MTP limit it ran with;
-its JSON keys, CSV headers and CSV cell formats are the ones declared on
-the record fields, written in ``report``'s JSON and CSV layouts.
+columns. ``SimReport.frames``, like ``FrameTrace.records``, is an
+``errors.Columns``: it acts as the tuple of ``FrameResult`` records and
+builds them from the columns on first read, so a sweep, read only for its
+aggregates, builds no record of either kind. A report also holds the link,
+pipeline timing, refresh rate and MTP limit it ran with; its JSON keys, CSV
+headers and CSV cell formats are the ones declared on the record fields,
+written in ``report``'s JSON and CSV layouts.
 """
 from __future__ import annotations
 
@@ -48,10 +52,10 @@ from itertools import repeat
 from typing import TextIO
 
 from . import report
-from .errors import DomainError, _json, _write, record, require
+from .errors import Columns, DomainError, _json, _write, record, require
 from .latency import PipelineTiming
 from .reliability import DEFAULT_MSS_BITS
-from .tracegen import MAX_PACKETS, FrameRecord, FrameTrace, packet_split
+from .tracegen import MAX_PACKETS, FrameTrace, packet_split
 
 __all__ = ["LinkModel", "FrameResult", "Aggregates", "SimReport", "simulate"]
 
@@ -108,52 +112,9 @@ class FrameResult:
     retx_count: int = _json("an integer")
 
 
-class _Frames(Sequence):
-    """A run's ``FrameResult`` records, built from its result columns on first read.
-
-    The columns are ``e2e_ms``, ``vsync_wait_ms`` and ``retx_count``, one
-    entry per frame; a frame is displayed exactly when its ``e2e_ms`` is not
-    None, so ``displayed`` is derived as the records are built. It acts as
-    the tuple of those records (length, indexing, slicing, iteration,
-    equality, hash, repr, pickling) and, once built, holds only that tuple.
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self, e2e_ms: list, vsync_wait_ms: list, retx_count: list) -> None:
-        self._data = [e2e_ms, vsync_wait_ms, retx_count]  # a list of columns until the records replace it
-
-    def _records(self) -> tuple[FrameResult, ...]:
-        data = self._data
-        if type(data) is list:
-            e2e_ms = data[0]
-            shown = [e2e is not None for e2e in e2e_ms]
-            data = self._data = tuple(map(FrameResult, range(len(e2e_ms)), shown, *data))
-        return data
-
-    def __len__(self) -> int:
-        data = self._data
-        return len(data[0] if type(data) is list else data)
-
-    def __getitem__(self, index):
-        return self._records()[index]
-
-    def __iter__(self):
-        return iter(self._records())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _Frames):
-            other = other._records()
-        return self._records() == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._records())
-
-    def __repr__(self) -> str:
-        return repr(self._records())
-
-    def __reduce__(self):
-        return tuple, (self._records(),)
+def _frame_result(index: int, e2e_ms: float | None, vsync_wait_ms: float | None, retx_count: int) -> FrameResult:
+    """A frame's record from its row of a run's result columns: it was displayed exactly when it has an e2e."""
+    return FrameResult(index, e2e_ms is not None, e2e_ms, vsync_wait_ms, retx_count)
 
 
 @record
@@ -207,12 +168,17 @@ def _lost_packets(seed: int, frame_index: int, attempt: int, count: int, loss_pr
         return []
     if loss_prob >= 1.0:
         return list(range(count))
-    log_keep = math.log1p(-loss_prob)
+    return _walk(f"{seed}:{frame_index}:{attempt}:", count, math.log1p(-loss_prob))
+
+
+def _walk(prefix: str, count: int, log_keep: float) -> list[int]:
+    """``_lost_packets``' walk over the stream whose block keys are ``prefix`` and the block number, at
+    ``log_keep`` = log(1 - p) for a p strictly between 0 and 1."""
     lost = []
     position = -1
     block = 0
     while True:
-        key = f"{seed}:{frame_index}:{attempt}:{block}".encode("ascii")
+        key = f"{prefix}{block}".encode("ascii")
         for word in _BLOCK.unpack(hashlib.blake2b(key).digest()):
             gap = math.log(((word >> 11) + 1) * 2.0**-53) / log_keep
             # compare before int(): at a subnormal p the gap is inf
@@ -223,27 +189,38 @@ def _lost_packets(seed: int, frame_index: int, attempt: int, count: int, loss_pr
         block += 1
 
 
-def _loss_chain(link: LinkModel, record: FrameRecord, depth: int, chain: tuple = (), lost: list | None = None):
-    """(chain, lost): a frame's loss chain extended to ``depth`` attempts, and the packets its last attempt lost.
+def _build_chains(link: LinkModel, sizes, depth: int, states: list | None = None) -> list:
+    """(chain, lost) per frame of sizes ``sizes``: its loss chain at least ``depth`` attempts deep, and the
+    packets the chain's last attempt lost.
 
     A chain holds (packets still lost, whether the frame's last packet is
-    among them) for each attempt that loses any. ``chain`` and ``lost`` are
-    an earlier call's result, which this one continues, or nothing for a new
-    chain. ``lost`` comes back empty once an attempt delivers every packet;
-    the chain is then whole at any depth.
+    among them) for each attempt that loses any. ``states`` are an earlier
+    call's results, which this one extends; without them each chain starts
+    from attempt 0. ``lost`` comes back empty once an attempt delivers every
+    packet; the chain is then whole at any depth, and is not extended.
     """
-    count = packet_split(record.size_bits, link.mtu_payload_bits)[0]
-    if lost is None:
-        lost = _lost_packets(link.seed, record.index, 0, count, link.loss_prob)
-    chain = list(chain)
-    while lost and len(chain) < depth:
-        if chain:  # what the last attempt lost goes again
-            again = set(_lost_packets(link.seed, record.index, len(chain), lost[-1] + 1, link.loss_prob))
-            lost = [k for k in lost if k in again]
+    seed, log_keep = link.seed, math.log1p(-link.loss_prob)
+    counts = {size: packet_split(size, link.mtu_payload_bits)[0] for size in set(sizes)}
+    chains = []
+    for frame, size in enumerate(sizes):
+        count = counts[size]
+        if states is None:
+            chain, lost = [], _walk(f"{seed}:{frame}:0:", count, log_keep)
+        else:
+            chain, lost = state = states[frame]
             if not lost:
-                break
-        chain.append((len(lost), lost[-1] == count - 1))
-    return tuple(chain), lost
+                chains.append(state)
+                continue
+            chain = list(chain)
+        while lost and len(chain) < depth:
+            if chain:  # what the last attempt lost goes again
+                again = set(_walk(f"{seed}:{frame}:{len(chain)}:", lost[-1] + 1, log_keep))
+                lost = [k for k in lost if k in again]
+                if not lost:
+                    break
+            chain.append((len(lost), lost[-1] == count - 1))
+        chains.append((tuple(chain), lost))
+    return chains
 
 
 _chains_memo = None  # (weakref to the trace, key, depth, [(chain, lost)] per frame), replaced whole
@@ -259,7 +236,8 @@ def _check_packets(trace: FrameTrace, link: LinkModel) -> None:
     """A lossy run walks every packet of every attempt, so its trace may hold at most ``MAX_PACKETS`` at the MTU."""
     mtu = link.mtu_payload_bits
     if trace.total_bits > (MAX_PACKETS - len(trace)) * mtu:  # a frame takes at most size / mtu + 1 packets
-        require("packets of a lossy run", sum(packet_split(r.size_bits, mtu)[0] for r in trace), ge=0, le=MAX_PACKETS)
+        packets = sum(packet_split(size, mtu)[0] for size in trace.size_bits)
+        require("packets of a lossy run", packets, ge=0, le=MAX_PACKETS)
 
 
 def _loss_chains(trace: FrameTrace, link: LinkModel, depth: int):
@@ -267,17 +245,17 @@ def _loss_chains(trace: FrameTrace, link: LinkModel, depth: int):
     global _chains_memo
     if not link.loss_prob:  # a lossless frame's chain is empty, and finding that out needs no packet count
         return repeat(((), []), len(trace))
-    if link.loss_prob >= 1.0:  # certain loss draws nothing but still walks every packet: chains made as used
+    if link.loss_prob >= 1.0:  # certain loss: each attempt loses every packet, as _lost_packets says, and draws none
         _check_packets(trace, link)
-        return (_loss_chain(link, record, depth) for record in trace)
+        mtu = link.mtu_payload_bits
+        return [(((packet_split(size, mtu)[0], True),) * depth, None) for size in trace.size_bits]
     key = (str(link.seed), link.loss_prob, link.mtu_payload_bits)  # the stream keys on the seed's text
     memo = _chains_memo
     if memo is None or memo[0]() is not trace or memo[1] != key:
         _check_packets(trace, link)
-        chains = [_loss_chain(link, record, depth) for record in trace]
-    elif memo[2] < depth:  # only a frame whose last attempt lost packets goes on
-        chains = [_loss_chain(link, record, depth, *state) if state[1] else state
-                  for record, state in zip(trace, memo[3])]
+        chains = _build_chains(link, trace.size_bits, depth)
+    elif memo[2] < depth:
+        chains = _build_chains(link, trace.size_bits, depth, memo[3])
     else:
         return memo[3]
     _chains_memo = (weakref.ref(trace, _forget_chains), key, depth, chains)
@@ -325,17 +303,16 @@ def simulate(
     add_e2e, add_wait, add_retx = e2e_ms.append, vsync_wait_ms.append, retx_count.append
     link_free = 0.0
     try:
-        for record, (chain, _) in zip(trace, _loss_chains(trace, link, max_attempts)):
-            t_gen = record.t_gen
+        for t_gen, size_bits, (chain, _) in zip(trace.t_gen, trace.size_bits, _loss_chains(trace, link, max_attempts)):
             arrival = t_gen + t_sense + uplink_ms + half_rtt + t_render + t_encode
             # every packet goes out once, lost or not
-            t = (link_free if link_free > arrival else arrival) + 1000.0 * record.size_bits / downlink
+            t = (link_free if link_free > arrival else arrival) + 1000.0 * size_bits / downlink
             retx = 0
             if chain and max_attempts > 1:  # a chain deeper than the retries allow is walked to their end
                 for n_lost, last_lost in chain if len(chain) < max_attempts else chain[: max_attempts - 1]:
                     t += n_lost * resend
                     if last_lost:
-                        t += 1000.0 * (packet_split(record.size_bits, mtu)[1] - mtu) / downlink
+                        t += 1000.0 * (packet_split(size_bits, mtu)[1] - mtu) / downlink
                     retx += n_lost
             link_free = t
             add_retx(retx)
@@ -366,7 +343,7 @@ def simulate(
         effective_fps=displayed_count / trace.duration,
     )
     return SimReport(
-        frames=_Frames(e2e_ms, vsync_wait_ms, retx_count),
+        frames=Columns(_frame_result, range(len(e2e_ms)), e2e_ms, vsync_wait_ms, retx_count),
         aggregates=aggregates,
         refresh_hz=refresh_hz,
         mtp_limit=mtp_limit,

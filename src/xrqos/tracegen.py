@@ -2,21 +2,28 @@
 
 Generation is fully deterministic: frame sizes are the analytic per-type
 sizes inflated by the redundancy fraction, and timestamps follow the frame
-rate exactly. Traces and packets export to CSV and JSON as their record
-fields declare, in ``report``'s layouts; a trace's JSON loads back,
-checked, and feeds the link simulator.
+rate exactly. A trace keeps its frames as columns (generation time, type,
+size and GOP number; a frame's index is its position). ``generate_trace``
+builds only the columns, and a trace given frame records turns them into
+columns; ``FrameTrace.records`` acts as the tuple of ``FrameRecord``s and
+builds them on first read, while the link simulator reads the ``t_gen`` and
+``size_bits`` columns and never builds a record. Traces and packets export
+to CSV and JSON as their record fields declare, in ``report``'s layouts; a
+trace's JSON loads back, checked, and feeds the link simulator.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, TextIO
 
 from . import report
 from .codec import FrameSizes, GopConfig
-from .errors import DomainError, _json, _read, _write, record, require
+from .errors import Columns, DomainError, _json, _read, _write, record, require
 
 __all__ = [
     "FrameRecord",
@@ -59,7 +66,11 @@ class PacketRecord:
 @record
 class FrameTrace:
     """A positive, finite duration and at most ``MAX_FRAMES`` frames, whose indices run 0, 1, 2, ..., whose
-    generation times never decrease, whose types are I, P or B and whose sizes are not negative."""
+    generation times never decrease, whose types are I, P or B and whose sizes are not negative.
+
+    ``records`` may be given as any sequence of frame records; the trace keeps it as columns, a frame's
+    index being its position, and builds the records again on first read.
+    """
 
     config: GopConfig = _json("an object", of=GopConfig)
     sizes: FrameSizes = _json("an object", of=FrameSizes)
@@ -68,22 +79,32 @@ class FrameTrace:
 
     def __post_init__(self) -> None:
         require("trace.duration_s", self.duration, gt=0)
-        require("trace frame count", len(self.records), ge=0, le=MAX_FRAMES)
-        previous, largest = -math.inf, sys.float_info.max
-        for i, record in enumerate(self.records):
-            if record.index != i:
-                raise DomainError(
-                    f"trace.records[{i}].frame_index must be {i} (indices run from 0 without gaps), got {record.index}"
-                )
-            if record.t_gen < previous:
-                raise DomainError(
-                    f"trace.records[{i}].t_gen_ms {record.t_gen} precedes the previous frame's {previous}"
-                )
-            if record.frame_type not in ("I", "P", "B"):
-                raise DomainError(f"trace.records[{i}].frame_type must be I, P or B, got {record.frame_type!r}")
-            if not 0 <= record.size_bits <= largest:
-                require(f"trace.records[{i}].size_bits", record.size_bits, ge=0)
-            previous = record.t_gen
+        records = self.records
+        count = require("trace frame count", len(records), ge=0, le=MAX_FRAMES)
+        if not (type(records) is Columns and records.make is FrameRecord and records.columns[0] == range(count)):
+            rows = tuple(map(FrameRecord._record_values, records))
+            for i, (index, *_) in enumerate(rows):
+                if index != i:
+                    raise DomainError(
+                        f"trace.records[{i}].frame_index must be {i} (indices run from 0 without gaps), got {index}"
+                    )
+            columns = list(zip(*rows)) or [()] * 5
+            records = Columns(FrameRecord, range(count), *columns[1:])
+            object.__setattr__(self, "records", records)
+        _, t_gen, frame_type, size_bits, _ = records.columns
+        largest = sys.float_info.max
+        if (any(map(operator.lt, t_gen, chain((-math.inf,), t_gen)))
+                or not all(map(("I", "P", "B").__contains__, frame_type))
+                or not all(0 <= size <= largest for size in set(size_bits))):  # a few distinct sizes
+            previous = -math.inf
+            for i, (t, kind, size) in enumerate(zip(t_gen, frame_type, size_bits)):
+                if t < previous:
+                    raise DomainError(f"trace.records[{i}].t_gen_ms {t} precedes the previous frame's {previous}")
+                if kind not in ("I", "P", "B"):
+                    raise DomainError(f"trace.records[{i}].frame_type must be I, P or B, got {kind!r}")
+                if not 0 <= size <= largest:
+                    require(f"trace.records[{i}].size_bits", size, ge=0)
+                previous = t
 
     def __len__(self) -> int:
         return len(self.records)
@@ -92,8 +113,18 @@ class FrameTrace:
         return iter(self.records)
 
     @property
+    def t_gen(self) -> tuple[float, ...]:
+        """Each frame's generation time (ms), in frame order: the records' ``t_gen`` column."""
+        return self.records.columns[1]
+
+    @property
+    def size_bits(self) -> tuple[int, ...]:
+        """Each frame's size, in frame order: the records' ``size_bits`` column."""
+        return self.records.columns[3]
+
+    @property
     def total_bits(self) -> int:
-        return sum(record.size_bits for record in self.records)
+        return sum(self.size_bits)
 
 
 def generate_trace(sizes: FrameSizes, cfg: GopConfig, duration: float) -> FrameTrace:
@@ -105,12 +136,19 @@ def generate_trace(sizes: FrameSizes, cfg: GopConfig, duration: float) -> FrameT
     require("duration", duration, gt=0)
     total = round(require("frame count (duration * fps)", duration * cfg.fps, ge=0, le=MAX_FRAMES))
     gop_len, fps, inflate = cfg.frames_per_gop, cfg.fps, 1.0 + cfg.redundancy_fraction
-    # (type, size) of each GOP position the trace reaches: a B-frame without a size fails only if one is made
-    kinds = map(cfg.frame_type, range(min(gop_len, total)))
-    positions = [(kind, round(sizes.bits_for(kind) * inflate)) for kind in kinds]
-    records = [FrameRecord(index, index * 1000.0 / fps, *positions[index % gop_len], index // gop_len)
-               for index in range(total)]
-    return FrameTrace(config=cfg, sizes=sizes, duration=duration, records=tuple(records))
+    # the type and size of each GOP position the trace reaches: a B-frame without a size fails only if one is made
+    kinds = tuple(map(cfg.frame_type, range(min(gop_len, total))))
+    bits = tuple(round(sizes.bits_for(kind) * inflate) for kind in kinds)
+    gops, rest = divmod(total, gop_len)
+    records = Columns(
+        FrameRecord,
+        range(total),
+        tuple(index * 1000.0 / fps for index in range(total)),
+        kinds * gops + kinds[:rest],
+        bits * gops + bits[:rest],
+        tuple(index // gop_len for index in range(total)),
+    )
+    return FrameTrace(config=cfg, sizes=sizes, duration=duration, records=records)
 
 
 def packet_split(size_bits: int, mtu_payload_bits: int) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from xrqos.latency import PipelineTiming
 from xrqos import netsim
 from xrqos.netsim import LinkModel, _lost_packets, simulate
 from xrqos.reliability import DEFAULT_MSS_BITS
-from xrqos.tracegen import FrameTrace, generate_trace, packet_split, packetize
+from xrqos.tracegen import FrameRecord, FrameTrace, generate_trace, packet_split, packetize
 
 
 def small_trace(frames=20, fps=30.0, i_bits=200_000, p_bits=40_000) -> FrameTrace:
@@ -375,21 +375,21 @@ class TestLossySweepBytes:
         assert digests == self.SHA256
 
 
-def counted_frame_results(monkeypatch):
-    """A list that gains one entry per ``FrameResult`` the simulator builds while the test runs."""
+def counted_builds(monkeypatch, cls):
+    """A list that gains one entry per ``cls`` record built while the test runs, however it is built."""
     built = []
-    real = netsim.FrameResult
+    real = cls.__init__
 
-    def counting(*args):
+    def counting(self, *args, **kwargs):
         built.append(args)
-        return real(*args)
+        real(self, *args, **kwargs)
 
-    monkeypatch.setattr(netsim, "FrameResult", counting)
+    monkeypatch.setattr(cls, "__init__", counting)
     return built
 
 
 class TestFramesContract:
-    """``SimReport.frames`` builds its records on first read and acts as the tuple of them."""
+    """``SimReport.frames`` and ``FrameTrace.records`` build their records on first read and act as the tuple of them."""
 
     # One packet per frame in udp_like mode: the packet loop adds the same
     # floats in the same order as the simulator, so its records are exact.
@@ -427,6 +427,16 @@ class TestFramesContract:
         assert {f.displayed for f in eager} == {True, False}
         read = self.OPERATIONS[operation]
         assert read(self.report(trace).frames) == read(eager)
+
+    @pytest.mark.parametrize("operation", OPERATIONS, ids=list(OPERATIONS))
+    def test_a_lazy_trace_read_gives_what_the_tuple_gives(self, operation):
+        # four GOPs of I, B and P frames: the columns vary in every field
+        sizes, cfg = FrameSizes(200_000, 40_000, b_bits=9_000), GopConfig(0.1, 30.0, redundancy_fraction=0.0,
+                                                                           pattern="IBP")
+        eager = tuple(FrameRecord(i, i * 1000.0 / 30.0, "IBP"[i % 3], (200_000, 9_000, 40_000)[i % 3], i // 3)
+                      for i in range(12))
+        read = self.OPERATIONS[operation]
+        assert read(generate_trace(sizes, cfg, 0.4).records) == read(eager)
 
     def test_equality_with_reports_frames_and_plain_tuples(self):
         trace = small_trace(frames=12)
@@ -466,7 +476,7 @@ class TestFramesContract:
                 assert frame.e2e_ms is not None and frame.vsync_wait_ms is not None
 
     def test_aggregates_and_length_build_no_record(self, monkeypatch):
-        built = counted_frame_results(monkeypatch)
+        built = counted_builds(monkeypatch, netsim.FrameResult)
         report = self.report(small_trace(frames=12))
         assert len(report.frames) == 12 and report.aggregates.displayed_count
         assert built == []
@@ -478,16 +488,31 @@ class TestFramesContract:
     def test_a_lossy_sweep_builds_no_record(self, monkeypatch, capsys):
         from xrqos.cli import main
 
-        built = counted_frame_results(monkeypatch)
+        built = counted_builds(monkeypatch, netsim.FrameResult)
+        frames = counted_builds(monkeypatch, FrameRecord)
         argv = ["simulate", "--i-bits", "200000", "--p-bits", "40000", "--fps", "30", "--duration", "1",
                 "--loss", "0.01", "--rtt", "8ms", "--refresh-hz", "90"]
         for mode in ("udp", "tcp"):
             assert main([*argv, "--mode", mode, "--sweep-downlink", "50M,100M,200M"]) == 0
         assert "displayed=" in capsys.readouterr().out
-        assert built == []
+        assert built == [] and frames == []
         # the counter sees the records a one-rate JSON report writes
         assert main(["--format", "json", *argv, "--downlink", "100M"]) == 0
         assert len(built) == 30
+
+    def test_a_generated_trace_and_its_lossy_sweep_build_no_frame_record(self, monkeypatch):
+        built = counted_builds(monkeypatch, FrameRecord)
+        trace = small_trace(frames=540, fps=90.0, i_bits=4_000_000, p_bits=900_000)
+        for downlink in (100e6, 150e6, 200e6, 250e6, 300e6):
+            for mode in ("udp_like", "tcp_like"):
+                link = LinkModel(downlink_bps=downlink, propagation_rtt=8.0, loss_prob=0.01, seed=7, mode=mode)
+                assert simulate(trace, link, self.TIMING, 90.0, 20.0).aggregates.displayed_count
+        assert len(trace) == 540 and trace.total_bits == 4_000_000 + 539 * 900_000
+        assert built == []
+        # the counter sees the records a read of the trace builds, once
+        assert trace.records[1].size_bits == 900_000 and len(built) == 540
+        list(trace)
+        assert len(built) == 540
 
 
 class TestLossDraws:
@@ -683,12 +708,13 @@ class TestDrawCost:
         trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)
         link = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, mode=mode)
         expected = simulate(trace, link, PipelineTiming(), 90.0, 20.0)
+        # the chain builder splits each distinct frame size once and walks one stream per frame and attempt
         monkeypatch.setattr(netsim, "packet_split", counted("packet_split", packet_split))
-        monkeypatch.setattr(netsim, "_lost_packets", counted("_lost_packets", _lost_packets))
+        monkeypatch.setattr(netsim, "_walk", counted("_walk", netsim._walk))
         assert simulate(trace, link, PipelineTiming(), 90.0, 20.0) == expected
         assert calls == {}
         simulate(trace, dataclasses.replace(link, loss_prob=0.01), PipelineTiming(), 90.0, 20.0)
-        assert calls["packet_split"] >= len(trace) and calls["_lost_packets"] >= len(trace)  # the counters see calls
+        assert calls["packet_split"] >= 1 and calls["_walk"] >= len(trace)  # the counters see calls
 
 
 class TestBoundary:

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import io
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -90,8 +92,8 @@ class TestGenerateTrace:
         assert trace.records[1].size_bits == 550
 
 
-def reference_generate_trace(sizes: FrameSizes, cfg: GopConfig, duration: float) -> FrameTrace:
-    """The trace built one frame at a time: each frame asks the GOP config for its type and the sizes for its bits."""
+def reference_records(sizes: FrameSizes, cfg: GopConfig, duration: float) -> tuple[FrameRecord, ...]:
+    """A trace's frames built one at a time: each frame asks the GOP config for its type and the sizes for its bits."""
     total = round(duration * cfg.fps)
     gop_len = cfg.frames_per_gop
     records = []
@@ -107,7 +109,12 @@ def reference_generate_trace(sizes: FrameSizes, cfg: GopConfig, duration: float)
                 gop_index=index // gop_len,
             )
         )
-    return FrameTrace(config=cfg, sizes=sizes, duration=duration, records=tuple(records))
+    return tuple(records)
+
+
+def reference_generate_trace(sizes: FrameSizes, cfg: GopConfig, duration: float) -> FrameTrace:
+    """The trace built from a tuple of its frame records."""
+    return FrameTrace(config=cfg, sizes=sizes, duration=duration, records=reference_records(sizes, cfg, duration))
 
 
 class TestGenerateTraceReference:
@@ -140,6 +147,58 @@ class TestGenerateTraceReference:
         assert [r.frame_type for r in generate_trace(FrameSizes(1000, 100), cfg, 0.25)] == ["I", "P", "P"]
         with pytest.raises(ConfigError):
             generate_trace(FrameSizes(1000, 100), cfg, 0.34)
+
+
+class TestTraceColumns:
+    """A generated trace keeps its frames as columns and acts as the same trace built from a tuple of frame
+    records, or loaded back from JSON: equality, hash, repr, pickling and copies."""
+
+    # float sizes, as JSON reads them back, so that every form has the same repr
+    SIZES, CFG, DURATION = FrameSizes(5000.0, 600.0, b_bits=300.0), GopConfig(0.5, 12.0, pattern="IBPB"), 1.5
+
+    def forms(self) -> dict:
+        """The trace in every form, each new, so that none has built its records yet."""
+        buffer = io.StringIO()
+        export_trace(generate_trace(self.SIZES, self.CFG, self.DURATION), "json", buffer)
+        records = reference_records(self.SIZES, self.CFG, self.DURATION)
+        return {
+            "generated": generate_trace(self.SIZES, self.CFG, self.DURATION),
+            "from records": reference_generate_trace(self.SIZES, self.CFG, self.DURATION),
+            "from a list of records": FrameTrace(self.CFG, self.SIZES, self.DURATION, list(records)),
+            "from JSON": load_trace_json(io.StringIO(buffer.getvalue())),
+            "from a generated trace's records": dataclasses.replace(generate_trace(self.SIZES, self.CFG,
+                                                                                   self.DURATION)),
+        }
+
+    def test_every_form_has_the_tuples_repr_and_hash(self):
+        records = reference_records(self.SIZES, self.CFG, self.DURATION)
+        assert {r.frame_type for r in records} == {"I", "P", "B"} and records[-1].gop_index == 2
+        expected = (f"FrameTrace(config={self.CFG!r}, sizes={self.SIZES!r}, duration={self.DURATION!r}, "
+                    f"records={records!r})")
+        for name, trace in self.forms().items():
+            assert repr(trace) == expected, name
+            assert hash(trace) == hash((self.CFG, self.SIZES, self.DURATION, records)), name
+            assert trace.records == records and records == trace.records, name
+
+    def test_every_form_equals_every_other(self):
+        forms = self.forms()
+        for name, trace in forms.items():
+            for other_name, other in self.forms().items():
+                assert trace == other and not trace != other, (name, other_name)
+            assert trace != dataclasses.replace(trace, duration=2.0), name
+        assert forms["generated"] != generate_trace(FrameSizes(5000.0, 601.0, b_bits=300.0), self.CFG, self.DURATION)
+
+    def test_every_form_pickles_and_copies_with_its_columns(self):
+        records = reference_records(self.SIZES, self.CFG, self.DURATION)
+        expected = repr(reference_generate_trace(self.SIZES, self.CFG, self.DURATION))
+        for name, trace in self.forms().items():
+            copies = [pickle.loads(pickle.dumps(trace, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for copy_ in [*copies, copy.copy(trace), copy.deepcopy(trace)]:
+                assert copy_ == trace and hash(copy_) == hash(trace) and repr(copy_) == expected, name
+                assert copy_.t_gen == tuple(r.t_gen for r in records), name
+                assert copy_.size_bits == tuple(r.size_bits for r in records), name
+                assert type(copy_.t_gen) is tuple and type(copy_.size_bits) is tuple, name
+                assert copy_.total_bits == sum(r.size_bits for r in records), name
 
 
 class TestPacketize:
