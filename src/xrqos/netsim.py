@@ -199,19 +199,20 @@ def _build_chains(link: LinkModel, sizes, depth: int, states: list | None = None
     from attempt 0. ``lost`` comes back empty once an attempt delivers every
     packet; the chain is then whole at any depth, and is not extended.
     """
-    seed, log_keep = link.seed, math.log1p(-link.loss_prob)
-    counts = {size: packet_split(size, link.mtu_payload_bits)[0] for size in set(sizes)}
+    seed, log_keep, mtu = link.seed, math.log1p(-link.loss_prob), link.mtu_payload_bits
     chains = []
     for frame, size in enumerate(sizes):
-        count = counts[size]
         if states is None:
-            chain, lost = [], _walk(f"{seed}:{frame}:0:", count, log_keep)
+            chain, lost = [], None
         else:
             chain, lost = state = states[frame]
             if not lost:
                 chains.append(state)
                 continue
             chain = list(chain)
+        count = packet_split(size, mtu)[0]
+        if lost is None:
+            lost = _walk(f"{seed}:{frame}:0:", count, log_keep)
         while lost and len(chain) < depth:
             if chain:  # what the last attempt lost goes again
                 again = set(_walk(f"{seed}:{frame}:{len(chain)}:", lost[-1] + 1, log_keep))

@@ -4,8 +4,8 @@ Generation is fully deterministic: frame sizes are the analytic per-type
 sizes inflated by the redundancy fraction, and timestamps follow the frame
 rate exactly. A trace keeps its frames as columns (generation time, type,
 size and GOP number; a frame's index is its position). ``generate_trace``
-builds only the columns, and a trace given frame records turns them into
-columns; ``FrameTrace.records`` acts as the tuple of ``FrameRecord``s and
+builds only the columns, and a trace given frame records keeps them beside
+their columns; ``FrameTrace.records`` acts as the tuple of ``FrameRecord``s and
 builds them on first read, while the link simulator reads the ``t_gen`` and
 ``size_bits`` columns and never builds a record. Traces and packets export
 to CSV and JSON as their record fields declare, in ``report``'s layouts; a
@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import sys
-from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -68,8 +67,8 @@ class FrameTrace:
     """A positive, finite duration and at most ``MAX_FRAMES`` frames, whose indices run 0, 1, 2, ..., whose
     generation times never decrease, whose types are I, P or B and whose sizes are not negative.
 
-    ``records`` may be given as any sequence of frame records; the trace keeps it as columns, a frame's
-    index being its position, and builds the records again on first read.
+    ``records`` may be given as any sequence of frame records; the trace keeps it as columns, and keeps
+    the records themselves when they are ``FrameRecord``s, so a read builds none again.
     """
 
     config: GopConfig = _json("an object", of=GopConfig)
@@ -80,31 +79,27 @@ class FrameTrace:
     def __post_init__(self) -> None:
         require("trace.duration_s", self.duration, gt=0)
         records = self.records
-        count = require("trace frame count", len(records), ge=0, le=MAX_FRAMES)
-        if not (type(records) is Columns and records.make is FrameRecord and records.columns[0] == range(count)):
-            rows = tuple(map(FrameRecord._record_values, records))
-            for i, (index, *_) in enumerate(rows):
-                if index != i:
-                    raise DomainError(
-                        f"trace.records[{i}].frame_index must be {i} (indices run from 0 without gaps), got {index}"
-                    )
-            columns = list(zip(*rows)) or [()] * 5
-            records = Columns(FrameRecord, range(count), *columns[1:])
+        require("trace frame count", len(records), ge=0, le=MAX_FRAMES)
+        if not (type(records) is Columns and records.make is FrameRecord):
+            given = tuple(records)
+            columns = (tuple(map(attrgetter(field), given)) for field in FrameRecord.__match_args__)
+            records = Columns(FrameRecord, *columns)
+            if set(map(type, given)) <= {FrameRecord}:  # the records given are the ones a read would build
+                records._built = given
             object.__setattr__(self, "records", records)
-        _, t_gen, frame_type, size_bits, _ = records.columns
-        largest = sys.float_info.max
-        if (any(map(operator.lt, t_gen, chain((-math.inf,), t_gen)))
-                or not all(map(("I", "P", "B").__contains__, frame_type))
-                or not all(0 <= size <= largest for size in set(size_bits))):  # a few distinct sizes
-            previous = -math.inf
-            for i, (t, kind, size) in enumerate(zip(t_gen, frame_type, size_bits)):
-                if t < previous:
-                    raise DomainError(f"trace.records[{i}].t_gen_ms {t} precedes the previous frame's {previous}")
-                if kind not in ("I", "P", "B"):
-                    raise DomainError(f"trace.records[{i}].frame_type must be I, P or B, got {kind!r}")
-                if not 0 <= size <= largest:
-                    require(f"trace.records[{i}].size_bits", size, ge=0)
-                previous = t
+        previous, largest = -math.inf, sys.float_info.max
+        for i, (index, t, kind, size) in enumerate(zip(*records.columns[:4])):
+            if index != i:
+                raise DomainError(
+                    f"trace.records[{i}].frame_index must be {i} (indices run from 0 without gaps), got {index}"
+                )
+            if t < previous:
+                raise DomainError(f"trace.records[{i}].t_gen_ms {t} precedes the previous frame's {previous}")
+            if kind not in ("I", "P", "B"):
+                raise DomainError(f"trace.records[{i}].frame_type must be I, P or B, got {kind!r}")
+            if not 0 <= size <= largest:
+                require(f"trace.records[{i}].size_bits", size, ge=0)
+            previous = t
 
     def __len__(self) -> int:
         return len(self.records)

@@ -188,6 +188,25 @@ class TestTraceColumns:
             assert trace != dataclasses.replace(trace, duration=2.0), name
         assert forms["generated"] != generate_trace(FrameSizes(5000.0, 601.0, b_bits=300.0), self.CFG, self.DURATION)
 
+    def test_a_trace_keeps_the_frame_records_it_is_given(self, monkeypatch):
+        records = reference_records(self.SIZES, self.CFG, self.DURATION)
+        for given in (records, list(records)):
+            trace = FrameTrace(self.CFG, self.SIZES, self.DURATION, given)
+            assert all(kept is record for kept, record in zip(trace.records, records))
+        buffer = io.StringIO()
+        export_trace(generate_trace(self.SIZES, self.CFG, self.DURATION), "json", buffer)
+        built = []
+        real = FrameRecord.__init__
+
+        def counting(record, *args, **kwargs):
+            built.append(args)
+            real(record, *args, **kwargs)
+
+        monkeypatch.setattr(FrameRecord, "__init__", counting)
+        trace = load_trace_json(io.StringIO(buffer.getvalue()))
+        assert len(built) == len(records)  # the load builds each record once, and a read builds none again
+        assert trace.records == records and len(built) == len(records)
+
     def test_every_form_pickles_and_copies_with_its_columns(self):
         records = reference_records(self.SIZES, self.CFG, self.DURATION)
         expected = repr(reference_generate_trace(self.SIZES, self.CFG, self.DURATION))
