@@ -25,8 +25,8 @@ _EXPORTS = {
     "errors": "ConfigError DomainError ProfileError UnknownKeyError XrqosError",
     "geometry": "Angle FovSpec PhysicalSize Resolution fov_from_physical ppd_from_cone_density ppd_from_fov "
                 "ppd_from_physical ppi ppi_from_diagonal scale_resolution",
-    "latency": "BudgetReport LatencyBudget PipelineTiming StageKey budget_check e2e_latency mtp_limit_for "
-               "refresh_delay stream_latency",
+    "latency": "BudgetReport LatencyBudget PipelineTiming StageKey budget_check mtp_limit_for refresh_delay "
+               "stream_latency",
     "netsim": "Aggregates FrameResult LinkModel SimReport simulate",
     "profiles": "DeviceProfile ProfileRegistry StageProfile builtin_registry load_profiles reproduce_quest2_table "
                 "reproduce_summary_table",

@@ -1,9 +1,10 @@
 """Motion-to-photon latency decomposition and budget checking.
 
-The end-to-end delay splits into sensing, rendering, streaming
-(encode + transmit + decode), and display (panel response plus the wait for
-the next VSync tick). Stage-dependent MTP ceilings come from the profiles
-registry.
+The end-to-end delay splits into sensing, rendering, streaming (encode + transmit + decode),
+and display (panel response plus the wait for the next VSync tick). ``budget_check`` is the one
+closed-form sum of these terms; ``netsim.simulate`` adds the same terms per frame, with the link's
+times as ``comm_ul`` and ``comm_dl`` and the actual VSync wait. Stage-dependent MTP ceilings come
+from the profiles registry.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ __all__ = [
     "BudgetReport",
     "refresh_delay",
     "stream_latency",
-    "e2e_latency",
     "budget_check",
     "mtp_limit_for",
 ]
@@ -120,18 +120,6 @@ def stream_latency(t_encode: float, frame_bits: float, throughput: BitRate | flo
     require("decode time", t_decode, ge=0)
     require("frame size", frame_bits, ge=0)
     return require("stream latency", t_encode + 1000.0 * frame_bits / rate_bps + t_decode, ge=0)
-
-
-def e2e_latency(timing: PipelineTiming, stream_ms: float, display_ms: float) -> float:
-    """Motion-to-photon total: sense + render + stream + display.
-
-    ``stream_ms`` already contains encode/transmit/decode and ``display_ms``
-    contains the fixed display delay plus whatever VSync wait the caller
-    chose, so only ``t_sense`` and ``t_render`` are read from ``timing``.
-    """
-    require("stream delay", stream_ms, ge=0)
-    require("display delay", display_ms, ge=0)
-    return require("motion-to-photon latency", timing.t_sense + timing.t_render + stream_ms + display_ms, ge=0)
 
 
 def budget_check(budget: LatencyBudget) -> BudgetReport:

@@ -305,8 +305,9 @@ def simulate(
     link_free = 0.0
     try:
         for t_gen, size_bits, (chain, _) in zip(trace.t_gen, trace.size_bits, _loss_chains(trace, link, max_attempts)):
+            # budget_check's terms in pipeline order: sense, comm_ul (uplink serialization + RTT/2), render, encode
             arrival = t_gen + t_sense + uplink_ms + half_rtt + t_render + t_encode
-            # every packet goes out once, lost or not
+            # comm_dl: queueing and serialization (every packet goes out once, lost or not), resends, RTT/2
             t = (link_free if link_free > arrival else arrival) + 1000.0 * size_bits / downlink
             retx = 0
             if chain and max_attempts > 1:  # a chain deeper than the retries allow is walked to their end
@@ -319,11 +320,11 @@ def simulate(
             add_retx(retx)
 
             if len(chain) < max_attempts:
-                ready = t + half_rtt + t_decode + fixed_display
+                ready = t + half_rtt + t_decode + fixed_display  # comm_dl's RTT/2, decode, display
                 k = ceil(ready / tick - 1e-9)
                 display = (k if k > 0 else 0) * tick
                 add_e2e(display - t_gen)
-                add_wait(display - ready)
+                add_wait(display - ready)  # the actual VSync wait, where a budget takes its avg or max
             else:
                 add_e2e(None)
                 add_wait(None)

@@ -112,6 +112,15 @@ def write_json(handle: TextIO, document) -> None:
     handle.write("\n")
 
 
+def write_json_array(handle: TextIO, items: Iterable) -> None:
+    """``to_json(list(items))``, encoded 4,096 items at a time, so the whole list is never built."""
+    items, opening = iter(items), "["
+    while batch := list(islice(items, 4096)):
+        handle.write(opening + _JSON.encode(batch)[1:-2])  # the batch's items, without its "[" and "\n]"
+        opening = ","
+    handle.write("[]\n" if opening == "[" else "\n]\n")
+
+
 def write_rows(handle: TextIO, header: Iterable, rows: Iterable[Iterable]) -> None:
     """The CSV layout of every file: ``header``, then ``rows``, a line each, with None as an empty cell."""
     writer = csv.writer(handle, lineterminator="\n")

@@ -179,23 +179,23 @@ def packetize(trace: FrameTrace | Iterable[FrameRecord], mtu_payload_bits: int) 
 
 def export_trace(trace: FrameTrace, fmt: str, destination: str | Path | TextIO) -> None:
     """Write a trace as CSV (one row per frame) or JSON (lossless round-trip)."""
-    _export(fmt, destination, "trace", FrameRecord, trace.records, lambda: _write(trace))
+    _export(fmt, destination, "trace", FrameRecord, trace.records, report.write_json, lambda: _write(trace))
 
 
 def export_packets(packets: list[PacketRecord], fmt: str, destination: str | Path | TextIO) -> None:
-    """Write packets as CSV (one row per packet) or JSON (an array of packet objects)."""
-    _export(fmt, destination, "packets", PacketRecord, packets, lambda: list(map(_write, packets)))
+    """Write packets as CSV (one row per packet) or JSON (an array of packet objects, written a batch at a time)."""
+    _export(fmt, destination, "packets", PacketRecord, packets, report.write_json_array, lambda: map(_write, packets))
 
 
-def _export(fmt: str, destination, what: str, cls: type, records, document) -> None:
-    """``records`` of ``cls`` as CSV, or ``document()`` as JSON; a bad ``fmt`` is rejected before anything opens."""
+def _export(fmt: str, destination, what: str, cls: type, records, write_json, document) -> None:
+    """``records`` of ``cls`` as CSV, or JSON by ``write_json(handle, document())``; a bad ``fmt`` opens nothing."""
     if fmt not in ("csv", "json"):
         raise DomainError(f"format must be csv or json, got {fmt!r}")
     with report._destination(destination, what) as handle:
         if fmt == "csv":
             report.write_records(handle, cls, records)
         else:
-            report.write_json(handle, document())
+            write_json(handle, document())
 
 
 def trace_from_dict(payload: dict) -> FrameTrace:

@@ -13,7 +13,7 @@ from xrqos.geometry import (
     FovSpec, PhysicalSize, Resolution, ppd_from_cone_density, ppd_from_fov, ppi, ppi_from_diagonal,
     scale_resolution,
 )
-from xrqos.latency import LatencyBudget, PipelineTiming, budget_check, e2e_latency, refresh_delay, stream_latency
+from xrqos.latency import LatencyBudget, PipelineTiming, budget_check, refresh_delay, stream_latency
 from xrqos.netsim import LinkModel, simulate
 from xrqos.reliability import LossModel, max_loss_rate
 from xrqos.tracegen import FrameRecord, MAX_FRAMES, MAX_PACKETS, generate_trace, packetize
@@ -97,7 +97,7 @@ NON_FINITE_PROBES = {
     "ppd_from_fov nan": lambda: ppd_from_fov(100, nan),
     "stream_latency nan": lambda: stream_latency(0, nan, 1e6, 0),
     "refresh_delay nan": lambda: refresh_delay(nan),
-    "e2e_latency nan": lambda: e2e_latency(PipelineTiming(), nan, 0),
+    "PipelineTiming t_sense nan": lambda: PipelineTiming(t_sense=nan),
     "max_loss_rate rtt nan": lambda: max_loss_rate(LossModel(), 1e6, nan),
     "LossModel nan": lambda: LossModel(nan),
     "scale_resolution nan": lambda: scale_resolution(100, nan, 90),
@@ -128,7 +128,6 @@ OVERFLOW_PROBES = {
     "ppd_from_cone_density": lambda: ppd_from_cone_density(150000, 1e308),
     "refresh_delay": lambda: refresh_delay(TINY),
     "stream_latency": lambda: stream_latency(0, 1e308, 1, 0),
-    "e2e_latency": lambda: e2e_latency(PipelineTiming(t_sense=1e308, t_render=1e308), 0, 0),
     "budget_check": lambda: budget_check(LatencyBudget(20, PipelineTiming(t_sense=1e308, t_render=1e308))),
     "max_loss_rate": lambda: max_loss_rate(LossModel(), TINY, 0.02),
     "simulate refresh interval": lambda: simulate(

@@ -11,7 +11,6 @@ from xrqos.latency import (
     PipelineTiming,
     StageKey,
     budget_check,
-    e2e_latency,
     mtp_limit_for,
     refresh_delay,
     stream_latency,
@@ -71,32 +70,6 @@ class TestStreamLatency:
         assert stream_latency(0, bits, rate * k, 0) < stream_latency(0, bits, rate, 0)
 
 
-class TestE2eLatency:
-    def test_local_vr_envelope(self):
-        # sense 1, display 10, render 3..5, cable 2 -> inside the 15-18 ms window
-        for render in (3.0, 5.0):
-            total = e2e_latency(PipelineTiming(t_sense=1, t_render=render), stream_ms=2.0, display_ms=10.0)
-            assert 15.0 <= total <= 18.0
-
-    def test_online_mec_18ms(self):
-        # sense 1, compute 7, comm 5, dynamic-refresh display 5
-        total = e2e_latency(PipelineTiming(t_sense=1, t_render=7), stream_ms=5.0, display_ms=5.0)
-        assert total == pytest.approx(18.0)
-
-    def test_all_zero(self):
-        assert e2e_latency(PipelineTiming(), 0.0, 0.0) == 0.0
-
-    @given(
-        parts=st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=4, max_size=4),
-    )
-    def test_additive_attribution(self, parts):
-        a, b, c, d = parts
-        # moving a delay between sense and render never changes the sum
-        one = e2e_latency(PipelineTiming(t_sense=a, t_render=b), c, d)
-        other = e2e_latency(PipelineTiming(t_sense=a + b, t_render=0), c, d)
-        assert one == pytest.approx(other, rel=1e-12, abs=1e-9)
-
-
 class TestBudgetCheck:
     def test_exactly_spent(self):
         budget = LatencyBudget(
@@ -144,6 +117,36 @@ class TestBudgetCheck:
         spent = sum(ms for _, ms in result.breakdown)
         assert result.remaining_ms + spent == pytest.approx(limit, rel=1e-9, abs=1e-9)
         assert result.violated == (result.remaining_ms < 0)
+
+    @given(parts=st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=4, max_size=4))
+    def test_additive_attribution(self, parts):
+        a, b, c, d = parts
+        # moving a delay between sense and render never changes the total
+        one = budget_check(LatencyBudget(100, PipelineTiming(t_sense=a, t_render=b, fixed_display=d), comm_dl=c))
+        other = budget_check(LatencyBudget(100, PipelineTiming(t_sense=a + b, fixed_display=d), comm_dl=c))
+        assert one.remaining_ms == pytest.approx(other.remaining_ms, rel=1e-12, abs=1e-9)
+
+
+def preset_total(name: str, **timing) -> float:
+    """The delay a registered pipeline preset spends, with ``timing`` overriding its delays."""
+    from xrqos.profiles import builtin_registry
+
+    budget = builtin_registry().pipeline(name)
+    budget = dataclasses.replace(budget, components=dataclasses.replace(budget.components, **timing))
+    return sum(ms for _, ms in budget_check(budget).breakdown)
+
+
+class TestPipelinePresets:
+    """The paper's end-to-end totals, as the presets' budgets add them up."""
+
+    def test_local_vr_envelope(self):
+        # sense 1, render 3..5, cable 2, display 10: inside the 15-18 ms window
+        assert preset_total("local_vr") == pytest.approx(18.0)
+        assert preset_total("local_vr", t_render=3.0) == pytest.approx(16.0)
+
+    def test_online_mec_18ms(self):
+        # sense 1, compute 7, comm 2.5 + 2.5, dynamic-refresh display 5
+        assert preset_total("online_mec") == pytest.approx(18.0)
 
 
 class TestHeadsetPresets:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from xrqos.codec import FrameSizes, GopConfig
 from xrqos.errors import DomainError
-from xrqos.latency import PipelineTiming
+from xrqos.latency import LatencyBudget, PipelineTiming, budget_check
 from xrqos import netsim
 from xrqos.netsim import LinkModel, _lost_packets, simulate
 from xrqos.reliability import DEFAULT_MSS_BITS
@@ -141,6 +141,24 @@ class TestClosedFormOracle:
             assert frame.displayed
             assert frame.e2e_ms == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("refresh_hz", [60.0, 90.0, 120.0])
+    def test_an_unqueued_frame_spends_its_budget_then_waits_for_vsync(self, refresh_hz):
+        # budget_check's total, with the link's times as comm_ul and comm_dl, is each frame's e2e less its VSync wait
+        cfg = GopConfig(0.1, 60.0, redundancy_fraction=0.0)
+        trace = generate_trace(FrameSizes(2_000_000, 500_000), cfg, 1.0)
+        link = LinkModel(downlink_bps=400e6, uplink_bps=2e6, propagation_rtt=7.0, uplink_payload_bits=4_000)
+        timing = PipelineTiming(t_sense=1.0, t_render=4.5, t_encode=2.0, t_decode=3.0, fixed_display=2.5)
+        report = simulate(trace, link, timing, refresh_hz, mtp_limit=20.0)
+        half_rtt = link.propagation_rtt / 2.0
+        comm_ul = 1000.0 * link.uplink_payload_bits / link.uplink_bps + half_rtt
+        for frame, size_bits in zip(report.frames, trace.size_bits):
+            tx = 1000.0 * size_bits / link.downlink_bps
+            assert tx <= 1000.0 / cfg.fps  # the frame leaves the link before the next one arrives
+            budget = LatencyBudget(math.inf, timing, comm_ul=comm_ul, comm_dl=tx + half_rtt)
+            spent = sum(ms for _, ms in budget_check(budget).breakdown)
+            assert frame.e2e_ms - frame.vsync_wait_ms == pytest.approx(spent, rel=0, abs=1e-9)
+            assert 0.0 <= frame.vsync_wait_ms < 1000.0 / refresh_hz
+
     def test_queuing_backlog_shows_up(self):
         # an I-frame bigger than one frame interval's worth of link time
         # delays every later frame in the GOP
@@ -195,6 +213,55 @@ class TestTcpLike:
         udp = simulate(trace, LinkModel(mode="udp_like", **base), PipelineTiming(), 90.0, 50.0)
         tcp0 = simulate(trace, LinkModel(mode="tcp_like", max_retx=0, **base), PipelineTiming(), 90.0, 50.0)
         assert [f.displayed for f in udp.frames] == [f.displayed for f in tcp0.frames]
+
+
+def loss_groups(p, mode, max_retx):
+    """{n: (frames, drops, resends)} over the frames of n packets, in runs of seeds 0-2 over a 20 s trace of
+    10- and 38-packet frames on a link fast enough never to queue."""
+    trace = generate_trace(FrameSizes(440_000, 110_000), GopConfig(0.1, 60.0, redundancy_fraction=0.0), 20.0)
+    counts = [packet_split(size, DEFAULT_MSS_BITS)[0] for size in trace.size_bits]
+    groups = defaultdict(lambda: [0, 0, 0])
+    for seed in range(3):
+        link = LinkModel(downlink_bps=1e12, loss_prob=p, seed=seed, mode=mode, max_retx=max_retx)
+        for n, frame in zip(counts, simulate(trace, link, PipelineTiming(), 60.0, 1000.0).frames):
+            group = groups[n]
+            group[0] += 1
+            group[1] += not frame.displayed
+            group[2] += frame.retx_count
+    assert sorted(groups) == [10, 38]
+    return groups
+
+
+def within_five_sigma(observed, trials, mean, variance):
+    """Whether ``observed``, a sum of ``trials`` independent draws of that mean and variance, is within 5 sigma
+    of its expectation; a draw of variance 0 must hit its mean exactly."""
+    return abs(observed - trials * mean) <= 5 * math.sqrt(trials * variance)
+
+
+class TestLossClosedForms:
+    """Drops and resends per frame of n packets, against the loss model's closed forms in p and max_retx."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.2, 1.0])
+    def test_udp_drop_fraction(self, p):
+        for n, (frames, drops, _) in loss_groups(p, "udp_like", 3).items():
+            q = 1 - (1 - p) ** n  # some packet of the frame is lost
+            assert within_five_sigma(drops, frames, q, q * (1 - q)), (n, drops, frames * q)
+
+    @pytest.mark.parametrize("max_retx", [1, 3])
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.2, 1.0])
+    def test_tcp_resends_per_frame(self, p, max_retx):
+        # a packet is resent after each of its first max_retx attempts that it loses: p + p^2 + ... + p^max_retx
+        mean = sum(p**a for a in range(1, max_retx + 1))
+        variance = sum((2 * a - 1) * p**a for a in range(1, max_retx + 1)) - mean**2
+        for n, (frames, _, resends) in loss_groups(p, "tcp_like", max_retx).items():
+            assert within_five_sigma(resends, frames * n, mean, variance), (n, resends, frames * n * mean)
+
+    @pytest.mark.parametrize("max_retx", [1, 3])
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.2, 1.0])
+    def test_tcp_drop_fraction(self, p, max_retx):
+        for n, (frames, drops, _) in loss_groups(p, "tcp_like", max_retx).items():
+            q = 1 - (1 - p ** (max_retx + 1)) ** n  # some packet of the frame is lost on every attempt
+            assert within_five_sigma(drops, frames, q, q * (1 - q)), (n, drops, frames * q)
 
 
 _link_strategy = st.builds(

@@ -13,7 +13,7 @@ from xrqos.capacity import BitDepth
 from xrqos.codec import FrameSizes, GopConfig, RenderSurface, frame_size, gop_bitrate, nb_pixels
 from xrqos.errors import ConfigError, DomainError, _write
 from xrqos.geometry import FovSpec, Resolution
-from xrqos import tracegen
+from xrqos import report, tracegen
 from xrqos.tracegen import (
     FrameRecord,
     FrameTrace,
@@ -323,6 +323,17 @@ class TestExport:
         lines = buffer.getvalue().split("\n")
         assert lines[0] == "frame_index,packet_index,size_bits,t_ready_ms"
         assert len(lines) == 2 + len(packets)
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 4097])  # 4,097: past one batch of the streamed array
+    def test_packets_json_is_the_array_of_packet_objects(self, count):
+        trace = generate_trace(FrameSizes(25000, 1000), GopConfig(1.0, 2.0, redundancy_fraction=0.0), 1.0)
+        packets = packetize(trace, 4)[:count]
+        buffer = io.StringIO()
+        export_packets(packets, "json", buffer)
+        assert buffer.getvalue() == report.to_json([_write(packet) for packet in packets])
+        assert json.loads(buffer.getvalue()) == [_write(packet) for packet in packets]
+        if not count:
+            assert buffer.getvalue() == "[]\n"
 
     def test_unknown_format(self):
         trace = generate_trace(FrameSizes(100, 10), GopConfig(1.0, 2.0), 1.0)
