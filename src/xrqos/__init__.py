@@ -16,7 +16,9 @@ __version__ = "0.1.0"
 # the CLI parser can read it without importing a model module.
 DEFAULT_MSS_BITS = 11680
 
-# Each public name by the module that defines it.
+# Each public name by the module that defines it: the one list of them. Each module sets its
+# `__all__` from its entry, and the list lives here so that `__getattr__` finds a name's module
+# without importing it.
 _EXPORTS = {
     "capacity": "BitDepth BitRate CompressionProfile VoxelSpec eye_like_capacity full_sphere_capacity "
                 "hmd_capacity volumetric_capacity",
@@ -25,14 +27,15 @@ _EXPORTS = {
     "errors": "ConfigError DomainError ProfileError UnknownKeyError XrqosError",
     "geometry": "Angle FovSpec PhysicalSize Resolution fov_from_physical ppd_from_cone_density ppd_from_fov "
                 "ppd_from_physical ppi ppi_from_diagonal scale_resolution",
-    "latency": "BudgetReport LatencyBudget PipelineTiming StageKey budget_check mtp_limit_for refresh_delay "
-               "stream_latency",
+    "latency": "BudgetReport LatencyBudget PipelineTiming RefreshDelay StageKey budget_check mtp_limit_for "
+               "refresh_delay stream_latency",
     "netsim": "Aggregates FrameResult LinkModel SimReport simulate",
-    "profiles": "DeviceProfile ProfileRegistry StageProfile builtin_registry load_profiles reproduce_quest2_table "
-                "reproduce_summary_table",
+    "profiles": "DeviceProfile ProfileRegistry PublishedRate RefreshMode StageProfile builtin_registry load_profiles "
+                "reproduce_quest2_table reproduce_summary_table",
     "reliability": "LossModel delivery_success max_loss_rate",
-    "report": "requirements_report",
-    "tracegen": "FrameRecord FrameTrace PacketRecord export_packets export_trace generate_trace packetize",
+    "report": "report_to_csv report_to_json requirements_report",
+    "tracegen": "FrameRecord FrameTrace PacketRecord export_packets export_trace generate_trace load_trace_json "
+                "packetize",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

@@ -10,21 +10,11 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from .errors import ConfigError, DomainError, record, require
 from .geometry import FovSpec, Resolution
 
-__all__ = [
-    "BitDepth",
-    "CompressionProfile",
-    "BitRate",
-    "VoxelSpec",
-    "BINARY_PREFIXES",
-    "DECIMAL_PREFIXES",
-    "eye_like_capacity",
-    "full_sphere_capacity",
-    "hmd_capacity",
-    "volumetric_capacity",
-]
+__all__ = _EXPORTS["capacity"].split()
 
 # Chroma subsampling dictates how many bits a pixel averages per bit of color
 # channel depth: 4:4:4 keeps all three channels, 4:2:0 halves the two chroma
@@ -111,8 +101,8 @@ class BitRate:
                 return self.bits_per_second / divisor
         raise DomainError(f"unknown rate prefix {prefix!r}")
 
-    def format(self, units: str = "binary", precision: int = 2) -> str:
-        """Render with the largest prefix that keeps the value at least 1."""
+    def format(self, units: str = "binary") -> str:
+        """Render to two decimals with the largest prefix that keeps the value at least 1."""
         if units == "binary":
             prefixes = BINARY_PREFIXES
         elif units == "decimal":
@@ -121,8 +111,8 @@ class BitRate:
             raise DomainError(f"units must be 'binary' or 'decimal', got {units!r}")
         for name, divisor in prefixes:
             if self.bits_per_second >= divisor:
-                return f"{self.bits_per_second / divisor:.{precision}f} {name}bps"
-        return f"{self.bits_per_second:.{precision}f} bps"
+                return f"{self.bits_per_second / divisor:.2f} {name}bps"
+        return f"{self.bits_per_second:.2f} bps"
 
 
 @record

@@ -10,21 +10,12 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from .capacity import BitDepth, BitRate, CompressionProfile
 from .errors import ConfigError, DomainError, _json, record, require
 from .geometry import FovSpec, Resolution
 
-__all__ = [
-    "GopConfig",
-    "RenderSurface",
-    "FrameSizes",
-    "nb_pixels",
-    "frame_size",
-    "frame_sizes",
-    "p_frame_count",
-    "gop_bitrate",
-    "strong_interaction_bitrate",
-]
+__all__ = _EXPORTS["codec"].split()
 
 
 @record

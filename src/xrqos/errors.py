@@ -8,6 +8,10 @@ import sys
 from collections.abc import Sequence
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"].split()
+
 
 class XrqosError(Exception):
     """Base class for all toolkit errors."""

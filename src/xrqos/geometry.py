@@ -7,21 +7,10 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from .errors import _json, record, require
 
-__all__ = [
-    "Resolution",
-    "PhysicalSize",
-    "Angle",
-    "FovSpec",
-    "ppi",
-    "ppi_from_diagonal",
-    "fov_from_physical",
-    "ppd_from_fov",
-    "ppd_from_physical",
-    "scale_resolution",
-    "ppd_from_cone_density",
-]
+__all__ = _EXPORTS["geometry"].split()
 
 
 @record

@@ -11,20 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import field, fields
 
+from . import _EXPORTS
 from .capacity import BitRate
 from .errors import DomainError, _json, record, require
 
-__all__ = [
-    "PipelineTiming",
-    "LatencyBudget",
-    "StageKey",
-    "RefreshDelay",
-    "BudgetReport",
-    "refresh_delay",
-    "stream_latency",
-    "budget_check",
-    "mtp_limit_for",
-]
+__all__ = _EXPORTS["latency"].split()
 
 
 @record

@@ -51,13 +51,13 @@ from collections.abc import Sequence
 from itertools import repeat
 from typing import TextIO
 
-from . import report
+from . import _EXPORTS, report
 from .errors import Columns, DomainError, _json, _write, record, require
 from .latency import PipelineTiming
 from .reliability import DEFAULT_MSS_BITS
 from .tracegen import MAX_PACKETS, FrameTrace, packet_split
 
-__all__ = ["LinkModel", "FrameResult", "Aggregates", "SimReport", "simulate"]
+__all__ = _EXPORTS["netsim"].split()
 
 
 @record

@@ -14,7 +14,7 @@ from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
-from . import capacity
+from . import _EXPORTS, capacity
 from .capacity import BitDepth, CompressionProfile
 from .codec import GopConfig, RenderSurface
 from .errors import (
@@ -23,17 +23,7 @@ from .errors import (
 from .geometry import FovSpec, Resolution
 from .latency import LatencyBudget, PipelineTiming
 
-__all__ = [
-    "RefreshMode",
-    "DeviceProfile",
-    "StageProfile",
-    "PublishedRate",
-    "ProfileRegistry",
-    "builtin_registry",
-    "load_profiles",
-    "reproduce_quest2_table",
-    "reproduce_summary_table",
-]
+__all__ = _EXPORTS["profiles"].split()
 
 _INTERACTIONS = ("weak_2d", "weak_3d", "strong")
 
@@ -444,7 +434,7 @@ def reproduce_quest2_table(registry: ProfileRegistry) -> list[dict]:
     return rows
 
 
-def _device_requirements(registry: ProfileRegistry, key: str, factors: tuple[float, ...]) -> dict:
+def _device_requirements(registry: ProfileRegistry, key: str) -> dict:
     device, mode = registry.device_mode(key)
     eye = device.mode_eye_resolution(mode)
     full = device.mode_full_video(mode)
@@ -460,7 +450,7 @@ def _device_requirements(registry: ProfileRegistry, key: str, factors: tuple[flo
         "refresh_hz": mode.hz,
         "bitrates": {},
     }
-    for factor in factors:
+    for factor in SUMMARY_FACTORS:
         comp = CompressionProfile(f"{factor:g}:1", factor)
         if device.per_eye is None and mode.render_target is None:
             # ppd-defined experience: pixel budget comes straight from fov x ppd.
@@ -485,17 +475,13 @@ SUMMARY_COLUMNS = ("quest2@72", "eye_like")
 SUMMARY_FACTORS = (1.0, 20.0, 600.0)
 
 
-def reproduce_summary_table(
-    registry: ProfileRegistry,
-    columns: tuple[str, ...] = SUMMARY_COLUMNS,
-    factors: tuple[float, ...] = SUMMARY_FACTORS,
-) -> dict:
-    """The side-by-side QoS requirement summary for a set of device profiles.
+def reproduce_summary_table(registry: ProfileRegistry, columns: tuple[str, ...] = SUMMARY_COLUMNS) -> dict:
+    """The side-by-side QoS requirement summary for a set of device profiles, at ``SUMMARY_FACTORS``.
 
     Every cell except the stored full-video resolutions and the published
     loss bounds is recomputed from profile primitives.
     """
     return {
         "columns": list(columns),
-        "profiles": {key: _device_requirements(registry, key, factors) for key in columns},
+        "profiles": {key: _device_requirements(registry, key) for key in columns},
     }

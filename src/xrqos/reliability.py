@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import math
 
-from . import DEFAULT_MSS_BITS
+from . import DEFAULT_MSS_BITS, _EXPORTS
 from .capacity import BitRate
 from .errors import record, require
 
-__all__ = [
-    "LossModel",
-    "DEFAULT_MSS_BITS",
-    "max_loss_rate",
-    "delivery_success",
-]
+__all__ = _EXPORTS["reliability"].split()
 
 
 @record

@@ -16,6 +16,7 @@ import json
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, TextIO
 
+from . import _EXPORTS
 from .capacity import BitRate
 from .errors import DomainError, _plan
 from .geometry import FovSpec, Resolution
@@ -25,7 +26,7 @@ if TYPE_CHECKING:
 
     from .profiles import ProfileRegistry
 
-__all__ = ["requirements_report", "report_to_json", "report_to_csv"]
+__all__ = _EXPORTS["report"].split()
 
 # Text-table precision of the requirements whose digits matter past %g.
 _TEXT_STYLES = {"ppd": ".2f", "min_delivery_pct": ".5f"}

@@ -20,20 +20,11 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from . import report
+from . import _EXPORTS, report
 from .codec import FrameSizes, GopConfig
 from .errors import Columns, DomainError, _json, _read, _write, record, require
 
-__all__ = [
-    "FrameRecord",
-    "PacketRecord",
-    "FrameTrace",
-    "generate_trace",
-    "packetize",
-    "export_trace",
-    "export_packets",
-    "load_trace_json",
-]
+__all__ = _EXPORTS["tracegen"].split()
 
 # Run ceilings: a frame record takes ~220 B and a packet record ~115 B, so
 # these cap a trace near 220 MB and a packet list near 1.2 GB.

@@ -10,7 +10,7 @@ from xrqos.errors import UnknownKeyError, _json, _plan, _write, record
 from xrqos.geometry import FovSpec, Resolution
 from xrqos.latency import PipelineTiming
 from xrqos.netsim import FrameResult, LinkModel, simulate
-from xrqos.profiles import builtin_registry, reproduce_summary_table
+from xrqos.profiles import SUMMARY_FACTORS, builtin_registry, reproduce_summary_table
 from xrqos.report import (
     csv_cell,
     json_value,
@@ -33,11 +33,10 @@ class TestRequirementsReport:
         assert quest["max_loss_rate"] == 7.2e-6
         assert eye["min_delivery_pct"] == pytest.approx(99.9999, abs=5e-7)
 
-    def test_single_profile_single_factor(self):
-        # the report always uses the summary factors; a subset of them is the summary table's to take
-        result = reproduce_summary_table(builtin_registry(), ("quest2@120",), factors=(1.0,))
+    def test_single_profile_gets_the_summary_factors(self):
+        result = reproduce_summary_table(builtin_registry(), ("quest2@120",))
         profile = result["profiles"]["quest2@120"]
-        assert list(profile["bitrates"]) == [1.0]
+        assert list(profile["bitrates"]) == list(SUMMARY_FACTORS)
         assert profile["refresh_hz"] == 120
 
     def test_unknown_key(self):
