@@ -17,7 +17,8 @@ from .errors import DomainError, XrqosError
 # and what it imports every command loads anyway. Each handler imports the models it
 # runs, so `latency refresh` loads neither the simulator nor the profile registry. `main`
 # builds only the parsers on the chosen command's path (`_Commands`), and every model class
-# is an `errors.record`, which compiles one method where a frozen dataclass compiles six.
+# is an `errors.record`, which compiles one method where a frozen dataclass compiles six,
+# and loads neither `dataclasses` nor `inspect` (two handlers import it for `replace`).
 # Model types in annotations are never evaluated (PEP 563).
 
 PROFILES_ENV = "XRQOS_PROFILES"

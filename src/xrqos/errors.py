@@ -1,12 +1,12 @@
 """Exception hierarchy shared across the toolkit, the input checks that raise it, the ``record`` decorator
-that every model value class is made with, the ``Columns`` table that traces and simulation reports keep
-their per-frame records in, and the JSON record reader and writer that profiles, traces and simulation
-reports share; ``report`` writes a record table's CSV from the same field declarations."""
+that every model value class is made with (a frozen dataclass that needs no ``dataclasses`` import), the
+``Columns`` table that traces and simulation reports keep their per-frame records in, and the JSON record
+reader and writer that profiles, traces and simulation reports share; ``report`` writes a record table's
+CSV from the same field declarations."""
 import functools
 import operator
 import sys
 from collections.abc import Sequence
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 
 from . import _EXPORTS
 
@@ -35,11 +35,43 @@ class ProfileError(XrqosError, ValueError):
 
 # -- records -------------------------------------------------------------------
 #
-# A record is what ``@dataclass(frozen=True)`` makes, built for less: the stdlib compiles six methods per
-# class, one ``exec`` each, and that was most of a CLI command's start-up. A record compiles only its
-# ``__init__``, with the body the stdlib writes for a frozen class, so construction costs the same. Its
-# equality, hash, repr, order and frozen ``__setattr__``/``__delattr__`` are the shared functions below;
-# the comparisons and the hash read the class's ``_record_values``: the tuple of an instance's field values.
+# A record is what ``@dataclass(frozen=True)`` makes, built for less: the stdlib loads ``inspect`` and compiles
+# six methods per class, and that was most of a CLI command's start-up. A record keeps its own field table and
+# compiles only its ``__init__``, with the body the stdlib writes for a frozen class, so construction costs the
+# same. Its equality, hash, repr, order and frozen ``__setattr__``/``__delattr__`` are the shared functions
+# below; the comparisons and the hash read the class's ``_record_values``: the tuple of its field values.
+
+_MISSING = object()  # a field without a default; a JSON key without one is required
+
+
+class _Field:
+    """A record field, as ``dataclasses.field`` makes one: name, annotation, default, default factory, metadata."""
+
+    __slots__ = ("name", "type", "default", "default_factory", "metadata")
+
+    def __init__(self, default=_MISSING, default_factory=_MISSING, metadata=None) -> None:
+        self.default, self.default_factory, self.metadata = default, default_factory, metadata or {}
+
+
+class _View:
+    """A record's ``__dataclass_fields__`` or ``__dataclass_params__``, for ``fields``, ``replace`` and
+    ``is_dataclass``. The first read of either has ``dataclasses`` build both on a throwaway class with the same
+    fields, and sets each on the record in one assignment, so that readers on two threads get equal views."""
+
+    def __init__(self, name: str, order: bool) -> None:
+        self.name, self.order = name, order
+
+    def __get__(self, obj, cls):
+        import dataclasses
+        spec = [(f.name, f.type, dataclasses.field(metadata=f.metadata, **{k: v for k in ("default", "default_factory")
+                 if (v := getattr(f, k)) is not _MISSING})) for f in cls._record_fields]
+        shadow = dataclasses.make_dataclass(cls.__name__, spec, init=False, repr=False, eq=False)
+        params = shadow.__dataclass_params__  # say what the record is: frozen, with an __init__, repr and equality
+        params.init = params.repr = params.eq = params.frozen = True
+        params.order = self.order
+        for name in ("__dataclass_fields__", "__dataclass_params__"):
+            setattr(cls, name, getattr(shadow, name))
+        return getattr(shadow, self.name)
 
 
 class _Factory:
@@ -71,14 +103,17 @@ def _hash(self) -> int:
 
 
 def _repr(self) -> str:
-    return f"{self.__class__.__qualname__}({', '.join(f'{f.name}={getattr(self, f.name)!r}' for f in fields(self))})"
+    fields = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self._record_fields)
+    return f"{self.__class__.__qualname__}({fields})"
 
 
 def _setattr(self, name: str, value) -> None:
+    from dataclasses import FrozenInstanceError
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _delattr(self, name: str) -> None:
+    from dataclasses import FrozenInstanceError
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -94,10 +129,10 @@ def _init(cls, all_fields) -> None:
     for f in all_fields:
         name, value, default = f.name, f.name, ""
         env[f"_type_{name}"] = f.type
-        if f.default_factory is not MISSING:
+        if f.default_factory is not _MISSING:
             env[f"_dflt_{name}"], default = f.default_factory, "=_HAS_DEFAULT_FACTORY"
             value = f"_dflt_{name}() if {name} is _HAS_DEFAULT_FACTORY else {name}"
-        elif f.default is not MISSING:
+        elif f.default is not _MISSING:
             env[f"_dflt_{name}"], default = f.default, f"=_dflt_{name}"
         params.append(f"{name}:_type_{name}{default}")
         body.append(f"  __dataclass_builtins_object__.__setattr__(self,{name!r},{value})")
@@ -115,26 +150,32 @@ def _init(cls, all_fields) -> None:
 def record(cls=None, /, *, order: bool = False):
     """``@dataclass(frozen=True)``, or ``(frozen=True, order=True)`` with ``order``, at a fraction of its cost.
 
-    ``dataclass(init=False, repr=False, eq=False)`` gives the class its fields, ``__dataclass_fields__``
-    and ``__match_args__``, so ``fields``, ``replace``, ``is_dataclass`` and pickling work as on any
-    dataclass. Every field is an ``__init__`` parameter, and the class must have a docstring: without
-    one, ``dataclass`` would build one from ``inspect.signature``.
+    Each annotation in the class body is a field and an ``__init__`` parameter; a value assigned to it is its
+    default, or a ``_Field`` with a default factory or metadata. The class keeps its fields in ``_record_fields``,
+    and ``fields``, ``replace``, ``is_dataclass`` (through ``_View``) and pickling work as on any dataclass. The
+    class must have a docstring, as a dataclass without one gets one made from ``inspect.signature``.
     """
     if cls is None:
         return functools.partial(record, order=order)
     if cls.__doc__ is None:
         raise TypeError(f"record {cls.__name__} needs a docstring")
-    dataclass(cls, init=False, repr=False, eq=False)
-    all_fields = fields(cls)
+    all_fields = []
+    for name, annotation in vars(cls).get("__annotations__", {}).items():
+        value = vars(cls).get(name, _MISSING)
+        f = value if isinstance(value, _Field) else _Field(value)
+        if f is value:  # the class attribute becomes the default, as on a dataclass
+            delattr(cls, name) if f.default is _MISSING else setattr(cls, name, f.default)
+        f.name, f.type = name, annotation
+        all_fields.append(f)
+    cls._record_fields = all_fields = tuple(all_fields)
     _init(cls, all_fields)
-    names = [f.name for f in all_fields]
+    names = cls.__match_args__ = tuple(f.name for f in all_fields)
     cls._record_values = operator.attrgetter(*names) if len(names) > 1 else lambda obj: (getattr(obj, names[0]),)
     for name, method in (_METHODS | _ORDER if order else _METHODS).items():
         if name not in vars(cls):
             setattr(cls, name, method)
-    params = cls.__dataclass_params__  # say what the class is: frozen, with an __init__, repr and equality
-    params.init = params.repr = params.eq = params.frozen = True
-    params.order = order
+    for name in ("__dataclass_fields__", "__dataclass_params__"):
+        setattr(cls, name, _View(name, order))
     return cls
 
 
@@ -222,10 +263,9 @@ _JSON_TYPES = {
     "an integer": int,
     "a number": (int, float),
 }
-_REQUIRED = object()
 
 
-def _field(obj: dict, key: str, path: str, kind: str, default=_REQUIRED, **bounds):
+def _field(obj: dict, key: str, path: str, kind: str, default=_MISSING, **bounds):
     """``obj[key]``, checked to be a JSON value of ``kind`` and, if a number, finite and within ``bounds``.
 
     "a number" reads as a float. A missing or null key reads as ``default``;
@@ -233,7 +273,7 @@ def _field(obj: dict, key: str, path: str, kind: str, default=_REQUIRED, **bound
     """
     value = obj.get(key)
     if value is None:
-        if default is not _REQUIRED:
+        if default is not _MISSING:
             return default
         raise DomainError(f"{path} lacks key {key!r}" if key not in obj else f"{path}.{key} must be {kind}, got None")
     if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "a boolean"):
@@ -243,23 +283,23 @@ def _field(obj: dict, key: str, path: str, kind: str, default=_REQUIRED, **bound
     return float(value) if kind == "a number" else value
 
 
-def _json(kind: str, default=MISSING, *, key: str | None = None, of: type | None = None, cell: str | None = None,
+def _json(kind: str, default=_MISSING, *, key: str | None = None, of: type | None = None, cell: str | None = None,
           **bounds):
-    """A dataclass field that a JSON record (a profile, trace or report) gives as ``key`` (by default its name).
+    """A record field that a JSON record (a profile, trace or report) gives as ``key`` (by default its name).
 
     ``kind`` is one of ``_field``'s kinds, or "a table" (an object of numbers, empty by default). An
-    object or array holds records of the dataclass ``of``. The value is within ``require``'s ``bounds``,
+    object or array holds records of the record class ``of``. The value is within ``require``'s ``bounds``,
     and an absent key reads as ``default``; without one the key is required. A key "depth.chroma"
     names the key "chroma" of the object under "depth". ``report.write_records`` writes the field's
     CSV cells in the format spec ``cell``, if given.
     """
-    factory = dict if kind == "a table" else MISSING
-    return field(default=default, default_factory=factory, metadata={"json": (key, kind, of, bounds, cell)})
+    factory = dict if kind == "a table" else _MISSING
+    return _Field(default, factory, {"json": (key, kind, of, bounds, cell)})
 
 
 def _objects(obj: dict, key: str, path: str, optional: bool = False):
     """(path, item) for each item of the array ``obj[key]``, each checked to be a JSON object."""
-    for i, item in enumerate(_field(obj, key, path, "an array", [] if optional else _REQUIRED)):
+    for i, item in enumerate(_field(obj, key, path, "an array", [] if optional else _MISSING)):
         item_path = f"{path}.{key}[{i}]"
         if not isinstance(item, dict):
             raise DomainError(f"{item_path} must be an object, got {item!r}")
@@ -270,8 +310,8 @@ def _objects(obj: dict, key: str, path: str, optional: bool = False):
 def _plan(cls) -> tuple[tuple, frozenset, tuple[str, ...]]:
     """Each field of ``cls`` as (attr, key, kind, of, required, bounds, cell), the keys allowed, and the groups."""
     plan = tuple(
-        (f.name, key or f.name, kind, of, f.default is MISSING and f.default_factory is MISSING, bounds, cell)
-        for f in fields(cls)
+        (f.name, key or f.name, kind, of, f.default is _MISSING and f.default_factory is _MISSING, bounds, cell)
+        for f in cls._record_fields
         for key, kind, of, bounds, cell in [f.metadata["json"]]
     )
     keys = {key for _, key, *_ in plan}

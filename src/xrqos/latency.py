@@ -9,11 +9,10 @@ from the profiles registry.
 from __future__ import annotations
 
 import math
-from dataclasses import field, fields
 
 from . import _EXPORTS
 from .capacity import BitRate
-from .errors import DomainError, _json, record, require
+from .errors import DomainError, _Field, _json, record, require
 
 __all__ = _EXPORTS["latency"].split()
 
@@ -34,7 +33,7 @@ class PipelineTiming:
     fixed_display: float = _json("a number", 0.0)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
+        for f in self._record_fields:
             require(f.name, getattr(self, f.name), ge=0)
 
 
@@ -57,7 +56,7 @@ class LatencyBudget:
     """
 
     mtp_limit: float
-    components: PipelineTiming = field(default_factory=PipelineTiming)
+    components: PipelineTiming = _Field(default_factory=PipelineTiming)
     comm_ul: float = 0.0
     comm_dl: float = 0.0
     refresh_hz: float | None = None

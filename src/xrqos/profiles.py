@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -317,14 +316,15 @@ class ProfileRegistry:
 
 # A preset's keys: its name and free-text note, and the budget's fields but its ceiling, the delays flattened.
 _PIPELINE_KEYS = frozenset(
-    {"name", "note"} | {f.name for f in fields(PipelineTiming) + fields(LatencyBudget)} - {"mtp_limit", "components"}
+    {"name", "note"} | {f.name for f in PipelineTiming._record_fields + LatencyBudget._record_fields}
+    - {"mtp_limit", "components"}
 )
 
 
 def _parse_pipeline(obj: dict, path: str) -> LatencyBudget:
     """A preset's delays in ms (an absent stage takes no time), with no MTP ceiling of its own."""
     _check_keys(obj, path, _PIPELINE_KEYS)
-    delays = {f.name: _field(obj, f.name, path, "a number", 0.0) for f in fields(PipelineTiming)}
+    delays = {f.name: _field(obj, f.name, path, "a number", 0.0) for f in PipelineTiming._record_fields}
     return LatencyBudget(
         mtp_limit=math.inf,
         components=PipelineTiming(**delays),
