@@ -18,7 +18,7 @@ from .errors import DomainError, XrqosError
 # runs, so `latency refresh` loads neither the simulator nor the profile registry. `main`
 # builds only the parsers on the chosen command's path (`_Commands`), and every model class
 # is an `errors.record`, which compiles one method where a frozen dataclass compiles six,
-# and loads neither `dataclasses` nor `inspect` (two handlers import it for `replace`).
+# and loads neither `dataclasses` nor `inspect` (two branches import it for `replace`).
 # Model types in annotations are never evaluated (PEP 563).
 
 PROFILES_ENV = "XRQOS_PROFILES"
@@ -332,10 +332,10 @@ def _cmd_latency_stream(args) -> int:
 
 
 def _cmd_latency_budget(args) -> int:
-    import dataclasses
     from . import latency
     limit = parse_time_ms(args.limit)
     if args.pipeline:
+        import dataclasses
         _check_preset(args, "--pipeline")
         budget = dataclasses.replace(_registry(args).pipeline(args.pipeline), mtp_limit=limit)
     else:
@@ -426,7 +426,6 @@ def _cmd_profiles_list(args) -> int:
 
 
 def _cmd_profiles_show(args) -> int:
-    import dataclasses
     from .errors import _write
     from .profiles import _write_pipeline
     registry = _registry(args)
@@ -437,6 +436,7 @@ def _cmd_profiles_show(args) -> int:
     else:
         device, mode = registry.device_mode(args.name)
         if "@" in args.name:
+            import dataclasses
             device = dataclasses.replace(device, refresh_modes=(mode,))
         data = _write(device)
         data["derived"] = {

@@ -152,19 +152,18 @@ def record(cls=None, /, *, order: bool = False):
 
     Each annotation in the class body is a field and an ``__init__`` parameter; a value assigned to it is its
     default, or a ``_Field`` with a default factory or metadata. The class keeps its fields in ``_record_fields``,
-    and ``fields``, ``replace``, ``is_dataclass`` (through ``_View``) and pickling work as on any dataclass. The
-    class must have a docstring, as a dataclass without one gets one made from ``inspect.signature``.
+    and ``fields``, ``replace``, ``is_dataclass`` (through ``_View``) and pickling work as on any dataclass.
     """
     if cls is None:
         return functools.partial(record, order=order)
-    if cls.__doc__ is None:
-        raise TypeError(f"record {cls.__name__} needs a docstring")
     all_fields = []
     for name, annotation in vars(cls).get("__annotations__", {}).items():
         value = vars(cls).get(name, _MISSING)
         f = value if isinstance(value, _Field) else _Field(value)
-        if f is value:  # the class attribute becomes the default, as on a dataclass
-            delattr(cls, name) if f.default is _MISSING else setattr(cls, name, f.default)
+        if f is value:  # a _Field's class attribute becomes its default, as on a dataclass
+            delattr(cls, name)
+            if f.default is not _MISSING:
+                setattr(cls, name, f.default)
         f.name, f.type = name, annotation
         all_fields.append(f)
     cls._record_fields = all_fields = tuple(all_fields)
@@ -288,7 +287,7 @@ def _json(kind: str, default=_MISSING, *, key: str | None = None, of: type | Non
     """A record field that a JSON record (a profile, trace or report) gives as ``key`` (by default its name).
 
     ``kind`` is one of ``_field``'s kinds, or "a table" (an object of numbers, empty by default). An
-    object or array holds records of the record class ``of``. The value is within ``require``'s ``bounds``,
+    object or array holds records of the class ``of``. The value is within ``require``'s ``bounds``,
     and an absent key reads as ``default``; without one the key is required. A key "depth.chroma"
     names the key "chroma" of the object under "depth". ``report.write_records`` writes the field's
     CSV cells in the format spec ``cell``, if given.

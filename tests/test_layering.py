@@ -1,6 +1,7 @@
 """Only ``report`` writes JSON or CSV: no other module imports ``csv`` or calls ``json.dump``/``json.dumps``.
 
-Reading JSON (``json.load``/``json.loads``) is every module's own business.
+Reading JSON (``json.load``/``json.loads``) is every module's own business. No module imports ``dataclasses``
+when it is imported: a record keeps its own field table, and a function that needs ``dataclasses`` imports it.
 """
 import ast
 from pathlib import Path
@@ -33,3 +34,52 @@ def test_only_report_writes_json_or_csv():
 def test_the_walk_catches_each_form():
     source = "import csv\nfrom json import dumps\nimport json\njson.dump({}, f)\njson.loads('1')\nfrom json import load\n"
     assert writes(ast.parse(source)) == ["1: import csv", "2: from json import dumps", "4: json.dump"]
+
+
+def module_level_imports(tree: ast.AST, module: str) -> list[str]:
+    """Each import of ``module`` in ``tree`` that runs when the module is imported (one outside every function
+    body), by line."""
+    found, nodes = [], [tree]
+    while nodes:
+        for node in ast.iter_child_nodes(nodes.pop()):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                found += [(node.lineno, f"import {a.name}") for a in node.names if a.name.split(".")[0] == module]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == module:
+                found.append((node.lineno, f"from {node.module} import {', '.join(a.name for a in node.names)}"))
+            nodes.append(node)
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_no_module_imports_dataclasses_when_it_is_imported():
+    found = {path.stem: module_level_imports(ast.parse(path.read_text(encoding="utf-8")), "dataclasses")
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_the_import_walk_skips_only_function_bodies():
+    source = (
+        "import dataclasses\n"
+        "import dataclasses_json\n"
+        "if True:\n"
+        "    from dataclasses import field, fields\n"
+        "class C:\n"
+        "    import dataclasses.x as d\n"
+        "    def method(self):\n"
+        "        import dataclasses\n"
+        "def f():\n"
+        "    from dataclasses import replace\n"
+        "    class Inner:\n"
+        "        import dataclasses\n"
+        "async def g():\n"
+        "    import dataclasses\n"
+        "from . import dataclasses\n"
+        "try:\n"
+        "    pass\n"
+        "finally:\n"
+        "    from dataclasses import MISSING\n"
+    )
+    assert module_level_imports(ast.parse(source), "dataclasses") == [
+        "1: import dataclasses", "4: from dataclasses import field, fields", "6: import dataclasses.x",
+        "19: from dataclasses import MISSING"]

@@ -10,12 +10,14 @@ import dataclasses
 import importlib
 import inspect
 import pickle
+import sys
+import threading
 
 import pytest
 
 from xrqos.capacity import BitDepth, BitRate, CompressionProfile
 from xrqos.codec import FrameSizes, GopConfig
-from xrqos.errors import DomainError
+from xrqos.errors import _MISSING, DomainError, _json, record
 from xrqos.geometry import Angle, FovSpec, PhysicalSize, Resolution
 from xrqos.latency import LatencyBudget, PipelineTiming, RefreshDelay
 from xrqos.netsim import Aggregates, FrameResult, LinkModel, SimReport
@@ -252,3 +254,59 @@ def test_only_bit_rates_order():
         if name != "BitRate":
             with pytest.raises(TypeError):
                 sample(name) < sample(name)
+
+
+def view_of(fields: dict, params) -> tuple:
+    """What ``dataclasses`` reads of a record's ``__dataclass_fields__`` and ``__dataclass_params__``."""
+    return ([(f.name, f.type, f.default, f.default_factory, f.init, f.kw_only, f._field_type, dict(f.metadata))
+             for f in fields.values()], repr(params))
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_the_dataclasses_view_is_the_records_own_field_table(name):
+    cls = RECORDS[name]
+
+    def given(value):
+        return dataclasses.MISSING if value is _MISSING else value
+
+    own = [(f.name, f.type, given(f.default), given(f.default_factory), f.metadata.get("json"))
+           for f in cls._record_fields]
+    seen = [(f.name, f.type, f.default, f.default_factory, f.metadata.get("json")) for f in dataclasses.fields(cls)]
+    assert seen == own and all(a[2] is b[2] and a[3] is b[3] for a, b in zip(seen, own))
+    assert [f.name for f in cls._record_fields] == list(cls.__annotations__)
+    params = cls.__dataclass_params__
+    assert (params.init, params.repr, params.eq, params.frozen, params.order) == (True, True, True, True,
+                                                                                  name == "BitRate")
+
+
+def test_threads_reading_a_fresh_records_view_get_equal_views():
+    @record
+    class Fresh:
+        """A record whose view no one has read yet."""
+
+        count: int
+        rate: float = _json("a number", 2.0)
+        table: dict = _json("a table")
+
+    start, views = threading.Barrier(8, timeout=10), []
+
+    def read() -> None:
+        start.wait()
+        for _ in range(20):  # the first read builds the view; later ones may overlap another thread's build
+            views.append(view_of(Fresh.__dataclass_fields__, Fresh.__dataclass_params__))
+
+    threads = [threading.Thread(target=read) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that the first reads overlap
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(views) == 8 * 20 and all(view == views[0] for view in views)
+    assert views[0] == view_of(Fresh.__dataclass_fields__, Fresh.__dataclass_params__)
+    assert [f.name for f in dataclasses.fields(Fresh)] == ["count", "rate", "table"]
+    assert dataclasses.replace(Fresh(1), rate=3.0) == Fresh(1, 3.0, {})

@@ -92,6 +92,17 @@ def test_a_trace_without_a_stage_profile_loads_no_registry(argv, tmp_path):
     assert "xrqos.profiles" not in cli_loads(argv, tmp_path)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["latency", "refresh", "--hz", "90"], ["table", "summary"],
+     ["latency", "budget", "--limit", "20", "--render", "5"], ["profiles", "show", "quest2"]],
+    ids=" ".join,
+)
+def test_a_command_loads_neither_dataclasses_nor_inspect(argv, tmp_path):
+    # records keep their own field table; dataclasses builds its view of one only for code that imports it
+    assert cli_loads(argv, tmp_path).isdisjoint({"dataclasses", "inspect"})
+
+
 # Counts, in the child, the methods the stdlib's dataclass compiles and the parsers argparse builds.
 COUNT_STARTUP = """
 import argparse, dataclasses, json
