@@ -37,9 +37,11 @@ class ProfileError(XrqosError, ValueError):
 #
 # A record is what ``@dataclass(frozen=True)`` makes, built for less: the stdlib loads ``inspect`` and compiles
 # six methods per class, and that was most of a CLI command's start-up. A record keeps its own field table and
-# compiles only its ``__init__``, with the body the stdlib writes for a frozen class, so construction costs the
-# same. Its equality, hash, repr, order and frozen ``__setattr__``/``__delattr__`` are the shared functions
-# below; the comparisons and the hash read the class's ``_record_values``: the tuple of its field values.
+# compiles nothing: its ``__init__``, equality, hash, repr, order and frozen ``__setattr__``/``__delattr__`` are
+# the shared functions below. ``_record_init`` binds a call's arguments from the class's ``_record_binding`` and
+# sets each field through ``object.__setattr__``, as the stdlib's ``__init__`` does, so an instance keeps the
+# layout (and the pickle) it had; ``inspect`` reads the signature from ``_SIGNATURE``. The comparisons and the
+# hash read the class's ``_record_values``: the tuple of its field values.
 
 _MISSING = object()  # a field without a default; a JSON key without one is required
 
@@ -84,6 +86,24 @@ class _Factory:
 _FACTORY = _Factory()
 
 
+class _Signature:
+    """A record's ``__signature__``, what ``inspect.signature`` reads of the class: a parameter per field, with its
+    annotation and default (``<factory>`` for a default factory), and ``-> None``. The first read builds it and sets
+    it on the record in one assignment."""
+
+    def __get__(self, obj, cls):
+        from inspect import Parameter, Signature
+        defaults = cls._record_binding[1]
+        signature = Signature([Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
+                                         default=Parameter.empty if defaults[f.name] is _MISSING else defaults[f.name])
+                               for f in cls._record_fields], return_annotation=None)
+        cls.__signature__ = signature
+        return signature
+
+
+_SIGNATURE = _Signature()
+
+
 def _compare(compare, name: str):
     def method(self, other):
         cls = self.__class__
@@ -117,34 +137,56 @@ def _delattr(self, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+_SETATTR = object.__setattr__
+
 _METHODS = {"__eq__": _compare(operator.eq, "__eq__"), "__hash__": _hash, "__repr__": _repr,
             "__setattr__": _setattr, "__delattr__": _delattr}
 
 
-def _init(cls, all_fields) -> None:
-    """Give ``cls`` the ``__init__`` that ``@dataclass(frozen=True)`` writes: each field set through
-    ``object.__setattr__``, a default factory called when its parameter is left out, then ``__post_init__``."""
-    env = {"__dataclass_builtins_object__": object, "_HAS_DEFAULT_FACTORY": _FACTORY, "_return_type": None}
-    params, body = [], []
-    for f in all_fields:
-        name, value, default = f.name, f.name, ""
-        env[f"_type_{name}"] = f.type
-        if f.default_factory is not _MISSING:
-            env[f"_dflt_{name}"], default = f.default_factory, "=_HAS_DEFAULT_FACTORY"
-            value = f"_dflt_{name}() if {name} is _HAS_DEFAULT_FACTORY else {name}"
-        elif f.default is not _MISSING:
-            env[f"_dflt_{name}"], default = f.default, f"=_dflt_{name}"
-        params.append(f"{name}:_type_{name}{default}")
-        body.append(f"  __dataclass_builtins_object__.__setattr__(self,{name!r},{value})")
-    if hasattr(cls, "__post_init__"):
-        body.append("  self.__post_init__()")
-    source = (f"def __create_fn__({', '.join(env)}):\n def __init__(self, {', '.join(params)})->_return_type:\n"
-              + "\n".join(body or ["  pass"]) + "\n return __init__")
-    namespace: dict = {}
-    exec(source, getattr(sys.modules.get(cls.__module__), "__dict__", {}), namespace)
-    init = namespace["__create_fn__"](**env)
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
+def _record_init(self, /, *args, **kwargs) -> None:
+    """The ``__init__`` of every record, as ``@dataclass(frozen=True)`` writes it for the record's class: each field
+    set from its argument, its default or a call of its default factory, then ``__post_init__``. A call that does
+    not fit the fields raises the ``TypeError`` that the stdlib's ``__init__`` would."""
+    names, defaults, tail, required, factories, post_init = self._record_binding
+    if kwargs or len(args) != len(names):  # not every field by position
+        if not kwargs and len(names) - len(tail) <= len(args) < len(names):
+            args += tail[len(args) - len(names):]  # the first fields by position, the rest their plain defaults
+        else:
+            given = dict(zip(names, args), **kwargs) if args else kwargs
+            values = defaults | given  # every field, in order, then any unknown keyword
+            if (len(given) != len(args) + len(kwargs) or len(values) != len(names)
+                    or len(given) < len(names) and not required <= given.keys()):
+                raise _call_error(self.__class__, args, kwargs)  # too many, given twice, unknown or left out
+            for name, factory in factories:
+                if values[name] is _FACTORY:
+                    values[name] = factory()
+            args = values.values()
+    # one field at a time, past the frozen __setattr__: a __dict__.update would give the instance a dict of its own,
+    # 64 bytes more, and make each later read of a field several times slower
+    any(map(_SETATTR.__get__(self), names, args))
+    if post_init:
+        self.__post_init__()
+
+
+def _call_error(cls, args: tuple, kwargs: dict) -> TypeError:
+    """The ``TypeError`` that CPython raises when ``cls(*args, **kwargs)`` does not fit a function with one
+    parameter per field, after ``self``. It checks each keyword, then the count of positions, then what is left out."""
+    names, _, _, required, _, _ = cls._record_binding
+    function, params = f"{cls.__qualname__}.__init__()", ("self", *names)
+    for key in kwargs:
+        if key not in params:
+            return TypeError(f"{function} got an unexpected keyword argument '{key}'")
+        if params.index(key) <= len(args):
+            return TypeError(f"{function} got multiple values for argument '{key}'")
+    if len(args) >= len(params):
+        least = len(required) + 1
+        takes = f"from {least} to {len(params)}" if least < len(params) else f"{least}"
+        return TypeError(f"{function} takes {takes} positional argument{'s' * (takes != '1')} but {len(args) + 1}"
+                         " were given")
+    missing = [repr(name) for name in names[len(args):] if name in required and name not in kwargs]
+    listed = " and ".join(missing) if len(missing) < 3 else f"{', '.join(missing[:-1])}, and {missing[-1]}"
+    return TypeError(f"{function} missing {len(missing)} required positional argument{'s' * (len(missing) > 1)}: "
+                     f"{listed}")
 
 
 def record(cls=None, /, *, order: bool = False):
@@ -156,7 +198,7 @@ def record(cls=None, /, *, order: bool = False):
     """
     if cls is None:
         return functools.partial(record, order=order)
-    all_fields = []
+    all_fields, defaulted = [], False
     for name, annotation in vars(cls).get("__annotations__", {}).items():
         value = vars(cls).get(name, _MISSING)
         f = value if isinstance(value, _Field) else _Field(value)
@@ -164,12 +206,25 @@ def record(cls=None, /, *, order: bool = False):
             delattr(cls, name)
             if f.default is not _MISSING:
                 setattr(cls, name, f.default)
+        if f.default is not _MISSING or f.default_factory is not _MISSING:
+            defaulted = True
+        elif defaulted:  # as the stdlib's dataclass says
+            raise TypeError(f"non-default argument {name!r} follows default argument")
         f.name, f.type = name, annotation
         all_fields.append(f)
     cls._record_fields = all_fields = tuple(all_fields)
-    _init(cls, all_fields)
     names = cls.__match_args__ = tuple(f.name for f in all_fields)
     cls._record_values = operator.attrgetter(*names) if len(names) > 1 else lambda obj: (getattr(obj, names[0]),)
+    # what _record_init reads: the names; each field's default, _FACTORY or _MISSING; the defaults of the last
+    # fields, after any that is required or has a default factory; the required fields; each default factory;
+    # whether to call __post_init__
+    defaults = {f.name: f.default if f.default_factory is _MISSING else _FACTORY for f in all_fields}
+    plain = tuple(defaults.values())
+    start = max((i + 1 for i, value in enumerate(plain) if value is _MISSING or value is _FACTORY), default=0)
+    required = frozenset(name for name, value in defaults.items() if value is _MISSING)
+    factories = tuple((f.name, f.default_factory) for f in all_fields if f.default_factory is not _MISSING)
+    cls._record_binding = names, defaults, plain[start:], required, factories, hasattr(cls, "__post_init__")
+    cls.__init__, cls.__signature__ = _record_init, _SIGNATURE
     for name, method in (_METHODS | _ORDER if order else _METHODS).items():
         if name not in vars(cls):
             setattr(cls, name, method)

@@ -9,7 +9,6 @@ output form has one rule for a value: ``json_value``, ``text_value`` and
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -124,6 +123,7 @@ def write_json_array(handle: TextIO, items: Iterable) -> None:
 
 def write_rows(handle: TextIO, header: Iterable, rows: Iterable[Iterable]) -> None:
     """The CSV layout of every file: ``header``, then ``rows``, a line each, with None as an empty cell."""
+    import csv  # here, so that a command that writes no CSV does not load it
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)

@@ -2,6 +2,7 @@
 
 Reading JSON (``json.load``/``json.loads``) is every module's own business. No module imports ``dataclasses``
 when it is imported: a record keeps its own field table, and a function that needs ``dataclasses`` imports it.
+Nor ``csv``: ``report`` imports it in ``write_rows``, so a command that writes no CSV does not load it.
 """
 import ast
 from pathlib import Path
@@ -52,10 +53,19 @@ def module_level_imports(tree: ast.AST, module: str) -> list[str]:
     return [f"{line}: {text}" for line, text in sorted(found)]
 
 
-def test_no_module_imports_dataclasses_when_it_is_imported():
-    found = {path.stem: module_level_imports(ast.parse(path.read_text(encoding="utf-8")), "dataclasses")
+def imported_at_module_level(module: str) -> dict[str, list[str]]:
+    """Each package module that imports ``module`` when it is imported, with those imports."""
+    found = {path.stem: module_level_imports(ast.parse(path.read_text(encoding="utf-8")), module)
              for path in sorted(PACKAGE.glob("*.py"))}
-    assert {module: lines for module, lines in found.items() if lines} == {}
+    return {name: lines for name, lines in found.items() if lines}
+
+
+def test_no_module_imports_dataclasses_when_it_is_imported():
+    assert imported_at_module_level("dataclasses") == {}
+
+
+def test_no_module_imports_csv_when_it_is_imported():
+    assert imported_at_module_level("csv") == {}
 
 
 def test_the_import_walk_skips_only_function_bodies():
@@ -83,3 +93,6 @@ def test_the_import_walk_skips_only_function_bodies():
     assert module_level_imports(ast.parse(source), "dataclasses") == [
         "1: import dataclasses", "4: from dataclasses import field, fields", "6: import dataclasses.x",
         "19: from dataclasses import MISSING"]
+    assert module_level_imports(ast.parse(source), "csv") == []
+    csv_source = "import csv as c\nimport csvkit\nif True:\n    from csv import writer\ndef f():\n    import csv\n"
+    assert module_level_imports(ast.parse(csv_source), "csv") == ["1: import csv", "4: from csv import writer"]

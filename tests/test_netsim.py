@@ -596,13 +596,29 @@ class TestLossDraws:
         assert _lost_packets(1, 2, 0, 500, 0.0) == []
         assert _lost_packets(1, 2, 0, 500, 1.0) == list(range(500))
 
-    def test_subnormal_probability_loses_nothing(self):
+    def test_subnormal_probability_loses_nothing(self, monkeypatch):
+        # the first gap is infinite, so a walk reads one block; one that read on through a frame of 10**9 packets
+        # would run for hours, so each call may draw at most ten blocks a frame and fails at the eleventh
+        drawn, real = [], hashlib.blake2b
+
+        def bounded(*args, **kwargs):
+            drawn.append(args)
+            if len(drawn) > bound:
+                raise AssertionError(f"{len(drawn)} blocks drawn by one call, at most {bound} allowed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(netsim.hashlib, "blake2b", bounded)
+        bound = 10
         for frame in range(200):
+            drawn.clear()
             assert _lost_packets(3, frame, 0, 10**9, 2.2e-313) == []
+            assert len(drawn) == 1
         trace = small_trace(frames=10)
         link = LinkModel(downlink_bps=1e8, loss_prob=2.2e-313, mode="tcp_like")
+        drawn.clear()
+        bound = 10 * len(trace)
         report = simulate(trace, link, PipelineTiming(), 90.0, 20.0)
-        assert report.aggregates.dropped_count == 0
+        assert report.aggregates.dropped_count == 0 and 0 < len(drawn) <= len(trace)
 
     def test_shorter_frame_sees_a_prefix(self):
         # the keying contract: packet k's fate never depends on the packet count

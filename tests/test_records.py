@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import importlib
 import inspect
+import itertools
 import pickle
 import sys
 import threading
@@ -186,6 +187,29 @@ class TestRecord:
             assert pickle.loads(pickle.dumps(a, protocol)) == a
         assert copy.copy(a) == a and copy.deepcopy(a) == a
 
+    def test_every_split_into_positions_and_keywords_builds_the_same_record(self, name):
+        cls, a = RECORDS[name], sample(name)
+        names = cls.__match_args__
+        values = [getattr(a, n) for n in names]
+        expected = pickle.dumps(sample(name), 4)
+        for split in range(len(names) + 1):
+            built = cls(*values[:split], **dict(zip(names[split:], values[split:])))
+            assert built == sample(name) and list(vars(built)) == list(names)  # set in field order, whatever the call
+            assert pickle.dumps(built, 4) == expected
+
+    def test_every_keyword_order_builds_the_same_record(self, name):
+        a = sample(name)
+        items = [(n, getattr(a, n)) for n in a.__match_args__]
+        if len(items) <= 6:
+            orders = itertools.permutations(items)
+        else:  # each rotation, forwards and backwards
+            rotations = [items[i:] + items[:i] for i in range(len(items))]
+            orders = rotations + [rotation[::-1] for rotation in rotations]
+        expected = pickle.dumps(sample(name), 4)
+        for order in orders:
+            built = RECORDS[name](**dict(order))
+            assert built == sample(name) and pickle.dumps(built, 4) == expected
+
     def test_signature_lists_the_fields(self, name):
         cls = RECORDS[name]
         params = []
@@ -216,6 +240,84 @@ def test_reprs_signatures_and_messages_verbatim():
     assert str(inspect.signature(RefreshDelay)) == "(max_ms: 'float', avg_ms: 'float') -> None"
     assert LatencyBudget(20.0).components == PipelineTiming()
     assert LatencyBudget(20.0).components is not LatencyBudget(20.0).components  # a fresh default each time
+
+
+def test_pickles_keep_their_bytes():
+    assert pickle.dumps(Resolution(height=1080, width=1920), 4) == (
+        b"\x80\x04\x95@\x00\x00\x00\x00\x00\x00\x00\x8c\x0exrqos.geometry\x94\x8c\nResolution\x94\x93\x94)"
+        b"\x81\x94}\x94(\x8c\x05width\x94M\x80\x07\x8c\x06height\x94M8\x04ub.")
+
+
+def dataclass_twin(cls) -> type:
+    """A ``@dataclass(frozen=True)`` with the name and fields of the record class ``cls``."""
+    def field(f):
+        given = {k: v for k in ("default", "default_factory") if (v := getattr(f, k)) is not _MISSING}
+        return dataclasses.field(**given)
+
+    return dataclasses.make_dataclass(cls.__name__, [(f.name, f.type, field(f)) for f in cls._record_fields],
+                                      frozen=True)
+
+
+@record
+class Empty:
+    """A record without fields."""
+
+
+def misfits(cls) -> list[tuple[list, dict]]:
+    """(args, kwargs) of calls of ``cls`` that do not fit its fields, each in a way that a message names."""
+    names = cls.__match_args__
+    values = [getattr(sample(cls.__name__), n) for n in names]
+    given = dict(zip(names, values))
+    required = [f.name for f in cls._record_fields if f.default is f.default_factory is _MISSING]
+    first = values[:len(required)]
+    calls = [
+        ([*values, 1], {}),  # a position too many
+        ([*values, 1, 2], {}),
+        ([*values, 1], {"bogus": 1}),  # the keywords are checked before the count
+        ([*first], {"bogus": 1}),  # an unexpected keyword
+        ([], {**given, "bogus": 1}),
+        ([*first], {"bogus": 1, "self": 2}),
+        ([], {"self": 1}),  # self is given by position
+        ([*first], {"self": 1}),
+    ]
+    if names:
+        calls += [
+            ([values[0]], {names[0]: values[0]}),  # a field given both ways
+            ([*values], {names[-1]: values[-1]}),
+            ([*values, 1], {names[0]: values[0]}),
+        ]
+    for missing in (1, 2, len(required)):  # one, two and every required field left out
+        if 0 < missing <= len(required):
+            calls += [(first[:-missing], {}), ([], dict(zip(required[missing:], first[missing:])))]
+    if required:  # every field by keyword but an unknown one in place of a required one
+        calls.append(([], {**{n: given[n] for n in names if n != required[0]}, "bogus": 1}))
+    return calls
+
+
+@pytest.mark.parametrize("cls", [Empty] + [RECORDS[name] for name in (
+    "BitRate", "Resolution", "FrameResult", "FovSpec", "LinkModel", "LatencyBudget", "PipelineTiming")],
+    ids=lambda cls: cls.__name__)
+def test_a_call_that_does_not_fit_raises_what_a_dataclass_raises(cls):
+    twin = dataclass_twin(cls)
+
+    def raised(make, args, kwargs) -> tuple[type, str]:
+        with pytest.raises(Exception) as caught:
+            make(*args, **kwargs)
+        return type(caught.value), str(caught.value)
+
+    calls = misfits(cls)
+    assert len(calls) >= 8
+    for args, kwargs in calls:
+        assert raised(cls, args, kwargs) == raised(twin, args, kwargs), (args, kwargs)
+
+
+def test_a_field_without_a_default_after_one_with_is_refused_as_by_a_dataclass():
+    body = {"__annotations__": {"a": "int", "b": "int"}, "a": 1}
+    with pytest.raises(TypeError) as expected:
+        dataclasses.dataclass(frozen=True)(type("Bad", (), dict(body)))
+    with pytest.raises(TypeError) as got:
+        record(type("Bad", (), dict(body)))
+    assert str(got.value) == str(expected.value) == "non-default argument 'b' follows default argument"
 
 
 def test_replace_checks_the_new_values():

@@ -103,6 +103,42 @@ def test_a_command_loads_neither_dataclasses_nor_inspect(argv, tmp_path):
     assert cli_loads(argv, tmp_path).isdisjoint({"dataclasses", "inspect"})
 
 
+@pytest.mark.parametrize("argv", [["table", "summary"], ["latency", "refresh", "--hz", "90"]], ids=" ".join)
+def test_a_text_command_loads_no_csv(argv, tmp_path):
+    # report imports csv where it writes a CSV file or table, which a text command never does
+    assert "csv" not in cli_loads(argv, tmp_path)
+    assert "csv" in cli_loads(["--format", "csv", *argv], tmp_path)
+
+
+# Records, in the child, each source compiled from a string, as an exec or eval of generated code compiles one.
+COUNT_COMPILES = """
+import json, sys
+compiled = []
+def count(event, args):
+    if event == "compile" and args[1] == "<string>":
+        compiled.append(args[0] if isinstance(args[0], str) else repr(args[0]))
+sys.addaudithook(count)
+from xrqos.cli import main
+code = main({argv!r})
+open("compiled.json", "w").write(json.dumps({{"code": code, "compiled": compiled}}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "summary"], ["gop", "bitrate", "--stage-profile", "huawei_ilab/comfortable"],
+     ["latency", "refresh", "--hz", "90"], ["reliability", "max-loss", "--throughput", "140M", "--rtt", "20ms"],
+     # the simulator's and the trace generator's records too, and a text report writes no record
+     ["simulate", "--i-bits", "200000", "--p-bits", "40000", "--fps", "30", "--duration", "1", "--loss", "0.01",
+      "--rtt", "8ms", "--refresh-hz", "90", "--downlink", "100M"]],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_a_command_compiles_no_source_at_run_time(argv, tmp_path):
+    # records share their methods, so defining or building one compiles nothing
+    loaded_after(COUNT_COMPILES.format(argv=argv), tmp_path)
+    assert json.loads((tmp_path / "compiled.json").read_text()) == {"code": 0, "compiled": []}
+
+
 # Counts, in the child, the methods the stdlib's dataclass compiles and the parsers argparse builds.
 COUNT_STARTUP = """
 import argparse, dataclasses, json
