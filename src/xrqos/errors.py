@@ -38,10 +38,10 @@ class ProfileError(XrqosError, ValueError):
 # A record is what ``@dataclass(frozen=True)`` makes, built for less: the stdlib loads ``inspect`` and compiles
 # six methods per class, and that was most of a CLI command's start-up. A record keeps its own field table and
 # compiles nothing: its ``__init__``, equality, hash, repr, order and frozen ``__setattr__``/``__delattr__`` are
-# the shared functions below. ``_record_init`` binds a call's arguments from the class's ``_record_binding`` and
-# sets each field through ``object.__setattr__``, as the stdlib's ``__init__`` does, so an instance keeps the
-# layout (and the pickle) it had; ``inspect`` reads the signature from ``_SIGNATURE``. The comparisons and the
-# hash read the class's ``_record_values``: the tuple of its field values.
+# the shared functions below. ``_record_init`` sets each field through ``object.__setattr__``, as the stdlib's
+# ``__init__`` does, so an instance keeps the layout (and the pickle) it had; a call that does not give every
+# field by position is bound from the class's ``_record_binding``. ``inspect`` reads the signature from
+# ``_SIGNATURE``. The comparisons and the hash read the class's ``_record_values``: the tuple of its field values.
 
 _MISSING = object()  # a field without a default; a JSON key without one is required
 
@@ -93,10 +93,9 @@ class _Signature:
 
     def __get__(self, obj, cls):
         from inspect import Parameter, Signature
-        defaults = cls._record_binding[1]
-        signature = Signature([Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
-                                         default=Parameter.empty if defaults[f.name] is _MISSING else defaults[f.name])
-                               for f in cls._record_fields], return_annotation=None)
+        signature = Signature([Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type, default=(
+            _FACTORY if f.default_factory is not _MISSING else Parameter.empty if f.default is _MISSING else f.default))
+            for f in cls._record_fields], return_annotation=None)
         cls.__signature__ = signature
         return signature
 
@@ -137,7 +136,9 @@ def _delattr(self, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-_SETATTR = object.__setattr__
+_NEW = object.__new__
+# object.__setattr__ bound to an instance: it sets a field past the record's frozen __setattr__
+_SETTER = object.__setattr__.__get__
 
 _METHODS = {"__eq__": _compare(operator.eq, "__eq__"), "__hash__": _hash, "__repr__": _repr,
             "__setattr__": _setattr, "__delattr__": _delattr}
@@ -147,8 +148,9 @@ def _record_init(self, /, *args, **kwargs) -> None:
     """The ``__init__`` of every record, as ``@dataclass(frozen=True)`` writes it for the record's class: each field
     set from its argument, its default or a call of its default factory, then ``__post_init__``. A call that does
     not fit the fields raises the ``TypeError`` that the stdlib's ``__init__`` would."""
-    names, defaults, tail, required, factories, post_init = self._record_binding
+    names = self.__match_args__
     if kwargs or len(args) != len(names):  # not every field by position
+        defaults, tail, required, factories = self._record_binding
         if not kwargs and len(names) - len(tail) <= len(args) < len(names):
             args += tail[len(args) - len(names):]  # the first fields by position, the rest their plain defaults
         else:
@@ -161,17 +163,34 @@ def _record_init(self, /, *args, **kwargs) -> None:
                 if values[name] is _FACTORY:
                     values[name] = factory()
             args = values.values()
-    # one field at a time, past the frozen __setattr__: a __dict__.update would give the instance a dict of its own,
-    # 64 bytes more, and make each later read of a field several times slower
-    any(map(_SETATTR.__get__(self), names, args))
-    if post_init:
+    # one field at a time: a __dict__.update would give the instance a dict of its own, 64 bytes more, and make
+    # each later read of a field several times slower
+    any(map(_SETTER(self), names, args))
+    if self._record_post_init:
         self.__post_init__()
+
+
+def _by_position(cls, *columns):
+    """An iterator of ``cls(*row)`` for each row of ``columns``, one column per field of the record class ``cls``,
+    which has no ``__post_init__``. Each record is made and its fields set without a call of ``cls.__init__``, so a
+    loop that makes a record per item (``tracegen.packetize`` makes one per packet) pays what a record cost when each
+    class compiled its own ``__init__``, not the shared binder's 0.2-0.3 µs more."""
+    names = cls.__match_args__
+    if len(columns) != len(names) or cls._record_post_init:
+        raise TypeError(f"{cls.__qualname__} is not made from {len(columns)} columns without its __init__")
+
+    def make(*row):
+        obj = _NEW(cls)
+        any(map(_SETTER(obj), names, row))
+        return obj
+
+    return map(make, *columns)
 
 
 def _call_error(cls, args: tuple, kwargs: dict) -> TypeError:
     """The ``TypeError`` that CPython raises when ``cls(*args, **kwargs)`` does not fit a function with one
     parameter per field, after ``self``. It checks each keyword, then the count of positions, then what is left out."""
-    names, _, _, required, _, _ = cls._record_binding
+    names, required = cls.__match_args__, cls._record_binding[2]
     function, params = f"{cls.__qualname__}.__init__()", ("self", *names)
     for key in kwargs:
         if key not in params:
@@ -214,16 +233,18 @@ def record(cls=None, /, *, order: bool = False):
         all_fields.append(f)
     cls._record_fields = all_fields = tuple(all_fields)
     names = cls.__match_args__ = tuple(f.name for f in all_fields)
-    cls._record_values = operator.attrgetter(*names) if len(names) > 1 else lambda obj: (getattr(obj, names[0]),)
-    # what _record_init reads: the names; each field's default, _FACTORY or _MISSING; the defaults of the last
-    # fields, after any that is required or has a default factory; the required fields; each default factory;
-    # whether to call __post_init__
+    cls._record_values = (operator.attrgetter(*names) if len(names) > 1
+                          else lambda obj: tuple(getattr(obj, name) for name in names))
+    # what _record_init reads for a call that does not give every field by position: each field's default,
+    # _FACTORY or _MISSING; the defaults of the last fields, after any that is required or has a default factory;
+    # the required fields; each default factory
     defaults = {f.name: f.default if f.default_factory is _MISSING else _FACTORY for f in all_fields}
     plain = tuple(defaults.values())
     start = max((i + 1 for i, value in enumerate(plain) if value is _MISSING or value is _FACTORY), default=0)
     required = frozenset(name for name, value in defaults.items() if value is _MISSING)
     factories = tuple((f.name, f.default_factory) for f in all_fields if f.default_factory is not _MISSING)
-    cls._record_binding = names, defaults, plain[start:], required, factories, hasattr(cls, "__post_init__")
+    cls._record_binding = defaults, plain[start:], required, factories
+    cls._record_post_init = hasattr(cls, "__post_init__")
     cls.__init__, cls.__signature__ = _record_init, _SIGNATURE
     for name, method in (_METHODS | _ORDER if order else _METHODS).items():
         if name not in vars(cls):

@@ -16,13 +16,14 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, TextIO
 
 from . import _EXPORTS, report
 from .codec import FrameSizes, GopConfig
-from .errors import Columns, DomainError, _json, _read, _write, record, require
+from .errors import Columns, DomainError, _by_position, _json, _read, _write, record, require
 
 __all__ = _EXPORTS["tracegen"].split()
 
@@ -160,8 +161,9 @@ def packetize(trace: FrameTrace | Iterable[FrameRecord], mtu_payload_bits: int) 
     packets = []
     for record in records:
         count, last_bits = packet_split(record.size_bits, mtu_payload_bits)
-        packets += [PacketRecord(record.index, k, mtu_payload_bits, record.t_gen) for k in range(count - 1)]
-        packets.append(PacketRecord(record.index, count - 1, last_bits, record.t_gen))
+        sizes = [mtu_payload_bits] * (count - 1)
+        sizes.append(last_bits)
+        packets += _by_position(PacketRecord, repeat(record.index), range(count), sizes, repeat(record.t_gen))
     return packets
 
 

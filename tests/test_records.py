@@ -18,12 +18,12 @@ import pytest
 
 from xrqos.capacity import BitDepth, BitRate, CompressionProfile
 from xrqos.codec import FrameSizes, GopConfig
-from xrqos.errors import _MISSING, DomainError, _json, record
+from xrqos.errors import _MISSING, DomainError, _by_position, _json, record
 from xrqos.geometry import Angle, FovSpec, PhysicalSize, Resolution
 from xrqos.latency import LatencyBudget, PipelineTiming, RefreshDelay
 from xrqos.netsim import Aggregates, FrameResult, LinkModel, SimReport
 from xrqos.profiles import PublishedRate, RefreshMode
-from xrqos.tracegen import FrameRecord
+from xrqos.tracegen import FrameRecord, PacketRecord
 
 MODULES = ("capacity", "codec", "geometry", "latency", "netsim", "profiles", "reliability", "tracegen")
 
@@ -309,6 +309,27 @@ def test_a_call_that_does_not_fit_raises_what_a_dataclass_raises(cls):
     assert len(calls) >= 8
     for args, kwargs in calls:
         assert raised(cls, args, kwargs) == raised(twin, args, kwargs), (args, kwargs)
+
+
+def test_a_record_without_fields_compares_and_hashes_as_a_dataclass_does():
+    twin = dataclass_twin(Empty)
+    assert Empty() == Empty() and hash(Empty()) == hash(twin()) == hash(())
+    assert repr(Empty()) == "Empty()"
+
+
+def test_records_made_by_position_equal_records_made_by_calls():
+    columns = ([7, 7, 8], range(3), [11680, 11680, 96], [1.5, 1.5, 3.0])
+    made = list(_by_position(PacketRecord, *columns))
+    called = [PacketRecord(*row) for row in zip(*columns)]
+    assert made == called and [vars(r) for r in made] == [vars(r) for r in called]
+    assert pickle.dumps(made, 4) == pickle.dumps(called, 4)
+    assert list(_by_position(PacketRecord, *columns[:3], [])) == []
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        made[0].size_bits = 1
+    with pytest.raises(TypeError, match="PacketRecord is not made from 3 columns"):
+        _by_position(PacketRecord, *columns[:3])
+    with pytest.raises(TypeError, match="BitRate is not made from 1 columns"):  # it checks its field in __post_init__
+        _by_position(BitRate, [-1.0])
 
 
 def test_a_field_without_a_default_after_one_with_is_refused_as_by_a_dataclass():
