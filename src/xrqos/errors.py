@@ -174,7 +174,7 @@ def _by_position(cls, *columns):
     """An iterator of ``cls(*row)`` for each row of ``columns``, one column per field of the record class ``cls``,
     which has no ``__post_init__``. Each record is made and its fields set without a call of ``cls.__init__``, so a
     loop that makes a record per item (``tracegen.packetize`` makes one per packet) pays what a record cost when each
-    class compiled its own ``__init__``, not the shared binder's 0.2-0.3 µs more."""
+    class compiled its own ``__init__``, not the shared binder's 0.2 µs more."""
     names = cls.__match_args__
     if len(columns) != len(names) or cls._record_post_init:
         raise TypeError(f"{cls.__qualname__} is not made from {len(columns)} columns without its __init__")
