@@ -18,9 +18,9 @@ from .errors import DomainError, XrqosError
 # runs, so `latency refresh` loads neither the simulator nor the profile registry. `main`
 # builds only the parsers on the chosen command's path (`_Commands`), and every model class
 # is an `errors.record`, which compiles nothing where a frozen dataclass compiles six
-# methods, and loads neither `dataclasses` nor `inspect` (two branches import it for
-# `replace`). `report` loads `csv` only to write CSV. Model types in annotations are never
-# evaluated (PEP 563).
+# methods, and loads neither `dataclasses` nor `inspect` until its twin dataclass is first
+# read (two branches import `dataclasses` for `replace`). `report` loads `csv` only to
+# write CSV. Model types in annotations are never evaluated (PEP 563).
 
 PROFILES_ENV = "XRQOS_PROFILES"
 
@@ -92,12 +92,36 @@ def _depth_from_args(args) -> BitDepth:
     return BitDepth.from_bpc(args.bpc, args.chroma)
 
 
+# The flags that set a record's fields: for each record built from flags, each such field and its flag's dest, or
+# (dest, convert) to pass the flag's value converted. These flags state no default: `_given` passes only the flags
+# that were given, so that every other field keeps the record's own default.
+_FIELD_FLAGS = {
+    "PipelineTiming": {"t_sense": "sense", "t_render": "render", "t_encode": "encode", "t_decode": "decode",
+                       "fixed_display": "display"},
+    "LatencyBudget": {"comm_ul": "comm_ul", "comm_dl": "comm_dl", "refresh_hz": "refresh_hz", "vsync_mode": "vsync"},
+    "LinkModel": {"propagation_rtt": ("rtt", parse_time_ms), "loss_prob": "loss", "seed": "seed",
+                  "mode": ("mode", "{}_like".format), "max_retx": "max_retx"},
+    "GopConfig": {"redundancy_fraction": "redundancy", "pattern": "pattern"},
+    "RenderSurface": {"extra_picture_fraction": "extra_picture", "dof_fraction": "dof"},
+    "VoxelSpec": {"color_depth": "color_bits", "position_depth": "position_bits"},
+    "LossModel": {"mss_bits": "mss"},
+}
+
+
+def _given(args, record: str) -> dict:
+    """``field=value`` for each field of ``_FIELD_FLAGS[record]`` whose flag was given (a command without the flag
+    has not given it)."""
+    given = {}
+    for field, dest in _FIELD_FLAGS[record].items():
+        dest, convert = dest if isinstance(dest, tuple) else (dest, None)
+        if (value := vars(args).get(dest)) is not None:
+            given[field] = convert(value) if convert else value
+    return given
+
+
 def _timing_from_args(args) -> PipelineTiming:
     from .latency import PipelineTiming
-    return PipelineTiming(
-        t_sense=args.sense, t_render=args.render, t_encode=args.encode,
-        t_decode=args.decode, fixed_display=args.display,
-    )
+    return PipelineTiming(**_given(args, "PipelineTiming"))
 
 
 def _registry(args) -> ProfileRegistry:
@@ -250,7 +274,7 @@ def _cmd_capacity_sphere(args) -> int:
 
 def _cmd_capacity_volumetric(args) -> int:
     from . import capacity
-    voxel = capacity.VoxelSpec(args.voxels, color_depth=args.color_bits, position_depth=args.position_bits)
+    voxel = capacity.VoxelSpec(args.voxels, **_given(args, "VoxelSpec"))
     rate = capacity.volumetric_capacity(voxel, args.fps, _comp(args))
     return _emit_scalar(args, "capacity.volumetric", {"bitrate": rate})
 
@@ -268,15 +292,9 @@ def _stage_for(registry: ProfileRegistry, token: str) -> StageProfile:
 def _surface_from_args(args) -> RenderSurface:
     from .codec import RenderSurface
     from .geometry import FovSpec
-    fov_h, fov_v = parse_pair(args.fov)
-    extra_h, extra_v = parse_pair(args.extra_fov) if args.extra_fov else (0.0, 0.0)
-    return RenderSurface(
-        per_eye=parse_resolution(args.resolution),
-        fov=FovSpec(fov_h, fov_v, extra_h, extra_v),
-        depth=_depth_from_args(args),
-        extra_picture_fraction=args.extra_picture,
-        dof_fraction=args.dof,
-    )
+    fov = FovSpec(*parse_pair(args.fov), *(parse_pair(args.extra_fov) if args.extra_fov is not None else ()))
+    depth = _depth_from_args(args)
+    return RenderSurface(parse_resolution(args.resolution), fov, depth, **_given(args, "RenderSurface"))
 
 
 def _gop_numbers(args, leaves: tuple[str, ...] = ()) -> tuple[float, FrameSizes, GopConfig]:
@@ -287,10 +305,10 @@ def _gop_numbers(args, leaves: tuple[str, ...] = ()) -> tuple[float, FrameSizes,
         _check_preset(args, "--stage-profile", leaves)
         surface, cfg, comp = _stage_for(_registry(args), args.stage_profile).gop_model()
     else:
-        if not (args.resolution and args.fov and args.ifactor and args.pfactor):
+        if None in (args.resolution, args.fov, args.ifactor, args.pfactor):
             raise DomainError("gop needs --stage-profile or --resolution/--fov/--ifactor/--pfactor")
         surface = _surface_from_args(args)
-        cfg = codec.GopConfig(gop_time=args.gop_time, fps=args.fps, redundancy_fraction=args.redundancy)
+        cfg = codec.GopConfig(args.gop_time, args.fps, **_given(args, "GopConfig"))
         comp = CompressionProfile("cli", max(args.ifactor, 1.0), args.ifactor, args.pfactor)
     return codec.nb_pixels(surface), codec.frame_sizes(surface, comp), cfg
 
@@ -340,10 +358,7 @@ def _cmd_latency_budget(args) -> int:
         _check_preset(args, "--pipeline")
         budget = dataclasses.replace(_registry(args).pipeline(args.pipeline), mtp_limit=limit)
     else:
-        budget = latency.LatencyBudget(
-            mtp_limit=limit, components=_timing_from_args(args), comm_ul=args.comm_ul, comm_dl=args.comm_dl,
-            refresh_hz=args.refresh_hz, vsync_mode=args.vsync,
-        )
+        budget = latency.LatencyBudget(limit, _timing_from_args(args), **_given(args, "LatencyBudget"))
     result = latency.budget_check(budget)
     data = {
         "mtp_limit_ms": budget.mtp_limit,
@@ -385,9 +400,8 @@ def _cmd_latency_limits(args) -> int:
 
 def _cmd_reliability_max_loss(args) -> int:
     from . import reliability
-    loss = reliability.max_loss_rate(
-        reliability.LossModel(mss_bits=args.mss), parse_rate(args.throughput), parse_time_ms(args.rtt) / 1000.0
-    )
+    model = reliability.LossModel(**_given(args, "LossModel"))
+    loss = reliability.max_loss_rate(model, parse_rate(args.throughput), parse_time_ms(args.rtt) / 1000.0)
     success = reliability.delivery_success(loss)
     data = {"max_loss_rate": loss, "delivery_pct": success}
     lines = [f"max_loss_rate: {loss:.2g}", f"delivery_pct: {success:.4f}"]
@@ -495,10 +509,7 @@ def _trace_from_args(args) -> FrameTrace:
         if args.i_bits is None or args.p_bits is None:
             raise DomainError("trace needs --input, --stage-profile, or --i-bits/--p-bits")
         sizes = codec.FrameSizes(args.i_bits, args.p_bits, args.b_bits)
-        cfg = codec.GopConfig(
-            gop_time=args.gop_time, fps=args.fps,
-            redundancy_fraction=args.redundancy, pattern=args.pattern,
-        )
+        cfg = codec.GopConfig(args.gop_time, args.fps, **_given(args, "GopConfig"))
     return tracegen.generate_trace(sizes, cfg, args.duration)
 
 
@@ -516,15 +527,7 @@ def _cmd_trace_packetize(args) -> int:
 
 def _link_from_args(args, downlink: str) -> LinkModel:
     from .netsim import LinkModel
-    return LinkModel(
-        downlink_bps=parse_rate(downlink),
-        propagation_rtt=parse_time_ms(args.rtt),
-        loss_prob=args.loss,
-        seed=args.seed,
-        mode="tcp_like" if args.mode == "tcp" else "udp_like",
-        max_retx=args.max_retx,
-        mtu_payload_bits=args.mtu,
-    )
+    return LinkModel(parse_rate(downlink), mtu_payload_bits=args.mtu, **_given(args, "LinkModel"))
 
 
 def _cmd_simulate(args) -> int:
@@ -572,12 +575,12 @@ def _arg(name: str, **kwargs) -> tuple[str, dict]:
 
 
 def _timing_flags(action="store") -> tuple:
-    return tuple(_arg(f"--{stage}", type=float, default=0.0, action=action)
+    return tuple(_arg(f"--{stage}", type=float, action=action)
                  for stage in ("sense", "render", "encode", "decode", "display"))
 
 
 _DEPTH_FLAGS = (
-    _arg("--bpp", type=float, default=None),
+    _arg("--bpp", type=float),
     _arg("--bpc", type=int, default=8),
     _arg("--chroma", choices=("4:4:4", "4:2:0"), default="4:4:4"),
     _arg("--fps", type=float, required=True),
@@ -586,34 +589,34 @@ _DEPTH_FLAGS = (
 _GOP_TIMING_FLAGS = (
     _arg("--fps", type=float, default=90.0, action=_PresetField),
     _arg("--gop-time", type=float, default=2.0, action=_PresetField),
-    _arg("--redundancy", type=float, default=0.10, action=_PresetField),
+    _arg("--redundancy", type=float, action=_PresetField),
 )
 _GOP_FLAGS = (
-    _arg("--stage-profile", default=None, help="taxonomy/stage to pull parameters from"),
+    _arg("--stage-profile", help="taxonomy/stage to pull parameters from"),
     _arg("--resolution", action=_PresetField),
     _arg("--fov", action=_PresetField),
-    _arg("--extra-fov", default=None, help="reprojection margin HxV degrees", action=_PresetField),
-    _arg("--extra-picture", type=float, default=0.10, action=_PresetField),
-    _arg("--dof", type=float, default=0.15, action=_PresetField),
-    _arg("--bpp", type=float, default=None, action=_PresetField),
+    _arg("--extra-fov", help="reprojection margin HxV degrees", action=_PresetField),
+    _arg("--extra-picture", type=float, action=_PresetField),
+    _arg("--dof", type=float, action=_PresetField),
+    _arg("--bpp", type=float, action=_PresetField),
     _arg("--bpc", type=int, default=8, action=_PresetField),
     _arg("--chroma", choices=("4:4:4", "4:2:0"), default="4:2:0", action=_PresetField),
     _arg("--ifactor", type=float, action=_PresetField),
     _arg("--pfactor", type=float, action=_PresetField),
     *_GOP_TIMING_FLAGS,
 )
-_STAGE_KEY_FLAGS = (_arg("--taxonomy"), _arg("--stage"), _arg("--interaction", type=norm_interaction, default=None))
+_STAGE_KEY_FLAGS = (_arg("--taxonomy"), _arg("--stage"), _arg("--interaction", type=norm_interaction))
 _TRACE_SOURCE_FLAGS = (
-    _arg("--input", default=None, help="existing trace JSON"),
-    _arg("--stage-profile", default=None, help="taxonomy/stage with GOP parameters", action=_PresetField),
-    _arg("--i-bits", type=float, default=None, action=_PresetField),
-    _arg("--p-bits", type=float, default=None, action=_PresetField),
-    _arg("--b-bits", type=float, default=None, action=_PresetField),
+    _arg("--input", help="existing trace JSON"),
+    _arg("--stage-profile", help="taxonomy/stage with GOP parameters", action=_PresetField),
+    _arg("--i-bits", type=float, action=_PresetField),
+    _arg("--p-bits", type=float, action=_PresetField),
+    _arg("--b-bits", type=float, action=_PresetField),
     *_GOP_TIMING_FLAGS,
-    _arg("--pattern", default=None, action=_PresetField),
+    _arg("--pattern", action=_PresetField),
     _arg("--duration", type=float, default=2.0, help="seconds", action=_PresetField),
 )
-_OUTPUT = _arg("--output", default=None)
+_OUTPUT = _arg("--output")
 _MTU = _arg("--mtu", type=int, default=DEFAULT_MSS_BITS)
 
 # Every command: a group maps its subcommands' names to theirs, and a leaf is (handler, flags[, defaults]).
@@ -649,8 +652,8 @@ _COMMANDS = {
         "sphere": (_cmd_capacity_sphere, (_arg("--ppd", type=float, required=True), *_DEPTH_FLAGS)),
         "volumetric": (_cmd_capacity_volumetric, (
             _arg("--voxels", type=int, required=True),
-            _arg("--color-bits", type=int, default=24),
-            _arg("--position-bits", type=int, default=48),
+            _arg("--color-bits", type=int),
+            _arg("--position-bits", type=int),
             _arg("--fps", type=float, required=True),
             _arg("--factor", type=float, default=1.0),
         )),
@@ -666,12 +669,12 @@ _COMMANDS = {
         )),
         "budget": (_cmd_latency_budget, (
             _arg("--limit", required=True, help="MTP ceiling, e.g. 20ms"),
-            _arg("--pipeline", default=None, help="named pipeline preset"),
+            _arg("--pipeline", help="named pipeline preset"),
             *_timing_flags(_PresetField),
-            _arg("--comm-ul", type=float, default=0.0, action=_PresetField),
-            _arg("--comm-dl", type=float, default=0.0, action=_PresetField),
-            _arg("--refresh-hz", type=float, default=None, action=_PresetField),
-            _arg("--vsync", choices=("avg", "max", "none"), default="avg", action=_PresetField),
+            _arg("--comm-ul", type=float, action=_PresetField),
+            _arg("--comm-dl", type=float, action=_PresetField),
+            _arg("--refresh-hz", type=float, action=_PresetField),
+            _arg("--vsync", choices=("avg", "max", "none"), action=_PresetField),
         )),
         "limits": (_cmd_latency_limits, _STAGE_KEY_FLAGS),
     },
@@ -679,7 +682,7 @@ _COMMANDS = {
         "max-loss": (_cmd_reliability_max_loss, (
             _arg("--throughput", required=True),
             _arg("--rtt", required=True),
-            _arg("--mss", type=int, default=DEFAULT_MSS_BITS),
+            _arg("--mss", type=int),
         )),
         "delivery": (_cmd_reliability_delivery, (_arg("--loss", type=float, required=True),)),
         "requirements": (_cmd_reliability_requirements, _STAGE_KEY_FLAGS),
@@ -697,16 +700,16 @@ _COMMANDS = {
     },
     "simulate": (_cmd_simulate, (
         *_TRACE_SOURCE_FLAGS,
-        _arg("--downlink", default=None),
-        _arg("--rtt", default="0ms", help="propagation round trip"),
-        _arg("--loss", type=float, default=0.0),
-        _arg("--mode", choices=("udp", "tcp"), default="udp"),
-        _arg("--max-retx", type=int, default=3),
+        _arg("--downlink"),
+        _arg("--rtt", help="propagation round trip"),
+        _arg("--loss", type=float),
+        _arg("--mode", choices=("udp", "tcp")),
+        _arg("--max-retx", type=int),
         _MTU,
         *_timing_flags(),
         _arg("--refresh-hz", type=float, required=True),
         _arg("--mtp-limit", default="20ms"),
-        _arg("--sweep-downlink", default=None, help="comma-separated rates to sweep"),
+        _arg("--sweep-downlink", help="comma-separated rates to sweep"),
         _OUTPUT,
     )),
 }
@@ -767,8 +770,8 @@ def build_parser(lazy: bool = False) -> argparse.ArgumentParser:
     parser.add_argument("--units", choices=("binary", "decimal"), default="binary",
                         help="prefix convention for formatted bit rates (default binary)")
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    parser.add_argument("--profiles-file", default=None, help=f"extra profiles JSON (or ${PROFILES_ENV})")
-    parser.add_argument("--seed", type=int, default=0, help="seed for the simulator's loss draws")
+    parser.add_argument("--profiles-file", help=f"extra profiles JSON (or ${PROFILES_ENV})")
+    parser.add_argument("--seed", type=int, help="seed for the simulator's loss draws")
     parser.add_subparsers(dest="command", action=_Commands, table=_COMMANDS, lazy=lazy, helps=_HELP)
     return parser
 

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the toolkit, the input checks that raise it, the ``record`` decorator
-that every model value class is made with (a frozen dataclass that needs no ``dataclasses`` import), the
-``Columns`` table that traces and simulation reports keep their per-frame records in, and the JSON record
-reader and writer that profiles, traces and simulation reports share; ``report`` writes a record table's
-CSV from the same field declarations."""
+that every model value class is made with (a frozen dataclass that imports ``dataclasses`` only to build its
+twin, on the first introspection or misfit call), the ``Columns`` table that traces and simulation reports keep
+their per-frame records in, and the JSON record reader and writer that profiles, traces and simulation reports
+share; ``report`` writes a record table's CSV from the same field declarations."""
 import functools
 import operator
 import sys
@@ -40,10 +40,13 @@ class ProfileError(XrqosError, ValueError):
 # compiles nothing: its ``__init__``, equality, hash, repr, order and frozen ``__setattr__``/``__delattr__`` are
 # the shared functions below. ``_record_init`` sets each field through ``object.__setattr__``, as the stdlib's
 # ``__init__`` does, so an instance keeps the layout (and the pickle) it had; a call that does not give every
-# field by position is bound from the class's ``_record_binding``. ``inspect`` reads the signature from
-# ``_SIGNATURE``. The comparisons and the hash read the class's ``_record_values``: the tuple of its field values.
+# field by position is bound from the class's ``_record_binding``. The comparisons and the hash read the class's
+# ``_record_values``: the tuple of its field values. What only introspection reads (the dataclass view, the
+# signature) and the ``TypeError`` of a call that does not fit come from the record's twin: a real frozen dataclass
+# with the same fields, built on first use.
 
 _MISSING = object()  # a field without a default; a JSON key without one is required
+_FACTORY = object()  # in a record's _record_binding, the default of a field with a default factory
 
 
 class _Field:
@@ -55,52 +58,27 @@ class _Field:
         self.default, self.default_factory, self.metadata = default, default_factory, metadata or {}
 
 
-class _View:
-    """A record's ``__dataclass_fields__`` or ``__dataclass_params__``, for ``fields``, ``replace`` and
-    ``is_dataclass``. The first read of either has ``dataclasses`` build both on a throwaway class with the same
-    fields, and sets each on the record in one assignment, so that readers on two threads get equal views."""
+class _Twin:
+    """A record's ``__dataclass_fields__``, ``__dataclass_params__`` or ``__signature__`` (for ``fields``, ``replace``,
+    ``is_dataclass`` and ``inspect.signature``), or its ``_record_twin``. The first read of any has ``dataclasses``
+    build the twin, a frozen dataclass with the record's qualified name, fields and order, and sets all four on the
+    record, each in one assignment, so that readers on two threads get equal values."""
 
     def __init__(self, name: str, order: bool) -> None:
         self.name, self.order = name, order
 
     def __get__(self, obj, cls):
         import dataclasses
+        import inspect
         spec = [(f.name, f.type, dataclasses.field(metadata=f.metadata, **{k: v for k in ("default", "default_factory")
                  if (v := getattr(f, k)) is not _MISSING})) for f in cls._record_fields]
-        shadow = dataclasses.make_dataclass(cls.__name__, spec, init=False, repr=False, eq=False)
-        params = shadow.__dataclass_params__  # say what the record is: frozen, with an __init__, repr and equality
-        params.init = params.repr = params.eq = params.frozen = True
-        params.order = self.order
-        for name in ("__dataclass_fields__", "__dataclass_params__"):
-            setattr(cls, name, getattr(shadow, name))
-        return getattr(shadow, self.name)
-
-
-class _Factory:
-    """What an ``__init__`` parameter shows as its default when its field has a default factory."""
-
-    def __repr__(self) -> str:
-        return "<factory>"
-
-
-_FACTORY = _Factory()
-
-
-class _Signature:
-    """A record's ``__signature__``, what ``inspect.signature`` reads of the class: a parameter per field, with its
-    annotation and default (``<factory>`` for a default factory), and ``-> None``. The first read builds it and sets
-    it on the record in one assignment."""
-
-    def __get__(self, obj, cls):
-        from inspect import Parameter, Signature
-        signature = Signature([Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type, default=(
-            _FACTORY if f.default_factory is not _MISSING else Parameter.empty if f.default is _MISSING else f.default))
-            for f in cls._record_fields], return_annotation=None)
-        cls.__signature__ = signature
-        return signature
-
-
-_SIGNATURE = _Signature()
+        twin = dataclasses.make_dataclass(cls.__name__, spec, namespace={"__qualname__": cls.__qualname__},
+                                          frozen=True, order=self.order)
+        made = {"__dataclass_fields__": twin.__dataclass_fields__, "__dataclass_params__": twin.__dataclass_params__,
+                "__signature__": inspect.signature(twin), "_record_twin": twin}
+        for name, value in made.items():
+            setattr(cls, name, value)
+        return made[self.name]
 
 
 def _compare(compare, name: str):
@@ -147,7 +125,7 @@ _METHODS = {"__eq__": _compare(operator.eq, "__eq__"), "__hash__": _hash, "__rep
 def _record_init(self, /, *args, **kwargs) -> None:
     """The ``__init__`` of every record, as ``@dataclass(frozen=True)`` writes it for the record's class: each field
     set from its argument, its default or a call of its default factory, then ``__post_init__``. A call that does
-    not fit the fields raises the ``TypeError`` that the stdlib's ``__init__`` would."""
+    not fit the fields is passed to the twin's ``__init__``, which raises the ``TypeError`` for it."""
     names = self.__match_args__
     if kwargs or len(args) != len(names):  # not every field by position
         defaults, tail, required, factories = self._record_binding
@@ -158,7 +136,7 @@ def _record_init(self, /, *args, **kwargs) -> None:
             values = defaults | given  # every field, in order, then any unknown keyword
             if (len(given) != len(args) + len(kwargs) or len(values) != len(names)
                     or len(given) < len(names) and not required <= given.keys()):
-                raise _call_error(self.__class__, args, kwargs)  # too many, given twice, unknown or left out
+                self._record_twin(*args, **kwargs)  # too many, given twice, unknown or left out: the twin raises
             for name, factory in factories:
                 if values[name] is _FACTORY:
                     values[name] = factory()
@@ -187,33 +165,13 @@ def _by_position(cls, *columns):
     return map(make, *columns)
 
 
-def _call_error(cls, args: tuple, kwargs: dict) -> TypeError:
-    """The ``TypeError`` that CPython raises when ``cls(*args, **kwargs)`` does not fit a function with one
-    parameter per field, after ``self``. It checks each keyword, then the count of positions, then what is left out."""
-    names, required = cls.__match_args__, cls._record_binding[2]
-    function, params = f"{cls.__qualname__}.__init__()", ("self", *names)
-    for key in kwargs:
-        if key not in params:
-            return TypeError(f"{function} got an unexpected keyword argument '{key}'")
-        if params.index(key) <= len(args):
-            return TypeError(f"{function} got multiple values for argument '{key}'")
-    if len(args) >= len(params):
-        least = len(required) + 1
-        takes = f"from {least} to {len(params)}" if least < len(params) else f"{least}"
-        return TypeError(f"{function} takes {takes} positional argument{'s' * (takes != '1')} but {len(args) + 1}"
-                         " were given")
-    missing = [repr(name) for name in names[len(args):] if name in required and name not in kwargs]
-    listed = " and ".join(missing) if len(missing) < 3 else f"{', '.join(missing[:-1])}, and {missing[-1]}"
-    return TypeError(f"{function} missing {len(missing)} required positional argument{'s' * (len(missing) > 1)}: "
-                     f"{listed}")
-
-
 def record(cls=None, /, *, order: bool = False):
     """``@dataclass(frozen=True)``, or ``(frozen=True, order=True)`` with ``order``, at a fraction of its cost.
 
     Each annotation in the class body is a field and an ``__init__`` parameter; a value assigned to it is its
     default, or a ``_Field`` with a default factory or metadata. The class keeps its fields in ``_record_fields``,
-    and ``fields``, ``replace``, ``is_dataclass`` (through ``_View``) and pickling work as on any dataclass.
+    and ``fields``, ``replace``, ``is_dataclass``, ``inspect.signature`` (through ``_Twin``) and pickling work as on
+    any dataclass.
     """
     if cls is None:
         return functools.partial(record, order=order)
@@ -245,12 +203,12 @@ def record(cls=None, /, *, order: bool = False):
     factories = tuple((f.name, f.default_factory) for f in all_fields if f.default_factory is not _MISSING)
     cls._record_binding = defaults, plain[start:], required, factories
     cls._record_post_init = hasattr(cls, "__post_init__")
-    cls.__init__, cls.__signature__ = _record_init, _SIGNATURE
+    cls.__init__ = _record_init
     for name, method in (_METHODS | _ORDER if order else _METHODS).items():
         if name not in vars(cls):
             setattr(cls, name, method)
-    for name in ("__dataclass_fields__", "__dataclass_params__"):
-        setattr(cls, name, _View(name, order))
+    for name in ("__dataclass_fields__", "__dataclass_params__", "__signature__", "_record_twin"):
+        setattr(cls, name, _Twin(name, order))
     return cls
 
 

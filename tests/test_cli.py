@@ -11,9 +11,15 @@ import jsonschema
 import pytest
 
 import xrqos
+from xrqos import cli
+from xrqos.capacity import BitDepth, VoxelSpec
 from xrqos.cli import build_parser, main, parse_rate, parse_resolution, parse_time_ms
-from xrqos.codec import FrameSizes, GopConfig
-from xrqos.errors import DomainError, _write
+from xrqos.codec import FrameSizes, GopConfig, RenderSurface
+from xrqos.errors import _MISSING, DomainError, _write
+from xrqos.geometry import FovSpec, Resolution
+from xrqos.latency import LatencyBudget, PipelineTiming
+from xrqos.netsim import LinkModel
+from xrqos.reliability import LossModel
 from xrqos.profiles import ProfileRegistry, _load_document, builtin_registry
 from xrqos import tracegen
 from xrqos.tracegen import generate_trace
@@ -565,6 +571,20 @@ class TestInputBoundary:
         assert_domain_error(*run_cli(capsys, *argv))
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--ifactor", "0", "--pfactor", "20"], "error: iframe factor must lie in [1, inf), got 0.0\n"),
+            (["--ifactor", "5", "--pfactor", "0"], "error: pframe factor must lie in [1, inf), got 0.0\n"),
+            (["--ifactor", "5", "--pfactor", "20", "--extra-fov", ""], "error: bad pair literal ''; expected HxV\n"),
+        ],
+        ids=["gop-ifactor-zero", "gop-pfactor-zero", "gop-extra-fov-empty"],
+    )
+    def test_a_flag_given_as_zero_or_empty_reaches_its_models_check(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "gop", "frame-sizes", "--resolution", "1920x1920", "--fov", "120x120", *flags)
+        assert_domain_error(code, out, err)
+        assert err == message
+
+    @pytest.mark.parametrize(
         "literal, message",
         [("0x100", "resolution width"), (f"{10**200}x{10**200}", "resolution pixel count")],
         ids=["zero-width", "pixel-count-overflows"],
@@ -725,3 +745,66 @@ class TestReportCommand:
         code, _, err = run_cli(capsys, "report", "vive")
         assert code == 1
         assert "quest2" in err
+
+
+def _flags(parser: argparse.ArgumentParser, words: tuple = ()):
+    """(command words, action) for every flag and positional of the parser and of each subcommand's parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _flags(sub, words + (name,))
+        else:
+            yield " ".join(words), action
+
+
+# A minimal command line of each command that builds records from flags, and each record it builds: the record
+# made from its required fields alone.
+MINIMAL_BUILDS = [
+    (["simulate", "--i-bits", "5000", "--p-bits", "600", "--duration", "0.5", "--downlink", "100M",
+      "--refresh-hz", "90"],
+     {LinkModel: LinkModel(100e6), PipelineTiming: PipelineTiming(), GopConfig: GopConfig(2.0, 90.0)}),
+    (["latency", "budget", "--limit", "20"], {PipelineTiming: PipelineTiming(), LatencyBudget: LatencyBudget(20.0)}),
+    (["capacity", "volumetric", "--voxels", "50360", "--fps", "30"], {VoxelSpec: VoxelSpec(50360)}),
+    (["reliability", "max-loss", "--throughput", "140M", "--rtt", "20ms"], {LossModel: LossModel()}),
+    (["gop", "frame-sizes", "--resolution", "1920x1920", "--fov", "120x120", "--ifactor", "5", "--pfactor", "20"],
+     {RenderSurface: RenderSurface(Resolution(1920, 1920), FovSpec(120, 120), BitDepth.from_bpc(8, "4:2:0")),
+      GopConfig: GopConfig(2.0, 90.0)}),
+]
+
+
+class TestDefaultsOnce:
+    """A flag that sets a record field states no default of its own: left out, the field keeps the record's."""
+
+    # flags that share a dest with a field's flag but set no field: `latency stream` passes its times to a function
+    NOT_FIELDS = {("latency stream", "encode"), ("latency stream", "decode")}
+
+    def test_a_flag_that_sets_a_record_field_states_no_default(self):
+        dests = {dest if isinstance(dest, str) else dest[0]
+                 for fields in cli._FIELD_FLAGS.values() for dest in fields.values()}
+        flags = list(_flags(build_parser()))
+        assert dests <= {action.dest for _, action in flags}
+        stated = [(words, action.dest, action.default) for words, action in flags if action.dest in dests
+                  and (words, action.dest) not in self.NOT_FIELDS and action.default is not None]
+        assert stated == []
+
+    def test_a_flag_sets_a_field_that_has_a_default(self):
+        for name, fields in cli._FIELD_FLAGS.items():
+            defaulted = {f.name for f in getattr(xrqos, name)._record_fields
+                         if f.default is not _MISSING or f.default_factory is not _MISSING}
+            assert set(fields) <= defaulted, name
+
+    @pytest.mark.parametrize("argv, expected", MINIMAL_BUILDS, ids=[
+        " ".join(itertools.takewhile(lambda w: not w.startswith("-"), argv)) for argv, _ in MINIMAL_BUILDS])
+    def test_a_command_without_field_flags_builds_each_record_from_its_required_fields(self, capsys, monkeypatch,
+                                                                                         argv, expected):
+        built = {cls: [] for cls in expected}
+        for cls in expected:
+            def build(*args, cls=cls, **kwargs):
+                made = cls(*args, **kwargs)
+                built[cls].append(made)
+                return made
+
+            monkeypatch.setattr(sys.modules[cls.__module__], cls.__name__, build)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert built == {cls: [record] for cls, record in expected.items()}

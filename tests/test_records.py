@@ -416,7 +416,7 @@ def test_threads_reading_a_fresh_records_view_get_equal_views():
     def read() -> None:
         start.wait()
         for _ in range(20):  # the first read builds the view; later ones may overlap another thread's build
-            views.append(view_of(Fresh.__dataclass_fields__, Fresh.__dataclass_params__))
+            views.append((view_of(Fresh.__dataclass_fields__, Fresh.__dataclass_params__), inspect.signature(Fresh)))
 
     threads = [threading.Thread(target=read) for _ in range(8)]
     interval = sys.getswitchinterval()
@@ -430,6 +430,7 @@ def test_threads_reading_a_fresh_records_view_get_equal_views():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(views) == 8 * 20 and all(view == views[0] for view in views)
-    assert views[0] == view_of(Fresh.__dataclass_fields__, Fresh.__dataclass_params__)
+    assert views[0] == (view_of(Fresh.__dataclass_fields__, Fresh.__dataclass_params__), inspect.signature(Fresh))
+    assert str(views[0][1]) == "(count: 'int', rate: 'float' = 2.0, table: 'dict' = <factory>) -> None"
     assert [f.name for f in dataclasses.fields(Fresh)] == ["count", "rate", "table"]
     assert dataclasses.replace(Fresh(1), rate=3.0) == Fresh(1, 3.0, {})

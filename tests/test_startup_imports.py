@@ -95,11 +95,15 @@ def test_a_trace_without_a_stage_profile_loads_no_registry(argv, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [["latency", "refresh", "--hz", "90"], ["table", "summary"],
-     ["latency", "budget", "--limit", "20", "--render", "5"], ["profiles", "show", "quest2"]],
+     ["latency", "budget", "--limit", "20", "--render", "5"], ["profiles", "show", "quest2"],
+     ["gop", "bitrate", "--stage-profile", "huawei_ilab/comfortable"],
+     # LinkModel, PipelineTiming and Aggregates built by keyword, and a text report
+     pytest.param(["simulate", "--i-bits", "200000", "--p-bits", "40000", "--fps", "30", "--duration", "1",
+                   "--loss", "0.01", "--rtt", "8ms", "--refresh-hz", "90", "--downlink", "100M"], id="simulate text")],
     ids=" ".join,
 )
 def test_a_command_loads_neither_dataclasses_nor_inspect(argv, tmp_path):
-    # records keep their own field table; dataclasses builds its view of one only for code that imports it
+    # records keep their own field table; their twin dataclass is built only for code that reads it
     assert cli_loads(argv, tmp_path).isdisjoint({"dataclasses", "inspect"})
 
 
