@@ -126,7 +126,7 @@ def _timing_from_args(args) -> PipelineTiming:
 
 def _registry(args) -> ProfileRegistry:
     from .profiles import load_profiles
-    path = args.profiles_file or os.environ.get(PROFILES_ENV)
+    path = os.environ.get(PROFILES_ENV) if args.profiles_file is None else args.profiles_file
     return load_profiles(path)
 
 
@@ -301,7 +301,7 @@ def _gop_numbers(args, leaves: tuple[str, ...] = ()) -> tuple[float, FrameSizes,
     """(pixels per frame, I/P frame sizes, GOP config) from --stage-profile (all GOP flags but ``leaves``) or flags."""
     from . import codec
     from .capacity import CompressionProfile
-    if args.stage_profile:
+    if args.stage_profile is not None:
         _check_preset(args, "--stage-profile", leaves)
         surface, cfg, comp = _stage_for(_registry(args), args.stage_profile).gop_model()
     else:
@@ -353,7 +353,7 @@ def _cmd_latency_stream(args) -> int:
 def _cmd_latency_budget(args) -> int:
     from . import latency
     limit = parse_time_ms(args.limit)
-    if args.pipeline:
+    if args.pipeline is not None:
         import dataclasses
         _check_preset(args, "--pipeline")
         budget = dataclasses.replace(_registry(args).pipeline(args.pipeline), mtp_limit=limit)
@@ -377,10 +377,10 @@ def _stage_table(args, command: str, table: str, column: str, suffix: str = "", 
     """`latency limits` and `reliability requirements`: the ``column`` value (and ``extra(value)``) at a full
     --taxonomy/--stage[/--interaction] key, or every row of the stage ``table`` without one."""
     registry = _registry(args)
-    if args.taxonomy and args.stage:
+    if args.taxonomy is not None and args.stage is not None:
         value = registry.stage_value(table, args.taxonomy, args.stage, args.interaction)
         return _emit_scalar(args, command, {column: value, **(extra(value) if extra else {})})
-    if args.taxonomy or args.stage or args.interaction:
+    if (args.taxonomy, args.stage, args.interaction) != (None, None, None):
         raise DomainError("give --taxonomy and --stage (and optionally --interaction) together, or none of them")
     rows = [
         {"taxonomy": taxonomy, "stage": stage, "interaction": interaction, column: value}
@@ -498,12 +498,12 @@ def _cmd_requirements(args) -> int:
 
 def _trace_from_args(args) -> FrameTrace:
     from . import codec, tracegen
-    if args.input:
+    if args.input is not None:
         _check_preset(args, "--input")
         if os.path.splitext(args.input)[1].lower() != ".json":
             raise DomainError("simulate/packetize need a JSON trace (CSV lacks the config block)")
         return tracegen.load_trace_json(args.input)
-    if args.stage_profile:
+    if args.stage_profile is not None:
         _, sizes, cfg = _gop_numbers(args, leaves=("--duration",))
     else:
         if args.i_bits is None or args.p_bits is None:
@@ -537,13 +537,13 @@ def _cmd_simulate(args) -> int:
     trace = _trace_from_args(args)
     timing = _timing_from_args(args)
     mtp_limit = parse_time_ms(args.mtp_limit)
-    downlinks = [args.downlink] if not args.sweep_downlink else args.sweep_downlink.split(",")
+    downlinks = [args.downlink] if args.sweep_downlink is None else args.sweep_downlink.split(",")
     reports = [
         netsim.simulate(trace, _link_from_args(args, downlink), timing, args.refresh_hz, mtp_limit)
         for downlink in downlinks
     ]
 
-    if not args.sweep_downlink:
+    if args.sweep_downlink is None:
         sim = reports[0]
         if args.format == "json":
             return _output(args, lambda out: out.write(sim.to_json()), "report")

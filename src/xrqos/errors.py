@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the toolkit, the input checks that raise it, the ``record`` decorator
 that every model value class is made with (a frozen dataclass that imports ``dataclasses`` only to build its
-twin, on the first introspection or misfit call), the ``Columns`` table that traces and simulation reports keep
-their per-frame records in, and the JSON record reader and writer that profiles, traces and simulation reports
-share; ``report`` writes a record table's CSV from the same field declarations."""
+twin, on the first introspection or misfit call), the ``Columns`` table that trace frames, packets and simulation
+results are kept in, a column per record field, and the JSON record reader and writer that profiles, traces and
+simulation reports share; ``report`` writes a record table's CSV from its columns and field declarations."""
 import functools
 import operator
 import sys
@@ -114,7 +114,6 @@ def _delattr(self, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-_NEW = object.__new__
 # object.__setattr__ bound to an instance: it sets a field past the record's frozen __setattr__
 _SETTER = object.__setattr__.__get__
 
@@ -146,23 +145,6 @@ def _record_init(self, /, *args, **kwargs) -> None:
     any(map(_SETTER(self), names, args))
     if self._record_post_init:
         self.__post_init__()
-
-
-def _by_position(cls, *columns):
-    """An iterator of ``cls(*row)`` for each row of ``columns``, one column per field of the record class ``cls``,
-    which has no ``__post_init__``. Each record is made and its fields set without a call of ``cls.__init__``, so a
-    loop that makes a record per item (``tracegen.packetize`` makes one per packet) pays what a record cost when each
-    class compiled its own ``__init__``, not the shared binder's 0.2 µs more."""
-    names = cls.__match_args__
-    if len(columns) != len(names) or cls._record_post_init:
-        raise TypeError(f"{cls.__qualname__} is not made from {len(columns)} columns without its __init__")
-
-    def make(*row):
-        obj = _NEW(cls)
-        any(map(_SETTER(obj), names, row))
-        return obj
-
-    return map(make, *columns)
 
 
 def record(cls=None, /, *, order: bool = False):
@@ -215,17 +197,29 @@ def record(cls=None, /, *, order: bool = False):
 class Columns(Sequence):
     """The tuple of ``make(*row)`` for each row of ``columns``, built on first read.
 
-    ``make`` is a record class, or a module-level function that builds one
-    from a row, and each column is a sequence with one entry per record. It
-    acts as that tuple (length, indexing, slicing, iteration, equality,
-    hash, repr), so a table read only by its columns never builds a record.
-    It keeps its columns, and pickles as them.
+    ``make`` is a record class, and each column holds one of its fields, in
+    field order, with one entry per record. It acts as that tuple (length,
+    indexing, slicing, iteration, equality, hash, repr), so a table read
+    only by its columns never builds a record. It keeps its columns, and
+    pickles as them.
     """
 
     __slots__ = ("make", "columns", "_built")
 
     def __init__(self, make, *columns) -> None:
         self.make, self.columns, self._built = make, columns, None
+
+    @classmethod
+    def of(cls, make, records) -> "Columns":
+        """``records`` if it is a table of ``make`` records; otherwise the table of their fields' columns, which keeps
+        ``records`` as its built tuple when every one is a ``make``, so a read builds none again."""
+        if type(records) is cls and records.make is make:
+            return records
+        given = tuple(records)
+        table = cls(make, *(tuple(map(operator.attrgetter(name), given)) for name in make.__match_args__))
+        if set(map(type, given)) <= {make}:  # the records given are the ones a read would build
+            table._built = given
+        return table
 
     def _records(self) -> tuple:
         built = self._built

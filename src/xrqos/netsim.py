@@ -28,17 +28,18 @@ after ``udp_like``) draws only the further attempts of the frames that
 still have losses.
 
 A run reads the trace's generation-time and size columns, never its frame
-records, and keeps its results as three columns: e2e, VSync wait and
-retransmissions, one entry per frame, a frame's index being its position. A
-dropped frame's e2e and VSync wait are None, so whether a frame was
-displayed is derived from its e2e. The aggregates are computed from the
-columns. ``SimReport.frames``, like ``FrameTrace.records``, is an
+records, and keeps its results as the columns of ``FrameResult``, one entry
+per frame: index (its position), whether it was displayed, e2e, VSync wait
+and retransmissions. A dropped frame's e2e and VSync wait are None, and the
+``displayed`` column is derived from the e2e column after the frame loop.
+The aggregates are computed from the columns. ``SimReport.frames``, like
+``FrameTrace.records`` and ``packetize``'s packets, is an
 ``errors.Columns``: it acts as the tuple of ``FrameResult`` records and
-builds them from the columns on first read, so a sweep, read only for its
-aggregates, builds no record of either kind. A report also holds the link,
-pipeline timing, refresh rate and MTP limit it ran with; its JSON keys, CSV
-headers and CSV cell formats are the ones declared on the record fields,
-written in ``report``'s JSON and CSV layouts.
+builds them from the columns on first read, so neither a sweep, read only
+for its aggregates, nor a CSV write builds a record of either kind. A
+report also holds the link, pipeline timing, refresh rate and MTP limit it
+ran with; its JSON keys, CSV headers and CSV cell formats are the ones
+declared on the record fields, written in ``report``'s JSON and CSV layouts.
 """
 from __future__ import annotations
 
@@ -48,7 +49,8 @@ import struct
 import weakref
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import compress, repeat
+from operator import is_not
 from typing import TextIO
 
 from . import _EXPORTS, report
@@ -110,11 +112,6 @@ class FrameResult:
     e2e_ms: float | None = _json("a number", cell=".6f")
     vsync_wait_ms: float | None = _json("a number", cell=".6f")
     retx_count: int = _json("an integer")
-
-
-def _frame_result(index: int, e2e_ms: float | None, vsync_wait_ms: float | None, retx_count: int) -> FrameResult:
-    """A frame's record from its row of a run's result columns: it was displayed exactly when it has an e2e."""
-    return FrameResult(index, e2e_ms is not None, e2e_ms, vsync_wait_ms, retx_count)
 
 
 @record
@@ -331,7 +328,8 @@ def simulate(
     except OverflowError as exc:  # times or sizes beyond a float, e.g. from 1e308-sized inputs
         raise DomainError(f"simulated times overflow: {exc}") from exc
 
-    shown = sorted([e2e for e2e in e2e_ms if e2e is not None])
+    displayed = list(map(is_not, e2e_ms, repeat(None)))  # a frame was displayed exactly when it has an e2e
+    shown = sorted(compress(e2e_ms, displayed))
     displayed_count = len(shown)
     aggregates = Aggregates(
         mean_e2e_ms=require("mean e2e latency", sum(shown) / displayed_count, ge=0) if shown else None,
@@ -345,7 +343,7 @@ def simulate(
         effective_fps=displayed_count / trace.duration,
     )
     return SimReport(
-        frames=Columns(_frame_result, range(len(e2e_ms)), e2e_ms, vsync_wait_ms, retx_count),
+        frames=Columns(FrameResult, range(len(e2e_ms)), displayed, e2e_ms, vsync_wait_ms, retx_count),
         aggregates=aggregates,
         refresh_hz=refresh_hz,
         mtp_limit=mtp_limit,

@@ -4,12 +4,11 @@ Every cell is produced through the capacity/latency/reliability operations
 on registry data; this module adds only ordering and serialization. Each
 output form has one rule for a value: ``json_value``, ``text_value`` and
 ``csv_cell``. Every file is opened by ``_destination`` and has one JSON layout
-(``to_json``) and one CSV layout (``write_rows``; ``write_records`` for records).
+(``to_json``) and one CSV layout (``write_rows``; ``write_records`` for a record table, from its columns).
 """
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import json
 from itertools import islice
@@ -17,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, TextIO
 
 from . import _EXPORTS
 from .capacity import BitRate
-from .errors import DomainError, _plan
+from .errors import Columns, DomainError, _plan
 from .geometry import FovSpec, Resolution
 
 if TYPE_CHECKING:
@@ -129,17 +128,18 @@ def write_rows(handle: TextIO, header: Iterable, rows: Iterable[Iterable]) -> No
     writer.writerows(rows)
 
 
-@functools.cache
-def _cells(cls):
-    """A ``cls`` record's CSV cells, by a tuple display compiled once per class; a formatted None is empty."""
-    cells = (f'("" if (v := o.{attr}) is None else format(v, {spec!r}))' if spec else f"o.{attr}"
-             for attr, *_, spec in _plan(cls)[0])
-    return eval(f"lambda o: ({', '.join(cells)},)", {})
+def _formatted(spec: str):
+    """A CSV cell in the format ``spec``, None as empty."""
+    return lambda value: "" if value is None else format(value, spec)
 
 
 def write_records(handle: TextIO, cls: type, records: Iterable) -> None:
-    """``records`` of ``cls`` as CSV: a column per field, headed by its JSON key, in its ``cell`` format if any."""
-    write_rows(handle, [key for _, key, *_ in _plan(cls)[0]], map(_cells(cls), records))
+    """``records`` of ``cls``, a ``Columns`` table or any iterable of records, as CSV, written from the table's
+    columns: a column per field, headed by its JSON key, each cell in the field's ``cell`` format if any."""
+    plan = _plan(cls)[0]
+    columns = (column if spec is None else map(_formatted(spec), column)
+               for column, (*_, spec) in zip(Columns.of(cls, records).columns, plan))
+    write_rows(handle, [key for _, key, *_ in plan], zip(*columns))
 
 
 def report_to_json(payload, units: str) -> str:

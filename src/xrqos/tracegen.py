@@ -7,28 +7,32 @@ size and GOP number; a frame's index is its position). ``generate_trace``
 builds only the columns, and a trace given frame records keeps them beside
 their columns; ``FrameTrace.records`` acts as the tuple of ``FrameRecord``s and
 builds them on first read, while the link simulator reads the ``t_gen`` and
-``size_bits`` columns and never builds a record. Traces and packets export
-to CSV and JSON as their record fields declare, in ``report``'s layouts; a
-trace's JSON loads back, checked, and feeds the link simulator.
+``size_bits`` columns and never builds a record. ``packetize`` reads the
+same two columns and returns the packet table, a column per ``PacketRecord``
+field, which acts as the tuple of ``PacketRecord``s and builds none until
+one is read. Traces and packets export to CSV (from their columns) and JSON
+as their record fields declare, in ``report``'s layouts; a trace's JSON
+loads back, checked, and feeds the link simulator.
 """
 from __future__ import annotations
 
 import json
 import math
 import sys
+from collections.abc import Sequence
 from itertools import repeat
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from . import _EXPORTS, report
 from .codec import FrameSizes, GopConfig
-from .errors import Columns, DomainError, _by_position, _json, _read, _write, record, require
+from .errors import Columns, DomainError, _json, _read, _write, record, require
 
 __all__ = _EXPORTS["tracegen"].split()
 
-# Run ceilings: a frame record takes ~220 B and a packet record ~115 B, so
-# these cap a trace near 220 MB and a packet list near 1.2 GB.
+# Run ceilings (sizes by tracemalloc, CPython 3.11): a frame takes ~60 B in columns and ~150 B more as a built record;
+# a packet takes ~37 B in packetize's table (four list slots; up to ~66 B at a tiny MTU) and ~112 B more as a built
+# record. So these cap a trace near 210 MB, and a packet table near 0.4-0.7 GB, or 1.5-1.8 GB with every record built.
 MAX_FRAMES = 10**6
 MAX_PACKETS = 10**7
 
@@ -70,15 +74,9 @@ class FrameTrace:
 
     def __post_init__(self) -> None:
         require("trace.duration_s", self.duration, gt=0)
-        records = self.records
-        require("trace frame count", len(records), ge=0, le=MAX_FRAMES)
-        if not (type(records) is Columns and records.make is FrameRecord):
-            given = tuple(records)
-            columns = (tuple(map(attrgetter(field), given)) for field in FrameRecord.__match_args__)
-            records = Columns(FrameRecord, *columns)
-            if set(map(type, given)) <= {FrameRecord}:  # the records given are the ones a read would build
-                records._built = given
-            object.__setattr__(self, "records", records)
+        require("trace frame count", len(self.records), ge=0, le=MAX_FRAMES)
+        records = Columns.of(FrameRecord, self.records)
+        object.__setattr__(self, "records", records)
         previous, largest = -math.inf, sys.float_info.max
         for i, (index, t, kind, size) in enumerate(zip(*records.columns[:4])):
             if index != i:
@@ -149,22 +147,24 @@ def packet_split(size_bits: int, mtu_payload_bits: int) -> tuple[int, int]:
     return count, size_bits - mtu_payload_bits * (count - 1)
 
 
-def packetize(trace: FrameTrace | Iterable[FrameRecord], mtu_payload_bits: int) -> list[PacketRecord]:
-    """Split every frame into full-MTU packets plus one remainder packet.
+def packetize(trace: FrameTrace, mtu_payload_bits: int) -> Columns:
+    """The table of ``PacketRecord``s that splits every frame into full-MTU packets plus one remainder packet.
 
     Bit conservation holds per frame: the packet sizes sum to the frame size.
+    The table is built from the trace's size and generation-time columns, and
+    builds no record until one is read.
     """
     require("mtu payload", mtu_payload_bits, gt=0)
-    records = tuple(trace)
-    total = sum(packet_split(record.size_bits, mtu_payload_bits)[0] for record in records)
-    require("packet count", total, ge=0, le=MAX_PACKETS)
-    packets = []
-    for record in records:
-        count, last_bits = packet_split(record.size_bits, mtu_payload_bits)
-        sizes = [mtu_payload_bits] * (count - 1)
-        sizes.append(last_bits)
-        packets += _by_position(PacketRecord, repeat(record.index), range(count), sizes, repeat(record.t_gen))
-    return packets
+    splits = [packet_split(size, mtu_payload_bits) for size in trace.size_bits]
+    require("packet count", sum(count for count, _ in splits), ge=0, le=MAX_PACKETS)
+    frame_index, packet_index, size_bits, t_ready = [], [], [], []
+    for index, (t_gen, (count, last_bits)) in enumerate(zip(trace.t_gen, splits)):
+        frame_index += repeat(index, count)
+        packet_index += range(count)
+        size_bits += repeat(mtu_payload_bits, count - 1)
+        size_bits.append(last_bits)
+        t_ready += repeat(t_gen, count)
+    return Columns(PacketRecord, frame_index, packet_index, size_bits, t_ready)
 
 
 # -- export / import ---------------------------------------------------------
@@ -175,8 +175,9 @@ def export_trace(trace: FrameTrace, fmt: str, destination: str | Path | TextIO) 
     _export(fmt, destination, "trace", FrameRecord, trace.records, report.write_json, lambda: _write(trace))
 
 
-def export_packets(packets: list[PacketRecord], fmt: str, destination: str | Path | TextIO) -> None:
-    """Write packets as CSV (one row per packet) or JSON (an array of packet objects, written a batch at a time)."""
+def export_packets(packets: Sequence[PacketRecord], fmt: str, destination: str | Path | TextIO) -> None:
+    """Write packets, ``packetize``'s table or any sequence of ``PacketRecord``s, as CSV (one row per packet, from
+    the table's columns) or JSON (an array of packet objects, written a batch at a time)."""
     _export(fmt, destination, "packets", PacketRecord, packets, report.write_json_array, lambda: map(_write, packets))
 
 

@@ -1,8 +1,10 @@
-"""What the gated benchmark in ``bench/`` needs from the package, checked in the tier-1 suite.
+"""What the benchmark in ``bench/`` needs from the package, checked in the tier-1 suite.
 
 Every ``cli_queries`` command runs through ``cli.main`` in this process and must pass the
 workload's own output check, with the benchmark's span tracer installed, so a change that
-renames a traced function or moves a field the checks read fails here first.
+renames a traced function or moves a field the checks read fails here first. One op each of
+``trace_pipeline`` and ``sweep_lossy`` must pass its own check too: those checks read the
+packet table and the simulation results by record and by position.
 """
 import sys
 from pathlib import Path
@@ -34,3 +36,12 @@ def test_every_cli_query_passes_its_check_under_the_tracer(cli_queries):
         assert cli_queries.check(i, out, 0.0).problems == [], out.command
     traced = {span[0] for span in tracer.spans}
     assert {"cli.main", "report.requirements", "report.render", "netsim.to_json"} <= traced
+
+
+@pytest.mark.parametrize("workload, duration", [(workloads.TracePipeline, 2.0), (workloads.SweepLossy, None)],
+                         ids=["trace_pipeline", "sweep_lossy"])
+def test_an_op_passes_its_check(tmp_path, monkeypatch, workload, duration):
+    monkeypatch.delenv("XRQOS_PROFILES", raising=False)
+    run = workload(BENCH.parent, tmp_path, 1, duration)
+    result = run.check(0, run.op(0), 0.0)
+    assert result.problems == [] and result.tx > 0

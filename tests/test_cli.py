@@ -494,6 +494,8 @@ LOSSY_MTU_8 = ("--i-bits", "1e9", "--p-bits", "1e9", "--duration", "1", "--refre
                "--mtu", "8")
 CERTAIN_TCP_LOSS = ("--i-bits", "2e5", "--p-bits", "4e4", "--duration", "1", "--refresh-hz", "90", "--downlink",
                     "1G", "--loss", "1", "--mode", "tcp")
+# A generated trace and a refresh rate, without a downlink.
+SHORT_GENERATED = ("--i-bits", "1000", "--p-bits", "100", "--duration", "0.1", "--refresh-hz", "90")
 
 
 class TestInputBoundary:
@@ -581,6 +583,30 @@ class TestInputBoundary:
     )
     def test_a_flag_given_as_zero_or_empty_reaches_its_models_check(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "gop", "frame-sizes", "--resolution", "1920x1920", "--fov", "120x120", *flags)
+        assert_domain_error(code, out, err)
+        assert err == message
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", *SHORT_GENERATED, "--sweep-downlink", ""], "error: bad rate literal ''\n"),
+            (["simulate", *SHORT_GENERATED, "--downlink", "10M", "--sweep-downlink", ""],
+             "error: bad rate literal ''\n"),
+            (["latency", "budget", "--limit", "20", "--pipeline", ""],
+             "error: unknown pipeline preset ''; available: hmd_dynamic_refresh, hmd_fixed_refresh, local_vr, "
+             "online_mec\n"),
+            (["simulate", "--input", "", *SHORT_GENERATED, "--downlink", "10M"],
+             "error: --input sets --i-bits, --p-bits, --duration itself; give one or the other\n"),
+            (["gop", "frame-sizes", "--stage-profile", ""], "error: stage key must look like taxonomy/stage, got ''\n"),
+            (["--profiles-file", "", "table", "summary"], "error: .: [Errno 21] Is a directory: '.'\n"),
+            (["latency", "limits", "--taxonomy", ""],
+             "error: give --taxonomy and --stage (and optionally --interaction) together, or none of them\n"),
+        ],
+        ids=["sweep-downlink", "sweep-downlink-with-downlink", "pipeline", "input", "stage-profile", "profiles-file",
+             "taxonomy"],
+    )
+    def test_a_flag_given_as_empty_is_a_value_not_an_absent_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
         assert_domain_error(code, out, err)
         assert err == message
 

@@ -16,7 +16,7 @@ from xrqos.geometry import (
 from xrqos.latency import LatencyBudget, PipelineTiming, budget_check, refresh_delay, stream_latency
 from xrqos.netsim import LinkModel, simulate
 from xrqos.reliability import LossModel, max_loss_rate
-from xrqos.tracegen import FrameRecord, MAX_FRAMES, MAX_PACKETS, generate_trace, packetize
+from xrqos.tracegen import FrameRecord, FrameTrace, MAX_FRAMES, MAX_PACKETS, generate_trace, packetize
 
 nan, inf = math.nan, math.inf
 
@@ -176,6 +176,7 @@ class TestRunCeilings:
     def test_packetize_caps_the_packet_count(self):
         frames = [FrameRecord(index=i, t_gen=0.0, frame_type="P", size_bits=MAX_PACKETS // 2, gop_index=0)
                   for i in range(3)]
+        traces = [FrameTrace(GopConfig(1, 10), FrameSizes(10, 5), 1.0, records) for records in (frames, frames[:1])]
         with pytest.raises(DomainError, match="packet count"):
-            packetize(frames, 1)
-        assert len(packetize(frames[:1], 1000)) == MAX_PACKETS // 2000
+            packetize(traces[0], 1)
+        assert len(packetize(traces[1], 1000)) == MAX_PACKETS // 2000

@@ -3,6 +3,7 @@
 Reading JSON (``json.load``/``json.loads``) is every module's own business. No module imports ``dataclasses``
 when it is imported: a record keeps its own field table, and a function that needs ``dataclasses`` imports it.
 Nor ``csv``: ``report`` imports it in ``write_rows``, so a command that writes no CSV does not load it.
+Only ``errors`` compiles code at run time (``eval`` or ``exec``): the JSON writer's dict display, ``_writer``.
 """
 import ast
 from pathlib import Path
@@ -96,3 +97,20 @@ def test_the_import_walk_skips_only_function_bodies():
     assert module_level_imports(ast.parse(source), "csv") == []
     csv_source = "import csv as c\nimport csvkit\nif True:\n    from csv import writer\ndef f():\n    import csv\n"
     assert module_level_imports(ast.parse(csv_source), "csv") == ["1: import csv", "4: from csv import writer"]
+
+
+def compiles(tree: ast.AST) -> list[str]:
+    """Each call of ``eval`` or ``exec`` in ``tree``, by line."""
+    return [f"{node.lineno}: {node.func.id}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("eval", "exec")]
+
+
+def test_only_errors_compiles_code_at_run_time():
+    found = {path.stem: compiles(ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: lines for module, lines in found.items() if lines and module != "errors"} == {}
+    assert found["errors"]  # the walk sees errors' own eval, so it would see anyone else's
+
+
+def test_the_compile_walk_catches_each_call():
+    source = "x = eval('1')\ndef f():\n    exec('y = 2', {})\nliteral_eval('3')\nobj.eval('4')\n"
+    assert compiles(ast.parse(source)) == ["1: eval", "3: exec"]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -170,6 +171,24 @@ class TestRecordTables:
         assert rows[blank + 1] == ["metric", "value"]
         aggregates = _write(report.aggregates)
         assert rows[blank + 2:] == [[key, "" if value is None else repr(value)] for key, value in aggregates.items()]
+
+    def test_writing_a_table_builds_no_record(self):
+        trace = generate_trace(FrameSizes(40_000, 4_000, b_bits=2_000), GopConfig(1.0, 30.0, pattern="IBBP"), 1.0)
+        packets = packetize(trace, 11680)
+        report = _lossy_report()
+        tables = [(trace.records, lambda out: export_trace(trace, "csv", out)),
+                  (packets, lambda out: export_packets(packets, "csv", out)), (report.frames, report.write_csv)]
+        for table, write in tables:
+            write(io.StringIO())
+            assert table._built is None
+
+    def test_a_report_whose_frames_are_a_tuple_writes_what_the_table_writes(self):
+        report, lazy, plain = _lossy_report(), io.StringIO(), io.StringIO()
+        report.write_csv(lazy)
+        copied = dataclasses.replace(report, frames=tuple(report.frames))
+        assert type(copied.frames) is tuple
+        copied.write_csv(plain)
+        assert plain.getvalue() == lazy.getvalue()
 
     def test_a_new_record_needs_only_its_declaration(self):
         samples = [_Sample("a", 12.3456, 3), _Sample("b,c", None, 4)]

@@ -237,7 +237,7 @@ class TestPacketize:
         assert len(packets) == math.ceil(inflated / 11680) == 370
 
     def test_empty_trace(self):
-        assert packetize([], 11680) == []
+        assert packetize(FrameTrace(GopConfig(1.0, 10.0), FrameSizes(5000, 600), 1.0, ()), 11680) == ()
 
     def test_zero_mtu_rejected(self):
         with pytest.raises(DomainError):
