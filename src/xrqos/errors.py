@@ -251,6 +251,13 @@ class Columns(Sequence):
         return Columns, (self.make, *self.columns)
 
 
+def _each(records):
+    """``records``' records in order; for a ``Columns`` table not yet built, each built as it is read and none kept."""
+    if type(records) is Columns and records._built is None:
+        return map(records.make, *records.columns)
+    return records
+
+
 # Half-lines that read better as words than as intervals.
 _RANGE_WORDS = {
     "(-inf, inf)": "must be finite",
@@ -378,10 +385,12 @@ def _read(cls, obj: dict, path: str):
 @functools.cache
 def _writer(cls):
     """``_write`` for ``cls``: a dict display compiled once, as ``__init__`` is, so an array of records costs what its
-    dicts do. A record, an array of them or a number (an Angle gives its degrees) is converted unless None."""
+    dicts do. A record, an array of them or a number (an Angle gives its degrees) is converted unless None; an array
+    that is a ``Columns`` table keeps none of the records it is written from."""
     items: dict = {}
+    conversions = {"an array": "list(map(_write, _each(v)))", "a number": "float(v)"}
     for attr, key, kind, of, _, _, _ in _plan(cls)[0]:
-        convert = {"an array": "list(map(_write, v))", "a number": "float(v)"}.get(kind, "_write(v)" if of else "")
+        convert = conversions.get(kind, "_write(v)" if of else "")
         group, _, leaf = key.rpartition(".")
         (items.setdefault(group, {}) if group else items)[leaf] = (
             f"(None if (v := o.{attr}) is None else {convert})" if convert else f"o.{attr}")
@@ -389,7 +398,7 @@ def _writer(cls):
     def display(entries: dict) -> str:
         return "{" + ", ".join(f"{k!r}: {display(v) if isinstance(v, dict) else v}" for k, v in entries.items()) + "}"
 
-    return eval(f"lambda o: {display(items)}", {"_write": _write})
+    return eval(f"lambda o: {display(items)}", {"_write": _write, "_each": _each})
 
 
 def _write(obj) -> dict:

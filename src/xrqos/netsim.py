@@ -16,16 +16,18 @@ monotone and repeatable. Versions before this stream keyed one draw per
 (seed, frame, packet, attempt), so their loss patterns for a given seed
 differ.
 
-So a frame's loss chain (packets still lost after each attempt) is the same
-at every rate, and for the first attempt in both modes. One builder makes
-the chains from the trace's size column, a frame's position giving its
-stream key. ``simulate`` keeps one lossy run's chains, keyed by the trace's
-identity (traces are frozen) and (seed, p, MTU), for later runs of a sweep
-to replay; another trace or key rebuilds them, and they are dropped with
-their trace. Beside each chain it keeps the packets still lost after the
-chain's last attempt, so a run that allows more attempts (``tcp_like``
-after ``udp_like``) draws only the further attempts of the frames that
-still have losses.
+So a frame's loss chain is the same at every rate, and for the first
+attempt in both modes: for each attempt that loses any packet, how many are
+still lost and, when the short last packet is among them, its bits. One
+builder makes the chains from the trace's size column, a frame's position
+giving its stream key; it splits each distinct frame size into packets once
+(a trace holds two or three sizes), and the frame loop splits none.
+``simulate`` keeps one lossy run's chains, keyed by the trace's identity
+(traces are frozen) and (seed, p, MTU), for later runs of a sweep to replay;
+another trace or key rebuilds them, and they are dropped with their trace.
+Beside them it keeps the frames whose chains stop at the run's attempt limit
+with packets still lost, so a run that allows more attempts (``tcp_like``
+after ``udp_like``) visits and draws only those frames.
 
 A run reads the trace's generation-time and size columns, never its frame
 records, and keeps its results as the columns of ``FrameResult``, one entry
@@ -171,57 +173,83 @@ def _lost_packets(seed: int, frame_index: int, attempt: int, count: int, loss_pr
 def _walk(prefix: str, count: int, log_keep: float) -> list[int]:
     """``_lost_packets``' walk over the stream whose block keys are ``prefix`` and the block number, at
     ``log_keep`` = log(1 - p) for a p strictly between 0 and 1."""
+    blake2b, unpack, log = hashlib.blake2b, _BLOCK.unpack, math.log  # read per call, so a test can patch them
     lost = []
     position = -1
+    last = count - 1
     block = 0
     while True:
-        key = f"{prefix}{block}".encode("ascii")
-        for word in _BLOCK.unpack(hashlib.blake2b(key).digest()):
-            gap = math.log(((word >> 11) + 1) * 2.0**-53) / log_keep
+        for word in unpack(blake2b(f"{prefix}{block}".encode("ascii")).digest()):
+            gap = log(((word >> 11) + 1) * 2.0**-53) / log_keep
             # compare before int(): at a subnormal p the gap is inf
-            if gap >= count - 1 - position:
+            if gap >= last - position:
                 return lost
             position += int(gap) + 1
             lost.append(position)
         block += 1
 
 
-def _build_chains(link: LinkModel, sizes, depth: int, states: list | None = None) -> list:
-    """(chain, lost) per frame of sizes ``sizes``: its loss chain at least ``depth`` attempts deep, and the
-    packets the chain's last attempt lost.
+def _splits(trace: FrameTrace, mtu: int) -> dict:
+    """(packet count, last-packet bits) per distinct frame size of ``trace`` at the MTU.
 
-    A chain holds (packets still lost, whether the frame's last packet is
-    among them) for each attempt that loses any. ``states`` are an earlier
-    call's results, which this one extends; without them each chain starts
-    from attempt 0. ``lost`` comes back empty once an attempt delivers every
-    packet; the chain is then whole at any depth, and is not extended.
+    A lossy run walks every packet of every attempt, so its trace may hold at
+    most ``MAX_PACKETS`` at the MTU; a trace that holds more is rejected here,
+    before any draw.
     """
-    seed, log_keep, mtu = link.seed, math.log1p(-link.loss_prob), link.mtu_payload_bits
-    chains = []
+    sizes = trace.size_bits
+    splits = {size: packet_split(size, mtu) for size in set(sizes)}
+    if sum(sizes) > (MAX_PACKETS - len(sizes)) * mtu:  # a frame takes at most size / mtu + 1 packets
+        require("packets of a lossy run", sum(splits[size][0] for size in sizes), ge=0, le=MAX_PACKETS)
+    return splits
+
+
+def _build_chains(link: LinkModel, sizes, splits: dict, depth: int) -> tuple[list, dict]:
+    """Every frame's loss chain of sizes ``sizes`` at least ``depth`` attempts deep, and its pending frames.
+
+    A chain holds (packets still lost, the last packet's bits if it is among
+    them, else None) for each attempt that loses any. ``splits`` gives each
+    size's packet count and last-packet bits. The pending frames map each frame
+    whose chain is cut at ``depth`` to the packets its last attempt lost; every
+    other chain ended at an attempt that delivered every packet, and is whole
+    at any depth.
+    """
+    seed, log_keep = link.seed, math.log1p(-link.loss_prob)
+    chains, pending = [], {}
     for frame, size in enumerate(sizes):
-        if states is None:
-            chain, lost = [], None
+        count, last_bits = splits[size]
+        lost = _walk(f"{seed}:{frame}:0:", count, log_keep)
+        if lost:
+            chains.append(((len(lost), last_bits if lost[-1] == count - 1 else None),))
+            pending[frame] = lost
         else:
-            chain, lost = state = states[frame]
-            if not lost:
-                chains.append(state)
-                continue
-            chain = list(chain)
-        count = packet_split(size, mtu)[0]
-        if lost is None:
-            lost = _walk(f"{seed}:{frame}:0:", count, log_keep)
-        while lost and len(chain) < depth:
-            if chain:  # what the last attempt lost goes again
-                again = set(_walk(f"{seed}:{frame}:{len(chain)}:", lost[-1] + 1, log_keep))
-                lost = [k for k in lost if k in again]
-                if not lost:
-                    break
-            chain.append((len(lost), lost[-1] == count - 1))
-        chains.append((tuple(chain), lost))
-    return chains
+            chains.append(())
+    return chains, _deepen(link, chains, pending, depth) if depth > 1 else pending
 
 
-_chains_memo = None  # (weakref to the trace, key, depth, [(chain, lost)] per frame), replaced whole
+def _deepen(link: LinkModel, chains: list, pending: dict, depth: int) -> dict:
+    """Extend each pending frame's chain in ``chains`` to ``depth`` attempts, drawing only what is still lost;
+    the frames still pending after that."""
+    seed, log_keep = link.seed, math.log1p(-link.loss_prob)
+    still = {}
+    for frame, lost in pending.items():
+        chain = chains[frame]
+        last_bits = chain[-1][1]
+        while len(chain) < depth:  # what the last attempt lost goes again
+            again = set(_walk(f"{seed}:{frame}:{len(chain)}:", lost[-1] + 1, log_keep))
+            kept = [k for k in lost if k in again]
+            if not kept:
+                break
+            if kept[-1] != lost[-1]:  # while last_bits is set, lost[-1] is the last packet: now delivered
+                last_bits = None
+            lost = kept
+            chain += ((len(lost), last_bits),)
+        else:
+            still[frame] = lost
+        chains[frame] = chain
+    return still
+
+
+_chains_memo = None  # (weakref to the trace, key, depth, chain per frame, pending frames), replaced whole
 
 
 def _forget_chains(ref) -> None:
@@ -230,33 +258,25 @@ def _forget_chains(ref) -> None:
         _chains_memo = None
 
 
-def _check_packets(trace: FrameTrace, link: LinkModel) -> None:
-    """A lossy run walks every packet of every attempt, so its trace may hold at most ``MAX_PACKETS`` at the MTU."""
-    mtu = link.mtu_payload_bits
-    if trace.total_bits > (MAX_PACKETS - len(trace)) * mtu:  # a frame takes at most size / mtu + 1 packets
-        packets = sum(packet_split(size, mtu)[0] for size in trace.size_bits)
-        require("packets of a lossy run", packets, ge=0, le=MAX_PACKETS)
-
-
 def _loss_chains(trace: FrameTrace, link: LinkModel, depth: int):
-    """Every frame's (loss chain, lost packets), at least ``depth`` attempts deep; the memo's, extended as needed."""
+    """Every frame's loss chain, at least ``depth`` attempts deep; the memo's, extended as needed."""
     global _chains_memo
     if not link.loss_prob:  # a lossless frame's chain is empty, and finding that out needs no packet count
-        return repeat(((), []), len(trace))
+        return repeat((), len(trace))
+    mtu = link.mtu_payload_bits
     if link.loss_prob >= 1.0:  # certain loss: each attempt loses every packet, as _lost_packets says, and draws none
-        _check_packets(trace, link)
-        mtu = link.mtu_payload_bits
-        return [(((packet_split(size, mtu)[0], True),) * depth, None) for size in trace.size_bits]
-    key = (str(link.seed), link.loss_prob, link.mtu_payload_bits)  # the stream keys on the seed's text
+        splits = _splits(trace, mtu)
+        return [(splits[size],) * depth for size in trace.size_bits]
+    key = (str(link.seed), link.loss_prob, mtu)  # the stream keys on the seed's text
     memo = _chains_memo
     if memo is None or memo[0]() is not trace or memo[1] != key:
-        _check_packets(trace, link)
-        chains = _build_chains(link, trace.size_bits, depth)
+        chains, pending = _build_chains(link, trace.size_bits, _splits(trace, mtu), depth)
     elif memo[2] < depth:
-        chains = _build_chains(link, trace.size_bits, depth, memo[3])
+        chains = list(memo[3])  # a run still reading the memo's chains keeps them as they were
+        pending = _deepen(link, chains, memo[4], depth)
     else:
         return memo[3]
-    _chains_memo = (weakref.ref(trace, _forget_chains), key, depth, chains)
+    _chains_memo = (weakref.ref(trace, _forget_chains), key, depth, chains, pending)
     return chains
 
 
@@ -301,17 +321,17 @@ def simulate(
     add_e2e, add_wait, add_retx = e2e_ms.append, vsync_wait_ms.append, retx_count.append
     link_free = 0.0
     try:
-        for t_gen, size_bits, (chain, _) in zip(trace.t_gen, trace.size_bits, _loss_chains(trace, link, max_attempts)):
+        for t_gen, size_bits, chain in zip(trace.t_gen, trace.size_bits, _loss_chains(trace, link, max_attempts)):
             # budget_check's terms in pipeline order: sense, comm_ul (uplink serialization + RTT/2), render, encode
             arrival = t_gen + t_sense + uplink_ms + half_rtt + t_render + t_encode
             # comm_dl: queueing and serialization (every packet goes out once, lost or not), resends, RTT/2
             t = (link_free if link_free > arrival else arrival) + 1000.0 * size_bits / downlink
             retx = 0
             if chain and max_attempts > 1:  # a chain deeper than the retries allow is walked to their end
-                for n_lost, last_lost in chain if len(chain) < max_attempts else chain[: max_attempts - 1]:
+                for n_lost, last_bits in chain if len(chain) < max_attempts else chain[: max_attempts - 1]:
                     t += n_lost * resend
-                    if last_lost:
-                        t += 1000.0 * (packet_split(size_bits, mtu)[1] - mtu) / downlink
+                    if last_bits is not None:  # the last packet is short: its resend takes less than a full one
+                        t += 1000.0 * (last_bits - mtu) / downlink
                     retx += n_lost
             link_free = t
             add_retx(retx)

@@ -396,6 +396,8 @@ def load_profiles(path: str | Path | None = None) -> ProfileRegistry:
     registry.devices.update(base.devices)
     registry.stages.update(base.stages)
     registry.pipelines.update(base.pipelines)
+    if path == "":  # Path("") is the current directory, which would be read as the file
+        raise ProfileError("cannot read profiles from '': the path is empty")
     if path is not None:
         _load_document(registry, _read_json(Path(path)), str(path))
     return registry

@@ -26,7 +26,7 @@ from typing import TextIO
 
 from . import _EXPORTS, report
 from .codec import FrameSizes, GopConfig
-from .errors import Columns, DomainError, _json, _read, _write, record, require
+from .errors import Columns, DomainError, _each, _json, _read, _write, record, require
 
 __all__ = _EXPORTS["tracegen"].split()
 
@@ -178,7 +178,8 @@ def export_trace(trace: FrameTrace, fmt: str, destination: str | Path | TextIO) 
 def export_packets(packets: Sequence[PacketRecord], fmt: str, destination: str | Path | TextIO) -> None:
     """Write packets, ``packetize``'s table or any sequence of ``PacketRecord``s, as CSV (one row per packet, from
     the table's columns) or JSON (an array of packet objects, written a batch at a time)."""
-    _export(fmt, destination, "packets", PacketRecord, packets, report.write_json_array, lambda: map(_write, packets))
+    _export(fmt, destination, "packets", PacketRecord, packets, report.write_json_array,
+            lambda: map(_write, _each(packets)))
 
 
 def _export(fmt: str, destination, what: str, cls: type, records, write_json, document) -> None:

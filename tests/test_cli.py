@@ -598,7 +598,7 @@ class TestInputBoundary:
             (["simulate", "--input", "", *SHORT_GENERATED, "--downlink", "10M"],
              "error: --input sets --i-bits, --p-bits, --duration itself; give one or the other\n"),
             (["gop", "frame-sizes", "--stage-profile", ""], "error: stage key must look like taxonomy/stage, got ''\n"),
-            (["--profiles-file", "", "table", "summary"], "error: .: [Errno 21] Is a directory: '.'\n"),
+            (["--profiles-file", "", "table", "summary"], "error: cannot read profiles from '': the path is empty\n"),
             (["latency", "limits", "--taxonomy", ""],
              "error: give --taxonomy and --stage (and optionally --interaction) together, or none of them\n"),
         ],
@@ -609,6 +609,12 @@ class TestInputBoundary:
         code, out, err = run_cli(capsys, *argv)
         assert_domain_error(code, out, err)
         assert err == message
+
+    def test_an_empty_profiles_variable_is_an_empty_path(self, capsys, monkeypatch):
+        monkeypatch.setenv("XRQOS_PROFILES", "")
+        code, out, err = run_cli(capsys, "table", "summary")
+        assert_domain_error(code, out, err)
+        assert err == "error: cannot read profiles from '': the path is empty\n"
 
     @pytest.mark.parametrize(
         "literal, message",

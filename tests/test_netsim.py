@@ -412,6 +412,92 @@ class TestReferenceLoop:
                 assert frame.vsync_wait_ms == pytest.approx(wait, abs=1e-9)
 
 
+def float_order_oracle(trace, link, timing, refresh_hz):
+    """(e2e_ms, vsync_wait_ms, retx_count) columns and a Counter of the loss cases met, attempt by attempt.
+
+    Each frame's losses come from ``_lost_packets`` over the whole frame, and
+    every time is summed in the simulator's own order of float operations, so
+    its columns must equal ``simulate``'s exactly, not to a tolerance.
+    """
+    tick = 1000.0 / refresh_hz
+    half_rtt = link.propagation_rtt / 2.0
+    uplink_ms = 1000.0 * link.uplink_payload_bits / link.uplink_bps
+    max_attempts = 1 + (link.max_retx if link.mode == "tcp_like" else 0)
+    mtu = link.mtu_payload_bits
+    resend = link.propagation_rtt + 1000.0 * mtu / link.downlink_bps
+    e2e_ms, vsync_wait_ms, retx_count, cases = [], [], [], Counter()
+    link_free = 0.0
+    for frame, (t_gen, size_bits) in enumerate(zip(trace.t_gen, trace.size_bits)):
+        count, last_bits = packet_split(size_bits, mtu)
+        arrival = t_gen + timing.t_sense + uplink_ms + half_rtt + timing.t_render + timing.t_encode
+        t = max(arrival, link_free) + 1000.0 * size_bits / link.downlink_bps
+        pending, retx, displayed = range(count), 0, False
+        for attempt in range(max_attempts):
+            lost = set(_lost_packets(link.seed, frame, attempt, count, link.loss_prob))
+            pending = [k for k in pending if k in lost]
+            if not pending:
+                displayed = True
+                break
+            if attempt == max_attempts - 1:
+                cases["dropped after every attempt" if attempt else "dropped by udp"] += 1
+                break
+            t += len(pending) * resend
+            if pending[-1] == count - 1:  # the short last packet is resent too
+                t += 1000.0 * (last_bits - mtu) / link.downlink_bps
+                cases["last packet resent"] += 1
+            retx += len(pending)
+        link_free = t
+        retx_count.append(retx)
+        if displayed:
+            ready = t + half_rtt + timing.t_decode + timing.fixed_display
+            display = max(math.ceil(ready / tick - 1e-9), 0) * tick
+            e2e_ms.append(display - t_gen)
+            vsync_wait_ms.append(display - ready)
+        else:
+            e2e_ms.append(None)
+            vsync_wait_ms.append(None)
+    return (e2e_ms, vsync_wait_ms, retx_count), cases
+
+
+class TestFloatOrder:
+    """``simulate``'s time columns equal, with ``==``, a per-attempt loop that sums in the simulator's order."""
+
+    TIMING = PipelineTiming(t_sense=1.0, t_render=2.0, t_encode=1.5, t_decode=2.0, fixed_display=1.0)
+
+    @staticmethod
+    def columns(report):
+        _, _, e2e_ms, vsync_wait_ms, retx_count = report.frames.columns
+        return list(e2e_ms), list(vsync_wait_ms), list(retx_count)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        link=st.builds(
+            LinkModel,
+            downlink_bps=st.floats(min_value=1e6, max_value=1e9),
+            propagation_rtt=st.floats(min_value=0.0, max_value=50.0),
+            loss_prob=st.sampled_from([0.01, 0.3, 1.0]),
+            seed=st.integers(min_value=0, max_value=2**31),
+            mode=st.sampled_from(["udp_like", "tcp_like"]),
+            max_retx=st.integers(min_value=0, max_value=4),
+            mtu_payload_bits=st.sampled_from([4_000, 11_680, 30_000]),
+        ),
+        frames=st.integers(min_value=1, max_value=40),
+    )
+    def test_time_columns_equal_the_loop_exactly(self, link, frames):
+        trace = small_trace(frames=frames, i_bits=200_003, p_bits=40_001)
+        report = simulate(trace, link, self.TIMING, 90.0, 20.0)
+        assert self.columns(report) == float_order_oracle(trace, link, self.TIMING, 90.0)[0]
+
+    @pytest.mark.parametrize("loss_prob", [0.3, 1.0])
+    def test_the_loop_meets_lost_last_packets_and_chains_past_the_retries(self, loss_prob):
+        trace = small_trace(frames=60, i_bits=200_003, p_bits=40_001)
+        link = LinkModel(downlink_bps=3e7, propagation_rtt=6.0, loss_prob=loss_prob, seed=5, mode="tcp_like",
+                         max_retx=2, mtu_payload_bits=11_680)
+        expected, cases = float_order_oracle(trace, link, self.TIMING, 90.0)
+        assert cases["last packet resent"] and cases["dropped after every attempt"]
+        assert self.columns(simulate(trace, link, self.TIMING, 90.0, 20.0)) == expected
+
+
 class TestLossySweepBytes:
     """A lossy sweep's reports, byte for byte: each mode at three downlinks over one trace, as a sweep runs them."""
 
@@ -771,6 +857,29 @@ class TestDrawCost:
         assert any(key.split(":")[2] != "0" for key in keys)  # the tcp run drew later attempts
         assert set(keys.values()) == {1}
 
+    def test_a_sweep_draws_later_attempts_only_for_frames_still_losing(self, digests):
+        trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)
+        udp = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, loss_prob=0.2, seed=8, max_retx=3)
+        tcp = dataclasses.replace(udp, mode="tcp_like")
+        # attempt 0 of every frame, and attempt a > 0 of each frame that attempts 0 to a - 1 left packets lost
+        streams = set()
+        for frame, size in enumerate(trace.size_bits):
+            count, _ = packet_split(size, udp.mtu_payload_bits)
+            pending = range(count)
+            for attempt in range(1 + tcp.max_retx):
+                streams.add((frame, attempt))
+                lost = set(_lost_packets(udp.seed, frame, attempt, count, udp.loss_prob))
+                if not (pending := [k for k in pending if k in lost]):
+                    break
+        assert any(attempt == tcp.max_retx for _, attempt in streams)  # some chains reach the last attempt
+        digests.clear()
+        for downlink in (5e7, 8e7, 1e8, 2e8, 5e8):
+            for link in (udp, tcp):
+                simulate(trace, dataclasses.replace(link, downlink_bps=downlink), PipelineTiming(), 90.0, 20.0)
+        keys = Counter(key.decode() for key, *_ in digests)
+        assert set(keys.values()) == {1}  # each seed:frame:attempt:block key once
+        assert {tuple(map(int, key.split(":")[1:3])) for key in keys} == streams
+
     def test_a_lossless_sweep_draws_nothing(self, digests):
         trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)
         for downlink in (5e7, 8e7, 1e8, 2e8, 5e8):
@@ -791,13 +900,13 @@ class TestDrawCost:
         trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)
         link = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, mode=mode)
         expected = simulate(trace, link, PipelineTiming(), 90.0, 20.0)
-        # the chain builder splits each frame and walks one stream per frame and attempt
+        # the chain builder splits each distinct frame size once and walks one stream per frame and attempt
         monkeypatch.setattr(netsim, "packet_split", counted("packet_split", packet_split))
         monkeypatch.setattr(netsim, "_walk", counted("_walk", netsim._walk))
         assert simulate(trace, link, PipelineTiming(), 90.0, 20.0) == expected
         assert calls == {}
         simulate(trace, dataclasses.replace(link, loss_prob=0.01), PipelineTiming(), 90.0, 20.0)
-        assert calls["packet_split"] >= len(trace) and calls["_walk"] >= len(trace)  # the counters see calls
+        assert calls["packet_split"] == len(set(trace.size_bits)) and calls["_walk"] >= len(trace)
 
 
 class TestBoundary:

@@ -165,6 +165,10 @@ class TestUserFiles:
         with pytest.raises(ConfigError, match=r"lacks fields for the GOP model: \['per_eye', 'fov', 'bpc'\]"):
             stage.gop_model()
 
+    def test_an_empty_path_is_named_not_read_as_the_current_directory(self):
+        with pytest.raises(ProfileError, match=r"^cannot read profiles from '': the path is empty$"):
+            load_profiles("")
+
     def test_malformed_json_names_position(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json", encoding="utf-8")

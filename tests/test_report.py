@@ -182,6 +182,26 @@ class TestRecordTables:
             write(io.StringIO())
             assert table._built is None
 
+    def test_a_json_write_keeps_no_record_and_writes_what_the_built_table_writes(self):
+        trace = generate_trace(FrameSizes(40_000, 4_000, b_bits=2_000), GopConfig(1.0, 30.0, pattern="IBBP"), 1.0)
+        packets = packetize(trace, 11680)
+        report = _lossy_report()
+
+        def export(write, table):
+            out = io.StringIO()
+            write(table, "json", out)
+            return out.getvalue()
+
+        writes = [(trace.records, lambda: export(export_trace, trace),
+                   lambda: export(export_trace, dataclasses.replace(trace, records=tuple(trace.records)))),
+                  (packets, lambda: export(export_packets, packets), lambda: export(export_packets, tuple(packets))),
+                  (report.frames, report.to_json, dataclasses.replace(report, frames=tuple(report.frames)).to_json)]
+        for table, lazy, built in writes:
+            expected = built()
+            table._built = None  # the built copy read every record of the table
+            assert lazy() == expected
+            assert table._built is None
+
     def test_a_report_whose_frames_are_a_tuple_writes_what_the_table_writes(self):
         report, lazy, plain = _lossy_report(), io.StringIO(), io.StringIO()
         report.write_csv(lazy)
