@@ -2,11 +2,12 @@
 that every model value class is made with (a frozen dataclass that imports ``dataclasses`` only to build its
 twin, on the first introspection or misfit call), the ``Columns`` table that trace frames, packets and simulation
 results are kept in, a column per record field, and the JSON record reader and writer that profiles, traces and
-simulation reports share; ``report`` writes a record table's CSV from its columns and field declarations."""
+simulation reports share. A record table's JSON (``_rows``) and CSV (``report``) are written from its columns."""
 import functools
 import operator
 import sys
 from collections.abc import Sequence
+from itertools import repeat
 
 from . import _EXPORTS
 
@@ -251,13 +252,6 @@ class Columns(Sequence):
         return Columns, (self.make, *self.columns)
 
 
-def _each(records):
-    """``records``' records in order; for a ``Columns`` table not yet built, each built as it is read and none kept."""
-    if type(records) is Columns and records._built is None:
-        return map(records.make, *records.columns)
-    return records
-
-
 # Half-lines that read better as words than as intervals.
 _RANGE_WORDS = {
     "(-inf, inf)": "must be finite",
@@ -324,8 +318,8 @@ def _json(kind: str, default=_MISSING, *, key: str | None = None, of: type | Non
     ``kind`` is one of ``_field``'s kinds, or "a table" (an object of numbers, empty by default). An
     object or array holds records of the class ``of``. The value is within ``require``'s ``bounds``,
     and an absent key reads as ``default``; without one the key is required. A key "depth.chroma"
-    names the key "chroma" of the object under "depth". ``report.write_records`` writes the field's
-    CSV cells in the format spec ``cell``, if given.
+    names the key "chroma" of the object under "depth". ``_read`` reads the field and ``_rows`` writes
+    it; ``report.write_records`` writes its CSV cells in the format spec ``cell``, if given.
     """
     factory = dict if kind == "a table" else _MISSING
     return _Field(default, factory, {"json": (key, kind, of, bounds, cell)})
@@ -342,7 +336,8 @@ def _objects(obj: dict, key: str, path: str, optional: bool = False):
 
 @functools.cache
 def _plan(cls) -> tuple[tuple, frozenset, tuple[str, ...]]:
-    """Each field of ``cls`` as (attr, key, kind, of, required, bounds, cell), the keys allowed, and the groups."""
+    """Each field of ``cls`` as (attr, key, kind, of, required, bounds, cell), the keys allowed, and the groups: what
+    ``_read`` reads a record by, and ``_rows`` and ``report.write_records`` write a record table's columns by."""
     plan = tuple(
         (f.name, key or f.name, kind, of, f.default is _MISSING and f.default_factory is _MISSING, bounds, cell)
         for f in cls._record_fields
@@ -382,26 +377,34 @@ def _read(cls, obj: dict, path: str):
     return cls(**values)
 
 
-@functools.cache
-def _writer(cls):
-    """``_write`` for ``cls``: a dict display compiled once, as ``__init__`` is, so an array of records costs what its
-    dicts do. A record, an array of them or a number (an Angle gives its degrees) is converted unless None; an array
-    that is a ``Columns`` table keeps none of the records it is written from."""
-    items: dict = {}
-    conversions = {"an array": "list(map(_write, _each(v)))", "a number": "float(v)"}
-    for attr, key, kind, of, _, _, _ in _plan(cls)[0]:
-        convert = conversions.get(kind, "_write(v)" if of else "")
+def _unless_none(convert, column):
+    """``convert(value)`` for each value of ``column``, a None left as it is."""
+    return (None if value is None else convert(value) for value in column)
+
+
+def _rows(cls, records):
+    """The JSON object of each ``cls`` record in ``records``, a ``Columns`` table of ``cls`` or any sequence of ``cls``
+    records, as its fields' ``_json`` metadata declare (what ``_read`` builds a record from), every field written:
+    None as null. Each is built from the table's columns, so none of its records is: a number (an Angle gives its
+    degrees) goes through ``float``, a record through ``_write`` and an array through ``_rows`` of its class, each
+    unless None, and the key "depth.chroma" is the key "chroma" of the object under "depth"."""
+    objects: dict = {}  # each key's column, or each group's {key: column}, in field order
+    for column, (_, key, kind, of, *_) in zip(Columns.of(cls, records).columns, _plan(cls)[0]):
+        if kind == "an array":
+            column = _unless_none(lambda array, of=of: list(_rows(of, array)), column)
+        elif kind == "a number" or of:
+            column = _unless_none(float if kind == "a number" else _write, column)
         group, _, leaf = key.rpartition(".")
-        (items.setdefault(group, {}) if group else items)[leaf] = (
-            f"(None if (v := o.{attr}) is None else {convert})" if convert else f"o.{attr}")
+        (objects.setdefault(group, {}) if group else objects)[leaf] = column
+    return _dicts(objects)
 
-    def display(entries: dict) -> str:
-        return "{" + ", ".join(f"{k!r}: {display(v) if isinstance(v, dict) else v}" for k, v in entries.items()) + "}"
 
-    return eval(f"lambda o: {display(items)}", {"_write": _write, "_each": _each})
+def _dicts(columns: dict):
+    """A dict per row of ``columns``, which maps each key to its column, or to a dict of such for a nested object."""
+    values = [_dicts(column) if type(column) is dict else column for column in columns.values()]
+    return map(dict, map(zip, repeat(tuple(columns)), zip(*values)))
 
 
 def _write(obj) -> dict:
-    """``obj`` as the JSON object its fields' ``_json`` metadata declare (what ``_read`` builds it from), every field
-    written: None as null."""
-    return _writer(type(obj))(obj)
+    """``obj`` as the JSON object of its fields: the one-row ``_rows``."""
+    return next(_rows(type(obj), (obj,)))

@@ -38,7 +38,7 @@ The aggregates are computed from the columns. ``SimReport.frames``, like
 ``FrameTrace.records`` and ``packetize``'s packets, is an
 ``errors.Columns``: it acts as the tuple of ``FrameResult`` records and
 builds them from the columns on first read, so neither a sweep, read only
-for its aggregates, nor a CSV write builds a record of either kind. A
+for its aggregates, nor a CSV or JSON write builds a record of either kind. A
 report also holds the link, pipeline timing, refresh rate and MTP limit it
 ran with; its JSON keys, CSV headers and CSV cell formats are the ones
 declared on the record fields, written in ``report``'s JSON and CSV layouts.

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, TextIO
 
 from . import _EXPORTS
 from .capacity import BitRate
-from .errors import Columns, DomainError, _plan
+from .errors import Columns, DomainError, _plan, _unless_none
 from .geometry import FovSpec, Resolution
 
 if TYPE_CHECKING:
@@ -128,16 +128,12 @@ def write_rows(handle: TextIO, header: Iterable, rows: Iterable[Iterable]) -> No
     writer.writerows(rows)
 
 
-def _formatted(spec: str):
-    """A CSV cell in the format ``spec``, None as empty."""
-    return lambda value: "" if value is None else format(value, spec)
-
-
 def write_records(handle: TextIO, cls: type, records: Iterable) -> None:
     """``records`` of ``cls``, a ``Columns`` table or any iterable of records, as CSV, written from the table's
-    columns: a column per field, headed by its JSON key, each cell in the field's ``cell`` format if any."""
+    columns: a column per field, headed by its JSON key, each cell but None (an empty cell) in the field's ``cell``
+    format if any."""
     plan = _plan(cls)[0]
-    columns = (column if spec is None else map(_formatted(spec), column)
+    columns = (column if spec is None else _unless_none(f"{{:{spec}}}".format, column)
                for column, (*_, spec) in zip(Columns.of(cls, records).columns, plan))
     write_rows(handle, [key for _, key, *_ in plan], zip(*columns))
 

@@ -10,9 +10,9 @@ builds them on first read, while the link simulator reads the ``t_gen`` and
 ``size_bits`` columns and never builds a record. ``packetize`` reads the
 same two columns and returns the packet table, a column per ``PacketRecord``
 field, which acts as the tuple of ``PacketRecord``s and builds none until
-one is read. Traces and packets export to CSV (from their columns) and JSON
-as their record fields declare, in ``report``'s layouts; a trace's JSON
-loads back, checked, and feeds the link simulator.
+one is read. Traces and packets export to CSV and JSON, both written from
+their columns as their record fields declare, in ``report``'s layouts; a
+trace's JSON loads back, checked, and feeds the link simulator.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from typing import TextIO
 
 from . import _EXPORTS, report
 from .codec import FrameSizes, GopConfig
-from .errors import Columns, DomainError, _each, _json, _read, _write, record, require
+from .errors import Columns, DomainError, _json, _read, _rows, _write, record, require
 
 __all__ = _EXPORTS["tracegen"].split()
 
@@ -179,7 +179,7 @@ def export_packets(packets: Sequence[PacketRecord], fmt: str, destination: str |
     """Write packets, ``packetize``'s table or any sequence of ``PacketRecord``s, as CSV (one row per packet, from
     the table's columns) or JSON (an array of packet objects, written a batch at a time)."""
     _export(fmt, destination, "packets", PacketRecord, packets, report.write_json_array,
-            lambda: map(_write, _each(packets)))
+            lambda: _rows(PacketRecord, packets))
 
 
 def _export(fmt: str, destination, what: str, cls: type, records, write_json, document) -> None:

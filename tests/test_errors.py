@@ -1,22 +1,28 @@
-"""The shared input checks: ``require`` and the JSON field reader, and every model boundary behind them."""
+"""The shared input checks: ``require`` and the JSON field reader, every model boundary behind them, and the JSON
+record writer."""
+import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xrqos.capacity import (
     BitDepth, BitRate, CompressionProfile, VoxelSpec, eye_like_capacity, full_sphere_capacity, hmd_capacity,
     volumetric_capacity,
 )
 from xrqos.codec import FrameSizes, GopConfig, frame_size, gop_bitrate
-from xrqos.errors import DomainError, _field, _objects, require
+from xrqos import report
+from xrqos.errors import DomainError, _field, _objects, _plan, _read, _rows, _write, require
 from xrqos.geometry import (
     FovSpec, PhysicalSize, Resolution, ppd_from_cone_density, ppd_from_fov, ppi, ppi_from_diagonal,
     scale_resolution,
 )
 from xrqos.latency import LatencyBudget, PipelineTiming, budget_check, refresh_delay, stream_latency
-from xrqos.netsim import LinkModel, simulate
+from xrqos.netsim import FrameResult, LinkModel, simulate
 from xrqos.reliability import LossModel, max_loss_rate
-from xrqos.tracegen import FrameRecord, FrameTrace, MAX_FRAMES, MAX_PACKETS, generate_trace, packetize
+from xrqos.profiles import DeviceProfile, StageProfile, builtin_registry
+from xrqos.tracegen import FrameRecord, FrameTrace, MAX_FRAMES, MAX_PACKETS, PacketRecord, generate_trace, packetize
 
 nan, inf = math.nan, math.inf
 
@@ -180,3 +186,63 @@ class TestRunCeilings:
         with pytest.raises(DomainError, match="packet count"):
             packetize(traces[0], 1)
         assert len(packetize(traces[1], 1000)) == MAX_PACKETS // 2000
+
+
+def reference_object(record) -> dict:
+    """``record`` as its JSON object, written field by field from ``_plan``: a number through ``float``, a record and
+    each record of an array as its own object, each unless None; a dotted key nested under its group."""
+    obj: dict = {}
+    for attr, key, kind, of, *_ in _plan(type(record))[0]:
+        value = getattr(record, attr)
+        if value is not None and kind == "a number":
+            value = float(value)
+        elif value is not None and kind == "an array":
+            value = [reference_object(item) for item in value]
+        elif value is not None and of is not None:
+            value = reference_object(value)
+        group, _, leaf = key.rpartition(".")
+        (obj.setdefault(group, {}) if group else obj)[leaf] = value
+    return obj
+
+
+EDGE_NUMBERS = st.sampled_from([None, -0.0, 1e-300, 2**63, 7, math.inf, math.nan])
+CELLS = {
+    "a number": st.one_of(EDGE_NUMBERS, st.floats(), st.integers()),
+    "an integer": st.one_of(st.sampled_from([None, 2**63, True, False]), st.integers()),
+    "a boolean": st.one_of(st.none(), st.booleans()),
+    "a string": st.one_of(st.sampled_from([None, "é", "日本", "\u2028", '"\\\n']), st.text()),
+}
+
+
+def tables(cls):
+    """Lists of ``cls`` rows, each cell drawn by its field's kind, edge values included."""
+    return st.lists(st.tuples(*(CELLS[kind] for _, _, kind, *_ in _plan(cls)[0])), max_size=12)
+
+
+class TestWriter:
+    """``_rows`` writes each record of a table as the object the field-by-field reference writes, in the same key
+    order, and ``_read`` reads ``_write``'s object back as the record."""
+
+    def check(self, cls, records) -> None:
+        written, expected = list(_rows(cls, records)), [reference_object(record) for record in records]
+        assert report.to_json(written) == report.to_json(expected)
+        assert json.dumps(written) == json.dumps(expected)  # key order too, which a text listing shows
+
+    @pytest.mark.parametrize("cls", [FrameRecord, PacketRecord, FrameResult], ids=lambda cls: cls.__name__)
+    @given(data=st.data())
+    def test_a_random_table_writes_what_its_records_write(self, cls, data):
+        rows = data.draw(tables(cls))
+        records = tuple(cls(*row) for row in rows)
+        self.check(cls, records)
+        assert [_write(record) for record in records] == list(_rows(cls, records))
+
+    def test_the_builtin_devices_nest_their_records_and_groups(self):
+        devices = tuple(builtin_registry().devices.values())
+        self.check(DeviceProfile, devices)
+        assert all("depth" in obj and "bits_per_color" in obj["depth"] for obj in _rows(DeviceProfile, devices))
+
+    def test_every_builtin_device_and_stage_reads_back_as_itself(self):
+        registry = builtin_registry()
+        for cls, records in ((DeviceProfile, registry.devices.values()), (StageProfile, registry.stages.values())):
+            for record in records:
+                assert _read(cls, _write(record), "profile") == record

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import math
 import pickle
@@ -18,7 +19,8 @@ from xrqos.latency import LatencyBudget, PipelineTiming, budget_check
 from xrqos import netsim
 from xrqos.netsim import LinkModel, _lost_packets, simulate
 from xrqos.reliability import DEFAULT_MSS_BITS
-from xrqos.tracegen import FrameRecord, FrameTrace, generate_trace, packet_split, packetize
+from xrqos.tracegen import (FrameRecord, FrameTrace, PacketRecord, export_packets, export_trace, generate_trace,
+                             packet_split, packetize)
 
 
 def small_trace(frames=20, fps=30.0, i_bits=200_000, p_bits=40_000) -> FrameTrace:
@@ -649,9 +651,21 @@ class TestFramesContract:
             assert main([*argv, "--mode", mode, "--sweep-downlink", "50M,100M,200M"]) == 0
         assert "displayed=" in capsys.readouterr().out
         assert built == [] and frames == []
-        # the counter sees the records a one-rate JSON report writes
+        # a one-rate JSON report writes its frames from the result columns
         assert main(["--format", "json", *argv, "--downlink", "100M"]) == 0
-        assert len(built) == 30
+        assert '"frame_index": 29' in capsys.readouterr().out
+        assert built == [] and frames == []
+
+    def test_a_json_export_of_a_trace_or_its_packets_builds_no_record(self, monkeypatch):
+        frames, packets_built = counted_builds(monkeypatch, FrameRecord), counted_builds(monkeypatch, PacketRecord)
+        trace = small_trace(frames=30)
+        packets = packetize(trace, 11680)
+        trace_json, packets_json = io.StringIO(), io.StringIO()
+        export_trace(trace, "json", trace_json)
+        export_packets(packets, "json", packets_json)
+        assert len(json.loads(trace_json.getvalue())["records"]) == 30
+        assert len(json.loads(packets_json.getvalue())) == len(packets) > 30
+        assert frames == [] and packets_built == [] and trace.records._built is None and packets._built is None
 
     def test_a_generated_trace_and_its_lossy_sweep_build_no_frame_record(self, monkeypatch):
         built = counted_builds(monkeypatch, FrameRecord)

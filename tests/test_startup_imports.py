@@ -134,7 +134,14 @@ open("compiled.json", "w").write(json.dumps({{"code": code, "compiled": compiled
      ["latency", "refresh", "--hz", "90"], ["reliability", "max-loss", "--throughput", "140M", "--rtt", "20ms"],
      # the simulator's and the trace generator's records too, and a text report writes no record
      ["simulate", "--i-bits", "200000", "--p-bits", "40000", "--fps", "30", "--duration", "1", "--loss", "0.01",
-      "--rtt", "8ms", "--refresh-hz", "90", "--downlink", "100M"]],
+      "--rtt", "8ms", "--refresh-hz", "90", "--downlink", "100M"],
+     # a JSON write of a report, a trace and a device: every record, record array and nested group
+     pytest.param(["--format", "json", "simulate", "--i-bits", "200000", "--p-bits", "40000", "--fps", "30",
+                   "--duration", "1", "--loss", "0.01", "--rtt", "8ms", "--refresh-hz", "90", "--downlink", "100M"],
+                  id="simulate json"),
+     pytest.param(["--format", "json", "trace", "generate", "--i-bits", "200000", "--p-bits", "40000", "--fps", "30",
+                   "--duration", "1"], id="trace generate json"),
+     pytest.param(["--format", "json", "profiles", "show", "quest2"], id="profiles show json")],
     ids=lambda argv: " ".join(argv[:2]),
 )
 def test_a_command_compiles_no_source_at_run_time(argv, tmp_path):
