@@ -16,7 +16,7 @@ from .errors import DomainError, XrqosError
 # Start-up loads only the modules above. `report` renders nearly every command's output,
 # and what it imports every command loads anyway. Each handler imports the models it
 # runs, so `latency refresh` loads neither the simulator nor the profile registry. `main`
-# builds only the parsers on the chosen command's path (`_Commands`), and every model class
+# sets up only the parsers on the chosen command's path (`_Parser`), and every model class
 # is an `errors.record`, which compiles nothing where a frozen dataclass compiles six
 # methods, and loads neither `dataclasses` nor `inspect` until its twin dataclass is first
 # read (two branches import `dataclasses` for `replace`). `report` loads `csv` only to
@@ -727,52 +727,48 @@ _HELP = {
 }
 
 
-class _Commands(argparse._SubParsersAction):
-    """The subcommands of one ``_COMMANDS`` table.
+class _Parser(argparse.ArgumentParser):
+    """The parser of one ``_COMMANDS`` entry: a group's subcommands, or a leaf's flags and handler.
 
-    Every name is a choice from the start, with its help, so usage, ``--help`` and "invalid choice" errors
-    are those of the whole tree. With ``lazy``, a name's parser (a group's subcommands, or a leaf's flags)
-    is built only when parsing reaches the name; otherwise every parser is built at once.
+    Without ``lazy`` it is set up at once. With it, even ``ArgumentParser.__init__`` waits until argparse first
+    hands it arguments (``parse_known_args``): siblings that each ran it cost a command 0.7-1.6 ms more.
     """
 
-    def __init__(self, *args, table: dict, lazy: bool, helps: dict | None = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._table, self._lazy = table, lazy
-        for name in table:
-            self._name_parser_map[name] = None  # built by _build
-            if helps:
-                self._choices_actions.append(self._ChoicesPseudoAction(name, (), helps[name]))
+    def __init__(self, entry, lazy: bool = False, **kwargs):
+        self._entry, self._lazy, self._pending = entry, lazy, kwargs
         if not lazy:
-            for name in table:
-                self._build(name)
+            self._set_up()
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        if self._name_parser_map[values[0]] is None:  # argparse has checked that the name is a choice
-            self._build(values[0])
-        super().__call__(parser, namespace, values, option_string)
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending is not None:
+            self._set_up()
+        return super().parse_known_args(args, namespace)
 
-    def _build(self, name: str) -> None:
-        parser = self._name_parser_map[name] = self._parser_class(prog=f"{self._prog_prefix} {name}")
-        entry = self._table[name]
-        if isinstance(entry, dict):
-            parser.add_subparsers(dest="sub", action=_Commands, table=entry, lazy=self._lazy)
+    def _set_up(self) -> None:
+        super().__init__(**self._pending)
+        self._pending = None
+        if isinstance(self._entry, dict):
+            commands = self.add_subparsers(dest="sub")
+            for name, entry in self._entry.items():
+                commands.add_parser(name, entry=entry, lazy=self._lazy)
             return
-        func, flags, *defaults = entry
+        func, flags, *defaults = self._entry
         for flag, kwargs in flags:
-            parser.add_argument(flag, **kwargs)
-        parser.set_defaults(func=func, **(defaults[0] if defaults else {}))
+            self.add_argument(flag, **kwargs)
+        self.set_defaults(func=func, **(defaults[0] if defaults else {}))
 
 
 def build_parser(lazy: bool = False) -> argparse.ArgumentParser:
-    """The ``xrqos`` parser, every subcommand's built; with ``lazy``, each is built when parsing reaches it,
-    so a command pays for its own parser alone."""
+    """The ``xrqos`` parser with every subcommand set up, or with ``lazy``, each when parsing first reaches it."""
     parser = argparse.ArgumentParser(prog="xrqos", description=__doc__)
     parser.add_argument("--units", choices=("binary", "decimal"), default="binary",
                         help="prefix convention for formatted bit rates (default binary)")
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
     parser.add_argument("--profiles-file", help=f"extra profiles JSON (or ${PROFILES_ENV})")
     parser.add_argument("--seed", type=int, help="seed for the simulator's loss draws")
-    parser.add_subparsers(dest="command", action=_Commands, table=_COMMANDS, lazy=lazy, helps=_HELP)
+    commands = parser.add_subparsers(dest="command", parser_class=_Parser)
+    for name, entry in _COMMANDS.items():
+        commands.add_parser(name, help=_HELP[name], entry=entry, lazy=lazy)
     return parser
 
 

@@ -93,6 +93,9 @@ class FrameSizes:
         require("P-frame size", self.p_bits, gt=0)
         if self.b_bits is not None:
             require("B-frame size", self.b_bits, ge=0)
+        for name in ("i_bits", "p_bits", "b_bits"):  # as floats, as a trace's JSON reads them back
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, float(value))
 
     def bits_for(self, frame_type: str) -> float:
         if frame_type == "I":

@@ -298,14 +298,15 @@ def simulate(
     Frames are serialized FIFO on the downlink: a frame's transmission
     starts no earlier than the previous frame finishes, which is where
     queuing delay comes from. A frame is displayed at the first VSync tick
-    (k * 1000/refresh_hz, k >= 0) at or after it becomes ready.
+    (k * 1000/refresh_hz, k >= 0) at or after it becomes ready. The refresh
+    rate must be at least 1 Hz.
     """
     if len(trace) == 0:
         raise DomainError("cannot simulate an empty trace")
-    require("refresh rate", refresh_hz, gt=0)
+    # from 1 Hz up, the VSync search's tolerance of 1e-9 ticks lets a frame show at most 1e-6 ms before it is ready
+    tick = 1000.0 / require("refresh rate", refresh_hz, ge=1)
     require("mtp limit", mtp_limit, gt=0, le=math.inf)
 
-    tick = require("refresh interval", 1000.0 / refresh_hz, gt=0)
     half_rtt = link.propagation_rtt / 2.0
     uplink_ms = 1000.0 * link.uplink_payload_bits / link.uplink_bps
     max_attempts = 1 + (link.max_retx if link.mode == "tcp_like" else 0)

@@ -391,7 +391,8 @@ class TestTraceAndSimulate:
         assert "unrecognized arguments: --uplink 1K" in err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--downlink", "nan"), ("--sense", "nan"), ("--rtt", "inf"), ("--refresh-hz", "inf")]
+        "flag, value", [("--downlink", "nan"), ("--sense", "nan"), ("--rtt", "inf"), ("--refresh-hz", "inf"),
+                         ("--refresh-hz", "1e-9")]
     )
     def test_simulate_non_finite_input_is_an_error(self, capsys, flag, value):
         argv = {"--downlink": "50M", "--refresh-hz": "90", flag: value}
@@ -403,6 +404,14 @@ class TestTraceAndSimulate:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("refresh_hz", ["1e-9", "1e-7"])
+    def test_simulate_rejects_a_refresh_rate_below_1_hz(self, capsys, refresh_hz):
+        # such a rate made the VSync search show frames before they were ready, with negative e2e and waits
+        code, out, err = run_cli(capsys, "--format", "json", "simulate", "--i-bits", "200000", "--p-bits", "40000",
+                                 "--fps", "10", "--duration", "3", "--downlink", "100M", "--refresh-hz", refresh_hz)
+        assert (code, out) == (1, "")
+        assert err == f"error: refresh rate must lie in [1, inf), got {float(refresh_hz)}\n"
 
     def test_simulate_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -3,8 +3,11 @@
 Reading JSON (``json.load``/``json.loads``) is every module's own business. No module imports ``dataclasses``
 when it is imported: a record keeps its own field table, and a function that needs ``dataclasses`` imports it.
 Nor ``csv``: ``report`` imports it in ``write_rows``, so a command that writes no CSV does not load it.
-No module compiles code at run time: none calls ``eval`` or ``exec``.
+No module compiles code at run time: none calls ``eval`` or ``exec``. No module names an argparse internal (an
+attribute of ``argparse``, of a parser, of its subparsers action, of an ``Action`` or of a ``Namespace`` whose name
+starts with one underscore): the CLI builds its command tree on argparse's public API alone.
 """
+import argparse
 import ast
 from pathlib import Path
 
@@ -113,3 +116,53 @@ def test_no_module_compiles_code_at_run_time():
 def test_the_compile_walk_catches_each_call():
     source = "x = eval('1')\ndef f():\n    exec('y = 2', {})\nliteral_eval('3')\nobj.eval('4')\n"
     assert compiles(ast.parse(source)) == ["1: eval", "3: exec"]
+
+
+def _argparse_internals() -> frozenset[str]:
+    parser = argparse.ArgumentParser()
+    holders = (argparse, parser, parser.add_subparsers(), argparse.Action([], "dest"), argparse.Namespace())
+    # a bare ``_`` is argparse's gettext, and everyone's throwaway name
+    return frozenset(name for holder in holders for name in dir(holder)
+                     if name.startswith("_") and not name.startswith("__") and name != "_")
+
+
+ARGPARSE_INTERNALS = _argparse_internals()
+
+
+def names_argparse_internals(tree: ast.AST) -> list[str]:
+    """Each argparse internal that ``tree`` names (as a name, an attribute, an import or a definition), by line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        found += [(node.lineno, node.col_offset, name) for name in names if name in ARGPARSE_INTERNALS]
+    return [f"{line}: {name}" for line, _, name in sorted(found)]
+
+
+def test_no_module_names_an_argparse_internal():
+    found = {path.stem: names_argparse_internals(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_the_argparse_walk_catches_each_form():
+    source = (
+        "import argparse\n"
+        "from argparse import _SubParsersAction\n"
+        "class C(argparse._SubParsersAction):\n"
+        "    def _get_values(self, action, strings):\n"
+        "        return self._name_parser_map, _choices_actions\n"
+        "_, parser = None, argparse.ArgumentParser()\n"
+        "parser.parse_known_args([])._private\n"
+    )
+    assert names_argparse_internals(ast.parse(source)) == [
+        "2: _SubParsersAction", "3: _SubParsersAction", "4: _get_values", "5: _name_parser_map",
+        "5: _choices_actions"]

@@ -941,7 +941,9 @@ class TestBoundary:
             LinkModel(**{"downlink_bps": 1e8, field: value})
 
     @pytest.mark.parametrize(
-        "refresh_hz, mtp_limit", [(math.inf, 20.0), (math.nan, 20.0), (90.0, math.nan)]
+        "refresh_hz, mtp_limit", [(math.inf, 20.0), (math.nan, 20.0), (90.0, math.nan),
+                                  # below 1 Hz the VSync search's tolerance could show a frame before it is ready
+                                  (1e-9, 20.0), (0.5, 20.0)]
     )
     def test_simulate_rejects_nan_and_bad_infinity(self, refresh_hz, mtp_limit):
         with pytest.raises(DomainError):

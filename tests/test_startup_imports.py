@@ -169,7 +169,17 @@ open("startup.json", "w").write(json.dumps({{"code": code, "compiled": compiled,
 
 
 @pytest.mark.skipif(not hasattr(dataclasses, "_create_fn"), reason="this Python's dataclasses has no _create_fn")
-def test_a_closed_form_query_compiles_no_dataclass_method_and_builds_only_its_own_parsers(tmp_path):
-    loaded_after(COUNT_STARTUP.format(argv=["latency", "refresh", "--hz", "90"]), tmp_path)
+@pytest.mark.parametrize(
+    "argv, code, parsers",
+    [(["latency", "refresh", "--hz", "90"], 0, ["xrqos", "xrqos latency", "xrqos latency refresh"]),
+     # help, or a usage error, below a group sets up that group's parser and none of its subcommands'
+     (["latency", "--help"], 0, ["xrqos", "xrqos latency"]),
+     (["latency", "nosuch"], 2, ["xrqos", "xrqos latency"]),
+     (["nosuch"], 2, ["xrqos"])],
+    ids=["latency refresh", "latency --help", "latency nosuch", "nosuch"],
+)
+def test_a_closed_form_query_compiles_no_dataclass_method_and_builds_only_its_own_parsers(argv, code, parsers,
+                                                                                         tmp_path):
+    loaded_after(COUNT_STARTUP.format(argv=argv), tmp_path)
     counts = json.loads((tmp_path / "startup.json").read_text())
-    assert counts == {"code": 0, "compiled": [], "parsers": ["xrqos", "xrqos latency", "xrqos latency refresh"]}
+    assert counts == {"code": code, "compiled": [], "parsers": parsers}

@@ -153,8 +153,7 @@ class TestTraceColumns:
     """A generated trace keeps its frames as columns and acts as the same trace built from a tuple of frame
     records, or loaded back from JSON: equality, hash, repr, pickling and copies."""
 
-    # float sizes, as JSON reads them back, so that every form has the same repr
-    SIZES, CFG, DURATION = FrameSizes(5000.0, 600.0, b_bits=300.0), GopConfig(0.5, 12.0, pattern="IBPB"), 1.5
+    SIZES, CFG, DURATION = FrameSizes(5000, 600, b_bits=300), GopConfig(0.5, 12.0, pattern="IBPB"), 1.5
 
     def forms(self) -> dict:
         """The trace in every form, each new, so that none has built its records yet."""
