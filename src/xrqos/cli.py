@@ -19,8 +19,9 @@ from .errors import DomainError, XrqosError
 # sets up only the parsers on the chosen command's path (`_Parser`), and every model class
 # is an `errors.record`, which compiles nothing where a frozen dataclass compiles six
 # methods, and loads neither `dataclasses` nor `inspect` until its twin dataclass is first
-# read (two branches import `dataclasses` for `replace`). `report` loads `csv` only to
-# write CSV. Model types in annotations are never evaluated (PEP 563).
+# read: a record's `vars` are its fields, so a handler copies one with a field changed by
+# calling its class on them. `report` loads `csv` only to write CSV. Model types in
+# annotations are never evaluated (PEP 563).
 
 PROFILES_ENV = "XRQOS_PROFILES"
 
@@ -354,9 +355,9 @@ def _cmd_latency_budget(args) -> int:
     from . import latency
     limit = parse_time_ms(args.limit)
     if args.pipeline is not None:
-        import dataclasses
         _check_preset(args, "--pipeline")
-        budget = dataclasses.replace(_registry(args).pipeline(args.pipeline), mtp_limit=limit)
+        pipeline = _registry(args).pipeline(args.pipeline)
+        budget = type(pipeline)(**{**vars(pipeline), "mtp_limit": limit})
     else:
         budget = latency.LatencyBudget(limit, _timing_from_args(args), **_given(args, "LatencyBudget"))
     result = latency.budget_check(budget)
@@ -451,8 +452,7 @@ def _cmd_profiles_show(args) -> int:
     else:
         device, mode = registry.device_mode(args.name)
         if "@" in args.name:
-            import dataclasses
-            device = dataclasses.replace(device, refresh_modes=(mode,))
+            device = type(device)(**{**vars(device), "refresh_modes": (mode,)})
         data = _write(device)
         data["derived"] = {
             f"{m.hz:g}": {"ppd": device.mode_ppd(m), "eye_resolution": device.mode_eye_resolution(m),
@@ -537,25 +537,25 @@ def _cmd_simulate(args) -> int:
     trace = _trace_from_args(args)
     timing = _timing_from_args(args)
     mtp_limit = parse_time_ms(args.mtp_limit)
-    downlinks = [args.downlink] if args.sweep_downlink is None else args.sweep_downlink.split(",")
-    reports = [
-        netsim.simulate(trace, _link_from_args(args, downlink), timing, args.refresh_hz, mtp_limit)
-        for downlink in downlinks
-    ]
+
+    def run(downlink):
+        return netsim.simulate(trace, _link_from_args(args, downlink), timing, args.refresh_hz, mtp_limit)
 
     if args.sweep_downlink is None:
-        sim = reports[0]
+        sim = run(args.downlink)
         if args.format == "json":
             return _output(args, lambda out: out.write(sim.to_json()), "report")
         if args.format == "csv":
             return _output(args, sim.write_csv, "report")
         return _emit_scalar(args, "simulate", vars(sim.aggregates), ".4f")
 
-    rows = [
-        {"downlink": downlink.strip(), "displayed": agg.displayed_count, "dropped": agg.dropped_count,
-         "mean_e2e_ms": agg.mean_e2e_ms, "p99_e2e_ms": agg.p99_e2e_ms, "mtp_violations": agg.mtp_violations}
-        for downlink, agg in zip(downlinks, (sim.aggregates for sim in reports))
-    ]
+    rows = []
+    for downlink in args.sweep_downlink.split(","):
+        # a sweep prints only aggregates, so each run's report, per-frame columns and all, goes as the run ends
+        agg = run(downlink).aggregates
+        rows.append({"downlink": downlink.strip(), "displayed": agg.displayed_count, "dropped": agg.dropped_count,
+                     "mean_e2e_ms": agg.mean_e2e_ms, "p99_e2e_ms": agg.p99_e2e_ms,
+                     "mtp_violations": agg.mtp_violations})
     lines = [
         f"{r['downlink']:>10}  displayed={r['displayed']}  dropped={r['dropped']}"
         f"  mean={report.text_value(r['mean_e2e_ms'], args.units, '.3f')}"

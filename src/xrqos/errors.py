@@ -377,6 +377,18 @@ def _read(cls, obj: dict, path: str):
     return cls(**values)
 
 
+def _check_bounds(obj) -> None:
+    """Check each field of the record ``obj`` within the bounds its ``_json`` declares, as ``_read`` checks a JSON
+    record's: a None is not checked, and each value of a table is. A record calls it from ``__post_init__``, so one
+    built in code meets the ranges a loaded one does."""
+    name = type(obj).__name__
+    for attr, key, kind, _, _, bounds, _ in _plan(type(obj))[0]:
+        if bounds and (value := getattr(obj, attr)) is not None:
+            named = ((f"{key}.{item}", v) for item, v in value.items()) if kind == "a table" else ((key, value),)
+            for where, number in named:
+                require(f"{name}.{where}", number, **bounds)
+
+
 def _unless_none(convert, column):
     """``convert(value)`` for each value of ``column``, a None left as it is."""
     return (None if value is None else convert(value) for value in column)

@@ -20,8 +20,8 @@ So a frame's loss chain is the same at every rate, and for the first
 attempt in both modes: for each attempt that loses any packet, how many are
 still lost and, when the short last packet is among them, its bits. One
 builder makes the chains from the trace's size column, a frame's position
-giving its stream key; it splits each distinct frame size into packets once
-(a trace holds two or three sizes), and the frame loop splits none.
+giving its stream key; it reads each distinct size's split and the packet
+bound from ``tracegen.packet_splits``, and the frame loop splits none.
 ``simulate`` keeps one lossy run's chains, keyed by the trace's identity
 (traces are frozen) and (seed, p, MTU), for later runs of a sweep to replay;
 another trace or key rebuilds them, and they are dropped with their trace.
@@ -59,7 +59,7 @@ from . import _EXPORTS, report
 from .errors import Columns, DomainError, _json, _write, record, require
 from .latency import PipelineTiming
 from .reliability import DEFAULT_MSS_BITS
-from .tracegen import MAX_PACKETS, FrameTrace, packet_split
+from .tracegen import FrameTrace, packet_splits
 
 __all__ = _EXPORTS["netsim"].split()
 
@@ -167,13 +167,14 @@ def _lost_packets(seed: int, frame_index: int, attempt: int, count: int, loss_pr
         return []
     if loss_prob >= 1.0:
         return list(range(count))
-    return _walk(f"{seed}:{frame_index}:{attempt}:", count, math.log1p(-loss_prob))
+    return _walk(seed, frame_index, attempt, count, math.log1p(-loss_prob))
 
 
-def _walk(prefix: str, count: int, log_keep: float) -> list[int]:
-    """``_lost_packets``' walk over the stream whose block keys are ``prefix`` and the block number, at
-    ``log_keep`` = log(1 - p) for a p strictly between 0 and 1."""
+def _walk(seed: int, frame: int, attempt: int, count: int, log_keep: float) -> list[int]:
+    """``_lost_packets``' walk over the stream of (seed, frame, attempt), whose block keys are
+    "seed:frame:attempt:block", at ``log_keep`` = log(1 - p) for a p strictly between 0 and 1."""
     blake2b, unpack, log = hashlib.blake2b, _BLOCK.unpack, math.log  # read per call, so a test can patch them
+    prefix = f"{seed}:{frame}:{attempt}:"
     lost = []
     position = -1
     last = count - 1
@@ -187,20 +188,6 @@ def _walk(prefix: str, count: int, log_keep: float) -> list[int]:
             position += int(gap) + 1
             lost.append(position)
         block += 1
-
-
-def _splits(trace: FrameTrace, mtu: int) -> dict:
-    """(packet count, last-packet bits) per distinct frame size of ``trace`` at the MTU.
-
-    A lossy run walks every packet of every attempt, so its trace may hold at
-    most ``MAX_PACKETS`` at the MTU; a trace that holds more is rejected here,
-    before any draw.
-    """
-    sizes = trace.size_bits
-    splits = {size: packet_split(size, mtu) for size in set(sizes)}
-    if sum(sizes) > (MAX_PACKETS - len(sizes)) * mtu:  # a frame takes at most size / mtu + 1 packets
-        require("packets of a lossy run", sum(splits[size][0] for size in sizes), ge=0, le=MAX_PACKETS)
-    return splits
 
 
 def _build_chains(link: LinkModel, sizes, splits: dict, depth: int) -> tuple[list, dict]:
@@ -217,7 +204,7 @@ def _build_chains(link: LinkModel, sizes, splits: dict, depth: int) -> tuple[lis
     chains, pending = [], {}
     for frame, size in enumerate(sizes):
         count, last_bits = splits[size]
-        lost = _walk(f"{seed}:{frame}:0:", count, log_keep)
+        lost = _walk(seed, frame, 0, count, log_keep)
         if lost:
             chains.append(((len(lost), last_bits if lost[-1] == count - 1 else None),))
             pending[frame] = lost
@@ -235,7 +222,7 @@ def _deepen(link: LinkModel, chains: list, pending: dict, depth: int) -> dict:
         chain = chains[frame]
         last_bits = chain[-1][1]
         while len(chain) < depth:  # what the last attempt lost goes again
-            again = set(_walk(f"{seed}:{frame}:{len(chain)}:", lost[-1] + 1, log_keep))
+            again = set(_walk(seed, frame, len(chain), lost[-1] + 1, log_keep))
             kept = [k for k in lost if k in again]
             if not kept:
                 break
@@ -265,12 +252,12 @@ def _loss_chains(trace: FrameTrace, link: LinkModel, depth: int):
         return repeat((), len(trace))
     mtu = link.mtu_payload_bits
     if link.loss_prob >= 1.0:  # certain loss: each attempt loses every packet, as _lost_packets says, and draws none
-        splits = _splits(trace, mtu)
+        splits = packet_splits(trace, mtu)
         return [(splits[size],) * depth for size in trace.size_bits]
     key = (str(link.seed), link.loss_prob, mtu)  # the stream keys on the seed's text
     memo = _chains_memo
     if memo is None or memo[0]() is not trace or memo[1] != key:
-        chains, pending = _build_chains(link, trace.size_bits, _splits(trace, mtu), depth)
+        chains, pending = _build_chains(link, trace.size_bits, packet_splits(trace, mtu), depth)
     elif memo[2] < depth:
         chains = list(memo[3])  # a run still reading the memo's chains keeps them as they were
         pending = _deepen(link, chains, memo[4], depth)

@@ -17,7 +17,8 @@ from . import _EXPORTS, capacity
 from .capacity import BitDepth, CompressionProfile
 from .codec import GopConfig, RenderSurface
 from .errors import (
-    ConfigError, DomainError, ProfileError, UnknownKeyError, _check_keys, _field, _json, _objects, _read, record,
+    ConfigError, DomainError, ProfileError, UnknownKeyError, _check_bounds, _check_keys, _field, _json, _objects, _read,
+    record,
 )
 from .geometry import FovSpec, Resolution
 from .latency import LatencyBudget, PipelineTiming
@@ -66,6 +67,9 @@ class RefreshMode:
     full_video: Resolution | None = _json("an object", None, of=Resolution)
     ppd: float | None = _json("a number", None, gt=0)
 
+    def __post_init__(self) -> None:
+        _check_bounds(self)
+
 
 @record
 class PublishedRate:
@@ -102,8 +106,9 @@ class DeviceProfile:
     published_delivery_pct: float | None = _json("a number", None, ge=0, le=100)
 
     def __post_init__(self) -> None:
-        # Every device check runs here, so a bad profile fails at load: its depth, and each mode's ppd,
+        # Every device check runs here, so a bad profile fails at load: its ranges, its depth, and each mode's ppd,
         # which must exist (mode_ppd raises otherwise) and, stored beside a render target, agree with it.
+        _check_bounds(self)
         BitDepth.from_bpc(self.depth_bpc, self.chroma)
         if not self.refresh_modes:
             raise ProfileError(f"device {self.name!r}: refresh_modes must list at least one mode")
@@ -178,6 +183,7 @@ class StageProfile:
     def __post_init__(self) -> None:
         # Build each model object whose fields are all present, so a bad value fails at load rather
         # than at first use; a stage may still leave out what only the GOP model needs.
+        _check_bounds(self)
         if self.bpc is not None:
             BitDepth.from_bpc(self.bpc, self.chroma)
         self.compression()

@@ -140,11 +140,25 @@ def packet_split(size_bits: int, mtu_payload_bits: int) -> tuple[int, int]:
     """(packet count, bits of the last packet) of one frame.
 
     A frame is full-MTU packets plus one remainder packet; an empty frame
-    still takes one (empty) packet. ``packetize`` and the link simulator
-    both split frames by this rule.
+    still takes one (empty) packet.
     """
     count = max(1, math.ceil(size_bits / mtu_payload_bits))
     return count, size_bits - mtu_payload_bits * (count - 1)
+
+
+def packet_splits(trace: FrameTrace, mtu_payload_bits: int) -> dict:
+    """``packet_split`` of each distinct frame size of ``trace`` (a trace holds two or three), keyed by size.
+
+    ``packetize`` and the link simulator both split a trace here. A trace may
+    hold at most ``MAX_PACKETS`` packets at the MTU; one that holds more is
+    rejected here, before any packet is made or any loss is drawn.
+    """
+    require("mtu payload", mtu_payload_bits, gt=0)
+    sizes = trace.size_bits
+    splits = {size: packet_split(size, mtu_payload_bits) for size in set(sizes)}
+    if sum(sizes) > (MAX_PACKETS - len(sizes)) * mtu_payload_bits:  # a frame takes at most size / mtu + 1 packets
+        require("packet count", sum(splits[size][0] for size in sizes), ge=0, le=MAX_PACKETS)
+    return splits
 
 
 def packetize(trace: FrameTrace, mtu_payload_bits: int) -> Columns:
@@ -154,11 +168,10 @@ def packetize(trace: FrameTrace, mtu_payload_bits: int) -> Columns:
     The table is built from the trace's size and generation-time columns, and
     builds no record until one is read.
     """
-    require("mtu payload", mtu_payload_bits, gt=0)
-    splits = [packet_split(size, mtu_payload_bits) for size in trace.size_bits]
-    require("packet count", sum(count for count, _ in splits), ge=0, le=MAX_PACKETS)
+    splits = packet_splits(trace, mtu_payload_bits)
     frame_index, packet_index, size_bits, t_ready = [], [], [], []
-    for index, (t_gen, (count, last_bits)) in enumerate(zip(trace.t_gen, splits)):
+    for index, (t_gen, size) in enumerate(zip(trace.t_gen, trace.size_bits)):
+        count, last_bits = splits[size]
         frame_index += repeat(index, count)
         packet_index += range(count)
         size_bits += repeat(mtu_payload_bits, count - 1)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -368,6 +369,22 @@ class TestTraceAndSimulate:
         )
         assert code == 0
         assert out.count("displayed=") == 3
+
+    def test_a_sweep_keeps_no_report_past_its_run(self, capsys, monkeypatch):
+        from xrqos import netsim
+        simulate, reports, alive = netsim.simulate, [], []
+
+        def tracked(*args):
+            alive.append(sum(ref() is not None for ref in reports))  # earlier runs' reports still held
+            report = simulate(*args)
+            reports.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr(netsim, "simulate", tracked)
+        code, out, _ = run_cli(capsys, "simulate", *SHORT_TRACE, "--refresh-hz", "90", "--sweep-downlink",
+                               "5M,50M,500M")
+        assert code == 0 and out.count("displayed=") == 3
+        assert alive == [0, 0, 0]
 
     def test_simulate_sweep_of_one_rate_is_a_one_row_sweep(self, capsys, cli_schema):
         payload = run_json(capsys, cli_schema, "simulate", *SHORT_TRACE, *SHORT_LINK, "--sweep-downlink", "50M")

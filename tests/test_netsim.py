@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from xrqos.codec import FrameSizes, GopConfig
 from xrqos.errors import DomainError
 from xrqos.latency import LatencyBudget, PipelineTiming, budget_check
-from xrqos import netsim
+from xrqos import netsim, tracegen
 from xrqos.netsim import LinkModel, _lost_packets, simulate
 from xrqos.reliability import DEFAULT_MSS_BITS
 from xrqos.tracegen import (FrameRecord, FrameTrace, PacketRecord, export_packets, export_trace, generate_trace,
@@ -915,7 +915,7 @@ class TestDrawCost:
         link = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, mode=mode)
         expected = simulate(trace, link, PipelineTiming(), 90.0, 20.0)
         # the chain builder splits each distinct frame size once and walks one stream per frame and attempt
-        monkeypatch.setattr(netsim, "packet_split", counted("packet_split", packet_split))
+        monkeypatch.setattr(tracegen, "packet_split", counted("packet_split", packet_split))
         monkeypatch.setattr(netsim, "_walk", counted("_walk", netsim._walk))
         assert simulate(trace, link, PipelineTiming(), 90.0, 20.0) == expected
         assert calls == {}
@@ -964,7 +964,7 @@ class TestBoundary:
         # 90 frames of 1e9 bits at an 8-bit MTU: 1.125e10 packets, far past the ceiling
         trace = small_trace(frames=90, fps=90.0, i_bits=10**9, p_bits=10**9)
         link = LinkModel(downlink_bps=1e9, loss_prob=loss_prob, mtu_payload_bits=8)
-        with pytest.raises(DomainError, match="packets of a lossy run"):
+        with pytest.raises(DomainError, match="packet count"):
             simulate(trace, link, PipelineTiming(), 90.0, 20.0)
         assert digests == []  # rejected before any draw
         report = simulate(trace, dataclasses.replace(link, loss_prob=0.0), PipelineTiming(), 90.0, 20.0)
@@ -974,8 +974,8 @@ class TestBoundary:
         # 3 frames of 10 bits at a 4-bit MTU: 3 packets each
         trace = small_trace(frames=3, i_bits=10, p_bits=10)
         link = LinkModel(downlink_bps=1e6, loss_prob=0.5, mtu_payload_bits=4)
-        monkeypatch.setattr(netsim, "MAX_PACKETS", 9)
+        monkeypatch.setattr(tracegen, "MAX_PACKETS", 9)
         simulate(trace, link, PipelineTiming(), 90.0, 20.0)
-        monkeypatch.setattr(netsim, "MAX_PACKETS", 8)
+        monkeypatch.setattr(tracegen, "MAX_PACKETS", 8)
         with pytest.raises(DomainError, match="got 9"):
             simulate(dataclasses.replace(trace), link, PipelineTiming(), 90.0, 20.0)

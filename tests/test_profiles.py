@@ -3,8 +3,12 @@ import math
 
 import pytest
 
-from xrqos.errors import ConfigError, ProfileError, UnknownKeyError
+from xrqos.errors import ConfigError, DomainError, ProfileError, UnknownKeyError
+from xrqos.geometry import FovSpec
 from xrqos.profiles import (
+    DeviceProfile,
+    RefreshMode,
+    StageProfile,
     builtin_registry,
     load_profiles,
     reproduce_quest2_table,
@@ -258,6 +262,46 @@ class TestUserFiles:
         with pytest.raises(ProfileError) as excinfo:
             load_profiles(bad)
         assert "ppd" in str(excinfo.value)
+
+
+def _device(**changes) -> DeviceProfile:
+    return DeviceProfile(**{"name": "d", "fov": FovSpec(100, 100), "depth_bpc": 8,
+                            "refresh_modes": (RefreshMode(60.0, ppd=10.0),), **changes})
+
+
+# A record built in code meets the ranges its fields declare for JSON; each row's value is past one.
+BAD_RECORDS_IN_CODE = {
+    "mode hz negative": (lambda: RefreshMode(hz=-5), "RefreshMode.hz must be positive and finite, got -5"),
+    "mode hz beyond every float": (lambda: RefreshMode(hz=10**400), "RefreshMode.hz must be positive and finite"),
+    "mode ppd zero": (lambda: RefreshMode(hz=60.0, ppd=0.0), "RefreshMode.ppd must be positive and finite"),
+    "device ppd infinite": (lambda: _device(ppd=math.inf), "DeviceProfile.ppd must be positive and finite"),
+    "device mtp negative": (lambda: _device(mtp_limits_ms={"strong": -1.0}),
+                            "DeviceProfile.mtp_ms.strong must be positive"),
+    "device loss above one": (lambda: _device(published_loss_rate=2.0),
+                              r"DeviceProfile.published_loss_rate must lie in \[0, 1\]"),
+    "device delivery above 100": (lambda: _device(published_delivery_pct=101.0),
+                                  r"DeviceProfile.published_delivery_pct must lie in \[0, 100\]"),
+    "stage fps negative": (lambda: StageProfile("t", "s", fps={"strong": -90.0}),
+                           "StageProfile.fps.strong must be positive and finite, got -90.0"),
+    "stage mtp zero": (lambda: StageProfile("t", "s", mtp_ms={"weak": 20.0, "strong": 0}),
+                       "StageProfile.mtp_ms.strong must be positive"),
+    "stage loss above one": (lambda: StageProfile("t", "s", loss_rate={"strong": 7.0}),
+                             r"StageProfile.loss_rate.strong must lie in \[0, 1\], got 7.0"),
+}
+
+
+class TestRecordsBuiltInCode:
+    @pytest.mark.parametrize("build, message", BAD_RECORDS_IN_CODE.values(), ids=list(BAD_RECORDS_IN_CODE))
+    def test_a_value_past_a_declared_range_is_rejected(self, build, message):
+        with pytest.raises(DomainError, match=message):
+            build()
+
+    def test_values_at_the_ranges_edges_and_nones_are_accepted(self):
+        assert RefreshMode(hz=1e-9).ppd is None
+        device = _device(published_loss_rate=0.0, published_delivery_pct=100, mtp_limits_ms={"strong": 1e-9})
+        assert device.published_loss_rate == 0.0 and device.ppd is None
+        stage = StageProfile("t", "s", fps={"strong": 90}, loss_rate={"strong": 1.0, "weak_2d": 0})
+        assert stage.loss_rate == {"strong": 1.0, "weak_2d": 0}
 
 
 class TestQuest2Table:

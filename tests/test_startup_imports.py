@@ -96,6 +96,8 @@ def test_a_trace_without_a_stage_profile_loads_no_registry(argv, tmp_path):
     "argv",
     [["latency", "refresh", "--hz", "90"], ["table", "summary"],
      ["latency", "budget", "--limit", "20", "--render", "5"], ["profiles", "show", "quest2"],
+     # each copies a registry record with one field changed
+     ["latency", "budget", "--limit", "20", "--pipeline", "local_vr"], ["profiles", "show", "quest2@90"],
      ["gop", "bitrate", "--stage-profile", "huawei_ilab/comfortable"],
      # LinkModel, PipelineTiming and Aggregates built by keyword, and a text report
      pytest.param(["simulate", "--i-bits", "200000", "--p-bits", "40000", "--fps", "30", "--duration", "1",

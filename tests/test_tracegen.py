@@ -242,6 +242,14 @@ class TestPacketize:
         with pytest.raises(DomainError):
             packetize([], 0)
 
+    def test_splits_each_distinct_frame_size_once(self, monkeypatch):
+        trace = generate_trace(FrameSizes(50_000, 9_000), GopConfig(1.0, 30.0), 2.0)
+        expected = packetize(trace, 11680)
+        split, sizes = tracegen.packet_split, []
+        monkeypatch.setattr(tracegen, "packet_split", lambda size, mtu: sizes.append(size) or split(size, mtu))
+        assert packetize(trace, 11680) == expected
+        assert len(trace) == 60 and sorted(sizes) == sorted(set(trace.size_bits)) == [9_900, 55_000]
+
     @settings(max_examples=150, deadline=None)
     @given(
         i_bits=st.integers(min_value=1, max_value=500_000),
