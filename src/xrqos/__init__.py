@@ -27,8 +27,7 @@ _EXPORTS = {
     "errors": "ConfigError DomainError ProfileError UnknownKeyError XrqosError",
     "geometry": "Angle FovSpec PhysicalSize Resolution fov_from_physical ppd_from_cone_density ppd_from_fov "
                 "ppd_from_physical ppi ppi_from_diagonal scale_resolution",
-    "latency": "BudgetReport LatencyBudget PipelineTiming RefreshDelay StageKey budget_check mtp_limit_for "
-               "refresh_delay stream_latency",
+    "latency": "BudgetReport LatencyBudget PipelineTiming RefreshDelay budget_check refresh_delay stream_latency",
     "netsim": "Aggregates FrameResult LinkModel SimReport simulate",
     "profiles": "DeviceProfile ProfileRegistry PublishedRate RefreshMode StageProfile builtin_registry load_profiles "
                 "reproduce_quest2_table reproduce_summary_table",

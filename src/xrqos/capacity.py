@@ -81,7 +81,7 @@ class CompressionProfile:
 UNCOMPRESSED = CompressionProfile("raw", 1.0)
 
 
-@record(order=True)
+@record
 class BitRate:
     """A non-negative rate in raw bits per second."""
 

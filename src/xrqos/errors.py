@@ -38,10 +38,10 @@ class ProfileError(XrqosError, ValueError):
 #
 # A record is what ``@dataclass(frozen=True)`` makes, built for less: the stdlib loads ``inspect`` and compiles
 # six methods per class, and that was most of a CLI command's start-up. A record keeps its own field table and
-# compiles nothing: its ``__init__``, equality, hash, repr, order and frozen ``__setattr__``/``__delattr__`` are
-# the shared functions below. ``_record_init`` sets each field through ``object.__setattr__``, as the stdlib's
+# compiles nothing: its ``__init__``, equality, hash, repr and frozen ``__setattr__``/``__delattr__`` are the
+# shared functions below. ``_record_init`` sets each field through ``object.__setattr__``, as the stdlib's
 # ``__init__`` does, so an instance keeps the layout (and the pickle) it had; a call that does not give every
-# field by position is bound from the class's ``_record_binding``. The comparisons and the hash read the class's
+# field by position is bound from the class's ``_record_binding``. Equality and the hash read the class's
 # ``_record_values``: the tuple of its field values. What only introspection reads (the dataclass view, the
 # signature) and the ``TypeError`` of a call that does not fit come from the record's twin: a real frozen dataclass
 # with the same fields, built on first use.
@@ -62,19 +62,18 @@ class _Field:
 class _Twin:
     """A record's ``__dataclass_fields__``, ``__dataclass_params__`` or ``__signature__`` (for ``fields``, ``replace``,
     ``is_dataclass`` and ``inspect.signature``), or its ``_record_twin``. The first read of any has ``dataclasses``
-    build the twin, a frozen dataclass with the record's qualified name, fields and order, and sets all four on the
-    record, each in one assignment, so that readers on two threads get equal values."""
+    build the twin, a frozen dataclass with the record's qualified name and fields, and sets all four on the record,
+    each in one assignment, so that readers on two threads get equal values."""
 
-    def __init__(self, name: str, order: bool) -> None:
-        self.name, self.order = name, order
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def __get__(self, obj, cls):
         import dataclasses
         import inspect
         spec = [(f.name, f.type, dataclasses.field(metadata=f.metadata, **{k: v for k in ("default", "default_factory")
                  if (v := getattr(f, k)) is not _MISSING})) for f in cls._record_fields]
-        twin = dataclasses.make_dataclass(cls.__name__, spec, namespace={"__qualname__": cls.__qualname__},
-                                          frozen=True, order=self.order)
+        twin = dataclasses.make_dataclass(cls.__name__, spec, namespace={"__qualname__": cls.__qualname__}, frozen=True)
         made = {"__dataclass_fields__": twin.__dataclass_fields__, "__dataclass_params__": twin.__dataclass_params__,
                 "__signature__": inspect.signature(twin), "_record_twin": twin}
         for name, value in made.items():
@@ -82,18 +81,11 @@ class _Twin:
         return made[self.name]
 
 
-def _compare(compare, name: str):
-    def method(self, other):
-        cls = self.__class__
-        if other.__class__ is cls:
-            return compare(cls._record_values(self), cls._record_values(other))
-        return NotImplemented
-
-    method.__name__ = name
-    return method
-
-
-_ORDER = {f"__{op}__": _compare(getattr(operator, op), f"__{op}__") for op in ("lt", "le", "gt", "ge")}
+def _eq(self, other):
+    cls = self.__class__
+    if other.__class__ is cls:
+        return cls._record_values(self) == cls._record_values(other)
+    return NotImplemented
 
 
 def _hash(self) -> int:
@@ -118,8 +110,7 @@ def _delattr(self, name: str) -> None:
 # object.__setattr__ bound to an instance: it sets a field past the record's frozen __setattr__
 _SETTER = object.__setattr__.__get__
 
-_METHODS = {"__eq__": _compare(operator.eq, "__eq__"), "__hash__": _hash, "__repr__": _repr,
-            "__setattr__": _setattr, "__delattr__": _delattr}
+_METHODS = {"__eq__": _eq, "__hash__": _hash, "__repr__": _repr, "__setattr__": _setattr, "__delattr__": _delattr}
 
 
 def _record_init(self, /, *args, **kwargs) -> None:
@@ -148,16 +139,14 @@ def _record_init(self, /, *args, **kwargs) -> None:
         self.__post_init__()
 
 
-def record(cls=None, /, *, order: bool = False):
-    """``@dataclass(frozen=True)``, or ``(frozen=True, order=True)`` with ``order``, at a fraction of its cost.
+def record(cls):
+    """``@dataclass(frozen=True)`` at a fraction of its cost.
 
     Each annotation in the class body is a field and an ``__init__`` parameter; a value assigned to it is its
     default, or a ``_Field`` with a default factory or metadata. The class keeps its fields in ``_record_fields``,
     and ``fields``, ``replace``, ``is_dataclass``, ``inspect.signature`` (through ``_Twin``) and pickling work as on
     any dataclass.
     """
-    if cls is None:
-        return functools.partial(record, order=order)
     all_fields, defaulted = [], False
     for name, annotation in vars(cls).get("__annotations__", {}).items():
         value = vars(cls).get(name, _MISSING)
@@ -187,11 +176,11 @@ def record(cls=None, /, *, order: bool = False):
     cls._record_binding = defaults, plain[start:], required, factories
     cls._record_post_init = hasattr(cls, "__post_init__")
     cls.__init__ = _record_init
-    for name, method in (_METHODS | _ORDER if order else _METHODS).items():
+    for name, method in _METHODS.items():
         if name not in vars(cls):
             setattr(cls, name, method)
     for name in ("__dataclass_fields__", "__dataclass_params__", "__signature__", "_record_twin"):
-        setattr(cls, name, _Twin(name, order))
+        setattr(cls, name, _Twin(name))
     return cls
 
 

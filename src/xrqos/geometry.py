@@ -86,7 +86,8 @@ class FovSpec:
             value = getattr(self, name)
             if not isinstance(value, Angle):
                 object.__setattr__(self, name, Angle(float(value)))
-        require("vertical fov in degrees", self.vertical.degrees, ge=0, le=180)
+        require("horizontal fov in degrees", self.horizontal.degrees, gt=0)
+        require("vertical fov in degrees", self.vertical.degrees, gt=0, le=180)
 
 
 def ppi(res: Resolution, size: PhysicalSize) -> float:

@@ -4,14 +4,13 @@ The end-to-end delay splits into sensing, rendering, streaming (encode + transmi
 and display (panel response plus the wait for the next VSync tick). ``budget_check`` is the one
 closed-form sum of these terms; ``netsim.simulate`` adds the same terms per frame, with the link's
 times as ``comm_ul`` and ``comm_dl`` and the actual VSync wait. Stage-dependent MTP ceilings come
-from the profiles registry.
+from the profiles registry (``ProfileRegistry.stage_value("mtp_ms", ...)``).
 """
 from __future__ import annotations
 
 import math
 
 from . import _EXPORTS
-from .capacity import BitRate
 from .errors import DomainError, _Field, _json, record, require
 
 __all__ = _EXPORTS["latency"].split()
@@ -35,15 +34,6 @@ class PipelineTiming:
     def __post_init__(self) -> None:
         for f in self._record_fields:
             require(f.name, getattr(self, f.name), ge=0)
-
-
-@record
-class StageKey:
-    """Addresses one (taxonomy, stage, interaction) cell of the stage registry."""
-
-    taxonomy: str
-    stage: str
-    interaction: str | None = None
 
 
 @record
@@ -99,13 +89,12 @@ def refresh_delay(refresh_hz: float) -> RefreshDelay:
     return RefreshDelay(max_ms=max_ms, avg_ms=max_ms / 2.0)
 
 
-def stream_latency(t_encode: float, frame_bits: float, throughput: BitRate | float, t_decode: float) -> float:
+def stream_latency(t_encode: float, frame_bits: float, throughput: float, t_decode: float) -> float:
     """Encode + transmit + decode time for one frame, milliseconds.
 
-    Transmission is the frame size over the available bit rate.
+    Transmission is the frame size over the available bit rate, ``throughput`` bits per second.
     """
-    rate_bps = throughput.bps if isinstance(throughput, BitRate) else float(throughput)
-    require("throughput", rate_bps, gt=0, le=math.inf)
+    rate_bps = require("throughput", throughput, gt=0, le=math.inf)
     require("encode time", t_encode, ge=0)
     require("decode time", t_decode, ge=0)
     require("frame size", frame_bits, ge=0)
@@ -132,11 +121,3 @@ def budget_check(budget: LatencyBudget) -> BudgetReport:
     remaining = budget.mtp_limit - require("total delay", sum(ms for _, ms in breakdown), ge=0)
     return BudgetReport(remaining_ms=remaining, violated=remaining < 0, breakdown=tuple(breakdown))
 
-
-def mtp_limit_for(key: StageKey, registry=None) -> float:
-    """The registered MTP ceiling in milliseconds for a stage key."""
-    if registry is None:
-        from .profiles import builtin_registry
-
-        registry = builtin_registry()
-    return registry.stage_value("mtp_ms", key.taxonomy, key.stage, key.interaction)

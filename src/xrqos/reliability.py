@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from . import DEFAULT_MSS_BITS, _EXPORTS
-from .capacity import BitRate
 from .errors import record, require
 
 __all__ = _EXPORTS["reliability"].split()
@@ -27,14 +26,14 @@ class LossModel:
         require("mss", self.mss_bits, gt=0)
 
 
-def max_loss_rate(model: LossModel, throughput: BitRate | float, rtt: float) -> float:
+def max_loss_rate(model: LossModel, throughput: float, rtt: float) -> float:
     """Largest tolerable loss probability: (MSS / (throughput * RTT))^2.
 
-    ``rtt`` is in seconds. The square is clamped to 1 since tiny
-    bandwidth-delay products would otherwise push it past certainty.
+    ``throughput`` is in bits per second and ``rtt`` in seconds. The square
+    is clamped to 1 since tiny bandwidth-delay products would otherwise push
+    it past certainty.
     """
-    rate_bps = throughput.bps if isinstance(throughput, BitRate) else float(throughput)
-    require("throughput", rate_bps, gt=0, le=math.inf)
+    rate_bps = require("throughput", throughput, gt=0, le=math.inf)
     require("rtt", rtt, gt=0)
     ratio = model.mss_bits / require("bandwidth-delay product", rate_bps * rtt, gt=0, le=math.inf)
     return min(ratio * ratio, 1.0)

@@ -35,7 +35,7 @@ from xrqos.geometry import (
     ppi_from_diagonal,
     scale_resolution,
 )
-from xrqos.latency import PipelineTiming, StageKey, mtp_limit_for, refresh_delay
+from xrqos.latency import PipelineTiming, refresh_delay
 from xrqos.netsim import LinkModel, simulate
 from xrqos.profiles import builtin_registry, reproduce_quest2_table, reproduce_summary_table
 from xrqos.reliability import LossModel, delivery_success, max_loss_rate
@@ -195,8 +195,9 @@ def test_criterion_07_latency():
         (("huawei2016", "advanced", "weak_3d"), 20),
         (("huawei2016", "ultimate", "weak_3d"), 10),
     ]
+    registry = builtin_registry()
     for key, want in lookups:
-        got = mtp_limit_for(StageKey(*key))
+        got = registry.stage_value("mtp_ms", *key)
         _check(failures, "/".join(key), got == want, f"{got} vs {want}")
     _finish(7, "latency limits", failures)
 

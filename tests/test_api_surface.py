@@ -14,11 +14,6 @@ PACKAGE = Path(xrqos.__file__).resolve().parent
 README = PACKAGE.parent.parent / "README.md"
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 
-# Public functions and classes that the package and README never name, each kept for a reason given here.
-TEST_ONLY_ALLOWED = {
-    "latency.mtp_limit_for": "the acceptance suite looks up each stage's published MTP ceiling with it",
-}
-
 
 @pytest.mark.parametrize("name", xrqos._EXPORTS)
 def test_every_exported_name_resolves(name):
@@ -86,4 +81,4 @@ def test_no_public_api_only_tests_use():
         if (inspect.isfunction(value) or inspect.isclass(value)) and export not in used \
                 and not re.search(rf"\b{export}\b", readme):
             unused.append(f"{name}.{export}")
-    assert sorted(unused) == sorted(TEST_ONLY_ALLOWED)
+    assert unused == []

@@ -584,6 +584,7 @@ class TestInputBoundary:
             ["--format", "json", "capacity", "sphere", "--ppd", "1e200", "--bpp", "24", "--fps", "77"],
             ["latency", "stream", "--frame-bits", "1e308", "--throughput", "1"],
             ["capacity", "hmd", "--resolution", "0x100", "--bpp", "24", "--fps", "90"],
+            ["capacity", "eye-like", "--ppd", "60", "--fov", "0x90", "--bpp", "24", "--fps", "90"],
             ["latency", "limits", "--taxonomy", "hu2020"],
             ["latency", "limits", "--stage", "advanced", "--interaction", "strong"],
             ["reliability", "requirements", "--interaction", "strong"],
@@ -593,7 +594,8 @@ class TestInputBoundary:
              "refresh-hz-nan", "budget-limit-nan", "ppi-size-nan", "ppd-fov-nan", "scale-from-fov-nan",
              "trace-i-bits-nan", "trace-duration-nan", "trace-gop-time-nan", "simulate-fps-inf",
              "sphere-bitrate-overflows", "sphere-bitrate-overflows-json", "stream-latency-overflows",
-             "resolution-zero-width", "limits-taxonomy-only", "limits-stage-only", "requirements-interaction-only"],
+             "resolution-zero-width", "fov-zero-width", "limits-taxonomy-only", "limits-stage-only",
+             "requirements-interaction-only"],
     )
     def test_non_finite_model_input(self, capsys, argv):
         assert_domain_error(*run_cli(capsys, *argv))

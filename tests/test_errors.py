@@ -136,6 +136,8 @@ OVERFLOW_PROBES = {
     "stream_latency": lambda: stream_latency(0, 1e308, 1, 0),
     "budget_check": lambda: budget_check(LatencyBudget(20, PipelineTiming(t_sense=1e308, t_render=1e308))),
     "max_loss_rate": lambda: max_loss_rate(LossModel(), TINY, 0.02),
+    "max_loss_rate throughput 10**400": lambda: max_loss_rate(LossModel(), 10**400, 0.02),
+    "stream_latency throughput 10**400": lambda: stream_latency(0, 1e6, 10**400, 0),
     "simulate refresh interval": lambda: simulate(
         generate_trace(FrameSizes(10, 5), GopConfig(1, 10), 1), LinkModel(1e8), PipelineTiming(), TINY, 20,
     ),

@@ -198,3 +198,11 @@ class TestValueTypes:
     def test_fovspec_vertical_cap(self):
         with pytest.raises(DomainError):
             FovSpec(100, 181)
+
+    @pytest.mark.parametrize("horizontal, vertical, message", [
+        (0, 90, "horizontal fov in degrees must be positive and finite, got 0.0"),
+        (90, 0, r"vertical fov in degrees must lie in \(0, 180\], got 0.0"),
+    ], ids=["horizontal", "vertical"])
+    def test_fovspec_extents_are_positive(self, horizontal, vertical, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            FovSpec(horizontal, vertical)

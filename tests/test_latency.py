@@ -9,9 +9,7 @@ from xrqos.latency import (
     BudgetReport,
     LatencyBudget,
     PipelineTiming,
-    StageKey,
     budget_check,
-    mtp_limit_for,
     refresh_delay,
     stream_latency,
 )
@@ -194,11 +192,15 @@ class TestStageLimits:
         ],
     )
     def test_registered_limits(self, taxonomy, stage, interaction, expected):
-        assert mtp_limit_for(StageKey(taxonomy, stage, interaction)) == expected
+        from xrqos.profiles import builtin_registry
+
+        assert builtin_registry().stage_value("mtp_ms", taxonomy, stage, interaction) == expected
 
     def test_unknown_key_lists_valid_ones(self):
+        from xrqos.profiles import builtin_registry
+
         with pytest.raises(UnknownKeyError) as excinfo:
-            mtp_limit_for(StageKey("huawei2016", "imaginary", "strong"))
+            builtin_registry().stage_value("mtp_ms", "huawei2016", "imaginary", "strong")
         assert "huawei2016/pre_vr" in str(excinfo.value)
 
     def test_all_registered_limits_within_envelope(self):

@@ -5,10 +5,12 @@ when it is imported: a record keeps its own field table, and a function that nee
 Nor ``csv``: ``report`` imports it in ``write_rows``, so a command that writes no CSV does not load it.
 No module compiles code at run time: none calls ``eval`` or ``exec``. No module names an argparse internal (an
 attribute of ``argparse``, of a parser, of its subparsers action, of an ``Action`` or of a ``Namespace`` whose name
-starts with one underscore): the CLI builds its command tree on argparse's public API alone.
+starts with one underscore): the CLI builds its command tree on argparse's public API alone. Each module imports
+only the package modules ``MAY_IMPORT`` gives it, and an edge up the layers only inside the function ``LATE`` names.
 """
 import argparse
 import ast
+import graphlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xrqos"
@@ -166,3 +168,96 @@ def test_the_argparse_walk_catches_each_form():
     assert names_argparse_internals(ast.parse(source)) == [
         "2: _SubParsersAction", "3: _SubParsersAction", "4: _get_values", "5: _name_parser_map",
         "5: _choices_actions"]
+
+
+# Each module and the package modules it may import, when it is imported or inside a function; "xrqos" is the
+# package itself (its export list and DEFAULT_MSS_BITS). The models at the bottom import only ``errors``.
+MAY_IMPORT = {
+    "__init__": set(),
+    "errors": {"xrqos"},
+    "geometry": {"xrqos", "errors"},
+    "capacity": {"xrqos", "errors", "geometry"},
+    "codec": {"xrqos", "errors", "geometry", "capacity"},
+    "latency": {"xrqos", "errors"},
+    "reliability": {"xrqos", "errors"},
+    "report": {"xrqos", "errors", "geometry", "capacity"},
+    "tracegen": {"xrqos", "errors", "codec", "report"},
+    "netsim": {"xrqos", "errors", "latency", "reliability", "tracegen", "report"},
+    "profiles": {"xrqos", "errors", "geometry", "capacity", "codec", "latency", "reliability"},
+    "cli": {"xrqos", "errors", "report"},
+}
+# Edges up the layers, each allowed only inside the functions named (every function of a module named alone), so
+# that the module below loads without the one above: a CLI command loads the modules it runs, and
+# ``requirements_report`` loads the registry it reads.
+LATE = {"cli": set(MAY_IMPORT) - {"__init__", "cli"}, "report.requirements_report": {"profiles"}}
+
+
+def package_imports(tree: ast.AST, modules: set[str]) -> list[str]:
+    """``scope: module`` for each package module that ``tree`` imports, where scope is the qualified name of the
+    innermost function around the import, or "module" for one that runs when the module is imported. ``from . import
+    name`` imports the submodule ``name`` if ``modules`` has it, else the package, "xrqos". An import under ``if
+    TYPE_CHECKING:`` never runs, so it is not one."""
+    found = []
+
+    def visit(node: ast.AST, scope: str, path: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and isinstance(child.test, ast.Name) and child.test.id == "TYPE_CHECKING":
+                child = ast.Module(child.orelse, [])  # only its else branch runs
+            if isinstance(child, ast.ImportFrom) and (child.level or (child.module or "").split(".")[0] == "xrqos"):
+                inner = (child.module or "").removeprefix("xrqos").lstrip(".").split(".")[0]
+                found.extend(f"{scope}: {inner or (a.name if a.name in modules else 'xrqos')}" for a in child.names)
+            elif isinstance(child, ast.Import):
+                found.extend(f"{scope}: {a.name.partition('.')[2].split('.')[0] or 'xrqos'}" for a in child.names
+                             if a.name.split(".")[0] == "xrqos")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{path}.{child.name}" if path else child.name
+                visit(child, scope if isinstance(child, ast.ClassDef) else inner, inner)
+            else:
+                visit(child, scope, path)
+
+    visit(tree, "module", "")
+    return found
+
+
+def test_the_allowed_imports_have_no_cycle():
+    graphlib.TopologicalSorter(MAY_IMPORT).prepare()  # raises CycleError
+
+
+def test_each_module_imports_only_the_modules_it_may():
+    paths = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
+    assert set(paths) == set(MAY_IMPORT)
+    found = {}
+    for module, path in paths.items():
+        for line in package_imports(ast.parse(path.read_text(encoding="utf-8")), set(paths) - {"__init__"}):
+            scope, _, target = line.partition(": ")
+            late = set() if scope == "module" else LATE.get(module, set()) | LATE.get(f"{module}.{scope}", set())
+            if target not in MAY_IMPORT[module] | late:
+                found.setdefault(module, []).append(line)
+    assert found == {}
+
+
+def test_the_package_import_walk_sees_each_form_and_scope():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from . import _EXPORTS, report\n"
+        "from .errors import require\n"
+        "import xrqos.netsim\n"
+        "from xrqos.geometry.x import y\n"
+        "import json\n"
+        "if TYPE_CHECKING:\n"
+        "    from .profiles import ProfileRegistry\n"
+        "else:\n"
+        "    from . import codec\n"
+        "class C:\n"
+        "    from .capacity import BitRate\n"
+        "    def method(self):\n"
+        "        from . import tracegen\n"
+        "def f():\n"
+        "    def g():\n"
+        "        import xrqos\n"
+        "    from .latency import PipelineTiming\n"
+    )
+    modules = {"report", "errors", "netsim", "geometry", "profiles", "codec", "capacity", "tracegen", "latency"}
+    assert package_imports(ast.parse(source), modules) == [
+        "module: xrqos", "module: report", "module: errors", "module: netsim", "module: geometry", "module: codec",
+        "module: capacity", "C.method: tracegen", "f.g: xrqos", "f: latency"]

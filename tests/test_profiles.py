@@ -4,7 +4,7 @@ import math
 import pytest
 
 from xrqos.errors import ConfigError, DomainError, ProfileError, UnknownKeyError
-from xrqos.geometry import FovSpec
+from xrqos.geometry import FovSpec, Resolution
 from xrqos.profiles import (
     DeviceProfile,
     RefreshMode,
@@ -275,6 +275,8 @@ BAD_RECORDS_IN_CODE = {
     "mode hz beyond every float": (lambda: RefreshMode(hz=10**400), "RefreshMode.hz must be positive and finite"),
     "mode ppd zero": (lambda: RefreshMode(hz=60.0, ppd=0.0), "RefreshMode.ppd must be positive and finite"),
     "device ppd infinite": (lambda: _device(ppd=math.inf), "DeviceProfile.ppd must be positive and finite"),
+    "device fov zero wide": (lambda: _device(fov=FovSpec(0, 90), refresh_modes=(RefreshMode(60.0, Resolution(9, 9)),)),
+                             "horizontal fov in degrees must be positive and finite, got 0.0"),
     "device mtp negative": (lambda: _device(mtp_limits_ms={"strong": -1.0}),
                             "DeviceProfile.mtp_ms.strong must be positive"),
     "device loss above one": (lambda: _device(published_loss_rate=2.0),
