@@ -485,12 +485,13 @@ def _cmd_table_quest2(args) -> int:
 
 
 def _cmd_requirements(args) -> int:
-    """`report P...` and `table summary`: one column per device profile, one row per requirement."""
-    table = report.requirements_report(_registry(args), args.profiles)
+    """`report P...` and `table summary` (default profiles): a column per device profile, a row per requirement."""
+    profiles = getattr(args, "profiles", None)
+    table = report.requirements_report(_registry(args), profiles)
     if args.format == "csv":
         return _output(args, lambda out: out.write(report.report_to_csv(table)), "report")
     lines = report.report_to_text(table, args.units).splitlines()
-    return _emit(args, "report" if args.profiles else "table.summary", table, lines)
+    return _emit(args, "report" if profiles else "table.summary", table, lines)
 
 
 # -- traces and simulation ---------------------------------------------------------
@@ -619,9 +620,10 @@ _TRACE_SOURCE_FLAGS = (
 _OUTPUT = _arg("--output")
 _MTU = _arg("--mtu", type=int, default=DEFAULT_MSS_BITS)
 
-# Every command: a group maps its subcommands' names to theirs, and a leaf is (handler, flags[, defaults]).
+# Every command, each top-level one with its help: a group maps its subcommands' names to theirs, and a leaf is
+# (handler, flags).
 _COMMANDS = {
-    "geometry": {
+    "geometry": ("pixel density, fov, and scaling math", {
         "ppi": (_cmd_geometry_ppi, (
             _arg("--resolution", required=True),
             _arg("--size", required=True, help="WxH inches, or a bare diagonal length"),
@@ -637,8 +639,8 @@ _COMMANDS = {
             _arg("--density", type=float, required=True, help="cones per square millimetre"),
             _arg("--lens-distance", type=float, default=17.1),
         )),
-    },
-    "capacity": {
+    }),
+    "capacity": ("required bitrate models", {
         "eye-like": (_cmd_capacity_eye_like, (
             _arg("--ppd", type=float, required=True),
             _arg("--fov", required=True, help="per-eye HxV degrees, e.g. 155x130"),
@@ -657,9 +659,10 @@ _COMMANDS = {
             _arg("--fps", type=float, required=True),
             _arg("--factor", type=float, default=1.0),
         )),
-    },
-    "gop": {"frame-sizes": (_cmd_gop_frame_sizes, _GOP_FLAGS), "bitrate": (_cmd_gop_bitrate, _GOP_FLAGS)},
-    "latency": {
+    }),
+    "gop": ("GOP frame sizes and pose-driven bitrate", {"frame-sizes": (_cmd_gop_frame_sizes, _GOP_FLAGS),
+                                                        "bitrate": (_cmd_gop_bitrate, _GOP_FLAGS)}),
+    "latency": ("MTP decomposition and budgets", {
         "refresh": (_cmd_latency_refresh, (_arg("--hz", type=float, required=True),)),
         "stream": (_cmd_latency_stream, (
             _arg("--encode", default="0ms"),
@@ -677,8 +680,8 @@ _COMMANDS = {
             _arg("--vsync", choices=("avg", "max", "none"), action=_PresetField),
         )),
         "limits": (_cmd_latency_limits, _STAGE_KEY_FLAGS),
-    },
-    "reliability": {
+    }),
+    "reliability": ("loss bounds and delivery rates", {
         "max-loss": (_cmd_reliability_max_loss, (
             _arg("--throughput", required=True),
             _arg("--rtt", required=True),
@@ -686,19 +689,21 @@ _COMMANDS = {
         )),
         "delivery": (_cmd_reliability_delivery, (_arg("--loss", type=float, required=True),)),
         "requirements": (_cmd_reliability_requirements, _STAGE_KEY_FLAGS),
-    },
-    "profiles": {
+    }),
+    "profiles": ("inspect and validate profile data", {
         "list": (_cmd_profiles_list, ()),
         "show": (_cmd_profiles_show, (_arg("name", help="device name, device@hz, taxonomy/stage, or pipeline name"),)),
         "validate": (_cmd_profiles_validate, (_arg("path"),)),
-    },
-    "table": {"quest2": (_cmd_table_quest2, ()), "summary": (_cmd_requirements, (), {"profiles": None})},
-    "report": (_cmd_requirements, (_arg("profiles", nargs="+", help="device keys, e.g. quest2@72 eye_like"),)),
-    "trace": {
+    }),
+    "table": ("reproduce the measurement/QoS tables", {"quest2": (_cmd_table_quest2, ()),
+                                                       "summary": (_cmd_requirements, ())}),
+    "report": ("requirements report for chosen profiles", (
+        _cmd_requirements, (_arg("profiles", nargs="+", help="device keys, e.g. quest2@72 eye_like"),))),
+    "trace": ("synthesize frame/packet traces", {
         "generate": (_cmd_trace_generate, (*_TRACE_SOURCE_FLAGS, _OUTPUT)),
         "packetize": (_cmd_trace_packetize, (*_TRACE_SOURCE_FLAGS, _MTU, _OUTPUT)),
-    },
-    "simulate": (_cmd_simulate, (
+    }),
+    "simulate": ("play a trace through the MTP pipeline", (_cmd_simulate, (
         *_TRACE_SOURCE_FLAGS,
         _arg("--downlink"),
         _arg("--rtt", help="propagation round trip"),
@@ -711,19 +716,7 @@ _COMMANDS = {
         _arg("--mtp-limit", default="20ms"),
         _arg("--sweep-downlink", help="comma-separated rates to sweep"),
         _OUTPUT,
-    )),
-}
-_HELP = {
-    "geometry": "pixel density, fov, and scaling math",
-    "capacity": "required bitrate models",
-    "gop": "GOP frame sizes and pose-driven bitrate",
-    "latency": "MTP decomposition and budgets",
-    "reliability": "loss bounds and delivery rates",
-    "profiles": "inspect and validate profile data",
-    "table": "reproduce the measurement/QoS tables",
-    "report": "requirements report for chosen profiles",
-    "trace": "synthesize frame/packet traces",
-    "simulate": "play a trace through the MTP pipeline",
+    ))),
 }
 
 
@@ -752,10 +745,10 @@ class _Parser(argparse.ArgumentParser):
             for name, entry in self._entry.items():
                 commands.add_parser(name, entry=entry, lazy=self._lazy)
             return
-        func, flags, *defaults = self._entry
+        func, flags = self._entry
         for flag, kwargs in flags:
             self.add_argument(flag, **kwargs)
-        self.set_defaults(func=func, **(defaults[0] if defaults else {}))
+        self.set_defaults(func=func)
 
 
 def build_parser(lazy: bool = False) -> argparse.ArgumentParser:
@@ -767,8 +760,8 @@ def build_parser(lazy: bool = False) -> argparse.ArgumentParser:
     parser.add_argument("--profiles-file", help=f"extra profiles JSON (or ${PROFILES_ENV})")
     parser.add_argument("--seed", type=int, help="seed for the simulator's loss draws")
     commands = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for name, entry in _COMMANDS.items():
-        commands.add_parser(name, help=_HELP[name], entry=entry, lazy=lazy)
+    for name, (summary, entry) in _COMMANDS.items():
+        commands.add_parser(name, help=summary, entry=entry, lazy=lazy)
     return parser
 
 

@@ -4,6 +4,7 @@ twin, on the first introspection or misfit call), the ``Columns`` table that tra
 results are kept in, a column per record field, and the JSON record reader and writer that profiles, traces and
 simulation reports share. A record table's JSON (``_rows``) and CSV (``report``) are written from its columns."""
 import functools
+import math
 import operator
 import sys
 from collections.abc import Sequence
@@ -36,13 +37,13 @@ class ProfileError(XrqosError, ValueError):
 
 # -- records -------------------------------------------------------------------
 #
-# A record is what ``@dataclass(frozen=True)`` makes, built for less: the stdlib loads ``inspect`` and compiles
-# six methods per class, and that was most of a CLI command's start-up. A record keeps its own field table and
-# compiles nothing: its ``__init__``, equality, hash, repr and frozen ``__setattr__``/``__delattr__`` are the
-# shared functions below. ``_record_init`` sets each field through ``object.__setattr__``, as the stdlib's
-# ``__init__`` does, so an instance keeps the layout (and the pickle) it had; a call that does not give every
-# field by position is bound from the class's ``_record_binding``. Equality and the hash read the class's
-# ``_record_values``: the tuple of its field values. What only introspection reads (the dataclass view, the
+# A record is what ``@dataclass(frozen=True)`` makes, built for less: the stdlib loads ``inspect`` and compiles six
+# methods per class, and that was most of a CLI command's start-up. A record keeps its own field table and compiles
+# nothing: its ``__init__``, equality, hash, repr and frozen ``__setattr__``/``__delattr__`` are the shared
+# functions below. ``_record_init`` sets each field through ``object.__setattr__``, as the stdlib's ``__init__``
+# does, so an instance keeps the layout (and the pickle) it had; a call that does not give every field by position
+# lays its arguments over the field defaults in the class's ``_record_binding``. Equality and the hash read the
+# class's ``_record_values``: the tuple of its field values. What only introspection reads (the dataclass view, the
 # signature) and the ``TypeError`` of a call that does not fit come from the record's twin: a real frozen dataclass
 # with the same fields, built on first use.
 
@@ -119,19 +120,16 @@ def _record_init(self, /, *args, **kwargs) -> None:
     not fit the fields is passed to the twin's ``__init__``, which raises the ``TypeError`` for it."""
     names = self.__match_args__
     if kwargs or len(args) != len(names):  # not every field by position
-        defaults, tail, required, factories = self._record_binding
-        if not kwargs and len(names) - len(tail) <= len(args) < len(names):
-            args += tail[len(args) - len(names):]  # the first fields by position, the rest their plain defaults
-        else:
-            given = dict(zip(names, args), **kwargs) if args else kwargs
-            values = defaults | given  # every field, in order, then any unknown keyword
-            if (len(given) != len(args) + len(kwargs) or len(values) != len(names)
-                    or len(given) < len(names) and not required <= given.keys()):
-                self._record_twin(*args, **kwargs)  # too many, given twice, unknown or left out: the twin raises
-            for name, factory in factories:
-                if values[name] is _FACTORY:
-                    values[name] = factory()
-            args = values.values()
+        defaults, required, factories = self._record_binding
+        given = dict(zip(names, args), **kwargs) if args else kwargs
+        values = defaults | given  # every field, in order, then any unknown keyword
+        if (len(given) != len(args) + len(kwargs) or len(values) != len(names)
+                or len(given) < len(names) and not required <= given.keys()):
+            self._record_twin(*args, **kwargs)  # too many, given twice, unknown or left out: the twin raises
+        for name, factory in factories:
+            if values[name] is _FACTORY:
+                values[name] = factory()
+        args = values.values()
     # one field at a time: a __dict__.update would give the instance a dict of its own, 64 bytes more, and make
     # each later read of a field several times slower
     any(map(_SETTER(self), names, args))
@@ -166,14 +164,11 @@ def record(cls):
     cls._record_values = (operator.attrgetter(*names) if len(names) > 1
                           else lambda obj: tuple(getattr(obj, name) for name in names))
     # what _record_init reads for a call that does not give every field by position: each field's default,
-    # _FACTORY or _MISSING; the defaults of the last fields, after any that is required or has a default factory;
-    # the required fields; each default factory
+    # _FACTORY or _MISSING; the required fields; each default factory
     defaults = {f.name: f.default if f.default_factory is _MISSING else _FACTORY for f in all_fields}
-    plain = tuple(defaults.values())
-    start = max((i + 1 for i, value in enumerate(plain) if value is _MISSING or value is _FACTORY), default=0)
     required = frozenset(name for name, value in defaults.items() if value is _MISSING)
     factories = tuple((f.name, f.default_factory) for f in all_fields if f.default_factory is not _MISSING)
-    cls._record_binding = defaults, plain[start:], required, factories
+    cls._record_binding = defaults, required, factories
     cls._record_post_init = hasattr(cls, "__post_init__")
     cls.__init__ = _record_init
     for name, method in _METHODS.items():
@@ -201,15 +196,11 @@ class Columns(Sequence):
 
     @classmethod
     def of(cls, make, records) -> "Columns":
-        """``records`` if it is a table of ``make`` records; otherwise the table of their fields' columns, which keeps
-        ``records`` as its built tuple when every one is a ``make``, so a read builds none again."""
+        """``records`` if it is a table of ``make`` records; otherwise the table of their fields' columns."""
         if type(records) is cls and records.make is make:
             return records
         given = tuple(records)
-        table = cls(make, *(tuple(map(operator.attrgetter(name), given)) for name in make.__match_args__))
-        if set(map(type, given)) <= {make}:  # the records given are the ones a read would build
-            table._built = given
-        return table
+        return cls(make, *(tuple(map(operator.attrgetter(name), given)) for name in make.__match_args__))
 
     def _records(self) -> tuple:
         built = self._built
@@ -256,20 +247,31 @@ def require(name: str, value, *, gt=None, ge=None, lt=None, le=None):
 
     NaN never passes. An infinity, or an integer beyond every float, passes
     only as an explicit closed bound (``le=math.inf``), so a check without an
-    upper bound asks for a finite number.
+    upper bound asks for a finite number. A value that the bounds cannot be
+    compared with is not a number.
     """
-    if (
-        (gt is None or value > gt)
-        and (ge is None or value >= ge)
-        and (lt is None or value < lt)
-        and (le is None or value <= le)
-        and (-sys.float_info.max <= value <= sys.float_info.max or value == le)
-    ):
-        return value
+    try:
+        if (
+            (gt is None or value > gt)
+            and (ge is None or value >= ge)
+            and (lt is None or value < lt)
+            and (le is None or value <= le)
+            and (-sys.float_info.max <= value <= sys.float_info.max or value == le)
+        ):
+            return value
+    except TypeError:
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    got = value
+    if isinstance(value, int) and not -sys.float_info.max <= value <= sys.float_info.max:
+        digits = int(math.log10(abs(value))) + 1  # one off at most, next to a power of ten
+        digits += (abs(value) >= 10**digits) - (abs(value) < 10 ** (digits - 1))
+        got = f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"  # Python writes at most 4,300
+        if value > 0 and le == math.inf:  # an interval closed at infinity holds it, so its words would pass it
+            raise DomainError(f"{name} lies beyond the float range, got {got}")
     low = f"({gt}" if gt is not None else f"[{ge}" if ge is not None else "(-inf"
     high = f"{lt})" if lt is not None else f"{le}]" if le is not None else "inf)"
     interval = f"{low}, {high}"
-    raise DomainError(f"{name} {_RANGE_WORDS.get(interval, f'must lie in {interval}')}, got {value}")
+    raise DomainError(f"{name} {_RANGE_WORDS.get(interval, f'must lie in {interval}')}, got {got}")
 
 
 _JSON_TYPES = {

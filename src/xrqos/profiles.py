@@ -8,6 +8,7 @@ re-derived, because the underlying assumptions are not all disclosed.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from importlib import resources
@@ -192,13 +193,9 @@ class StageProfile:
         if None not in (self.per_eye, self.fov, self.bpc):
             self._surface()
 
-    def compression(self, overall_factor: float = 600.0) -> CompressionProfile:
-        return CompressionProfile(
-            self.codec or "unknown",
-            overall_factor,
-            iframe_factor=self.iframe_factor,
-            pframe_factor=self.pframe_factor,
-        )
+    def compression(self) -> CompressionProfile:
+        return CompressionProfile(self.codec or "unknown", 600.0, iframe_factor=self.iframe_factor,
+                                  pframe_factor=self.pframe_factor)
 
     def gop_model(self) -> tuple[RenderSurface, GopConfig, CompressionProfile]:
         """The render surface, GOP timing and codec factors this stage gives the GOP model."""
@@ -377,22 +374,17 @@ def _read_json(path: Path) -> dict:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ProfileError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or an integer literal too long to convert
         raise ProfileError(f"{path}: {exc}") from exc
 
 
-_builtin: ProfileRegistry | None = None
-
-
+@functools.cache
 def builtin_registry() -> ProfileRegistry:
     """The registry of embedded profiles, built once per process."""
-    global _builtin
-    if _builtin is None:
-        registry = ProfileRegistry()
-        data = resources.files("xrqos").joinpath("data/builtin_profiles.json").read_text(encoding="utf-8")
-        _load_document(registry, json.loads(data), "builtin profiles")
-        _builtin = registry
-    return _builtin
+    registry = ProfileRegistry()
+    data = resources.files("xrqos").joinpath("data/builtin_profiles.json").read_text(encoding="utf-8")
+    _load_document(registry, json.loads(data), "builtin profiles")
+    return registry
 
 
 def load_profiles(path: str | Path | None = None) -> ProfileRegistry:

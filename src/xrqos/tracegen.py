@@ -4,8 +4,8 @@ Generation is fully deterministic: frame sizes are the analytic per-type
 sizes inflated by the redundancy fraction, and timestamps follow the frame
 rate exactly. A trace keeps its frames as columns (generation time, type,
 size and GOP number; a frame's index is its position). ``generate_trace``
-builds only the columns, and a trace given frame records keeps them beside
-their columns; ``FrameTrace.records`` acts as the tuple of ``FrameRecord``s and
+builds only the columns, and a trace given frame records keeps only their
+columns; ``FrameTrace.records`` acts as the tuple of ``FrameRecord``s and
 builds them on first read, while the link simulator reads the ``t_gen`` and
 ``size_bits`` columns and never builds a record. ``packetize`` reads the
 same two columns and returns the packet table, a column per ``PacketRecord``
@@ -63,8 +63,7 @@ class FrameTrace:
     """A positive, finite duration and at most ``MAX_FRAMES`` frames, whose indices run 0, 1, 2, ..., whose
     generation times never decrease, whose types are I, P or B and whose sizes are not negative.
 
-    ``records`` may be given as any sequence of frame records; the trace keeps it as columns, and keeps
-    the records themselves when they are ``FrameRecord``s, so a read builds none again.
+    ``records`` may be given as any sequence of frame records; the trace keeps only their columns.
     """
 
     config: GopConfig = _json("an object", of=GopConfig)

@@ -644,6 +644,25 @@ class TestInputBoundary:
         assert_domain_error(code, out, err)
         assert err == "error: cannot read profiles from '': the path is empty\n"
 
+    @pytest.mark.parametrize("given", ["flag", "validate", "variable"])
+    @pytest.mark.parametrize(
+        "content, words",
+        [(b'{"note": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
+         (b'{"pipelines": [{"name": "p", "t_sense": ' + b"9" * 5001 + b"}]}", "Exceeds the limit (4300 digits)")],
+        ids=["latin-1", "integer-of-5001-digits"],
+    )
+    def test_a_profile_file_json_cannot_read_is_one_error_line(self, capsys, tmp_path, monkeypatch, given, content,
+                                                                words):
+        path = tmp_path / "profiles.json"
+        path.write_bytes(content)
+        argv = {"flag": ["--profiles-file", str(path), "profiles", "list"],
+                "validate": ["profiles", "validate", str(path)], "variable": ["profiles", "list"]}[given]
+        if given == "variable":
+            monkeypatch.setenv("XRQOS_PROFILES", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert_domain_error(code, out, err)
+        assert err.startswith(f"error: {path}: ") and words in err and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "literal, message",
         [("0x100", "resolution width"), (f"{10**200}x{10**200}", "resolution pixel count")],

@@ -2,6 +2,7 @@
 record writer."""
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -49,12 +50,47 @@ class TestRequire:
             (1, {"ge": 0, "lt": 1}, r"x must lie in \[0, 1\), got 1"),
             (nan, {"ge": 0, "le": 1}, r"x must lie in \[0, 1\], got nan"),
             (0.5, {"ge": 1}, r"x must lie in \[1, inf\), got 0.5"),
-            (10**400, {"ge": 0}, f"x cannot be negative or infinite, got {10**400}"),
+            (10**400, {"ge": 0}, "x cannot be negative or infinite, got an integer of 401 digits"),
         ],
     )
     def test_rejects_with_named_range(self, value, bounds, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
             require("x", value, **bounds)
+
+    @pytest.mark.parametrize(
+        "value, bounds, message",
+        [
+            (10**512 - 1, {"ge": 0}, "x cannot be negative or infinite, got an integer of 512 digits"),
+            (10**512, {"ge": 0}, "x cannot be negative or infinite, got an integer of 513 digits"),
+            (-(10**400), {"gt": 0, "le": inf}, "x must be positive, got a negative integer of 401 digits"),
+            (10**400, {"ge": 0, "le": 1}, r"x must lie in \[0, 1\], got an integer of 401 digits"),
+        ],
+        ids=["10**512 - 1", "10**512", "-10**400", "10**400 past a finite bound"],
+    )
+    def test_words_an_integer_beyond_every_float_by_its_digit_count(self, value, bounds, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            require("x", value, **bounds)
+
+
+# Calls from Python with a value that require cannot compare, or an integer within the interval's words but past
+# every float, and the message each is rejected with.
+BEYOND_FLOATS = "throughput lies beyond the float range, got an integer of {} digits"
+NOT_A_FLOAT = {
+    "stream_latency throughput '5'": (lambda: stream_latency(0, 1e6, "5", 0), "throughput must be a number, got '5'"),
+    "LinkModel downlink '5'": (lambda: LinkModel("5"), "downlink rate must be a number, got '5'"),
+    "LinkModel loss None": (lambda: LinkModel(100e6, loss_prob=None), "loss probability must be a number, got None"),
+    "stream_latency throughput 10**400": (lambda: stream_latency(0, 1e6, 10**400, 0), BEYOND_FLOATS.format(401)),
+    "stream_latency throughput 10**5000": (lambda: stream_latency(0, 1e6, 10**5000, 0), BEYOND_FLOATS.format(5001)),
+    "max_loss_rate throughput 10**400": (lambda: max_loss_rate(LossModel(), 10**400, 0.02), BEYOND_FLOATS.format(401)),
+    "max_loss_rate throughput 10**5000": (lambda: max_loss_rate(LossModel(), 10**5000, 0.02),
+                                          BEYOND_FLOATS.format(5001)),
+}
+
+
+@pytest.mark.parametrize("probe, message", NOT_A_FLOAT.values(), ids=list(NOT_A_FLOAT))
+def test_a_value_that_is_not_a_float_is_a_named_domain_error(probe, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        probe()
 
 
 class TestField:

@@ -3,7 +3,8 @@
 Reading JSON (``json.load``/``json.loads``) is every module's own business. No module imports ``dataclasses``
 when it is imported: a record keeps its own field table, and a function that needs ``dataclasses`` imports it.
 Nor ``csv``: ``report`` imports it in ``write_rows``, so a command that writes no CSV does not load it.
-No module compiles code at run time: none calls ``eval`` or ``exec``. No module names an argparse internal (an
+No module compiles code at run time: none calls ``eval`` or ``exec``. No function rebinds a module global (a
+``global`` statement) but the two of the simulator's loss-chain memo. No module names an argparse internal (an
 attribute of ``argparse``, of a parser, of its subparsers action, of an ``Action`` or of a ``Namespace`` whose name
 starts with one underscore): the CLI builds its command tree on argparse's public API alone. Each module imports
 only the package modules ``MAY_IMPORT`` gives it, and an edge up the layers only inside the function ``LATE`` names.
@@ -118,6 +119,49 @@ def test_no_module_compiles_code_at_run_time():
 def test_the_compile_walk_catches_each_call():
     source = "x = eval('1')\ndef f():\n    exec('y = 2', {})\nliteral_eval('3')\nobj.eval('4')\n"
     assert compiles(ast.parse(source)) == ["1: eval", "3: exec"]
+
+
+# The loss-chain memo that the simulator's lossy runs share; the one module state a function rebinds.
+GLOBAL_ALLOWED = {"netsim": {"_loss_chains", "_forget_chains"}}
+
+
+def rebinds_globals(tree: ast.AST) -> list[str]:
+    """``line: scope`` for each ``global`` statement in ``tree``, where scope is the qualified name of the innermost
+    function around it, or "module"."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Global):
+                found.append(f"{child.lineno}: {scope}")
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope == "module" else f"{scope}.{child.name}"
+            visit(child, inner)
+
+    visit(tree, "module")
+    return found
+
+
+def test_no_module_rebinds_a_global_but_the_loss_chain_memo():
+    found = {path.stem: [line for line in rebinds_globals(ast.parse(path.read_text(encoding="utf-8")))
+                         if line.partition(": ")[2] not in GLOBAL_ALLOWED.get(path.stem, set())]
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_the_global_walk_catches_each_scope():
+    source = (
+        "global x\n"
+        "def f():\n"
+        "    global y\n"
+        "    def g():\n"
+        "        global z\n"
+        "class C:\n"
+        "    async def method(self):\n"
+        "        global w\n"
+    )
+    assert rebinds_globals(ast.parse(source)) == ["1: module", "3: f", "5: f.g", "8: C.method"]
 
 
 def _argparse_internals() -> frozenset[str]:

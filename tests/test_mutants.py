@@ -27,11 +27,21 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    Mutant("M1-last-packet-of-attempt-0-never-lost", "netsim", "_walk(seed, frame, 0, count, log_keep)",
+           "_walk(seed, frame, 0, count - 1, log_keep)",
+           ("test_netsim.py::TestLossClosedForms::test_tcp_resends_per_frame[0.2-1]",)),
+    Mutant("M2-one-attempt-too-many", "netsim", "max_attempts = 1 + (", "max_attempts = 2 + (",
+           ("test_netsim.py::TestLossClosedForms::test_udp_drop_fraction[0.2]",)),
     Mutant("M3-resends-counted-per-attempt", "netsim", "retx += n_lost", "retx += 1",
            ("test_netsim.py::TestLossClosedForms::test_tcp_resends_per_frame",)),
     Mutant("M4-ready-without-the-downlink-half-rtt", "netsim", "ready = t + half_rtt + t_decode",
            "ready = t + t_decode",
            ("test_netsim.py::TestClosedFormOracle::test_an_unqueued_frame_spends_its_budget_then_waits_for_vsync",)),
+    Mutant("M5-udp-resends-too", "netsim", 'link.max_retx if link.mode == "tcp_like" else 0', "link.max_retx",
+           ("test_netsim.py::TestTcpLike::test_zero_retx_behaves_like_udp_for_delivery",)),
+    Mutant("M6-half-the-loss-rate", "netsim", "math.log1p(-link.loss_prob)\n    chains, pending = [], {}",
+           "math.log1p(-link.loss_prob / 2)\n    chains, pending = [], {}",
+           ("test_netsim.py::TestLossClosedForms::test_udp_drop_fraction[0.2]",)),
     Mutant("serialization-in-another-float-order", "netsim", "1000.0 * size_bits / downlink",
            "size_bits / downlink * 1000.0",
            ("test_netsim.py::TestFloatOrder::test_time_columns_equal_the_loop_exactly",)),

@@ -187,11 +187,10 @@ class TestTraceColumns:
             assert trace != dataclasses.replace(trace, duration=2.0), name
         assert forms["generated"] != generate_trace(FrameSizes(5000.0, 601.0, b_bits=300.0), self.CFG, self.DURATION)
 
-    def test_a_trace_keeps_the_frame_records_it_is_given(self, monkeypatch):
+    def test_a_trace_load_builds_each_frame_record_once(self, monkeypatch):
         records = reference_records(self.SIZES, self.CFG, self.DURATION)
         for given in (records, list(records)):
-            trace = FrameTrace(self.CFG, self.SIZES, self.DURATION, given)
-            assert all(kept is record for kept, record in zip(trace.records, records))
+            assert FrameTrace(self.CFG, self.SIZES, self.DURATION, given).records == records
         buffer = io.StringIO()
         export_trace(generate_trace(self.SIZES, self.CFG, self.DURATION), "json", buffer)
         built = []
@@ -203,8 +202,8 @@ class TestTraceColumns:
 
         monkeypatch.setattr(FrameRecord, "__init__", counting)
         trace = load_trace_json(io.StringIO(buffer.getvalue()))
-        assert len(built) == len(records)  # the load builds each record once, and a read builds none again
-        assert trace.records == records and len(built) == len(records)
+        assert len(built) == len(records)  # the load builds each record once
+        assert trace.records == records
 
     def test_every_form_pickles_and_copies_with_its_columns(self):
         records = reference_records(self.SIZES, self.CFG, self.DURATION)
@@ -420,7 +419,8 @@ BAD_RECORDS = [
     (5, {"t_gen": 1.0}, r"trace\.records\[5\]\.t_gen_ms 1\.0 precedes the previous frame's"),
     (1, {"frame_type": "Q"}, r"trace\.records\[1\]\.frame_type must be I, P or B, got 'Q'"),
     (3, {"size_bits": -10**9}, r"trace\.records\[3\]\.size_bits cannot be negative or infinite, got -1000000000"),
-    (2, {"size_bits": 10**400}, r"trace\.records\[2\]\.size_bits cannot be negative or infinite, got 1000"),
+    (2, {"size_bits": 10**400}, r"trace\.records\[2\]\.size_bits cannot be negative or infinite, got an integer "
+                                     "of 401 digits$"),
 ]
 
 
