@@ -20,8 +20,8 @@ from .errors import DomainError, XrqosError
 # is an `errors.record`, which compiles nothing where a frozen dataclass compiles six
 # methods, and loads neither `dataclasses` nor `inspect` until its twin dataclass is first
 # read: a record's `vars` are its fields, so a handler copies one with a field changed by
-# calling its class on them. `report` loads `csv` only to write CSV. Model types in
-# annotations are never evaluated (PEP 563).
+# calling its class on them. `report` loads `csv` only to write CSV, and `json` only to
+# write JSON. Model types in annotations are never evaluated (PEP 563).
 
 PROFILES_ENV = "XRQOS_PROFILES"
 

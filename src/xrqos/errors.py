@@ -325,6 +325,14 @@ def _objects(obj: dict, key: str, path: str, optional: bool = False):
         yield item_path, item
 
 
+def _unreadable(exc: Exception) -> str:
+    """Why a JSON file could not be read, from the OSError or ValueError its read raised. ``json`` raises a plain
+    ValueError only for an integer literal past Python's digit limit; its text advises a call no file can make."""
+    if type(exc) is ValueError:
+        return f"an integer literal of more than {sys.get_int_max_str_digits():,} digits"
+    return str(exc)
+
+
 @functools.cache
 def _plan(cls) -> tuple[tuple, frozenset, tuple[str, ...]]:
     """Each field of ``cls`` as (attr, key, kind, of, required, bounds, cell), the keys allowed, and the groups: what

@@ -14,7 +14,9 @@ lost on attempt a depends only on (seed, frame, k, a), never on the
 bandwidth or the packet count; that keying is what makes bandwidth sweeps
 monotone and repeatable. Versions before this stream keyed one draw per
 (seed, frame, packet, attempt), so their loss patterns for a given seed
-differ.
+differ. Only a lossy run loads ``hashlib``: each chain build imports it
+once and hands ``blake2b`` to its walks, so a lossless run, such as a
+capacity sweep, loads neither it nor OpenSSL.
 
 So a frame's loss chain is the same at every rate, and for the first
 attempt in both modes: for each attempt that loses any packet, how many are
@@ -45,7 +47,6 @@ declared on the record fields, written in ``report``'s JSON and CSV layouts.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 import weakref
@@ -167,13 +168,15 @@ def _lost_packets(seed: int, frame_index: int, attempt: int, count: int, loss_pr
         return []
     if loss_prob >= 1.0:
         return list(range(count))
-    return _walk(seed, frame_index, attempt, count, math.log1p(-loss_prob))
+    from hashlib import blake2b
+    return _walk(blake2b, seed, frame_index, attempt, count, math.log1p(-loss_prob))
 
 
-def _walk(seed: int, frame: int, attempt: int, count: int, log_keep: float) -> list[int]:
+def _walk(blake2b, seed: int, frame: int, attempt: int, count: int, log_keep: float) -> list[int]:
     """``_lost_packets``' walk over the stream of (seed, frame, attempt), whose block keys are
-    "seed:frame:attempt:block", at ``log_keep`` = log(1 - p) for a p strictly between 0 and 1."""
-    blake2b, unpack, log = hashlib.blake2b, _BLOCK.unpack, math.log  # read per call, so a test can patch them
+    "seed:frame:attempt:block", at ``log_keep`` = log(1 - p) for a p strictly between 0 and 1. ``blake2b`` is
+    ``hashlib``'s, which each lossy chain build imports once and hands to its walks."""
+    unpack, log = _BLOCK.unpack, math.log  # read per call, so a test can patch them
     prefix = f"{seed}:{frame}:{attempt}:"
     lost = []
     position = -1
@@ -202,9 +205,10 @@ def _build_chains(link: LinkModel, sizes, splits: dict, depth: int) -> tuple[lis
     """
     seed, log_keep = link.seed, math.log1p(-link.loss_prob)
     chains, pending = [], {}
+    from hashlib import blake2b  # here, so that a lossless run loads neither hashlib nor OpenSSL
     for frame, size in enumerate(sizes):
         count, last_bits = splits[size]
-        lost = _walk(seed, frame, 0, count, log_keep)
+        lost = _walk(blake2b, seed, frame, 0, count, log_keep)
         if lost:
             chains.append(((len(lost), last_bits if lost[-1] == count - 1 else None),))
             pending[frame] = lost
@@ -216,13 +220,14 @@ def _build_chains(link: LinkModel, sizes, splits: dict, depth: int) -> tuple[lis
 def _deepen(link: LinkModel, chains: list, pending: dict, depth: int) -> dict:
     """Extend each pending frame's chain in ``chains`` to ``depth`` attempts, drawing only what is still lost;
     the frames still pending after that."""
+    from hashlib import blake2b
     seed, log_keep = link.seed, math.log1p(-link.loss_prob)
     still = {}
     for frame, lost in pending.items():
         chain = chains[frame]
         last_bits = chain[-1][1]
         while len(chain) < depth:  # what the last attempt lost goes again
-            again = set(_walk(seed, frame, len(chain), lost[-1] + 1, log_keep))
+            again = set(_walk(blake2b, seed, frame, len(chain), lost[-1] + 1, log_keep))
             kept = [k for k in lost if k in again]
             if not kept:
                 break

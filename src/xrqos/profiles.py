@@ -5,12 +5,19 @@ external files; user-supplied JSON files with the same shape (top-level
 ``devices``/``stages``/``pipelines`` arrays) can be merged on top. Published
 stage figures are stored verbatim with their prefix convention tagged, never
 re-derived, because the underlying assumptions are not all disclosed.
+
+The built-in document is read once per process and its entries are indexed
+by key (duplicates rejected), but each entry is parsed only on its first
+lookup, so a command pays for the profiles it reads: ``profiles list``
+parses none. A user file is parsed whole when it loads, by the same reader,
+so a malformed entry fails before the command runs.
 """
 from __future__ import annotations
 
 import functools
 import json
 import math
+from collections.abc import Mapping
 from importlib import resources
 from pathlib import Path
 
@@ -19,7 +26,7 @@ from .capacity import BitDepth, CompressionProfile
 from .codec import GopConfig, RenderSurface
 from .errors import (
     ConfigError, DomainError, ProfileError, UnknownKeyError, _check_bounds, _check_keys, _field, _json, _objects, _read,
-    record,
+    _unreadable, record,
 )
 from .geometry import FovSpec, Resolution
 from .latency import LatencyBudget, PipelineTiming
@@ -225,35 +232,89 @@ class StageProfile:
         )
 
 
+class _Unread:
+    """An indexed entry, parsed by ``read(obj, path)`` on its first lookup; its record is kept, and shared by every
+    registry that holds the entry."""
+
+    __slots__ = ("read", "obj", "path", "source", "record")
+
+    def __init__(self, read, obj: dict, path: str, source: str) -> None:
+        self.read, self.obj, self.path, self.source, self.record = read, obj, path, source, None
+
+    def parse(self):
+        if self.record is None:
+            try:
+                self.record = self.read(self.obj, self.path)
+            except (DomainError, ConfigError, ProfileError) as exc:
+                raise _named(self.source, self.path, exc) from exc
+        return self.record
+
+
+class _Entries(Mapping):
+    """One section of a registry by key. Keys, ``in`` and ``len`` parse nothing; a value is parsed on its first
+    lookup, so ``values()`` and ``items()`` parse every entry."""
+
+    def __init__(self, entries: dict | None = None) -> None:
+        self._entries = dict(entries or {})  # key -> record, or the _Unread entry it is parsed from
+
+    def __getitem__(self, key):
+        entry = self._entries[key]
+        if type(entry) is _Unread:
+            entry = self._entries[key] = entry.parse()
+        return entry
+
+    def __contains__(self, key) -> bool:
+        return key in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _add(self, key, what: str, entry) -> None:
+        if key in self._entries:
+            raise ProfileError(f"duplicate {what}")
+        self._entries[key] = entry
+
+
+def _device_key(name: str) -> tuple[str, str]:
+    return name, f"device profile {name!r}"
+
+
+def _stage_key(taxonomy: str, stage: str) -> tuple[tuple[str, str], str]:
+    return (_norm(taxonomy), norm_stage(stage)), f"stage profile {taxonomy}/{stage}"
+
+
+def _pipeline_key(name: str) -> tuple[str, str]:
+    return name, f"pipeline preset {name!r}"
+
+
 class ProfileRegistry:
     """Immutable-after-load lookup of devices, stages, and pipeline presets.
 
-    A pipeline preset is a latency budget with no MTP ceiling of its own
-    (``mtp_limit`` is infinite); a caller sets the ceiling it checks against.
+    ``devices``, ``stages`` and ``pipelines`` map each key (a stage's is its
+    normalised taxonomy and stage) to its record; an entry of the built-in
+    document is parsed on its first lookup. A pipeline preset is a latency
+    budget with no MTP ceiling of its own (``mtp_limit`` is infinite); a
+    caller sets the ceiling it checks against.
     """
 
     def __init__(self) -> None:
-        self.devices: dict[str, DeviceProfile] = {}
-        self.stages: dict[tuple[str, str], StageProfile] = {}
-        self.pipelines: dict[str, LatencyBudget] = {}
+        self.devices: Mapping[str, DeviceProfile] = _Entries()
+        self.stages: Mapping[tuple[str, str], StageProfile] = _Entries()
+        self.pipelines: Mapping[str, LatencyBudget] = _Entries()
 
     # -- population -------------------------------------------------------
 
     def add_device(self, profile: DeviceProfile) -> None:
-        if profile.name in self.devices:
-            raise ProfileError(f"duplicate device profile {profile.name!r}")
-        self.devices[profile.name] = profile
+        self.devices._add(*_device_key(profile.name), profile)
 
     def add_stage(self, profile: StageProfile) -> None:
-        key = (_norm(profile.taxonomy), norm_stage(profile.stage))
-        if key in self.stages:
-            raise ProfileError(f"duplicate stage profile {profile.taxonomy}/{profile.stage}")
-        self.stages[key] = profile
+        self.stages._add(*_stage_key(profile.taxonomy, profile.stage), profile)
 
     def add_pipeline(self, name: str, budget: LatencyBudget) -> None:
-        if name in self.pipelines:
-            raise ProfileError(f"duplicate pipeline preset {name!r}")
-        self.pipelines[name] = budget
+        self.pipelines._add(*_pipeline_key(name), budget)
 
     # -- lookups ----------------------------------------------------------
 
@@ -347,26 +408,46 @@ def _write_pipeline(name: str, budget: LatencyBudget) -> dict:
 _ROOT = "profiles"
 _DOCUMENT_KEYS = frozenset({"devices", "stages", "pipelines", "note"})
 
+# Each section of a profile document: the string fields of an entry that give its key and its name in a duplicate's
+# message, and the entry's parser (which reads ``_read`` when it runs).
+_SECTIONS = {
+    "devices": (("name",), _device_key, lambda obj, path: _read(DeviceProfile, obj, path)),
+    "stages": (("taxonomy", "stage"), _stage_key, lambda obj, path: _read(StageProfile, obj, path)),
+    "pipelines": (("name",), _pipeline_key, _parse_pipeline),
+}
 
-def _load_document(registry: ProfileRegistry, document: dict, source: str) -> None:
+
+def _named(source: str, path: str, exc: Exception) -> ProfileError:
+    """``exc`` as a ProfileError naming ``source`` and, unless its message starts with a field's path, ``path``.
+
+    A field reader's message starts with the field's path; any other message (a model constructor's, a duplicate
+    name) gets the path of the object being added, so every message names its place once.
+    """
+    where = "" if str(exc).startswith(_ROOT) else f"{path}: "
+    return ProfileError(f"{source}: {where}{exc}")
+
+
+def _load_document(registry: ProfileRegistry, document: dict, source: str, lazy: bool = False) -> None:
     """Add a profile document's devices, stages and pipelines; a malformed document raises ProfileError.
 
-    A field reader's message starts with the field's path; any other message (a model constructor's, a
-    duplicate name) gets the path of the object being added, so every message names its place once.
+    Every entry is indexed by its key first. Then each is parsed, or, if ``lazy``, left to be parsed on its first
+    lookup.
     """
     if not isinstance(document, dict):
         raise ProfileError(f"{source}: top level must be an object with devices/stages arrays")
+    added, path = [], _ROOT
     try:
         _check_keys(document, _ROOT, _DOCUMENT_KEYS)
-        for path, obj in _objects(document, "devices", _ROOT, optional=True):
-            registry.add_device(_read(DeviceProfile, obj, path))
-        for path, obj in _objects(document, "stages", _ROOT, optional=True):
-            registry.add_stage(_read(StageProfile, obj, path))
-        for path, obj in _objects(document, "pipelines", _ROOT, optional=True):
-            registry.add_pipeline(_field(obj, "name", path, "a string"), _parse_pipeline(obj, path))
+        for section, (fields, key, read) in _SECTIONS.items():
+            for path, obj in _objects(document, section, _ROOT, optional=True):
+                entry = _Unread(read, obj, path, source)
+                getattr(registry, section)._add(*key(*(_field(obj, f, path, "a string") for f in fields)), entry)
+                added.append(entry)
     except (DomainError, ConfigError, ProfileError) as exc:
-        where = "" if str(exc).startswith(_ROOT) else f"{path}: "
-        raise ProfileError(f"{source}: {where}{exc}") from exc
+        raise _named(source, path, exc) from exc
+    if not lazy:
+        for entry in added:
+            entry.parse()
 
 
 def _read_json(path: Path) -> dict:
@@ -375,25 +456,23 @@ def _read_json(path: Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ProfileError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or an integer literal too long to convert
-        raise ProfileError(f"{path}: {exc}") from exc
+        raise ProfileError(f"{path}: {_unreadable(exc)}") from exc
 
 
 @functools.cache
 def builtin_registry() -> ProfileRegistry:
-    """The registry of embedded profiles, built once per process."""
+    """The registry of embedded profiles, indexed once per process; each entry is parsed on its first lookup."""
     registry = ProfileRegistry()
     data = resources.files("xrqos").joinpath("data/builtin_profiles.json").read_text(encoding="utf-8")
-    _load_document(registry, json.loads(data), "builtin profiles")
+    _load_document(registry, json.loads(data), "builtin profiles", lazy=True)
     return registry
 
 
 def load_profiles(path: str | Path | None = None) -> ProfileRegistry:
     """Built-in profiles plus, optionally, a user profile file merged on top."""
-    registry = ProfileRegistry()
-    base = builtin_registry()
-    registry.devices.update(base.devices)
-    registry.stages.update(base.stages)
-    registry.pipelines.update(base.pipelines)
+    registry, base = ProfileRegistry(), builtin_registry()
+    for section in _SECTIONS:  # the built-in entries, parsed or not, shared with the built-in registry
+        setattr(registry, section, _Entries(getattr(base, section)._entries))
     if path == "":  # Path("") is the current directory, which would be read as the file
         raise ProfileError("cannot read profiles from '': the path is empty")
     if path is not None:

@@ -5,12 +5,13 @@ on registry data; this module adds only ordering and serialization. Each
 output form has one rule for a value: ``json_value``, ``text_value`` and
 ``csv_cell``. Every file is opened by ``_destination`` and has one JSON layout
 (``to_json``) and one CSV layout (``write_rows``; ``write_records`` for a record table, from its columns).
+``json`` is loaded only to write JSON (a file, or a dict or list inside a text or CSV value).
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
-import json
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, TextIO
 
@@ -61,6 +62,7 @@ def text_value(value, units: str, spec: str = "g") -> str:
     if isinstance(value, float):
         return format(value, spec)
     if isinstance(value, (dict, list, tuple)):
+        import json
         return json.dumps(json_value(value, units), sort_keys=True)
     return str(value)
 
@@ -96,16 +98,20 @@ def _destination(destination: str | Path | TextIO, what: str):
         raise DomainError(f"cannot write {what} to {destination}: {exc}") from exc
 
 
-_JSON = json.JSONEncoder(indent=2, sort_keys=True)  # the JSON layout of every file, which ends in a newline
+@functools.cache
+def _encoder():
+    """The JSON layout of every file, which ends in a newline."""
+    import json
+    return json.JSONEncoder(indent=2, sort_keys=True)
 
 
 def to_json(document) -> str:
-    return _JSON.encode(document) + "\n"
+    return _encoder().encode(document) + "\n"
 
 
 def write_json(handle: TextIO, document) -> None:
     """``to_json(document)``, written in pieces of 65,536 encoder chunks, so a large document is never one string."""
-    chunks = _JSON.iterencode(document)
+    chunks = _encoder().iterencode(document)
     while piece := "".join(islice(chunks, 65536)):
         handle.write(piece)
     handle.write("\n")
@@ -113,9 +119,9 @@ def write_json(handle: TextIO, document) -> None:
 
 def write_json_array(handle: TextIO, items: Iterable) -> None:
     """``to_json(list(items))``, encoded 4,096 items at a time, so the whole list is never built."""
-    items, opening = iter(items), "["
+    items, opening, encode = iter(items), "[", _encoder().encode
     while batch := list(islice(items, 4096)):
-        handle.write(opening + _JSON.encode(batch)[1:-2])  # the batch's items, without its "[" and "\n]"
+        handle.write(opening + encode(batch)[1:-2])  # the batch's items, without its "[" and "\n]"
         opening = ","
     handle.write("[]\n" if opening == "[" else "\n]\n")
 

@@ -26,7 +26,7 @@ from typing import TextIO
 
 from . import _EXPORTS, report
 from .codec import FrameSizes, GopConfig
-from .errors import Columns, DomainError, _json, _read, _rows, _write, record, require
+from .errors import Columns, DomainError, _json, _read, _rows, _unreadable, _write, record, require
 
 __all__ = _EXPORTS["tracegen"].split()
 
@@ -221,5 +221,5 @@ def load_trace_json(source: str | Path | TextIO) -> FrameTrace:
             with open(source, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
     except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
-        raise DomainError(f"cannot read trace {source}: {exc}") from exc
+        raise DomainError(f"cannot read trace {source}: {_unreadable(exc)}") from exc
     return trace_from_dict(payload)

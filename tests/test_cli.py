@@ -648,7 +648,8 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "content, words",
         [(b'{"note": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
-         (b'{"pipelines": [{"name": "p", "t_sense": ' + b"9" * 5001 + b"}]}", "Exceeds the limit (4300 digits)")],
+         (b'{"pipelines": [{"name": "p", "t_sense": ' + b"9" * 5001 + b"}]}",
+          "an integer literal of more than 4,300 digits")],
         ids=["latin-1", "integer-of-5001-digits"],
     )
     def test_a_profile_file_json_cannot_read_is_one_error_line(self, capsys, tmp_path, monkeypatch, given, content,
@@ -662,6 +663,22 @@ class TestInputBoundary:
         code, out, err = run_cli(capsys, *argv)
         assert_domain_error(code, out, err)
         assert err.startswith(f"error: {path}: ") and words in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["profiles", "validate", "big.json"], "error: big.json: an integer literal of more than 4,300 digits\n"),
+         (["simulate", "--input", "big.json", "--downlink", "100M", "--refresh-hz", "90"],
+          "error: cannot read trace big.json: an integer literal of more than 4,300 digits\n")],
+        ids=["profiles validate", "simulate input"],
+    )
+    def test_an_integer_literal_past_the_digit_limit_is_named_without_python_advice(self, capsys, tmp_path,
+                                                                                    monkeypatch, argv, message):
+        # Python's own text advises sys.set_int_max_str_digits(), which no one running the CLI can call
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.json").write_bytes(b'{"pipelines": [{"name": "p", "t_sense": ' + b"9" * 5001 + b"}]}")
+        code, out, err = run_cli(capsys, *argv)
+        assert_domain_error(code, out, err)
+        assert err == message
 
     @pytest.mark.parametrize(
         "literal, message",

@@ -27,8 +27,8 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("M1-last-packet-of-attempt-0-never-lost", "netsim", "_walk(seed, frame, 0, count, log_keep)",
-           "_walk(seed, frame, 0, count - 1, log_keep)",
+    Mutant("M1-last-packet-of-attempt-0-never-lost", "netsim", "_walk(blake2b, seed, frame, 0, count, log_keep)",
+           "_walk(blake2b, seed, frame, 0, count - 1, log_keep)",
            ("test_netsim.py::TestLossClosedForms::test_tcp_resends_per_frame[0.2-1]",)),
     Mutant("M2-one-attempt-too-many", "netsim", "max_attempts = 1 + (", "max_attempts = 2 + (",
            ("test_netsim.py::TestLossClosedForms::test_udp_drop_fraction[0.2]",)),
@@ -45,6 +45,16 @@ MUTANTS = (
     Mutant("serialization-in-another-float-order", "netsim", "1000.0 * size_bits / downlink",
            "size_bits / downlink * 1000.0",
            ("test_netsim.py::TestFloatOrder::test_time_columns_equal_the_loop_exactly",)),
+    # every attempt's resends first, then every short last packet's correction
+    Mutant("last-packet-term-after-the-resend-sum", "netsim",
+           "t += n_lost * resend\n" + " " * 20 + "if last_bits is not None:",
+           "t += n_lost * resend\n" + " " * 16
+           + "for n_lost, last_bits in chain if len(chain) < max_attempts else chain[: max_attempts - 1]:\n"
+           + " " * 20 + "if last_bits is not None:",
+           ("test_netsim.py::TestFloatOrder",)),
+    Mutant("a-lossless-run-loads-hashlib", "netsim", "import math\nimport struct\n",
+           "import hashlib\nimport math\nimport struct\n",
+           ("test_startup_imports.py::test_only_a_lossy_run_loads_hashlib",)),
     Mutant("a-fov-of-zero-width", "geometry", '"horizontal fov in degrees", self.horizontal.degrees, gt=0',
            '"horizontal fov in degrees", self.horizontal.degrees, ge=0',
            ("test_geometry.py::TestValueTypes::test_fovspec_extents_are_positive",)),

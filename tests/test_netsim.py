@@ -707,7 +707,7 @@ class TestLossDraws:
                 raise AssertionError(f"{len(drawn)} blocks drawn by one call, at most {bound} allowed")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(netsim.hashlib, "blake2b", bounded)
+        monkeypatch.setattr(hashlib, "blake2b", bounded)
         bound = 10
         for frame in range(200):
             drawn.clear()
@@ -738,7 +738,7 @@ def digests(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(netsim.hashlib, "blake2b", counting)
+    monkeypatch.setattr(hashlib, "blake2b", counting)
     return calls
 
 

@@ -1,10 +1,15 @@
+import copy
 import json
 import math
+from importlib import resources
 
 import pytest
 
+from xrqos import profiles
+from xrqos.cli import main
 from xrqos.errors import ConfigError, DomainError, ProfileError, UnknownKeyError
 from xrqos.geometry import FovSpec, Resolution
+from xrqos.latency import LatencyBudget
 from xrqos.profiles import (
     DeviceProfile,
     RefreshMode,
@@ -49,6 +54,99 @@ class TestBuiltinLoad:
         for name in ("local_vr", "online_mec", "hmd_fixed_refresh", "hmd_dynamic_refresh"):
             # a preset is a budget with no ceiling of its own
             assert registry.pipeline(name).mtp_limit == math.inf
+
+
+BUILTIN = json.loads(resources.files("xrqos").joinpath("data/builtin_profiles.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture
+def fresh_builtins():
+    """A test that builds the built-in registry anew, and leaves none of its own behind."""
+    builtin_registry.cache_clear()
+    yield
+    builtin_registry.cache_clear()
+
+
+@pytest.fixture
+def builtin_document(monkeypatch, tmp_path, fresh_builtins):
+    """Installs a built-in document (a dict) in place of the packaged one, for the rest of the test."""
+    def install(document: dict) -> None:
+        (tmp_path / "data").mkdir(exist_ok=True)
+        (tmp_path / "data" / "builtin_profiles.json").write_text(json.dumps(document), encoding="utf-8")
+        monkeypatch.setattr(profiles.resources, "files", lambda package: tmp_path)
+    return install
+
+
+def _broken(section: str, i: int, **fields) -> dict:
+    document = copy.deepcopy(BUILTIN)
+    document[section][i].update(fields)
+    return document
+
+
+class TestBuiltinOnLookup:
+    """The built-in entries are indexed by key at load, and each is parsed on its first lookup."""
+
+    def test_every_builtin_entry_parses(self, fresh_builtins):
+        registry = builtin_registry()
+        assert tuple(map(len, (registry.devices, registry.stages, registry.pipelines))) == tuple(
+            len(BUILTIN[section]) for section in ("devices", "stages", "pipelines"))
+        for section, cls in ((registry.devices, DeviceProfile), (registry.stages, StageProfile),
+                             (registry.pipelines, LatencyBudget)):
+            for key, record in section.items():
+                assert isinstance(record, cls) and section[key] is record  # parsed once, then kept
+
+    @pytest.mark.parametrize(
+        "argv, parsed",
+        [(["gop", "bitrate", "--stage-profile", "huawei_ilab/comfortable"], ["profiles.stages[13]"]),
+         (["table", "summary"], ["profiles.devices[0]", "profiles.devices[1]"]),
+         (["profiles", "list"], [])],
+        ids=" ".join,
+    )
+    def test_a_command_parses_only_the_builtin_entries_it_reads(self, monkeypatch, capsys, fresh_builtins, argv,
+                                                               parsed):
+        calls, read = [], profiles._read
+        monkeypatch.setattr(profiles, "_read", lambda cls, obj, path: calls.append(path) or read(cls, obj, path))
+        monkeypatch.delenv("XRQOS_PROFILES", raising=False)
+        assert main(argv) == 0
+        assert calls == parsed
+
+    def test_a_user_file_is_parsed_whole_at_load(self, monkeypatch, tmp_path):
+        calls, read = [], profiles._read
+        monkeypatch.setattr(profiles, "_read", lambda cls, obj, path: calls.append(path) or read(cls, obj, path))
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(_two_devices()), encoding="utf-8")
+        registry = load_profiles(path)
+        assert calls == ["profiles.devices[0]", "profiles.devices[1]"]
+        assert sorted(registry.devices) == ["dev2", "eye_like", "quest2", "toy_hmd"]
+
+    @pytest.mark.parametrize(
+        "document, lookup, message",
+        [(_broken("stages", 3, fps={"strong": -90}), ("stage", "huawei2016", "ultimate"),
+          "builtin profiles: profiles.stages[3].fps.strong must be positive and finite, got -90"),
+         (_broken("devices", 1, depth={"bits_per_color": 8, "chroma": "4:2:2"}), ("device", "eye_like"),
+          "builtin profiles: profiles.devices[1]: unknown chroma mode '4:2:2'; expected one of ['4:2:0', '4:4:4']"),
+         (_broken("pipelines", 2, vsync_mode="sometimes"), ("pipeline", "hmd_fixed_refresh"),
+          "builtin profiles: profiles.pipelines[2]: vsync mode must be avg, max, or none, got 'sometimes'")],
+        ids=["stage field", "device model", "pipeline budget"],
+    )
+    def test_a_malformed_builtin_entry_fails_on_its_lookup_with_its_path(self, builtin_document, document, lookup,
+                                                                         message):
+        builtin_document(document)
+        registry = load_profiles()  # indexes every entry and parses none
+        method, *key = lookup
+        for _ in range(2):  # a failed parse keeps nothing, and fails again
+            with pytest.raises(ProfileError) as excinfo:
+                getattr(registry, method)(*key)
+            assert str(excinfo.value) == message
+        assert registry.stage("huawei_ilab", "comfortable").taxonomy == "huawei_ilab"
+
+    def test_a_duplicate_builtin_key_fails_the_index(self, builtin_document):
+        document = copy.deepcopy(BUILTIN)
+        document["stages"].append(dict(document["stages"][0], stage="Pre-VR"))  # the same key once normalised
+        builtin_document(document)
+        with pytest.raises(ProfileError) as excinfo:
+            builtin_registry()
+        assert str(excinfo.value) == "builtin profiles: profiles.stages[17]: duplicate stage profile huawei2016/Pre-VR"
 
 
 def _toy_device(**overrides) -> dict:

@@ -15,7 +15,7 @@ import xrqos
 from xrqos.codec import FrameSizes, GopConfig
 from xrqos.tracegen import export_trace, generate_trace
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+SRC = Path(xrqos.__file__).resolve().parent.parent  # the package under test, which may be a mutated copy
 HEAVY = ("xrqos.netsim", "xrqos.tracegen", "xrqos.profiles", "hashlib")
 
 
@@ -72,6 +72,30 @@ def test_star_import_and_dir_list_every_public_name():
 )
 def test_closed_form_query_loads_no_simulator_tracegen_or_registry(argv, tmp_path):
     assert cli_loads(argv, tmp_path).isdisjoint(HEAVY)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["geometry", "ppd", "--pixels", "1648", "--fov", "97"],
+     ["capacity", "sphere", "--ppd", "200", "--bpp", "24", "--fps", "77"],
+     ["latency", "refresh", "--hz", "90"],
+     ["reliability", "max-loss", "--throughput", "140M", "--rtt", "20ms"]],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_a_closed_form_text_query_loads_no_json(argv, tmp_path):
+    # report builds its JSON encoder on the first JSON write
+    assert "json" not in cli_loads(argv, tmp_path)
+    assert "json" in cli_loads(["--format", "json", *argv], tmp_path)
+
+
+# The capacity-planning sweep of the README; a lossless run draws no loss, so it needs no hash.
+SWEEP = ["simulate", "--stage-profile", "huawei_ilab/comfortable", "--duration", "2", "--sweep-downlink",
+         "50M,100M,200M", "--refresh-hz", "90"]
+
+
+@pytest.mark.parametrize("loss, loads", [("0", False), ("0.01", True)], ids=["lossless", "lossy"])
+def test_only_a_lossy_run_loads_hashlib(loss, loads, tmp_path):
+    assert ("hashlib" in cli_loads([*SWEEP, "--loss", loss], tmp_path)) is loads
 
 
 @pytest.mark.parametrize(
