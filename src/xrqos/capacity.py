@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 
 from . import _EXPORTS
-from .errors import ConfigError, DomainError, record, require
+from .errors import ConfigError, DomainError, require
 from .geometry import FovSpec, Resolution
+from .records import record
 
 __all__ = _EXPORTS["capacity"].split()
 

@@ -17,7 +17,7 @@ from .errors import DomainError, XrqosError
 # and what it imports every command loads anyway. Each handler imports the models it
 # runs, so `latency refresh` loads neither the simulator nor the profile registry. `main`
 # sets up only the parsers on the chosen command's path (`_Parser`), and every model class
-# is an `errors.record`, which compiles nothing where a frozen dataclass compiles six
+# is a `records.record`, which compiles nothing where a frozen dataclass compiles six
 # methods, and loads neither `dataclasses` nor `inspect` until its twin dataclass is first
 # read: a record's `vars` are its fields, so a handler copies one with a field changed by
 # calling its class on them. `report` loads `csv` only to write CSV, and `json` only to
@@ -170,7 +170,7 @@ def _check_output(args) -> None:
 def _output(args, write, what: str) -> int:
     """Run ``write(handle)`` on the --output file, then say so on stderr; on stdout without --output."""
     output = getattr(args, "output", None)
-    with report._destination(output or sys.stdout, what) as handle:
+    with report.destination(output or sys.stdout, what) as handle:
         write(handle)
     if output:
         print(f"wrote {what} to {output}", file=sys.stderr)
@@ -442,18 +442,18 @@ def _cmd_profiles_list(args) -> int:
 
 
 def _cmd_profiles_show(args) -> int:
-    from .errors import _write
-    from .profiles import _write_pipeline
+    from .profiles import write_pipeline
+    from .records import json_object
     registry = _registry(args)
     if "/" in args.name:
-        data = _write(_stage_for(registry, args.name))
+        data = json_object(_stage_for(registry, args.name))
     elif args.name in registry.pipelines:
-        data = _write_pipeline(args.name, registry.pipeline(args.name))
+        data = write_pipeline(args.name, registry.pipeline(args.name))
     else:
         device, mode = registry.device_mode(args.name)
         if "@" in args.name:
             device = type(device)(**{**vars(device), "refresh_modes": (mode,)})
-        data = _write(device)
+        data = json_object(device)
         data["derived"] = {
             f"{m.hz:g}": {"ppd": device.mode_ppd(m), "eye_resolution": device.mode_eye_resolution(m),
                           "full_video": device.mode_full_video(m)}

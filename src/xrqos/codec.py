@@ -12,8 +12,9 @@ import math
 
 from . import _EXPORTS
 from .capacity import BitDepth, BitRate, CompressionProfile
-from .errors import ConfigError, DomainError, _json, record, require
+from .errors import ConfigError, DomainError, require
 from .geometry import FovSpec, Resolution
+from .records import json_field, record
 
 __all__ = _EXPORTS["codec"].split()
 
@@ -28,10 +29,10 @@ class GopConfig:
     of one I followed by P-frames only.
     """
 
-    gop_time: float = _json("a number", key="gop_time_s")
-    fps: float = _json("a number")
-    redundancy_fraction: float = _json("a number", 0.10)
-    pattern: str | None = _json("a string", None)
+    gop_time: float = json_field("a number", key="gop_time_s")
+    fps: float = json_field("a number")
+    redundancy_fraction: float = json_field("a number", 0.10)
+    pattern: str | None = json_field("a string", None)
 
     def __post_init__(self) -> None:
         require("gop duration", self.gop_time, gt=0)
@@ -84,9 +85,9 @@ class RenderSurface:
 class FrameSizes:
     """Encoded size per frame type, in bits."""
 
-    i_bits: float = _json("a number")
-    p_bits: float = _json("a number")
-    b_bits: float | None = _json("a number", None)
+    i_bits: float = json_field("a number")
+    p_bits: float = json_field("a number")
+    b_bits: float | None = json_field("a number", None)
 
     def __post_init__(self) -> None:
         require("I-frame size", self.i_bits, gt=0)

@@ -8,7 +8,8 @@ from __future__ import annotations
 import math
 
 from . import _EXPORTS
-from .errors import _json, record, require
+from .errors import require
+from .records import json_field, record
 
 __all__ = _EXPORTS["geometry"].split()
 
@@ -17,8 +18,8 @@ __all__ = _EXPORTS["geometry"].split()
 class Resolution:
     """A pixel grid, e.g. one eye's panel or render target."""
 
-    width: int = _json("an integer")
-    height: int = _json("an integer")
+    width: int = json_field("an integer")
+    height: int = json_field("an integer")
 
     def __post_init__(self) -> None:
         require("resolution width", self.width, ge=1)
@@ -75,10 +76,10 @@ class FovSpec:
     unrendered area.
     """
 
-    horizontal: Angle = _json("a number", gt=0)
-    vertical: Angle = _json("a number", gt=0)
-    extra_h: Angle = _json("a number", Angle(0.0))
-    extra_v: Angle = _json("a number", Angle(0.0))
+    horizontal: Angle = json_field("a number", gt=0)
+    vertical: Angle = json_field("a number", gt=0)
+    extra_h: Angle = json_field("a number", Angle(0.0))
+    extra_v: Angle = json_field("a number", Angle(0.0))
 
     def __post_init__(self) -> None:
         # Coerce bare numbers so FovSpec(155, 130) works.

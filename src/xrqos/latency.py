@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 
 from . import _EXPORTS
-from .errors import DomainError, _Field, _json, record, require
+from .errors import DomainError, require
+from .records import Field, json_field, record
 
 __all__ = _EXPORTS["latency"].split()
 
@@ -25,11 +26,11 @@ class PipelineTiming:
     frame arrival time.
     """
 
-    t_sense: float = _json("a number", 0.0)
-    t_render: float = _json("a number", 0.0)
-    t_encode: float = _json("a number", 0.0)
-    t_decode: float = _json("a number", 0.0)
-    fixed_display: float = _json("a number", 0.0)
+    t_sense: float = json_field("a number", 0.0)
+    t_render: float = json_field("a number", 0.0)
+    t_encode: float = json_field("a number", 0.0)
+    t_decode: float = json_field("a number", 0.0)
+    fixed_display: float = json_field("a number", 0.0)
 
     def __post_init__(self) -> None:
         for f in self._record_fields:
@@ -46,7 +47,7 @@ class LatencyBudget:
     """
 
     mtp_limit: float
-    components: PipelineTiming = _Field(default_factory=PipelineTiming)
+    components: PipelineTiming = Field(default_factory=PipelineTiming)
     comm_ul: float = 0.0
     comm_dl: float = 0.0
     refresh_hz: float | None = None

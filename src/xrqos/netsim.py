@@ -37,13 +37,13 @@ per frame: index (its position), whether it was displayed, e2e, VSync wait
 and retransmissions. A dropped frame's e2e and VSync wait are None, and the
 ``displayed`` column is derived from the e2e column after the frame loop.
 The aggregates are computed from the columns. ``SimReport.frames``, like
-``FrameTrace.records`` and ``packetize``'s packets, is an
-``errors.Columns``: it acts as the tuple of ``FrameResult`` records and
+``FrameTrace.records`` and ``packetize``'s packets, is a
+``records.Columns``: it acts as the tuple of ``FrameResult`` records and
 builds them from the columns on first read, so neither a sweep, read only
 for its aggregates, nor a CSV or JSON write builds a record of either kind. A
 report also holds the link, pipeline timing, refresh rate and MTP limit it
 ran with; its JSON keys, CSV headers and CSV cell formats are the ones
-declared on the record fields, written in ``report``'s JSON and CSV layouts.
+declared on the record fields, built by ``records`` in ``report``'s layouts.
 """
 from __future__ import annotations
 
@@ -57,8 +57,9 @@ from operator import is_not
 from typing import TextIO
 
 from . import _EXPORTS, report
-from .errors import Columns, DomainError, _json, _write, record, require
+from .errors import DomainError, require
 from .latency import PipelineTiming
+from .records import Columns, csv_table, json_field, json_object, record
 from .reliability import DEFAULT_MSS_BITS
 from .tracegen import FrameTrace, packet_splits
 
@@ -81,15 +82,15 @@ class LinkModel:
     most); ``uplink_payload_bits`` can widen them.
     """
 
-    downlink_bps: float = _json("a number")
-    uplink_bps: float = _json("a number", 1e9)
-    propagation_rtt: float = _json("a number", 0.0, key="propagation_rtt_ms")
-    loss_prob: float = _json("a number", 0.0)
-    seed: int = _json("an integer", 0)
-    mode: str = _json("a string", "udp_like")
-    max_retx: int = _json("an integer", 3)
-    mtu_payload_bits: int = _json("an integer", DEFAULT_MSS_BITS)
-    uplink_payload_bits: int = _json("an integer", 0)
+    downlink_bps: float = json_field("a number")
+    uplink_bps: float = json_field("a number", 1e9)
+    propagation_rtt: float = json_field("a number", 0.0, key="propagation_rtt_ms")
+    loss_prob: float = json_field("a number", 0.0)
+    seed: int = json_field("an integer", 0)
+    mode: str = json_field("a string", "udp_like")
+    max_retx: int = json_field("an integer", 3)
+    mtu_payload_bits: int = json_field("an integer", DEFAULT_MSS_BITS)
+    uplink_payload_bits: int = json_field("an integer", 0)
 
     def __post_init__(self) -> None:
         # an infinite rate is an instant link
@@ -110,46 +111,46 @@ class LinkModel:
 class FrameResult:
     """One frame's fate: its end-to-end latency and VSync wait (None when dropped) and its retransmissions."""
 
-    index: int = _json("an integer", key="frame_index")
-    displayed: bool = _json("a boolean", cell="d")
-    e2e_ms: float | None = _json("a number", cell=".6f")
-    vsync_wait_ms: float | None = _json("a number", cell=".6f")
-    retx_count: int = _json("an integer")
+    index: int = json_field("an integer", key="frame_index")
+    displayed: bool = json_field("a boolean", cell="d")
+    e2e_ms: float | None = json_field("a number", cell=".6f")
+    vsync_wait_ms: float | None = json_field("a number", cell=".6f")
+    retx_count: int = json_field("an integer")
 
 
 @record
 class Aggregates:
     """A run's latency percentiles over its displayed frames (None when none were), and its frame counts."""
 
-    mean_e2e_ms: float | None = _json("a number")
-    p50_e2e_ms: float | None = _json("a number")
-    p95_e2e_ms: float | None = _json("a number")
-    p99_e2e_ms: float | None = _json("a number")
-    max_e2e_ms: float | None = _json("a number")
-    displayed_count: int = _json("an integer")
-    dropped_count: int = _json("an integer")
-    mtp_violations: int = _json("an integer")
-    effective_fps: float = _json("a number")
+    mean_e2e_ms: float | None = json_field("a number")
+    p50_e2e_ms: float | None = json_field("a number")
+    p95_e2e_ms: float | None = json_field("a number")
+    p99_e2e_ms: float | None = json_field("a number")
+    max_e2e_ms: float | None = json_field("a number")
+    displayed_count: int = json_field("an integer")
+    dropped_count: int = json_field("an integer")
+    mtp_violations: int = json_field("an integer")
+    effective_fps: float = json_field("a number")
 
 
 @record
 class SimReport:
     """One run's frames and aggregates, with the link, pipeline timing, refresh rate and MTP limit it ran with."""
 
-    frames: Sequence[FrameResult] = _json("an array", of=FrameResult)
-    aggregates: Aggregates = _json("an object", of=Aggregates)
-    refresh_hz: float = _json("a number")
-    mtp_limit: float = _json("a number", key="mtp_limit_ms")
-    link: LinkModel = _json("an object", of=LinkModel)
-    timing: PipelineTiming = _json("an object", of=PipelineTiming)
+    frames: Sequence[FrameResult] = json_field("an array", of=FrameResult)
+    aggregates: Aggregates = json_field("an object", of=Aggregates)
+    refresh_hz: float = json_field("a number")
+    mtp_limit: float = json_field("a number", key="mtp_limit_ms")
+    link: LinkModel = json_field("an object", of=LinkModel)
+    timing: PipelineTiming = json_field("an object", of=PipelineTiming)
 
     def to_json(self) -> str:
-        return report.to_json(_write(self))
+        return report.to_json(json_object(self))
 
     def write_csv(self, handle: TextIO) -> None:
         """Per-frame rows, an empty line, then the aggregates block."""
-        report.write_records(handle, FrameResult, self.frames)
-        report.write_rows(handle, (), [("metric", "value"), *_write(self.aggregates).items()])
+        report.write_rows(handle, *csv_table(FrameResult, self.frames))
+        report.write_rows(handle, (), [("metric", "value"), *json_object(self.aggregates).items()])
 
 
 _BLOCK = struct.Struct(">8Q")

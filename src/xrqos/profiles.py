@@ -24,12 +24,10 @@ from pathlib import Path
 from . import _EXPORTS, capacity
 from .capacity import BitDepth, CompressionProfile
 from .codec import GopConfig, RenderSurface
-from .errors import (
-    ConfigError, DomainError, ProfileError, UnknownKeyError, _check_bounds, _check_keys, _field, _json, _objects, _read,
-    _unreadable, record,
-)
+from .errors import ConfigError, DomainError, ProfileError, UnknownKeyError
 from .geometry import FovSpec, Resolution
 from .latency import LatencyBudget, PipelineTiming
+from .records import check_bounds, check_keys, json_field, read_objects, read_record, read_value, record, unreadable
 
 __all__ = _EXPORTS["profiles"].split()
 
@@ -70,23 +68,23 @@ def norm_interaction(interaction: str | None) -> str | None:
 class RefreshMode:
     """One refresh-rate operating point of a device."""
 
-    hz: float = _json("a number", gt=0)
-    render_target: Resolution | None = _json("an object", None, of=Resolution)
-    full_video: Resolution | None = _json("an object", None, of=Resolution)
-    ppd: float | None = _json("a number", None, gt=0)
+    hz: float = json_field("a number", gt=0)
+    render_target: Resolution | None = json_field("an object", None, of=Resolution)
+    full_video: Resolution | None = json_field("an object", None, of=Resolution)
+    ppd: float | None = json_field("a number", None, gt=0)
 
     def __post_init__(self) -> None:
-        _check_bounds(self)
+        check_bounds(self)
 
 
 @record
 class PublishedRate:
     """A bitrate quoted from the literature, kept verbatim: ``unit`` is a multiplier of the ``prefix`` table."""
 
-    label: str = _json("a string")
-    value: float = _json("a number")
-    unit: str = _json("a string")
-    prefix: str = _json("a string", "decimal")
+    label: str = json_field("a string")
+    value: float = json_field("a number")
+    unit: str = json_field("a string")
+    prefix: str = json_field("a string", "decimal")
 
     def __post_init__(self) -> None:
         table = {"decimal": capacity.DECIMAL_PREFIXES, "binary": capacity.BINARY_PREFIXES}.get(self.prefix)
@@ -101,22 +99,22 @@ class PublishedRate:
 class DeviceProfile:
     """A headset: its field of view, color depth, refresh modes and published latency and loss figures."""
 
-    name: str = _json("a string")
-    fov: FovSpec = _json("an object", of=FovSpec)
-    depth_bpc: int = _json("an integer", key="depth.bits_per_color")
-    refresh_modes: tuple[RefreshMode, ...] = _json("an array", of=RefreshMode)
-    chroma: str = _json("a string", "4:4:4", key="depth.chroma")
-    per_eye: Resolution | None = _json("an object", None, of=Resolution)
-    ppd: float | None = _json("a number", None, gt=0)
-    measured_mtp_ms: float | None = _json("a number", None, gt=0)
-    mtp_limits_ms: dict[str, float] = _json("a table", key="mtp_ms", gt=0)
-    published_loss_rate: float | None = _json("a number", None, ge=0, le=1)
-    published_delivery_pct: float | None = _json("a number", None, ge=0, le=100)
+    name: str = json_field("a string")
+    fov: FovSpec = json_field("an object", of=FovSpec)
+    depth_bpc: int = json_field("an integer", key="depth.bits_per_color")
+    refresh_modes: tuple[RefreshMode, ...] = json_field("an array", of=RefreshMode)
+    chroma: str = json_field("a string", "4:4:4", key="depth.chroma")
+    per_eye: Resolution | None = json_field("an object", None, of=Resolution)
+    ppd: float | None = json_field("a number", None, gt=0)
+    measured_mtp_ms: float | None = json_field("a number", None, gt=0)
+    mtp_limits_ms: dict[str, float] = json_field("a table", key="mtp_ms", gt=0)
+    published_loss_rate: float | None = json_field("a number", None, ge=0, le=1)
+    published_delivery_pct: float | None = json_field("a number", None, ge=0, le=100)
 
     def __post_init__(self) -> None:
         # Every device check runs here, so a bad profile fails at load: its ranges, its depth, and each mode's ppd,
         # which must exist (mode_ppd raises otherwise) and, stored beside a render target, agree with it.
-        _check_bounds(self)
+        check_bounds(self)
         BitDepth.from_bpc(self.depth_bpc, self.chroma)
         if not self.refresh_modes:
             raise ProfileError(f"device {self.name!r}: refresh_modes must list at least one mode")
@@ -168,30 +166,30 @@ class DeviceProfile:
 class StageProfile:
     """One VR evolution stage: its display, codec and GOP parameters and its MTP and loss requirements."""
 
-    taxonomy: str = _json("a string")
-    stage: str = _json("a string")
-    per_eye: Resolution | None = _json("an object", None, of=Resolution)
-    ppd: float | None = _json("a number", None, gt=0)
-    fps: dict[str, float] = _json("a table", gt=0)
-    bpc: int | None = _json("an integer", None)
-    chroma: str = _json("a string", "4:4:4")
-    fov: FovSpec | None = _json("an object", None, of=FovSpec)
-    codec: str | None = _json("a string", None)
-    stereo: bool | None = _json("a boolean", None)
-    iframe_factor: float | None = _json("a number", None)
-    pframe_factor: float | None = _json("a number", None)
-    gop_time_s: float | None = _json("a number", None)
-    redundancy_fraction: float | None = _json("a number", None)
-    extra_picture_fraction: float | None = _json("a number", None)
-    dof_fraction: float | None = _json("a number", None)
-    mtp_ms: dict[str, float] = _json("a table", gt=0)
-    loss_rate: dict[str, float] = _json("a table", ge=0, le=1)
-    bitrates: tuple[PublishedRate, ...] = _json("an array", (), of=PublishedRate)
+    taxonomy: str = json_field("a string")
+    stage: str = json_field("a string")
+    per_eye: Resolution | None = json_field("an object", None, of=Resolution)
+    ppd: float | None = json_field("a number", None, gt=0)
+    fps: dict[str, float] = json_field("a table", gt=0)
+    bpc: int | None = json_field("an integer", None)
+    chroma: str = json_field("a string", "4:4:4")
+    fov: FovSpec | None = json_field("an object", None, of=FovSpec)
+    codec: str | None = json_field("a string", None)
+    stereo: bool | None = json_field("a boolean", None)
+    iframe_factor: float | None = json_field("a number", None)
+    pframe_factor: float | None = json_field("a number", None)
+    gop_time_s: float | None = json_field("a number", None)
+    redundancy_fraction: float | None = json_field("a number", None)
+    extra_picture_fraction: float | None = json_field("a number", None)
+    dof_fraction: float | None = json_field("a number", None)
+    mtp_ms: dict[str, float] = json_field("a table", gt=0)
+    loss_rate: dict[str, float] = json_field("a table", ge=0, le=1)
+    bitrates: tuple[PublishedRate, ...] = json_field("an array", (), of=PublishedRate)
 
     def __post_init__(self) -> None:
         # Build each model object whose fields are all present, so a bad value fails at load rather
         # than at first use; a stage may still leave out what only the GOP model needs.
-        _check_bounds(self)
+        check_bounds(self)
         if self.bpc is not None:
             BitDepth.from_bpc(self.bpc, self.chroma)
         self.compression()
@@ -305,17 +303,6 @@ class ProfileRegistry:
         self.stages: Mapping[tuple[str, str], StageProfile] = _Entries()
         self.pipelines: Mapping[str, LatencyBudget] = _Entries()
 
-    # -- population -------------------------------------------------------
-
-    def add_device(self, profile: DeviceProfile) -> None:
-        self.devices._add(*_device_key(profile.name), profile)
-
-    def add_stage(self, profile: StageProfile) -> None:
-        self.stages._add(*_stage_key(profile.taxonomy, profile.stage), profile)
-
-    def add_pipeline(self, name: str, budget: LatencyBudget) -> None:
-        self.pipelines._add(*_pipeline_key(name), budget)
-
     # -- lookups ----------------------------------------------------------
 
     def device(self, name: str) -> DeviceProfile:
@@ -387,19 +374,19 @@ _PIPELINE_KEYS = frozenset(
 
 def _parse_pipeline(obj: dict, path: str) -> LatencyBudget:
     """A preset's delays in ms (an absent stage takes no time), with no MTP ceiling of its own."""
-    _check_keys(obj, path, _PIPELINE_KEYS)
-    delays = {f.name: _field(obj, f.name, path, "a number", 0.0) for f in PipelineTiming._record_fields}
+    check_keys(obj, path, _PIPELINE_KEYS)
+    delays = {f.name: read_value(obj, f.name, path, "a number", 0.0) for f in PipelineTiming._record_fields}
     return LatencyBudget(
         mtp_limit=math.inf,
         components=PipelineTiming(**delays),
-        comm_ul=_field(obj, "comm_ul", path, "a number", 0.0),
-        comm_dl=_field(obj, "comm_dl", path, "a number", 0.0),
-        refresh_hz=_field(obj, "refresh_hz", path, "a number", None),
-        vsync_mode=_field(obj, "vsync_mode", path, "a string", "avg"),
+        comm_ul=read_value(obj, "comm_ul", path, "a number", 0.0),
+        comm_dl=read_value(obj, "comm_dl", path, "a number", 0.0),
+        refresh_hz=read_value(obj, "refresh_hz", path, "a number", None),
+        vsync_mode=read_value(obj, "vsync_mode", path, "a string", "avg"),
     )
 
 
-def _write_pipeline(name: str, budget: LatencyBudget) -> dict:
+def write_pipeline(name: str, budget: LatencyBudget) -> dict:
     """A preset as the JSON object that ``_parse_pipeline`` builds it from, an unset field as None (null)."""
     flat = {"name": name, **vars(budget.components), **vars(budget)}
     return {key: value for key, value in flat.items() if key in _PIPELINE_KEYS}
@@ -409,10 +396,10 @@ _ROOT = "profiles"
 _DOCUMENT_KEYS = frozenset({"devices", "stages", "pipelines", "note"})
 
 # Each section of a profile document: the string fields of an entry that give its key and its name in a duplicate's
-# message, and the entry's parser (which reads ``_read`` when it runs).
+# message, and the entry's parser (which reads ``read_record`` when it runs).
 _SECTIONS = {
-    "devices": (("name",), _device_key, lambda obj, path: _read(DeviceProfile, obj, path)),
-    "stages": (("taxonomy", "stage"), _stage_key, lambda obj, path: _read(StageProfile, obj, path)),
+    "devices": (("name",), _device_key, lambda obj, path: read_record(DeviceProfile, obj, path)),
+    "stages": (("taxonomy", "stage"), _stage_key, lambda obj, path: read_record(StageProfile, obj, path)),
     "pipelines": (("name",), _pipeline_key, _parse_pipeline),
 }
 
@@ -437,11 +424,11 @@ def _load_document(registry: ProfileRegistry, document: dict, source: str, lazy:
         raise ProfileError(f"{source}: top level must be an object with devices/stages arrays")
     added, path = [], _ROOT
     try:
-        _check_keys(document, _ROOT, _DOCUMENT_KEYS)
+        check_keys(document, _ROOT, _DOCUMENT_KEYS)
         for section, (fields, key, read) in _SECTIONS.items():
-            for path, obj in _objects(document, section, _ROOT, optional=True):
+            for path, obj in read_objects(document, section, _ROOT, optional=True):
                 entry = _Unread(read, obj, path, source)
-                getattr(registry, section)._add(*key(*(_field(obj, f, path, "a string") for f in fields)), entry)
+                getattr(registry, section)._add(*key(*(read_value(obj, f, path, "a string") for f in fields)), entry)
                 added.append(entry)
     except (DomainError, ConfigError, ProfileError) as exc:
         raise _named(source, path, exc) from exc
@@ -456,7 +443,7 @@ def _read_json(path: Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ProfileError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or an integer literal too long to convert
-        raise ProfileError(f"{path}: {_unreadable(exc)}") from exc
+        raise ProfileError(f"{path}: {unreadable(exc)}") from exc
 
 
 @functools.cache

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 
 from . import DEFAULT_MSS_BITS, _EXPORTS
-from .errors import record, require
+from .errors import require
+from .records import record
 
 __all__ = _EXPORTS["reliability"].split()
 

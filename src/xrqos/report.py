@@ -3,8 +3,8 @@
 Every cell is produced through the capacity/latency/reliability operations
 on registry data; this module adds only ordering and serialization. Each
 output form has one rule for a value: ``json_value``, ``text_value`` and
-``csv_cell``. Every file is opened by ``_destination`` and has one JSON layout
-(``to_json``) and one CSV layout (``write_rows``; ``write_records`` for a record table, from its columns).
+``csv_cell``. Every file is opened by ``destination`` and has one JSON layout
+(``to_json``) and one CSV layout (``write_rows``), which lay out a record table as ``records`` builds it.
 ``json`` is loaded only to write JSON (a file, or a dict or list inside a text or CSV value).
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, TextIO
 
 from . import _EXPORTS
 from .capacity import BitRate
-from .errors import Columns, DomainError, _plan, _unless_none
+from .errors import DomainError
 from .geometry import FovSpec, Resolution
 
 if TYPE_CHECKING:
@@ -82,20 +82,20 @@ def csv_cell(value, units: str = "binary") -> str:
 
 
 @contextlib.contextmanager
-def _destination(destination: str | Path | TextIO, what: str):
-    """An open text handle for ``destination``.
+def destination(target: str | Path | TextIO, what: str):
+    """An open text handle for ``target``.
 
     For a path, an OSError while opening or writing becomes a DomainError naming it; a handle's
     own errors (a closed pipe on stdout, say) are its owner's to handle.
     """
-    if hasattr(destination, "write"):
-        yield destination
+    if hasattr(target, "write"):
+        yield target
         return
     try:
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
+        with open(target, "w", encoding="utf-8", newline="") as handle:
             yield handle
     except OSError as exc:
-        raise DomainError(f"cannot write {what} to {destination}: {exc}") from exc
+        raise DomainError(f"cannot write {what} to {target}: {exc}") from exc
 
 
 @functools.cache
@@ -132,16 +132,6 @@ def write_rows(handle: TextIO, header: Iterable, rows: Iterable[Iterable]) -> No
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-
-
-def write_records(handle: TextIO, cls: type, records: Iterable) -> None:
-    """``records`` of ``cls``, a ``Columns`` table or any iterable of records, as CSV, written from the table's
-    columns: a column per field, headed by its JSON key, each cell but None (an empty cell) in the field's ``cell``
-    format if any."""
-    plan = _plan(cls)[0]
-    columns = (column if spec is None else _unless_none(f"{{:{spec}}}".format, column)
-               for column, (*_, spec) in zip(Columns.of(cls, records).columns, plan))
-    write_rows(handle, [key for _, key, *_ in plan], zip(*columns))
 
 
 def report_to_json(payload, units: str) -> str:

@@ -10,9 +10,9 @@ builds them on first read, while the link simulator reads the ``t_gen`` and
 ``size_bits`` columns and never builds a record. ``packetize`` reads the
 same two columns and returns the packet table, a column per ``PacketRecord``
 field, which acts as the tuple of ``PacketRecord``s and builds none until
-one is read. Traces and packets export to CSV and JSON, both written from
-their columns as their record fields declare, in ``report``'s layouts; a
-trace's JSON loads back, checked, and feeds the link simulator.
+one is read. Traces and packets export to CSV and JSON, built by ``records``
+from their columns as their record fields declare, in ``report``'s layouts;
+a trace's JSON loads back, checked, and feeds the link simulator.
 """
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ from typing import TextIO
 
 from . import _EXPORTS, report
 from .codec import FrameSizes, GopConfig
-from .errors import Columns, DomainError, _json, _read, _rows, _unreadable, _write, record, require
+from .errors import DomainError, require
+from .records import Columns, csv_table, json_field, json_object, json_rows, read_record, record, unreadable
 
 __all__ = _EXPORTS["tracegen"].split()
 
@@ -41,21 +42,21 @@ MAX_PACKETS = 10**7
 class FrameRecord:
     """One frame of a trace: its index, generation time (ms), type (I, P or B), size and GOP number."""
 
-    index: int = _json("an integer", key="frame_index")
-    t_gen: float = _json("a number", key="t_gen_ms", cell=".3f")
-    frame_type: str = _json("a string")
-    size_bits: int = _json("an integer")
-    gop_index: int = _json("an integer")
+    index: int = json_field("an integer", key="frame_index")
+    t_gen: float = json_field("a number", key="t_gen_ms", cell=".3f")
+    frame_type: str = json_field("a string")
+    size_bits: int = json_field("an integer")
+    gop_index: int = json_field("an integer")
 
 
 @record
 class PacketRecord:
     """One packet of a frame, ready to send when its frame is generated (ms)."""
 
-    frame_index: int = _json("an integer")
-    packet_index: int = _json("an integer")
-    size_bits: int = _json("an integer")
-    t_ready: float = _json("a number", key="t_ready_ms", cell=".3f")
+    frame_index: int = json_field("an integer")
+    packet_index: int = json_field("an integer")
+    size_bits: int = json_field("an integer")
+    t_ready: float = json_field("a number", key="t_ready_ms", cell=".3f")
 
 
 @record
@@ -66,10 +67,10 @@ class FrameTrace:
     ``records`` may be given as any sequence of frame records; the trace keeps only their columns.
     """
 
-    config: GopConfig = _json("an object", of=GopConfig)
-    sizes: FrameSizes = _json("an object", of=FrameSizes)
-    duration: float = _json("a number", key="duration_s")
-    records: tuple[FrameRecord, ...] = _json("an array", of=FrameRecord)
+    config: GopConfig = json_field("an object", of=GopConfig)
+    sizes: FrameSizes = json_field("an object", of=FrameSizes)
+    duration: float = json_field("a number", key="duration_s")
+    records: tuple[FrameRecord, ...] = json_field("an array", of=FrameRecord)
 
     def __post_init__(self) -> None:
         require("trace.duration_s", self.duration, gt=0)
@@ -184,23 +185,23 @@ def packetize(trace: FrameTrace, mtu_payload_bits: int) -> Columns:
 
 def export_trace(trace: FrameTrace, fmt: str, destination: str | Path | TextIO) -> None:
     """Write a trace as CSV (one row per frame) or JSON (lossless round-trip)."""
-    _export(fmt, destination, "trace", FrameRecord, trace.records, report.write_json, lambda: _write(trace))
+    _export(fmt, destination, "trace", FrameRecord, trace.records, report.write_json, lambda: json_object(trace))
 
 
 def export_packets(packets: Sequence[PacketRecord], fmt: str, destination: str | Path | TextIO) -> None:
     """Write packets, ``packetize``'s table or any sequence of ``PacketRecord``s, as CSV (one row per packet, from
     the table's columns) or JSON (an array of packet objects, written a batch at a time)."""
     _export(fmt, destination, "packets", PacketRecord, packets, report.write_json_array,
-            lambda: _rows(PacketRecord, packets))
+            lambda: json_rows(PacketRecord, packets))
 
 
 def _export(fmt: str, destination, what: str, cls: type, records, write_json, document) -> None:
     """``records`` of ``cls`` as CSV, or JSON by ``write_json(handle, document())``; a bad ``fmt`` opens nothing."""
     if fmt not in ("csv", "json"):
         raise DomainError(f"format must be csv or json, got {fmt!r}")
-    with report._destination(destination, what) as handle:
+    with report.destination(destination, what) as handle:
         if fmt == "csv":
-            report.write_records(handle, cls, records)
+            report.write_rows(handle, *csv_table(cls, records))
         else:
             write_json(handle, document())
 
@@ -209,7 +210,7 @@ def trace_from_dict(payload: dict) -> FrameTrace:
     """The trace a JSON document written by ``export_trace`` describes; a malformed document raises DomainError."""
     if not isinstance(payload, dict):
         raise DomainError(f"a trace must be a JSON object, got {type(payload).__name__}")
-    return _read(FrameTrace, payload, "trace")
+    return read_record(FrameTrace, payload, "trace")
 
 
 def load_trace_json(source: str | Path | TextIO) -> FrameTrace:
@@ -221,5 +222,5 @@ def load_trace_json(source: str | Path | TextIO) -> FrameTrace:
             with open(source, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
     except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
-        raise DomainError(f"cannot read trace {source}: {_unreadable(exc)}") from exc
+        raise DomainError(f"cannot read trace {source}: {unreadable(exc)}") from exc
     return trace_from_dict(payload)

@@ -16,10 +16,11 @@ from xrqos import cli
 from xrqos.capacity import BitDepth, VoxelSpec
 from xrqos.cli import build_parser, main, parse_rate, parse_resolution, parse_time_ms
 from xrqos.codec import FrameSizes, GopConfig, RenderSurface
-from xrqos.errors import _MISSING, DomainError, _write
+from xrqos.errors import DomainError
 from xrqos.geometry import FovSpec, Resolution
 from xrqos.latency import LatencyBudget, PipelineTiming
 from xrqos.netsim import LinkModel
+from xrqos.records import _MISSING, json_object
 from xrqos.reliability import LossModel
 from xrqos.profiles import ProfileRegistry, _load_document, builtin_registry
 from xrqos import tracegen
@@ -529,7 +530,7 @@ class TestInputBoundary:
     def test_bad_trace_input(self, capsys, tmp_path, document):
         path = tmp_path / "trace.json"
         if document != "absent":
-            payload = _write(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))
+            payload = json_object(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))
             if document == "empty":
                 payload = {}
             else:
@@ -740,7 +741,7 @@ class TestInputBoundary:
     )
     def test_a_preset_rejects_flags_for_the_fields_it_sets(self, capsys, tmp_path, preset, argv):
         trace = tmp_path / "trace.json"
-        trace.write_text(json.dumps(_write(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))))
+        trace.write_text(json.dumps(json_object(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))))
         code, out, err = run_cli(capsys, *(arg.format(trace=trace) for arg in argv))
         assert_domain_error(code, out, err)
         assert err.count("\n") == 1 and preset in err and argv[-2] in err

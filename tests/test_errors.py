@@ -14,7 +14,7 @@ from xrqos.capacity import (
 )
 from xrqos.codec import FrameSizes, GopConfig, frame_size, gop_bitrate
 from xrqos import report
-from xrqos.errors import DomainError, _field, _objects, _plan, _read, _rows, _write, require
+from xrqos.errors import DomainError, require
 from xrqos.geometry import (
     FovSpec, PhysicalSize, Resolution, ppd_from_cone_density, ppd_from_fov, ppi, ppi_from_diagonal,
     scale_resolution,
@@ -23,6 +23,7 @@ from xrqos.latency import LatencyBudget, PipelineTiming, budget_check, refresh_d
 from xrqos.netsim import FrameResult, LinkModel, simulate
 from xrqos.reliability import LossModel, max_loss_rate
 from xrqos.profiles import DeviceProfile, StageProfile, builtin_registry
+from xrqos.records import _plan, json_object, json_rows, read_objects, read_record, read_value
 from xrqos.tracegen import FrameRecord, FrameTrace, MAX_FRAMES, MAX_PACKETS, PacketRecord, generate_trace, packetize
 
 nan, inf = math.nan, math.inf
@@ -95,28 +96,28 @@ def test_a_value_that_is_not_a_float_is_a_named_domain_error(probe, message):
 
 class TestField:
     def test_number_reads_as_float_within_bounds(self):
-        assert _field({"a": 2}, "a", "doc", "a number", gt=0) == 2.0
+        assert read_value({"a": 2}, "a", "doc", "a number", gt=0) == 2.0
         with pytest.raises(DomainError, match=r"doc.a must lie in \[0, 1\], got 2$"):
-            _field({"a": 2}, "a", "doc", "a number", ge=0, le=1)
+            read_value({"a": 2}, "a", "doc", "a number", ge=0, le=1)
 
     def test_default_for_missing_or_null(self):
-        assert _field({}, "a", "doc", "a string", "x") == "x"
-        assert _field({"a": None}, "a", "doc", "a number", None) is None
+        assert read_value({}, "a", "doc", "a string", "x") == "x"
+        assert read_value({"a": None}, "a", "doc", "a number", None) is None
         with pytest.raises(DomainError, match="doc lacks key 'a'"):
-            _field({}, "a", "doc", "a number")
+            read_value({}, "a", "doc", "a number")
 
     @pytest.mark.parametrize(
         "value, kind", [(True, "a number"), (1, "a boolean"), ("1", "an integer"), (1.5, "an integer")]
     )
     def test_wrong_type(self, value, kind):
         with pytest.raises(DomainError, match=f"doc.a must be {kind}"):
-            _field({"a": value}, "a", "doc", kind)
+            read_value({"a": value}, "a", "doc", kind)
 
     def test_objects_checks_each_item(self):
-        assert list(_objects({"a": [{}, {"k": 1}]}, "a", "doc")) == [("doc.a[0]", {}), ("doc.a[1]", {"k": 1})]
-        assert list(_objects({}, "a", "doc", optional=True)) == []
+        assert list(read_objects({"a": [{}, {"k": 1}]}, "a", "doc")) == [("doc.a[0]", {}), ("doc.a[1]", {"k": 1})]
+        assert list(read_objects({}, "a", "doc", optional=True)) == []
         with pytest.raises(DomainError, match=r"doc.a\[1\] must be an object"):
-            list(_objects({"a": [{}, 3]}, "a", "doc"))
+            list(read_objects({"a": [{}, 3]}, "a", "doc"))
 
 
 DEPTH = BitDepth(24)
@@ -258,11 +259,11 @@ def tables(cls):
 
 
 class TestWriter:
-    """``_rows`` writes each record of a table as the object the field-by-field reference writes, in the same key
-    order, and ``_read`` reads ``_write``'s object back as the record."""
+    """``json_rows`` writes each record of a table as the object the field-by-field reference writes, in the same key
+    order, and ``read_record`` reads ``json_object``'s object back as the record."""
 
     def check(self, cls, records) -> None:
-        written, expected = list(_rows(cls, records)), [reference_object(record) for record in records]
+        written, expected = list(json_rows(cls, records)), [reference_object(record) for record in records]
         assert report.to_json(written) == report.to_json(expected)
         assert json.dumps(written) == json.dumps(expected)  # key order too, which a text listing shows
 
@@ -272,15 +273,15 @@ class TestWriter:
         rows = data.draw(tables(cls))
         records = tuple(cls(*row) for row in rows)
         self.check(cls, records)
-        assert [_write(record) for record in records] == list(_rows(cls, records))
+        assert [json_object(record) for record in records] == list(json_rows(cls, records))
 
     def test_the_builtin_devices_nest_their_records_and_groups(self):
         devices = tuple(builtin_registry().devices.values())
         self.check(DeviceProfile, devices)
-        assert all("depth" in obj and "bits_per_color" in obj["depth"] for obj in _rows(DeviceProfile, devices))
+        assert all("depth" in obj and "bits_per_color" in obj["depth"] for obj in json_rows(DeviceProfile, devices))
 
     def test_every_builtin_device_and_stage_reads_back_as_itself(self):
         registry = builtin_registry()
         for cls, records in ((DeviceProfile, registry.devices.values()), (StageProfile, registry.stages.values())):
             for record in records:
-                assert _read(cls, _write(record), "profile") == record
+                assert read_record(cls, json_object(record), "profile") == record

@@ -8,6 +8,7 @@ No module compiles code at run time: none calls ``eval`` or ``exec``. No functio
 attribute of ``argparse``, of a parser, of its subparsers action, of an ``Action`` or of a ``Namespace`` whose name
 starts with one underscore): the CLI builds its command tree on argparse's public API alone. Each module imports
 only the package modules ``MAY_IMPORT`` gives it, and an edge up the layers only inside the function ``LATE`` names.
+No module imports another module's underscore name or reads one off it: a name that another module uses is public.
 """
 import argparse
 import ast
@@ -215,19 +216,21 @@ def test_the_argparse_walk_catches_each_form():
 
 
 # Each module and the package modules it may import, when it is imported or inside a function; "xrqos" is the
-# package itself (its export list and DEFAULT_MSS_BITS). The models at the bottom import only ``errors``.
+# package itself (its export list and DEFAULT_MSS_BITS). ``records``, the record format, imports only ``errors``, and
+# the models at the bottom import only those two. ``report`` lays out what ``records`` builds, and imports none of it.
 MAY_IMPORT = {
     "__init__": set(),
     "errors": {"xrqos"},
-    "geometry": {"xrqos", "errors"},
-    "capacity": {"xrqos", "errors", "geometry"},
-    "codec": {"xrqos", "errors", "geometry", "capacity"},
-    "latency": {"xrqos", "errors"},
-    "reliability": {"xrqos", "errors"},
+    "records": {"xrqos", "errors"},
+    "geometry": {"xrqos", "errors", "records"},
+    "capacity": {"xrqos", "errors", "records", "geometry"},
+    "codec": {"xrqos", "errors", "records", "geometry", "capacity"},
+    "latency": {"xrqos", "errors", "records"},
+    "reliability": {"xrqos", "errors", "records"},
     "report": {"xrqos", "errors", "geometry", "capacity"},
-    "tracegen": {"xrqos", "errors", "codec", "report"},
-    "netsim": {"xrqos", "errors", "latency", "reliability", "tracegen", "report"},
-    "profiles": {"xrqos", "errors", "geometry", "capacity", "codec", "latency", "reliability"},
+    "tracegen": {"xrqos", "errors", "records", "codec", "report"},
+    "netsim": {"xrqos", "errors", "records", "latency", "reliability", "tracegen", "report"},
+    "profiles": {"xrqos", "errors", "records", "geometry", "capacity", "codec", "latency", "reliability"},
     "cli": {"xrqos", "errors", "report"},
 }
 # Edges up the layers, each allowed only inside the functions named (every function of a module named alone), so
@@ -305,3 +308,65 @@ def test_the_package_import_walk_sees_each_form_and_scope():
     assert package_imports(ast.parse(source), modules) == [
         "module: xrqos", "module: report", "module: errors", "module: netsim", "module: geometry", "module: codec",
         "module: capacity", "C.method: tracegen", "f.g: xrqos", "f: latency"]
+
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_uses(tree: ast.AST, modules: set[str]) -> list[str]:
+    """``line: module.name`` for each underscore name of a package module in ``modules`` that ``tree`` imports (``from
+    .m import _x``) or reads as an attribute of the module (``m._x``, after ``from . import m``, ``import xrqos.m as
+    m`` or ``import xrqos``). A dunder is not such a name, nor is one of the package itself (its ``_EXPORTS``). A name
+    that is bound to a module anywhere in ``tree`` counts as that module everywhere."""
+    bound, found = {}, []  # each local name of the package ("") or of one of its modules
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "xrqos"):
+            source = (node.module or "").removeprefix("xrqos").lstrip(".")
+            for alias in node.names:
+                if not source and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+                elif source and private(alias.name):
+                    found.append((node.lineno, node.col_offset, f"{source}.{alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "xrqos":
+                    bound[alias.asname or "xrqos"] = rest if alias.asname else ""
+
+    def module_of(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute) and module_of(node.value) == "" and node.attr in modules:
+            return node.attr
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr) and (module := module_of(node.value)):
+            found.append((node.lineno, node.col_offset, f"{module}.{node.attr}"))
+    return [f"{line}: {name}" for line, _, name in sorted(found)]
+
+
+def test_no_module_uses_another_modules_private_name():
+    paths = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
+    found = {module: private_uses(ast.parse(path.read_text(encoding="utf-8")), set(paths) - {"__init__", module})
+             for module, path in paths.items()}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_the_private_name_walk_catches_each_form():
+    source = (
+        "from . import _EXPORTS, report\n"
+        "from .errors import DomainError, _write as write\n"
+        "import xrqos.profiles as p\n"
+        "import xrqos.codec\n"
+        "def f(obj):\n"
+        "    from xrqos import netsim as n\n"
+        "    return report._destination, report.write_rows, n.__name__, n._walk, obj._private, xrqos._EXPORTS\n"
+        "p._read(xrqos.codec._x, xrqos.codec.__file__)\n"
+    )
+    modules = {"report", "errors", "profiles", "codec", "netsim"}
+    assert private_uses(ast.parse(source), modules) == [
+        "2: errors._write", "7: report._destination", "7: netsim._walk", "8: profiles._read", "8: codec._x"]

@@ -58,6 +58,16 @@ MUTANTS = (
     Mutant("a-fov-of-zero-width", "geometry", '"horizontal fov in degrees", self.horizontal.degrees, gt=0',
            '"horizontal fov in degrees", self.horizontal.degrees, ge=0',
            ("test_geometry.py::TestValueTypes::test_fovspec_extents_are_positive",)),
+    Mutant("a-number-column-written-without-float", "records",
+           '_unless_none(float if kind == "a number" else json_object, column)',
+           '_unless_none((lambda value: value) if kind == "a number" else json_object, column)',
+           ("test_errors.py::TestWriter::test_a_random_table_writes_what_its_records_write",)),
+    Mutant("negative-zero-written-as-zero", "records",
+           '_unless_none(float if kind == "a number" else json_object, column)',
+           '_unless_none((lambda value: float(value) + 0.0) if kind == "a number" else json_object, column)',
+           ("test_errors.py::TestWriter::test_a_random_table_writes_what_its_records_write",)),
+    Mutant("a-none-cell-written-as-text", "records", '_unless_none(f"{{:{spec}}}".format, column, "")',
+           '_unless_none(f"{{:{spec}}}".format, column, "None")', ("test_report.py::TestRecordTables",)),
 )
 
 

@@ -104,15 +104,15 @@ class TestBuiltinOnLookup:
     )
     def test_a_command_parses_only_the_builtin_entries_it_reads(self, monkeypatch, capsys, fresh_builtins, argv,
                                                                parsed):
-        calls, read = [], profiles._read
-        monkeypatch.setattr(profiles, "_read", lambda cls, obj, path: calls.append(path) or read(cls, obj, path))
+        calls, read = [], profiles.read_record
+        monkeypatch.setattr(profiles, "read_record", lambda cls, obj, path: calls.append(path) or read(cls, obj, path))
         monkeypatch.delenv("XRQOS_PROFILES", raising=False)
         assert main(argv) == 0
         assert calls == parsed
 
     def test_a_user_file_is_parsed_whole_at_load(self, monkeypatch, tmp_path):
-        calls, read = [], profiles._read
-        monkeypatch.setattr(profiles, "_read", lambda cls, obj, path: calls.append(path) or read(cls, obj, path))
+        calls, read = [], profiles.read_record
+        monkeypatch.setattr(profiles, "read_record", lambda cls, obj, path: calls.append(path) or read(cls, obj, path))
         path = tmp_path / "two.json"
         path.write_text(json.dumps(_two_devices()), encoding="utf-8")
         registry = load_profiles(path)

@@ -18,11 +18,12 @@ import pytest
 
 from xrqos.capacity import BitDepth, BitRate, CompressionProfile
 from xrqos.codec import FrameSizes, GopConfig
-from xrqos.errors import _MISSING, DomainError, _json, record
+from xrqos.errors import DomainError
 from xrqos.geometry import Angle, FovSpec, PhysicalSize, Resolution
 from xrqos.latency import LatencyBudget, PipelineTiming, RefreshDelay
 from xrqos.netsim import Aggregates, FrameResult, LinkModel, SimReport
 from xrqos.profiles import PublishedRate, RefreshMode
+from xrqos.records import _MISSING, json_field, record
 from xrqos.tracegen import FrameRecord, PacketRecord
 
 MODULES = ("capacity", "codec", "geometry", "latency", "netsim", "profiles", "reliability", "tracegen")
@@ -375,8 +376,8 @@ def test_threads_reading_a_fresh_records_view_get_equal_views():
         """A record whose view no one has read yet."""
 
         count: int
-        rate: float = _json("a number", 2.0)
-        table: dict = _json("a table")
+        rate: float = json_field("a number", 2.0)
+        table: dict = json_field("a table")
 
     start, views = threading.Barrier(8, timeout=10), []
 

@@ -7,11 +7,12 @@ import pytest
 
 from xrqos.capacity import BitRate
 from xrqos.codec import FrameSizes, GopConfig
-from xrqos.errors import UnknownKeyError, _json, _plan, _write, record
+from xrqos.errors import UnknownKeyError
 from xrqos.geometry import FovSpec, Resolution
 from xrqos.latency import PipelineTiming
 from xrqos.netsim import FrameResult, LinkModel, simulate
 from xrqos.profiles import SUMMARY_FACTORS, builtin_registry, reproduce_summary_table
+from xrqos.records import _plan, csv_table, json_field, json_object, record
 from xrqos.report import (
     csv_cell,
     json_value,
@@ -19,7 +20,7 @@ from xrqos.report import (
     report_to_json,
     requirements_report,
     text_value,
-    write_records,
+    write_rows,
 )
 from xrqos.tracegen import FrameRecord, PacketRecord, export_packets, export_trace, generate_trace, packetize
 
@@ -122,9 +123,9 @@ class TestSerialization:
 class _Sample:
     """A record made only for this test: a name, a nullable formatted ratio and a count."""
 
-    name: str = _json("a string")
-    ratio: float | None = _json("a number", key="ratio_pct", cell=".2f")
-    count: int = _json("an integer")
+    name: str = json_field("a string")
+    ratio: float | None = json_field("a number", key="ratio_pct", cell=".2f")
+    count: int = json_field("an integer")
 
 
 def _table(write) -> list[list[str]]:
@@ -169,7 +170,7 @@ class TestRecordTables:
         blank = rows.index([])
         self.check(rows[:blank], FrameResult, report.frames)
         assert rows[blank + 1] == ["metric", "value"]
-        aggregates = _write(report.aggregates)
+        aggregates = json_object(report.aggregates)
         assert rows[blank + 2:] == [[key, "" if value is None else repr(value)] for key, value in aggregates.items()]
 
     def test_writing_a_table_builds_no_record(self):
@@ -213,6 +214,6 @@ class TestRecordTables:
     def test_a_new_record_needs_only_its_declaration(self):
         samples = [_Sample("a", 12.3456, 3), _Sample("b,c", None, 4)]
         buffer = io.StringIO()
-        write_records(buffer, _Sample, samples)
+        write_rows(buffer, *csv_table(_Sample, samples))
         assert buffer.getvalue() == 'name,ratio_pct,count\na,12.35,3\n"b,c",,4\n'
-        self.check(_table(lambda out: write_records(out, _Sample, samples)), _Sample, samples)
+        self.check(_table(lambda out: write_rows(out, *csv_table(_Sample, samples))), _Sample, samples)

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from xrqos.capacity import BitDepth
 from xrqos.codec import FrameSizes, GopConfig, RenderSurface, frame_size, gop_bitrate, nb_pixels
-from xrqos.errors import ConfigError, DomainError, _write
+from xrqos.errors import ConfigError, DomainError
 from xrqos.geometry import FovSpec, Resolution
+from xrqos.records import json_object
 from xrqos import report, tracegen
 from xrqos.tracegen import (
     FrameRecord,
@@ -303,7 +304,7 @@ class TestExport:
 
     def test_dict_round_trip(self):
         trace = generate_trace(FrameSizes(100, 10, b_bits=5), GopConfig(1.0, 12.0, pattern="IBBP"), 1.0)
-        assert trace_from_dict(_write(trace)) == trace
+        assert trace_from_dict(json_object(trace)) == trace
 
     def test_empty_trace_round_trip(self):
         trace = generate_trace(FrameSizes(100, 10), GopConfig(1.0, 10.0), 0.01)
@@ -336,8 +337,8 @@ class TestExport:
         packets = packetize(trace, 4)[:count]
         buffer = io.StringIO()
         export_packets(packets, "json", buffer)
-        assert buffer.getvalue() == report.to_json([_write(packet) for packet in packets])
-        assert json.loads(buffer.getvalue()) == [_write(packet) for packet in packets]
+        assert buffer.getvalue() == report.to_json([json_object(packet) for packet in packets])
+        assert json.loads(buffer.getvalue()) == [json_object(packet) for packet in packets]
         if not count:
             assert buffer.getvalue() == "[]\n"
 
@@ -373,7 +374,7 @@ class TestExport:
 
 
 def _mutated(change):
-    payload = _write(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))
+    payload = json_object(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))
     change(payload)
     return payload
 
@@ -449,7 +450,7 @@ class TestLoadBoundary:
 
     def test_trace_holds_at_most_max_frames(self, monkeypatch):
         trace = generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 0.4)
-        payload = _write(trace)
+        payload = json_object(trace)
         monkeypatch.setattr(tracegen, "MAX_FRAMES", 3)
         message = r"trace frame count must lie in \[0, 3\], got 4"
         with pytest.raises(DomainError, match=message):
