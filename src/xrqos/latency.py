@@ -33,8 +33,8 @@ class PipelineTiming:
     fixed_display: float = json_field("a number", 0.0)
 
     def __post_init__(self) -> None:
-        for f in self._record_fields:
-            require(f.name, getattr(self, f.name), ge=0)
+        for name in self.__match_args__:
+            require(name, getattr(self, name), ge=0)
 
 
 @record

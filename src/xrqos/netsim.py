@@ -14,9 +14,10 @@ lost on attempt a depends only on (seed, frame, k, a), never on the
 bandwidth or the packet count; that keying is what makes bandwidth sweeps
 monotone and repeatable. Versions before this stream keyed one draw per
 (seed, frame, packet, attempt), so their loss patterns for a given seed
-differ. Only a lossy run loads ``hashlib``: each chain build imports it
-once and hands ``blake2b`` to its walks, so a lossless run, such as a
-capacity sweep, loads neither it nor OpenSSL.
+differ. The stream's ``blake2b`` is the one ``hashlib`` gives, imported
+from ``_blake2`` (where ``hashlib`` takes it), so no run loads ``hashlib``
+or OpenSSL; each chain build imports it once and hands it to its walks, so
+a lossless run, such as a capacity sweep, loads not even ``_blake2``.
 
 So a frame's loss chain is the same at every rate, and for the first
 attempt in both modes: for each attempt that loses any packet, how many are
@@ -59,7 +60,7 @@ from typing import TextIO
 from . import _EXPORTS, report
 from .errors import DomainError, require
 from .latency import PipelineTiming
-from .records import Columns, csv_table, json_field, json_object, record
+from .records import Columns, csv_table, json_field, json_object, json_parts, record
 from .reliability import DEFAULT_MSS_BITS
 from .tracegen import FrameTrace, packet_splits
 
@@ -145,7 +146,7 @@ class SimReport:
     timing: PipelineTiming = json_field("an object", of=PipelineTiming)
 
     def to_json(self) -> str:
-        return report.to_json(json_object(self))
+        return report.to_json(*json_parts(self))
 
     def write_csv(self, handle: TextIO) -> None:
         """Per-frame rows, an empty line, then the aggregates block."""
@@ -169,14 +170,14 @@ def _lost_packets(seed: int, frame_index: int, attempt: int, count: int, loss_pr
         return []
     if loss_prob >= 1.0:
         return list(range(count))
-    from hashlib import blake2b
+    from _blake2 import blake2b
     return _walk(blake2b, seed, frame_index, attempt, count, math.log1p(-loss_prob))
 
 
 def _walk(blake2b, seed: int, frame: int, attempt: int, count: int, log_keep: float) -> list[int]:
     """``_lost_packets``' walk over the stream of (seed, frame, attempt), whose block keys are
     "seed:frame:attempt:block", at ``log_keep`` = log(1 - p) for a p strictly between 0 and 1. ``blake2b`` is
-    ``hashlib``'s, which each lossy chain build imports once and hands to its walks."""
+    ``hashlib``'s, from ``_blake2``, which each lossy chain build imports once and hands to its walks."""
     unpack, log = _BLOCK.unpack, math.log  # read per call, so a test can patch them
     prefix = f"{seed}:{frame}:{attempt}:"
     lost = []
@@ -206,7 +207,8 @@ def _build_chains(link: LinkModel, sizes, splits: dict, depth: int) -> tuple[lis
     """
     seed, log_keep = link.seed, math.log1p(-link.loss_prob)
     chains, pending = [], {}
-    from hashlib import blake2b  # here, so that a lossless run loads neither hashlib nor OpenSSL
+    # hashlib.blake2b itself, without loading hashlib and OpenSSL; here, so that a lossless run loads no hash module
+    from _blake2 import blake2b
     for frame, size in enumerate(sizes):
         count, last_bits = splits[size]
         lost = _walk(blake2b, seed, frame, 0, count, log_keep)
@@ -221,7 +223,7 @@ def _build_chains(link: LinkModel, sizes, splits: dict, depth: int) -> tuple[lis
 def _deepen(link: LinkModel, chains: list, pending: dict, depth: int) -> dict:
     """Extend each pending frame's chain in ``chains`` to ``depth`` attempts, drawing only what is still lost;
     the frames still pending after that."""
-    from hashlib import blake2b
+    from _blake2 import blake2b
     seed, log_keep = link.seed, math.log1p(-link.loss_prob)
     still = {}
     for frame, lost in pending.items():

@@ -367,7 +367,7 @@ class ProfileRegistry:
 
 # A preset's keys: its name and free-text note, and the budget's fields but its ceiling, the delays flattened.
 _PIPELINE_KEYS = frozenset(
-    {"name", "note"} | {f.name for f in PipelineTiming._record_fields + LatencyBudget._record_fields}
+    {"name", "note", *PipelineTiming.__match_args__, *LatencyBudget.__match_args__}
     - {"mtp_limit", "components"}
 )
 
@@ -375,7 +375,7 @@ _PIPELINE_KEYS = frozenset(
 def _parse_pipeline(obj: dict, path: str) -> LatencyBudget:
     """A preset's delays in ms (an absent stage takes no time), with no MTP ceiling of its own."""
     check_keys(obj, path, _PIPELINE_KEYS)
-    delays = {f.name: read_value(obj, f.name, path, "a number", 0.0) for f in PipelineTiming._record_fields}
+    delays = {name: read_value(obj, name, path, "a number", 0.0) for name in PipelineTiming.__match_args__}
     return LatencyBudget(
         mtp_limit=math.inf,
         components=PipelineTiming(**delays),

@@ -1,8 +1,13 @@
 """The record format: ``record``, which every model value class is made with (a frozen dataclass at a fraction of its
 cost), ``Columns``, the table of records kept a column per field, and ``json_field``, a field's JSON key, kind, bounds
 and CSV cell format. From those declarations alone ``read_record`` reads a profile, trace or report record from JSON,
-and ``json_rows`` and ``csv_table`` build a table's JSON objects and CSV rows from its columns, for ``report``."""
+and ``json_rows`` and ``csv_table`` build a table's JSON objects and CSV rows from its columns, for ``report``. A
+table of flat records (scalar fields only, as a trace's frames) has a fast case each way: ``read_array`` reads it
+column by column from the parsed JSON, and ``json_array`` writes its JSON text in ``report``'s layout from its
+columns, row by row with one pattern. Each falls back to the general path for anything that does not fit exactly,
+so neither changes a message or a byte."""
 import functools
+import math
 import operator
 import sys
 from collections.abc import Iterable, Sequence
@@ -115,8 +120,9 @@ def record(cls):
 
     Each annotation in the class body is a field and an ``__init__`` parameter; a value assigned to it is its
     default, or a ``Field`` with a default factory or metadata. The class keeps its fields in ``_record_fields``,
-    and ``fields``, ``replace``, ``is_dataclass``, ``inspect.signature`` (through ``_Twin``) and pickling work as on
-    any dataclass.
+    which only this module reads; its field names, in order, are its ``__match_args__``, as on a dataclass. And
+    ``fields``, ``replace``, ``is_dataclass``, ``inspect.signature`` (through ``_Twin``) and pickling work as on any
+    dataclass.
     """
     all_fields, defaulted = [], False
     for name, annotation in vars(cls).get("__annotations__", {}).items():
@@ -277,6 +283,24 @@ def _plan(cls) -> tuple[tuple, frozenset, tuple[str, ...]]:
     return plan, frozenset(keys | {"note"}), tuple({key.split(".")[0] for key in keys if "." in key})
 
 
+# The exact Python types of a scalar JSON kind's values; a number reads as a float.
+_SCALAR_TYPES = {"an integer": frozenset({int}), "a number": frozenset({int, float}), "a string": frozenset({str}),
+                 "a boolean": frozenset({bool})}
+_LARGEST = sys.float_info.max
+
+
+@functools.cache
+def _flat(cls) -> tuple[tuple[str, str, frozenset], ...] | None:
+    """(key, kind, value types) of each field of ``cls`` in field order, if ``cls`` is flat: every field a scalar
+    under a key of its own, without bounds, and no ``__post_init__``, as ``FrameRecord`` and ``FrameResult``.
+    Otherwise None. A table of flat records is read and written column by column."""
+    plan = _plan(cls)[0]
+    if cls._record_post_init or any(of or bounds or "." in key or kind not in _SCALAR_TYPES
+                                    for _, key, kind, of, _, bounds, _ in plan):
+        return None
+    return tuple((key, kind, _SCALAR_TYPES[kind]) for _, key, kind, *_ in plan)
+
+
 def check_keys(obj: dict, path: str, known: frozenset) -> None:
     """Reject a key of ``obj`` that is not in ``known``; a ``note`` is free text."""
     if not known.issuperset(obj):
@@ -297,7 +321,7 @@ def read_record(cls, obj: dict, path: str):
         if not required and obj.get(key) is None:
             continue  # the field's own default
         if kind == "an array":
-            values[attr] = tuple(read_record(of, item, item_path) for item_path, item in read_objects(obj, key, path))
+            values[attr] = read_array(of, obj, key, path)
         elif kind == "a table":
             table = read_value(obj, key, path, "an object")
             values[attr] = {name: read_value(table, name, f"{path}.{key}", "a number", **bounds) for name in table}
@@ -305,6 +329,42 @@ def read_record(cls, obj: dict, path: str):
             value = read_value(obj, key, path, kind, **bounds)
             values[attr] = value if of is None else read_record(of, value, f"{path}.{key}")
     return cls(**values)
+
+
+def read_array(cls, obj: dict, key: str, path: str):
+    """The array ``obj[key]`` of ``cls`` records, as ``read_record`` reads each item. If ``cls`` is flat and every item
+    holds each of its keys and no other, each value of its field's kind (not null; a number finite), the array is
+    read column by column into a ``Columns`` table that builds no record. Any other array is read item by item, so
+    that the first item that does not fit raises its own error."""
+    items = read_value(obj, key, path, "an array")
+    columns = _read_columns(_flat(cls), items)
+    if columns is None:
+        return tuple(read_record(cls, item, item_path) for item_path, item in read_objects(obj, key, path))
+    return Columns(cls, *columns)
+
+
+def _read_columns(fields, items: list) -> list[tuple] | None:
+    """The columns of ``items``, JSON objects of a flat record's ``fields``, as ``read_value`` reads each value; None
+    if any item or value does not fit exactly."""
+    if fields is None or set(map(type, items)) - {dict} or set(map(len, items)) - {len(fields)}:
+        return None
+    columns = []
+    for key, kind, types in fields:
+        try:
+            column = tuple(map(operator.itemgetter(key), items))
+        except KeyError:  # an item lacks the key, so it holds another instead
+            return None
+        present = set(map(type, column))
+        if not present <= types:
+            return None
+        if kind == "a number":  # within the float range as an int, finite as a float, as require asks
+            if int in present and not -_LARGEST <= min(column) <= max(column) <= _LARGEST:
+                return None
+            column = tuple(map(float, column))
+            if not math.isfinite(sum(column)):  # a NaN or an infinity, or a sum past the float range
+                return None
+        columns.append(column)
+    return columns
 
 
 def check_bounds(obj) -> None:
@@ -324,14 +384,17 @@ def _unless_none(convert, column, none=None):
     return (none if value is None else convert(value) for value in column)
 
 
-def json_rows(cls, records):
+def json_rows(cls, records, leave_out=()):
     """The JSON object of each ``cls`` record in ``records``, a ``Columns`` table of ``cls`` or any sequence of ``cls``
     records, as its fields' ``json_field`` metadata declare (what ``read_record`` builds a record from), every field
-    written: None as null. Each is built from the table's columns, so none of its records is: a number (an Angle gives
-    its degrees) goes through ``float``, a record through ``json_object`` and an array through ``json_rows`` of its
-    class, each unless None, and the key "depth.chroma" is the key "chroma" of the object under "depth"."""
+    written but the keys ``leave_out``: None as null. Each is built from the table's columns, so none of its records
+    is: a number (an Angle gives its degrees) goes through ``float``, a record through ``json_object`` and an array
+    through ``json_rows`` of its class, each unless None, and the key "depth.chroma" is the key "chroma" of the object
+    under "depth"."""
     objects: dict = {}  # each key's column, or each group's {key: column}, in field order
     for column, (_, key, kind, of, *_) in zip(Columns.of(cls, records).columns, _plan(cls)[0]):
+        if key in leave_out:
+            continue
         if kind == "an array":
             column = _unless_none(lambda array, of=of: list(json_rows(of, array)), column)
         elif kind == "a number" or of:
@@ -350,6 +413,70 @@ def _dicts(columns: dict):
 def json_object(obj) -> dict:
     """``obj`` as the JSON object of its fields: the one-row ``json_rows``."""
     return next(json_rows(type(obj), (obj,)))
+
+
+def json_parts(obj) -> tuple[dict, dict]:
+    """``json_object(obj)`` in the two parts ``report.to_json`` lays out as one: the object without its arrays of flat
+    records, and the text of each such array (``json_array`` at depth 1), by key. An array that ``json_array`` leaves
+    to the encoder stays in the object."""
+    arrays = {}
+    for attr, key, kind, of, *_ in _plan(type(obj))[0]:
+        if kind == "an array" and (table := getattr(obj, attr)) is not None and (text := json_array(of, table, 1)):
+            arrays[key] = text
+    return next(json_rows(type(obj), (obj,), arrays)), arrays
+
+
+def json_array(cls, records, depth: int):
+    """The text of ``list(json_rows(cls, records))`` in ``report``'s layout (``indent=2``, keys sorted) as a value
+    nested ``depth`` levels deep, or None. It is written from the table's columns, with one row pattern, in pieces of
+    up to 4,096 rows, and every cell as ``json`` writes it: null, true or false, an int by ``int.__repr__``, a
+    number column's value through ``float`` and ``float.__repr__`` (or NaN, Infinity, -Infinity), a string with
+    ``json``'s ASCII escaping. None when ``cls`` is not flat, or a value is neither None nor of its column's kind
+    (a bool in an integer column, say): the encoder writes ``json_rows`` of such a table, so the text never depends
+    on which path wrote it."""
+    fields = _flat(cls)
+    if fields is None:
+        return None
+    columns = Columns.of(cls, records).columns
+    for (_, _, types), column in zip(fields, columns):
+        if not set(map(type, column)) - {type(None)} <= types:
+            return None
+    from json.encoder import encode_basestring_ascii as quote
+
+    keyed = sorted(zip(fields, columns), key=lambda field: field[0][0])  # json's sort_keys
+    row = "\n" + "  " * (depth + 1)  # what opens each row
+    pattern = "{" + ",".join(f"{row}  {quote(key).replace('%', '%%')}: %s" for (key, *_), _ in keyed) + row + "}"
+
+    def pieces():
+        count = len(columns[0])
+        for start in range(0, count, 4096):
+            cells = [_cells(kind, column[start:start + 4096], quote) for (_, kind, _), column in keyed]
+            yield ("," if start else "[") + row + f",{row}".join(map(pattern.__mod__, zip(*cells)))
+        yield "\n" + "  " * depth + "]" if count else "[]"
+
+    return pieces()
+
+
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # json's words for float.__repr__'s
+
+
+def _cells(kind: str, values, quote) -> list[str]:
+    """The JSON text of each value of a flat record column of ``kind``, each None or of the kind's types."""
+    given = [value for value in values if value is not None] if None in values else values
+    if kind == "a number":
+        texts = list(map(float.__repr__, map(float, given)))
+        if not _NON_FINITE.keys().isdisjoint(texts):
+            texts = [_NON_FINITE.get(text, text) for text in texts]
+    elif kind == "an integer":
+        texts = list(map(int.__repr__, given))
+    elif kind == "a boolean":
+        texts = list(map({True: "true", False: "false"}.__getitem__, given))
+    else:
+        texts = list(map(quote, given))
+    if given is not values:
+        texts = iter(texts)
+        texts = ["null" if value is None else next(texts) for value in values]
+    return texts
 
 
 def csv_table(cls, records) -> tuple[list[str], Iterable[tuple]]:

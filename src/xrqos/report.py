@@ -105,16 +105,35 @@ def _encoder():
     return json.JSONEncoder(indent=2, sort_keys=True)
 
 
-def to_json(document) -> str:
-    return _encoder().encode(document) + "\n"
+def to_json(document, arrays=None) -> str:
+    """``document`` in the JSON layout of every file. ``arrays`` maps further keys of the object ``document`` to
+    their values' text, in pieces laid out one level deep (``records.json_array``), which take their places among
+    its keys."""
+    return "".join(_members(document, arrays)) if arrays else _encoder().encode(document) + "\n"
 
 
-def write_json(handle: TextIO, document) -> None:
-    """``to_json(document)``, written in pieces of 65,536 encoder chunks, so a large document is never one string."""
+def write_json(handle: TextIO, document, arrays=None) -> None:
+    """``to_json(document, arrays)``, written in pieces: 65,536 encoder chunks, or each member and array piece, so a
+    large document is never one string."""
+    if arrays:
+        for piece in _members(document, arrays):
+            handle.write(piece)
+        return
     chunks = _encoder().iterencode(document)
     while piece := "".join(islice(chunks, 65536)):
         handle.write(piece)
     handle.write("\n")
+
+
+def _members(document: dict, arrays: dict):
+    """``to_json(document, arrays)`` in pieces: the object's members in key order, each of ``document`` encoded on
+    its own and indented a level (a JSON text holds no newline but the layout's own), each of ``arrays`` as given."""
+    encode = _encoder().encode
+    members = {key: (encode(value).replace("\n", "\n  "),) for key, value in document.items()} | arrays
+    for i, key in enumerate(sorted(members)):
+        yield f"{',' if i else '{'}\n  {encode(key)}: "
+        yield from members[key]
+    yield "\n}\n"
 
 
 def write_json_array(handle: TextIO, items: Iterable) -> None:

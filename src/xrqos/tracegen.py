@@ -11,8 +11,10 @@ builds them on first read, while the link simulator reads the ``t_gen`` and
 same two columns and returns the packet table, a column per ``PacketRecord``
 field, which acts as the tuple of ``PacketRecord``s and builds none until
 one is read. Traces and packets export to CSV and JSON, built by ``records``
-from their columns as their record fields declare, in ``report``'s layouts;
-a trace's JSON loads back, checked, and feeds the link simulator.
+from their columns as their record fields declare, in ``report``'s layouts
+(a trace's frames by ``records``' row writer); a trace's JSON loads back,
+its frames read column by column into the trace's columns, checked, and
+feeds the link simulator.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from typing import TextIO
 from . import _EXPORTS, report
 from .codec import FrameSizes, GopConfig
 from .errors import DomainError, require
-from .records import Columns, csv_table, json_field, json_object, json_rows, read_record, record, unreadable
+from .records import Columns, csv_table, json_field, json_parts, json_rows, read_record, record, unreadable
 
 __all__ = _EXPORTS["tracegen"].split()
 
@@ -62,9 +64,11 @@ class PacketRecord:
 @record
 class FrameTrace:
     """A positive, finite duration and at most ``MAX_FRAMES`` frames, whose indices run 0, 1, 2, ..., whose
-    generation times never decrease, whose types are I, P or B and whose sizes are not negative.
+    generation times never decrease, from 0 ms on and ending before the duration, whose types are I, P or B and
+    whose sizes are not negative.
 
-    ``records`` may be given as any sequence of frame records; the trace keeps only their columns.
+    ``records`` may be given as any sequence of frame records, or as their ``Columns`` table, which the JSON reader
+    fills column by column; the trace keeps only their columns.
     """
 
     config: GopConfig = json_field("an object", of=GopConfig)
@@ -77,19 +81,24 @@ class FrameTrace:
         require("trace frame count", len(self.records), ge=0, le=MAX_FRAMES)
         records = Columns.of(FrameRecord, self.records)
         object.__setattr__(self, "records", records)
-        previous, largest = -math.inf, sys.float_info.max
+        previous, largest = 0.0, sys.float_info.max
         for i, (index, t, kind, size) in enumerate(zip(*records.columns[:4])):
             if index != i:
                 raise DomainError(
                     f"trace.records[{i}].frame_index must be {i} (indices run from 0 without gaps), got {index}"
                 )
             if t < previous:
-                raise DomainError(f"trace.records[{i}].t_gen_ms {t} precedes the previous frame's {previous}")
+                raise DomainError(f"trace.records[{i}].t_gen_ms {t} precedes the previous frame's {previous}" if i
+                                  else f"trace.records[0].t_gen_ms cannot be negative, got {t}")
             if kind not in ("I", "P", "B"):
                 raise DomainError(f"trace.records[{i}].frame_type must be I, P or B, got {kind!r}")
             if not 0 <= size <= largest:
                 require(f"trace.records[{i}].size_bits", size, ge=0)
             previous = t
+        end = self.duration * 1000.0
+        if records and not previous < end:  # a frame at or past the end would make every rate per second wrong
+            raise DomainError(f"trace.records[{len(records) - 1}].t_gen_ms {previous} must precede the trace's end, "
+                              f"duration_s * 1000 = {end}")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -185,25 +194,26 @@ def packetize(trace: FrameTrace, mtu_payload_bits: int) -> Columns:
 
 def export_trace(trace: FrameTrace, fmt: str, destination: str | Path | TextIO) -> None:
     """Write a trace as CSV (one row per frame) or JSON (lossless round-trip)."""
-    _export(fmt, destination, "trace", FrameRecord, trace.records, report.write_json, lambda: json_object(trace))
+    _export(fmt, destination, "trace", FrameRecord, trace.records,
+            lambda handle: report.write_json(handle, *json_parts(trace)))
 
 
 def export_packets(packets: Sequence[PacketRecord], fmt: str, destination: str | Path | TextIO) -> None:
     """Write packets, ``packetize``'s table or any sequence of ``PacketRecord``s, as CSV (one row per packet, from
     the table's columns) or JSON (an array of packet objects, written a batch at a time)."""
-    _export(fmt, destination, "packets", PacketRecord, packets, report.write_json_array,
-            lambda: json_rows(PacketRecord, packets))
+    _export(fmt, destination, "packets", PacketRecord, packets,
+            lambda handle: report.write_json_array(handle, json_rows(PacketRecord, packets)))
 
 
-def _export(fmt: str, destination, what: str, cls: type, records, write_json, document) -> None:
-    """``records`` of ``cls`` as CSV, or JSON by ``write_json(handle, document())``; a bad ``fmt`` opens nothing."""
+def _export(fmt: str, destination, what: str, cls: type, records, write_json) -> None:
+    """``records`` of ``cls`` as CSV, or JSON by ``write_json(handle)``; a bad ``fmt`` opens nothing."""
     if fmt not in ("csv", "json"):
         raise DomainError(f"format must be csv or json, got {fmt!r}")
     with report.destination(destination, what) as handle:
         if fmt == "csv":
             report.write_rows(handle, *csv_table(cls, records))
         else:
-            write_json(handle, document())
+            write_json(handle)
 
 
 def trace_from_dict(payload: dict) -> FrameTrace:

@@ -1,5 +1,7 @@
 """The shared input checks: ``require`` and the JSON field reader, every model boundary behind them, and the JSON
 record writer."""
+import dataclasses
+import io
 import json
 import math
 import re
@@ -23,8 +25,10 @@ from xrqos.latency import LatencyBudget, PipelineTiming, budget_check, refresh_d
 from xrqos.netsim import FrameResult, LinkModel, simulate
 from xrqos.reliability import LossModel, max_loss_rate
 from xrqos.profiles import DeviceProfile, StageProfile, builtin_registry
-from xrqos.records import _plan, json_object, json_rows, read_objects, read_record, read_value
-from xrqos.tracegen import FrameRecord, FrameTrace, MAX_FRAMES, MAX_PACKETS, PacketRecord, generate_trace, packetize
+from xrqos.records import (Columns, _plan, json_array, json_object, json_rows, read_objects, read_record,
+                           read_value)
+from xrqos.tracegen import (FrameRecord, FrameTrace, MAX_FRAMES, MAX_PACKETS, PacketRecord, export_trace,
+                            generate_trace, packetize)
 
 nan, inf = math.nan, math.inf
 
@@ -244,13 +248,15 @@ def reference_object(record) -> dict:
     return obj
 
 
-EDGE_NUMBERS = st.sampled_from([None, -0.0, 1e-300, 2**63, 7, math.inf, math.nan])
+EDGE_NUMBERS = st.sampled_from([None, -0.0, 1e-300, 5e-324, 1e16, 1e308, 2**63, 7, math.inf, -math.inf, math.nan])
 CELLS = {
     "a number": st.one_of(EDGE_NUMBERS, st.floats(), st.integers()),
-    "an integer": st.one_of(st.sampled_from([None, 2**63, True, False]), st.integers()),
+    "an integer": st.one_of(st.sampled_from([None, 2**63, -(10**30), True, False]), st.integers()),
     "a boolean": st.one_of(st.none(), st.booleans()),
-    "a string": st.one_of(st.sampled_from([None, "é", "日本", "\u2028", '"\\\n']), st.text()),
+    "a string": st.one_of(st.sampled_from([None, "é", "日本", "\u2028", '"\\\n', "%s %%", "\x00\x1f"]), st.text()),
 }
+# The exact types of a value that json_array writes in a column of each kind, besides None.
+KIND_TYPES = {"a number": {int, float}, "an integer": {int}, "a boolean": {bool}, "a string": {str}}
 
 
 def tables(cls):
@@ -274,6 +280,68 @@ class TestWriter:
         records = tuple(cls(*row) for row in rows)
         self.check(cls, records)
         assert [json_object(record) for record in records] == list(json_rows(cls, records))
+
+    def check_text(self, cls, records) -> None:
+        """``json_array``'s text, at the top and one level down, is the encoder's text of ``json_rows``; or it leaves
+        the table to the encoder, exactly when a value lies outside its column's kind."""
+        rows = list(json_rows(cls, records))
+        outside = any(value is not None and type(value) not in KIND_TYPES[kind]
+                      for record in records for attr, _, kind, *_ in _plan(cls)[0] for value in [getattr(record, attr)])
+        top, nested = json_array(cls, records, 0), json_array(cls, records, 1)
+        if outside:
+            assert top is None and nested is None
+            return
+        assert "".join(top) + "\n" == report.to_json(rows)
+        assert report.to_json({"count": 1, "z": {}}, {"rows": nested}) == report.to_json({"count": 1, "rows": rows,
+                                                                                          "z": {}})
+
+    @pytest.mark.parametrize("cls", [FrameRecord, PacketRecord, FrameResult], ids=lambda cls: cls.__name__)
+    @given(data=st.data())
+    def test_a_random_table_writes_the_encoders_text(self, cls, data):
+        rows = data.draw(tables(cls))
+        self.check_text(cls, tuple(cls(*row) for row in rows))
+        self.check_text(cls, Columns(cls, *(zip(*rows) if rows else ((),) * len(_plan(cls)[0]))))
+
+    def test_the_edge_values_write_the_encoders_text(self):
+        numbers = [None, -0.0, 0.0, 5e-324, 1e16, 1e308, -1e308, 7, 2**63, math.inf, -math.inf, math.nan]
+        texts = [None, "", '"\\\n', "\u2028", "日本", "%s %%", "\x00\x1f"]
+        results = [FrameResult(i, i % 2 == 0, number, number, 10**i) for i, number in enumerate(numbers)]
+        frames = [FrameRecord(i, number, texts[i % len(texts)], -(10**i), 2**70) for i, number in enumerate(numbers)]
+        for cls, records in ((FrameResult, results), (FrameRecord, frames)):
+            self.check_text(cls, records)
+            assert json_array(cls, records, 0) is not None
+
+    def test_a_table_past_one_piece_writes_the_encoders_text(self):
+        count = 4096 * 2 + 3
+        table = Columns(FrameResult, range(count), [i % 3 > 0 for i in range(count)],
+                        [None if i % 3 == 0 else i / 7 for i in range(count)], [i * -0.5 for i in range(count)],
+                        [i % 5 for i in range(count)])
+        assert len(list(json_array(FrameResult, table, 1))) == 4
+        self.check_text(FrameResult, table)
+
+    def test_a_value_outside_its_kind_leaves_the_table_to_the_encoder(self):
+        for row in [(0, True, 1.0, 1.0, True), (0, 1, 1.0, 1.0, 1), (0, True, "1", 1.0, 1), (1.0, True, 1.0, 1.0, 1)]:
+            self.check_text(FrameResult, [FrameResult(*row)])
+            assert json_array(FrameResult, [FrameResult(*row)], 0) is None
+
+    @given(rows=tables(FrameResult))
+    def test_a_report_writes_what_the_encoder_writes(self, rows):
+        run = simulate(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0), LinkModel(1e8),
+                       PipelineTiming(), 90.0, 20.0)
+        run = dataclasses.replace(run, frames=tuple(FrameResult(*row) for row in rows))
+        assert run.to_json() == report.to_json(json_object(run))
+
+    @given(times=st.lists(st.one_of(st.floats(0, 1e16), st.integers(0, 10**16), st.sampled_from([-0.0, 5e-324])),
+                          max_size=12),
+           sizes=st.lists(st.integers(0, 2**1000), min_size=12, max_size=12),
+           gops=st.lists(st.integers(), min_size=12, max_size=12), kinds=st.text("IPB", min_size=12, max_size=12))
+    def test_a_trace_exports_what_the_encoder_writes(self, times, sizes, gops, kinds):
+        frames = [FrameRecord(i, t, kind, size, gop) for i, (t, kind, size, gop) in
+                  enumerate(zip(sorted(times), kinds, sizes, gops))]
+        trace = FrameTrace(GopConfig(1.0, 10.0), FrameSizes(5000, 600), 1e14, frames)
+        buffer = io.StringIO()
+        export_trace(trace, "json", buffer)
+        assert buffer.getvalue() == report.to_json(json_object(trace))
 
     def test_the_builtin_devices_nest_their_records_and_groups(self):
         devices = tuple(builtin_registry().devices.values())

@@ -370,3 +370,37 @@ def test_the_private_name_walk_catches_each_form():
     modules = {"report", "errors", "profiles", "codec", "netsim"}
     assert private_uses(ast.parse(source), modules) == [
         "2: errors._write", "7: report._destination", "7: netsim._walk", "8: profiles._read", "8: codec._x"]
+
+
+def record_internals(tree: ast.AST) -> list[str]:
+    """``line: name`` for each attribute of a name that starts with ``_record_`` which ``tree`` reads or sets, also
+    through ``getattr``, ``setattr`` or ``hasattr``: a record's own tables, which ``records.record`` sets."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_record_"):
+            found.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "setattr", "hasattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant) and str(node.args[1].value).startswith("_record_")):
+            found.append((node.lineno, node.args[1].value))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_no_module_but_records_reads_a_records_own_tables():
+    # another module reads a record's field names from __match_args__, as on a dataclass
+    found = {path.stem: record_internals(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: lines for module, lines in found.items() if lines and module != "records"} == {}
+    assert found["records"]  # the walk sees records' own reads, so it would see anyone else's
+
+
+def test_the_record_internals_walk_catches_each_form():
+    source = (
+        "for f in self._record_fields:\n"
+        "    pass\n"
+        "names = {f.name for f in PipelineTiming._record_fields}\n"
+        "getattr(cls, '_record_values')(obj), getattr(cls, 'record_values'), obj.record_fields, obj._recorded\n"
+        "cls._record_binding = ()\n"
+    )
+    assert record_internals(ast.parse(source)) == [
+        "1: _record_fields", "3: _record_fields", "4: _record_values", "5: _record_binding"]

@@ -52,9 +52,9 @@ MUTANTS = (
            + "for n_lost, last_bits in chain if len(chain) < max_attempts else chain[: max_attempts - 1]:\n"
            + " " * 20 + "if last_bits is not None:",
            ("test_netsim.py::TestFloatOrder",)),
-    Mutant("a-lossless-run-loads-hashlib", "netsim", "import math\nimport struct\n",
-           "import hashlib\nimport math\nimport struct\n",
-           ("test_startup_imports.py::test_only_a_lossy_run_loads_hashlib",)),
+    Mutant("a-lossless-run-loads-blake2", "netsim", "import math\nimport struct\n",
+           "import _blake2\nimport math\nimport struct\n",
+           ("test_startup_imports.py::test_only_a_lossy_run_loads_blake2",)),
     Mutant("a-fov-of-zero-width", "geometry", '"horizontal fov in degrees", self.horizontal.degrees, gt=0',
            '"horizontal fov in degrees", self.horizontal.degrees, ge=0',
            ("test_geometry.py::TestValueTypes::test_fovspec_extents_are_positive",)),
@@ -66,6 +66,22 @@ MUTANTS = (
            '_unless_none(float if kind == "a number" else json_object, column)',
            '_unless_none((lambda value: float(value) + 0.0) if kind == "a number" else json_object, column)',
            ("test_errors.py::TestWriter::test_a_random_table_writes_what_its_records_write",)),
+    Mutant("groups-after-the-flat-keys", "records", "    return _dicts(objects)\n",
+           "    return _dicts(dict(sorted(objects.items(), key=lambda item: type(item[1]) is dict)))\n",
+           ("test_errors.py::TestWriter::test_the_builtin_devices_nest_their_records_and_groups",)),
+    Mutant("a-bool-in-an-integer-column-written-as-an-int", "records", '        elif kind == "a number" or of:\n',
+           '        elif kind == "an integer":\n            column = _unless_none(int, column)\n'
+           '        elif kind == "a number" or of:\n',
+           ("test_errors.py::TestWriter::test_a_random_table_writes_what_its_records_write",)),
+    Mutant("column-reader-takes-a-bool-as-an-integer", "records", "if not present <= types:",
+           "if not present <= types | {bool}:",
+           ("test_tracegen.py::TestColumnReader::test_each_edge_in_each_column_reads_or_fails_as_item_by_item",)),
+    Mutant("row-writer-writes-negative-zero-as-zero", "records", "map(float.__repr__, map(float, given))",
+           "map(float.__repr__, map(lambda value: float(value) + 0.0, given))",
+           ("test_errors.py::TestWriter::test_the_edge_values_write_the_encoders_text",)),
+    Mutant("row-writer-writes-an-int-in-a-number-column-without-float", "records",
+           "map(float.__repr__, map(float, given))", "map(repr, given)",
+           ("test_errors.py::TestWriter::test_the_edge_values_write_the_encoders_text",)),
     Mutant("a-none-cell-written-as-text", "records", '_unless_none(f"{{:{spec}}}".format, column, "")',
            '_unless_none(f"{{:{spec}}}".format, column, "None")', ("test_report.py::TestRecordTables",)),
 )

@@ -1,3 +1,4 @@
+import _blake2
 import dataclasses
 import gc
 import hashlib
@@ -699,7 +700,7 @@ class TestLossDraws:
     def test_subnormal_probability_loses_nothing(self, monkeypatch):
         # the first gap is infinite, so a walk reads one block; one that read on through a frame of 10**9 packets
         # would run for hours, so each call may draw at most ten blocks a frame and fails at the eleventh
-        drawn, real = [], hashlib.blake2b
+        drawn, real = [], _blake2.blake2b
 
         def bounded(*args, **kwargs):
             drawn.append(args)
@@ -707,7 +708,7 @@ class TestLossDraws:
                 raise AssertionError(f"{len(drawn)} blocks drawn by one call, at most {bound} allowed")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(hashlib, "blake2b", bounded)
+        monkeypatch.setattr(_blake2, "blake2b", bounded)
         bound = 10
         for frame in range(200):
             drawn.clear()
@@ -730,16 +731,32 @@ class TestLossDraws:
 
 @pytest.fixture
 def digests(monkeypatch):
-    """The keys of every blake2b digest the simulator draws while the test runs."""
+    """The keys of every blake2b digest the simulator draws while the test runs, counted where ``netsim`` imports
+    its constructor from."""
     calls = []
-    real = hashlib.blake2b
+    real = _blake2.blake2b
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(hashlib, "blake2b", counting)
+    monkeypatch.setattr(_blake2, "blake2b", counting)
     return calls
+
+
+def test_the_stream_draws_with_hashlibs_blake2b(monkeypatch):
+    # netsim imports blake2b from _blake2, which is where hashlib takes it from: the same function, so the same stream
+    used, walk = [], netsim._walk
+
+    def recording(blake2b, *args):
+        used.append(blake2b)
+        return walk(blake2b, *args)
+
+    monkeypatch.setattr(netsim, "_walk", recording)
+    link = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, loss_prob=0.05, seed=3, mode="tcp_like")
+    simulate(small_trace(), link, PipelineTiming(), 90.0, 20.0)
+    assert _lost_packets(3, 0, 0, 100, 0.5)
+    assert used and all(blake2b is hashlib.blake2b for blake2b in used)
 
 
 class TestLossChainReuse:

@@ -93,9 +93,22 @@ SWEEP = ["simulate", "--stage-profile", "huawei_ilab/comfortable", "--duration",
          "50M,100M,200M", "--refresh-hz", "90"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[*SWEEP, "--loss", "0"], [*SWEEP, "--loss", "0.01"],
+     ["--format", "json", "simulate", "--input", "trace.json", "--downlink", "100M", "--refresh-hz", "90", "--loss",
+      "0.01", "--mode", "tcp"]],
+    ids=["lossless sweep", "lossy sweep", "lossy json from a file"],
+)
+def test_no_simulate_run_loads_hashlib(argv, tmp_path):
+    # the loss stream's blake2b comes from _blake2, so no run loads hashlib, nor OpenSSL through _hashlib
+    export_trace(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0), "json", tmp_path / "trace.json")
+    assert cli_loads(argv, tmp_path).isdisjoint({"hashlib", "_hashlib"})
+
+
 @pytest.mark.parametrize("loss, loads", [("0", False), ("0.01", True)], ids=["lossless", "lossy"])
-def test_only_a_lossy_run_loads_hashlib(loss, loads, tmp_path):
-    assert ("hashlib" in cli_loads([*SWEEP, "--loss", loss], tmp_path)) is loads
+def test_only_a_lossy_run_loads_blake2(loss, loads, tmp_path):
+    assert ("_blake2" in cli_loads([*SWEEP, "--loss", loss], tmp_path)) is loads
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import pickle
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,7 @@ from xrqos.codec import FrameSizes, GopConfig, RenderSurface, frame_size, gop_bi
 from xrqos.errors import ConfigError, DomainError
 from xrqos.geometry import FovSpec, Resolution
 from xrqos.records import json_object
-from xrqos import report, tracegen
+from xrqos import records, report, tracegen
 from xrqos.tracegen import (
     FrameRecord,
     FrameTrace,
@@ -203,8 +205,9 @@ class TestTraceColumns:
 
         monkeypatch.setattr(FrameRecord, "__init__", counting)
         trace = load_trace_json(io.StringIO(buffer.getvalue()))
-        assert len(built) == len(records)  # the load builds each record once
-        assert trace.records == records
+        assert built == []  # the load reads the records' columns, and builds none
+        assert trace.records == records and trace.records == records
+        assert len(built) == len(records)  # the first read builds each record, once
 
     def test_every_form_pickles_and_copies_with_its_columns(self):
         records = reference_records(self.SIZES, self.CFG, self.DURATION)
@@ -409,6 +412,8 @@ BAD_DOCUMENTS = [
     (_set(["records", 5, "t_gen_ms"], math.inf), "must be finite"),
     (_set(["duration_s"], 0), "duration_s must be positive"),
     (_set(["duration_s"], -1.0), "duration_s must be positive"),
+    (_set(["duration_s"], 1e-300), r"records\[9\]\.t_gen_ms 900\.0 must precede the trace's end, duration_s \* 1000"),
+    (_set(["records", 0, "t_gen_ms"], -1e308), r"records\[0\]\.t_gen_ms cannot be negative, got -1e\+308"),
     (_set(["records", 0, "frame_tpye"], "I"), r"trace\.records\[0\]\.frame_tpye is unknown"),
     (_set(["config", "patern"], "IPP"), r"trace\.config\.patern is unknown"),
     (_set(["record"], []), r"trace\.record is unknown"),
@@ -422,6 +427,9 @@ BAD_RECORDS = [
     (3, {"size_bits": -10**9}, r"trace\.records\[3\]\.size_bits cannot be negative or infinite, got -1000000000"),
     (2, {"size_bits": 10**400}, r"trace\.records\[2\]\.size_bits cannot be negative or infinite, got an integer "
                                      "of 401 digits$"),
+    (0, {"t_gen": -1.0}, r"trace\.records\[0\]\.t_gen_ms cannot be negative, got -1\.0$"),
+    (9, {"t_gen": 1000.0}, r"trace\.records\[9\]\.t_gen_ms 1000\.0 must precede the trace's end, "
+                           r"duration_s \* 1000 = 1000\.0$"),
 ]
 
 
@@ -434,7 +442,8 @@ class TestLoadBoundary:
             trace_from_dict(_mutated(change))
 
     @pytest.mark.parametrize(
-        "position, changes, message", BAD_RECORDS, ids=["index gap", "time decreases", "type Q", "negative size", "size beyond a float"],
+        "position, changes, message", BAD_RECORDS, ids=["index gap", "time decreases", "type Q", "negative size",
+                                                        "size beyond a float", "negative first time", "frame at the end"],
     )
     def test_trace_built_in_code_is_checked(self, position, changes, message):
         trace = generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0)
@@ -482,6 +491,90 @@ class TestLoadBoundary:
         payload = _mutated(_set(["records", 1, "t_gen_ms"], 0.0))
         payload["config"]["pattern"] = None
         assert trace_from_dict(payload).records[1].t_gen == 0.0
+
+
+def item_by_item(payload):
+    """``trace_from_dict(payload)`` with the column reader off: each array read item by item by ``read_record``."""
+    with mock.patch.object(records, "_read_columns", return_value=None):
+        return trace_from_dict(payload)
+
+
+def outcome(read, payload):
+    """(the trace, None) that ``read(payload)`` returns, or (None, its DomainError's message)."""
+    try:
+        return read(payload), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+@st.composite
+def trace_documents(draw, min_frames=0):
+    """A valid trace document of up to 30 frames, its times ints or floats (edge values included) up to 10**6 ms."""
+    times = draw(st.lists(st.one_of(st.integers(0, 10**6), st.floats(0, 1e6), st.sampled_from([-0.0, 5e-324])),
+                          min_size=min_frames, max_size=30))
+    payload = json_object(generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0))
+    payload["duration_s"] = 1001.0
+    payload["records"] = [
+        {"frame_index": i, "t_gen_ms": t, "frame_type": draw(st.sampled_from("IPB")),
+         "size_bits": draw(st.one_of(st.integers(0, 2**80), st.just(int(sys.float_info.max)))),
+         "gop_index": draw(st.one_of(st.integers(), st.sampled_from([-(2**70), 10**400])))}
+        for i, t in enumerate(sorted(times))
+    ]
+    return payload
+
+
+# One change to an item of a trace's records: each is a case that the column reader leaves to read_record.
+ITEM_EDGES = {
+    "missing key": lambda item, key: item.pop(key),
+    "extra key": lambda item, key: item.update(extra=1),
+    "note": lambda item, key: item.update(note="by hand"),
+    "note not text": lambda item, key: item.update(note=5),
+    "bool": lambda item, key: item.update({key: True}),
+    "false": lambda item, key: item.update({key: False}),
+    "null": lambda item, key: item.update({key: None}),
+    "past the float range": lambda item, key: item.update({key: 10**400}),
+    "just past the largest float": lambda item, key: item.update({key: int(sys.float_info.max) + 2**969}),
+    "NaN": lambda item, key: item.update({key: math.nan}),
+    "Infinity": lambda item, key: item.update({key: math.inf}),
+    "-Infinity": lambda item, key: item.update({key: -math.inf}),
+    "a float": lambda item, key: item.update({key: 100.5}),
+    "a string": lambda item, key: item.update({key: "5"}),
+    "an int": lambda item, key: item.update({key: 5}),
+}
+NOT_OBJECTS = ["frame", 3, None, [1], True]
+
+
+class TestColumnReader:
+    """The column reader is ``read_record``'s fast case: a trace it reads equals the one read item by item, column
+    for column, and a document it leaves to ``read_record`` reads or fails as before, word for word."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(payload=trace_documents())
+    def test_a_valid_document_reads_as_item_by_item(self, payload):
+        trace, reference = trace_from_dict(payload), item_by_item(payload)
+        assert trace.records._built is None  # read by its columns
+        assert trace.records.columns == reference.records.columns
+        assert [list(map(type, column)) for column in trace.records.columns] == \
+            [list(map(type, column)) for column in reference.records.columns]
+        assert trace == reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=trace_documents(min_frames=1), data=st.data())
+    def test_a_changed_item_reads_or_fails_as_item_by_item(self, payload, data):
+        items = payload["records"]
+        position = data.draw(st.integers(0, len(items) - 1))
+        edge = data.draw(st.sampled_from(sorted(ITEM_EDGES) + ["not an object"]))
+        if edge == "not an object":
+            items[position] = data.draw(st.sampled_from(NOT_OBJECTS))
+        else:
+            ITEM_EDGES[edge](items[position], data.draw(st.sampled_from(sorted(items[position]))))
+        assert outcome(trace_from_dict, payload) == outcome(item_by_item, payload)
+
+    @pytest.mark.parametrize("edge", sorted(ITEM_EDGES))
+    @pytest.mark.parametrize("key", ["frame_index", "t_gen_ms", "frame_type", "size_bits", "gop_index"])
+    def test_each_edge_in_each_column_reads_or_fails_as_item_by_item(self, edge, key):
+        payload = _mutated(lambda p: ITEM_EDGES[edge](p["records"][1], key))
+        assert outcome(trace_from_dict, payload) == outcome(item_by_item, payload)
 
 @settings(max_examples=100)
 @given(
