@@ -24,7 +24,12 @@ attempt in both modes: for each attempt that loses any packet, how many are
 still lost and, when the short last packet is among them, its bits. One
 builder makes the chains from the trace's size column, a frame's position
 giving its stream key; it reads each distinct size's split and the packet
-bound from ``tracegen.packet_splits``, and the frame loop splits none.
+bound from ``tracegen.packet_splits``, and the frame loop splits none. It
+draws one attempt at a time: attempt 0 for every frame, then each later
+attempt for the frames that still have packets lost, all at one chain
+length. Each attempt's walks draw the first block of every stream in one
+pass, from one key pattern, and a later block only for a walk that gets
+past the first eight words; a walk that loses nothing costs no more.
 ``simulate`` keeps one lossy run's chains, keyed by the trace's identity
 (traces are frozen) and (seed, p, MTU), for later runs of a sweep to replay;
 another trace or key rebuilds them, and they are dropped with their trace.
@@ -54,7 +59,7 @@ import weakref
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import compress, repeat
-from operator import is_not
+from operator import is_not, methodcaller
 from typing import TextIO
 
 from . import _EXPORTS, report
@@ -171,77 +176,69 @@ def _lost_packets(seed: int, frame_index: int, attempt: int, count: int, loss_pr
     if loss_prob >= 1.0:
         return list(range(count))
     from _blake2 import blake2b
-    return _walk(blake2b, seed, frame_index, attempt, count, math.log1p(-loss_prob))
+    return _walks(blake2b, seed, attempt, (frame_index,), (count,), math.log1p(-loss_prob))[0]
 
 
-def _walk(blake2b, seed: int, frame: int, attempt: int, count: int, log_keep: float) -> list[int]:
-    """``_lost_packets``' walk over the stream of (seed, frame, attempt), whose block keys are
-    "seed:frame:attempt:block", at ``log_keep`` = log(1 - p) for a p strictly between 0 and 1. ``blake2b`` is
-    ``hashlib``'s, from ``_blake2``, which each lossy chain build imports once and hands to its walks."""
+def _walks(blake2b, seed, attempt: int, frames, counts, log_keep: float) -> list[list[int]]:
+    """``_lost_packets``' walk on ``attempt`` for each of ``frames``, below its entry of ``counts``, at ``log_keep`` =
+    log(1 - p) for a p strictly between 0 and 1. A stream's block keys are "seed:frame:attempt:block": every frame's
+    block 0 is drawn in one pass, and a later block only for a walk that gets past the eight words before it.
+    ``blake2b`` is ``hashlib``'s, from ``_blake2``, which each lossy chain build imports once."""
     unpack, log = _BLOCK.unpack, math.log  # read per call, so a test can patch them
-    prefix = f"{seed}:{frame}:{attempt}:"
-    lost = []
-    position = -1
-    last = count - 1
-    block = 0
-    while True:
-        for word in unpack(blake2b(f"{prefix}{block}".encode("ascii")).digest()):
-            gap = log(((word >> 11) + 1) * 2.0**-53) / log_keep
-            # compare before int(): at a subnormal p the gap is inf
-            if gap >= last - position:
-                return lost
-            position += int(gap) + 1
-            lost.append(position)
-        block += 1
+    keys = map(f"{str(seed).replace('%', '%%')}:%d:{attempt}:0".encode("ascii").__mod__, frames)
+    walks = []
+    for frame, count, words in zip(frames, counts, map(unpack, map(methodcaller("digest"), map(blake2b, keys)))):
+        lost, position, last, block = [], -1, count - 1, 0
+        while words:
+            for word in words:
+                gap = log(((word >> 11) + 1) * 2.0**-53) / log_keep
+                # compare before int(): at a subnormal p the gap is inf
+                if gap >= last - position:
+                    words = ()
+                    break
+                position += int(gap) + 1
+                lost.append(position)
+            else:
+                block += 1
+                words = unpack(blake2b(f"{seed}:{frame}:{attempt}:{block}".encode("ascii")).digest())
+        walks.append(lost)
+    return walks
 
 
-def _build_chains(link: LinkModel, sizes, splits: dict, depth: int) -> tuple[list, dict]:
-    """Every frame's loss chain of sizes ``sizes`` at least ``depth`` attempts deep, and its pending frames.
+def _build_chains(link: LinkModel, depth: int, splits=(), memo=None) -> tuple[list, dict]:
+    """Every frame's loss chain, at least ``depth`` attempts deep, and its pending frames: built from ``splits``, each
+    frame's (packet count, last packet's bits), or ``memo``'s (depth, chains, pending frames) deepened.
 
     A chain holds (packets still lost, the last packet's bits if it is among
-    them, else None) for each attempt that loses any. ``splits`` gives each
-    size's packet count and last-packet bits. The pending frames map each frame
-    whose chain is cut at ``depth`` to the packets its last attempt lost; every
-    other chain ended at an attempt that delivered every packet, and is whole
-    at any depth.
+    them, else None) for each attempt that loses any. The pending frames map
+    each frame whose chain is cut at ``depth`` to the packets its last attempt
+    lost; every other chain ended at an attempt that delivered every packet,
+    and is whole at any depth. The build draws one attempt at a time: attempt
+    0 over every frame, then each later attempt over the frames still
+    pending, only for the packets still lost.
     """
+    from _blake2 import blake2b  # hashlib.blake2b itself, without hashlib and OpenSSL; here, so a lossless run loads none
     seed, log_keep = link.seed, math.log1p(-link.loss_prob)
-    chains, pending = [], {}
-    # hashlib.blake2b itself, without loading hashlib and OpenSSL; here, so that a lossless run loads no hash module
-    from _blake2 import blake2b
-    for frame, size in enumerate(sizes):
-        count, last_bits = splits[size]
-        lost = _walk(blake2b, seed, frame, 0, count, log_keep)
-        if lost:
-            chains.append(((len(lost), last_bits if lost[-1] == count - 1 else None),))
-            pending[frame] = lost
-        else:
-            chains.append(())
-    return chains, _deepen(link, chains, pending, depth) if depth > 1 else pending
-
-
-def _deepen(link: LinkModel, chains: list, pending: dict, depth: int) -> dict:
-    """Extend each pending frame's chain in ``chains`` to ``depth`` attempts, drawing only what is still lost;
-    the frames still pending after that."""
-    from _blake2 import blake2b
-    seed, log_keep = link.seed, math.log1p(-link.loss_prob)
-    still = {}
-    for frame, lost in pending.items():
-        chain = chains[frame]
-        last_bits = chain[-1][1]
-        while len(chain) < depth:  # what the last attempt lost goes again
-            again = set(_walk(blake2b, seed, frame, len(chain), lost[-1] + 1, log_keep))
-            kept = [k for k in lost if k in again]
-            if not kept:
-                break
-            if kept[-1] != lost[-1]:  # while last_bits is set, lost[-1] is the last packet: now delivered
-                last_bits = None
-            lost = kept
-            chain += ((len(lost), last_bits),)
-        else:
-            still[frame] = lost
-        chains[frame] = chain
-    return still
+    if memo is None:
+        chains, pending, attempt = [()] * len(splits), {}, 1
+        for frame, ((count, last_bits), lost) in enumerate(zip(splits, _walks(
+                blake2b, seed, 0, range(len(splits)), [count for count, _ in splits], log_keep))):
+            if lost:
+                chains[frame] = ((len(lost), last_bits if lost[-1] == count - 1 else None),)
+                pending[frame] = lost
+    else:
+        attempt, chains, pending = memo[2], list(memo[3]), memo[4]  # a run still reading the memo's chains keeps them
+    while pending and attempt < depth:  # what the last attempt lost goes again
+        walks = _walks(blake2b, seed, attempt, pending, [lost[-1] + 1 for lost in pending.values()], log_keep)
+        still, pending = pending, {}
+        for (frame, lost), again in zip(still.items(), walks):
+            if again and (kept := [*filter(set(again).__contains__, lost)]):  # else this attempt delivers the frame
+                chain = chains[frame]
+                # while the chain's last bits are set, lost[-1] is the last packet
+                chains[frame] = chain + ((len(kept), chain[-1][1] if kept[-1] == lost[-1] else None),)
+                pending[frame] = kept
+        attempt += 1
+    return chains, pending
 
 
 _chains_memo = None  # (weakref to the trace, key, depth, chain per frame, pending frames), replaced whole
@@ -265,10 +262,9 @@ def _loss_chains(trace: FrameTrace, link: LinkModel, depth: int):
     key = (str(link.seed), link.loss_prob, mtu)  # the stream keys on the seed's text
     memo = _chains_memo
     if memo is None or memo[0]() is not trace or memo[1] != key:
-        chains, pending = _build_chains(link, trace.size_bits, packet_splits(trace, mtu), depth)
+        chains, pending = _build_chains(link, depth, list(map(packet_splits(trace, mtu).__getitem__, trace.size_bits)))
     elif memo[2] < depth:
-        chains = list(memo[3])  # a run still reading the memo's chains keeps them as they were
-        pending = _deepen(link, chains, memo[4], depth)
+        chains, pending = _build_chains(link, depth, memo=memo)
     else:
         return memo[3]
     _chains_memo = (weakref.ref(trace, _forget_chains), key, depth, chains, pending)

@@ -13,8 +13,8 @@ field, which acts as the tuple of ``PacketRecord``s and builds none until
 one is read. Traces and packets export to CSV and JSON, built by ``records``
 from their columns as their record fields declare, in ``report``'s layouts
 (a trace's frames by ``records``' row writer); a trace's JSON loads back,
-its frames read column by column into the trace's columns, checked, and
-feeds the link simulator.
+its frames read column by column into the trace's columns, checked a whole
+column at a time, and feeds the link simulator.
 """
 from __future__ import annotations
 
@@ -64,11 +64,12 @@ class PacketRecord:
 @record
 class FrameTrace:
     """A positive, finite duration and at most ``MAX_FRAMES`` frames, whose indices run 0, 1, 2, ..., whose
-    generation times never decrease, from 0 ms on and ending before the duration, whose types are I, P or B and
-    whose sizes are not negative.
+    generation times are not NaN and never decrease, from 0 ms on and ending before the duration, whose types are
+    I, P or B and whose sizes are not negative.
 
     ``records`` may be given as any sequence of frame records, or as their ``Columns`` table, which the JSON reader
-    fills column by column; the trace keeps only their columns.
+    fills column by column; the trace keeps only their columns. It checks each column as a whole, and goes through
+    the frames one by one only to word the first fault.
     """
 
     config: GopConfig = json_field("an object", of=GopConfig)
@@ -81,23 +82,36 @@ class FrameTrace:
         require("trace frame count", len(self.records), ge=0, le=MAX_FRAMES)
         records = Columns.of(FrameRecord, self.records)
         object.__setattr__(self, "records", records)
-        previous, largest = 0.0, sys.float_info.max
-        for i, (index, t, kind, size) in enumerate(zip(*records.columns[:4])):
-            if index != i:
-                raise DomainError(
-                    f"trace.records[{i}].frame_index must be {i} (indices run from 0 without gaps), got {index}"
-                )
-            if t < previous:
-                raise DomainError(f"trace.records[{i}].t_gen_ms {t} precedes the previous frame's {previous}" if i
-                                  else f"trace.records[0].t_gen_ms cannot be negative, got {t}")
-            if kind not in ("I", "P", "B"):
-                raise DomainError(f"trace.records[{i}].frame_type must be I, P or B, got {kind!r}")
-            if not 0 <= size <= largest:
-                require(f"trace.records[{i}].size_bits", size, ge=0)
-            previous = t
+        indices, t_gen, kinds, sizes = records.columns[:4]
+        largest, n = sys.float_info.max, len(indices)
+        try:  # each column as a whole; a NaN fails every comparison, so it is found as a sum unequal to itself
+            whole = not n or (
+                (indices == range(n) or indices == tuple(range(n))) and t_gen[0] >= 0 and sorted(t_gen) == list(t_gen)
+                and set(kinds) <= {"I", "P", "B"} and min(sizes) >= 0 and max(sizes) <= largest
+                and (total := sum(t_gen)) == total and (total := sum(sizes)) == total
+            )
+        except (TypeError, OverflowError):  # e.g. an unhashable frame type, or a float summed with an int past floats
+            whole = False
+        if not whole:  # the frame loop, only to word the first fault
+            previous = 0.0
+            for i, (index, t, kind, size) in enumerate(zip(indices, t_gen, kinds, sizes)):
+                if index != i:
+                    raise DomainError(
+                        f"trace.records[{i}].frame_index must be {i} (indices run from 0 without gaps), got {index}"
+                    )
+                if t != t:
+                    require(f"trace.records[{i}].t_gen_ms", t)
+                if t < previous:
+                    raise DomainError(f"trace.records[{i}].t_gen_ms {t} precedes the previous frame's {previous}" if i
+                                      else f"trace.records[0].t_gen_ms cannot be negative, got {t}")
+                if kind not in ("I", "P", "B"):
+                    raise DomainError(f"trace.records[{i}].frame_type must be I, P or B, got {kind!r}")
+                if not 0 <= size <= largest:
+                    require(f"trace.records[{i}].size_bits", size, ge=0)
+                previous = t
         end = self.duration * 1000.0
-        if records and not previous < end:  # a frame at or past the end would make every rate per second wrong
-            raise DomainError(f"trace.records[{len(records) - 1}].t_gen_ms {previous} must precede the trace's end, "
+        if t_gen and not t_gen[-1] < end:  # a frame at or past the end would make every rate per second wrong
+            raise DomainError(f"trace.records[{len(t_gen) - 1}].t_gen_ms {t_gen[-1]} must precede the trace's end, "
                               f"duration_s * 1000 = {end}")
 
     def __len__(self) -> int:

@@ -27,8 +27,8 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("M1-last-packet-of-attempt-0-never-lost", "netsim", "_walk(blake2b, seed, frame, 0, count, log_keep)",
-           "_walk(blake2b, seed, frame, 0, count - 1, log_keep)",
+    Mutant("M1-last-packet-of-attempt-0-never-lost", "netsim", "[count for count, _ in splits]",
+           "[count - 1 for count, _ in splits]",
            ("test_netsim.py::TestLossClosedForms::test_tcp_resends_per_frame[0.2-1]",)),
     Mutant("M2-one-attempt-too-many", "netsim", "max_attempts = 1 + (", "max_attempts = 2 + (",
            ("test_netsim.py::TestLossClosedForms::test_udp_drop_fraction[0.2]",)),
@@ -39,8 +39,8 @@ MUTANTS = (
            ("test_netsim.py::TestClosedFormOracle::test_an_unqueued_frame_spends_its_budget_then_waits_for_vsync",)),
     Mutant("M5-udp-resends-too", "netsim", 'link.max_retx if link.mode == "tcp_like" else 0', "link.max_retx",
            ("test_netsim.py::TestTcpLike::test_zero_retx_behaves_like_udp_for_delivery",)),
-    Mutant("M6-half-the-loss-rate", "netsim", "math.log1p(-link.loss_prob)\n    chains, pending = [], {}",
-           "math.log1p(-link.loss_prob / 2)\n    chains, pending = [], {}",
+    Mutant("M6-half-the-loss-rate", "netsim", "log_keep = link.seed, math.log1p(-link.loss_prob)",
+           "log_keep = link.seed, math.log1p(-link.loss_prob / 2)",
            ("test_netsim.py::TestLossClosedForms::test_udp_drop_fraction[0.2]",)),
     Mutant("serialization-in-another-float-order", "netsim", "1000.0 * size_bits / downlink",
            "size_bits / downlink * 1000.0",
@@ -55,6 +55,11 @@ MUTANTS = (
     Mutant("a-lossless-run-loads-blake2", "netsim", "import math\nimport struct\n",
            "import _blake2\nimport math\nimport struct\n",
            ("test_startup_imports.py::test_only_a_lossy_run_loads_blake2",)),
+    Mutant("every-attempt-draws-the-first-block-of-attempt-0", "netsim", ':%d:{attempt}:0"', ':%d:0:0"',
+           ("test_netsim.py::TestLossySweepBytes",)),
+    Mutant("column-check-accepts-a-decreasing-time", "tracegen", "sorted(t_gen) == list(t_gen)",
+           "sorted(t_gen) == sorted(t_gen)",
+           ("test_tracegen.py::TestLoadBoundary::test_trace_built_in_code_is_checked[time decreases]",)),
     Mutant("a-fov-of-zero-width", "geometry", '"horizontal fov in degrees", self.horizontal.degrees, gt=0',
            '"horizontal fov in degrees", self.horizontal.degrees, ge=0',
            ("test_geometry.py::TestValueTypes::test_fovspec_extents_are_positive",)),

@@ -6,12 +6,13 @@ import io
 import json
 import math
 import pickle
+import struct
 import sys
 import threading
 from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xrqos.codec import FrameSizes, GopConfig
@@ -729,6 +730,75 @@ class TestLossDraws:
             assert _lost_packets(4, 17, 2, count, 0.05) == [k for k in whole if k < count]
 
 
+
+def reference_walk(seed, frame, attempt, count, loss_prob):
+    """The packets below ``count`` lost on one attempt at one frame, as the plain loop: the stream's blocks keyed
+    "seed:frame:attempt:block" drawn one at a time, each word a geometric gap to the next loss."""
+    log_keep, lost, position, block = math.log1p(-loss_prob), [], -1, 0
+    while True:
+        for word in struct.unpack(">8Q", hashlib.blake2b(f"{seed}:{frame}:{attempt}:{block}".encode()).digest()):
+            gap = math.log(((word >> 11) + 1) * 2.0**-53) / log_keep
+            if gap >= count - 1 - position:
+                return lost
+            position += int(gap) + 1
+            lost.append(position)
+        block += 1
+
+
+def reference_chains(link, sizes, depth):
+    """Each frame's loss chain ``depth`` attempts deep, and the pending frames, built one frame at a time."""
+    chains, pending = [], {}
+    for frame, size in enumerate(sizes):
+        count, last_bits = packet_split(size, link.mtu_payload_bits)
+        lost, chain = range(count), ()
+        for attempt in range(depth):
+            again = reference_walk(link.seed, frame, attempt, lost[-1] + 1, link.loss_prob)
+            if not (lost := [k for k in lost if k in again]):
+                break
+            chain += ((len(lost), last_bits if lost[-1] == count - 1 else None),)
+        else:
+            pending[frame] = lost
+        chains.append(chain)
+    return chains, pending
+
+
+class TestBulkDraws:
+    """Every frame's stream drawn in one pass gives each frame the losses and the chain of a frame-by-frame build."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**40),
+        attempt=st.integers(min_value=0, max_value=15),
+        frames=st.lists(st.tuples(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=600)),
+                        max_size=12),
+        loss_prob=st.one_of(st.floats(min_value=1e-4, max_value=0.5), st.just(2.2e-313)),
+    )
+    @example(seed=7, attempt=3, frames=[(5, 1), (6, 1), (9, 400)], loss_prob=0.5)  # counts of 1, walks past block 0
+    @example(seed=7, attempt=0, frames=[(0, 10**9), (1, 600)], loss_prob=2.2e-313)  # a subnormal p: an infinite gap
+    @example(seed="%d%%", attempt=1, frames=[(3, 50)], loss_prob=0.3)  # a seed built in code keys on its text as is
+    def test_the_walks_equal_one_walk_per_frame(self, seed, attempt, frames, loss_prob):
+        walks = netsim._walks(_blake2.blake2b, seed, attempt, [frame for frame, _ in frames],
+                              [count for _, count in frames], math.log1p(-loss_prob))
+        assert walks == [reference_walk(seed, frame, attempt, count, loss_prob) for frame, count in frames]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        loss_prob=st.floats(min_value=0.001, max_value=0.5),
+        sizes=st.lists(st.integers(min_value=0, max_value=400_000), min_size=1, max_size=12),
+        mtu=st.sampled_from([4_000, 11_680, 40_000]),
+        depths=st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_size=3),
+    )
+    @example(seed=2, loss_prob=0.5, sizes=[400_000, 0, 3_999, 4_001], mtu=4_000, depths=[1, 16])
+    def test_bulk_chains_equal_frame_by_frame_chains(self, seed, loss_prob, sizes, mtu, depths):
+        link = LinkModel(downlink_bps=1e8, loss_prob=loss_prob, seed=seed, mtu_payload_bits=mtu)
+        first, *later = sorted(depths)
+        chains, pending = netsim._build_chains(link, first, [packet_split(size, mtu) for size in sizes])
+        assert (chains, pending) == reference_chains(link, sizes, first)
+        for earlier, depth in zip(sorted(depths), later):  # deepened from the earlier depth, as a memo would be
+            chains, pending = netsim._build_chains(link, depth, memo=(None, None, earlier, chains, pending))
+            assert (chains, pending) == reference_chains(link, sizes, depth)
+
 @pytest.fixture
 def digests(monkeypatch):
     """The keys of every blake2b digest the simulator draws while the test runs, counted where ``netsim`` imports
@@ -746,13 +816,13 @@ def digests(monkeypatch):
 
 def test_the_stream_draws_with_hashlibs_blake2b(monkeypatch):
     # netsim imports blake2b from _blake2, which is where hashlib takes it from: the same function, so the same stream
-    used, walk = [], netsim._walk
+    used, walks = [], netsim._walks
 
     def recording(blake2b, *args):
         used.append(blake2b)
-        return walk(blake2b, *args)
+        return walks(blake2b, *args)
 
-    monkeypatch.setattr(netsim, "_walk", recording)
+    monkeypatch.setattr(netsim, "_walks", recording)
     link = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, loss_prob=0.05, seed=3, mode="tcp_like")
     simulate(small_trace(), link, PipelineTiming(), 90.0, 20.0)
     assert _lost_packets(3, 0, 0, 100, 0.5)
@@ -919,25 +989,24 @@ class TestDrawCost:
         assert digests == []
 
     @pytest.mark.parametrize("mode", ["udp_like", "tcp_like"])
-    def test_a_lossless_run_splits_no_frame_and_walks_no_stream(self, monkeypatch, mode):
+    def test_a_lossless_run_splits_no_frame_and_walks_no_stream(self, monkeypatch, digests, mode):
         calls = Counter()
 
-        def counted(name, fn):
-            def call(*args):
-                calls[name] += 1
-                return fn(*args)
-            return call
+        def counted(*args):
+            calls["packet_split"] += 1
+            return packet_split(*args)
 
         trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)
         link = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, mode=mode)
         expected = simulate(trace, link, PipelineTiming(), 90.0, 20.0)
-        # the chain builder splits each distinct frame size once and walks one stream per frame and attempt
-        monkeypatch.setattr(tracegen, "packet_split", counted("packet_split", packet_split))
-        monkeypatch.setattr(netsim, "_walk", counted("_walk", netsim._walk))
+        # the chain builder splits each distinct frame size once and draws each frame's first block on attempt 0 once
+        monkeypatch.setattr(tracegen, "packet_split", counted)
         assert simulate(trace, link, PipelineTiming(), 90.0, 20.0) == expected
-        assert calls == {}
+        assert calls == {} and digests == []
         simulate(trace, dataclasses.replace(link, loss_prob=0.01), PipelineTiming(), 90.0, 20.0)
-        assert calls["packet_split"] == len(set(trace.size_bits)) and calls["_walk"] >= len(trace)
+        assert calls["packet_split"] == len(set(trace.size_bits))
+        keys = Counter(key.decode() for key, *_ in digests)
+        assert [keys[f"0:{frame}:0:0"] for frame in range(len(trace))] == [1] * len(trace)
 
 
 class TestBoundary:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from xrqos.capacity import BitDepth
 from xrqos.codec import FrameSizes, GopConfig, RenderSurface, frame_size, gop_bitrate, nb_pixels
-from xrqos.errors import ConfigError, DomainError
+from xrqos.errors import ConfigError, DomainError, require
 from xrqos.geometry import FovSpec, Resolution
 from xrqos.records import json_object
 from xrqos import records, report, tracegen
@@ -430,6 +430,8 @@ BAD_RECORDS = [
     (0, {"t_gen": -1.0}, r"trace\.records\[0\]\.t_gen_ms cannot be negative, got -1\.0$"),
     (9, {"t_gen": 1000.0}, r"trace\.records\[9\]\.t_gen_ms 1000\.0 must precede the trace's end, "
                            r"duration_s \* 1000 = 1000\.0$"),
+    # NaN fails every comparison, so no order check catches it; the JSON readers reject it as not finite too
+    (3, {"t_gen": math.nan}, r"trace\.records\[3\]\.t_gen_ms must be finite, got nan$"),
 ]
 
 
@@ -443,7 +445,8 @@ class TestLoadBoundary:
 
     @pytest.mark.parametrize(
         "position, changes, message", BAD_RECORDS, ids=["index gap", "time decreases", "type Q", "negative size",
-                                                        "size beyond a float", "negative first time", "frame at the end"],
+                                                        "size beyond a float", "negative first time", "frame at the end",
+                                                        "NaN time"],
     )
     def test_trace_built_in_code_is_checked(self, position, changes, message):
         trace = generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0)
@@ -492,6 +495,62 @@ class TestLoadBoundary:
         payload["config"]["pattern"] = None
         assert trace_from_dict(payload).records[1].t_gen == 0.0
 
+
+
+def frame_by_frame(columns, duration):
+    """A trace's frame checks one frame at a time, the reference for the whole-column check: the exception the first
+    fault raises (type and message), or None."""
+    try:
+        previous = 0.0
+        for i, (index, t, kind, size) in enumerate(zip(*columns[:4])):
+            if index != i:
+                raise DomainError(
+                    f"trace.records[{i}].frame_index must be {i} (indices run from 0 without gaps), got {index}")
+            if t != t:
+                raise DomainError(f"trace.records[{i}].t_gen_ms must be finite, got {t}")
+            if t < previous:
+                raise DomainError(f"trace.records[{i}].t_gen_ms {t} precedes the previous frame's {previous}" if i
+                                  else f"trace.records[0].t_gen_ms cannot be negative, got {t}")
+            if kind not in ("I", "P", "B"):
+                raise DomainError(f"trace.records[{i}].frame_type must be I, P or B, got {kind!r}")
+            if not 0 <= size <= sys.float_info.max:
+                require(f"trace.records[{i}].size_bits", size, ge=0)
+            previous = t
+        if columns[0] and not previous < duration * 1000.0:
+            raise DomainError(f"trace.records[{len(columns[0]) - 1}].t_gen_ms {previous} must precede the trace's "
+                              f"end, duration_s * 1000 = {duration * 1000.0}")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# Values for a cell of each checked column of a 10-frame, 1 s trace (frames at 0, 100, ..., 900 ms).
+CELL_EDGES = {
+    0: [-1, 0, 1, 2.0, True, "1", None, math.nan, 10**400],
+    1: [math.nan, math.inf, -math.inf, -0.0, -1.0, 0.0, 99.0, 999.0, 1000.0, 5e-324, 10**400, True, "5", None],
+    2: ["Q", "", "i", "I", "P", "B", ["I"], None],
+    3: [-1, 0, 10**400, math.nan, math.inf, sys.float_info.max, int(sys.float_info.max) + 2**969, 1.5, True, "5",
+        None],
+}
+
+
+class TestColumnCheck:
+    """A trace checks each column whole, and words a fault as the frame-by-frame check does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), changes=st.integers(min_value=0, max_value=3))
+    def test_a_trace_with_changed_cells_passes_or_fails_as_frame_by_frame(self, data, changes):
+        trace = generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0)
+        columns = [list(column) for column in trace.records.columns]
+        for _ in range(changes):
+            column = data.draw(st.sampled_from(sorted(CELL_EDGES)))
+            columns[column][data.draw(st.integers(0, 9))] = data.draw(st.sampled_from(CELL_EDGES[column]))
+        try:
+            FrameTrace(trace.config, trace.sizes, trace.duration, records.Columns(FrameRecord, *map(tuple, columns)))
+            got = None
+        except Exception as exc:
+            got = type(exc), str(exc)
+        assert got == frame_by_frame(columns, trace.duration)
 
 def item_by_item(payload):
     """``trace_from_dict(payload)`` with the column reader off: each array read item by item by ``read_record``."""
