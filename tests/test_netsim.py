@@ -730,7 +730,6 @@ class TestLossDraws:
             assert _lost_packets(4, 17, 2, count, 0.05) == [k for k in whole if k < count]
 
 
-
 def reference_walk(seed, frame, attempt, count, loss_prob):
     """The packets below ``count`` lost on one attempt at one frame, as the plain loop: the stream's blocks keyed
     "seed:frame:attempt:block" drawn one at a time, each word a geometric gap to the next loss."""
@@ -798,6 +797,7 @@ class TestBulkDraws:
         for earlier, depth in zip(sorted(depths), later):  # deepened from the earlier depth, as a memo would be
             chains, pending = netsim._build_chains(link, depth, memo=(None, None, earlier, chains, pending))
             assert (chains, pending) == reference_chains(link, sizes, depth)
+
 
 @pytest.fixture
 def digests(monkeypatch):

@@ -496,7 +496,6 @@ class TestLoadBoundary:
         assert trace_from_dict(payload).records[1].t_gen == 0.0
 
 
-
 def frame_by_frame(columns, duration):
     """A trace's frame checks one frame at a time, the reference for the whole-column check: the exception the first
     fault raises (type and message), or None."""
@@ -551,6 +550,7 @@ class TestColumnCheck:
         except Exception as exc:
             got = type(exc), str(exc)
         assert got == frame_by_frame(columns, trace.duration)
+
 
 def item_by_item(payload):
     """``trace_from_dict(payload)`` with the column reader off: each array read item by item by ``read_record``."""
