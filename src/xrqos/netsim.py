@@ -30,10 +30,13 @@ attempt for the frames that still have packets lost, all at one chain
 length. Each attempt's walks draw the first block of every stream in one
 pass, from one key pattern, and a later block only for a walk that gets
 past the first eight words; a walk that loses nothing costs no more.
-``simulate`` keeps one lossy run's chains, keyed by the trace's identity
-(traces are frozen) and (seed, p, MTU), for later runs of a sweep to replay;
-another trace or key rebuilds them, and they are dropped with their trace.
-Beside them it keeps the frames whose chains stop at the run's attempt limit
+``simulate`` keeps one memo for the last trace it ran, keyed by the trace's
+identity (traces are frozen) and dropped with it, for later runs of a sweep
+to read. Each of its parts is rebuilt only when its own key changes: 1000
+times each frame's size; each frame's downlink arrival, its generation time
+plus the five terms before the downlink (sense, uplink, RTT/2, render and
+encode), keyed by the terms' reprs; and the last lossy run's chains, keyed by
+(seed, p, MTU), with the frames whose chains stop at the run's attempt limit
 with packets still lost, so a run that allows more attempts (``tcp_like``
 after ``udp_like``) visits and draws only those frames.
 
@@ -106,8 +109,9 @@ class LinkModel:
         require("propagation rtt", self.propagation_rtt, ge=0)
         if self.mode not in ("udp_like", "tcp_like"):
             raise DomainError(f"mode must be udp_like or tcp_like, got {self.mode!r}")
-        if not isinstance(self.max_retx, int):
-            raise DomainError(f"max retransmissions must be an integer, got {self.max_retx!r}")
+        for name, value in (("seed", self.seed), ("max retransmissions", self.max_retx)):  # a bool is an int
+            if not isinstance(value, int):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         require("max retransmissions", self.max_retx, ge=0, le=15)  # 15: Linux's default tcp_retries2
         require("mtu payload", self.mtu_payload_bits, gt=0)
         require("uplink payload", self.uplink_payload_bits, ge=0)
@@ -227,7 +231,7 @@ def _build_chains(link: LinkModel, depth: int, splits=(), memo=None) -> tuple[li
                 chains[frame] = ((len(lost), last_bits if lost[-1] == count - 1 else None),)
                 pending[frame] = lost
     else:
-        attempt, chains, pending = memo[2], list(memo[3]), memo[4]  # a run still reading the memo's chains keeps them
+        attempt, chains, pending = memo[0], list(memo[1]), memo[2]  # a run still reading the memo's chains keeps them
     while pending and attempt < depth:  # what the last attempt lost goes again
         walks = _walks(blake2b, seed, attempt, pending, [lost[-1] + 1 for lost in pending.values()], log_keep)
         still, pending = pending, {}
@@ -241,7 +245,7 @@ def _build_chains(link: LinkModel, depth: int, splits=(), memo=None) -> tuple[li
     return chains, pending
 
 
-_chains_memo = None  # (weakref to the trace, key, depth, chain per frame, pending frames), replaced whole
+_chains_memo = None  # (weakref to the trace, sizes, (arrival key, arrivals), (chain key, depth, chains, pending))
 
 
 def _forget_chains(ref) -> None:
@@ -250,25 +254,36 @@ def _forget_chains(ref) -> None:
         _chains_memo = None
 
 
-def _loss_chains(trace: FrameTrace, link: LinkModel, depth: int):
-    """Every frame's loss chain, at least ``depth`` attempts deep; the memo's, extended as needed."""
+def _loss_chains(trace: FrameTrace, link: LinkModel, depth: int, upstream: tuple) -> tuple:
+    """1000 times each frame's size, its downlink arrival (its ``t_gen`` plus ``upstream``'s five terms, in pipeline
+    order) and its loss chain, at least ``depth`` attempts deep. Each is the memo's while its own key holds: the
+    trace, the terms' reprs (so -0.0 is not 0.0), or (seed, p, MTU). The memo is replaced whole."""
     global _chains_memo
-    if not link.loss_prob:  # a lossless frame's chain is empty, and finding that out needs no packet count
-        return repeat((), len(trace))
-    mtu = link.mtu_payload_bits
-    if link.loss_prob >= 1.0:  # certain loss: each attempt loses every packet, as _lost_packets says, and draws none
-        splits = packet_splits(trace, mtu)
-        return [(splits[size],) * depth for size in trace.size_bits]
-    key = (str(link.seed), link.loss_prob, mtu)  # the stream keys on the seed's text
     memo = _chains_memo
-    if memo is None or memo[0]() is not trace or memo[1] != key:
-        chains, pending = _build_chains(link, depth, list(map(packet_splits(trace, mtu).__getitem__, trace.size_bits)))
-    elif memo[2] < depth:
-        chains, pending = _build_chains(link, depth, memo=memo)
+    if memo is None or memo[0]() is not trace:
+        memo = (weakref.ref(trace, _forget_chains), None, (None,), (None,))
+    ref, sizes, arrival_part, chain_part = memo
+    mtu = link.mtu_payload_bits
+    if not link.loss_prob:  # a lossless frame's chain is empty, and finding that out needs no packet count
+        chains = repeat((), len(trace))
+    elif link.loss_prob >= 1.0:  # certain loss: each attempt loses every packet, as _lost_packets says, and draws none
+        splits = packet_splits(trace, mtu)
+        chains = [(splits[size],) * depth for size in trace.size_bits]
     else:
-        return memo[3]
-    _chains_memo = (weakref.ref(trace, _forget_chains), key, depth, chains, pending)
-    return chains
+        if (key := (str(link.seed), link.loss_prob, mtu)) != chain_part[0]:  # the stream keys on the seed's text
+            splits = list(map(packet_splits(trace, mtu).__getitem__, trace.size_bits))
+            chain_part = (key, depth, *_build_chains(link, depth, splits))
+        elif chain_part[1] < depth:
+            chain_part = (key, depth, *_build_chains(link, depth, memo=chain_part[1:]))
+        chains = chain_part[2]
+    if sizes is None:
+        sizes = [1000.0 * size for size in trace.size_bits]
+    if (arrival_key := tuple(map(repr, upstream))) != arrival_part[0]:
+        # budget_check's terms in pipeline order: sense, comm_ul (uplink serialization + RTT/2), render, encode
+        t_sense, uplink_ms, half_rtt, t_render, t_encode = upstream
+        arrival_part = arrival_key, [t + t_sense + uplink_ms + half_rtt + t_render + t_encode for t in trace.t_gen]
+    _chains_memo = (ref, sizes, arrival_part, chain_part)
+    return sizes, arrival_part[1], chains
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -313,11 +328,10 @@ def simulate(
     add_e2e, add_wait, add_retx = e2e_ms.append, vsync_wait_ms.append, retx_count.append
     link_free = 0.0
     try:
-        for t_gen, size_bits, chain in zip(trace.t_gen, trace.size_bits, _loss_chains(trace, link, max_attempts)):
-            # budget_check's terms in pipeline order: sense, comm_ul (uplink serialization + RTT/2), render, encode
-            arrival = t_gen + t_sense + uplink_ms + half_rtt + t_render + t_encode
+        columns = _loss_chains(trace, link, max_attempts, (t_sense, uplink_ms, half_rtt, t_render, t_encode))
+        for t_gen, size_x1000, arrival, chain in zip(trace.t_gen, *columns):
             # comm_dl: queueing and serialization (every packet goes out once, lost or not), resends, RTT/2
-            t = (link_free if link_free > arrival else arrival) + 1000.0 * size_bits / downlink
+            t = (link_free if link_free > arrival else arrival) + size_x1000 / downlink
             retx = 0
             if chain and max_attempts > 1:  # a chain deeper than the retries allow is walked to their end
                 for n_lost, last_bits in chain if len(chain) < max_attempts else chain[: max_attempts - 1]:

@@ -84,6 +84,9 @@ NOT_A_FLOAT = {
     "stream_latency throughput '5'": (lambda: stream_latency(0, 1e6, "5", 0), "throughput must be a number, got '5'"),
     "LinkModel downlink '5'": (lambda: LinkModel("5"), "downlink rate must be a number, got '5'"),
     "LinkModel loss None": (lambda: LinkModel(100e6, loss_prob=None), "loss probability must be a number, got None"),
+    "LinkModel seed None": (lambda: LinkModel(100e6, seed=None), "seed must be an integer, got None"),
+    "LinkModel seed 1.5": (lambda: LinkModel(100e6, seed=1.5), "seed must be an integer, got 1.5"),
+    "LinkModel seed 'x'": (lambda: LinkModel(100e6, seed="x"), "seed must be an integer, got 'x'"),
     "stream_latency throughput 10**400": (lambda: stream_latency(0, 1e6, 10**400, 0), BEYOND_FLOATS.format(401)),
     "stream_latency throughput 10**5000": (lambda: stream_latency(0, 1e6, 10**5000, 0), BEYOND_FLOATS.format(5001)),
     "max_loss_rate throughput 10**400": (lambda: max_loss_rate(LossModel(), 10**400, 0.02), BEYOND_FLOATS.format(401)),

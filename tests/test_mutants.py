@@ -42,9 +42,13 @@ MUTANTS = (
     Mutant("M6-half-the-loss-rate", "netsim", "log_keep = link.seed, math.log1p(-link.loss_prob)",
            "log_keep = link.seed, math.log1p(-link.loss_prob / 2)",
            ("test_netsim.py::TestLossClosedForms::test_udp_drop_fraction[0.2]",)),
-    Mutant("serialization-in-another-float-order", "netsim", "1000.0 * size_bits / downlink",
-           "size_bits / downlink * 1000.0",
+    # the size column holds 1000.0 * size_bits, and dividing by 1000.0 gives the size back exactly
+    Mutant("serialization-in-another-float-order", "netsim", "arrival) + size_x1000 / downlink",
+           "arrival) + size_x1000 / 1000.0 / downlink * 1000.0",
            ("test_netsim.py::TestFloatOrder::test_time_columns_equal_the_loop_exactly",)),
+    Mutant("arrival-key-without-the-half-rtt", "netsim", "tuple(map(repr, upstream))",
+           "tuple(map(repr, upstream[:2] + upstream[3:]))",
+           ("test_netsim.py::TestLossChainReuse::test_a_warm_memo_equals_a_cold_run",)),
     # every attempt's resends first, then every short last packet's correction
     Mutant("last-packet-term-after-the-resend-sum", "netsim",
            "t += n_lost * resend\n" + " " * 20 + "if last_bits is not None:",

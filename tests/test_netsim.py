@@ -795,7 +795,7 @@ class TestBulkDraws:
         chains, pending = netsim._build_chains(link, first, [packet_split(size, mtu) for size in sizes])
         assert (chains, pending) == reference_chains(link, sizes, first)
         for earlier, depth in zip(sorted(depths), later):  # deepened from the earlier depth, as a memo would be
-            chains, pending = netsim._build_chains(link, depth, memo=(None, None, earlier, chains, pending))
+            chains, pending = netsim._build_chains(link, depth, memo=(earlier, chains, pending))
             assert (chains, pending) == reference_chains(link, sizes, depth)
 
 
@@ -838,22 +838,50 @@ class TestLossChainReuse:
         seeds=st.lists(st.integers(min_value=0, max_value=2**31), min_size=2, max_size=2, unique=True),
         probs=st.lists(st.floats(min_value=0.001, max_value=0.5), min_size=2, max_size=2, unique=True),
         mtus=st.lists(st.sampled_from([4_000, 11_680, 40_000]), min_size=2, max_size=2, unique=True),
+        senses=st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.5]), min_size=2, max_size=2, unique_by=repr),
+        rtts=st.lists(st.sampled_from([-0.0, 0.0, 6.0, 11.0]), min_size=2, max_size=2, unique_by=repr),
+        uplinks=st.lists(st.sampled_from([0, 4_000, 120_000]), min_size=2, max_size=2, unique=True),
         frames=st.integers(min_value=1, max_value=20),
     )
-    def test_a_warm_memo_equals_a_cold_run(self, downlinks, seeds, probs, mtus, frames):
+    @example(downlinks=[1e8, 5e7, 2e8], seeds=[1, 2], probs=[0.05, 0.2], mtus=[4_000, 11_680], senses=[-0.0, 0.0],
+             rtts=[0.0, -0.0], uplinks=[0, 4_000], frames=5)
+    def test_a_warm_memo_equals_a_cold_run(self, downlinks, seeds, probs, mtus, senses, rtts, uplinks, frames):
         trace = small_trace(frames=frames, i_bits=400_000, p_bits=90_000)
-        timing = PipelineTiming(t_sense=1.0, t_render=2.0, t_decode=2.0)
-        base = LinkModel(downlink_bps=downlinks[0], propagation_rtt=6.0, loss_prob=probs[0], seed=seeds[0],
-                         mtu_payload_bits=mtus[0])
+        timing = PipelineTiming(t_sense=senses[0], t_render=2.0, t_decode=2.0)
+        base = LinkModel(downlink_bps=downlinks[0], propagation_rtt=rtts[0], loss_prob=probs[0], seed=seeds[0],
+                         mtu_payload_bits=mtus[0], uplink_payload_bits=uplinks[0])
         d0, d1, d2 = downlinks
         sweep = [(d0, "udp_like", 3), (d0, "tcp_like", 1), (d1, "tcp_like", 4), (d2, "udp_like", 0),
                  (d1, "tcp_like", 2), (d2, "tcp_like", 0), (d0, "tcp_like", 4)]
         links = [dataclasses.replace(base, downlink_bps=rate, mode=mode, max_retx=retx) for rate, mode, retx in sweep]
-        for change in ({"seed": seeds[1]}, {"loss_prob": probs[1]}, {"mtu_payload_bits": mtus[1]}, {}):
+        for change in ({"seed": seeds[1]}, {"loss_prob": probs[1]}, {"mtu_payload_bits": mtus[1]}, {"loss_prob": 0.0},
+                       {"propagation_rtt": rtts[1]}, {"uplink_payload_bits": uplinks[1]}, {}):
             links += [dataclasses.replace(base, mode="tcp_like", **change), dataclasses.replace(base, **change)]
-        # each cold run plays a new copy of the trace, which dies with the run
-        cold = [simulate(dataclasses.replace(trace), link, timing, 90.0, 20.0) for link in links]
-        assert [simulate(trace, link, timing, 90.0, 20.0) for link in links] == cold
+        # each term before the downlink changes between runs: the RTT and uplink payload above, the sensing time here
+        jobs = [(link, timing) for link in links]
+        other = dataclasses.replace(timing, t_sense=senses[1])
+        jobs += [(links[0], other), (links[2], other), (dataclasses.replace(links[2], propagation_rtt=rtts[1]), other),
+                 (links[0], timing)]
+        # each cold run plays a new copy of the trace, which dies with the run; the JSON text tells -0.0 from 0.0
+        cold = [simulate(dataclasses.replace(trace), link, timing, 90.0, 20.0).to_json() for link, timing in jobs]
+        assert [simulate(trace, link, timing, 90.0, 20.0).to_json() for link, timing in jobs] == cold
+
+    def test_runs_share_the_arrival_column_until_a_term_before_the_downlink_changes(self):
+        trace = small_trace(frames=30, i_bits=400_000, p_bits=90_000)
+        link = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, loss_prob=0.05, seed=3, mode="tcp_like")
+        timing = PipelineTiming(t_sense=0.0)
+        simulate(trace, link, timing, 90.0, 20.0)
+        _, sizes, (_, arrivals), _ = netsim._chains_memo
+        simulate(trace, dataclasses.replace(link, downlink_bps=3e7, mode="udp_like"), timing, 90.0, 20.0)
+        _, same_sizes, (_, same_arrivals), _ = netsim._chains_memo
+        assert same_sizes is sizes and same_arrivals is arrivals  # another downlink reads the same columns
+        for t_sense in (-0.0, 2.0):  # a new sensing time, even one equal to the last, sums the arrivals anew
+            simulate(trace, link, dataclasses.replace(timing, t_sense=t_sense), 90.0, 20.0)
+            _, new_sizes, (_, new_arrivals), _ = netsim._chains_memo
+            assert new_sizes is sizes and new_arrivals is not arrivals
+            arrivals = new_arrivals
+        # sense, uplink, RTT/2, render and encode, in pipeline order
+        assert arrivals == [t + 2.0 + 0.0 + 2.0 + 0.0 + 0.0 for t in trace.t_gen]
 
     def test_a_new_trace_never_gets_a_dead_traces_chains(self, digests):
         link = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, loss_prob=0.05, seed=3, mode="tcp_like")
@@ -882,15 +910,15 @@ class TestLossChainReuse:
         traces = [small_trace(frames=30, i_bits=400_000, p_bits=90_000), small_trace(frames=25)]
         links = [LinkModel(downlink_bps=rate, propagation_rtt=4.0, loss_prob=p, seed=seed, mode=mode)
                  for rate in (5e7, 2e8) for p, seed in ((0.05, 1), (0.1, 2)) for mode in ("udp_like", "tcp_like")]
-        jobs = [(trace, link) for trace in traces for link in links]
-        timing = PipelineTiming()
-        expected = [simulate(dataclasses.replace(trace), link, timing, 90.0, 20.0) for trace, link in jobs]
+        timings = [PipelineTiming(), PipelineTiming(t_sense=3.0, t_render=1.5)]
+        jobs = [(trace, link, timing) for trace in traces for link in links for timing in timings]
+        expected = [simulate(dataclasses.replace(trace), link, timing, 90.0, 20.0) for trace, link, timing in jobs]
         mismatches = []
 
         def worker(offset):
             for k in range(3 * len(jobs)):
                 i = (k * 5 + offset) % len(jobs)
-                if simulate(*jobs[i], timing, 90.0, 20.0) != expected[i]:
+                if simulate(*jobs[i], 90.0, 20.0) != expected[i]:
                     mismatches.append(i)
 
         old_interval = sys.getswitchinterval()
