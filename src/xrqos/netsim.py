@@ -109,7 +109,8 @@ class LinkModel:
         require("propagation rtt", self.propagation_rtt, ge=0)
         if self.mode not in ("udp_like", "tcp_like"):
             raise DomainError(f"mode must be udp_like or tcp_like, got {self.mode!r}")
-        for name, value in (("seed", self.seed), ("max retransmissions", self.max_retx)):  # a bool is an int
+        for name, value in (("seed", self.seed), ("max retransmissions", self.max_retx),  # a bool is an int
+                            ("mtu payload", self.mtu_payload_bits), ("uplink payload", self.uplink_payload_bits)):
             if not isinstance(value, int):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         require("max retransmissions", self.max_retx, ge=0, le=15)  # 15: Linux's default tcp_retries2

@@ -2,10 +2,11 @@
 cost), ``Columns``, the table of records kept a column per field, and ``json_field``, a field's JSON key, kind, bounds
 and CSV cell format. From those declarations alone ``read_record`` reads a profile, trace or report record from JSON,
 and ``json_rows`` and ``csv_table`` build a table's JSON objects and CSV rows from its columns, for ``report``. A
-table of flat records (scalar fields only, as a trace's frames) has a fast case each way: ``read_array`` reads it
-column by column from the parsed JSON, and ``json_array`` writes its JSON text in ``report``'s layout from its
-columns, row by row with one pattern. Each falls back to the general path for anything that does not fit exactly,
-so neither changes a message or a byte."""
+table of flat records (scalar fields only, as a trace's or a report's frames, or packets) has a fast case each way:
+``read_array`` reads it column by column from the parsed JSON, and ``json_array`` writes its JSON text in ``report``'s
+layout from its columns, row by row with one pattern, whether it is a document's member or, as packets are, the whole
+document. Each falls back to the general path for anything that does not fit exactly, so neither changes a message
+or a byte."""
 import functools
 import math
 import operator
@@ -416,9 +417,9 @@ def json_object(obj) -> dict:
 
 
 def json_parts(obj) -> tuple[dict, dict]:
-    """``json_object(obj)`` in the two parts ``report.to_json`` lays out as one: the object without its arrays of flat
-    records, and the text of each such array (``json_array`` at depth 1), by key. An array that ``json_array`` leaves
-    to the encoder stays in the object."""
+    """``json_object(obj)`` in the two parts ``report.json_pieces`` lays out as one: the object without its arrays of
+    flat records, and the text of each such array (``json_array`` at depth 1), by key. An array that ``json_array``
+    leaves to the encoder stays in the object."""
     arrays = {}
     for attr, key, kind, of, *_ in _plan(type(obj))[0]:
         if kind == "an array" and (table := getattr(obj, attr)) is not None and (text := json_array(of, table, 1)):

@@ -4,7 +4,8 @@ Every cell is produced through the capacity/latency/reliability operations
 on registry data; this module adds only ordering and serialization. Each
 output form has one rule for a value: ``json_value``, ``text_value`` and
 ``csv_cell``. Every file is opened by ``destination`` and has one JSON layout
-(``to_json``) and one CSV layout (``write_rows``), which lay out a record table as ``records`` builds it.
+(``json_pieces``, which ``to_json`` joins) and one CSV layout (``write_rows``), which lay out a record table as
+``records`` builds it; a table of flat records reaches the JSON layout as ``records.json_array``'s row pieces.
 ``json`` is loaded only to write JSON (a file, or a dict or list inside a text or CSV value).
 """
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
-from itertools import islice
 from typing import TYPE_CHECKING, Iterable, TextIO
 
 from . import _EXPORTS
@@ -105,44 +105,26 @@ def _encoder():
     return json.JSONEncoder(indent=2, sort_keys=True)
 
 
-def to_json(document, arrays=None) -> str:
-    """``document`` in the JSON layout of every file. ``arrays`` maps further keys of the object ``document`` to
-    their values' text, in pieces laid out one level deep (``records.json_array``), which take their places among
-    its keys."""
-    return "".join(_members(document, arrays)) if arrays else _encoder().encode(document) + "\n"
-
-
-def write_json(handle: TextIO, document, arrays=None) -> None:
-    """``to_json(document, arrays)``, written in pieces: 65,536 encoder chunks, or each member and array piece, so a
-    large document is never one string."""
-    if arrays:
-        for piece in _members(document, arrays):
-            handle.write(piece)
+def json_pieces(document, arrays=None):
+    """``document`` in the JSON layout of every file, in pieces, so a large document is never one string. ``arrays``
+    maps further keys of the object ``document`` to their values' text, in pieces laid out one level deep
+    (``records.json_array``), which take their places among its keys; each member of ``document`` is then encoded on
+    its own and indented a level (a JSON text holds no newline but the layout's own)."""
+    encoder = _encoder()
+    if not arrays:
+        yield from encoder.iterencode(document)
+        yield "\n"
         return
-    chunks = _encoder().iterencode(document)
-    while piece := "".join(islice(chunks, 65536)):
-        handle.write(piece)
-    handle.write("\n")
-
-
-def _members(document: dict, arrays: dict):
-    """``to_json(document, arrays)`` in pieces: the object's members in key order, each of ``document`` encoded on
-    its own and indented a level (a JSON text holds no newline but the layout's own), each of ``arrays`` as given."""
-    encode = _encoder().encode
-    members = {key: (encode(value).replace("\n", "\n  "),) for key, value in document.items()} | arrays
+    members = {key: (encoder.encode(value).replace("\n", "\n  "),) for key, value in document.items()} | arrays
     for i, key in enumerate(sorted(members)):
-        yield f"{',' if i else '{'}\n  {encode(key)}: "
+        yield f"{',' if i else '{'}\n  {encoder.encode(key)}: "
         yield from members[key]
     yield "\n}\n"
 
 
-def write_json_array(handle: TextIO, items: Iterable) -> None:
-    """``to_json(list(items))``, encoded 4,096 items at a time, so the whole list is never built."""
-    items, opening, encode = iter(items), "[", _encoder().encode
-    while batch := list(islice(items, 4096)):
-        handle.write(opening + encode(batch)[1:-2])  # the batch's items, without its "[" and "\n]"
-        opening = ","
-    handle.write("[]\n" if opening == "[" else "\n]\n")
+def to_json(document, arrays=None) -> str:
+    """``json_pieces(document, arrays)`` as one string."""
+    return "".join(json_pieces(document, arrays))
 
 
 def write_rows(handle: TextIO, header: Iterable, rows: Iterable[Iterable]) -> None:

@@ -12,9 +12,10 @@ same two columns and returns the packet table, a column per ``PacketRecord``
 field, which acts as the tuple of ``PacketRecord``s and builds none until
 one is read. Traces and packets export to CSV and JSON, built by ``records``
 from their columns as their record fields declare, in ``report``'s layouts
-(a trace's frames by ``records``' row writer); a trace's JSON loads back,
-its frames read column by column into the trace's columns, checked a whole
-column at a time, and feeds the link simulator.
+(a trace's frames and a table's packets by ``records``' row writer, one row
+pattern per layout); a trace's JSON loads back, its frames read column by
+column into the trace's columns, checked a whole column at a time, and feeds
+the link simulator.
 """
 from __future__ import annotations
 
@@ -22,14 +23,15 @@ import json
 import math
 import sys
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TextIO
 
 from . import _EXPORTS, report
 from .codec import FrameSizes, GopConfig
 from .errors import DomainError, require
-from .records import Columns, csv_table, json_field, json_parts, json_rows, read_record, record, unreadable
+from .records import (Columns, csv_table, json_array, json_field, json_parts, json_rows, read_record, record,
+                      unreadable)
 
 __all__ = _EXPORTS["tracegen"].split()
 
@@ -208,26 +210,30 @@ def packetize(trace: FrameTrace, mtu_payload_bits: int) -> Columns:
 
 def export_trace(trace: FrameTrace, fmt: str, destination: str | Path | TextIO) -> None:
     """Write a trace as CSV (one row per frame) or JSON (lossless round-trip)."""
-    _export(fmt, destination, "trace", FrameRecord, trace.records,
-            lambda handle: report.write_json(handle, *json_parts(trace)))
+    _export(fmt, destination, "trace", FrameRecord, trace.records, lambda: report.json_pieces(*json_parts(trace)))
 
 
 def export_packets(packets: Sequence[PacketRecord], fmt: str, destination: str | Path | TextIO) -> None:
-    """Write packets, ``packetize``'s table or any sequence of ``PacketRecord``s, as CSV (one row per packet, from
-    the table's columns) or JSON (an array of packet objects, written a batch at a time)."""
-    _export(fmt, destination, "packets", PacketRecord, packets,
-            lambda handle: report.write_json_array(handle, json_rows(PacketRecord, packets)))
+    """Write packets, ``packetize``'s table or any sequence of ``PacketRecord``s, as CSV (one row per packet) or JSON
+    (an array of packet objects), each from the table's columns. JSON is written row by row by ``json_array``, or by
+    the encoder from the list of packet objects when a value is outside its column's kind."""
+
+    def json_pieces():
+        rows = json_array(PacketRecord, packets, 0)
+        return chain(rows, "\n") if rows is not None else report.json_pieces(list(json_rows(PacketRecord, packets)))
+
+    _export(fmt, destination, "packets", PacketRecord, packets, json_pieces)
 
 
-def _export(fmt: str, destination, what: str, cls: type, records, write_json) -> None:
-    """``records`` of ``cls`` as CSV, or JSON by ``write_json(handle)``; a bad ``fmt`` opens nothing."""
+def _export(fmt: str, destination, what: str, cls: type, records, json_pieces) -> None:
+    """``records`` of ``cls`` as CSV, or JSON in the pieces ``json_pieces()`` yields; a bad ``fmt`` opens nothing."""
     if fmt not in ("csv", "json"):
         raise DomainError(f"format must be csv or json, got {fmt!r}")
     with report.destination(destination, what) as handle:
         if fmt == "csv":
             report.write_rows(handle, *csv_table(cls, records))
         else:
-            write_json(handle)
+            handle.writelines(json_pieces())
 
 
 def trace_from_dict(payload: dict) -> FrameTrace:

@@ -87,6 +87,15 @@ NOT_A_FLOAT = {
     "LinkModel seed None": (lambda: LinkModel(100e6, seed=None), "seed must be an integer, got None"),
     "LinkModel seed 1.5": (lambda: LinkModel(100e6, seed=1.5), "seed must be an integer, got 1.5"),
     "LinkModel seed 'x'": (lambda: LinkModel(100e6, seed="x"), "seed must be an integer, got 'x'"),
+    "LinkModel mtu 0.25": (lambda: LinkModel(100e6, mtu_payload_bits=0.25), "mtu payload must be an integer, got 0.25"),
+    "LinkModel mtu 1.5": (lambda: LinkModel(100e6, mtu_payload_bits=1.5), "mtu payload must be an integer, got 1.5"),
+    "LinkModel mtu None": (lambda: LinkModel(100e6, mtu_payload_bits=None), "mtu payload must be an integer, got None"),
+    "LinkModel uplink payload 0.25": (lambda: LinkModel(100e6, uplink_payload_bits=0.25),
+                                      "uplink payload must be an integer, got 0.25"),
+    "LinkModel uplink payload 1.5": (lambda: LinkModel(100e6, uplink_payload_bits=1.5),
+                                     "uplink payload must be an integer, got 1.5"),
+    "LinkModel uplink payload None": (lambda: LinkModel(100e6, uplink_payload_bits=None),
+                                      "uplink payload must be an integer, got None"),
     "stream_latency throughput 10**400": (lambda: stream_latency(0, 1e6, 10**400, 0), BEYOND_FLOATS.format(401)),
     "stream_latency throughput 10**5000": (lambda: stream_latency(0, 1e6, 10**5000, 0), BEYOND_FLOATS.format(5001)),
     "max_loss_rate throughput 10**400": (lambda: max_loss_rate(LossModel(), 10**400, 0.02), BEYOND_FLOATS.format(401)),

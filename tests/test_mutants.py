@@ -1,11 +1,12 @@
 """The named mutants: each is a one-line change to the package that the tests named beside it must catch.
 
 Each mutant is applied to a copy of ``src/``, and its tests (ids under ``tests/``) run on the copy in a child
-``pytest -x`` with a fixed hypothesis seed, two children at a time. The child must fail. A mutant whose source text
-does not occur exactly once in its module fails too, with "restate this mutant": a refactor that moves the code
-carries its mutants along.
+``pytest -x`` with a fixed hypothesis seed and no shrink phase, two children at a time. The child must fail: exit 1
+with one of the mutant's tests named as failed. A mutant whose source text does not occur exactly once in its module
+fails too, with "restate this mutant": a refactor that moves the code carries its mutants along.
 """
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -93,7 +94,17 @@ MUTANTS = (
            ("test_errors.py::TestWriter::test_the_edge_values_write_the_encoders_text",)),
     Mutant("a-none-cell-written-as-text", "records", '_unless_none(f"{{:{spec}}}".format, column, "")',
            '_unless_none(f"{{:{spec}}}".format, column, "None")', ("test_report.py::TestRecordTables",)),
+    Mutant("packet-json-without-its-final-newline", "tracegen", 'chain(rows, "\\n")', 'chain(rows, "")',
+           ("test_tracegen.py::TestExport::test_packets_json_is_the_array_of_packet_objects",)),
 )
+
+# A -p plugin for the children: a failing example already kills the mutant, and shrinking it took most of the
+# catalogue's time, so the children run every hypothesis phase but the shrink.
+NO_SHRINK = """from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=[phase for phase in Phase if phase is not Phase.shrink])
+settings.load_profile("mutants")
+"""
 
 
 def mutate(mutant: Mutant, tmp: Path) -> Path:
@@ -111,10 +122,21 @@ def mutate(mutant: Mutant, tmp: Path) -> Path:
 
 def run_child(mutant: Mutant, tmp: Path) -> subprocess.CompletedProcess:
     """The mutant's tests run on its copy of ``src/``, from ``tmp`` so that the child writes nothing in the repo."""
-    env = {**os.environ, "PYTHONPATH": str(mutate(mutant, tmp)), "PYTHONDONTWRITEBYTECODE": "1"}
+    (tmp / "no_shrink.py").write_text(NO_SHRINK, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(mutate(mutant, tmp)), str(tmp))),
+           "PYTHONDONTWRITEBYTECODE": "1"}
     tests = [str(ROOT / "tests" / test) for test in mutant.tests]
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-p", "no_shrink",
+               "--hypothesis-seed=0", *tests]
     return subprocess.run(command, cwd=tmp, env=env, capture_output=True, text=True, timeout=600)
+
+
+def killed(mutant: Mutant, child: subprocess.CompletedProcess) -> bool:
+    """Whether ``child`` failed one of ``mutant``'s tests: exit 1 and a summary line naming it. A collection error (2)
+    or a test id that names nothing (4, 5) kills no mutant, nor does an exit 1 without a failed test (a ``python -m
+    pytest`` that cannot import pytest, say)."""
+    named = "|".join(re.escape(f"tests/{test}") for test in mutant.tests)
+    return child.returncode == 1 and re.search(rf"^FAILED \S*\b(?:{named})", child.stdout, re.M) is not None
 
 
 @pytest.fixture(scope="module")
@@ -129,8 +151,17 @@ def children(request, tmp_path_factory):
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_the_named_tests_kill_the_mutant(mutant, children):
     child = children[mutant.name].result()
-    # exit 1 is a failed test; a collection error (2) or a test id that names nothing (4, 5) kills no mutant
-    assert child.returncode == 1, f"{mutant.name} survived (exit {child.returncode}):\n{child.stdout[-3000:]}"
+    assert killed(mutant, child), (f"{mutant.name} survived (exit {child.returncode}):\n{child.stdout[-3000:]}"
+                                   f"{child.stderr[-1000:]}")
+
+
+def test_an_exit_1_that_names_no_failed_test_kills_no_mutant():
+    mutant = MUTANTS[0]
+    failed = f"FAILED ../repo/tests/{mutant.tests[0]} - AssertionError: assert 1 == 2\n1 failed in 0.50s\n"
+    assert killed(mutant, subprocess.CompletedProcess([], 1, failed, ""))
+    assert not killed(mutant, subprocess.CompletedProcess([], 1, "", "python: No module named pytest\n"))
+    assert not killed(mutant, subprocess.CompletedProcess([], 2, failed, ""))
+    assert not killed(mutant, subprocess.CompletedProcess([], 1, "FAILED tests/test_other.py::test_x\n", ""))
 
 
 def test_a_source_text_that_is_not_there_once_is_restated(tmp_path):

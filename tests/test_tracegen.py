@@ -16,7 +16,7 @@ from xrqos.codec import FrameSizes, GopConfig, RenderSurface, frame_size, gop_bi
 from xrqos.errors import ConfigError, DomainError, require
 from xrqos.geometry import FovSpec, Resolution
 from xrqos.records import json_object
-from xrqos import records, report, tracegen
+from xrqos import records, tracegen
 from xrqos.tracegen import (
     FrameRecord,
     FrameTrace,
@@ -334,15 +334,21 @@ class TestExport:
         assert lines[0] == "frame_index,packet_index,size_bits,t_ready_ms"
         assert len(lines) == 2 + len(packets)
 
-    @pytest.mark.parametrize("count", [0, 1, 3, 4097])  # 4,097: past one batch of the streamed array
-    def test_packets_json_is_the_array_of_packet_objects(self, count):
+    @pytest.mark.parametrize("mtu, count", [(4, 0), (4, 1), (4, 3), (4, 4097), (2.5, None)],
+                             ids=["0", "1", "3", "4097", "all at a float mtu"])
+    def test_packets_json_is_the_array_of_packet_objects(self, mtu, count):
+        """4,097 packets are past one piece of the row writer's rows. At a float MTU the sizes are floats, outside
+        their integer column's kind, so the encoder writes the whole table instead."""
         trace = generate_trace(FrameSizes(25000, 1000), GopConfig(1.0, 2.0, redundancy_fraction=0.0), 1.0)
-        packets = packetize(trace, 4)[:count]
+        table = packetize(trace, mtu)
+        packets = table if count is None else table[:count]
         buffer = io.StringIO()
         export_packets(packets, "json", buffer)
-        assert buffer.getvalue() == report.to_json([json_object(packet) for packet in packets])
+        objects = list(records.json_rows(tracegen.PacketRecord, packets))
+        assert buffer.getvalue() == json.dumps(objects, indent=2, sort_keys=True) + "\n"
         assert json.loads(buffer.getvalue()) == [json_object(packet) for packet in packets]
-        if not count:
+        assert (records.json_array(tracegen.PacketRecord, packets, 0) is None) == (count is None)
+        if count == 0:
             assert buffer.getvalue() == "[]\n"
 
     def test_unknown_format(self):
