@@ -7,10 +7,11 @@ stage figures are stored verbatim with their prefix convention tagged, never
 re-derived, because the underlying assumptions are not all disclosed.
 
 The built-in document is read once per process and its entries are indexed
-by key (duplicates rejected), but each entry is parsed only on its first
-lookup, so a command pays for the profiles it reads: ``profiles list``
-parses none. A user file is parsed whole when it loads, by the same reader,
-so a malformed entry fails before the command runs.
+by key (duplicates rejected). Each entry is parsed on its first lookup, and
+its record takes its place in that registry's index alone, so a command pays
+for the profiles it reads: ``profiles list`` parses none. A user file is
+parsed whole when it loads, by the same reader, so a malformed entry fails
+before the command runs.
 """
 from __future__ import annotations
 
@@ -230,35 +231,18 @@ class StageProfile:
         )
 
 
-class _Unread:
-    """An indexed entry, parsed by ``read(obj, path)`` on its first lookup; its record is kept, and shared by every
-    registry that holds the entry."""
-
-    __slots__ = ("read", "obj", "path", "source", "record")
-
-    def __init__(self, read, obj: dict, path: str, source: str) -> None:
-        self.read, self.obj, self.path, self.source, self.record = read, obj, path, source, None
-
-    def parse(self):
-        if self.record is None:
-            try:
-                self.record = self.read(self.obj, self.path)
-            except (DomainError, ConfigError, ProfileError) as exc:
-                raise _named(self.source, self.path, exc) from exc
-        return self.record
-
-
 class _Entries(Mapping):
-    """One section of a registry by key. Keys, ``in`` and ``len`` parse nothing; a value is parsed on its first
-    lookup, so ``values()`` and ``items()`` parse every entry."""
+    """One section of a registry by key. Keys, ``in`` and ``len`` parse nothing. An entry is indexed as read,
+    ``(source, read, obj, path)``; its first lookup parses it by ``read(obj, path)`` and keeps the record in its place,
+    so ``values()`` and ``items()`` parse every entry, and a failed parse keeps nothing."""
 
     def __init__(self, entries: dict | None = None) -> None:
-        self._entries = dict(entries or {})  # key -> record, or the _Unread entry it is parsed from
+        self._entries = dict(entries or {})  # key -> record, or the entry it is parsed from
 
     def __getitem__(self, key):
         entry = self._entries[key]
-        if type(entry) is _Unread:
-            entry = self._entries[key] = entry.parse()
+        if type(entry) is tuple:
+            entry = self._entries[key] = _parse(*entry)
         return entry
 
     def __contains__(self, key) -> bool:
@@ -293,9 +277,9 @@ class ProfileRegistry:
 
     ``devices``, ``stages`` and ``pipelines`` map each key (a stage's is its
     normalised taxonomy and stage) to its record; an entry of the built-in
-    document is parsed on its first lookup. A pipeline preset is a latency
-    budget with no MTP ceiling of its own (``mtp_limit`` is infinite); a
-    caller sets the ceiling it checks against.
+    document is parsed on its first lookup, and its record kept here. A
+    pipeline preset is a latency budget with no MTP ceiling of its own
+    (``mtp_limit`` is infinite); a caller sets the ceiling it checks against.
     """
 
     def __init__(self) -> None:
@@ -325,7 +309,7 @@ class ProfileRegistry:
         return profile, profile.refresh_modes[0]
 
     def stage(self, taxonomy: str, stage: str) -> StageProfile:
-        key = (_norm(taxonomy), norm_stage(stage))
+        key = _stage_key(taxonomy, stage)[0]
         if key not in self.stages:
             valid = ", ".join(f"{t}/{s}" for t, s in sorted(self.stages))
             raise UnknownKeyError(f"unknown stage {taxonomy}/{stage}; available: {valid}")
@@ -414,11 +398,19 @@ def _named(source: str, path: str, exc: Exception) -> ProfileError:
     return ProfileError(f"{source}: {where}{exc}")
 
 
+def _parse(source: str, read, obj: dict, path: str):
+    """The record ``read(obj, path)`` builds from an entry of ``source``; a fault is raised ``_named``."""
+    try:
+        return read(obj, path)
+    except (DomainError, ConfigError, ProfileError) as exc:
+        raise _named(source, path, exc) from exc
+
+
 def _load_document(registry: ProfileRegistry, document: dict, source: str, lazy: bool = False) -> None:
     """Add a profile document's devices, stages and pipelines; a malformed document raises ProfileError.
 
-    Every entry is indexed by its key first. Then each is parsed, or, if ``lazy``, left to be parsed on its first
-    lookup.
+    Every entry is indexed by its key first. Then each is parsed by its lookup, or, if ``lazy``, left to be parsed on
+    its first lookup.
     """
     if not isinstance(document, dict):
         raise ProfileError(f"{source}: top level must be an object with devices/stages arrays")
@@ -426,15 +418,16 @@ def _load_document(registry: ProfileRegistry, document: dict, source: str, lazy:
     try:
         check_keys(document, _ROOT, _DOCUMENT_KEYS)
         for section, (fields, key, read) in _SECTIONS.items():
+            entries = getattr(registry, section)
             for path, obj in read_objects(document, section, _ROOT, optional=True):
-                entry = _Unread(read, obj, path, source)
-                getattr(registry, section)._add(*key(*(read_value(obj, f, path, "a string") for f in fields)), entry)
-                added.append(entry)
+                entry_key, what = key(*(read_value(obj, f, path, "a string") for f in fields))
+                entries._add(entry_key, what, (source, read, obj, path))
+                added.append((entries, entry_key))
     except (DomainError, ConfigError, ProfileError) as exc:
         raise _named(source, path, exc) from exc
     if not lazy:
-        for entry in added:
-            entry.parse()
+        for entries, entry_key in added:
+            entries[entry_key]  # parsed, and kept
 
 
 def _read_json(path: Path) -> dict:
@@ -458,7 +451,7 @@ def builtin_registry() -> ProfileRegistry:
 def load_profiles(path: str | Path | None = None) -> ProfileRegistry:
     """Built-in profiles plus, optionally, a user profile file merged on top."""
     registry, base = ProfileRegistry(), builtin_registry()
-    for section in _SECTIONS:  # the built-in entries, parsed or not, shared with the built-in registry
+    for section in _SECTIONS:  # a copy of the built-in index: an entry first looked up here is parsed and kept here
         setattr(registry, section, _Entries(getattr(base, section)._entries))
     if path == "":  # Path("") is the current directory, which would be read as the file
         raise ProfileError("cannot read profiles from '': the path is empty")

@@ -30,8 +30,8 @@ from typing import TextIO
 from . import _EXPORTS, report
 from .codec import FrameSizes, GopConfig
 from .errors import DomainError, require
-from .records import (Columns, csv_table, json_array, json_field, json_parts, json_rows, read_record, record,
-                      unreadable)
+from .records import (Columns, csv_table, json_array, json_field, json_parts, json_rows, read_record, read_value,
+                      record, unreadable)
 
 __all__ = _EXPORTS["tracegen"].split()
 
@@ -65,9 +65,9 @@ class PacketRecord:
 
 @record
 class FrameTrace:
-    """A positive, finite duration and at most ``MAX_FRAMES`` frames, whose indices run 0, 1, 2, ..., whose
-    generation times are not NaN and never decrease, from 0 ms on and ending before the duration, whose types are
-    I, P or B and whose sizes are not negative.
+    """A positive, finite duration and at most ``MAX_FRAMES`` frames, whose indices, sizes and GOP numbers are
+    integers (not bools), whose indices run 0, 1, 2, ..., whose generation times are not NaN and never decrease,
+    from 0 ms on and ending before the duration, whose types are I, P or B and whose sizes are not negative.
 
     ``records`` may be given as any sequence of frame records, or as their ``Columns`` table, which the JSON reader
     fills column by column; the trace keeps only their columns. It checks each column as a whole, and goes through
@@ -84,19 +84,22 @@ class FrameTrace:
         require("trace frame count", len(self.records), ge=0, le=MAX_FRAMES)
         records = Columns.of(FrameRecord, self.records)
         object.__setattr__(self, "records", records)
-        indices, t_gen, kinds, sizes = records.columns[:4]
-        largest, n = sys.float_info.max, len(indices)
+        indices, t_gen, kinds, sizes, gops = records.columns
+        largest, n, ints = sys.float_info.max, len(indices), {int}
         try:  # each column as a whole; a NaN fails every comparison, so it is found as a sum unequal to itself
             whole = not n or (
-                (indices == range(n) or indices == tuple(range(n))) and t_gen[0] >= 0 and sorted(t_gen) == list(t_gen)
-                and set(kinds) <= {"I", "P", "B"} and min(sizes) >= 0 and max(sizes) <= largest
-                and (total := sum(t_gen)) == total and (total := sum(sizes)) == total
+                (indices == range(n) or indices == tuple(range(n)) and set(map(type, indices)) <= ints)
+                and set(map(type, sizes)) <= ints and set(map(type, gops)) <= ints
+                and t_gen[0] >= 0 and sorted(t_gen) == list(t_gen) and set(kinds) <= {"I", "P", "B"}
+                and min(sizes) >= 0 and max(sizes) <= largest and (total := sum(t_gen)) == total
             )
-        except (TypeError, OverflowError):  # e.g. an unhashable frame type, or a float summed with an int past floats
+        except (TypeError, OverflowError):  # e.g. an unhashable frame type, or a time summed with an int past floats
             whole = False
         if not whole:  # the frame loop, only to word the first fault
             previous = 0.0
-            for i, (index, t, kind, size) in enumerate(zip(indices, t_gen, kinds, sizes)):
+            for i, (index, t, kind, size, gop) in enumerate(zip(indices, t_gen, kinds, sizes, gops)):
+                for key, value in ("frame_index", index), ("size_bits", size), ("gop_index", gop):
+                    read_value({key: value}, key, f"trace.records[{i}]", "an integer")
                 if index != i:
                     raise DomainError(
                         f"trace.records[{i}].frame_index must be {i} (indices run from 0 without gaps), got {index}"
@@ -178,6 +181,8 @@ def packet_splits(trace: FrameTrace, mtu_payload_bits: int) -> dict:
     hold at most ``MAX_PACKETS`` packets at the MTU; one that holds more is
     rejected here, before any packet is made or any loss is drawn.
     """
+    if not isinstance(mtu_payload_bits, int):  # LinkModel's rule: a bool is an int
+        raise DomainError(f"mtu payload must be an integer, got {mtu_payload_bits!r}")
     require("mtu payload", mtu_payload_bits, gt=0)
     sizes = trace.size_bits
     splits = {size: packet_split(size, mtu_payload_bits) for size in set(sizes)}

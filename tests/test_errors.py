@@ -96,6 +96,10 @@ NOT_A_FLOAT = {
                                      "uplink payload must be an integer, got 1.5"),
     "LinkModel uplink payload None": (lambda: LinkModel(100e6, uplink_payload_bits=None),
                                       "uplink payload must be an integer, got None"),
+    "packetize mtu 0.5": (lambda: packetize(generate_trace(FrameSizes(25000, 1000), GopConfig(1.0, 2.0), 1.0), 0.5),
+                          "mtu payload must be an integer, got 0.5"),
+    "packetize mtu None": (lambda: packetize(generate_trace(FrameSizes(25000, 1000), GopConfig(1.0, 2.0), 1.0), None),
+                           "mtu payload must be an integer, got None"),
     "stream_latency throughput 10**400": (lambda: stream_latency(0, 1e6, 10**400, 0), BEYOND_FLOATS.format(401)),
     "stream_latency throughput 10**5000": (lambda: stream_latency(0, 1e6, 10**5000, 0), BEYOND_FLOATS.format(5001)),
     "max_loss_rate throughput 10**400": (lambda: max_loss_rate(LossModel(), 10**400, 0.02), BEYOND_FLOATS.format(401)),
@@ -320,6 +324,7 @@ class TestWriter:
         results = [FrameResult(i, i % 2 == 0, number, number, 10**i) for i, number in enumerate(numbers)]
         frames = [FrameRecord(i, number, texts[i % len(texts)], -(10**i), 2**70) for i, number in enumerate(numbers)]
         for cls, records in ((FrameResult, results), (FrameRecord, frames)):
+            self.check(cls, records)  # an int and a -0.0 in a number column, each written as a float
             self.check_text(cls, records)
             assert json_array(cls, records, 0) is not None
 
@@ -333,6 +338,7 @@ class TestWriter:
 
     def test_a_value_outside_its_kind_leaves_the_table_to_the_encoder(self):
         for row in [(0, True, 1.0, 1.0, True), (0, 1, 1.0, 1.0, 1), (0, True, "1", 1.0, 1), (1.0, True, 1.0, 1.0, 1)]:
+            self.check(FrameResult, [FrameResult(*row)])  # a bool in an integer column stays a bool
             self.check_text(FrameResult, [FrameResult(*row)])
             assert json_array(FrameResult, [FrameResult(*row)], 0) is None
 

@@ -71,18 +71,21 @@ MUTANTS = (
     Mutant("a-number-column-written-without-float", "records",
            '_unless_none(float if kind == "a number" else json_object, column)',
            '_unless_none((lambda value: value) if kind == "a number" else json_object, column)',
-           ("test_errors.py::TestWriter::test_a_random_table_writes_what_its_records_write",)),
+           ("test_errors.py::TestWriter::test_the_edge_values_write_the_encoders_text",
+            "test_errors.py::TestWriter::test_a_random_table_writes_what_its_records_write")),
     Mutant("negative-zero-written-as-zero", "records",
            '_unless_none(float if kind == "a number" else json_object, column)',
            '_unless_none((lambda value: float(value) + 0.0) if kind == "a number" else json_object, column)',
-           ("test_errors.py::TestWriter::test_a_random_table_writes_what_its_records_write",)),
+           ("test_errors.py::TestWriter::test_the_edge_values_write_the_encoders_text",
+            "test_errors.py::TestWriter::test_a_random_table_writes_what_its_records_write")),
     Mutant("groups-after-the-flat-keys", "records", "    return _dicts(objects)\n",
            "    return _dicts(dict(sorted(objects.items(), key=lambda item: type(item[1]) is dict)))\n",
            ("test_errors.py::TestWriter::test_the_builtin_devices_nest_their_records_and_groups",)),
     Mutant("a-bool-in-an-integer-column-written-as-an-int", "records", '        elif kind == "a number" or of:\n',
            '        elif kind == "an integer":\n            column = _unless_none(int, column)\n'
            '        elif kind == "a number" or of:\n',
-           ("test_errors.py::TestWriter::test_a_random_table_writes_what_its_records_write",)),
+           ("test_errors.py::TestWriter::test_a_value_outside_its_kind_leaves_the_table_to_the_encoder",
+            "test_errors.py::TestWriter::test_a_random_table_writes_what_its_records_write")),
     Mutant("column-reader-takes-a-bool-as-an-integer", "records", "if not present <= types:",
            "if not present <= types | {bool}:",
            ("test_tracegen.py::TestColumnReader::test_each_edge_in_each_column_reads_or_fails_as_item_by_item",)),

@@ -487,6 +487,9 @@ class TestFloatOrder:
         ),
         frames=st.integers(min_value=1, max_value=40),
     )
+    # a frame's serialization in another float order moves the second frame's e2e by an ulp here
+    @example(link=LinkModel(downlink_bps=1e6, loss_prob=0.3, seed=0, mode="tcp_like", max_retx=1,
+                            mtu_payload_bits=11_680), frames=2)
     def test_time_columns_equal_the_loop_exactly(self, link, frames):
         trace = small_trace(frames=frames, i_bits=200_003, p_bits=40_001)
         report = simulate(trace, link, self.TIMING, 90.0, 20.0)
@@ -845,6 +848,8 @@ class TestLossChainReuse:
     )
     @example(downlinks=[1e8, 5e7, 2e8], seeds=[1, 2], probs=[0.05, 0.2], mtus=[4_000, 11_680], senses=[-0.0, 0.0],
              rtts=[0.0, -0.0], uplinks=[0, 4_000], frames=5)
+    @example(downlinks=[1e8, 5e7, 2e8], seeds=[1, 2], probs=[0.05, 0.2], mtus=[4_000, 11_680], senses=[-0.0, 0.0],
+             rtts=[6.0, 11.0], uplinks=[0, 4_000], frames=5)
     def test_a_warm_memo_equals_a_cold_run(self, downlinks, seeds, probs, mtus, senses, rtts, uplinks, frames):
         trace = small_trace(frames=frames, i_bits=400_000, p_bits=90_000)
         timing = PipelineTiming(t_sense=senses[0], t_render=2.0, t_decode=2.0)

@@ -334,14 +334,18 @@ class TestExport:
         assert lines[0] == "frame_index,packet_index,size_bits,t_ready_ms"
         assert len(lines) == 2 + len(packets)
 
-    @pytest.mark.parametrize("mtu, count", [(4, 0), (4, 1), (4, 3), (4, 4097), (2.5, None)],
-                             ids=["0", "1", "3", "4097", "all at a float mtu"])
-    def test_packets_json_is_the_array_of_packet_objects(self, mtu, count):
-        """4,097 packets are past one piece of the row writer's rows. At a float MTU the sizes are floats, outside
-        their integer column's kind, so the encoder writes the whole table instead."""
+    @pytest.mark.parametrize("count", [0, 1, 3, 4097, None], ids=["0", "1", "3", "4097", "all with float sizes"])
+    def test_packets_json_is_the_array_of_packet_objects(self, count):
+        """4,097 packets are past one piece of the row writer's rows. A table built in code with float sizes holds
+        values outside their integer column's kind, so the encoder writes the whole table instead."""
         trace = generate_trace(FrameSizes(25000, 1000), GopConfig(1.0, 2.0, redundancy_fraction=0.0), 1.0)
-        table = packetize(trace, mtu)
-        packets = table if count is None else table[:count]
+        table = packetize(trace, 4)
+        if count is None:
+            frame_index, packet_index, size_bits, t_ready = table.columns
+            packets = records.Columns(tracegen.PacketRecord, frame_index, packet_index, [*map(float, size_bits)],
+                                      t_ready)
+        else:
+            packets = table[:count]
         buffer = io.StringIO()
         export_packets(packets, "json", buffer)
         objects = list(records.json_rows(tracegen.PacketRecord, packets))
@@ -438,6 +442,10 @@ BAD_RECORDS = [
                            r"duration_s \* 1000 = 1000\.0$"),
     # NaN fails every comparison, so no order check catches it; the JSON readers reject it as not finite too
     (3, {"t_gen": math.nan}, r"trace\.records\[3\]\.t_gen_ms must be finite, got nan$"),
+    # an integer column holds ints, as the JSON readers read it: a bool equals 0 or 1, and a float may be whole
+    (0, {"size_bits": 10.5}, r"trace\.records\[0\]\.size_bits must be an integer, got 10\.5$"),
+    (2, {"gop_index": "x"}, r"trace\.records\[2\]\.gop_index must be an integer, got 'x'$"),
+    (0, {"index": False}, r"trace\.records\[0\]\.frame_index must be an integer, got False$"),
 ]
 
 
@@ -452,7 +460,7 @@ class TestLoadBoundary:
     @pytest.mark.parametrize(
         "position, changes, message", BAD_RECORDS, ids=["index gap", "time decreases", "type Q", "negative size",
                                                         "size beyond a float", "negative first time", "frame at the end",
-                                                        "NaN time"],
+                                                        "NaN time", "float size", "string GOP", "bool index"],
     )
     def test_trace_built_in_code_is_checked(self, position, changes, message):
         trace = generate_trace(FrameSizes(5000, 600), GopConfig(1.0, 10.0), 1.0)
@@ -507,7 +515,10 @@ def frame_by_frame(columns, duration):
     fault raises (type and message), or None."""
     try:
         previous = 0.0
-        for i, (index, t, kind, size) in enumerate(zip(*columns[:4])):
+        for i, (index, t, kind, size, gop) in enumerate(zip(*columns)):
+            for key, value in ("frame_index", index), ("size_bits", size), ("gop_index", gop):
+                if type(value) is not int:
+                    raise DomainError(f"trace.records[{i}].{key} must be an integer, got {value!r}")
             if index != i:
                 raise DomainError(
                     f"trace.records[{i}].frame_index must be {i} (indices run from 0 without gaps), got {index}")
@@ -536,6 +547,7 @@ CELL_EDGES = {
     2: ["Q", "", "i", "I", "P", "B", ["I"], None],
     3: [-1, 0, 10**400, math.nan, math.inf, sys.float_info.max, int(sys.float_info.max) + 2**969, 1.5, True, "5",
         None],
+    4: [-1, 0, 1, 10**400, 2.0, 1.5, True, False, "0", None],
 }
 
 
