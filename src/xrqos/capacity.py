@@ -95,13 +95,6 @@ class BitRate:
     def bps(self) -> float:
         return self.bits_per_second
 
-    def value_in(self, prefix: str) -> float:
-        """The rate expressed in a given prefix unit (e.g. 'Mi' or 'G')."""
-        for name, divisor in BINARY_PREFIXES + DECIMAL_PREFIXES:
-            if name == prefix:
-                return self.bits_per_second / divisor
-        raise DomainError(f"unknown rate prefix {prefix!r}")
-
     def format(self, units: str = "binary") -> str:
         """Render to two decimals with the largest prefix that keeps the value at least 1."""
         if units == "binary":

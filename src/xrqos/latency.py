@@ -119,6 +119,9 @@ def budget_check(budget: LatencyBudget) -> BudgetReport:
         wait = delay.avg_ms if budget.vsync_mode == "avg" else delay.max_ms
         breakdown.append((f"vsync_{budget.vsync_mode}", wait))
     breakdown = [(name, ms) for name, ms in breakdown if ms > 0]
-    remaining = budget.mtp_limit - require("total delay", sum(ms for _, ms in breakdown), ge=0)
+    total = 0
+    for _, ms in breakdown:  # left to right on every Python: from 3.12 on, sum() compensates a float sum
+        total += ms
+    remaining = budget.mtp_limit - require("total delay", total, ge=0)
     return BudgetReport(remaining_ms=remaining, violated=remaining < 0, breakdown=tuple(breakdown))
 

@@ -30,10 +30,11 @@ attempt for the frames that still have packets lost, all at one chain
 length. Each attempt's walks draw the first block of every stream in one
 pass, from one key pattern, and a later block only for a walk that gets
 past the first eight words; a walk that loses nothing costs no more.
-``simulate`` keeps one memo for the last trace it ran, keyed by the trace's
-identity (traces are frozen) and dropped with it, for later runs of a sweep
-to read. Each of its parts is rebuilt only when its own key changes: 1000
-times each frame's size; each frame's downlink arrival, its generation time
+``simulate`` keeps a memo on each trace's frame table (``Columns.memo``),
+derived from the table's columns alone and dropped with them, for later runs
+of a sweep to read; traces that share one table share its memo. Each of its
+parts is rebuilt only when its own key changes: 1000 times each frame's size
+(once per table); each frame's downlink arrival, its generation time
 plus the five terms before the downlink (sense, uplink, RTT/2, render and
 encode), keyed by the terms' reprs; and the last lossy run's chains, keyed by
 (seed, p, MTU), with the frames whose chains stop at the run's attempt limit
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import math
 import struct
-import weakref
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import compress, repeat
@@ -246,24 +246,12 @@ def _build_chains(link: LinkModel, depth: int, splits=(), memo=None) -> tuple[li
     return chains, pending
 
 
-_chains_memo = None  # (weakref to the trace, sizes, (arrival key, arrivals), (chain key, depth, chains, pending))
-
-
-def _forget_chains(ref) -> None:
-    global _chains_memo
-    if _chains_memo is not None and _chains_memo[0] is ref:
-        _chains_memo = None
-
-
 def _loss_chains(trace: FrameTrace, link: LinkModel, depth: int, upstream: tuple) -> tuple:
     """1000 times each frame's size, its downlink arrival (its ``t_gen`` plus ``upstream``'s five terms, in pipeline
-    order) and its loss chain, at least ``depth`` attempts deep. Each is the memo's while its own key holds: the
-    trace, the terms' reprs (so -0.0 is not 0.0), or (seed, p, MTU). The memo is replaced whole."""
-    global _chains_memo
-    memo = _chains_memo
-    if memo is None or memo[0]() is not trace:
-        memo = (weakref.ref(trace, _forget_chains), None, (None,), (None,))
-    ref, sizes, arrival_part, chain_part = memo
+    order) and its loss chain, at least ``depth`` attempts deep. Each is the memo's, kept on the trace's frame table,
+    while its own key holds: the terms' reprs (so -0.0 is not 0.0), or (seed, p, MTU). The memo is replaced whole."""
+    table = trace.records  # (sizes, (arrival key, arrivals), (chain key, depth, chains, pending)), or None
+    sizes, arrival_part, chain_part = table.memo or (None, (None,), (None,))
     mtu = link.mtu_payload_bits
     if not link.loss_prob:  # a lossless frame's chain is empty, and finding that out needs no packet count
         chains = repeat((), len(trace))
@@ -283,7 +271,7 @@ def _loss_chains(trace: FrameTrace, link: LinkModel, depth: int, upstream: tuple
         # budget_check's terms in pipeline order: sense, comm_ul (uplink serialization + RTT/2), render, encode
         t_sense, uplink_ms, half_rtt, t_render, t_encode = upstream
         arrival_part = arrival_key, [t + t_sense + uplink_ms + half_rtt + t_render + t_encode for t in trace.t_gen]
-    _chains_memo = (ref, sizes, arrival_part, chain_part)
+    table.memo = (sizes, arrival_part, chain_part)
     return sizes, arrival_part[1], chains
 
 
@@ -358,8 +346,11 @@ def simulate(
     displayed = list(map(is_not, e2e_ms, repeat(None)))  # a frame was displayed exactly when it has an e2e
     shown = sorted(compress(e2e_ms, displayed))
     displayed_count = len(shown)
+    total = 0.0
+    for e2e in shown:  # left to right on every Python: from 3.12 on, sum() compensates a float sum
+        total += e2e
     aggregates = Aggregates(
-        mean_e2e_ms=require("mean e2e latency", sum(shown) / displayed_count, ge=0) if shown else None,
+        mean_e2e_ms=require("mean e2e latency", total / displayed_count, ge=0) if shown else None,
         p50_e2e_ms=_percentile(shown, 0.50) if shown else None,
         p95_e2e_ms=_percentile(shown, 0.95) if shown else None,
         p99_e2e_ms=_percentile(shown, 0.99) if shown else None,

@@ -166,13 +166,15 @@ class Columns(Sequence):
     field order, with one entry per record. It acts as that tuple (length,
     indexing, slicing, iteration, equality, hash, repr), so a table read
     only by its columns never builds a record. It keeps its columns, and
-    pickles as them.
+    pickles as them. ``memo`` holds values a consumer derives from these
+    columns alone; it is kept and dropped with them, and never compared,
+    hashed or pickled.
     """
 
-    __slots__ = ("make", "columns", "_built")
+    __slots__ = ("make", "columns", "_built", "memo")
 
     def __init__(self, make, *columns) -> None:
-        self.make, self.columns, self._built = make, columns, None
+        self.make, self.columns, self._built, self.memo = make, columns, None, None
 
     @classmethod
     def of(cls, make, records) -> "Columns":

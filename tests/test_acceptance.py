@@ -73,9 +73,9 @@ def test_criterion_01_quest2_table():
     for hz, (ppd_want, viewport_want, full_want) in expected.items():
         row = rows[hz]
         _check(failures, f"{hz}Hz ppd", abs(row["ppd"] - ppd_want) <= 0.01, f"{row['ppd']:.4f} vs {ppd_want}")
-        viewport = row["viewport_bitrate"].value_in("Mi")
+        viewport = row["viewport_bitrate"].bps / 2**20
         _check(failures, f"{hz}Hz viewport", abs(viewport - viewport_want) <= 0.01, f"{viewport:.4f}")
-        full = row["full_video_bitrate"].value_in("Mi")
+        full = row["full_video_bitrate"].bps / 2**20
         _check(failures, f"{hz}Hz full", abs(full - full_want) <= 0.01, f"{full:.4f}")
     _finish(1, "Quest 2 measurement table", failures)
 
@@ -86,14 +86,14 @@ def test_criterion_02_summary_table():
     quest = table["profiles"]["quest2@72"]
     eye = table["profiles"]["eye_like"]
     for label, cell, unit, want in (
-        ("quest raw", quest["bitrates"][1.0], "Gi", 10.80),
-        ("quest 20:1", quest["bitrates"][20.0], "Mi", 553.08),
-        ("quest 600:1", quest["bitrates"][600.0], "Mi", 18.44),
-        ("eye raw", eye["bitrates"][1.0], "Ti", 2.71),
-        ("eye 20:1", eye["bitrates"][20.0], "Gi", 138.72),
-        ("eye 600:1", eye["bitrates"][600.0], "Gi", 4.62),
+        ("quest raw", quest["bitrates"][1.0], 2**30, 10.80),
+        ("quest 20:1", quest["bitrates"][20.0], 2**20, 553.08),
+        ("quest 600:1", quest["bitrates"][600.0], 2**20, 18.44),
+        ("eye raw", eye["bitrates"][1.0], 2**40, 2.71),
+        ("eye 20:1", eye["bitrates"][20.0], 2**30, 138.72),
+        ("eye 600:1", eye["bitrates"][600.0], 2**30, 4.62),
     ):
-        value = cell.value_in(unit)
+        value = cell.bps / unit
         _check(failures, label, _rel(value, want) <= 0.005, f"{value:.4f} vs {want}")
     _check(failures, "quest loss", quest["max_loss_rate"] == 7.2e-6, str(quest["max_loss_rate"]))
     _check(failures, "eye loss", eye["max_loss_rate"] == 1e-6, str(eye["max_loss_rate"]))
@@ -113,13 +113,13 @@ def test_criterion_03_eye_like_chain():
     pixels_per_eye = (155 * 200) * (130 * 200)
     _check(failures, "pixels per eye", pixels_per_eye == 806_000_000, str(pixels_per_eye))
     raw = eye_like_capacity(EYE_FOV, 200, BPP24, 77, RAW)
-    _check(failures, "raw stereo view", _rel(raw.value_in("Ti"), 2.71) <= 0.005, raw.format())
+    _check(failures, "raw stereo view", _rel(raw.bps / 2**40, 2.71) <= 0.005, raw.format())
     sphere = full_sphere_capacity(200, BPP24, 77, RAW)
-    _check(failures, "raw full sphere", _rel(sphere.value_in("Ti"), 4.36) <= 0.005, sphere.format())
+    _check(failures, "raw full sphere", _rel(sphere.bps / 2**40, 4.36) <= 0.005, sphere.format())
     h265 = full_sphere_capacity(200, BPP24, 77, CompressionProfile("H.265", 600))
-    _check(failures, "sphere 600:1", _rel(h265.value_in("Gi"), 7.44) <= 0.005, h265.format())
+    _check(failures, "sphere 600:1", _rel(h265.bps / 2**30, 7.44) <= 0.005, h265.format())
     h266 = full_sphere_capacity(200, BPP24, 77, CompressionProfile("H.266", 1200))
-    _check(failures, "sphere 1200:1", _rel(h266.value_in("Gi"), 3.72) <= 0.005, h266.format())
+    _check(failures, "sphere 1200:1", _rel(h266.bps / 2**30, 3.72) <= 0.005, h266.format())
     _finish(3, "eye-like capacity chain", failures)
 
 
@@ -148,8 +148,8 @@ def test_criterion_04_strong_interaction_chain():
 
 def test_criterion_05_volumetric():
     failures: list = []
-    thirty = volumetric_capacity(VoxelSpec(50_360), 30, RAW).value_in("Mi")
-    ninety = volumetric_capacity(VoxelSpec(50_360), 90, RAW).value_in("Mi")
+    thirty = volumetric_capacity(VoxelSpec(50_360), 30, RAW).bps / 2**20
+    ninety = volumetric_capacity(VoxelSpec(50_360), 90, RAW).bps / 2**20
     _check(failures, "30 fps", abs(thirty - 103.74) <= 0.01, f"{thirty:.4f}")
     _check(failures, "90 fps", abs(ninety - 311.22) <= 0.01, f"{ninety:.4f}")
     _finish(5, "volumetric point-cloud capacity", failures)

@@ -4,10 +4,10 @@ Reading JSON (``json.load``/``json.loads``) is every module's own business. No m
 when it is imported: a record keeps its own field table, and a function that needs ``dataclasses`` imports it.
 Nor ``csv``: ``report`` imports it in ``write_rows``, so a command that writes no CSV does not load it.
 No module compiles code at run time: none calls ``eval`` or ``exec``. No function rebinds a module global (a
-``global`` statement) but the two of the simulator's loss-chain memo. No module names an argparse internal (an
-attribute of ``argparse``, of a parser, of its subparsers action, of an ``Action`` or of a ``Namespace`` whose name
-starts with one underscore): the CLI builds its command tree on argparse's public API alone. Each module imports
-only the package modules ``MAY_IMPORT`` gives it, and an edge up the layers only inside the function ``LATE`` names.
+``global`` statement). No module names an argparse internal (an attribute of ``argparse``, of a parser, of its
+subparsers action, of an ``Action`` or of a ``Namespace`` whose name starts with one underscore): the CLI builds its
+command tree on argparse's public API alone. Each module imports only the package modules ``MAY_IMPORT`` gives it,
+and an edge up the layers only inside the function ``LATE`` names.
 No module imports another module's underscore name or reads one off it: a name that another module uses is public.
 """
 import argparse
@@ -122,10 +122,6 @@ def test_the_compile_walk_catches_each_call():
     assert compiles(ast.parse(source)) == ["1: eval", "3: exec"]
 
 
-# The loss-chain memo that the simulator's lossy runs share; the one module state a function rebinds.
-GLOBAL_ALLOWED = {"netsim": {"_loss_chains", "_forget_chains"}}
-
-
 def rebinds_globals(tree: ast.AST) -> list[str]:
     """``line: scope`` for each ``global`` statement in ``tree``, where scope is the qualified name of the innermost
     function around it, or "module"."""
@@ -144,9 +140,8 @@ def rebinds_globals(tree: ast.AST) -> list[str]:
     return found
 
 
-def test_no_module_rebinds_a_global_but_the_loss_chain_memo():
-    found = {path.stem: [line for line in rebinds_globals(ast.parse(path.read_text(encoding="utf-8")))
-                         if line.partition(": ")[2] not in GLOBAL_ALLOWED.get(path.stem, set())]
+def test_no_module_rebinds_a_global():
+    found = {path.stem: rebinds_globals(ast.parse(path.read_text(encoding="utf-8")))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {module: lines for module, lines in found.items() if lines} == {}
 

@@ -50,6 +50,12 @@ MUTANTS = (
     Mutant("arrival-key-without-the-half-rtt", "netsim", "tuple(map(repr, upstream))",
            "tuple(map(repr, upstream[:2] + upstream[3:]))",
            ("test_netsim.py::TestLossChainReuse::test_a_warm_memo_equals_a_cold_run",)),
+    Mutant("chain-key-without-the-mtu", "netsim", "(str(link.seed), link.loss_prob, mtu)",
+           "(str(link.seed), link.loss_prob)",
+           ("test_netsim.py::TestLossChainReuse::test_a_warm_memo_equals_a_cold_run",)),
+    # correctly rounded, but another float order than the left-to-right sum the reports were written with
+    Mutant("mean-by-fsum", "netsim", "total / displayed_count", "math.fsum(shown) / displayed_count",
+           ("test_netsim.py::TestLossySweepBytes::test_reports_are_unchanged",)),
     # every attempt's resends first, then every short last packet's correction
     Mutant("last-packet-term-after-the-resend-sum", "netsim",
            "t += n_lost * resend\n" + " " * 20 + "if last_bits is not None:",

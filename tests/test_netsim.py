@@ -2,14 +2,18 @@ import _blake2
 import dataclasses
 import gc
 import hashlib
+import inspect
 import io
 import json
 import math
 import pickle
+import shutil
 import struct
+import subprocess
 import sys
 import threading
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +24,7 @@ from xrqos.errors import DomainError
 from xrqos.latency import LatencyBudget, PipelineTiming, budget_check
 from xrqos import netsim, tracegen
 from xrqos.netsim import LinkModel, _lost_packets, simulate
+from xrqos.records import Columns
 from xrqos.reliability import DEFAULT_MSS_BITS
 from xrqos.tracegen import (FrameRecord, FrameTrace, PacketRecord, export_packets, export_trace, generate_trace,
                              packet_split, packetize)
@@ -28,6 +33,11 @@ from xrqos.tracegen import (FrameRecord, FrameTrace, PacketRecord, export_packet
 def small_trace(frames=20, fps=30.0, i_bits=200_000, p_bits=40_000) -> FrameTrace:
     cfg = GopConfig(frames / fps, fps, redundancy_fraction=0.0)
     return generate_trace(FrameSizes(i_bits, p_bits), cfg, frames / fps)
+
+
+def fresh(trace: FrameTrace) -> FrameTrace:
+    """A copy of ``trace`` with a frame table of its own, so that its runs start from an empty memo: a cold run."""
+    return dataclasses.replace(trace, records=Columns(FrameRecord, *trace.records.columns))
 
 
 def closed_form_oracle(trace, link, timing, refresh_hz):
@@ -505,6 +515,41 @@ class TestFloatOrder:
         assert self.columns(simulate(trace, link, self.TIMING, 90.0, 20.0)) == expected
 
 
+def lossy_sweep_digests() -> dict:
+    """sha256 of ``report.to_json()`` per (mode, downlink) of ``TestLossySweepBytes``' sweep. It imports what it uses,
+    so that its source alone runs in a child interpreter that has nothing but the standard library and the package."""
+    import hashlib
+
+    from xrqos.codec import frame_sizes
+    from xrqos.latency import PipelineTiming
+    from xrqos.netsim import LinkModel, simulate
+    from xrqos.profiles import builtin_registry
+    from xrqos.tracegen import generate_trace
+
+    surface, cfg, comp = builtin_registry().stage("huawei_ilab", "comfortable").gop_model()
+    trace = generate_trace(frame_sizes(surface, comp), cfg, 2.0)
+    timing = PipelineTiming(t_sense=1.0, t_render=2.0, t_encode=2.0, t_decode=3.0, fixed_display=2.0)
+    digests = {}
+    for mode in ("udp_like", "tcp_like"):
+        for downlink in (100e6, 200e6, 300e6):
+            link = LinkModel(downlink_bps=downlink, propagation_rtt=8.0, loss_prob=0.01, seed=3, mode=mode,
+                             mtu_payload_bits=11_680)
+            report = simulate(trace, link, timing, 90.0, 20.0)
+            digests[mode, downlink] = hashlib.sha256(report.to_json().encode()).hexdigest()
+    return digests
+
+
+def other_python(version: str) -> str | None:
+    """A ``python<version>`` that runs: one installed beside this interpreter (as pyenv installs them), else one on
+    the PATH; None if there is neither."""
+    beside = sorted(Path(sys.base_prefix).parent.glob(f"{version}*/bin/python{version}"))
+    check = f"import sys; sys.exit(sys.version_info[:2] != {tuple(map(int, version.split('.')))})"
+    for python in [*map(str, beside), shutil.which(f"python{version}")]:
+        if python and subprocess.run([python, "-I", "-S", "-c", check], capture_output=True).returncode == 0:
+            return python
+    return None
+
+
 class TestLossySweepBytes:
     """A lossy sweep's reports, byte for byte: each mode at three downlinks over one trace, as a sweep runs them."""
 
@@ -519,20 +564,22 @@ class TestLossySweepBytes:
     }
 
     def test_reports_are_unchanged(self):
-        from xrqos.codec import frame_sizes
-        from xrqos.profiles import builtin_registry
+        assert lossy_sweep_digests() == self.SHA256
 
-        surface, cfg, comp = builtin_registry().stage("huawei_ilab", "comfortable").gop_model()
-        trace = generate_trace(frame_sizes(surface, comp), cfg, 2.0)
-        timing = PipelineTiming(t_sense=1.0, t_render=2.0, t_encode=2.0, t_decode=3.0, fixed_display=2.0)
-        digests = {}
-        for mode in ("udp_like", "tcp_like"):
-            for downlink in (100e6, 200e6, 300e6):
-                link = LinkModel(downlink_bps=downlink, propagation_rtt=8.0, loss_prob=0.01, seed=3, mode=mode,
-                                 mtu_payload_bits=11_680)
-                report = simulate(trace, link, timing, 90.0, 20.0)
-                digests[mode, downlink] = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert digests == self.SHA256
+    @pytest.mark.parametrize("version", ["3.12", "3.13"])
+    def test_reports_are_the_same_on_another_python(self, version):
+        # from 3.12 on, sum() compensates a float sum; the package states its own order, so every Python agrees
+        python = other_python(version)
+        if python is None:
+            pytest.skip(f"no Python {version} runs beside this interpreter or on the PATH")
+        source = inspect.getsource(lossy_sweep_digests)
+        script = f"import json, sys\nsys.path.insert(0, sys.argv[1])\n{source}\n" \
+                 "print(json.dumps([[*key, digest] for key, digest in lossy_sweep_digests().items()]))"
+        # -I -S: no environment, user or site packages, so the child has the standard library and the package alone
+        child = subprocess.run([python, "-I", "-S", "-B", "-c", script, str(Path(netsim.__file__).parent.parent)],
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert {(mode, downlink): digest for mode, downlink, digest in json.loads(child.stdout)} == self.SHA256
 
 
 def counted_builds(monkeypatch, cls):
@@ -867,8 +914,8 @@ class TestLossChainReuse:
         other = dataclasses.replace(timing, t_sense=senses[1])
         jobs += [(links[0], other), (links[2], other), (dataclasses.replace(links[2], propagation_rtt=rtts[1]), other),
                  (links[0], timing)]
-        # each cold run plays a new copy of the trace, which dies with the run; the JSON text tells -0.0 from 0.0
-        cold = [simulate(dataclasses.replace(trace), link, timing, 90.0, 20.0).to_json() for link, timing in jobs]
+        # each cold run plays a copy of the trace with its own frame table; the JSON text tells -0.0 from 0.0
+        cold = [simulate(fresh(trace), link, timing, 90.0, 20.0).to_json() for link, timing in jobs]
         assert [simulate(trace, link, timing, 90.0, 20.0).to_json() for link, timing in jobs] == cold
 
     def test_runs_share_the_arrival_column_until_a_term_before_the_downlink_changes(self):
@@ -876,13 +923,13 @@ class TestLossChainReuse:
         link = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, loss_prob=0.05, seed=3, mode="tcp_like")
         timing = PipelineTiming(t_sense=0.0)
         simulate(trace, link, timing, 90.0, 20.0)
-        _, sizes, (_, arrivals), _ = netsim._chains_memo
+        sizes, (_, arrivals), _ = trace.records.memo
         simulate(trace, dataclasses.replace(link, downlink_bps=3e7, mode="udp_like"), timing, 90.0, 20.0)
-        _, same_sizes, (_, same_arrivals), _ = netsim._chains_memo
+        same_sizes, (_, same_arrivals), _ = trace.records.memo
         assert same_sizes is sizes and same_arrivals is arrivals  # another downlink reads the same columns
         for t_sense in (-0.0, 2.0):  # a new sensing time, even one equal to the last, sums the arrivals anew
             simulate(trace, link, dataclasses.replace(timing, t_sense=t_sense), 90.0, 20.0)
-            _, new_sizes, (_, new_arrivals), _ = netsim._chains_memo
+            new_sizes, (_, new_arrivals), _ = trace.records.memo
             assert new_sizes is sizes and new_arrivals is not arrivals
             arrivals = new_arrivals
         # sense, uplink, RTT/2, render and encode, in pipeline order
@@ -896,11 +943,44 @@ class TestLossChainReuse:
         for content, report in zip(contents, expected):
             simulate(small_trace(), link, timing, 90.0, 20.0)
             gc.collect()
-            assert netsim._chains_memo is None  # dropped with the trace it was built for
             digests.clear()
             # a new trace may sit at the dead one's address; equal content or not, it draws its own chains
             assert simulate(small_trace(**content), link, timing, 90.0, 20.0) == report
             assert digests
+
+    def test_two_traces_alternated_link_by_link_give_their_cold_runs(self):
+        traces = [small_trace(frames=30, i_bits=400_000, p_bits=90_000), small_trace(frames=25)]
+        links = [LinkModel(downlink_bps=rate, propagation_rtt=4.0, loss_prob=0.05, seed=3, mode=mode)
+                 for mode in ("udp_like", "tcp_like") for rate in (5e7, 1e8, 2e8)]
+        timing = PipelineTiming(t_sense=1.0, t_render=2.0)
+        cold = [[simulate(fresh(trace), link, timing, 90.0, 20.0).to_json() for trace in traces] for link in links]
+        assert [[simulate(trace, link, timing, 90.0, 20.0).to_json() for trace in traces] for link in links] == cold
+        assert [len(trace.records.memo[2][2]) for trace in traces] == [30, 25]  # each table holds its own chains
+
+    def test_a_memo_dies_with_its_frame_table(self):
+        trace = small_trace(frames=30, i_bits=400_000, p_bits=90_000)
+        simulate(trace, LinkModel(downlink_bps=1e8, loss_prob=0.05, seed=3, mode="tcp_like"), PipelineTiming(), 90.0,
+                 20.0)
+        assert trace.records.memo is not None
+        address = id(trace.records)  # a Columns takes no weak reference, so the test looks for it among gc's objects
+
+        def tables_there():
+            return [table for table in gc.get_objects() if type(table) is Columns and id(table) == address]
+
+        assert tables_there() == [trace.records]
+        del trace
+        gc.collect()
+        assert tables_there() == []  # the table is freed, and with it the memo that only it holds
+
+    def test_a_memo_is_never_compared_hashed_or_pickled(self):
+        trace = small_trace(frames=30, i_bits=400_000, p_bits=90_000)
+        cold = fresh(trace)
+        simulate(trace, LinkModel(downlink_bps=1e8, loss_prob=0.05, seed=3), PipelineTiming(), 90.0, 20.0)
+        assert trace == cold and hash(trace.records) == hash(cold.records) and cold.records.memo is None
+        assert pickle.loads(pickle.dumps(trace)).records.memo is None
+        assert "memo" not in vars(trace)  # the trace's own fields are untouched, so type(x)(**vars(x)) still copies
+        # a copy that keeps the frame table shares its memo: every part of it derives from the table alone
+        assert dataclasses.replace(trace, duration=5.0).records.memo is trace.records.memo
 
     def test_seeds_that_compare_equal_keep_their_own_streams(self):
         trace = small_trace(frames=30, i_bits=400_000, p_bits=90_000)
@@ -909,7 +989,7 @@ class TestLossChainReuse:
         # True == 1, but the stream keys on the seed's text, so True draws other losses
         other = dataclasses.replace(link, seed=True)
         warm = simulate(trace, other, PipelineTiming(), 90.0, 20.0)
-        assert warm == simulate(dataclasses.replace(trace), other, PipelineTiming(), 90.0, 20.0) != first
+        assert warm == simulate(fresh(trace), other, PipelineTiming(), 90.0, 20.0) != first
 
     def test_threads_sharing_the_memo_get_cold_results(self):
         traces = [small_trace(frames=30, i_bits=400_000, p_bits=90_000), small_trace(frames=25)]
@@ -917,7 +997,7 @@ class TestLossChainReuse:
                  for rate in (5e7, 2e8) for p, seed in ((0.05, 1), (0.1, 2)) for mode in ("udp_like", "tcp_like")]
         timings = [PipelineTiming(), PipelineTiming(t_sense=3.0, t_render=1.5)]
         jobs = [(trace, link, timing) for trace in traces for link in links for timing in timings]
-        expected = [simulate(dataclasses.replace(trace), link, timing, 90.0, 20.0) for trace, link, timing in jobs]
+        expected = [simulate(fresh(trace), link, timing, 90.0, 20.0) for trace, link, timing in jobs]
         mismatches = []
 
         def worker(offset):
@@ -982,7 +1062,7 @@ class TestDrawCost:
         trace = small_trace(frames=60, i_bits=2_000_000, p_bits=400_000)
         udp = LinkModel(downlink_bps=1e8, propagation_rtt=4.0, loss_prob=0.05, seed=8)
         tcp = dataclasses.replace(udp, mode="tcp_like", max_retx=3)
-        expected = simulate(dataclasses.replace(trace), tcp, PipelineTiming(), 90.0, 20.0)
+        expected = simulate(fresh(trace), tcp, PipelineTiming(), 90.0, 20.0)
         digests.clear()
         simulate(trace, udp, PipelineTiming(), 90.0, 20.0)
         assert simulate(trace, tcp, PipelineTiming(), 90.0, 20.0) == expected
@@ -1097,4 +1177,4 @@ class TestBoundary:
         simulate(trace, link, PipelineTiming(), 90.0, 20.0)
         monkeypatch.setattr(tracegen, "MAX_PACKETS", 8)
         with pytest.raises(DomainError, match="got 9"):
-            simulate(dataclasses.replace(trace), link, PipelineTiming(), 90.0, 20.0)
+            simulate(fresh(trace), link, PipelineTiming(), 90.0, 20.0)

@@ -413,8 +413,8 @@ class TestQuest2Table:
             assert str(row["render_target"]) == render
             assert str(row["full_video"]) == full
             assert row["ppd"] == pytest.approx(ppd, abs=0.01)
-            assert row["viewport_bitrate"].value_in("Mi") == pytest.approx(viewport, abs=0.01)
-            assert row["full_video_bitrate"].value_in("Mi") == pytest.approx(full_rate, abs=0.01)
+            assert row["viewport_bitrate"].bps / 2**20 == pytest.approx(viewport, abs=0.01)
+            assert row["full_video_bitrate"].bps / 2**20 == pytest.approx(full_rate, abs=0.01)
 
 
 class TestSummaryTable:
@@ -427,9 +427,9 @@ class TestSummaryTable:
         assert quest["bpp"] == 24
         assert quest["ppd"] == pytest.approx(18.8, abs=0.01)
         assert quest["refresh_hz"] == 72
-        assert quest["bitrates"][1.0].value_in("Gi") == pytest.approx(10.80, rel=0.005)
-        assert quest["bitrates"][20.0].value_in("Mi") == pytest.approx(553.08, rel=0.005)
-        assert quest["bitrates"][600.0].value_in("Mi") == pytest.approx(18.44, rel=0.005)
+        assert quest["bitrates"][1.0].bps / 2**30 == pytest.approx(10.80, rel=0.005)
+        assert quest["bitrates"][20.0].bps / 2**20 == pytest.approx(553.08, rel=0.005)
+        assert quest["bitrates"][600.0].bps / 2**20 == pytest.approx(18.44, rel=0.005)
         assert quest["mtp_limit_ms"] == 69
         assert quest["max_loss_rate"] == 7.2e-6
         assert quest["min_delivery_pct"] == pytest.approx(99.99928, abs=5e-6)
@@ -441,9 +441,9 @@ class TestSummaryTable:
         assert str(eye["single_eye_resolution"]) == "31000x26000"
         assert eye["ppd"] == 200
         assert eye["refresh_hz"] == 77
-        assert eye["bitrates"][1.0].value_in("Ti") == pytest.approx(2.71, rel=0.005)
-        assert eye["bitrates"][20.0].value_in("Gi") == pytest.approx(138.72, rel=0.005)
-        assert eye["bitrates"][600.0].value_in("Gi") == pytest.approx(4.62, rel=0.005)
+        assert eye["bitrates"][1.0].bps / 2**40 == pytest.approx(2.71, rel=0.005)
+        assert eye["bitrates"][20.0].bps / 2**30 == pytest.approx(138.72, rel=0.005)
+        assert eye["bitrates"][600.0].bps / 2**30 == pytest.approx(4.62, rel=0.005)
         assert eye["mtp_limit_ms"] == 20
         assert eye["max_loss_rate"] == 1e-6
         assert eye["min_delivery_pct"] == pytest.approx(99.9999, abs=5e-7)
@@ -451,4 +451,4 @@ class TestSummaryTable:
     def test_custom_columns(self):
         table = reproduce_summary_table(builtin_registry(), columns=("quest2@120",))
         quest = table["profiles"]["quest2@120"]
-        assert quest["bitrates"][600.0].value_in("Mi") == pytest.approx(25.11, abs=0.01)
+        assert quest["bitrates"][600.0].bps / 2**20 == pytest.approx(25.11, abs=0.01)

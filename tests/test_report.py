@@ -30,8 +30,8 @@ class TestRequirementsReport:
         result = requirements_report(builtin_registry(), ("quest2@72", "eye_like"))
         quest = result["profiles"]["quest2@72"]
         eye = result["profiles"]["eye_like"]
-        assert quest["bitrates"][600.0].value_in("Mi") == pytest.approx(18.44, abs=0.01)
-        assert eye["bitrates"][1.0].value_in("Ti") == pytest.approx(2.71, rel=0.005)
+        assert quest["bitrates"][600.0].bps / 2**20 == pytest.approx(18.44, abs=0.01)
+        assert eye["bitrates"][1.0].bps / 2**40 == pytest.approx(2.71, rel=0.005)
         assert quest["max_loss_rate"] == 7.2e-6
         assert eye["min_delivery_pct"] == pytest.approx(99.9999, abs=5e-7)
 
